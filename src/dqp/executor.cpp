@@ -43,7 +43,7 @@ void rotate_end_to_back(std::vector<overlay::Provider>& chain,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Legacy-identical primitives.
+// Primitives shared by every task kind.
 
 overlay::HybridOverlay::Located DagExecutor::locate(
     const rdf::TriplePattern& p, net::NodeAddress initiator, net::SimTime now,
@@ -73,7 +73,7 @@ std::optional<SolutionSet> DagExecutor::run_at_provider(
     return std::nullopt;
   }
   ++rep.providers_contacted;
-  sparql::LocalEngine engine(overlay_->store_of(provider), policy_.vectorized);
+  sparql::LocalEngine engine(overlay_->store_of(provider));
   return engine.match_pattern(p);
 }
 
@@ -175,7 +175,7 @@ net::SimTime DagExecutor::claim(net::NodeAddress node, std::uint32_t qid,
   if (opts_.service.service_ms <= 0) return at;
   auto& [busy_until, last] = busy_[node];
   // Only *cross-query* overlap queues: a query never waits on its own work
-  // (the legacy engine models one query's parallelism as free).
+  // (one query's own parallelism is modelled as free).
   if (last != 0 && last != qid + 1 && busy_until > at) at = busy_until;
   busy_until = std::max(busy_until, at + opts_.service.service_ms);
   last = qid + 1;
@@ -488,7 +488,7 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
     if (op->slot > 0) {
       const Task& prev = run.tasks[op->inputs.front()];
       if (prev.out.set.empty()) {
-        // Legacy `break`: one empty operand empties the whole join; the
+        // Early exit: one empty operand empties the whole join; the
         // remaining slots pass the result through untouched (no traffic).
         task.out = prev.out;
         complete(run, id, task.out.ready_at);
@@ -511,7 +511,7 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
     }
   }
 
-  // --- exec_pattern, reified (same formulas as the legacy engine). ---
+  // --- One pattern under its primitive strategy. ---
   const net::SimTime now = loc.completed_at;
 
   if (loc.providers.empty()) {
@@ -641,8 +641,8 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
     if (local.has_value()) {
       t = net().send(prov, scan.assembly, net::wire::charged_bytes(*local),
                      t, net::Category::kData, local->byte_size());
-      scan.merged = sparql::deduplicated(
-          sparql::set_union(scan.merged, *local), policy_.vectorized);
+      scan.merged =
+          sparql::deduplicated(sparql::set_union(scan.merged, *local));
     } else if (policy_.retry.enabled() &&
                leg.attempt < policy_.retry.max_retries) {
       // Dead contact with attempts left: hand the slot to a replacement leg
@@ -692,7 +692,7 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
                              scan.assembly);
     Located c = ship(scan.carry, scan.assembly, net::Category::kData);
     ship_span.finish(c.ready_at);
-    out.set = sparql::join(c.set, out.set, policy_.vectorized);
+    out.set = sparql::join(c.set, out.set);
     out.ready_at = std::max(out.ready_at, c.ready_at);
   }
   scan.out = std::move(out);
@@ -733,12 +733,10 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
         run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
     if (local.has_value()) {
       SolutionSet contribution = scan.has_carry
-                                     ? sparql::join(scan.carry.set, *local,
-                                                    policy_.vectorized)
+                                     ? sparql::join(scan.carry.set, *local)
                                      : std::move(*local);
       scan.acc =
-          sparql::deduplicated(sparql::set_union(scan.acc, contribution),
-                               policy_.vectorized);
+          sparql::deduplicated(sparql::set_union(scan.acc, contribution));
       scan.site = prov;
       scan.sender = prov;
     } else if (policy_.retry.enabled() &&
@@ -935,7 +933,7 @@ net::SimTime DagExecutor::fire_binary(QueryRun& run, TaskId id) {
     case TaskKind::kJoin: {
       auto [cl, cr] = colocate(std::move(l), std::move(r), run.initiator,
                                run.rep);
-      out.set = sparql::join(cl.set, cr.set, policy_.vectorized);
+      out.set = sparql::join(cl.set, cr.set);
       out.site = cl.site;
       out.ready_at = std::max(cl.ready_at, cr.ready_at);
       break;
@@ -943,8 +941,7 @@ net::SimTime DagExecutor::fire_binary(QueryRun& run, TaskId id) {
     case TaskKind::kLeftJoin: {
       auto [cl, cr] = colocate(std::move(l), std::move(r), run.initiator,
                                run.rep);
-      out.set = sparql::left_join_conditioned(cl.set, cr.set, op.expr,
-                                              policy_.vectorized);
+      out.set = sparql::left_join_conditioned(cl.set, cr.set, op.expr);
       out.site = cl.site;
       out.ready_at = std::max(cl.ready_at, cr.ready_at);
       break;
@@ -952,7 +949,7 @@ net::SimTime DagExecutor::fire_binary(QueryRun& run, TaskId id) {
     case TaskKind::kMinus: {
       auto [cl, cr] = colocate(std::move(l), std::move(r), run.initiator,
                                run.rep);
-      out.set = sparql::minus(cl.set, cr.set, policy_.vectorized);
+      out.set = sparql::minus(cl.set, cr.set);
       out.site = cl.site;
       out.ready_at = std::max(cl.ready_at, cr.ready_at);
       break;
@@ -966,8 +963,7 @@ net::SimTime DagExecutor::fire_binary(QueryRun& run, TaskId id) {
         l = std::move(cl);
         r = std::move(cr);
       }
-      out.set = sparql::deduplicated(sparql::set_union(l.set, r.set),
-                                     policy_.vectorized);
+      out.set = sparql::deduplicated(sparql::set_union(l.set, r.set));
       out.site = l.site;
       out.ready_at = std::max(l.ready_at, r.ready_at);
       break;
@@ -984,7 +980,7 @@ net::SimTime DagExecutor::fire_filter(QueryRun& run, TaskId id) {
   Task& task = run.tasks[id];
   const PhysicalOp& op = run.plan.ops[task.op];
   Located l = run.tasks[op.inputs.front()].out;
-  l.set = sparql::filter_set(l.set, *op.expr, policy_.vectorized);
+  l.set = sparql::filter_set(l.set, *op.expr);
   task.out = std::move(l);
   complete(run, id, task.out.ready_at);
   return 0;
@@ -1005,7 +1001,7 @@ net::SimTime DagExecutor::fire_modifier(QueryRun& run, TaskId id) {
     }
     case sparql::AlgebraKind::kDistinct:
     case sparql::AlgebraKind::kReduced:
-      l.set = sparql::deduplicated(std::move(l.set), policy_.vectorized);
+      l.set = sparql::deduplicated(std::move(l.set));
       break;
     case sparql::AlgebraKind::kOrderBy:
       sparql::order_solutions(l.set, op.order);
@@ -1046,8 +1042,9 @@ net::SimTime DagExecutor::fire_post(QueryRun& run, TaskId id) {
 
   // Distributed DESCRIBE: resolve each target's surrounding triples with
   // two primitive pattern queries (t, ?, ?) and (?, ?, t). Parts run
-  // sequentially (control-chained) to mirror the legacy engine's index
-  // repair order; each starts its lookup at the result's arrival time.
+  // sequentially (control-chained) so each part's lookups see the index
+  // repairs of the parts before it; each starts its lookup at the result's
+  // arrival time.
   std::set<rdf::Term> target_set;
   for (const rdf::PatternTerm& pt : run.query.describe_targets) {
     if (const rdf::Term* t = rdf::term_of(pt)) {
@@ -1092,7 +1089,7 @@ net::SimTime DagExecutor::fire_post(QueryRun& run, TaskId id) {
 
       Task sh;
       sh.kind = TaskKind::kShip;
-      sh.quiet_ship = true;  // legacy DESCRIBE ships open no span
+      sh.quiet_ship = true;  // DESCRIBE part ships open no span
       sh.ship_target = run.initiator;
       sh.ship_category = net::Category::kResult;
       sh.base = t0;

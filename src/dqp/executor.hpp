@@ -5,20 +5,20 @@
 // (data and control) have finished; ready events pop in (time, query, task)
 // order from net::EventQueue, so a batch replays bit-for-bit.
 //
-// Two invariants tie the executor to the legacy recursive engine:
+// Two contracts fix what a query observes; the golden digests
+// (tests/dqp/golden_digest_test.cpp) pin both:
 //
-//   1. *Value identity.* Every task computes its output with exactly the
-//      legacy formulas — same logical start times (all subtrees of one
-//      query start at t=0, DESCRIBE parts at the result's arrival), same
-//      merge/dedup canonicalization, same traffic charges. Event order only
-//      decides *when* a charge is booked, never how large it is, so
-//      single-query DAG runs reproduce legacy results, TrafficStats and
-//      response times exactly (the A/B equivalence tests pin this).
+//   1. *Value contract.* A task's output and charges depend only on its
+//      inputs and logical start time, never on event order: all subtrees
+//      of one query start at t=0 and DESCRIBE parts at the result's
+//      arrival; every in-network merge is deduplicated into canonical
+//      order; every shipped set is charged its wire-encoded size. Event
+//      order only decides *when* a charge is booked, never how large it is.
 //
-//   2. *State-mutation order.* Lazy index repairs mutate shared overlay
-//      state; the plan's control edges serialize each query's fires into
-//      the legacy left-to-right order so repairs and lookups interleave
-//      identically.
+//   2. *Repair order.* Lazy index repairs mutate shared overlay state; the
+//      plan's control edges serialize each query's fires left-to-right
+//      (left operand before right, DESCRIBE parts in target order), so a
+//      lookup always sees the repairs its predecessors triggered.
 //
 // Dynamic expansion: chain hops, scatter legs and DESCRIBE part queries
 // depend on runtime information (provider lists, join order, result
@@ -216,7 +216,7 @@ class DagExecutor {
   net::SimTime fire_post(QueryRun& run, TaskId id);
   net::SimTime fire_describe_gather(QueryRun& run, TaskId id);
 
-  // Legacy-identical primitives (same formulas as the recursive engine).
+  // Primitives shared by every task kind.
   overlay::HybridOverlay::Located locate(const rdf::TriplePattern& p,
                                          net::NodeAddress initiator,
                                          net::SimTime now,

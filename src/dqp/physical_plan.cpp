@@ -120,7 +120,7 @@ struct Compiler {
         OpId l = compile(*a.left, kNoOp, barrier);
         // The right subtree's chains prefer to end where the left operand
         // landed (its runtime site), so the join starts co-located; the
-        // left root also barriers the right subtree (legacy eval order).
+        // left root also barriers the right subtree (repair order).
         OpId r = compile(*a.right, l, l);
         PhysicalOp op;
         op.kind = PhysOpKind::kJoin;

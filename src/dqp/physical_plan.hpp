@@ -1,11 +1,10 @@
 // Physical operator plan (the reified Fig. 3 pipeline).
 //
 // The planner compiles the optimized SPARQL algebra into an explicit DAG of
-// physical operators instead of evaluating it with a recursive walk. Each
-// node carries the site/strategy decisions that the legacy path buried in
-// control flow (PrimitiveStrategy, JoinSitePolicy, overlap-aware chain
-// ends), so a plan can be rendered, diffed and executed by the event-driven
-// scheduler in dqp/executor.
+// physical operators. Each node carries its site/strategy decisions
+// (PrimitiveStrategy, JoinSitePolicy, overlap-aware chain ends), so a plan
+// can be rendered, diffed and executed by the event-driven scheduler in
+// dqp/executor.
 //
 // Two granularities exist on purpose:
 //   - *static* operators, compiled here, mirror the algebra one-to-one
@@ -29,18 +28,9 @@
 
 namespace ahsw::dqp {
 
-/// Which evaluation path `DistributedQueryProcessor::execute` takes. The
-/// DAG executor is the default; the legacy recursive walk remains for one
-/// release as an A/B reference (the equivalence tests pin them to byte-equal
-/// results, traffic and response times).
-enum class ExecutionEngine : std::uint8_t {
-  kDag,     // physical plan + deterministic event scheduler
-  kLegacy,  // recursive eval() walk (to be removed next PR)
-};
-
-/// Recovery knobs for sub-query dispatch under churn (DAG engine only).
-/// With the defaults every knob is off, so existing executions — including
-/// the legacy/DAG A/B equivalence pins — are byte-identical to before.
+/// Recovery knobs for sub-query dispatch under churn. With the defaults
+/// every knob is off: each dead provider is given up on after its first
+/// timeout.
 ///
 /// A dead provider costs one failure-detection timeout per contact. With
 /// retries enabled, the dispatcher re-contacts the *next* ranked provider
@@ -74,13 +64,6 @@ struct ExecutionPolicy {
   bool frequency_join_order = true;  // IV-D: order AND patterns by frequency
   bool overlap_aware_sites = true;   // IV-D/IV-F: end chains at shared nodes
 
-  /// Evaluate join/filter/distinct operators over dictionary-id columns
-  /// (sparql/columnar.hpp) instead of row-at-a-time term comparisons. Pure
-  /// execution detail: rows, plan notes and traffic are byte-identical
-  /// either way (pinned by tests/sparql/vectorized_ab_test.cpp); false
-  /// keeps the legacy path for A/B comparison.
-  bool vectorized = true;
-
   /// Adaptive per-pattern strategy selection (the paper's Sect. V future
   /// work: plans under a mixture of traffic and response-time objectives).
   /// When set, `primitive` is ignored for index-served patterns and the
@@ -89,17 +72,14 @@ struct ExecutionPolicy {
   bool adaptive = false;
   optimizer::ObjectiveWeights objectives;
 
-  /// Sub-query retry/failover under churn (DAG engine only; defaults off).
+  /// Sub-query retry/failover under churn (defaults off).
   RetryPolicy retry;
 
-  /// Initiator-side location-row caching (DAG engine only; disabled by
-  /// default, so existing executions stay byte-identical). A cache hit
-  /// serves the provider row locally — zero `index` traffic, zero ring
+  /// Initiator-side location-row caching (disabled by default). A cache
+  /// hit serves the provider row locally — zero `index` traffic, zero ring
   /// hops; a dead-provider give-up invalidates the row, composing with
   /// `retry`. See docs/caching.md.
   overlay::CacheConfig cache;
-
-  ExecutionEngine engine = ExecutionEngine::kDag;
 };
 
 using OpId = std::uint32_t;
@@ -128,19 +108,20 @@ enum class PhysOpKind : std::uint8_t {
 /// `preferred_end_from` is a *control* dependency: the scan may not fire
 /// until that operator finished, because its output site is this chain's
 /// preferred end (overlap-aware site selection). Control deps affect fire
-/// order, never simulated start times — the legacy path evaluates every
-/// subtree at the same logical `now`, and the DAG reproduces that exactly.
+/// order, never simulated start times: the value contract is that every
+/// subtree of a query starts at the same logical t=0, so a scan's costs do
+/// not depend on when its end hint became known.
 struct PhysicalOp {
   OpId id = kNoOp;
   PhysOpKind kind = PhysOpKind::kConst;
   std::vector<OpId> inputs;
   OpId preferred_end_from = kNoOp;
 
-  /// Sequencing-only dependencies. The legacy walk evaluates binary
-  /// operands strictly left-then-right, so lazy index repairs triggered by
-  /// the left subtree are visible to the right subtree's lookups. The
-  /// compiler pins that order by making every *source* op (lookup/const) of
-  /// a right subtree wait for the left subtree's root. Like
+  /// Sequencing-only dependencies. The repair-order contract: binary
+  /// operands run strictly left-then-right, so lazy index repairs triggered
+  /// by the left subtree are visible to the right subtree's lookups. The
+  /// compiler enforces it by making every *source* op (lookup/const) of a
+  /// right subtree wait for the left subtree's root. Like
   /// `preferred_end_from`, control deps gate firing, not simulated time.
   std::vector<OpId> control;
 
@@ -191,8 +172,7 @@ struct PhysicalPlan {
                                                  sparql::QueryForm form);
 
 /// Wire size of a shipped sub-query: the pattern, any pushed filter, and
-/// plan metadata (chain list, return address). Shared by both engines so
-/// their traffic charges stay identical.
+/// plan metadata (chain list, return address).
 [[nodiscard]] std::size_t subquery_wire_bytes(const sparql::BgpPattern& p);
 
 }  // namespace ahsw::dqp

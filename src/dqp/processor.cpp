@@ -1,469 +1,19 @@
 #include "dqp/processor.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 #include "dqp/executor.hpp"
 #include "dqp/parallel.hpp"
-#include "net/wire.hpp"
-#include "obs/explain.hpp"
 #include "sparql/ast.hpp"
 
 namespace ahsw::dqp {
 
-using optimizer::JoinSitePolicy;
-using optimizer::PrimitiveStrategy;
-using sparql::Algebra;
-using sparql::AlgebraKind;
-using sparql::AlgebraPtr;
-using sparql::Binding;
-using sparql::SolutionSet;
-
-namespace {
-
-[[nodiscard]] std::string_view form_name(sparql::QueryForm f) {
-  switch (f) {
-    case sparql::QueryForm::kSelect: return "SELECT";
-    case sparql::QueryForm::kConstruct: return "CONSTRUCT";
-    case sparql::QueryForm::kAsk: return "ASK";
-    case sparql::QueryForm::kDescribe: return "DESCRIBE";
-  }
-  return "?";
-}
-
-/// Move `end` to the back of `chain` if present (chains may be asked to
-/// finish at an overlap node; relative order of the rest is preserved).
-void rotate_end_to_back(std::vector<overlay::Provider>& chain,
-                        net::NodeAddress end) {
-  auto it = std::find_if(
-      chain.begin(), chain.end(),
-      [&](const overlay::Provider& p) { return p.address == end; });
-  if (it == chain.end()) return;
-  overlay::Provider saved = *it;
-  chain.erase(it);
-  chain.push_back(saved);
-}
-
-}  // namespace
-
 sparql::AlgebraPtr DistributedQueryProcessor::plan(
     std::string_view query_text) const {
   sparql::Query q = sparql::parse_query(query_text);
-  AlgebraPtr a = sparql::translate_pattern(q.where);
+  sparql::AlgebraPtr a = sparql::translate_pattern(q.where);
   if (policy_.push_filters) a = optimizer::push_filters(a);
   return a;
-}
-
-overlay::HybridOverlay::Located DistributedQueryProcessor::locate(
-    const rdf::TriplePattern& p, net::NodeAddress initiator, net::SimTime now,
-    ExecutionReport& rep) {
-  overlay::HybridOverlay::Located loc = overlay_->locate(initiator, p, now);
-  ++rep.index_lookups;
-  rep.ring_hops += loc.hops;
-  if (!loc.ok) rep.complete = false;
-  return loc;
-}
-
-DistributedQueryProcessor::Located DistributedQueryProcessor::ship(
-    Located from, net::NodeAddress target, ExecutionReport& rep,
-    net::Category category) {
-  (void)rep;
-  if (from.site == target) return from;
-  from.ready_at = overlay_->network().send(
-      from.site, target, net::wire::charged_bytes(from.set), from.ready_at,
-      category, from.set.byte_size());
-  from.site = target;
-  return from;
-}
-
-std::optional<sparql::SolutionSet> DistributedQueryProcessor::run_at_provider(
-    net::NodeAddress provider, const sparql::BgpPattern& p, net::SimTime& now,
-    net::NodeAddress initiator, ExecutionReport& rep) {
-  if (overlay_->network().is_failed(provider)) {
-    // Stale location-table entry (Sect. III-D): the contact times out and
-    // the reporter triggers lazy repair at the owning index node. The
-    // timeout is charged against the dead provider under the query
-    // category, so traces and per-category stats show who stalled us.
-    now = overlay_->network().timeout(now, provider, net::Category::kQuery);
-    ++rep.dead_providers_skipped;
-    overlay_->report_dead_provider(initiator, p.pattern, provider, now);
-    return std::nullopt;
-  }
-  ++rep.providers_contacted;
-  sparql::LocalEngine engine(overlay_->store_of(provider), policy_.vectorized);
-  return engine.match_pattern(p);
-}
-
-DistributedQueryProcessor::Located DistributedQueryProcessor::exec_pattern(
-    const sparql::BgpPattern& p, const overlay::HybridOverlay::Located& loc,
-    net::NodeAddress initiator, ExecutionReport& rep,
-    std::optional<net::NodeAddress> preferred_end, const Located* carry) {
-  net::Network& net = overlay_->network();
-  net::SimTime now = loc.completed_at;
-
-  // No providers: the answer is empty (join with carry is empty too).
-  if (loc.providers.empty()) {
-    Located out;
-    out.site = carry != nullptr ? carry->site : initiator;
-    out.ready_at = std::max(now, carry != nullptr ? carry->ready_at : now);
-    return out;
-  }
-
-  obs::SpanScope pattern_span(trace_, obs::SpanKind::kPattern,
-                              p.pattern.to_string(), now, initiator);
-
-  PrimitiveStrategy strategy = policy_.primitive;
-  if (policy_.adaptive && !loc.broadcast && loc.providers.size() > 1) {
-    strategy = optimizer::choose_primitive_strategy(
-        loc.providers, net.cost_model(), policy_.objectives);
-    rep.plan_notes.push_back(
-        std::string("adaptive: ") + p.pattern.to_string() + " -> " +
-        std::string(optimizer::primitive_strategy_name(strategy)));
-  }
-
-  const bool scatter_gather =
-      strategy == PrimitiveStrategy::kBasic || loc.broadcast;
-
-  if (scatter_gather) {
-    // Basic strategy (Sect. IV-C): the index node is the assembly site; all
-    // providers evaluate in parallel and ship their mappings to it. A
-    // broadcast (fully unbound) pattern floods from the initiator instead.
-    net::NodeAddress assembly =
-        loc.broadcast ? initiator
-                      : overlay_->ring().contains(loc.index_node)
-                            ? overlay_->ring().address_of(loc.index_node)
-                            : initiator;
-    SolutionSet merged;
-    net::SimTime done = now;
-    for (const overlay::Provider& prov : loc.providers) {
-      net::SimTime t;
-      {
-        obs::SpanScope ship_span(trace_, obs::SpanKind::kSubQueryShip,
-                                 "to node " + std::to_string(prov.address),
-                                 now, assembly);
-        t = net.send(assembly, prov.address, subquery_wire_bytes(p), now,
-                     net::Category::kQuery);
-        ship_span.finish(t);
-      }
-      obs::SpanScope exec_span(trace_, obs::SpanKind::kLocalExec,
-                               "node " + std::to_string(prov.address), t,
-                               prov.address);
-      std::optional<SolutionSet> local =
-          run_at_provider(prov.address, p, t, initiator, rep);
-      if (!local.has_value()) {
-        exec_span.finish(t);
-        done = std::max(done, t);
-        continue;
-      }
-      t = net.send(prov.address, assembly, net::wire::charged_bytes(*local),
-                   t, net::Category::kData, local->byte_size());
-      exec_span.finish(t);
-      merged = sparql::deduplicated(sparql::set_union(merged, *local),
-                                    policy_.vectorized);
-      done = std::max(done, t);
-    }
-    Located out;
-    out.set = std::move(merged);
-    out.site = assembly;
-    out.ready_at = done;
-    if (carry != nullptr) {
-      // Conjunction under the basic plan: ship the carried mappings to the
-      // assembly site and join there (the N4 -> N15 pattern of Sect. IV-D).
-      obs::SpanScope ship_span(trace_, obs::SpanKind::kShip,
-                               "carry to assembly", carry->ready_at, assembly);
-      Located c = ship(*carry, assembly, rep);
-      ship_span.finish(c.ready_at);
-      out.set = sparql::join(c.set, out.set, policy_.vectorized);
-      out.ready_at = std::max(out.ready_at, c.ready_at);
-    }
-    pattern_span.finish(out.ready_at);
-    return out;
-  }
-
-  // Chain strategies (Sect. IV-C optimization / further optimization):
-  // the query travels a provider chain; every provider merges its local
-  // mappings into the travelling set (in-network aggregation). With a
-  // carried set, every provider joins its matches against it (IV-D).
-  std::vector<overlay::Provider> chain =
-      optimizer::chain_order(loc.providers, strategy);
-  if (policy_.overlap_aware_sites && preferred_end.has_value()) {
-    rotate_end_to_back(chain, *preferred_end);
-  }
-
-  net::NodeAddress owner_addr = overlay_->ring().contains(loc.index_node)
-                                    ? overlay_->ring().address_of(loc.index_node)
-                                    : initiator;
-  // The index node forwards the sub-query (with the chain list) to the
-  // first provider; the carried set (if any) travels from its site there.
-  net::SimTime t;
-  std::size_t carry_bytes = 0;
-  std::size_t carry_raw_bytes = 0;
-  {
-    obs::SpanScope ship_span(trace_, obs::SpanKind::kSubQueryShip,
-                             "to node " + std::to_string(chain.front().address),
-                             now, owner_addr);
-    t = net.send(owner_addr, chain.front().address, subquery_wire_bytes(p), now,
-                 net::Category::kQuery);
-    if (carry != nullptr) {
-      t = std::max(t, net.send(carry->site, chain.front().address,
-                               net::wire::charged_bytes(carry->set),
-                               carry->ready_at, net::Category::kData,
-                               carry->set.byte_size()));
-      carry_bytes = net::wire::charged_bytes(carry->set);
-      carry_raw_bytes = carry->set.byte_size();
-    }
-    ship_span.finish(t);
-  }
-
-  SolutionSet acc;
-  // The forwarding sender is always the last live participant (initially
-  // the index node that launched the chain): if a provider is dead, its
-  // predecessor detects the timeout and forwards past the corpse itself.
-  net::NodeAddress sender = owner_addr;
-  net::NodeAddress site = owner_addr;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    net::NodeAddress prov = chain[i].address;
-    obs::SpanScope hop_span(trace_, obs::SpanKind::kChainHop,
-                            "node " + std::to_string(prov), t, prov);
-    std::optional<SolutionSet> local =
-        run_at_provider(prov, p, t, initiator, rep);
-    if (local.has_value()) {
-      SolutionSet contribution =
-          carry != nullptr ? sparql::join(carry->set, *local,
-                                          policy_.vectorized)
-                           : std::move(*local);
-      acc = sparql::deduplicated(sparql::set_union(acc, contribution),
-                                 policy_.vectorized);
-      site = prov;
-      sender = prov;
-    }
-    if (i + 1 < chain.size()) {
-      net::NodeAddress next = chain[i + 1].address;
-      std::size_t payload = subquery_wire_bytes(p) +
-                            net::wire::charged_bytes(acc) + carry_bytes;
-      std::size_t raw_payload =
-          subquery_wire_bytes(p) + acc.byte_size() + carry_raw_bytes;
-      t = net.send(sender, next, payload, t, net::Category::kData,
-                   raw_payload);
-    }
-    hop_span.finish(t);
-  }
-
-  Located out;
-  out.set = std::move(acc);
-  out.site = site;
-  out.ready_at = t;
-  pattern_span.finish(out.ready_at);
-  return out;
-}
-
-DistributedQueryProcessor::Located DistributedQueryProcessor::eval_pattern(
-    const sparql::BgpPattern& p, net::NodeAddress initiator, net::SimTime now,
-    ExecutionReport& rep, std::optional<net::NodeAddress> preferred_end,
-    const Located* carry) {
-  overlay::HybridOverlay::Located loc =
-      locate(p.pattern, initiator, now, rep);
-  if (!loc.ok) {
-    Located out;
-    out.site = initiator;
-    out.ready_at = now;
-    return out;
-  }
-  return exec_pattern(p, loc, initiator, rep, preferred_end, carry);
-}
-
-DistributedQueryProcessor::Located DistributedQueryProcessor::eval_bgp(
-    const std::vector<sparql::BgpPattern>& bgp, net::NodeAddress initiator,
-    net::SimTime now, ExecutionReport& rep,
-    std::optional<net::NodeAddress> preferred_end) {
-  if (bgp.empty()) {
-    Located out;
-    out.set.add(Binding{});  // the empty BGP has the empty solution
-    out.site = initiator;
-    out.ready_at = now;
-    return out;
-  }
-  if (bgp.size() == 1) {
-    return eval_pattern(bgp.front(), initiator, now, rep, preferred_end,
-                        nullptr);
-  }
-
-  // Conjunction graph pattern (Sect. IV-D). Resolve every pattern through
-  // the index first (in parallel, as the paper's initiator does).
-  std::vector<overlay::HybridOverlay::Located> locs;
-  locs.reserve(bgp.size());
-  std::vector<optimizer::PatternStats> stats;
-  stats.reserve(bgp.size());
-  for (const sparql::BgpPattern& p : bgp) {
-    overlay::HybridOverlay::Located loc =
-        locate(p.pattern, initiator, now, rep);
-    stats.push_back(optimizer::PatternStats{p.pattern, loc.providers});
-    locs.push_back(std::move(loc));
-  }
-
-  // Join order: frequency-driven (AND is associative and commutative) or
-  // textual when the optimization is switched off.
-  std::vector<std::size_t> order;
-  if (policy_.frequency_join_order) {
-    order = optimizer::order_join_patterns(stats);
-  } else {
-    order.resize(bgp.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  }
-  {
-    std::string note = "join-order:";
-    for (std::size_t i : order) note += " " + bgp[i].pattern.to_string();
-    rep.plan_notes.push_back(std::move(note));
-  }
-
-  Located cur;
-  for (std::size_t step = 0; step < order.size(); ++step) {
-    std::size_t i = order[step];
-    // Overlap-aware chain end: finish this pattern's chain at a provider
-    // shared with the next pattern, so the next join starts co-located.
-    std::optional<net::NodeAddress> end = preferred_end;
-    if (policy_.overlap_aware_sites && step + 1 < order.size()) {
-      std::vector<net::NodeAddress> shared = optimizer::provider_overlap(
-          locs[i].providers, locs[order[step + 1]].providers);
-      if (!shared.empty()) end = shared.front();
-    }
-    cur = exec_pattern(bgp[i], locs[i], initiator, rep, end,
-                       step == 0 ? nullptr : &cur);
-    if (cur.set.empty()) break;  // one empty operand empties the whole join
-  }
-  return cur;
-}
-
-std::pair<DistributedQueryProcessor::Located,
-          DistributedQueryProcessor::Located>
-DistributedQueryProcessor::colocate(Located a, Located b,
-                                    net::NodeAddress initiator,
-                                    ExecutionReport& rep) {
-  std::vector<optimizer::SiteCandidate> candidates;
-  if (policy_.join_site == JoinSitePolicy::kThirdSite) {
-    for (net::NodeAddress addr : overlay_->live_storage_addresses()) {
-      candidates.push_back(optimizer::SiteCandidate{
-          addr, overlay_->storage_state(addr).capacity});
-    }
-  }
-  // Charged (wire-encoded) operand sizes, mirroring the DAG executor.
-  net::NodeAddress site = optimizer::choose_join_site(
-      policy_.join_site,
-      optimizer::LocatedOperand{a.site, net::wire::charged_bytes(a.set)},
-      optimizer::LocatedOperand{b.site, net::wire::charged_bytes(b.set)},
-      initiator, candidates);
-  rep.plan_notes.push_back(
-      std::string("join-site: ") +
-      std::string(optimizer::join_site_policy_name(policy_.join_site)) +
-      " -> node " + std::to_string(site));
-  obs::SpanScope span(trace_, obs::SpanKind::kJoinSite,
-                      "node " + std::to_string(site),
-                      std::min(a.ready_at, b.ready_at), site);
-  Located ca = ship(std::move(a), site, rep);
-  Located cb = ship(std::move(b), site, rep);
-  span.finish(std::max(ca.ready_at, cb.ready_at));
-  return {std::move(ca), std::move(cb)};
-}
-
-DistributedQueryProcessor::Located DistributedQueryProcessor::eval(
-    const Algebra& a, net::NodeAddress initiator, net::SimTime now,
-    ExecutionReport& rep, std::optional<net::NodeAddress> preferred_end) {
-  switch (a.kind) {
-    case AlgebraKind::kBgp:
-      return eval_bgp(a.bgp, initiator, now, rep, preferred_end);
-
-    case AlgebraKind::kJoin: {
-      Located l = eval(*a.left, initiator, now, rep, std::nullopt);
-      Located r = eval(*a.right, initiator, now, rep, l.site);
-      auto [cl, cr] = colocate(std::move(l), std::move(r), initiator, rep);
-      Located out;
-      out.set = sparql::join(cl.set, cr.set, policy_.vectorized);
-      out.site = cl.site;
-      out.ready_at = std::max(cl.ready_at, cr.ready_at);
-      return out;
-    }
-
-    case AlgebraKind::kLeftJoin: {
-      // OPTIONAL (Sect. IV-E): both sides evaluate in parallel; the
-      // configured join-site policy (move-small by default) decides where
-      // the left outer join runs.
-      Located l = eval(*a.left, initiator, now, rep, std::nullopt);
-      Located r = eval(*a.right, initiator, now, rep, std::nullopt);
-      auto [cl, cr] = colocate(std::move(l), std::move(r), initiator, rep);
-      Located out;
-      out.set = sparql::left_join_conditioned(cl.set, cr.set, a.expr,
-                                              policy_.vectorized);
-      out.site = cl.site;
-      out.ready_at = std::max(cl.ready_at, cr.ready_at);
-      return out;
-    }
-
-    case AlgebraKind::kUnion: {
-      // UNION (Sect. IV-F): both branches evaluate in parallel; the right
-      // branch is asked to end its chain at the left branch's final site —
-      // when the provider sets overlap, the union costs no extra shipping.
-      Located l = eval(*a.left, initiator, now, rep, preferred_end);
-      Located r = eval(*a.right, initiator, now, rep,
-                       policy_.overlap_aware_sites
-                           ? std::optional<net::NodeAddress>(l.site)
-                           : std::nullopt);
-      if (r.site != l.site) {
-        // Fall back to move-small between the two branch sites.
-        auto [cl, cr] = colocate(std::move(l), std::move(r), initiator, rep);
-        l = std::move(cl);
-        r = std::move(cr);
-      }
-      Located out;
-      out.set = sparql::deduplicated(sparql::set_union(l.set, r.set),
-                                     policy_.vectorized);
-      out.site = l.site;
-      out.ready_at = std::max(l.ready_at, r.ready_at);
-      return out;
-    }
-
-    case AlgebraKind::kFilter: {
-      // Group-level filters run where the operand already is, shrinking the
-      // set before it ever crosses a link.
-      Located l = eval(*a.left, initiator, now, rep, preferred_end);
-      l.set = sparql::filter_set(l.set, *a.expr, policy_.vectorized);
-      return l;
-    }
-
-    default: {
-      // Solution modifiers are post-processing; if they appear inside the
-      // tree (full translate() output), apply them at the operand's site.
-      Located l = eval(*a.left, initiator, now, rep, preferred_end);
-      switch (a.kind) {
-        case AlgebraKind::kProject: {
-          SolutionSet projected;
-          for (const Binding& b : l.set.rows()) {
-            projected.add(b.projected(a.vars));
-          }
-          l.set = std::move(projected);
-          break;
-        }
-        case AlgebraKind::kDistinct:
-        case AlgebraKind::kReduced:
-          l.set = sparql::deduplicated(std::move(l.set), policy_.vectorized);
-          break;
-        case AlgebraKind::kOrderBy:
-          sparql::order_solutions(l.set, a.order);
-          break;
-        case AlgebraKind::kSlice: {
-          auto& rows = l.set.rows();
-          std::size_t off = std::min<std::size_t>(rows.size(), a.offset);
-          rows.erase(rows.begin(), rows.begin() + static_cast<std::ptrdiff_t>(off));
-          if (a.limit.has_value() && rows.size() > *a.limit) {
-            rows.resize(*a.limit);
-          }
-          break;
-        }
-        default:
-          break;
-      }
-      return l;
-    }
-  }
 }
 
 sparql::QueryResult DistributedQueryProcessor::execute(
@@ -475,112 +25,14 @@ sparql::QueryResult DistributedQueryProcessor::execute(
 sparql::QueryResult DistributedQueryProcessor::execute(
     const sparql::Query& q, net::NodeAddress initiator,
     ExecutionReport* report) {
-  if (policy_.engine == ExecutionEngine::kDag) {
-    // Single-query batch through the DAG engine. Root spans keep their
-    // legacy labels (no query-id prefix) so traces stay comparable.
-    BatchOptions opts;
-    opts.label_query_ids = false;
-    DagExecutor exec(*overlay_, policy_, trace_, opts);
-    BatchResult r = exec.run({BatchQuery{q, initiator}});
-    if (report != nullptr) *report = std::move(r.reports.front());
-    return std::move(r.results.front());
-  }
-
-  net::Network& net = overlay_->network();
-  const net::TrafficStats before = net.stats();
-  ExecutionReport rep;
-
-  // One kQuery span covers the whole Fig. 3 workflow; its scope ends before
-  // the EXPLAIN rendering below so the rendered tree is complete.
-  obs::SpanId query_span = obs::kNoSpan;
-  Located result;
-  sparql::QueryResult out;
-  {
-    obs::SpanScope qspan(trace_, obs::SpanKind::kQuery,
-                         std::string(form_name(q.form)), 0.0, initiator);
-    query_span = qspan.id();
-
-    // Transform + global optimization (Fig. 3).
-    AlgebraPtr pattern;
-    {
-      obs::SpanScope plan_span(trace_, obs::SpanKind::kPlan,
-                               "transform + global optimization", 0.0,
-                               initiator);
-      pattern = sparql::translate_pattern(q.where);
-      if (policy_.push_filters) pattern = optimizer::push_filters(pattern);
-    }
-    rep.plan_notes.push_back("algebra: " + pattern->to_string());
-
-    // Distributed evaluation; the final set ships to the initiator.
-    result = eval(*pattern, initiator, 0.0, rep, std::nullopt);
-    {
-      obs::SpanScope ship_span(trace_, obs::SpanKind::kShip,
-                               "result to initiator", result.ready_at,
-                               initiator);
-      result = ship(std::move(result), initiator, rep, net::Category::kResult);
-      ship_span.finish(result.ready_at);
-    }
-
-    if (q.form == sparql::QueryForm::kDescribe) {
-      // Distributed DESCRIBE: resolve each target's surrounding triples with
-      // two primitive pattern queries (t, ?, ?) and (?, ?, t).
-      std::set<rdf::Term> targets;
-      for (const rdf::PatternTerm& pt : q.describe_targets) {
-        if (const rdf::Term* t = rdf::term_of(pt)) {
-          targets.insert(*t);
-        } else {
-          const rdf::Variable& v = std::get<rdf::Variable>(pt);
-          for (const Binding& b : result.set.rows()) {
-            if (const rdf::Term* bound = b.get(v.name)) targets.insert(*bound);
-          }
-        }
-      }
-      std::set<rdf::Triple> triples;
-      net::SimTime t0 = result.ready_at;
-      for (const rdf::Term& t : targets) {
-        for (const rdf::TriplePattern& tp :
-             {rdf::TriplePattern{t, rdf::Variable{"__p"},
-                                 rdf::Variable{"__o"}},
-              rdf::TriplePattern{rdf::Variable{"__s"}, rdf::Variable{"__p"},
-                                 t}}) {
-          Located part =
-              eval_pattern(sparql::BgpPattern{tp, nullptr}, initiator, t0,
-                           rep, std::nullopt, nullptr);
-          part = ship(std::move(part), initiator, rep, net::Category::kResult);
-          result.ready_at = std::max(result.ready_at, part.ready_at);
-          for (const Binding& b : part.set.rows()) {
-            rdf::Triple tr{t, t, t};
-            if (const rdf::Term* s = b.get("__s")) tr.s = *s;
-            if (const rdf::Term* p = b.get("__p")) tr.p = *p;
-            if (const rdf::Term* o = b.get("__o")) tr.o = *o;
-            triples.insert(tr);
-          }
-        }
-      }
-      out.form = sparql::QueryForm::kDescribe;
-      out.graph.assign(triples.begin(), triples.end());
-    } else {
-      // Post-processing at the initiator (Fig. 3): modifiers + projection.
-      obs::SpanScope post_span(trace_, obs::SpanKind::kPostProcess,
-                               "modifiers + projection", result.ready_at,
-                               initiator);
-      out = sparql::finalize_result(q, std::move(result.set), nullptr);
-      post_span.finish(result.ready_at);
-    }
-    qspan.finish(result.ready_at);
-  }
-
-  rep.response_time = result.ready_at;
-  rep.traffic = net.stats().delta_since(before);
-  // Traced executions carry their EXPLAIN tree in the plan notes, so any
-  // consumer of the report can see the per-phase cost without the trace.
-  if (trace_ != nullptr && query_span != obs::kNoSpan) {
-    for (std::string& line : obs::explain_lines(*trace_, query_span)) {
-      rep.plan_notes.push_back(std::move(line));
-    }
-  }
-  if (report != nullptr) *report = std::move(rep);
-  return out;
+  // A single query is a batch of one. Root spans keep their plain labels
+  // (no query-id prefix).
+  BatchOptions opts;
+  opts.label_query_ids = false;
+  DagExecutor exec(*overlay_, policy_, trace_, opts);
+  BatchResult r = exec.run({BatchQuery{q, initiator}});
+  if (report != nullptr) *report = std::move(r.reports.front());
+  return std::move(r.results.front());
 }
 
 BatchResult DistributedQueryProcessor::execute_batch(

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,14 +34,14 @@
 
 namespace ahsw::dqp {
 
-// ExecutionPolicy and ExecutionEngine live in dqp/physical_plan.hpp (the
-// plan compiler consumes them); this header re-exports them for callers.
+// ExecutionPolicy lives in dqp/physical_plan.hpp (the plan compiler
+// consumes it); this header re-exports it for callers.
 
 /// Per-node queueing model for concurrent batches: when a node is serving
 /// one query's work and another query's work arrives, the newcomer waits
 /// until the node frees up, then occupies it for `service_ms`. Zero (the
-/// default) disables contention entirely, so single-query DAG execution
-/// stays byte-identical to the legacy recursive engine.
+/// default) disables contention entirely: a query never waits on another
+/// query's work, so a batch of one costs exactly what `execute` reports.
 struct ServiceModel {
   double service_ms = 0.0;
 };
@@ -108,7 +107,7 @@ struct ExecutionReport {
   int dead_providers_skipped = 0;   // providers given up on after retries
   int retries = 0;                  // re-contacts after a dead-provider timeout
   int relookups = 0;                // lazy-repair re-lookups after exhaustion
-  overlay::CacheStats cache;        // location-row cache activity (DAG only)
+  overlay::CacheStats cache;        // location-row cache activity
   bool complete = true;             // false if index rows were unreachable
   std::vector<std::string> plan_notes;  // human-readable plan decisions
 };
@@ -148,11 +147,11 @@ class DistributedQueryProcessor {
                                             ExecutionReport* report = nullptr);
 
   /// Execute N queries concurrently through one deterministic event
-  /// scheduler (always the DAG engine, regardless of `policy().engine`).
-  /// Operators of different queries interleave in (time, query, task)
-  /// order; with `opts.service.service_ms > 0` a per-node service model
-  /// charges queueing delay where their work overlaps. Deterministic: the
-  /// same batch on the same system yields byte-identical reports + traces.
+  /// scheduler. Operators of different queries interleave in (time, query,
+  /// task) order; with `opts.service.service_ms > 0` a per-node service
+  /// model charges queueing delay where their work overlaps. Deterministic:
+  /// the same batch on the same system yields byte-identical reports +
+  /// traces.
   [[nodiscard]] BatchResult execute_batch(const std::vector<BatchQuery>& batch,
                                           const BatchOptions& opts = {});
 
@@ -189,62 +188,6 @@ class DistributedQueryProcessor {
   [[nodiscard]] obs::QueryTrace* trace() const noexcept { return trace_; }
 
  private:
-  /// An intermediate solution set living at a node of the overlay.
-  struct Located {
-    sparql::SolutionSet set;
-    net::NodeAddress site = net::kNoAddress;
-    net::SimTime ready_at = 0;
-  };
-
-  /// Evaluate an algebra sub-tree. `preferred_end` asks pattern chains to
-  /// finish at that node when it is among the providers (overlap-aware site
-  /// selection).
-  Located eval(const sparql::Algebra& a, net::NodeAddress initiator,
-               net::SimTime now, ExecutionReport& rep,
-               std::optional<net::NodeAddress> preferred_end);
-
-  Located eval_bgp(const std::vector<sparql::BgpPattern>& bgp,
-                   net::NodeAddress initiator, net::SimTime now,
-                   ExecutionReport& rep,
-                   std::optional<net::NodeAddress> preferred_end);
-
-  /// Resolve one pattern through the index and evaluate it with the
-  /// configured primitive strategy. With `carry`, the carried solutions are
-  /// shipped along the chain and joined at each provider (IV-D).
-  Located eval_pattern(const sparql::BgpPattern& p, net::NodeAddress initiator,
-                       net::SimTime now, ExecutionReport& rep,
-                       std::optional<net::NodeAddress> preferred_end,
-                       const Located* carry);
-
-  /// Locate providers of `p` and update report counters.
-  overlay::HybridOverlay::Located locate(const rdf::TriplePattern& p,
-                                         net::NodeAddress initiator,
-                                         net::SimTime now,
-                                         ExecutionReport& rep);
-
-  /// Ship a located set to `target` (charged as data traffic).
-  Located ship(Located from, net::NodeAddress target, ExecutionReport& rep,
-               net::Category category = net::Category::kData);
-
-  /// Local sub-query evaluation at a provider, skipping dead nodes with a
-  /// timeout + lazy index repair. Returns nullopt when the provider is dead.
-  std::optional<sparql::SolutionSet> run_at_provider(
-      net::NodeAddress provider, const sparql::BgpPattern& p,
-      net::SimTime& now, net::NodeAddress initiator, ExecutionReport& rep);
-
-  /// Binary operation site selection (join-site policy) + shipping of both
-  /// operands to the chosen site.
-  std::pair<Located, Located> colocate(Located a, Located b,
-                                       net::NodeAddress initiator,
-                                       ExecutionReport& rep);
-
-  /// Evaluate one pattern against pre-gathered provider information.
-  Located exec_pattern(const sparql::BgpPattern& p,
-                       const overlay::HybridOverlay::Located& loc,
-                       net::NodeAddress initiator, ExecutionReport& rep,
-                       std::optional<net::NodeAddress> preferred_end,
-                       const Located* carry);
-
   overlay::HybridOverlay* overlay_;
   ExecutionPolicy policy_;
   obs::QueryTrace* trace_ = nullptr;

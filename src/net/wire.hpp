@@ -22,8 +22,8 @@
 // Both section orders are canonical (sorted vars, sorted terms, absolute
 // per-row indexes), so the encoded *size* of a set depends only on its
 // multiset of rows, never on row order. That invariant is what keeps the
-// parallel batch driver and the vectorized/legacy A/B byte-identical: any
-// execution that produces the same rows is charged the same bytes.
+// parallel batch driver byte-identical to the serial one: any execution
+// that produces the same rows is charged the same bytes.
 //
 // `charged_bytes` is the accounting entry point: it memoizes the encoded
 // size on the set (see SolutionSet's wire cache) because the distributed

@@ -75,9 +75,8 @@ struct MergeSchema {
     std::size_t a;
     std::size_t b;
   };
-  /// Columns present in both schemas. Because a schema lists the variables
-  /// bound in at least one row, this is exactly shared_variables(a, b) of
-  /// the legacy join.
+  /// Columns present in both schemas: a schema lists the variables bound
+  /// in at least one row, so these are the operands' shared variables.
   std::vector<SharedCol> shared;
 };
 
@@ -147,8 +146,8 @@ void append_id(std::string& key, TermId id) {
   key.append(reinterpret_cast<const char*>(&id), sizeof id);
 }
 
-/// The join core shared by vec_join and vec_left_join. Emission order
-/// replicates the legacy hash join exactly: per a-row in order, full-key
+/// The join core shared by vec_join and vec_left_join. Emission order is
+/// the row-order contract of columnar.hpp: per a-row in order, full-key
 /// group matches in b insertion order, then partial rows, with a full scan
 /// for a-rows missing part of the shared key. When `matched` is non-null it
 /// records, per a-row, whether any pair was emitted (the LeftJoin minus

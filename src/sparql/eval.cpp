@@ -138,14 +138,14 @@ SolutionSet LocalEngine::evaluate(const Algebra& a) const {
     case AlgebraKind::kBgp:
       return evaluate_bgp(a.bgp);
     case AlgebraKind::kJoin:
-      return join(evaluate(*a.left), evaluate(*a.right), vectorized_);
+      return join(evaluate(*a.left), evaluate(*a.right));
     case AlgebraKind::kLeftJoin:
       return left_join_conditioned(evaluate(*a.left), evaluate(*a.right),
-                                   a.expr, vectorized_);
+                                   a.expr);
     case AlgebraKind::kUnion:
       return set_union(evaluate(*a.left), evaluate(*a.right));
     case AlgebraKind::kFilter:
-      return filter_set(evaluate(*a.left), *a.expr, vectorized_);
+      return filter_set(evaluate(*a.left), *a.expr);
     case AlgebraKind::kProject: {
       SolutionSet in = evaluate(*a.left);
       SolutionSet out;
@@ -153,7 +153,7 @@ SolutionSet LocalEngine::evaluate(const Algebra& a) const {
       return out;
     }
     case AlgebraKind::kDistinct:
-      return deduplicated(evaluate(*a.left), vectorized_);
+      return deduplicated(evaluate(*a.left));
     case AlgebraKind::kReduced: {
       SolutionSet in = evaluate(*a.left);
       auto& rows = in.rows();
@@ -339,44 +339,16 @@ QueryResult finalize_result(const Query& q, SolutionSet raw,
 }
 
 SolutionSet left_join_conditioned(const SolutionSet& a, const SolutionSet& b,
-                                  const ExprPtr& cond, bool vectorized) {
-  if (vectorized) return vec_left_join_conditioned(a, b, cond);
-  if (cond == nullptr) return left_join(a, b, false);
-  // LeftJoin(O1, O2, F): u1 extends with every compatible u2 whose merge
-  // satisfies F, and survives unextended iff no such u2 exists.
-  SolutionSet out;
-  for (const Binding& u1 : a.rows()) {
-    bool extended = false;
-    for (const Binding& u2 : b.rows()) {
-      if (u1.compatible(u2)) {
-        Binding m = u1.merged(u2);
-        if (satisfies(*cond, m)) {
-          out.add(std::move(m));
-          extended = true;
-        }
-      }
-    }
-    if (!extended) out.add(u1);
-  }
-  return out;
+                                  const ExprPtr& cond) {
+  return vec_left_join_conditioned(a, b, cond);
 }
 
-SolutionSet filter_set(const SolutionSet& in, const Expr& e,
-                       bool vectorized) {
-  if (vectorized) return vec_filter_set(in, e);
-  SolutionSet out;
-  for (const Binding& b : in.rows()) {
-    if (satisfies(e, b)) out.add(b);
-  }
-  return out;
+SolutionSet filter_set(const SolutionSet& in, const Expr& e) {
+  return vec_filter_set(in, e);
 }
 
-SolutionSet deduplicated(SolutionSet in, bool vectorized) {
-  if (vectorized) return vec_deduplicated(in);
-  in.normalize();
-  auto& rows = in.rows();
-  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  return in;
+SolutionSet deduplicated(const SolutionSet& in) {
+  return vec_deduplicated(in);
 }
 
 QueryResult execute_local(const Query& q, const rdf::TripleStore& store) {

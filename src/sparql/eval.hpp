@@ -19,12 +19,7 @@ namespace ahsw::sparql {
 /// Evaluation engine bound to a triple store.
 class LocalEngine {
  public:
-  /// `vectorized` routes the algebra's set operations through the
-  /// dictionary-id kernels (sparql/columnar.hpp); false keeps the original
-  /// row-at-a-time path. Both yield identical solutions — the flag mirrors
-  /// ExecutionPolicy::vectorized for A/B comparison.
-  explicit LocalEngine(const rdf::TripleStore& store, bool vectorized = true)
-      : store_(&store), vectorized_(vectorized) {}
+  explicit LocalEngine(const rdf::TripleStore& store) : store_(&store) {}
 
   /// Evaluate any algebra expression to a solution set.
   [[nodiscard]] SolutionSet evaluate(const Algebra& a) const;
@@ -45,7 +40,6 @@ class LocalEngine {
                                    const BgpPattern& p) const;
 
   const rdf::TripleStore* store_;
-  bool vectorized_ = true;
 };
 
 /// Result of running a full query.
@@ -79,20 +73,16 @@ void order_solutions(SolutionSet& set,
 /// LeftJoin with an optional condition (SPARQL OPTIONAL semantics): each
 /// left row extends with every compatible right row satisfying `cond`, or
 /// survives alone when none does. cond == nullptr means `true`.
-/// `vectorized` as in solution.hpp: id-space kernel vs legacy path, same
-/// rows either way.
+/// These three forward to the dictionary-id kernels of sparql/columnar.hpp.
 [[nodiscard]] SolutionSet left_join_conditioned(const SolutionSet& a,
                                                 const SolutionSet& b,
-                                                const ExprPtr& cond,
-                                                bool vectorized = true);
+                                                const ExprPtr& cond);
 
 /// Rows of `in` satisfying `e`.
-[[nodiscard]] SolutionSet filter_set(const SolutionSet& in, const Expr& e,
-                                     bool vectorized = true);
+[[nodiscard]] SolutionSet filter_set(const SolutionSet& in, const Expr& e);
 
 /// Canonically sorted with duplicates removed (set semantics, used at every
 /// in-network merge point of the distributed processor).
-[[nodiscard]] SolutionSet deduplicated(SolutionSet in,
-                                       bool vectorized = true);
+[[nodiscard]] SolutionSet deduplicated(const SolutionSet& in);
 
 }  // namespace ahsw::sparql

@@ -1,5 +1,6 @@
 #include <map>
 #include <set>
+#include <string>
 
 #include "sparql/ast.hpp"
 #include "sparql/lexer.hpp"
@@ -82,6 +83,29 @@ class Parser {
   [[noreturn]] static void fail(const Token& t, const std::string& what) {
     throw QuerySyntaxError(t.line, t.column, what);
   }
+
+  /// Deepest nesting of group patterns and expression levels accepted. The
+  /// descent recurses once per level, so without a bound a hostile query
+  /// (tens of thousands of nested `{` or `!(`) overflows the stack instead
+  /// of failing with a syntax error.
+  static constexpr int kMaxNesting = 256;
+
+  /// Counts one recursive production for as long as it is being parsed.
+  class NestingGuard {
+   public:
+    explicit NestingGuard(Parser& p) : p_(p) {
+      if (++p_.depth_ > kMaxNesting) {
+        fail(p_.peek(), "nesting deeper than " + std::to_string(kMaxNesting) +
+                            " levels");
+      }
+    }
+    ~NestingGuard() { --p_.depth_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+
+   private:
+    Parser& p_;
+  };
 
   // --- prologue -----------------------------------------------------------
 
@@ -195,6 +219,7 @@ class Parser {
   // --- graph patterns --------------------------------------------------------
 
   GroupPattern parse_group() {
+    NestingGuard guard(*this);
     expect(TokenKind::kLBrace, "'{'");
     GroupPattern group;
     while (peek().kind != TokenKind::kRBrace) {
@@ -361,6 +386,7 @@ class Parser {
   ExprPtr parse_expr() { return parse_or(); }
 
   ExprPtr parse_or() {
+    NestingGuard guard(*this);
     ExprPtr e = parse_and();
     while (accept(TokenKind::kOrOr)) {
       e = Expr::binary(ExprKind::kOr, e, parse_and());
@@ -416,6 +442,7 @@ class Parser {
   }
 
   ExprPtr parse_unary() {
+    NestingGuard guard(*this);
     if (accept(TokenKind::kBang)) {
       return Expr::unary(ExprKind::kNot, parse_unary());
     }
@@ -532,6 +559,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open NestingGuards
   std::map<std::string, std::string> prefixes_;
   std::string base_;
 };

@@ -139,28 +139,22 @@ class SolutionSet {
   mutable std::size_t wire_cached_ = 0;
 };
 
-// The binary operators take a `vectorized` flag: true (the default) runs
-// the dictionary-id kernels of sparql/columnar.hpp, false the original
-// row-at-a-time implementations. Both produce identical rows in identical
-// order — the flag exists so the distributed engines can expose an A/B
-// toggle (ExecutionPolicy::vectorized) and tests can pin the equivalence.
+// Join, minus and left join run the dictionary-id kernels of
+// sparql/columnar.hpp; these names forward to them.
 
 /// O1 x O2 (hash join on the shared variables).
-[[nodiscard]] SolutionSet join(const SolutionSet& a, const SolutionSet& b,
-                               bool vectorized = true);
+[[nodiscard]] SolutionSet join(const SolutionSet& a, const SolutionSet& b);
 
 /// O1 u O2.
 [[nodiscard]] SolutionSet set_union(const SolutionSet& a,
                                     const SolutionSet& b);
 
 /// O1 - O2 (per Perez et al.: drop u1 compatible with any u2).
-[[nodiscard]] SolutionSet minus(const SolutionSet& a, const SolutionSet& b,
-                                bool vectorized = true);
+[[nodiscard]] SolutionSet minus(const SolutionSet& a, const SolutionSet& b);
 
 /// Left outer join without a condition: (O1 x O2) u (O1 - O2).
 [[nodiscard]] SolutionSet left_join(const SolutionSet& a,
-                                    const SolutionSet& b,
-                                    bool vectorized = true);
+                                    const SolutionSet& b);
 
 /// Variables appearing in any row of `s`, sorted.
 [[nodiscard]] std::vector<std::string> variables_of(const SolutionSet& s);

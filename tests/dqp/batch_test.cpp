@@ -258,5 +258,38 @@ TEST(Batch, DeadProviderBatchStillConserves) {
   proc.set_trace(nullptr);
 }
 
+// Batch of one must agree with single-query execution byte for byte (the
+// execute() path is itself a batch of one; this pins the public API).
+TEST(DagBatch, SingleQueryBatchMatchesExecute) {
+  const std::string query = batch_queries()[1];
+
+  workload::Testbed bed_a(config());
+  DistributedQueryProcessor proc_a(bed_a.overlay());
+  ExecutionReport rep;
+  sparql::QueryResult direct =
+      proc_a.execute(query, bed_a.storage_addrs().front(), &rep);
+
+  workload::Testbed bed_b(config());
+  DistributedQueryProcessor proc_b(bed_b.overlay());
+  BatchResult batch =
+      proc_b.execute_batch({query}, {bed_b.storage_addrs().front()});
+
+  ASSERT_EQ(batch.results.size(), 1u);
+  EXPECT_EQ(batch.results[0].solutions.rows(), direct.solutions.rows());
+  EXPECT_EQ(batch.reports[0].response_time, rep.response_time);
+  EXPECT_EQ(batch.makespan, rep.response_time);
+  const net::TrafficStats& a = batch.reports[0].traffic;
+  const net::TrafficStats& b = rep.traffic;
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.raw_bytes, b.raw_bytes);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  for (int c = 0; c < net::kCategoryCount; ++c) {
+    EXPECT_EQ(a.messages_by[c], b.messages_by[c]) << "category " << c;
+    EXPECT_EQ(a.bytes_by[c], b.bytes_by[c]) << "category " << c;
+    EXPECT_EQ(a.timeouts_by[c], b.timeouts_by[c]) << "category " << c;
+  }
+}
+
 }  // namespace
 }  // namespace ahsw::dqp

@@ -1,6 +1,8 @@
 // Parser tests, built around the paper's own example queries (Figs. 4-9).
 #include <gtest/gtest.h>
 
+#include "dqp/physical_plan.hpp"
+#include "optimizer/rewriter.hpp"
 #include "sparql/ast.hpp"
 #include "sparql/lexer.hpp"
 
@@ -278,6 +280,48 @@ TEST(Parser, LiteralSubjectThrows) {
 TEST(Parser, TrailingInputThrows) {
   EXPECT_THROW((void)parse_query("ASK { ?s ?p ?o . } garbage"),
                QuerySyntaxError);
+}
+
+std::string repeated(std::string_view unit, std::size_t n) {
+  std::string out;
+  out.reserve(unit.size() * n);
+  for (std::size_t i = 0; i < n; ++i) out += unit;
+  return out;
+}
+
+/// Parse `text`, expecting the nesting bound to reject it on line 1.
+void expect_nesting_error(const std::string& text) {
+  try {
+    (void)parse_query(text);
+    ADD_FAILURE() << "hostile nesting was accepted";
+  } catch (const QuerySyntaxError& e) {
+    EXPECT_EQ(e.line(), 1u);
+    EXPECT_GT(e.column(), 1u);
+    EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Parser, FiftyThousandNestedGroupsIsASyntaxError) {
+  expect_nesting_error("SELECT ?x WHERE " + repeated("{", 50000) +
+                       " ?x ?p ?o . " + repeated("}", 50000));
+}
+
+TEST(Parser, HundredThousandNestedNegationsIsASyntaxError) {
+  expect_nesting_error("SELECT ?x WHERE { ?x ?p ?o . FILTER(" +
+                       repeated("!(", 100000) + "?o" +
+                       repeated(")", 100000) + ") }");
+}
+
+TEST(Parser, SixtyFourDeepGroupParsesAndPlans) {
+  const std::string text = "SELECT ?x WHERE " + repeated("{ ", 64) +
+                           "?x ?p ?o . FILTER(!(!(?o = 1)))" +
+                           repeated(" }", 64);
+  Query q = parse_query(text);
+  AlgebraPtr a = optimizer::push_filters(translate_pattern(q.where));
+  dqp::PhysicalPlan plan =
+      dqp::compile_physical_plan(*a, dqp::ExecutionPolicy{}, q.form);
+  EXPECT_FALSE(plan.to_lines().empty());
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 //   put <addr> <ntriples line>   share one triple
 //   drop <addr> <ntriples line>  unshare one triple
 //   policy basic|chain|freq|adaptive [traffic_w latency_w]
-//   policy engine dag|legacy     pick the execution engine (default dag)
 //   policy retry <max> [base growth relookup]   bounded retry/backoff +
 //                                lazy-repair re-lookup on dead providers
 //   policy cache on|off [ttl hot_threshold hot_ttl max_rows]
@@ -277,17 +276,7 @@ int run(std::istream& in, bool interactive) {
       } else if (cmd == "policy") {
         std::string kind;
         ss >> kind;
-        if (kind == "engine") {
-          std::string engine;
-          ss >> engine;
-          if (engine == "dag") {
-            shell.policy.engine = dqp::ExecutionEngine::kDag;
-          } else if (engine == "legacy") {
-            shell.policy.engine = dqp::ExecutionEngine::kLegacy;
-          } else {
-            std::cout << "error: unknown engine (dag|legacy)\n";
-          }
-        } else if (kind == "retry") {
+        if (kind == "retry") {
           int max = 0;
           ss >> max;
           shell.policy.retry.max_retries = max;

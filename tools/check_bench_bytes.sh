@@ -2,19 +2,20 @@
 # Wire-byte regression gate for the throughput sweep.
 #
 # Compares a freshly emitted BENCH_throughput.json (argument, or
-# build/BENCH_throughput.json by default) against the committed baseline at
-# the repo root. For every record present in both series the data and
-# result category bytes — the two solution-set-bearing categories, i.e.
-# the traffic the wire codec compresses — must not exceed the baseline by
-# more than the tolerance (default 1%, override with AHSW_BENCH_TOLERANCE).
-# A regression here means payloads grew or something started charging raw
-# sizes again; re-baselining requires a deliberate commit of the new JSON.
+# build/BENCH_throughput.json by default) against the committed baseline
+# bench/baselines/BENCH_throughput.json. Both series must hold the same
+# records, and for every record the data and result category bytes — the
+# two solution-set-bearing categories, i.e. the traffic the wire codec
+# compresses — must equal the baseline exactly. Simulated bytes are
+# deterministic, so any difference, up or down, means an execution change
+# moved traffic; re-baselining requires a deliberate commit of the new JSON
+# that says why the bytes moved.
 #
-# Exit codes: 0 within tolerance, 1 regression, 2 usage error.
+# Exit codes: 0 identical, 1 mismatch, 2 usage error.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-baseline=BENCH_throughput.json
+baseline=bench/baselines/BENCH_throughput.json
 fresh="${1:-${AHSW_BUILD_DIR:-build}/BENCH_throughput.json}"
 
 if [ ! -f "${baseline}" ]; then
@@ -29,10 +30,7 @@ fi
 
 python3 - "${baseline}" "${fresh}" <<'PY'
 import json
-import os
 import sys
-
-tolerance = float(os.environ.get("AHSW_BENCH_TOLERANCE", "0.01"))
 
 def payload_bytes(record):
     by = record.get("traffic_by_category", {})
@@ -46,30 +44,32 @@ def load(path):
 base = load(sys.argv[1])
 fresh = load(sys.argv[2])
 
-shared = sorted(base.keys() & fresh.keys())
-if not shared:
+if not base.keys() & fresh.keys():
     print("error: no common bench records between baseline and fresh series",
           file=sys.stderr)
     sys.exit(2)
 
 failed = False
-for bench in shared:
+for bench in sorted(base.keys() | fresh.keys()):
+    if bench not in fresh:
+        print(f"{bench:34s} MISSING from the fresh series")
+        failed = True
+        continue
+    if bench not in base:
+        print(f"{bench:34s} NEW record with no baseline")
+        failed = True
+        continue
     for cat in ("data", "result"):
         b, f = base[bench][cat], fresh[bench][cat]
-        limit = b * (1.0 + tolerance)
-        verdict = "ok"
-        if f > limit:
-            verdict = "REGRESSION"
-            failed = True
+        verdict = "ok" if f == b else "MISMATCH"
+        failed |= f != b
         print(f"{bench:34s} {cat:6s} baseline={b:9d} fresh={f:9d} {verdict}")
-for bench in sorted(fresh.keys() - base.keys()):
-    print(f"{bench:34s} (new record, no baseline — commit a re-baseline)")
 
 if failed:
-    print("error: wire payload bytes regressed beyond "
-          f"{tolerance:.0%} of the committed baseline; if the growth is "
-          "intentional, re-baseline BENCH_throughput.json in the same "
-          "commit", file=sys.stderr)
+    print("error: wire payload bytes differ from the committed baseline; if "
+          "the change is intentional, re-baseline "
+          "bench/baselines/BENCH_throughput.json in the same commit",
+          file=sys.stderr)
     sys.exit(1)
-print("wire payload bytes within tolerance of the committed baseline")
+print("wire payload bytes identical to the committed baseline")
 PY
