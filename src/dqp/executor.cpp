@@ -536,6 +536,7 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
 
   task.pattern = pat;
   task.strategy = strategy;  // a later re-lookup re-orders with the same one
+  task.acc = std::make_unique<sparql::MergeAccumulator>();
   const bool scatter_gather =
       strategy == PrimitiveStrategy::kBasic || loc.broadcast;
 
@@ -590,6 +591,7 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
                                  carry->set.byte_size()));
       task.carry_bytes = net::wire::charged_bytes(carry->set);
       task.carry_raw_bytes = carry->set.byte_size();
+      task.acc->set_carry(carry->set);
     }
     ship_span.finish(t);
   }
@@ -641,8 +643,7 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
     if (local.has_value()) {
       t = net().send(prov, scan.assembly, net::wire::charged_bytes(*local),
                      t, net::Category::kData, local->byte_size());
-      scan.merged =
-          sparql::deduplicated(sparql::set_union(scan.merged, *local));
+      scan.acc->add(*local);
     } else if (policy_.retry.enabled() &&
                leg.attempt < policy_.retry.max_retries) {
       // Dead contact with attempts left: hand the slot to a replacement leg
@@ -683,7 +684,7 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
 
   // Last leg: gather at the assembly site, joining any carried set there.
   Located out;
-  out.set = std::move(scan.merged);
+  out.set = scan.acc->take();
   out.site = scan.assembly;
   out.ready_at = scan.done_at;
   if (scan.has_carry) {
@@ -715,10 +716,10 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
                            " node " + std::to_string(prov),
                        start, prov);
     const std::size_t payload = subquery_wire_bytes(scan.pattern) +
-                                net::wire::charged_bytes(scan.acc) +
+                                net::wire::charged_bytes(*scan.acc) +
                                 scan.carry_bytes;
     const std::size_t raw_payload = subquery_wire_bytes(scan.pattern) +
-                                    scan.acc.byte_size() +
+                                    scan.acc->raw_bytes() +
                                     scan.carry_raw_bytes;
     start = net().send(scan.sender, prov, payload, start,
                        hop.position == 0 ? net::Category::kQuery
@@ -732,11 +733,8 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
     std::optional<SolutionSet> local =
         run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
     if (local.has_value()) {
-      SolutionSet contribution = scan.has_carry
-                                     ? sparql::join(scan.carry.set, *local)
-                                     : std::move(*local);
-      scan.acc =
-          sparql::deduplicated(sparql::set_union(scan.acc, contribution));
+      // With a carry, the accumulator merges join(carry, local).
+      scan.acc->add(*local);
       scan.site = prov;
       scan.sender = prov;
     } else if (policy_.retry.enabled() &&
@@ -763,10 +761,10 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
     if (!last) {
       const net::NodeAddress next = scan.chain[hop.position + 1].address;
       const std::size_t payload = subquery_wire_bytes(scan.pattern) +
-                                  net::wire::charged_bytes(scan.acc) +
+                                  net::wire::charged_bytes(*scan.acc) +
                                   scan.carry_bytes;
       const std::size_t raw_payload = subquery_wire_bytes(scan.pattern) +
-                                      scan.acc.byte_size() +
+                                      scan.acc->raw_bytes() +
                                       scan.carry_raw_bytes;
       t = net().send(scan.sender, next, payload, t, net::Category::kData,
                      raw_payload);
@@ -794,7 +792,7 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
     spawn_relookup(run, hop.scan, t);
     return t;
   }
-  scan.out.set = std::move(scan.acc);
+  scan.out.set = scan.acc->take();
   scan.out.site = scan.site;
   scan.out.ready_at = t;
   complete(run, hop.scan, t);
@@ -889,6 +887,7 @@ net::SimTime DagExecutor::fire_relookup(QueryRun& run, TaskId id) {
                                  scan.carry.set.byte_size()));
       scan.carry_bytes = net::wire::charged_bytes(scan.carry.set);
       scan.carry_raw_bytes = scan.carry.set.byte_size();
+      scan.acc->set_carry(scan.carry.set);
     }
     ship_span.finish(t);
   }

@@ -11,8 +11,11 @@
 //   1. *Value contract.* A task's output and charges depend only on its
 //      inputs and logical start time, never on event order: all subtrees
 //      of one query start at t=0 and DESCRIBE parts at the result's
-//      arrival; every in-network merge is deduplicated into canonical
-//      order; every shipped set is charged its wire-encoded size. Event
+//      arrival; every in-network merge (scatter gather, chain hop) folds
+//      deduplicated(set_union(acc, next)) in id space through one
+//      sparql::MergeAccumulator per scan, interning only the new
+//      provider's rows, and yields canonical order; every shipped set is
+//      charged its wire-encoded size, computed analytically. Event
 //      order only decides *when* a charge is booked, never how large it is.
 //
 //   2. *Repair order.* Lazy index repairs mutate shared overlay state; the
@@ -40,6 +43,7 @@
 
 #include "dqp/processor.hpp"
 #include "net/event_queue.hpp"
+#include "sparql/columnar.hpp"
 
 namespace ahsw::dqp {
 
@@ -167,10 +171,10 @@ class DagExecutor {
     std::size_t carry_raw_bytes = 0;  // uncompressed counterpart
     net::NodeAddress assembly = net::kNoAddress;
     std::size_t remaining = 0;               // outstanding scatter legs
-    sparql::SolutionSet merged;              // scatter merge accumulator
     net::SimTime done_at = 0;                // scatter completion max
     std::vector<overlay::Provider> chain;    // providers in visit order
-    sparql::SolutionSet acc;                 // chain accumulator
+    /// Scan: the scatter / chain merge (heap-held: only scans use it).
+    std::unique_ptr<sparql::MergeAccumulator> acc;
     net::SimTime t = 0;                      // chain clock / scatter start
     net::NodeAddress sender = net::kNoAddress;
     net::NodeAddress site = net::kNoAddress;

@@ -14,6 +14,7 @@ using common::common_prefix;
 using common::get_varint;
 using common::put_varint;
 using common::unzigzag;
+using common::varint_size;
 using common::zigzag;
 
 /// Sorted unique terms plus a term -> dictionary-index map. Sorting by
@@ -60,12 +61,34 @@ void encode_dictionary(std::string& out, const Dictionary& dict) {
   }
 }
 
+/// Read a count of items that each occupy at least one input byte; a count
+/// beyond the bytes left is malformed, so nothing is allocated for it.
+bool get_count(std::string_view in, std::size_t& pos, std::uint64_t& n) {
+  return get_varint(in, pos, n) && n <= in.size() - pos;
+}
+
 bool decode_string(std::string_view in, std::size_t& pos, std::string& out) {
   std::uint64_t len = 0;
-  if (!get_varint(in, pos, len) || pos + len > in.size()) return false;
+  if (!get_count(in, pos, len)) return false;
   out.assign(in.substr(pos, len));
   pos += len;
   return true;
+}
+
+/// The next dictionary index of a row: `raw` is absolute for the first
+/// slot and a zigzag delta against `prev` after it. False when the index
+/// leaves [0, nterms).
+bool next_index(std::uint64_t raw, bool first, std::uint64_t prev,
+                std::size_t nterms, std::uint64_t& id) {
+  if (first) {
+    id = raw;
+  } else {
+    const std::int64_t delta = unzigzag(raw);
+    // Unsigned wrap-around is defined; an index that moved below zero
+    // wraps to a huge value and fails the range check below.
+    id = prev + static_cast<std::uint64_t>(delta);
+  }
+  return id < nterms;
 }
 
 rdf::Term make_term(rdf::TermKind kind, std::string lexical,
@@ -91,13 +114,15 @@ rdf::Term make_term(rdf::TermKind kind, std::string lexical,
 bool decode_dictionary(std::string_view in, std::size_t& pos,
                        std::vector<rdf::Term>& terms) {
   std::uint64_t nterms = 0;
-  if (!get_varint(in, pos, nterms)) return false;
+  if (!get_count(in, pos, nterms)) return false;
   terms.clear();
   terms.reserve(nterms);
   std::string prev;
   for (std::uint64_t i = 0; i < nterms; ++i) {
     if (pos >= in.size()) return false;
-    const auto kind = static_cast<rdf::TermKind>(in[pos++]);
+    const auto byte = static_cast<std::uint8_t>(in[pos++]);
+    if (byte > static_cast<std::uint8_t>(rdf::TermKind::kBlank)) return false;
+    const auto kind = static_cast<rdf::TermKind>(byte);
     std::uint64_t lcp = 0;
     if (!get_varint(in, pos, lcp) || lcp > prev.size()) return false;
     std::string suffix, datatype, lang;
@@ -168,7 +193,7 @@ std::string encode(const sparql::SolutionSet& s) {
 bool decode(std::string_view in, sparql::SolutionSet& out) {
   std::size_t pos = 0;
   std::uint64_t nvars = 0;
-  if (!get_varint(in, pos, nvars)) return false;
+  if (!get_count(in, pos, nvars)) return false;
   std::vector<std::string> vars(nvars);
   for (std::string& v : vars) {
     if (!decode_string(in, pos, v)) return false;
@@ -179,27 +204,27 @@ bool decode(std::string_view in, sparql::SolutionSet& out) {
   std::uint64_t nrows = 0;
   if (!get_varint(in, pos, nrows)) return false;
   const std::size_t bitmap_bytes = (nvars + 7) / 8;
+  if (bitmap_bytes > 0 && nrows > (in.size() - pos) / bitmap_bytes) {
+    return false;
+  }
   sparql::SolutionSet result;
   for (std::uint64_t r = 0; r < nrows; ++r) {
     if (pos + bitmap_bytes > in.size()) return false;
     std::string_view bitmap = in.substr(pos, bitmap_bytes);
     pos += bitmap_bytes;
     sparql::Binding b;
-    std::int64_t prev = 0;
+    std::uint64_t id = 0;
     bool first = true;
     for (std::uint64_t i = 0; i < nvars; ++i) {
       if ((static_cast<std::uint8_t>(bitmap[i / 8]) & (1 << (i % 8))) == 0) {
         continue;
       }
       std::uint64_t raw = 0;
-      if (!get_varint(in, pos, raw)) return false;
-      const std::int64_t id =
-          first ? static_cast<std::int64_t>(raw) : prev + unzigzag(raw);
-      first = false;
-      prev = id;
-      if (id < 0 || static_cast<std::uint64_t>(id) >= terms.size()) {
+      if (!get_varint(in, pos, raw) ||
+          !next_index(raw, first, id, terms.size(), id)) {
         return false;
       }
+      first = false;
       b.set(vars[i], terms[static_cast<std::size_t>(id)]);
     }
     result.add(std::move(b));
@@ -235,7 +260,7 @@ bool decode(std::string_view in, std::vector<rdf::Triple>& out) {
   std::vector<rdf::Term> terms;
   if (!decode_dictionary(in, pos, terms)) return false;
   std::uint64_t ntriples = 0;
-  if (!get_varint(in, pos, ntriples)) return false;
+  if (!get_count(in, pos, ntriples)) return false;
   std::vector<rdf::Triple> result;
   result.reserve(ntriples);
   for (std::uint64_t r = 0; r < ntriples; ++r) {
@@ -244,14 +269,11 @@ bool decode(std::string_view in, std::vector<rdf::Triple>& out) {
     slots[0] = &t.s;
     slots[1] = &t.p;
     slots[2] = &t.o;
-    std::int64_t prev = 0;
+    std::uint64_t id = 0;
     for (int i = 0; i < 3; ++i) {
       std::uint64_t raw = 0;
-      if (!get_varint(in, pos, raw)) return false;
-      const std::int64_t id =
-          i == 0 ? static_cast<std::int64_t>(raw) : prev + unzigzag(raw);
-      prev = id;
-      if (id < 0 || static_cast<std::uint64_t>(id) >= terms.size()) {
+      if (!get_varint(in, pos, raw) ||
+          !next_index(raw, i == 0, id, terms.size(), id)) {
         return false;
       }
       *slots[i] = terms[static_cast<std::size_t>(id)];
@@ -262,8 +284,43 @@ bool decode(std::string_view in, std::vector<rdf::Triple>& out) {
   return true;
 }
 
+std::size_t encoded_size(const sparql::IdTable& t) {
+  // Each section below mirrors encode() term for term.
+  auto string_size = [](std::size_t len) { return varint_size(len) + len; };
+  std::size_t n = varint_size(t.vars.size());
+  for (const std::string& v : t.vars) n += string_size(v.size());
+
+  n += varint_size(t.by_rank.size());
+  std::string_view prev;
+  for (rdf::TermId id : t.by_rank) {
+    const rdf::Term& term = t.dict.term(id);
+    const std::size_t lcp = common_prefix(prev, term.lexical());
+    n += 1 + varint_size(lcp) + string_size(term.lexical().size() - lcp) +
+         string_size(term.datatype().size()) + string_size(term.lang().size());
+    prev = term.lexical();
+  }
+
+  const std::size_t width = t.vars.size();
+  n += varint_size(t.rows) + t.rows * ((width + 7) / 8);
+  for (std::size_t r = 0; r < t.rows; ++r) {
+    bool first = true;
+    std::uint32_t last = 0;
+    for (std::size_t c = 0; c < width; ++c) {
+      const rdf::TermId id = t.cells[r * width + c];
+      if (id == rdf::kInvalidTermId) continue;
+      const std::uint32_t rank = t.rank[id];
+      n += first ? varint_size(rank)
+                 : varint_size(zigzag(static_cast<std::int64_t>(rank) -
+                                      static_cast<std::int64_t>(last)));
+      first = false;
+      last = rank;
+    }
+  }
+  return n;
+}
+
 std::size_t encoded_size(const sparql::SolutionSet& s) {
-  return encode(s).size();
+  return encoded_size(sparql::id_table(s));
 }
 
 std::size_t encoded_size(const std::vector<rdf::Triple>& t) {
@@ -275,6 +332,10 @@ std::size_t charged_bytes(const sparql::SolutionSet& s) {
   const std::size_t n = encoded_size(s);
   s.set_wire_cache(n);
   return n;
+}
+
+std::size_t charged_bytes(const sparql::MergeAccumulator& acc) {
+  return encoded_size(acc.table());
 }
 
 std::size_t raw_bytes(const std::vector<rdf::Triple>& t) {

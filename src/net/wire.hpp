@@ -25,10 +25,17 @@
 // parallel batch driver byte-identical to the serial one: any execution
 // that produces the same rows is charged the same bytes.
 //
-// `charged_bytes` is the accounting entry point: it memoizes the encoded
-// size on the set (see SolutionSet's wire cache) because the distributed
-// processor asks at every ship and chain hop. Encoder byte counters and
-// size computations live only in this component (lint rule A2).
+// `charged_bytes` is the accounting entry point. It never builds a byte
+// string: the size is computed from an id view of the payload
+// (sparql::IdTable) — the sorted vars, the terms in rank order with their
+// front-coding prefix lengths, and per row the bitmap plus the varint or
+// zigzag rank deltas. The same formula sizes a SolutionSet (memoized on the
+// set, see its wire cache, because shipped sets are asked again at every
+// join-site choice and ship) and the id-space merge accumulator of the
+// scatter and chain strategies, which is sized at every chain hop without
+// ever being materialized. encode/decode remain the codec, and the tests
+// pin encoded_size == encode().size(). Encoder byte counters and size
+// computations live only in this component (lint rule A2).
 #pragma once
 
 #include <cstddef>
@@ -37,6 +44,7 @@
 #include <vector>
 
 #include "rdf/triple.hpp"
+#include "sparql/columnar.hpp"
 #include "sparql/solution.hpp"
 
 namespace ahsw::net::wire {
@@ -45,7 +53,9 @@ namespace ahsw::net::wire {
 [[nodiscard]] std::string encode(const sparql::SolutionSet& s);
 
 /// Decode a payload produced by `encode`, replacing `out`. Returns false on
-/// malformed input (truncated varint, index out of range, ...).
+/// malformed input (truncated varint, index out of range, a count larger
+/// than the bytes left, an unknown term kind, ...) without allocating for
+/// the bad count.
 [[nodiscard]] bool decode(std::string_view in, sparql::SolutionSet& out);
 
 /// Encode a triple payload (CONSTRUCT/DESCRIBE graphs, store shipping).
@@ -53,7 +63,9 @@ namespace ahsw::net::wire {
 [[nodiscard]] bool decode(std::string_view in,
                           std::vector<rdf::Triple>& out);
 
-/// Encoded payload size of `s` (== encode(s).size()), computed fresh.
+/// Encoded payload size (== encode(...).size()), computed fresh and
+/// analytically from the id view, without encoding.
+[[nodiscard]] std::size_t encoded_size(const sparql::IdTable& t);
 [[nodiscard]] std::size_t encoded_size(const sparql::SolutionSet& s);
 [[nodiscard]] std::size_t encoded_size(const std::vector<rdf::Triple>& t);
 
@@ -62,6 +74,10 @@ namespace ahsw::net::wire {
 /// stays observable as SolutionSet::byte_size() and travels with every send
 /// as its `raw_bytes` counterpart.
 [[nodiscard]] std::size_t charged_bytes(const sparql::SolutionSet& s);
+
+/// What shipping the accumulator's merged set charges, sized in id space
+/// (the chain strategies ship it at every hop).
+[[nodiscard]] std::size_t charged_bytes(const sparql::MergeAccumulator& acc);
 
 /// Raw (uncompressed) size of a triple payload, for raw-byte accounting.
 [[nodiscard]] std::size_t raw_bytes(const std::vector<rdf::Triple>& t);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <string>
@@ -29,6 +30,9 @@ struct Table {
   [[nodiscard]] TermId at(std::size_t r, std::size_t c) const noexcept {
     return cells[r * width + c];
   }
+  [[nodiscard]] const TermId* row(std::size_t r) const noexcept {
+    return cells.data() + r * width;
+  }
 };
 
 /// Intern every distinct term of `sets` in Term `operator<=>` order, so that
@@ -47,21 +51,39 @@ rdf::TermDictionary build_dictionary(
   return dict;
 }
 
+/// Row-major id cells of `s` over its sorted schema `vars`; `id_of` maps
+/// each bound term to its id.
+template <typename IdOf>
+std::vector<TermId> id_cells(const SolutionSet& s,
+                             const std::vector<std::string>& vars,
+                             IdOf&& id_of) {
+  const std::size_t width = vars.size();
+  std::vector<TermId> cells(s.size() * width, kUnbound);
+  for (std::size_t r = 0; r < s.size(); ++r) {
+    // Binding slots and vars are both sorted: a merge walk places cells.
+    std::size_t c = 0;
+    for (const auto& [name, term] : s.rows()[r].slots()) {
+      while (vars[c] != name) ++c;
+      cells[r * width + c] = id_of(term);
+      ++c;
+    }
+  }
+  return cells;
+}
+
+std::vector<TermId> intern_cells(const SolutionSet& s,
+                                 const std::vector<std::string>& vars,
+                                 rdf::TermDictionary& dict) {
+  return id_cells(s, vars, [&](const rdf::Term& t) { return dict.intern(t); });
+}
+
 Table build_table(const SolutionSet& s, const rdf::TermDictionary& dict) {
   Table t;
   t.vars = variables_of(s);
   t.width = t.vars.size();
   t.rows = s.size();
-  t.cells.assign(t.rows * t.width, kUnbound);
-  for (std::size_t r = 0; r < t.rows; ++r) {
-    // Binding slots and t.vars are both sorted: a merge walk places cells.
-    std::size_t c = 0;
-    for (const auto& [name, term] : s.rows()[r].slots()) {
-      while (t.vars[c] != name) ++c;
-      t.cells[r * t.width + c] = *dict.find(term);
-      ++c;
-    }
-  }
+  t.cells =
+      id_cells(s, t.vars, [&](const rdf::Term& term) { return *dict.find(term); });
   return t;
 }
 
@@ -80,22 +102,23 @@ struct MergeSchema {
   std::vector<SharedCol> shared;
 };
 
-MergeSchema merge_schema(const Table& ta, const Table& tb) {
+MergeSchema merge_schema(const std::vector<std::string>& a,
+                         const std::vector<std::string>& b) {
   MergeSchema m;
-  m.from_a.resize(ta.width);
-  m.from_b.resize(tb.width);
+  m.from_a.resize(a.size());
+  m.from_b.resize(b.size());
   std::size_t i = 0;
   std::size_t j = 0;
-  while (i < ta.width || j < tb.width) {
+  while (i < a.size() || j < b.size()) {
     std::size_t out = m.vars.size();
-    if (j == tb.width || (i < ta.width && ta.vars[i] < tb.vars[j])) {
-      m.vars.push_back(ta.vars[i]);
+    if (j == b.size() || (i < a.size() && a[i] < b[j])) {
+      m.vars.push_back(a[i]);
       m.from_a[i++] = out;
-    } else if (i == ta.width || tb.vars[j] < ta.vars[i]) {
-      m.vars.push_back(tb.vars[j]);
+    } else if (i == a.size() || b[j] < a[i]) {
+      m.vars.push_back(b[j]);
       m.from_b[j++] = out;
     } else {
-      m.vars.push_back(ta.vars[i]);
+      m.vars.push_back(a[i]);
       m.shared.push_back({i, j});
       m.from_a[i++] = out;
       m.from_b[j++] = out;
@@ -106,18 +129,22 @@ MergeSchema merge_schema(const Table& ta, const Table& tb) {
 
 /// Compatible per Perez et al., in id space: every variable bound in both
 /// rows carries the same id. Only shared-schema columns can disagree.
-bool compatible(const Table& ta, std::size_t ra, const Table& tb,
-                std::size_t rb, const std::vector<MergeSchema::SharedCol>& shared) {
+bool compatible(const TermId* x, const TermId* y,
+                const std::vector<MergeSchema::SharedCol>& shared) {
   for (const auto& sc : shared) {
-    TermId x = ta.at(ra, sc.a);
-    TermId y = tb.at(rb, sc.b);
-    if (x != kUnbound && y != kUnbound && x != y) return false;
+    if (x[sc.a] != kUnbound && y[sc.b] != kUnbound && x[sc.a] != y[sc.b]) {
+      return false;
+    }
   }
   return true;
 }
 
-Binding materialize(const std::vector<std::string>& vars,
-                    const std::vector<TermId>& cells,
+bool compatible(const Table& ta, std::size_t ra, const Table& tb,
+                std::size_t rb, const std::vector<MergeSchema::SharedCol>& shared) {
+  return compatible(ta.row(ra), tb.row(rb), shared);
+}
+
+Binding materialize(const std::vector<std::string>& vars, const TermId* cells,
                     const rdf::TermDictionary& dict) {
   Binding out;
   // vars is sorted, so each set() appends at the back.
@@ -127,17 +154,44 @@ Binding materialize(const std::vector<std::string>& vars,
   return out;
 }
 
-/// Merge row `ra` of `ta` with row `rb` of `tb` into `buf` (output schema
-/// order, a's value winning where both bind — they are equal when the pair
-/// is compatible, matching Binding::merged).
+/// Merge row `x` (width `wx`) with row `y` (width `wy`) into `out` (output
+/// schema order, x's value winning where both bind — they are equal when
+/// the pair is compatible, matching Binding::merged).
+void merge_cells(const TermId* x, std::size_t wx, const TermId* y,
+                 std::size_t wy, const MergeSchema& m, TermId* out) {
+  std::fill(out, out + m.vars.size(), kUnbound);
+  for (std::size_t c = 0; c < wx; ++c) out[m.from_a[c]] = x[c];
+  for (std::size_t c = 0; c < wy; ++c) {
+    if (out[m.from_b[c]] == kUnbound) out[m.from_b[c]] = y[c];
+  }
+}
+
 void merge_cells(const Table& ta, std::size_t ra, const Table& tb,
                  std::size_t rb, const MergeSchema& m,
                  std::vector<TermId>& buf) {
-  buf.assign(m.vars.size(), kUnbound);
-  for (std::size_t c = 0; c < ta.width; ++c) buf[m.from_a[c]] = ta.at(ra, c);
-  for (std::size_t c = 0; c < tb.width; ++c) {
-    if (buf[m.from_b[c]] == kUnbound) buf[m.from_b[c]] = tb.at(rb, c);
+  buf.resize(m.vars.size());
+  merge_cells(ta.row(ra), ta.width, tb.row(rb), tb.width, m, buf.data());
+}
+
+/// Binding's lexicographic slot order over id rows of one sorted schema:
+/// pairs compare name first (column index order is name order) then term
+/// (`key` maps an id to its Term-order position); a row that is a strict
+/// prefix sorts first.
+template <typename Key>
+bool canonical_less(const TermId* x, const TermId* y, std::size_t width,
+                    const Key& key) {
+  std::size_t ci = 0;
+  std::size_t cj = 0;
+  for (;;) {
+    while (ci < width && x[ci] == kUnbound) ++ci;
+    while (cj < width && y[cj] == kUnbound) ++cj;
+    if (ci == width || cj == width) break;
+    if (ci != cj) return ci < cj;
+    if (x[ci] != y[cj]) return key(x[ci]) < key(y[cj]);
+    ++ci;
+    ++cj;
   }
+  return ci == width && cj < width;
 }
 
 /// Packed id-tuple used as a hash key (point lookups only — never iterated,
@@ -157,13 +211,13 @@ void join_core(const SolutionSet& a, const SolutionSet& b, SolutionSet& out,
   rdf::TermDictionary dict = build_dictionary({&a, &b});
   Table ta = build_table(a, dict);
   Table tb = build_table(b, dict);
-  MergeSchema m = merge_schema(ta, tb);
+  MergeSchema m = merge_schema(ta.vars, tb.vars);
   if (matched != nullptr) matched->assign(ta.rows, 0);
 
   std::vector<TermId> buf;
   auto emit = [&](std::size_t ra, std::size_t rb) {
     merge_cells(ta, ra, tb, rb, m, buf);
-    out.add(materialize(m.vars, buf, dict));
+    out.add(materialize(m.vars, buf.data(), dict));
     if (matched != nullptr) (*matched)[ra] = 1;
   };
 
@@ -280,7 +334,7 @@ SolutionSet vec_left_join_conditioned(const SolutionSet& a,
   rdf::TermDictionary dict = build_dictionary({&a, &b});
   Table ta = build_table(a, dict);
   Table tb = build_table(b, dict);
-  MergeSchema m = merge_schema(ta, tb);
+  MergeSchema m = merge_schema(ta.vars, tb.vars);
 
   // Columns of the merged schema the condition reads (kNoCol: the variable
   // never occurs in either operand, so its id is constantly unbound).
@@ -312,7 +366,7 @@ SolutionSet vec_left_join_conditioned(const SolutionSet& a,
       auto it = memo.find(key);
       bool ok;
       if (it == memo.end()) {
-        merged = materialize(m.vars, buf, dict);
+        merged = materialize(m.vars, buf.data(), dict);
         have_merged = true;
         ok = satisfies(*cond, merged);
         memo.emplace(key, ok);
@@ -320,7 +374,7 @@ SolutionSet vec_left_join_conditioned(const SolutionSet& a,
         ok = it->second;
       }
       if (ok) {
-        if (!have_merged) merged = materialize(m.vars, buf, dict);
+        if (!have_merged) merged = materialize(m.vars, buf.data(), dict);
         out.add(std::move(merged));
         extended = true;
       }
@@ -366,25 +420,11 @@ SolutionSet vec_deduplicated(const SolutionSet& in) {
   Table t = build_table(in, dict);
   std::vector<std::size_t> order(t.rows);
   std::iota(order.begin(), order.end(), std::size_t{0});
-  // Exactly Binding's lexicographic slot order: pairs compare name first
-  // (both schemas walk the same sorted var list, so column index order is
-  // name order) then term (id order == term order by dictionary
-  // construction); a row that is a strict prefix sorts first.
+  // Exactly Binding's order: id order == term order by dictionary
+  // construction.
   auto less = [&](std::size_t i, std::size_t j) {
-    std::size_t ci = 0;
-    std::size_t cj = 0;
-    for (;;) {
-      while (ci < t.width && t.at(i, ci) == kUnbound) ++ci;
-      while (cj < t.width && t.at(j, cj) == kUnbound) ++cj;
-      if (ci == t.width || cj == t.width) break;
-      if (ci != cj) return ci < cj;
-      TermId x = t.at(i, ci);
-      TermId y = t.at(j, cj);
-      if (x != y) return x < y;
-      ++ci;
-      ++cj;
-    }
-    return ci == t.width && cj < t.width;
+    return canonical_less(t.row(i), t.row(j), t.width,
+                          [](TermId id) { return id; });
   };
   std::stable_sort(order.begin(), order.end(), less);
   auto equal_rows = [&](std::size_t i, std::size_t j) {
@@ -398,6 +438,271 @@ SolutionSet vec_deduplicated(const SolutionSet& in) {
     if (k > 0 && equal_rows(order[k - 1], order[k])) continue;
     out.add(in.rows()[order[k]]);
   }
+  return out;
+}
+
+namespace {
+
+/// Rank the ids of `ids` by term: sort them into Term order.
+void sort_by_term(std::vector<TermId>& ids, const rdf::TermDictionary& dict) {
+  std::sort(ids.begin(), ids.end(), [&](TermId x, TermId y) {
+    return dict.term(x) < dict.term(y);
+  });
+}
+
+void set_ranks(IdTable& t) {
+  t.rank.resize(t.dict.size());
+  for (std::size_t k = 0; k < t.by_rank.size(); ++k) {
+    t.rank[t.by_rank[k]] = static_cast<std::uint32_t>(k);
+  }
+}
+
+/// Sorted union of two sorted variable lists.
+std::vector<std::string> var_union(const std::vector<std::string>& a,
+                                   const std::vector<std::string>& b) {
+  std::vector<std::string> out;
+  out.reserve(a.size() + b.size());
+  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                 std::back_inserter(out));
+  return out;
+}
+
+}  // namespace
+
+IdTable id_table(const SolutionSet& s) {
+  IdTable t;
+  t.vars = variables_of(s);
+  t.rows = s.size();
+  t.cells = intern_cells(s, t.vars, t.dict);
+  t.by_rank.resize(t.dict.size());
+  std::iota(t.by_rank.begin(), t.by_rank.end(), TermId{0});
+  sort_by_term(t.by_rank, t.dict);
+  set_ranks(t);
+  return t;
+}
+
+void MergeAccumulator::set_carry(const SolutionSet& carry) {
+  Carry c;
+  c.vars = variables_of(carry);
+  c.rows = carry.size();
+  c.cells = intern_cells(carry, c.vars, table_.dict);
+  carry_ = std::move(c);
+}
+
+void MergeAccumulator::add(const SolutionSet& local) {
+  if (local.empty()) return;
+  const std::vector<std::string> vars = variables_of(local);
+  const std::vector<TermId> cells = intern_cells(local, vars, table_.dict);
+  if (!carry_.has_value()) {
+    absorb(vars, cells, local.size());
+    return;
+  }
+
+  // join(carry, local) in id space. Row order inside one contribution is
+  // never observable (absorb keeps a set, take() sorts), so local rows
+  // probe the carry grouped once on the shared columns.
+  Carry& c = *carry_;
+  const MergeSchema m = merge_schema(c.vars, vars);
+  const std::size_t wc = c.vars.size();
+  const std::size_t wl = vars.size();
+  const std::size_t wm = m.vars.size();
+  std::vector<std::size_t> key_cols;
+  for (const auto& sc : m.shared) key_cols.push_back(sc.a);
+  std::string key;
+  auto pack = [&](const TermId* row, bool carry_side) {
+    key.clear();
+    for (const auto& sc : m.shared) {
+      const TermId id = row[carry_side ? sc.a : sc.b];
+      if (id == kUnbound) return false;
+      append_id(key, id);
+    }
+    return true;
+  };
+  auto carry_row = [&](std::size_t r) { return c.cells.data() + r * wc; };
+  if (!key_cols.empty() && c.key_cols != key_cols) {
+    // Carry rows binding every shared column group by their shared ids;
+    // rows missing one (possible after OPTIONAL) are checked pairwise.
+    c.groups.clear();
+    c.partial.clear();
+    c.key_cols = key_cols;
+    for (std::size_t r = 0; r < c.rows; ++r) {
+      if (pack(carry_row(r), true)) {
+        c.groups[key].push_back(r);
+      } else {
+        c.partial.push_back(r);
+      }
+    }
+  }
+
+  std::vector<TermId> out;
+  std::size_t out_rows = 0;
+  auto emit = [&](std::size_t rc, const TermId* lrow) {
+    out.resize(out.size() + wm);
+    merge_cells(carry_row(rc), wc, lrow, wl, m, out.data() + out_rows * wm);
+    ++out_rows;
+  };
+  for (std::size_t rl = 0; rl < local.size(); ++rl) {
+    const TermId* lrow = cells.data() + rl * wl;
+    if (m.shared.empty()) {
+      for (std::size_t rc = 0; rc < c.rows; ++rc) emit(rc, lrow);
+    } else if (pack(lrow, false)) {
+      // A full key equal on every shared column is compatible outright.
+      if (auto it = c.groups.find(key); it != c.groups.end()) {
+        for (std::size_t rc : it->second) emit(rc, lrow);
+      }
+      for (std::size_t rc : c.partial) {
+        if (compatible(carry_row(rc), lrow, m.shared)) emit(rc, lrow);
+      }
+    } else {
+      for (std::size_t rc = 0; rc < c.rows; ++rc) {
+        if (compatible(carry_row(rc), lrow, m.shared)) emit(rc, lrow);
+      }
+    }
+  }
+  absorb(m.vars, out, out_rows);
+}
+
+void MergeAccumulator::absorb(const std::vector<std::string>& vars,
+                              const std::vector<TermId>& cells,
+                              std::size_t rows) {
+  if (rows == 0) return;
+  const std::size_t w = vars.size();
+  // The schema grows only by columns some candidate row binds, so it stays
+  // "the variables bound in at least one held row".
+  std::vector<std::string> bound;
+  for (std::size_t c = 0; c < w; ++c) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (cells[r * w + c] != kUnbound) {
+        bound.push_back(vars[c]);
+        break;
+      }
+    }
+  }
+  if (!std::includes(table_.vars.begin(), table_.vars.end(), bound.begin(),
+                     bound.end())) {
+    widen(var_union(table_.vars, bound));
+  }
+  const std::size_t width = table_.vars.size();
+  std::vector<std::size_t> to(w, kNoCol);
+  for (std::size_t c = 0; c < w; ++c) {
+    auto it = std::lower_bound(table_.vars.begin(), table_.vars.end(), vars[c]);
+    if (it != table_.vars.end() && *it == vars[c]) {
+      to[c] = static_cast<std::size_t>(it - table_.vars.begin());
+    }
+  }
+
+  live_.resize(table_.dict.size(), 0);
+  std::vector<TermId> fresh;
+  const std::size_t row_framing = Binding{}.byte_size();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t base = table_.cells.size();
+    table_.cells.resize(base + width, kUnbound);
+    for (std::size_t c = 0; c < w; ++c) {
+      // A column outside the schema is unbound in every candidate row.
+      if (to[c] != kNoCol) table_.cells[base + to[c]] = cells[r * w + c];
+    }
+    if (!insert_back()) continue;
+    raw_ += row_framing;
+    for (std::size_t c = 0; c < width; ++c) {
+      const TermId id = table_.cells[base + c];
+      if (id == kUnbound) continue;
+      raw_ += table_.vars[c].size() + 1 + table_.dict.term(id).byte_size();
+      if (live_[id] == 0) {
+        live_[id] = 1;
+        fresh.push_back(id);
+      }
+    }
+  }
+  if (fresh.empty()) return;
+  sort_by_term(fresh, table_.dict);
+  const auto mid = static_cast<std::ptrdiff_t>(table_.by_rank.size());
+  table_.by_rank.insert(table_.by_rank.end(), fresh.begin(), fresh.end());
+  std::inplace_merge(table_.by_rank.begin(), table_.by_rank.begin() + mid,
+                     table_.by_rank.end(), [&](TermId x, TermId y) {
+                       return table_.dict.term(x) < table_.dict.term(y);
+                     });
+  set_ranks(table_);
+}
+
+void MergeAccumulator::widen(const std::vector<std::string>& vars) {
+  const std::size_t from = table_.vars.size();
+  const std::size_t width = vars.size();
+  std::vector<std::size_t> to(from);
+  for (std::size_t c = 0, k = 0; c < from; ++c) {
+    while (vars[k] != table_.vars[c]) ++k;
+    to[c] = k;
+  }
+  std::vector<TermId> cells(table_.rows * width, kUnbound);
+  for (std::size_t r = 0; r < table_.rows; ++r) {
+    for (std::size_t c = 0; c < from; ++c) {
+      cells[r * width + to[c]] = table_.cells[r * from + c];
+    }
+  }
+  table_.vars = vars;
+  table_.cells = std::move(cells);
+  rehash(slots_.size());
+}
+
+std::uint64_t MergeAccumulator::row_hash(std::size_t row) const noexcept {
+  const std::size_t width = table_.vars.size();
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t c = 0; c < width; ++c) {
+    h = (h ^ table_.cells[row * width + c]) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+void MergeAccumulator::rehash(std::size_t capacity) {
+  slots_.assign(capacity, 0);
+  if (capacity == 0) return;
+  const std::size_t mask = capacity - 1;
+  for (std::size_t r = 0; r < table_.rows; ++r) {
+    std::size_t i = static_cast<std::size_t>(row_hash(r)) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<std::uint32_t>(r + 1);
+  }
+}
+
+bool MergeAccumulator::insert_back() {
+  const std::size_t r = table_.rows;
+  const std::size_t width = table_.vars.size();
+  if ((r + 1) * 2 > slots_.size()) {
+    rehash(std::max<std::size_t>(16, slots_.size() * 2));
+  }
+  const std::size_t mask = slots_.size() - 1;
+  const TermId* row = table_.cells.data() + r * width;
+  for (std::size_t i = static_cast<std::size_t>(row_hash(r)) & mask;;
+       i = (i + 1) & mask) {
+    if (slots_[i] == 0) {
+      slots_[i] = static_cast<std::uint32_t>(r + 1);
+      ++table_.rows;
+      return true;
+    }
+    const TermId* held = table_.cells.data() + (slots_[i] - 1) * width;
+    if (std::equal(row, row + width, held)) {
+      table_.cells.resize(r * width);
+      return false;
+    }
+  }
+}
+
+SolutionSet MergeAccumulator::take() {
+  const IdTable& t = table_;
+  const std::size_t width = t.vars.size();
+  std::vector<std::size_t> order(t.rows);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  // Rows are distinct, so the canonical order is strict.
+  std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
+    return canonical_less(t.cells.data() + i * width,
+                          t.cells.data() + j * width, width,
+                          [&](TermId id) { return t.rank[id]; });
+  });
+  SolutionSet out;
+  for (std::size_t r : order) {
+    out.add(materialize(t.vars, t.cells.data() + r * width, t.dict));
+  }
+  *this = MergeAccumulator{};
   return out;
 }
 

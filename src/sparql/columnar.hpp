@@ -18,8 +18,21 @@
 // order, so the golden digests pin it, and
 // tests/sparql/kernel_reference_test.cpp checks it row for row against the
 // row-at-a-time reference in tests/support/.
+//
+// MergeAccumulator is the id-space form of the in-network merges of the
+// primitive strategies (scatter gather and provider chains): it holds the
+// running deduplicated(set_union(acc, next)) as id tuples over one
+// dictionary, so a merge costs the new provider's rows, not the whole
+// accumulated set. IdTable is the shape net::wire sizes payloads from.
 #pragma once
 
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "rdf/dictionary.hpp"
 #include "sparql/expr.hpp"
 #include "sparql/solution.hpp"
 
@@ -51,5 +64,91 @@ namespace ahsw::sparql {
 /// (id order == term order by construction, so the result matches
 /// normalize() + std::unique exactly).
 [[nodiscard]] SolutionSet vec_deduplicated(const SolutionSet& in);
+
+/// A solution payload in id space: what the wire size of a payload depends
+/// on (net::wire::charged_bytes sizes it without encoding).
+struct IdTable {
+  /// Sorted schema: the variables bound in at least one row.
+  std::vector<std::string> vars;
+  /// Ids in insertion order; may hold terms no row uses.
+  rdf::TermDictionary dict;
+  /// The distinct ids the rows use, in Term order (the wire dictionary).
+  std::vector<rdf::TermId> by_rank;
+  /// id -> its index in by_rank; meaningful only for ids listed there.
+  std::vector<std::uint32_t> rank;
+  std::size_t rows = 0;
+  /// rows x vars.size(), row-major; rdf::kInvalidTermId marks unbound.
+  std::vector<rdf::TermId> cells;
+};
+
+/// `s` in id space, rows in order, duplicates kept.
+[[nodiscard]] IdTable id_table(const SolutionSet& s);
+
+/// The running value of `deduplicated(set_union(acc, next))` folded over
+/// every add(), kept in id space. Rows live as id tuples in insertion order
+/// with a hash table used only for point lookups (never iterated, rule D2);
+/// the raw size is kept incrementally and take() sorts once.
+class MergeAccumulator {
+ public:
+  /// Join every later add() against `carry` (a chain that carries the
+  /// partial result of earlier conjunction patterns). The carry is interned
+  /// here once and hash-grouped at the first add() on the columns it shares
+  /// with the provider rows; add(local) then merges join(carry, local)
+  /// without materialising it. Replaces any earlier carry.
+  void set_carry(const SolutionSet& carry);
+
+  /// Merge one provider's rows: interns only `local`'s terms and drops rows
+  /// already held.
+  void add(const SolutionSet& local);
+
+  /// Distinct rows held.
+  [[nodiscard]] std::size_t size() const noexcept { return table_.rows; }
+
+  /// SolutionSet::byte_size() of the merged set.
+  [[nodiscard]] std::size_t raw_bytes() const noexcept { return raw_; }
+
+  /// The merged set in id space (by_rank and rank are current).
+  [[nodiscard]] const IdTable& table() const noexcept { return table_; }
+
+  /// The distinct rows in canonical Binding order, exactly the folded
+  /// deduplicated(set_union(...)); leaves the accumulator empty.
+  [[nodiscard]] SolutionSet take();
+
+ private:
+  /// The carry in id space plus its hash grouping on the columns it shares
+  /// with the provider rows (regrouped only if those columns change).
+  struct Carry {
+    std::vector<std::string> vars;
+    std::size_t rows = 0;
+    std::vector<rdf::TermId> cells;
+    std::vector<std::size_t> key_cols;  // carry columns grouped on
+    // iteration-order: never iterated — point lookups by packed shared-id
+    // key only; matches are emitted in carry row order from each group.
+    std::unordered_map<std::string, std::vector<std::size_t>> groups;
+    std::vector<std::size_t> partial;  // rows missing a key column
+  };
+
+  /// Add candidate rows (over the sorted schema `vars`, ids already in
+  /// table_.dict): grows the schema by the columns they bind, inserts the
+  /// rows not held yet, and re-ranks the terms they bring.
+  void absorb(const std::vector<std::string>& vars,
+              const std::vector<rdf::TermId>& cells, std::size_t rows);
+  /// Re-place every row into a wider schema and rebuild the hash table.
+  void widen(const std::vector<std::string>& vars);
+  /// Insert the row at the back of table_.cells unless it is held already
+  /// (then pop it); returns whether it was new.
+  bool insert_back();
+  [[nodiscard]] std::uint64_t row_hash(std::size_t row) const noexcept;
+  void rehash(std::size_t capacity);
+
+  IdTable table_;
+  std::size_t raw_ = SolutionSet{}.byte_size();
+  // Open-addressing table of row index + 1 (0 = empty slot), linear probing.
+  // iteration-order: never iterated — point lookups only; rows keep their
+  // insertion order in table_.cells and take() sorts canonically.
+  std::vector<std::uint32_t> slots_;
+  std::vector<char> live_;  // id -> used by a held row
+  std::optional<Carry> carry_;
+};
 
 }  // namespace ahsw::sparql

@@ -3,7 +3,7 @@
 #include "sparql/columnar.hpp"
 
 #include <algorithm>
-#include <set>
+#include <iterator>
 
 namespace ahsw::sparql {
 
@@ -140,11 +140,23 @@ SolutionSet left_join(const SolutionSet& a, const SolutionSet& b) {
 }
 
 std::vector<std::string> variables_of(const SolutionSet& s) {
-  std::set<std::string> vars;
+  std::vector<std::string> vars;
+  std::vector<std::string> names;
+  auto name_of = [](const auto& slot) -> const std::string& {
+    return slot.first;
+  };
   for (const Binding& r : s.rows()) {
-    for (const auto& [name, _] : r.slots()) vars.insert(name);
+    // Rows of one pattern bind the same variables: merge only when a row
+    // binds one not seen yet (both lists are sorted).
+    if (std::ranges::includes(vars, r.slots(), {}, {}, name_of)) continue;
+    names.clear();
+    for (const auto& [name, _] : r.slots()) names.push_back(name);
+    std::vector<std::string> merged;
+    std::set_union(vars.begin(), vars.end(), names.begin(), names.end(),
+                   std::back_inserter(merged));
+    vars = std::move(merged);
   }
-  return {vars.begin(), vars.end()};
+  return vars;
 }
 
 }  // namespace ahsw::sparql

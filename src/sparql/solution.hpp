@@ -86,7 +86,8 @@ class SolutionSet {
     // The raw size is a plain per-row sum, so the increment is exact; the
     // wire (encoded) size is holistic — a new row can extend the payload's
     // term dictionary or variable schema — so no increment is correct and
-    // the memo must be dropped (net::wire recomputes through the encoder).
+    // the memo must be dropped (net::wire re-sizes the set analytically
+    // from its id view on the next ask).
     if (cached_bytes_ != kDirty) cached_bytes_ += b.byte_size();
     wire_cached_ = 0;
     rows_.push_back(std::move(b));
@@ -107,12 +108,14 @@ class SolutionSet {
   /// compressed size instead (net::wire::charged_bytes); this raw figure
   /// travels alongside every send as its `raw_bytes` counterpart so the
   /// compression win stays observable. Cached: the distributed processor
-  /// asks for it at every ship and chain hop, and recomputing is
-  /// O(rows x slots).
+  /// asks for it at every ship, and recomputing is O(rows x slots). (Chain
+  /// hops size their travelling merge in id space instead; see
+  /// sparql::MergeAccumulator.)
   [[nodiscard]] std::size_t byte_size() const noexcept;
 
   /// Memo slot for the wire-encoded size, owned by net::wire::charged_bytes
-  /// (the encoder lives above this layer). 0 means "not computed": an
+  /// (the analytic sizer lives above this layer and never encodes; it reads
+  /// the set's id view, sparql::id_table). 0 means "not computed": an
   /// encoded payload is never empty, so 0 is a safe dirty sentinel. Any
   /// mutation (add, mutable rows()) resets it; normalize() keeps it, since
   /// the canonical encoding is row-order independent.

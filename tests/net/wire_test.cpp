@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/varint.hpp"
 #include "rdf/term.hpp"
 #include "rdf/triple.hpp"
 #include "sparql/solution.hpp"
@@ -191,6 +192,59 @@ TEST(WireCodec, DecodeRejectsTruncatedPayloads) {
         << "cut " << cut;
   }
   ASSERT_TRUE(decode(payload, out));
+}
+
+// Hostile payloads: a count far beyond the bytes left must be rejected
+// before anything is allocated for it, and an unknown term kind must not
+// decode as some other kind.
+std::string huge_count() {
+  std::string out;
+  common::put_varint(out, (std::uint64_t{1} << 63) - 1);  // 9 bytes
+  return out;
+}
+
+TEST(WireCodec, DecodeRejectsHugeVariableCount) {
+  SolutionSet out;
+  EXPECT_FALSE(decode(huge_count(), out));
+}
+
+TEST(WireCodec, DecodeRejectsHugeTermCount) {
+  std::string payload;
+  common::put_varint(payload, 0);  // nvars
+  payload += huge_count();         // nterms
+  SolutionSet out;
+  EXPECT_FALSE(decode(payload, out));
+}
+
+TEST(WireCodec, TripleDecodeRejectsHugeTermCount) {
+  std::vector<rdf::Triple> out;
+  EXPECT_FALSE(decode(huge_count(), out));
+}
+
+TEST(WireCodec, TripleDecodeRejectsHugeTripleCount) {
+  std::string payload;
+  common::put_varint(payload, 0);  // nterms
+  payload += huge_count();         // ntriples
+  std::vector<rdf::Triple> out;
+  EXPECT_FALSE(decode(payload, out));
+}
+
+TEST(WireCodec, DecodeRejectsUnknownTermKind) {
+  std::string payload;
+  common::put_varint(payload, 0);  // nvars
+  common::put_varint(payload, 1);  // nterms
+  payload.push_back(7);            // kind: none of iri/literal/blank
+  common::put_varint(payload, 0);  // lcp
+  common::put_varint(payload, 1);  // suffix
+  payload.push_back('a');
+  common::put_varint(payload, 0);  // datatype
+  common::put_varint(payload, 0);  // lang
+  common::put_varint(payload, 0);  // nrows
+  SolutionSet out;
+  EXPECT_FALSE(decode(payload, out));
+  // The same payload with a known kind decodes: only the kind was at fault.
+  payload[2] = static_cast<char>(rdf::TermKind::kBlank);
+  EXPECT_TRUE(decode(payload, out));
 }
 
 }  // namespace

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
-# Wire-byte regression gate for the throughput sweep.
+# Wire-byte regression gate for a committed bench series.
 #
-# Compares a freshly emitted BENCH_throughput.json (argument, or
-# build/BENCH_throughput.json by default) against the committed baseline
-# bench/baselines/BENCH_throughput.json. Both series must hold the same
+# Usage: check_bench_bytes.sh [series] [fresh.json]
+#
+# Compares a freshly emitted BENCH_<series>.json (second argument, or
+# build/BENCH_<series>.json by default) against the committed baseline
+# bench/baselines/BENCH_<series>.json. The series defaults to
+# `throughput`; `primitive` gates the basic, chain, frequency-chain and
+# broadcast strategies of bench_primitive. Both series must hold the same
 # records, and for every record the data and result category bytes — the
 # two solution-set-bearing categories, i.e. the traffic the wire codec
 # compresses — must equal the baseline exactly. Simulated bytes are
@@ -15,16 +19,17 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-baseline=bench/baselines/BENCH_throughput.json
-fresh="${1:-${AHSW_BUILD_DIR:-build}/BENCH_throughput.json}"
+series="${1:-throughput}"
+baseline="bench/baselines/BENCH_${series}.json"
+fresh="${2:-${AHSW_BUILD_DIR:-build}/BENCH_${series}.json}"
 
 if [ ! -f "${baseline}" ]; then
   echo "error: committed baseline ${baseline} missing" >&2
   exit 2
 fi
 if [ ! -f "${fresh}" ]; then
-  echo "error: fresh series ${fresh} missing (run bench_throughput first," >&2
-  echo "or pass the JSON path as the first argument)" >&2
+  echo "error: fresh series ${fresh} missing (run bench_${series} first," >&2
+  echo "or pass the JSON path as the second argument)" >&2
   exit 2
 fi
 
@@ -67,9 +72,8 @@ for bench in sorted(base.keys() | fresh.keys()):
 
 if failed:
     print("error: wire payload bytes differ from the committed baseline; if "
-          "the change is intentional, re-baseline "
-          "bench/baselines/BENCH_throughput.json in the same commit",
-          file=sys.stderr)
+          f"the change is intentional, re-baseline {sys.argv[1]} in the same "
+          "commit", file=sys.stderr)
     sys.exit(1)
 print("wire payload bytes identical to the committed baseline")
 PY
