@@ -65,7 +65,7 @@ DagExecutor::Located DagExecutor::ship(Located from, net::NodeAddress target,
   return from;
 }
 
-std::optional<SolutionSet> DagExecutor::run_at_provider(
+std::optional<sparql::ScanRows> DagExecutor::run_at_provider(
     net::NodeAddress provider, const sparql::BgpPattern& p, net::SimTime& now,
     net::NodeAddress /*initiator*/, ExecutionReport& rep) {
   if (net().is_failed(provider)) {
@@ -74,7 +74,7 @@ std::optional<SolutionSet> DagExecutor::run_at_provider(
   }
   ++rep.providers_contacted;
   sparql::LocalEngine engine(overlay_->store_of(provider));
-  return engine.match_pattern(p);
+  return engine.match_ids(p);
 }
 
 void DagExecutor::give_up_on_provider(net::NodeAddress provider,
@@ -536,7 +536,8 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
 
   task.pattern = pat;
   task.strategy = strategy;  // a later re-lookup re-orders with the same one
-  task.acc = std::make_unique<sparql::MergeAccumulator>();
+  task.acc =
+      std::make_unique<sparql::MergeAccumulator>(&overlay_->dictionary());
   const bool scatter_gather =
       strategy == PrimitiveStrategy::kBasic || loc.broadcast;
 
@@ -638,7 +639,7 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
   {
     obs::SpanScope exec_span(trace_, obs::SpanKind::kLocalExec,
                              "node " + std::to_string(prov), t, prov);
-    std::optional<SolutionSet> local =
+    std::optional<sparql::ScanRows> local =
         run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
     if (local.has_value()) {
       t = net().send(prov, scan.assembly, net::wire::charged_bytes(*local),
@@ -730,7 +731,7 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
   {
     obs::SpanScope hop_span(trace_, obs::SpanKind::kChainHop,
                             "node " + std::to_string(prov), t, prov);
-    std::optional<SolutionSet> local =
+    std::optional<sparql::ScanRows> local =
         run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
     if (local.has_value()) {
       // With a carry, the accumulator merges join(carry, local).

@@ -13,10 +13,11 @@
 //      of one query start at t=0 and DESCRIBE parts at the result's
 //      arrival; every in-network merge (scatter gather, chain hop) folds
 //      deduplicated(set_union(acc, next)) in id space through one
-//      sparql::MergeAccumulator per scan, interning only the new
-//      provider's rows, and yields canonical order; every shipped set is
-//      charged its wire-encoded size, computed analytically. Event
-//      order only decides *when* a charge is booked, never how large it is.
+//      sparql::MergeAccumulator per scan, fed the providers' store ids
+//      (sparql::ScanRows) without interning, and yields canonical order;
+//      every shipped set is charged its wire-encoded size, computed
+//      analytically. Event order only decides *when* a charge is booked,
+//      never how large it is.
 //
 //   2. *Repair order.* Lazy index repairs mutate shared overlay state; the
 //      plan's control edges serialize each query's fires left-to-right
@@ -229,7 +230,7 @@ class DagExecutor {
   /// Contact a provider: charges a timeout and returns nullopt when it is
   /// dead, without giving up on it — the caller decides between a retry
   /// (RetryPolicy) and `give_up_on_provider`.
-  std::optional<sparql::SolutionSet> run_at_provider(
+  std::optional<sparql::ScanRows> run_at_provider(
       net::NodeAddress provider, const sparql::BgpPattern& p,
       net::SimTime& now, net::NodeAddress initiator, ExecutionReport& rep);
   /// Final failure handling for a dead provider: count the skip and trigger

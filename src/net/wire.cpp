@@ -204,7 +204,10 @@ bool decode(std::string_view in, sparql::SolutionSet& out) {
   std::uint64_t nrows = 0;
   if (!get_varint(in, pos, nrows)) return false;
   const std::size_t bitmap_bytes = (nvars + 7) / 8;
-  if (bitmap_bytes > 0 && nrows > (in.size() - pos) / bitmap_bytes) {
+  // A row occupies at least its bitmap; without variables it occupies no
+  // byte at all, so only the cap bounds the count.
+  if (bitmap_bytes > 0 ? nrows > (in.size() - pos) / bitmap_bytes
+                       : nrows > kMaxEmptyRows) {
     return false;
   }
   sparql::SolutionSet result;
@@ -293,7 +296,7 @@ std::size_t encoded_size(const sparql::IdTable& t) {
   n += varint_size(t.by_rank.size());
   std::string_view prev;
   for (rdf::TermId id : t.by_rank) {
-    const rdf::Term& term = t.dict.term(id);
+    const rdf::Term& term = *t.terms[id];
     const std::size_t lcp = common_prefix(prev, term.lexical());
     n += 1 + varint_size(lcp) + string_size(term.lexical().size() - lcp) +
          string_size(term.datatype().size()) + string_size(term.lang().size());
@@ -336,6 +339,10 @@ std::size_t charged_bytes(const sparql::SolutionSet& s) {
 
 std::size_t charged_bytes(const sparql::MergeAccumulator& acc) {
   return encoded_size(acc.table());
+}
+
+std::size_t charged_bytes(const sparql::ScanRows& rows) {
+  return encoded_size(sparql::id_table(rows));
 }
 
 std::size_t raw_bytes(const std::vector<rdf::Triple>& t) {

@@ -31,14 +31,16 @@
 // front-coding prefix lengths, and per row the bitmap plus the varint or
 // zigzag rank deltas. The same formula sizes a SolutionSet (memoized on the
 // set, see its wire cache, because shipped sets are asked again at every
-// join-site choice and ship) and the id-space merge accumulator of the
-// scatter and chain strategies, which is sized at every chain hop without
-// ever being materialized. encode/decode remain the codec, and the tests
+// join-site choice and ship), a provider's scan in store ids (a scatter
+// leg's send) and the id-space merge accumulator of the scatter and chain
+// strategies, which is sized at every chain hop without ever being
+// materialized. encode/decode remain the codec, and the tests
 // pin encoded_size == encode().size(). Encoder byte counters and size
 // computations live only in this component (lint rule A2).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,10 +54,15 @@ namespace ahsw::net::wire {
 /// Encode `s` into the payload format above.
 [[nodiscard]] std::string encode(const sparql::SolutionSet& s);
 
+/// Most rows a payload without variables may declare. Such rows encode to
+/// zero bytes each, so the bytes left cannot bound their count; decode
+/// rejects a larger count instead of building that many empty rows.
+inline constexpr std::uint64_t kMaxEmptyRows = std::uint64_t{1} << 20;
+
 /// Decode a payload produced by `encode`, replacing `out`. Returns false on
 /// malformed input (truncated varint, index out of range, a count larger
-/// than the bytes left, an unknown term kind, ...) without allocating for
-/// the bad count.
+/// than the bytes left or, without variables, than kMaxEmptyRows, an
+/// unknown term kind, ...) without allocating for the bad count.
 [[nodiscard]] bool decode(std::string_view in, sparql::SolutionSet& out);
 
 /// Encode a triple payload (CONSTRUCT/DESCRIBE graphs, store shipping).
@@ -78,6 +85,10 @@ namespace ahsw::net::wire {
 /// What shipping the accumulator's merged set charges, sized in id space
 /// (the chain strategies ship it at every hop).
 [[nodiscard]] std::size_t charged_bytes(const sparql::MergeAccumulator& acc);
+
+/// What shipping one provider's scan charges (a scatter leg's send), sized
+/// from its store ids.
+[[nodiscard]] std::size_t charged_bytes(const sparql::ScanRows& rows);
 
 /// Raw (uncompressed) size of a triple payload, for raw-byte accounting.
 [[nodiscard]] std::size_t raw_bytes(const std::vector<rdf::Triple>& t);

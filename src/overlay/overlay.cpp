@@ -26,6 +26,24 @@ HybridOverlay::HybridOverlay(net::Network& network, OverlayConfig config)
   });
 }
 
+HybridOverlay::HybridOverlay(const HybridOverlay& other)
+    : net_(other.net_),
+      config_(other.config_),
+      ring_(other.ring_),
+      index_(other.index_),
+      index_by_address_(other.index_by_address_),
+      dict_(std::make_unique<rdf::TermDictionary>(*other.dict_)),
+      storage_(other.storage_),
+      id_rng_(other.id_rng_),
+      attach_counter_(other.attach_counter_),
+      trace_(other.trace_),
+      cache_config_(other.cache_config_),
+      caches_(other.caches_),
+      cache_subscribers_(other.cache_subscribers_) {
+  // The copied stores still point at the other overlay's dictionary.
+  for (auto& [addr, s] : storage_) s.store.rebind(*dict_);
+}
+
 std::unique_ptr<HybridOverlay> HybridOverlay::clone_for_worker(
     net::Network& network) const {
   auto clone = std::unique_ptr<HybridOverlay>(new HybridOverlay(*this));
@@ -81,7 +99,7 @@ net::NodeAddress HybridOverlay::add_storage_node() {
 net::NodeAddress HybridOverlay::add_storage_node_attached(
     chord::Key index_id) {
   assert(index_.count(index_id) > 0);
-  StorageNodeState s;
+  StorageNodeState s(*dict_);
   s.address = net_->allocate_address();
   s.attached_index = index_id;
   net::NodeAddress addr = s.address;

@@ -57,8 +57,11 @@ struct IndexNodeState {
 
 /// A storage node: keeps its own triples, attaches to one index node.
 struct StorageNodeState {
+  explicit StorageNodeState(rdf::TermDictionary& dict) : store(dict) {}
+
   net::NodeAddress address = net::kNoAddress;
   chord::Key attached_index = 0;
+  /// Interns into the overlay's dictionary (HybridOverlay::dictionary()).
   rdf::TripleStore store;
   /// Keys this node has published, with frequencies (for retraction on
   /// departure and republication after index-layer data loss).
@@ -77,11 +80,17 @@ class HybridOverlay {
   /// cache state; its ring transfer hook is re-pointed at the clone and any
   /// attached trace is dropped (the parallel driver re-attaches a
   /// shard-private trace for traced batches). Heap-allocated
-  /// so the rebound hook's captured pointer stays stable. The parallel
-  /// batch driver gives each worker one clone; the master instance is never
-  /// mutated by worker execution.
+  /// so the rebound hook's captured pointer stays stable. The clone's
+  /// stores intern into its own copy of the term dictionary, so no
+  /// dictionary is shared across threads. The parallel batch driver gives
+  /// each worker one clone; the master instance is never mutated by worker
+  /// execution.
   [[nodiscard]] std::unique_ptr<HybridOverlay> clone_for_worker(
       net::Network& network) const;
+  /// A move keeps the heap-held dictionary the stores are bound to. A copy
+  /// is made only by clone_for_worker.
+  HybridOverlay(HybridOverlay&&) = default;
+  HybridOverlay& operator=(const HybridOverlay&) = delete;
 
   // -- membership ---------------------------------------------------------
 
@@ -243,8 +252,15 @@ class HybridOverlay {
   /// to a live one first if the old attachment died).
   [[nodiscard]] chord::Key entry_ring_node(net::NodeAddress requester);
 
+  /// The term dictionary every storage node's store interns into: the ids
+  /// of their scans resolve through it.
+  [[nodiscard]] const rdf::TermDictionary& dictionary() const noexcept {
+    return *dict_;
+  }
+
   /// A merged store containing every live storage node's triples — the
-  /// single-site oracle distributed execution is validated against.
+  /// single-site oracle distributed execution is validated against. It
+  /// interns into a private dictionary.
   [[nodiscard]] rdf::TripleStore merged_store() const;
 
   /// The location-table row key a pattern resolves through, honoring the
@@ -255,6 +271,10 @@ class HybridOverlay {
       const rdf::TriplePattern& p) const;
 
  private:
+  /// Deep copy for clone_for_worker: the copy's stores intern into the
+  /// copy's own dictionary (same ids). Everything else is copied as is.
+  HybridOverlay(const HybridOverlay& other);
+
   /// How publish_key applies a delivered (key, provider, freq) entry.
   enum class PublishOp : std::uint8_t {
     kAdd,       // additive publish (new triples shared)
@@ -286,6 +306,11 @@ class HybridOverlay {
   /// Reverse index address -> ring id, maintained alongside index_: the
   /// per-request entry_ring_node path must not scan O(ring) states.
   std::map<net::NodeAddress, chord::Key> index_by_address_;
+  /// One dictionary for the whole overlay, heap-held so the stores'
+  /// pointers into it stay put. It only grows: terms of erased triples and
+  /// departed nodes stay interned for the overlay's lifetime.
+  std::unique_ptr<rdf::TermDictionary> dict_ =
+      std::make_unique<rdf::TermDictionary>();
   std::map<net::NodeAddress, StorageNodeState> storage_;
   common::Rng id_rng_;
   std::size_t attach_counter_ = 0;

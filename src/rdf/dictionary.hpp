@@ -1,13 +1,15 @@
 // Term dictionary: interns RDF terms to dense 32-bit ids.
 //
 // The triple store keys its orderings on ids instead of full terms, which
-// keeps index nodes cheap and makes equality comparisons O(1).
+// keeps index nodes cheap and makes equality comparisons O(1). The storage
+// nodes of one overlay share one dictionary, so their scans emit ids every
+// merge downstream can compare without touching a string.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "rdf/term.hpp"
 
@@ -25,6 +27,8 @@ class TermDictionary {
   [[nodiscard]] std::optional<TermId> find(const Term& t) const;
 
   /// Term for an id previously returned by intern(). Precondition: valid id.
+  /// The reference stays valid for the dictionary's lifetime: interning
+  /// more terms never moves the ones already held.
   [[nodiscard]] const Term& term(TermId id) const { return terms_.at(id); }
 
   [[nodiscard]] std::size_t size() const noexcept { return terms_.size(); }
@@ -33,7 +37,7 @@ class TermDictionary {
   /// order, so `terms()[id] == term(id)`. Callers must never walk `ids_` —
   /// its hash order would differ across platforms and leak into any output
   /// built from it (rule D2).
-  [[nodiscard]] const std::vector<Term>& terms() const noexcept {
+  [[nodiscard]] const std::deque<Term>& terms() const noexcept {
     return terms_;
   }
 
@@ -41,7 +45,7 @@ class TermDictionary {
   // iteration-order: never iterated — point lookups only; traversal goes
   // through terms(), which is deterministic insertion order.
   std::unordered_map<Term, TermId, TermHash> ids_;
-  std::vector<Term> terms_;
+  std::deque<Term> terms_;  // deque: references survive later interns
 };
 
 }  // namespace ahsw::rdf

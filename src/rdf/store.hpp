@@ -3,11 +3,17 @@
 // Each storage node in the overlay owns one TripleStore for the data it
 // shares; the local SPARQL engine evaluates sub-queries against it. The
 // three orderings serve all eight triple-pattern shapes with a range scan.
+//
+// A store keys its orderings on TermDictionary ids. The stores of one
+// overlay intern into the overlay's dictionary, so the ids their scans emit
+// agree across nodes; a standalone store (the merged oracle store, an
+// RDFPeers peer, a test fixture) owns a private dictionary.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -18,6 +24,24 @@ namespace ahsw::rdf {
 
 class TripleStore {
  public:
+  /// A standalone store interning into a private dictionary.
+  TripleStore();
+  /// A store interning into `dict`, which must outlive it (the overlay's
+  /// dictionary, shared by its storage nodes).
+  explicit TripleStore(TermDictionary& dict);
+
+  /// A copy of a standalone store gets its own copy of the dictionary; a
+  /// copy of a store on a shared dictionary keeps pointing at that one
+  /// (HybridOverlay::clone_for_worker rebinds it to the clone's copy).
+  TripleStore(const TripleStore& other);
+  TripleStore& operator=(const TripleStore& other);
+  TripleStore(TripleStore&&) noexcept = default;
+  TripleStore& operator=(TripleStore&&) noexcept = default;
+
+  /// Point a store on a shared dictionary at `dict`, which must assign the
+  /// same ids (a copy of the old dictionary).
+  void rebind(TermDictionary& dict) noexcept { dict_ = &dict; }
+
   /// Insert a triple. Returns true if newly added (set semantics).
   bool insert(const Triple& t);
 
@@ -29,9 +53,14 @@ class TripleStore {
   [[nodiscard]] std::size_t size() const noexcept { return spo_.size(); }
   [[nodiscard]] bool empty() const noexcept { return spo_.empty(); }
 
-  /// Invoke `fn` for every triple matching the pattern's bound positions.
+  /// The one index scan: invoke `fn(s, p, o)` with dictionary ids for every
+  /// triple matching the pattern's bound positions, until it returns false.
   /// Variable-sharing constraints (e.g. ?x p ?x) are NOT enforced here.
   /// Iteration order is deterministic (term-id order of the chosen index).
+  void match_ids(const TriplePattern& pattern,
+                 const std::function<bool(TermId, TermId, TermId)>& fn) const;
+
+  /// match_ids with every match decoded to a Triple.
   void match(const TriplePattern& pattern,
              const std::function<void(const Triple&)>& fn) const;
 
@@ -45,9 +74,10 @@ class TripleStore {
   /// Invoke `fn` for every stored triple.
   void for_each(const std::function<void(const Triple&)>& fn) const;
 
-  /// The dictionary interning this store's terms (for diagnostics).
+  /// The dictionary interning this store's terms: the ids match_ids emits
+  /// resolve through it.
   [[nodiscard]] const TermDictionary& dictionary() const noexcept {
-    return dict_;
+    return *dict_;
   }
 
  private:
@@ -57,16 +87,14 @@ class TripleStore {
   std::set<Key> spo_;
   std::set<Key> pos_;
   std::set<Key> osp_;
-  TermDictionary dict_;
+  std::unique_ptr<TermDictionary> own_;  // standalone stores only
+  TermDictionary* dict_;
 
   /// Encode pattern positions to ids; returns false if some bound term is
   /// not in the dictionary (=> zero matches).
   [[nodiscard]] bool encode(const TriplePattern& pattern, bool& s_bound,
                             bool& p_bound, bool& o_bound, TermId& s, TermId& p,
                             TermId& o) const;
-
-  void scan(const TriplePattern& pattern,
-            const std::function<bool(const Triple&)>& fn) const;
 };
 
 }  // namespace ahsw::rdf

@@ -71,12 +71,6 @@ std::vector<TermId> id_cells(const SolutionSet& s,
   return cells;
 }
 
-std::vector<TermId> intern_cells(const SolutionSet& s,
-                                 const std::vector<std::string>& vars,
-                                 rdf::TermDictionary& dict) {
-  return id_cells(s, vars, [&](const rdf::Term& t) { return dict.intern(t); });
-}
-
 Table build_table(const SolutionSet& s, const rdf::TermDictionary& dict) {
   Table t;
   t.vars = variables_of(s);
@@ -144,14 +138,23 @@ bool compatible(const Table& ta, std::size_t ra, const Table& tb,
   return compatible(ta.row(ra), tb.row(rb), shared);
 }
 
-Binding materialize(const std::vector<std::string>& vars, const TermId* cells,
-                    const rdf::TermDictionary& dict) {
+/// The row `cells` over the sorted schema `vars` as a Binding; `term_of`
+/// resolves an id.
+template <typename TermOf>
+Binding materialize_with(const std::vector<std::string>& vars,
+                         const TermId* cells, const TermOf& term_of) {
   Binding out;
   // vars is sorted, so each set() appends at the back.
   for (std::size_t c = 0; c < vars.size(); ++c) {
-    if (cells[c] != kUnbound) out.set(vars[c], dict.term(cells[c]));
+    if (cells[c] != kUnbound) out.set(vars[c], term_of(cells[c]));
   }
   return out;
+}
+
+Binding materialize(const std::vector<std::string>& vars, const TermId* cells,
+                    const rdf::TermDictionary& dict) {
+  auto term_of = [&](TermId id) -> const rdf::Term& { return dict.term(id); };
+  return materialize_with(vars, cells, term_of);
 }
 
 /// Merge row `x` (width `wx`) with row `y` (width `wy`) into `out` (output
@@ -444,17 +447,25 @@ SolutionSet vec_deduplicated(const SolutionSet& in) {
 namespace {
 
 /// Rank the ids of `ids` by term: sort them into Term order.
-void sort_by_term(std::vector<TermId>& ids, const rdf::TermDictionary& dict) {
-  std::sort(ids.begin(), ids.end(), [&](TermId x, TermId y) {
-    return dict.term(x) < dict.term(y);
-  });
+void sort_by_term(std::vector<TermId>& ids,
+                  const std::vector<const rdf::Term*>& terms) {
+  std::sort(ids.begin(), ids.end(),
+            [&](TermId x, TermId y) { return *terms[x] < *terms[y]; });
 }
 
 void set_ranks(IdTable& t) {
-  t.rank.resize(t.dict.size());
+  t.rank.resize(t.terms.size());
   for (std::size_t k = 0; k < t.by_rank.size(); ++k) {
     t.rank[t.by_rank[k]] = static_cast<std::uint32_t>(k);
   }
+}
+
+/// Rank every id of a table whose rows use all of its terms.
+void rank_all(IdTable& t) {
+  t.by_rank.resize(t.terms.size());
+  std::iota(t.by_rank.begin(), t.by_rank.end(), TermId{0});
+  sort_by_term(t.by_rank, t.terms);
+  set_ranks(t);
 }
 
 /// Sorted union of two sorted variable lists.
@@ -467,37 +478,160 @@ std::vector<std::string> var_union(const std::vector<std::string>& a,
   return out;
 }
 
+/// Hash and equality of terms held elsewhere, by value.
+struct TermPtrHash {
+  std::size_t operator()(const rdf::Term* t) const noexcept {
+    return rdf::TermHash{}(*t);
+  }
+};
+struct TermPtrEq {
+  bool operator()(const rdf::Term* a, const rdf::Term* b) const noexcept {
+    return *a == *b;
+  }
+};
+
 }  // namespace
+
+std::size_t ScanRows::byte_size() const {
+  std::size_t n = SolutionSet{}.byte_size() + rows * Binding{}.byte_size();
+  const std::size_t width = vars.size();
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    n += vars[i % width].size() + 1 + dict->term(cells[i]).byte_size();
+  }
+  return n;
+}
+
+SolutionSet ScanRows::materialize() const {
+  const std::size_t width = vars.size();
+  SolutionSet out;
+  for (std::size_t r = 0; r < rows; ++r) {
+    out.add(sparql::materialize(vars, cells.data() + r * width, *dict));
+  }
+  return out;
+}
 
 IdTable id_table(const SolutionSet& s) {
   IdTable t;
   t.vars = variables_of(s);
   t.rows = s.size();
-  t.cells = intern_cells(s, t.vars, t.dict);
-  t.by_rank.resize(t.dict.size());
-  std::iota(t.by_rank.begin(), t.by_rank.end(), TermId{0});
-  sort_by_term(t.by_rank, t.dict);
-  set_ranks(t);
+  // iteration-order: never iterated — point lookups only.
+  std::unordered_map<const rdf::Term*, TermId, TermPtrHash, TermPtrEq>
+      local_of;
+  t.cells = id_cells(s, t.vars, [&](const rdf::Term& term) {
+    auto [it, inserted] =
+        local_of.try_emplace(&term, static_cast<TermId>(t.terms.size()));
+    if (inserted) t.terms.push_back(&term);
+    return it->second;
+  });
+  rank_all(t);
   return t;
+}
+
+IdTable id_table(const ScanRows& rows) {
+  IdTable t;
+  t.vars = rows.vars;
+  t.rows = rows.rows;
+  t.cells.reserve(rows.cells.size());
+  LocalIds local;
+  for (TermId id : rows.cells) {
+    TermId l = local.find(id);
+    if (l == kUnbound) {
+      l = static_cast<TermId>(t.terms.size());
+      local.insert(id, l);
+      t.terms.push_back(&rows.dict->term(id));
+    }
+    t.cells.push_back(l);
+  }
+  rank_all(t);
+  return t;
+}
+
+std::size_t LocalIds::slot(TermId id) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  const std::uint64_t h = std::uint64_t{id} * 0x9e3779b97f4a7c15ULL;
+  std::size_t i = static_cast<std::size_t>(h >> 32) & mask;
+  while (slots_[i].first != kUnbound && slots_[i].first != id) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+TermId LocalIds::find(TermId id) const noexcept {
+  if (slots_.empty()) return kUnbound;
+  const auto& [key, local] = slots_[slot(id)];
+  return key == id ? local : kUnbound;
+}
+
+void LocalIds::insert(TermId id, TermId local) {
+  if ((used_ + 1) * 2 > slots_.size()) {
+    std::vector<std::pair<TermId, TermId>> old = std::move(slots_);
+    slots_.assign(std::max<std::size_t>(16, old.size() * 2),
+                  {kUnbound, kUnbound});
+    for (const auto& entry : old) {
+      if (entry.first != kUnbound) slots_[slot(entry.first)] = entry;
+    }
+  }
+  slots_[slot(id)] = {id, local};
+  ++used_;
+}
+
+TermId MergeAccumulator::local_id(const rdf::TermDictionary* dict,
+                                  TermId id) {
+  if (dict != dict_) return local_id(dict->term(id));
+  TermId l = from_dict_.find(id);
+  if (l == kUnbound) {
+    l = static_cast<TermId>(table_.terms.size());
+    from_dict_.insert(id, l);
+    table_.terms.push_back(&dict->term(id));
+  }
+  return l;
+}
+
+TermId MergeAccumulator::local_id(const rdf::Term& t) {
+  if (dict_ != nullptr) {
+    if (std::optional<TermId> id = dict_->find(t)) return local_id(dict_, *id);
+  }
+  if (auto it = own_ids_.find(t); it != own_ids_.end()) return it->second;
+  const auto l = static_cast<TermId>(table_.terms.size());
+  own_terms_.push_back(t);
+  table_.terms.push_back(&own_terms_.back());
+  own_ids_.emplace(t, l);
+  return l;
 }
 
 void MergeAccumulator::set_carry(const SolutionSet& carry) {
   Carry c;
   c.vars = variables_of(carry);
   c.rows = carry.size();
-  c.cells = intern_cells(carry, c.vars, table_.dict);
+  c.cells = id_cells(carry, c.vars,
+                     [&](const rdf::Term& t) { return local_id(t); });
   carry_ = std::move(c);
+}
+
+void MergeAccumulator::add(const ScanRows& local) {
+  if (local.rows == 0) return;
+  std::vector<TermId> cells(local.cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    cells[i] = local_id(local.dict, local.cells[i]);
+  }
+  merge(local.vars, cells, local.rows);
 }
 
 void MergeAccumulator::add(const SolutionSet& local) {
   if (local.empty()) return;
   const std::vector<std::string> vars = variables_of(local);
-  const std::vector<TermId> cells = intern_cells(local, vars, table_.dict);
+  const std::vector<TermId> cells = id_cells(
+      local, vars, [&](const rdf::Term& t) { return local_id(t); });
+  merge(vars, cells, local.size());
+}
+
+void MergeAccumulator::merge(const std::vector<std::string>& vars,
+                             const std::vector<TermId>& cells,
+                             std::size_t rows) {
   if (!carry_.has_value()) {
-    absorb(vars, cells, local.size());
+    absorb(vars, cells, rows);
     return;
   }
-
   // join(carry, local) in id space. Row order inside one contribution is
   // never observable (absorb keeps a set, take() sorts), so local rows
   // probe the carry grouped once on the shared columns.
@@ -541,7 +675,7 @@ void MergeAccumulator::add(const SolutionSet& local) {
     merge_cells(carry_row(rc), wc, lrow, wl, m, out.data() + out_rows * wm);
     ++out_rows;
   };
-  for (std::size_t rl = 0; rl < local.size(); ++rl) {
+  for (std::size_t rl = 0; rl < rows; ++rl) {
     const TermId* lrow = cells.data() + rl * wl;
     if (m.shared.empty()) {
       for (std::size_t rc = 0; rc < c.rows; ++rc) emit(rc, lrow);
@@ -591,7 +725,7 @@ void MergeAccumulator::absorb(const std::vector<std::string>& vars,
     }
   }
 
-  live_.resize(table_.dict.size(), 0);
+  live_.resize(table_.terms.size(), 0);
   std::vector<TermId> fresh;
   const std::size_t row_framing = Binding{}.byte_size();
   for (std::size_t r = 0; r < rows; ++r) {
@@ -606,7 +740,7 @@ void MergeAccumulator::absorb(const std::vector<std::string>& vars,
     for (std::size_t c = 0; c < width; ++c) {
       const TermId id = table_.cells[base + c];
       if (id == kUnbound) continue;
-      raw_ += table_.vars[c].size() + 1 + table_.dict.term(id).byte_size();
+      raw_ += table_.vars[c].size() + 1 + table_.terms[id]->byte_size();
       if (live_[id] == 0) {
         live_[id] = 1;
         fresh.push_back(id);
@@ -614,12 +748,12 @@ void MergeAccumulator::absorb(const std::vector<std::string>& vars,
     }
   }
   if (fresh.empty()) return;
-  sort_by_term(fresh, table_.dict);
+  sort_by_term(fresh, table_.terms);
   const auto mid = static_cast<std::ptrdiff_t>(table_.by_rank.size());
   table_.by_rank.insert(table_.by_rank.end(), fresh.begin(), fresh.end());
   std::inplace_merge(table_.by_rank.begin(), table_.by_rank.begin() + mid,
                      table_.by_rank.end(), [&](TermId x, TermId y) {
-                       return table_.dict.term(x) < table_.dict.term(y);
+                       return *table_.terms[x] < *table_.terms[y];
                      });
   set_ranks(table_);
 }
@@ -698,11 +832,12 @@ SolutionSet MergeAccumulator::take() {
                           t.cells.data() + j * width, width,
                           [&](TermId id) { return t.rank[id]; });
   });
+  auto term_of = [&](TermId id) -> const rdf::Term& { return *t.terms[id]; };
   SolutionSet out;
   for (std::size_t r : order) {
-    out.add(materialize(t.vars, t.cells.data() + r * width, t.dict));
+    out.add(materialize_with(t.vars, t.cells.data() + r * width, term_of));
   }
-  *this = MergeAccumulator{};
+  *this = MergeAccumulator{dict_};
   return out;
 }
 

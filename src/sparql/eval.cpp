@@ -3,8 +3,10 @@
 #include "sparql/columnar.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <set>
+#include <string>
 
 namespace ahsw::sparql {
 
@@ -78,18 +80,62 @@ std::size_t pick_next(const std::vector<BgpPattern>& bgp,
 
 }  // namespace
 
-SolutionSet LocalEngine::match_pattern(const BgpPattern& p) const {
-  SolutionSet out;
-  Binding empty;
-  store_->match(p.pattern, [&](const rdf::Triple& t) {
-    Binding b;
-    if (bind_triple(p.pattern, t, empty, b)) {
-      if (p.pushed_filter == nullptr || satisfies(*p.pushed_filter, b)) {
-        out.add(std::move(b));
-      }
+ScanRows LocalEngine::match_ids(const BgpPattern& p) const {
+  ScanRows out;
+  out.dict = &store_->dictionary();
+  const std::array<const rdf::PatternTerm*, 3> positions = {
+      &p.pattern.s, &p.pattern.p, &p.pattern.o};
+  for (const rdf::PatternTerm* pt : positions) {
+    if (const rdf::Variable* v = rdf::var_of(*pt)) out.vars.push_back(v->name);
+  }
+  std::sort(out.vars.begin(), out.vars.end());
+  out.vars.erase(std::unique(out.vars.begin(), out.vars.end()),
+                 out.vars.end());
+  const std::size_t width = out.vars.size();
+  // Column of a variable in the sorted schema; kNoCol for a bound position
+  // or a variable the pattern does not bind.
+  constexpr std::size_t kNoCol = 3;
+  auto column_of = [&](const std::string& name) {
+    auto it = std::lower_bound(out.vars.begin(), out.vars.end(), name);
+    if (it == out.vars.end() || *it != name) return kNoCol;
+    return static_cast<std::size_t>(it - out.vars.begin());
+  };
+  std::array<std::size_t, 3> col{};
+  for (std::size_t k = 0; k < 3; ++k) {
+    const rdf::Variable* v = rdf::var_of(*positions[k]);
+    col[k] = v == nullptr ? kNoCol : column_of(v->name);
+  }
+
+  const Expr* filter = p.pushed_filter.get();
+  std::array<rdf::TermId, 3> row{};
+  auto visit = [&](rdf::TermId s, rdf::TermId pr, rdf::TermId o) {
+    const std::array<rdf::TermId, 3> ids = {s, pr, o};
+    row.fill(rdf::kInvalidTermId);
+    for (std::size_t k = 0; k < 3; ++k) {
+      if (col[k] == kNoCol) continue;
+      rdf::TermId& cell = row[col[k]];
+      // A repeated variable must take the same term, i.e. the same id.
+      if (cell != rdf::kInvalidTermId && cell != ids[k]) return true;
+      cell = ids[k];
     }
-  });
+    if (filter != nullptr) {
+      Binding b;
+      for (std::size_t c = 0; c < width; ++c) {
+        b.set(out.vars[c], out.dict->term(row[c]));
+      }
+      if (!satisfies(*filter, b)) return true;
+    }
+    out.cells.insert(out.cells.end(), row.begin(), row.begin() + width);
+    ++out.rows;
+    return true;
+  };
+  store_->match_ids(p.pattern, visit);
+  if (out.rows == 0) out.vars.clear();
   return out;
+}
+
+SolutionSet LocalEngine::match_pattern(const BgpPattern& p) const {
+  return match_ids(p).materialize();
 }
 
 SolutionSet LocalEngine::extend(const SolutionSet& input,

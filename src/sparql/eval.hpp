@@ -12,6 +12,7 @@
 #include "rdf/store.hpp"
 #include "sparql/algebra.hpp"
 #include "sparql/ast.hpp"
+#include "sparql/columnar.hpp"
 #include "sparql/solution.hpp"
 
 namespace ahsw::sparql {
@@ -30,8 +31,12 @@ class LocalEngine {
   [[nodiscard]] SolutionSet evaluate_bgp(
       const std::vector<BgpPattern>& bgp) const;
 
-  /// Solutions of one triple pattern, with repeated-variable consistency
-  /// (e.g. `?x p ?x`) enforced and any pushed filter applied.
+  /// Solutions of one triple pattern in store ids, in index order, with
+  /// repeated-variable consistency (e.g. `?x p ?x`) enforced by id equality
+  /// and any pushed filter applied to each matching row.
+  [[nodiscard]] ScanRows match_ids(const BgpPattern& p) const;
+
+  /// match_ids materialized as Bindings.
   [[nodiscard]] SolutionSet match_pattern(const BgpPattern& p) const;
 
  private:

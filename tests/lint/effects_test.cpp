@@ -119,12 +119,14 @@ TEST(SharedStateSpec, ParsesMasterRootsRecordsAndDisciplines) {
 
 TEST(SharedStateSpec, RejectsShardAndMergeOnOneSurface) {
   std::vector<std::string> errors;
-  lint::SharedStateSpec::parse(
+  const lint::SharedStateSpec spec = lint::SharedStateSpec::parse(
       "state Log home=src/dqp/parallel hints=log: append\n"
       "surface F state=Log shard=per-worker merge=state-log: both\n",
       &errors);
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("shard="), std::string::npos);
+  // The rejected surface is not registered.
+  EXPECT_EQ(spec.surface_for("F", "Log"), nullptr);
 }
 
 TEST(Effects, P1FlagsUndeclaredMutationOutsideHome) {

@@ -247,5 +247,32 @@ TEST(WireCodec, DecodeRejectsUnknownTermKind) {
   EXPECT_TRUE(decode(payload, out));
 }
 
+// Without variables every row encodes to zero bytes, so the bytes left
+// cannot bound the row count; decode caps it at kMaxEmptyRows.
+TEST(WireCodec, DecodeRejectsHugeRowCountWithoutVariables) {
+  std::string payload;
+  common::put_varint(payload, 0);  // nvars
+  common::put_varint(payload, 0);  // nterms
+  payload += huge_count();         // nrows
+  SolutionSet out;
+  EXPECT_FALSE(decode(payload, out));
+
+  std::string over_cap;
+  common::put_varint(over_cap, 0);
+  common::put_varint(over_cap, 0);
+  common::put_varint(over_cap, kMaxEmptyRows + 1);
+  EXPECT_FALSE(decode(over_cap, out));
+}
+
+TEST(WireCodec, SmallZeroVariableSetRoundTrips) {
+  // A fully bound pattern matched at three providers: three empty rows.
+  const SolutionSet s({Binding{}, Binding{}, Binding{}});
+  const std::string payload = encode(s);
+  EXPECT_EQ(charged_bytes(s), payload.size());
+  SolutionSet back;
+  ASSERT_TRUE(decode(payload, back));
+  EXPECT_EQ(back.rows(), s.rows());
+}
+
 }  // namespace
 }  // namespace ahsw::net::wire

@@ -7,7 +7,9 @@
 # build/BENCH_<series>.json by default) against the committed baseline
 # bench/baselines/BENCH_<series>.json. The series defaults to
 # `throughput`; `primitive` gates the basic, chain, frequency-chain and
-# broadcast strategies of bench_primitive. Both series must hold the same
+# broadcast strategies of bench_primitive; `churn` gates the availability
+# sweep of bench_churn (run with --benchmark_filter='BM_Churn_Availability',
+# the retry and failover paths). Both series must hold the same
 # records, and for every record the data and result category bytes — the
 # two solution-set-bearing categories, i.e. the traffic the wire codec
 # compresses — must equal the baseline exactly. Simulated bytes are
