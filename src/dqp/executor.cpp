@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <set>
 
 #include "net/wire.hpp"
@@ -12,8 +13,7 @@ namespace ahsw::dqp {
 
 using optimizer::JoinSitePolicy;
 using optimizer::PrimitiveStrategy;
-using sparql::Binding;
-using sparql::SolutionSet;
+using sparql::IdRows;
 
 namespace {
 
@@ -25,6 +25,15 @@ namespace {
     case sparql::QueryForm::kDescribe: return "DESCRIBE";
   }
   return "?";
+}
+
+inline constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
+
+/// The column of `var` in `set`'s schema, or kNoColumn.
+std::size_t column_of(const IdRows& set, std::string_view var) {
+  auto it = std::lower_bound(set.vars.begin(), set.vars.end(), var);
+  if (it == set.vars.end() || *it != var) return kNoColumn;
+  return static_cast<std::size_t>(it - set.vars.begin());
 }
 
 /// Move `end` to the back of `chain` if present (chains may be asked to
@@ -55,17 +64,31 @@ overlay::HybridOverlay::Located DagExecutor::locate(
   return loc;
 }
 
+const DagExecutor::SetSize& DagExecutor::sized(Located& l) {
+  if (!l.size.has_value()) {
+    l.size = SetSize{net::wire::charged_bytes(l.set), l.set.byte_size()};
+  }
+  return *l.size;
+}
+
 DagExecutor::Located DagExecutor::ship(Located from, net::NodeAddress target,
                                        net::Category category) {
   if (from.site == target) return from;
-  from.ready_at =
-      net().send(from.site, target, net::wire::charged_bytes(from.set),
-                 from.ready_at, category, from.set.byte_size());
+  const SetSize& size = sized(from);
+  from.ready_at = net().send(from.site, target, size.wire, from.ready_at,
+                             category, size.raw);
   from.site = target;
   return from;
 }
 
-std::optional<sparql::ScanRows> DagExecutor::run_at_provider(
+DagExecutor::SetSize DagExecutor::hop_payload(Task& scan) {
+  const SetSize carry = scan.has_carry ? sized(scan.carry) : SetSize{};
+  const std::size_t query = subquery_wire_bytes(scan.pattern);
+  return SetSize{query + net::wire::charged_bytes(*scan.acc) + carry.wire,
+                 query + scan.acc->raw_bytes() + carry.raw};
+}
+
+std::optional<sparql::IdRows> DagExecutor::run_at_provider(
     net::NodeAddress provider, const sparql::BgpPattern& p, net::SimTime& now,
     net::NodeAddress /*initiator*/, ExecutionReport& rep) {
   if (net().is_failed(provider)) {
@@ -132,10 +155,9 @@ std::pair<DagExecutor::Located, DagExecutor::Located> DagExecutor::colocate(
   // Operand sizes are the *charged* (wire-encoded) sizes: move-small
   // decisions follow what shipping actually costs under compression.
   net::NodeAddress site = optimizer::choose_join_site(
-      policy_.join_site,
-      optimizer::LocatedOperand{a.site, net::wire::charged_bytes(a.set)},
-      optimizer::LocatedOperand{b.site, net::wire::charged_bytes(b.set)},
-      initiator, candidates);
+      policy_.join_site, optimizer::LocatedOperand{a.site, sized(a).wire},
+      optimizer::LocatedOperand{b.site, sized(b).wire}, initiator,
+      candidates);
   rep.plan_notes.push_back(
       std::string("join-site: ") +
       std::string(optimizer::join_site_policy_name(policy_.join_site)) +
@@ -301,7 +323,7 @@ void DagExecutor::fire(QueryRun& run, TaskId id) {
   switch (run.tasks[id].kind) {
     case TaskKind::kConst: {
       Task& t = run.tasks[id];
-      t.out.set.add(Binding{});  // the empty BGP has the empty solution
+      t.out.set.rows = 1;  // the empty BGP has the empty solution
       t.out.site = run.initiator;
       t.out.ready_at = t.base;
       complete(run, id, t.out.ready_at);
@@ -412,7 +434,7 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
 
   sparql::BgpPattern pat;
   overlay::HybridOverlay::Located loc;
-  const Located* carry = nullptr;
+  Located* carry = nullptr;
   std::optional<net::NodeAddress> pend;
 
   if (op == nullptr) {
@@ -586,12 +608,10 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
     t = net().send(owner_addr, chain.front().address, subquery_wire_bytes(pat),
                    now, net::Category::kQuery);
     if (carry != nullptr) {
+      const SetSize& size = sized(*carry);
       t = std::max(t, net().send(carry->site, chain.front().address,
-                                 net::wire::charged_bytes(carry->set),
-                                 carry->ready_at, net::Category::kData,
-                                 carry->set.byte_size()));
-      task.carry_bytes = net::wire::charged_bytes(carry->set);
-      task.carry_raw_bytes = carry->set.byte_size();
+                                 size.wire, carry->ready_at,
+                                 net::Category::kData, size.raw));
       task.acc->set_carry(carry->set);
     }
     ship_span.finish(t);
@@ -639,7 +659,7 @@ net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
   {
     obs::SpanScope exec_span(trace_, obs::SpanKind::kLocalExec,
                              "node " + std::to_string(prov), t, prov);
-    std::optional<sparql::ScanRows> local =
+    std::optional<sparql::IdRows> local =
         run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
     if (local.has_value()) {
       t = net().send(prov, scan.assembly, net::wire::charged_bytes(*local),
@@ -716,22 +736,17 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
                        "attempt " + std::to_string(hop.attempt + 1) +
                            " node " + std::to_string(prov),
                        start, prov);
-    const std::size_t payload = subquery_wire_bytes(scan.pattern) +
-                                net::wire::charged_bytes(*scan.acc) +
-                                scan.carry_bytes;
-    const std::size_t raw_payload = subquery_wire_bytes(scan.pattern) +
-                                    scan.acc->raw_bytes() +
-                                    scan.carry_raw_bytes;
-    start = net().send(scan.sender, prov, payload, start,
+    const SetSize payload = hop_payload(scan);
+    start = net().send(scan.sender, prov, payload.wire, start,
                        hop.position == 0 ? net::Category::kQuery
                                          : net::Category::kData,
-                       raw_payload);
+                       payload.raw);
   }
   net::SimTime t = claim(prov, run.qid, start);
   {
     obs::SpanScope hop_span(trace_, obs::SpanKind::kChainHop,
                             "node " + std::to_string(prov), t, prov);
-    std::optional<sparql::ScanRows> local =
+    std::optional<sparql::IdRows> local =
         run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
     if (local.has_value()) {
       // With a carry, the accumulator merges join(carry, local).
@@ -761,14 +776,9 @@ net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
     const bool last = hop.position + 1 >= scan.chain.size();
     if (!last) {
       const net::NodeAddress next = scan.chain[hop.position + 1].address;
-      const std::size_t payload = subquery_wire_bytes(scan.pattern) +
-                                  net::wire::charged_bytes(*scan.acc) +
-                                  scan.carry_bytes;
-      const std::size_t raw_payload = subquery_wire_bytes(scan.pattern) +
-                                      scan.acc->raw_bytes() +
-                                      scan.carry_raw_bytes;
-      t = net().send(scan.sender, next, payload, t, net::Category::kData,
-                     raw_payload);
+      const SetSize payload = hop_payload(scan);
+      t = net().send(scan.sender, next, payload.wire, t, net::Category::kData,
+                     payload.raw);
     }
     hop_span.finish(t);
   }
@@ -828,7 +838,7 @@ net::SimTime DagExecutor::fire_relookup(QueryRun& run, TaskId id) {
     // empty-providers path of fire_scan). A failed lookup reports
     // completed_at = 0, so clamp to the re-lookup's own start time.
     const net::SimTime done = std::max(rl.base, loc.completed_at);
-    scan.out.set = SolutionSet{};
+    scan.out.set = IdRows{};
     scan.out.site = scan.has_carry ? scan.carry.site : run.initiator;
     scan.out.ready_at =
         std::max(done, scan.has_carry ? scan.carry.ready_at : done);
@@ -880,14 +890,12 @@ net::SimTime DagExecutor::fire_relookup(QueryRun& run, TaskId id) {
                    subquery_wire_bytes(scan.pattern), loc.completed_at,
                    net::Category::kQuery);
     if (scan.has_carry) {
+      const SetSize& size = sized(scan.carry);
       t = std::max(t, net().send(scan.carry.site, chain.front().address,
-                                 net::wire::charged_bytes(scan.carry.set),
+                                 size.wire,
                                  std::max(loc.completed_at,
                                           scan.carry.ready_at),
-                                 net::Category::kData,
-                                 scan.carry.set.byte_size()));
-      scan.carry_bytes = net::wire::charged_bytes(scan.carry.set);
-      scan.carry_raw_bytes = scan.carry.set.byte_size();
+                                 net::Category::kData, size.raw));
       scan.acc->set_carry(scan.carry.set);
     }
     ship_span.finish(t);
@@ -979,9 +987,9 @@ net::SimTime DagExecutor::fire_binary(QueryRun& run, TaskId id) {
 net::SimTime DagExecutor::fire_filter(QueryRun& run, TaskId id) {
   Task& task = run.tasks[id];
   const PhysicalOp& op = run.plan.ops[task.op];
-  Located l = run.tasks[op.inputs.front()].out;
-  l.set = sparql::filter_set(l.set, *op.expr);
-  task.out = std::move(l);
+  const Located& in = run.tasks[op.inputs.front()].out;
+  task.out = Located{sparql::filter_set(in.set, *op.expr), in.site,
+                     in.ready_at, std::nullopt};
   complete(run, id, task.out.ready_at);
   return 0;
 }
@@ -989,37 +997,35 @@ net::SimTime DagExecutor::fire_filter(QueryRun& run, TaskId id) {
 net::SimTime DagExecutor::fire_modifier(QueryRun& run, TaskId id) {
   Task& task = run.tasks[id];
   const PhysicalOp& op = run.plan.ops[task.op];
-  Located l = run.tasks[op.inputs.front()].out;
+  const Located& in = run.tasks[op.inputs.front()].out;
+  IdRows set;
   switch (op.modifier) {
-    case sparql::AlgebraKind::kProject: {
-      SolutionSet projected;
-      for (const Binding& b : l.set.rows()) {
-        projected.add(b.projected(op.vars));
-      }
-      l.set = std::move(projected);
+    case sparql::AlgebraKind::kProject:
+      set = sparql::project(in.set, op.vars);
       break;
-    }
     case sparql::AlgebraKind::kDistinct:
     case sparql::AlgebraKind::kReduced:
-      l.set = sparql::deduplicated(std::move(l.set));
+      set = sparql::deduplicated(in.set);
       break;
     case sparql::AlgebraKind::kOrderBy:
-      sparql::order_solutions(l.set, op.order);
+      // ORDER BY compares expression values, so it reads the rows as terms.
+      set = sparql::rows_at(
+          in.set, sparql::order_permutation(in.set.materialize(), op.order));
       break;
     case sparql::AlgebraKind::kSlice: {
-      auto& rows = l.set.rows();
-      std::size_t off = std::min<std::size_t>(rows.size(), op.offset);
-      rows.erase(rows.begin(),
-                 rows.begin() + static_cast<std::ptrdiff_t>(off));
-      if (op.limit.has_value() && rows.size() > *op.limit) {
-        rows.resize(*op.limit);
-      }
+      const std::size_t from = std::min<std::size_t>(in.set.rows, op.offset);
+      std::size_t to = in.set.rows;
+      if (op.limit.has_value() && *op.limit < to - from) to = from + *op.limit;
+      std::vector<std::size_t> picks(to - from);
+      std::iota(picks.begin(), picks.end(), from);
+      set = sparql::rows_at(in.set, picks);
       break;
     }
     default:
+      set = in.set;
       break;
   }
-  task.out = std::move(l);
+  task.out = Located{std::move(set), in.site, in.ready_at, std::nullopt};
   complete(run, id, task.out.ready_at);
   return 0;
 }
@@ -1034,7 +1040,7 @@ net::SimTime DagExecutor::fire_post(QueryRun& run, TaskId id) {
                              run.initiator);
     post_span.finish(in.ready_at);
     run.result =
-        sparql::finalize_result(run.query, std::move(in.set), nullptr);
+        sparql::finalize_result(run.query, in.set.materialize(), nullptr);
     run.rep.response_time = in.ready_at;
     complete(run, id, in.ready_at);
     return in.ready_at;
@@ -1051,8 +1057,12 @@ net::SimTime DagExecutor::fire_post(QueryRun& run, TaskId id) {
       target_set.insert(*t);
     } else {
       const rdf::Variable& v = std::get<rdf::Variable>(pt);
-      for (const Binding& b : in.set.rows()) {
-        if (const rdf::Term* bound = b.get(v.name)) target_set.insert(*bound);
+      const std::size_t c = column_of(in.set, v.name);
+      for (std::size_t r = 0; c != kNoColumn && r < in.set.rows; ++r) {
+        const rdf::TermId cell = in.set.row(r)[c];
+        if (cell != rdf::kInvalidTermId) {
+          target_set.insert(in.set.dict->term(cell));
+        }
       }
     }
   }
@@ -1112,11 +1122,17 @@ net::SimTime DagExecutor::fire_describe_gather(QueryRun& run, TaskId id) {
     const Located& part = run.tasks[task.parts[i]].out;
     ready = std::max(ready, part.ready_at);
     const rdf::Term& t = task.targets[i / 2];
-    for (const Binding& b : part.set.rows()) {
+    const std::size_t cols[3] = {column_of(part.set, "__s"),
+                                 column_of(part.set, "__p"),
+                                 column_of(part.set, "__o")};
+    for (std::size_t r = 0; r < part.set.rows; ++r) {
       rdf::Triple tr{t, t, t};
-      if (const rdf::Term* s = b.get("__s")) tr.s = *s;
-      if (const rdf::Term* p = b.get("__p")) tr.p = *p;
-      if (const rdf::Term* o = b.get("__o")) tr.o = *o;
+      rdf::Term* slots[3] = {&tr.s, &tr.p, &tr.o};
+      for (int k = 0; k < 3; ++k) {
+        if (cols[k] == kNoColumn) continue;
+        const rdf::TermId cell = part.set.row(r)[cols[k]];
+        if (cell != rdf::kInvalidTermId) *slots[k] = part.set.dict->term(cell);
+      }
       triples.insert(tr);
     }
   }

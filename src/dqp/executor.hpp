@@ -14,15 +14,18 @@
 //      arrival; every in-network merge (scatter gather, chain hop) folds
 //      deduplicated(set_union(acc, next)) in id space through one
 //      sparql::MergeAccumulator per scan, fed the providers' store ids
-//      (sparql::ScanRows) without interning, and yields canonical order;
-//      every shipped set is charged its wire-encoded size, computed
-//      analytically. Event order only decides *when* a charge is booked,
-//      never how large it is.
+//      without interning, and yields canonical order; every shipped set is
+//      charged its wire-encoded size, computed analytically. Event order
+//      only decides *when* a charge is booked, never how large it is.
 //
 //   2. *Repair order.* Lazy index repairs mutate shared overlay state; the
 //      plan's control edges serialize each query's fires left-to-right
 //      (left operand before right, DESCRIBE parts in target order), so a
 //      lookup always sees the repairs its predecessors triggered.
+//
+// Every intermediate set is a sparql::IdRows in the ids of the overlay's
+// dictionary, from the provider scan through the join sites to the
+// post-processing step, which materializes the delivered rows once.
 //
 // Dynamic expansion: chain hops, scatter legs and DESCRIBE part queries
 // depend on runtime information (provider lists, join order, result
@@ -106,11 +109,22 @@ class DagExecutor {
   void set_state_log(StateLog* log) noexcept { state_log_ = log; }
 
  private:
-  /// An intermediate solution set living at a node of the overlay.
+  /// What shipping a set charges: its wire-encoded size and the raw
+  /// (uncompressed) counterpart.
+  struct SetSize {
+    std::size_t wire = 0;
+    std::size_t raw = 0;
+  };
+
+  /// An intermediate solution set living at a node of the overlay, in the
+  /// ids of the overlay's dictionary.
   struct Located {
-    sparql::SolutionSet set;
+    sparql::IdRows set;
     net::NodeAddress site = net::kNoAddress;
     net::SimTime ready_at = 0;
+    /// The size of `set`, filled by the first sized() call; every new set
+    /// starts a new Located.
+    std::optional<SetSize> size;
   };
 
   using TaskId = std::uint32_t;
@@ -168,8 +182,6 @@ class DagExecutor {
     obs::SpanId pattern_span = obs::kNoSpan;
     bool has_carry = false;
     Located carry;
-    std::size_t carry_bytes = 0;      // wire (charged) size of the carry
-    std::size_t carry_raw_bytes = 0;  // uncompressed counterpart
     net::NodeAddress assembly = net::kNoAddress;
     std::size_t remaining = 0;               // outstanding scatter legs
     net::SimTime done_at = 0;                // scatter completion max
@@ -226,11 +238,16 @@ class DagExecutor {
                                          net::NodeAddress initiator,
                                          net::SimTime now,
                                          ExecutionReport& rep);
+  /// The size of `l.set`, computed on the first call and kept beside it.
+  static const SetSize& sized(Located& l);
   Located ship(Located from, net::NodeAddress target, net::Category category);
+  /// What a chain hop ships: the sub-query, the travelling merge and the
+  /// carry (a chain with a carry ships it along at every hop).
+  SetSize hop_payload(Task& scan);
   /// Contact a provider: charges a timeout and returns nullopt when it is
   /// dead, without giving up on it — the caller decides between a retry
   /// (RetryPolicy) and `give_up_on_provider`.
-  std::optional<sparql::ScanRows> run_at_provider(
+  std::optional<sparql::IdRows> run_at_provider(
       net::NodeAddress provider, const sparql::BgpPattern& p,
       net::SimTime& now, net::NodeAddress initiator, ExecutionReport& rep);
   /// Final failure handling for a dead provider: count the skip and trigger

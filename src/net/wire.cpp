@@ -331,17 +331,14 @@ std::size_t encoded_size(const std::vector<rdf::Triple>& t) {
 }
 
 std::size_t charged_bytes(const sparql::SolutionSet& s) {
-  if (std::size_t cached = s.wire_cache(); cached != 0) return cached;
-  const std::size_t n = encoded_size(s);
-  s.set_wire_cache(n);
-  return n;
+  return encoded_size(s);
 }
 
 std::size_t charged_bytes(const sparql::MergeAccumulator& acc) {
   return encoded_size(acc.table());
 }
 
-std::size_t charged_bytes(const sparql::ScanRows& rows) {
+std::size_t charged_bytes(const sparql::IdRows& rows) {
   return encoded_size(sparql::id_table(rows));
 }
 

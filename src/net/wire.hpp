@@ -29,14 +29,14 @@
 // string: the size is computed from an id view of the payload
 // (sparql::IdTable) — the sorted vars, the terms in rank order with their
 // front-coding prefix lengths, and per row the bitmap plus the varint or
-// zigzag rank deltas. The same formula sizes a SolutionSet (memoized on the
-// set, see its wire cache, because shipped sets are asked again at every
-// join-site choice and ship), a provider's scan in store ids (a scatter
-// leg's send) and the id-space merge accumulator of the scatter and chain
+// zigzag rank deltas. The same formula sizes the id relations the
+// distributed processor ships (sparql::IdRows: provider scans, merged and
+// joined sets), the id-space merge accumulator of the scatter and chain
 // strategies, which is sized at every chain hop without ever being
-// materialized. encode/decode remain the codec, and the tests
-// pin encoded_size == encode().size(). Encoder byte counters and size
-// computations live only in this component (lint rule A2).
+// materialized, and a SolutionSet (the rdfpeers baseline). encode/decode
+// remain the codec, and the tests pin encoded_size == encode().size().
+// Encoder byte counters and size computations live only in this component
+// (lint rule A2).
 #pragma once
 
 #include <cstddef>
@@ -76,19 +76,19 @@ inline constexpr std::uint64_t kMaxEmptyRows = std::uint64_t{1} << 20;
 [[nodiscard]] std::size_t encoded_size(const sparql::SolutionSet& s);
 [[nodiscard]] std::size_t encoded_size(const std::vector<rdf::Triple>& t);
 
-/// What Network::send charges for shipping `s`: the encoded size, memoized
-/// on the set and invalidated by any mutation. The raw (uncompressed) size
-/// stays observable as SolutionSet::byte_size() and travels with every send
-/// as its `raw_bytes` counterpart.
+/// What Network::send charges for shipping `s`: its encoded size. The raw
+/// (uncompressed) size stays observable as SolutionSet::byte_size() and
+/// travels with every send as its `raw_bytes` counterpart.
 [[nodiscard]] std::size_t charged_bytes(const sparql::SolutionSet& s);
 
 /// What shipping the accumulator's merged set charges, sized in id space
 /// (the chain strategies ship it at every hop).
 [[nodiscard]] std::size_t charged_bytes(const sparql::MergeAccumulator& acc);
 
-/// What shipping one provider's scan charges (a scatter leg's send), sized
-/// from its store ids.
-[[nodiscard]] std::size_t charged_bytes(const sparql::ScanRows& rows);
+/// What shipping an id relation charges (== encode(rows.materialize())
+/// .size()), sized from its dictionary ids; its raw counterpart is
+/// IdRows::byte_size().
+[[nodiscard]] std::size_t charged_bytes(const sparql::IdRows& rows);
 
 /// Raw (uncompressed) size of a triple payload, for raw-byte accounting.
 [[nodiscard]] std::size_t raw_bytes(const std::vector<rdf::Triple>& t);

@@ -1,10 +1,9 @@
 #include "sparql/columnar.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cassert>
 #include <iterator>
 #include <numeric>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,38 +17,6 @@ namespace {
 using rdf::TermId;
 inline constexpr TermId kUnbound = rdf::kInvalidTermId;
 inline constexpr std::size_t kNoCol = static_cast<std::size_t>(-1);
-
-/// Columnar image of a SolutionSet: the sorted variable schema and a dense
-/// row-major TermId matrix; kUnbound marks an absent binding.
-struct Table {
-  std::vector<std::string> vars;
-  std::size_t width = 0;
-  std::size_t rows = 0;
-  std::vector<TermId> cells;
-
-  [[nodiscard]] TermId at(std::size_t r, std::size_t c) const noexcept {
-    return cells[r * width + c];
-  }
-  [[nodiscard]] const TermId* row(std::size_t r) const noexcept {
-    return cells.data() + r * width;
-  }
-};
-
-/// Intern every distinct term of `sets` in Term `operator<=>` order, so that
-/// id comparison agrees with term comparison (vec_deduplicated relies on
-/// this; everything else only needs id equality).
-rdf::TermDictionary build_dictionary(
-    std::initializer_list<const SolutionSet*> sets) {
-  std::set<rdf::Term> terms;
-  for (const SolutionSet* s : sets) {
-    for (const Binding& r : s->rows()) {
-      for (const auto& [name, term] : r.slots()) terms.insert(term);
-    }
-  }
-  rdf::TermDictionary dict;
-  for (const rdf::Term& t : terms) dict.intern(t);
-  return dict;
-}
 
 /// Row-major id cells of `s` over its sorted schema `vars`; `id_of` maps
 /// each bound term to its id.
@@ -71,14 +38,42 @@ std::vector<TermId> id_cells(const SolutionSet& s,
   return cells;
 }
 
-Table build_table(const SolutionSet& s, const rdf::TermDictionary& dict) {
-  Table t;
-  t.vars = variables_of(s);
-  t.width = t.vars.size();
-  t.rows = s.size();
-  t.cells =
-      id_cells(s, t.vars, [&](const rdf::Term& term) { return *dict.find(term); });
-  return t;
+/// The dictionary both operands of a binary kernel resolve through (an
+/// operand without bound cells may carry none).
+const rdf::TermDictionary* common_dict(const IdRows& a, const IdRows& b) {
+  assert(a.dict == nullptr || b.dict == nullptr || a.dict == b.dict);
+  return a.dict != nullptr ? a.dict : b.dict;
+}
+
+/// Restore the schema invariant after a kernel that drops rows: remove the
+/// columns no remaining row binds.
+void trim(IdRows& t) {
+  const std::size_t width = t.vars.size();
+  if (t.rows == 0) {
+    t.vars.clear();
+    t.cells.clear();
+    return;
+  }
+  std::vector<char> used(width, 0);
+  std::size_t n_used = 0;
+  for (std::size_t i = 0; i < t.cells.size() && n_used < width; ++i) {
+    const std::size_t c = i % width;
+    if (used[c] == 0 && t.cells[i] != kUnbound) {
+      used[c] = 1;
+      ++n_used;
+    }
+  }
+  if (n_used == width) return;
+  std::vector<std::string> vars;
+  for (std::size_t c = 0; c < width; ++c) {
+    if (used[c] != 0) vars.push_back(std::move(t.vars[c]));
+  }
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < t.cells.size(); ++i) {
+    if (used[i % width] != 0) t.cells[k++] = t.cells[i];
+  }
+  t.cells.resize(k);
+  t.vars = std::move(vars);
 }
 
 /// Column correspondence between two operand schemas and their merged
@@ -133,28 +128,15 @@ bool compatible(const TermId* x, const TermId* y,
   return true;
 }
 
-bool compatible(const Table& ta, std::size_t ra, const Table& tb,
-                std::size_t rb, const std::vector<MergeSchema::SharedCol>& shared) {
-  return compatible(ta.row(ra), tb.row(rb), shared);
-}
-
-/// The row `cells` over the sorted schema `vars` as a Binding; `term_of`
-/// resolves an id.
-template <typename TermOf>
-Binding materialize_with(const std::vector<std::string>& vars,
-                         const TermId* cells, const TermOf& term_of) {
+/// The row `cells` over the sorted schema `vars` as a Binding.
+Binding materialize(const std::vector<std::string>& vars, const TermId* cells,
+                    const rdf::TermDictionary* dict) {
   Binding out;
   // vars is sorted, so each set() appends at the back.
   for (std::size_t c = 0; c < vars.size(); ++c) {
-    if (cells[c] != kUnbound) out.set(vars[c], term_of(cells[c]));
+    if (cells[c] != kUnbound) out.set(vars[c], dict->term(cells[c]));
   }
   return out;
-}
-
-Binding materialize(const std::vector<std::string>& vars, const TermId* cells,
-                    const rdf::TermDictionary& dict) {
-  auto term_of = [&](TermId id) -> const rdf::Term& { return dict.term(id); };
-  return materialize_with(vars, cells, term_of);
 }
 
 /// Merge row `x` (width `wx`) with row `y` (width `wy`) into `out` (output
@@ -169,11 +151,16 @@ void merge_cells(const TermId* x, std::size_t wx, const TermId* y,
   }
 }
 
-void merge_cells(const Table& ta, std::size_t ra, const Table& tb,
-                 std::size_t rb, const MergeSchema& m,
-                 std::vector<TermId>& buf) {
-  buf.resize(m.vars.size());
-  merge_cells(ta.row(ra), ta.width, tb.row(rb), tb.width, m, buf.data());
+/// Append row `ra` of `a` to `out`, whose schema includes a's (`to` maps
+/// a's columns into it); out's other columns stay unbound.
+void append_placed(IdRows& out, const IdRows& a, std::size_t ra,
+                   const std::vector<std::size_t>& to) {
+  const std::size_t base = out.cells.size();
+  out.cells.resize(base + out.vars.size(), kUnbound);
+  ++out.rows;
+  for (std::size_t c = 0; c < a.vars.size(); ++c) {
+    out.cells[base + to[c]] = a.row(ra)[c];
+  }
 }
 
 /// Binding's lexicographic slot order over id rows of one sorted schema:
@@ -203,245 +190,315 @@ void append_id(std::string& key, TermId id) {
   key.append(reinterpret_cast<const char*>(&id), sizeof id);
 }
 
-/// The join core shared by vec_join and vec_left_join. Emission order is
-/// the row-order contract of columnar.hpp: per a-row in order, full-key
-/// group matches in b insertion order, then partial rows, with a full scan
-/// for a-rows missing part of the shared key. When `matched` is non-null it
-/// records, per a-row, whether any pair was emitted (the LeftJoin minus
-/// part needs it).
-void join_core(const SolutionSet& a, const SolutionSet& b, SolutionSet& out,
-               std::vector<char>* matched) {
-  rdf::TermDictionary dict = build_dictionary({&a, &b});
-  Table ta = build_table(a, dict);
-  Table tb = build_table(b, dict);
-  MergeSchema m = merge_schema(ta.vars, tb.vars);
-  if (matched != nullptr) matched->assign(ta.rows, 0);
+/// Columns of the sorted schema `vars` an expression reads (kNoCol: the
+/// variable is bound in no row, so its id is constantly unbound).
+std::vector<std::size_t> expr_columns(const Expr& e,
+                                      const std::vector<std::string>& vars) {
+  std::vector<std::size_t> cols;
+  for (const std::string& v : variables_of(e)) {
+    auto it = std::lower_bound(vars.begin(), vars.end(), v);
+    cols.push_back(it != vars.end() && *it == v
+                       ? static_cast<std::size_t>(it - vars.begin())
+                       : kNoCol);
+  }
+  return cols;
+}
 
-  std::vector<TermId> buf;
+/// Memoized FILTER verdict: satisfies() depends only on the terms of the
+/// expression's variables, so its verdict is a function of their id tuple;
+/// the row is materialized once per distinct tuple.
+class ExprMemo {
+ public:
+  ExprMemo(const Expr& e, const std::vector<std::string>& vars)
+      : e_(&e), vars_(&vars), cols_(expr_columns(e, vars)) {}
+
+  bool operator()(const TermId* row, const rdf::TermDictionary* dict) {
+    key_.clear();
+    for (std::size_t c : cols_) {
+      append_id(key_, c == kNoCol ? kUnbound : row[c]);
+    }
+    auto it = memo_.find(key_);
+    if (it != memo_.end()) return it->second;
+    const bool ok = satisfies(*e_, materialize(*vars_, row, dict));
+    memo_.emplace(key_, ok);
+    return ok;
+  }
+
+ private:
+  const Expr* e_;
+  const std::vector<std::string>* vars_;
+  std::vector<std::size_t> cols_;
+  std::string key_;
+  // iteration-order: never iterated — point lookups by packed id tuple.
+  std::unordered_map<std::string, bool> memo_;
+};
+
+/// The join core shared by join and left_join. Emission order is the
+/// row-order contract of columnar.hpp: per a-row in order, full-key group
+/// matches in b insertion order, then partial rows, with a full scan for
+/// a-rows missing part of the shared key. When `matched` is non-null it
+/// records, per a-row, whether any pair was emitted (the LeftJoin minus
+/// part needs it). `out` gets the merged schema; the caller trims it.
+void join_core(const IdRows& a, const IdRows& b, const MergeSchema& m,
+               IdRows& out, std::vector<char>* matched) {
+  out.vars = m.vars;
+  out.dict = common_dict(a, b);
+  if (matched != nullptr) matched->assign(a.rows, 0);
+  const std::size_t wa = a.vars.size();
+  const std::size_t wb = b.vars.size();
+
   auto emit = [&](std::size_t ra, std::size_t rb) {
-    merge_cells(ta, ra, tb, rb, m, buf);
-    out.add(materialize(m.vars, buf.data(), dict));
+    const std::size_t base = out.cells.size();
+    out.cells.resize(base + m.vars.size());
+    merge_cells(a.row(ra), wa, b.row(rb), wb, m, out.cells.data() + base);
+    ++out.rows;
     if (matched != nullptr) (*matched)[ra] = 1;
+  };
+  auto compatible_pair = [&](std::size_t ra, std::size_t rb) {
+    return compatible(a.row(ra), b.row(rb), m.shared);
   };
 
   if (m.shared.empty()) {
     // Cartesian product: no shared vars, every pair compatible.
-    for (std::size_t ra = 0; ra < ta.rows; ++ra) {
-      for (std::size_t rb = 0; rb < tb.rows; ++rb) emit(ra, rb);
+    for (std::size_t ra = 0; ra < a.rows; ++ra) {
+      for (std::size_t rb = 0; rb < b.rows; ++rb) emit(ra, rb);
     }
     return;
   }
 
   // Group b-rows binding every shared var by their shared id tuple; rows
   // missing one (possible after OPTIONAL) go to the pairwise-checked pool.
+  // iteration-order: never iterated — point lookups by packed key only.
   std::unordered_map<std::string, std::vector<std::size_t>> groups;
   std::vector<std::size_t> partial;
   std::string key;
-  auto shared_key = [&](const Table& t, std::size_t r, bool a_side) {
+  auto shared_key = [&](const TermId* row, bool a_side) {
     key.clear();
     for (const auto& sc : m.shared) {
-      TermId id = t.at(r, a_side ? sc.a : sc.b);
+      TermId id = row[a_side ? sc.a : sc.b];
       if (id == kUnbound) return false;
       append_id(key, id);
     }
     return true;
   };
-  for (std::size_t rb = 0; rb < tb.rows; ++rb) {
-    if (shared_key(tb, rb, false)) {
+  for (std::size_t rb = 0; rb < b.rows; ++rb) {
+    if (shared_key(b.row(rb), false)) {
       groups[key].push_back(rb);
     } else {
       partial.push_back(rb);
     }
   }
 
-  for (std::size_t ra = 0; ra < ta.rows; ++ra) {
-    if (shared_key(ta, ra, true)) {
+  for (std::size_t ra = 0; ra < a.rows; ++ra) {
+    if (shared_key(a.row(ra), true)) {
       if (auto it = groups.find(key); it != groups.end()) {
         for (std::size_t rb : it->second) {
-          if (compatible(ta, ra, tb, rb, m.shared)) emit(ra, rb);
+          if (compatible_pair(ra, rb)) emit(ra, rb);
         }
       }
       for (std::size_t rb : partial) {
-        if (compatible(ta, ra, tb, rb, m.shared)) emit(ra, rb);
+        if (compatible_pair(ra, rb)) emit(ra, rb);
       }
     } else {
-      for (std::size_t rb = 0; rb < tb.rows; ++rb) {
-        if (compatible(ta, ra, tb, rb, m.shared)) emit(ra, rb);
+      for (std::size_t rb = 0; rb < b.rows; ++rb) {
+        if (compatible_pair(ra, rb)) emit(ra, rb);
       }
     }
   }
-}
-
-/// Shared columns of two tables without the merged schema (Minus needs no
-/// output mapping).
-std::vector<MergeSchema::SharedCol> shared_columns(const Table& ta,
-                                                   const Table& tb) {
-  std::vector<MergeSchema::SharedCol> shared;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < ta.width && j < tb.width) {
-    if (ta.vars[i] < tb.vars[j]) {
-      ++i;
-    } else if (tb.vars[j] < ta.vars[i]) {
-      ++j;
-    } else {
-      shared.push_back({i, j});
-      ++i;
-      ++j;
-    }
-  }
-  return shared;
 }
 
 }  // namespace
 
-SolutionSet vec_join(const SolutionSet& a, const SolutionSet& b) {
-  SolutionSet out;
-  join_core(a, b, out, nullptr);
+IdRows join(const IdRows& a, const IdRows& b) {
+  IdRows out;
+  join_core(a, b, merge_schema(a.vars, b.vars), out, nullptr);
+  trim(out);
   return out;
 }
 
-SolutionSet vec_minus(const SolutionSet& a, const SolutionSet& b) {
-  rdf::TermDictionary dict = build_dictionary({&a, &b});
-  Table ta = build_table(a, dict);
-  Table tb = build_table(b, dict);
-  std::vector<MergeSchema::SharedCol> shared = shared_columns(ta, tb);
-  SolutionSet out;
-  for (std::size_t ra = 0; ra < ta.rows; ++ra) {
+IdRows minus(const IdRows& a, const IdRows& b) {
+  const MergeSchema m = merge_schema(a.vars, b.vars);
+  IdRows out;
+  out.vars = a.vars;
+  out.dict = a.dict;
+  const std::size_t wa = a.vars.size();
+  for (std::size_t ra = 0; ra < a.rows; ++ra) {
     bool any = false;
-    for (std::size_t rb = 0; rb < tb.rows && !any; ++rb) {
-      any = compatible(ta, ra, tb, rb, shared);
+    for (std::size_t rb = 0; rb < b.rows && !any; ++rb) {
+      any = compatible(a.row(ra), b.row(rb), m.shared);
     }
-    if (!any) out.add(a.rows()[ra]);
+    if (!any) {
+      out.cells.insert(out.cells.end(), a.row(ra), a.row(ra) + wa);
+      ++out.rows;
+    }
   }
+  trim(out);
   return out;
 }
 
-SolutionSet vec_left_join(const SolutionSet& a, const SolutionSet& b) {
-  SolutionSet out;
+IdRows left_join(const IdRows& a, const IdRows& b) {
+  const MergeSchema m = merge_schema(a.vars, b.vars);
+  IdRows out;
   std::vector<char> matched;
-  join_core(a, b, out, &matched);
+  join_core(a, b, m, out, &matched);
   // (O1 - O2): an a-row that emitted no pair has no compatible partner
   // (rows outside its key group differ on a both-bound shared var; partial
   // and full-scan paths were checked pairwise).
   for (std::size_t ra = 0; ra < matched.size(); ++ra) {
-    if (matched[ra] == 0) out.add(a.rows()[ra]);
+    if (matched[ra] == 0) append_placed(out, a, ra, m.from_a);
+  }
+  trim(out);
+  return out;
+}
+
+IdRows left_join_conditioned(const IdRows& a, const IdRows& b,
+                             const ExprPtr& cond) {
+  if (cond == nullptr) return left_join(a, b);
+  const MergeSchema m = merge_schema(a.vars, b.vars);
+  IdRows out;
+  out.vars = m.vars;
+  out.dict = common_dict(a, b);
+  ExprMemo satisfied(*cond, m.vars);
+  std::vector<TermId> buf(m.vars.size());
+  for (std::size_t ra = 0; ra < a.rows; ++ra) {
+    bool extended = false;
+    for (std::size_t rb = 0; rb < b.rows; ++rb) {
+      if (!compatible(a.row(ra), b.row(rb), m.shared)) continue;
+      merge_cells(a.row(ra), a.vars.size(), b.row(rb), b.vars.size(), m,
+                  buf.data());
+      if (satisfied(buf.data(), out.dict)) {
+        out.cells.insert(out.cells.end(), buf.begin(), buf.end());
+        ++out.rows;
+        extended = true;
+      }
+    }
+    if (!extended) append_placed(out, a, ra, m.from_a);
+  }
+  trim(out);
+  return out;
+}
+
+IdRows filter_set(const IdRows& in, const Expr& e) {
+  IdRows out;
+  out.vars = in.vars;
+  out.dict = in.dict;
+  ExprMemo satisfied(e, in.vars);
+  const std::size_t width = in.vars.size();
+  for (std::size_t r = 0; r < in.rows; ++r) {
+    if (satisfied(in.row(r), in.dict)) {
+      out.cells.insert(out.cells.end(), in.row(r), in.row(r) + width);
+      ++out.rows;
+    }
+  }
+  trim(out);
+  return out;
+}
+
+IdRows deduplicated(const IdRows& in) {
+  // The id view ranks exactly the ids the set holds by term, so comparing
+  // ranks is Binding's order whatever the dictionary's id order.
+  const IdTable t = id_table(in);
+  const std::size_t width = in.vars.size();
+  auto local_row = [&](std::size_t r) { return t.cells.data() + r * width; };
+  std::vector<std::size_t> order(in.rows);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t i, std::size_t j) {
+                     return canonical_less(local_row(i), local_row(j), width,
+                                           [&](TermId l) { return t.rank[l]; });
+                   });
+  IdRows out;
+  out.vars = in.vars;
+  out.dict = in.dict;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const TermId* row = in.row(order[k]);
+    if (k > 0 && std::equal(row, row + width, in.row(order[k - 1]))) continue;
+    out.cells.insert(out.cells.end(), row, row + width);
+    ++out.rows;
   }
   return out;
+}
+
+IdRows set_union(const IdRows& a, const IdRows& b) {
+  const MergeSchema m = merge_schema(a.vars, b.vars);
+  IdRows out;
+  out.vars = m.vars;
+  out.dict = common_dict(a, b);
+  out.cells.reserve((a.rows + b.rows) * m.vars.size());
+  for (std::size_t r = 0; r < a.rows; ++r) append_placed(out, a, r, m.from_a);
+  for (std::size_t r = 0; r < b.rows; ++r) append_placed(out, b, r, m.from_b);
+  return out;
+}
+
+IdRows project(const IdRows& in, const std::vector<std::string>& vars) {
+  IdRows out;
+  out.dict = in.dict;
+  out.rows = in.rows;
+  std::vector<std::size_t> keep;
+  for (std::size_t c = 0; c < in.vars.size(); ++c) {
+    if (std::find(vars.begin(), vars.end(), in.vars[c]) != vars.end()) {
+      out.vars.push_back(in.vars[c]);
+      keep.push_back(c);
+    }
+  }
+  out.cells.reserve(in.rows * keep.size());
+  for (std::size_t r = 0; r < in.rows; ++r) {
+    for (std::size_t c : keep) out.cells.push_back(in.row(r)[c]);
+  }
+  return out;
+}
+
+IdRows rows_at(const IdRows& in, const std::vector<std::size_t>& picks) {
+  IdRows out;
+  out.vars = in.vars;
+  out.dict = in.dict;
+  const std::size_t width = in.vars.size();
+  out.cells.reserve(picks.size() * width);
+  for (std::size_t r : picks) {
+    out.cells.insert(out.cells.end(), in.row(r), in.row(r) + width);
+  }
+  out.rows = picks.size();
+  trim(out);
+  return out;
+}
+
+// Each entry point interns into a private dictionary (the left operand
+// first), runs the id kernel and materializes.
+
+SolutionSet vec_join(const SolutionSet& a, const SolutionSet& b) {
+  rdf::TermDictionary dict;
+  const IdRows ia = intern_rows(a, dict);
+  return join(ia, intern_rows(b, dict)).materialize();
+}
+
+SolutionSet vec_minus(const SolutionSet& a, const SolutionSet& b) {
+  rdf::TermDictionary dict;
+  const IdRows ia = intern_rows(a, dict);
+  return minus(ia, intern_rows(b, dict)).materialize();
+}
+
+SolutionSet vec_left_join(const SolutionSet& a, const SolutionSet& b) {
+  rdf::TermDictionary dict;
+  const IdRows ia = intern_rows(a, dict);
+  return left_join(ia, intern_rows(b, dict)).materialize();
 }
 
 SolutionSet vec_left_join_conditioned(const SolutionSet& a,
                                       const SolutionSet& b,
                                       const ExprPtr& cond) {
-  if (cond == nullptr) return vec_left_join(a, b);
-  rdf::TermDictionary dict = build_dictionary({&a, &b});
-  Table ta = build_table(a, dict);
-  Table tb = build_table(b, dict);
-  MergeSchema m = merge_schema(ta.vars, tb.vars);
-
-  // Columns of the merged schema the condition reads (kNoCol: the variable
-  // never occurs in either operand, so its id is constantly unbound).
-  std::vector<std::size_t> cond_cols;
-  for (const std::string& v : variables_of(*cond)) {
-    auto it = std::lower_bound(m.vars.begin(), m.vars.end(), v);
-    cond_cols.push_back(it != m.vars.end() && *it == v
-                            ? static_cast<std::size_t>(it - m.vars.begin())
-                            : kNoCol);
-  }
-
-  // satisfies() depends only on the terms of the condition's variables, so
-  // its verdict is a function of their id tuple in the merged row.
-  std::unordered_map<std::string, bool> memo;
-  SolutionSet out;
-  std::vector<TermId> buf;
-  std::string key;
-  for (std::size_t ra = 0; ra < ta.rows; ++ra) {
-    bool extended = false;
-    for (std::size_t rb = 0; rb < tb.rows; ++rb) {
-      if (!compatible(ta, ra, tb, rb, m.shared)) continue;
-      merge_cells(ta, ra, tb, rb, m, buf);
-      key.clear();
-      for (std::size_t c : cond_cols) {
-        append_id(key, c == kNoCol ? kUnbound : buf[c]);
-      }
-      Binding merged;
-      bool have_merged = false;
-      auto it = memo.find(key);
-      bool ok;
-      if (it == memo.end()) {
-        merged = materialize(m.vars, buf.data(), dict);
-        have_merged = true;
-        ok = satisfies(*cond, merged);
-        memo.emplace(key, ok);
-      } else {
-        ok = it->second;
-      }
-      if (ok) {
-        if (!have_merged) merged = materialize(m.vars, buf.data(), dict);
-        out.add(std::move(merged));
-        extended = true;
-      }
-    }
-    if (!extended) out.add(a.rows()[ra]);
-  }
-  return out;
+  rdf::TermDictionary dict;
+  const IdRows ia = intern_rows(a, dict);
+  return left_join_conditioned(ia, intern_rows(b, dict), cond).materialize();
 }
 
 SolutionSet vec_filter_set(const SolutionSet& in, const Expr& e) {
-  rdf::TermDictionary dict = build_dictionary({&in});
-  Table t = build_table(in, dict);
-  std::vector<std::size_t> cond_cols;
-  for (const std::string& v : variables_of(e)) {
-    auto it = std::lower_bound(t.vars.begin(), t.vars.end(), v);
-    cond_cols.push_back(it != t.vars.end() && *it == v
-                            ? static_cast<std::size_t>(it - t.vars.begin())
-                            : kNoCol);
-  }
-  std::unordered_map<std::string, bool> memo;
-  SolutionSet out;
-  std::string key;
-  for (std::size_t r = 0; r < t.rows; ++r) {
-    key.clear();
-    for (std::size_t c : cond_cols) {
-      append_id(key, c == kNoCol ? kUnbound : t.at(r, c));
-    }
-    auto it = memo.find(key);
-    bool ok;
-    if (it == memo.end()) {
-      ok = satisfies(e, in.rows()[r]);
-      memo.emplace(key, ok);
-    } else {
-      ok = it->second;
-    }
-    if (ok) out.add(in.rows()[r]);
-  }
-  return out;
+  rdf::TermDictionary dict;
+  return filter_set(intern_rows(in, dict), e).materialize();
 }
 
 SolutionSet vec_deduplicated(const SolutionSet& in) {
-  rdf::TermDictionary dict = build_dictionary({&in});
-  Table t = build_table(in, dict);
-  std::vector<std::size_t> order(t.rows);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  // Exactly Binding's order: id order == term order by dictionary
-  // construction.
-  auto less = [&](std::size_t i, std::size_t j) {
-    return canonical_less(t.row(i), t.row(j), t.width,
-                          [](TermId id) { return id; });
-  };
-  std::stable_sort(order.begin(), order.end(), less);
-  auto equal_rows = [&](std::size_t i, std::size_t j) {
-    for (std::size_t c = 0; c < t.width; ++c) {
-      if (t.at(i, c) != t.at(j, c)) return false;
-    }
-    return true;
-  };
-  SolutionSet out;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    if (k > 0 && equal_rows(order[k - 1], order[k])) continue;
-    out.add(in.rows()[order[k]]);
-  }
-  return out;
+  rdf::TermDictionary dict;
+  return deduplicated(intern_rows(in, dict)).materialize();
 }
 
 namespace {
@@ -492,21 +549,32 @@ struct TermPtrEq {
 
 }  // namespace
 
-std::size_t ScanRows::byte_size() const {
+std::size_t IdRows::byte_size() const {
   std::size_t n = SolutionSet{}.byte_size() + rows * Binding{}.byte_size();
   const std::size_t width = vars.size();
   for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i] == kUnbound) continue;
     n += vars[i % width].size() + 1 + dict->term(cells[i]).byte_size();
   }
   return n;
 }
 
-SolutionSet ScanRows::materialize() const {
-  const std::size_t width = vars.size();
+SolutionSet IdRows::materialize() const {
   SolutionSet out;
+  out.rows().reserve(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    out.add(sparql::materialize(vars, cells.data() + r * width, *dict));
+    out.add(sparql::materialize(vars, row(r), dict));
   }
+  return out;
+}
+
+IdRows intern_rows(const SolutionSet& s, rdf::TermDictionary& dict) {
+  IdRows out;
+  out.vars = variables_of(s);
+  out.rows = s.size();
+  out.dict = &dict;
+  out.cells = id_cells(s, out.vars,
+                       [&](const rdf::Term& t) { return dict.intern(t); });
   return out;
 }
 
@@ -527,18 +595,21 @@ IdTable id_table(const SolutionSet& s) {
   return t;
 }
 
-IdTable id_table(const ScanRows& rows) {
+IdTable id_table(const IdRows& rows) {
   IdTable t;
   t.vars = rows.vars;
   t.rows = rows.rows;
   t.cells.reserve(rows.cells.size());
   LocalIds local;
   for (TermId id : rows.cells) {
-    TermId l = local.find(id);
-    if (l == kUnbound) {
-      l = static_cast<TermId>(t.terms.size());
-      local.insert(id, l);
-      t.terms.push_back(&rows.dict->term(id));
+    TermId l = kUnbound;
+    if (id != kUnbound) {
+      l = local.find(id);
+      if (l == kUnbound) {
+        l = static_cast<TermId>(t.terms.size());
+        local.insert(id, l);
+        t.terms.push_back(&rows.dict->term(id));
+      }
     }
     t.cells.push_back(l);
   }
@@ -575,54 +646,35 @@ void LocalIds::insert(TermId id, TermId local) {
   ++used_;
 }
 
-TermId MergeAccumulator::local_id(const rdf::TermDictionary* dict,
-                                  TermId id) {
-  if (dict != dict_) return local_id(dict->term(id));
-  TermId l = from_dict_.find(id);
-  if (l == kUnbound) {
-    l = static_cast<TermId>(table_.terms.size());
-    from_dict_.insert(id, l);
-    table_.terms.push_back(&dict->term(id));
+std::vector<TermId> MergeAccumulator::local_cells(const IdRows& rows) {
+  assert(rows.dict == dict_ || rows.dict == nullptr);
+  std::vector<TermId> cells(rows.cells.size(), kUnbound);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const TermId id = rows.cells[i];
+    if (id == kUnbound) continue;
+    TermId l = from_dict_.find(id);
+    if (l == kUnbound) {
+      l = static_cast<TermId>(table_.terms.size());
+      from_dict_.insert(id, l);
+      table_.terms.push_back(&dict_->term(id));
+      dict_ids_.push_back(id);
+    }
+    cells[i] = l;
   }
-  return l;
+  return cells;
 }
 
-TermId MergeAccumulator::local_id(const rdf::Term& t) {
-  if (dict_ != nullptr) {
-    if (std::optional<TermId> id = dict_->find(t)) return local_id(dict_, *id);
-  }
-  if (auto it = own_ids_.find(t); it != own_ids_.end()) return it->second;
-  const auto l = static_cast<TermId>(table_.terms.size());
-  own_terms_.push_back(t);
-  table_.terms.push_back(&own_terms_.back());
-  own_ids_.emplace(t, l);
-  return l;
-}
-
-void MergeAccumulator::set_carry(const SolutionSet& carry) {
+void MergeAccumulator::set_carry(const IdRows& carry) {
   Carry c;
-  c.vars = variables_of(carry);
-  c.rows = carry.size();
-  c.cells = id_cells(carry, c.vars,
-                     [&](const rdf::Term& t) { return local_id(t); });
+  c.vars = carry.vars;
+  c.rows = carry.rows;
+  c.cells = local_cells(carry);
   carry_ = std::move(c);
 }
 
-void MergeAccumulator::add(const ScanRows& local) {
+void MergeAccumulator::add(const IdRows& local) {
   if (local.rows == 0) return;
-  std::vector<TermId> cells(local.cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    cells[i] = local_id(local.dict, local.cells[i]);
-  }
-  merge(local.vars, cells, local.rows);
-}
-
-void MergeAccumulator::add(const SolutionSet& local) {
-  if (local.empty()) return;
-  const std::vector<std::string> vars = variables_of(local);
-  const std::vector<TermId> cells = id_cells(
-      local, vars, [&](const rdf::Term& t) { return local_id(t); });
-  merge(vars, cells, local.size());
+  merge(local.vars, local_cells(local), local.rows);
 }
 
 void MergeAccumulator::merge(const std::vector<std::string>& vars,
@@ -821,7 +873,7 @@ bool MergeAccumulator::insert_back() {
   }
 }
 
-SolutionSet MergeAccumulator::take() {
+IdRows MergeAccumulator::take() {
   const IdTable& t = table_;
   const std::size_t width = t.vars.size();
   std::vector<std::size_t> order(t.rows);
@@ -832,10 +884,16 @@ SolutionSet MergeAccumulator::take() {
                           t.cells.data() + j * width, width,
                           [&](TermId id) { return t.rank[id]; });
   });
-  auto term_of = [&](TermId id) -> const rdf::Term& { return *t.terms[id]; };
-  SolutionSet out;
+  IdRows out;
+  out.vars = t.vars;
+  out.rows = t.rows;
+  out.dict = dict_;
+  out.cells.reserve(t.cells.size());
   for (std::size_t r : order) {
-    out.add(materialize_with(t.vars, t.cells.data() + r * width, term_of));
+    for (std::size_t c = 0; c < width; ++c) {
+      const TermId l = t.cells[r * width + c];
+      out.cells.push_back(l == kUnbound ? kUnbound : dict_ids_[l]);
+    }
   }
   *this = MergeAccumulator{dict_};
   return out;

@@ -1,35 +1,40 @@
-// Dictionary-id implementations of the SPARQL set algebra: the one kernel
-// set behind join, minus, left_join, left_join_conditioned, filter_set and
-// deduplicated (those names forward here).
+// Dictionary-id implementations of the SPARQL set algebra over one id
+// relation, IdRows: a sorted variable schema, row-major rdf::TermId cells
+// and the rdf::TermDictionary the ids resolve through. Every intermediate
+// set of a distributed query is an IdRows in the ids of the overlay-wide
+// store dictionary, from the provider scan to the post-processing step,
+// which materializes Bindings once for the rows the initiator delivers.
 //
-// Each kernel interns every distinct term of its operand sets into a
-// per-operation rdf::TermDictionary — ids assigned in Term `operator<=>`
-// order, so id order == term order — and runs the algebra over columnar
-// TermId batches. Strings are touched exactly twice per operation: once to
-// intern each distinct term and once to materialize the surviving rows.
+// The kernels (join, minus, left_join, left_join_conditioned, filter_set,
+// deduplicated, set_union, project, rows_at) read and write ids only; the
+// operands of a binary kernel resolve through one dictionary. A kernel
+// touches a term only to evaluate an expression (materializing the row,
+// memoized per id tuple) or to rank ids by term (deduplicated, which ranks
+// exactly the ids it holds, so its canonical order is Binding's whatever
+// the dictionary's id order). The SolutionSet entry points (vec_* here, the
+// join/minus/left_join/left_join_conditioned/filter_set/deduplicated names
+// of solution.hpp and eval.hpp, which forward to them) intern their
+// operands into a private dictionary, call the id kernel and materialize.
 //
 // Row-order contract: join emits, per left row in order, the compatible
 // right rows in their input order (fully keyed matches before rows that
 // leave a shared variable unbound); minus and filter keep input order; an
 // unconditioned left join appends the unmatched left rows after the join
 // part, a conditioned one emits each left row's extensions (or the row
-// alone) in place; distinct is the canonical sort with duplicates removed.
-// Rows, plan notes and traffic of every distributed query depend on this
-// order, so the golden digests pin it, and
-// tests/sparql/kernel_reference_test.cpp checks it row for row against the
-// row-at-a-time reference in tests/support/.
+// alone) in place; distinct is the canonical sort with duplicates removed;
+// union is the left rows then the right rows. Rows, plan notes and traffic
+// of every distributed query depend on this order, so the golden digests
+// pin it, and tests/sparql/kernel_reference_test.cpp checks it row for row
+// against the row-at-a-time reference in tests/support/.
 //
 // MergeAccumulator is the id-space form of the in-network merges of the
 // primitive strategies (scatter gather and provider chains): it holds the
 // running deduplicated(set_union(acc, next)) as id tuples, so a merge costs
-// the new provider's rows, not the whole accumulated set. Provider rows
-// arrive as ScanRows in the ids of the overlay-wide store dictionary and
-// become Bindings only at take(). IdTable is the shape net::wire sizes
-// payloads from.
+// the new provider's rows, not the whole accumulated set. IdTable is the
+// shape net::wire sizes payloads from.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -42,50 +47,78 @@
 
 namespace ahsw::sparql {
 
+/// A solution relation in dictionary ids. Schema invariant: `vars` lists
+/// exactly the variables bound in at least one row (none without rows), as
+/// variables_of() does for the materialized set; every kernel keeps it, and
+/// the wire size of the set depends on it. A row may bind no variable.
+struct IdRows {
+  /// Sorted schema.
+  std::vector<std::string> vars;
+  std::size_t rows = 0;
+  /// rows x vars.size(), row-major; rdf::kInvalidTermId marks unbound.
+  std::vector<rdf::TermId> cells;
+  /// Resolves every bound cell; may be null while no cell is bound.
+  const rdf::TermDictionary* dict = nullptr;
+
+  [[nodiscard]] std::size_t size() const noexcept { return rows; }
+  [[nodiscard]] bool empty() const noexcept { return rows == 0; }
+  [[nodiscard]] const rdf::TermId* row(std::size_t r) const noexcept {
+    return cells.data() + r * vars.size();
+  }
+  /// SolutionSet::byte_size() of the materialized rows.
+  [[nodiscard]] std::size_t byte_size() const;
+  /// The rows as Bindings, in order.
+  [[nodiscard]] SolutionSet materialize() const;
+};
+
+/// `s` in the ids of `dict`, interning every term it binds; rows in order.
+[[nodiscard]] IdRows intern_rows(const SolutionSet& s,
+                                 rdf::TermDictionary& dict);
+
 /// Join: O1 x O2.
-[[nodiscard]] SolutionSet vec_join(const SolutionSet& a, const SolutionSet& b);
+[[nodiscard]] IdRows join(const IdRows& a, const IdRows& b);
 
 /// Minus: O1 - O2.
-[[nodiscard]] SolutionSet vec_minus(const SolutionSet& a,
-                                    const SolutionSet& b);
+[[nodiscard]] IdRows minus(const IdRows& a, const IdRows& b);
 
 /// LeftJoin without condition: join part then unmatched rows.
-[[nodiscard]] SolutionSet vec_left_join(const SolutionSet& a,
-                                        const SolutionSet& b);
+[[nodiscard]] IdRows left_join(const IdRows& a, const IdRows& b);
 
 /// LeftJoin with OPTIONAL condition; `cond == nullptr` means `true`.
-/// Condition evaluation is memoized on the tuple of dictionary ids
-/// the expression's variables take in the merged row, so each distinct
-/// id-tuple pays for one string-space evaluation.
+/// Condition evaluation is memoized on the tuple of ids the expression's
+/// variables take in the merged row, so each distinct id tuple pays for
+/// one string-space evaluation.
+[[nodiscard]] IdRows left_join_conditioned(const IdRows& a, const IdRows& b,
+                                           const ExprPtr& cond);
+
+/// Filter with the same memoization as above.
+[[nodiscard]] IdRows filter_set(const IdRows& in, const Expr& e);
+
+/// Distinct: canonical Binding order with duplicates removed.
+[[nodiscard]] IdRows deduplicated(const IdRows& in);
+
+/// Union: a's rows, then b's, over the union of both schemas.
+[[nodiscard]] IdRows set_union(const IdRows& a, const IdRows& b);
+
+/// Projection onto `vars` (any order; variables outside the schema drop).
+[[nodiscard]] IdRows project(const IdRows& in,
+                             const std::vector<std::string>& vars);
+
+/// The rows at `picks`, in that order (slices and reorderings).
+[[nodiscard]] IdRows rows_at(const IdRows& in,
+                             const std::vector<std::size_t>& picks);
+
+// The SolutionSet entry points: intern, run the kernel, materialize.
+[[nodiscard]] SolutionSet vec_join(const SolutionSet& a, const SolutionSet& b);
+[[nodiscard]] SolutionSet vec_minus(const SolutionSet& a,
+                                    const SolutionSet& b);
+[[nodiscard]] SolutionSet vec_left_join(const SolutionSet& a,
+                                        const SolutionSet& b);
 [[nodiscard]] SolutionSet vec_left_join_conditioned(const SolutionSet& a,
                                                     const SolutionSet& b,
                                                     const ExprPtr& cond);
-
-/// Filter with the same memoization as above.
 [[nodiscard]] SolutionSet vec_filter_set(const SolutionSet& in, const Expr& e);
-
-/// Distinct: canonical sort + unique via id comparisons only
-/// (id order == term order by construction, so the result matches
-/// normalize() + std::unique exactly).
 [[nodiscard]] SolutionSet vec_deduplicated(const SolutionSet& in);
-
-/// One provider's matches of a triple pattern in store ids: what a scan
-/// emits before any row becomes a Binding. All rows bind every variable of
-/// the pattern; the ids resolve through `dict` (the store's dictionary,
-/// shared by the storage nodes of one overlay).
-struct ScanRows {
-  /// Sorted schema: the pattern's variables, or none when no row matched.
-  std::vector<std::string> vars;
-  std::size_t rows = 0;
-  /// rows x vars.size(), row-major.
-  std::vector<rdf::TermId> cells;
-  const rdf::TermDictionary* dict = nullptr;
-
-  /// SolutionSet::byte_size() of the materialized rows.
-  [[nodiscard]] std::size_t byte_size() const;
-  /// The rows as Bindings, in scan order.
-  [[nodiscard]] SolutionSet materialize() const;
-};
 
 /// A solution payload in id space: what the wire size of a payload depends
 /// on (net::wire::charged_bytes sizes it without encoding). Ids are local
@@ -93,8 +126,8 @@ struct ScanRows {
 struct IdTable {
   /// Sorted schema: the variables bound in at least one row.
   std::vector<std::string> vars;
-  /// id -> its term, held by the sized set, the scan's dictionary or the
-  /// merge; may list terms no row uses.
+  /// id -> its term, held by the sized set or the dictionary its ids came
+  /// from; may list terms no row uses.
   std::vector<const rdf::Term*> terms;
   /// The distinct ids the rows use, in Term order (the wire dictionary).
   std::vector<rdf::TermId> by_rank;
@@ -108,8 +141,9 @@ struct IdTable {
 /// `s` in id space, rows in order, duplicates kept; the terms point into
 /// `s`, so the table must not outlive it.
 [[nodiscard]] IdTable id_table(const SolutionSet& s);
-/// `rows` in id space; the terms point into its dictionary.
-[[nodiscard]] IdTable id_table(const ScanRows& rows);
+/// `rows` renumbered into table-local ids; the terms point into its
+/// dictionary.
+[[nodiscard]] IdTable id_table(const IdRows& rows);
 
 /// Open-addressing map from a dictionary id to a table-local id (linear
 /// probing, power-of-two capacity). Per-scan state is sized by the ids the
@@ -132,35 +166,24 @@ class LocalIds {
 /// every add(), kept in id space. Rows live as tuples of table-local ids in
 /// insertion order with a hash table used only for point lookups (never
 /// iterated, rule D2); the raw size is kept incrementally and take() sorts
-/// once. Provider rows arrive as ScanRows over the accumulator's dictionary
-/// and are only renumbered, never interned; SolutionSet inputs (a carry,
-/// tests) are mapped with TermDictionary::find, and a term the dictionary
-/// lacks gets a local id of its own.
+/// once. Provider rows and the carry arrive as IdRows over the
+/// accumulator's dictionary and are only renumbered, never interned.
 class MergeAccumulator {
  public:
-  /// `dict` is the dictionary provider scans emit ids of (nullptr: every
-  /// term arrives as a SolutionSet); it must outlive the accumulator.
-  explicit MergeAccumulator(const rdf::TermDictionary* dict = nullptr)
-      : dict_(dict) {}
-  /// Not copyable: the table's terms point into this accumulator's own
-  /// terms, which a copy would leave behind.
-  MergeAccumulator(const MergeAccumulator&) = delete;
-  MergeAccumulator& operator=(const MergeAccumulator&) = delete;
-  MergeAccumulator(MergeAccumulator&&) noexcept = default;
-  MergeAccumulator& operator=(MergeAccumulator&&) noexcept = default;
+  /// `dict` resolves every id the accumulator is fed; it must outlive the
+  /// accumulator.
+  explicit MergeAccumulator(const rdf::TermDictionary* dict) : dict_(dict) {}
 
   /// Join every later add() against `carry` (a chain that carries the
-  /// partial result of earlier conjunction patterns). The carry is mapped
-  /// to ids here once and hash-grouped at the first add() on the columns it
-  /// shares with the provider rows; add(local) then merges
+  /// partial result of earlier conjunction patterns). The carry is
+  /// renumbered here once and hash-grouped at the first add() on the
+  /// columns it shares with the provider rows; add(local) then merges
   /// join(carry, local) without materialising it. Replaces any earlier
   /// carry.
-  void set_carry(const SolutionSet& carry);
+  void set_carry(const IdRows& carry);
 
   /// Merge one provider's scan; drops rows already held.
-  void add(const ScanRows& local);
-  /// Merge one provider's rows given as Bindings.
-  void add(const SolutionSet& local);
+  void add(const IdRows& local);
 
   /// Distinct rows held.
   [[nodiscard]] std::size_t size() const noexcept { return table_.rows; }
@@ -171,12 +194,13 @@ class MergeAccumulator {
   /// The merged set in id space (by_rank and rank are current).
   [[nodiscard]] const IdTable& table() const noexcept { return table_; }
 
-  /// The distinct rows in canonical Binding order, exactly the folded
-  /// deduplicated(set_union(...)); leaves the accumulator empty.
-  [[nodiscard]] SolutionSet take();
+  /// The distinct rows in canonical Binding order, in dictionary ids:
+  /// exactly the folded deduplicated(set_union(...)); leaves the
+  /// accumulator empty.
+  [[nodiscard]] IdRows take();
 
  private:
-  /// The carry in id space plus its hash grouping on the columns it shares
+  /// The carry in local ids plus its hash grouping on the columns it shares
   /// with the provider rows (regrouped only if those columns change).
   struct Carry {
     std::vector<std::string> vars;
@@ -189,10 +213,8 @@ class MergeAccumulator {
     std::vector<std::size_t> partial;  // rows missing a key column
   };
 
-  /// Local id of dictionary id `id` of `dict`.
-  rdf::TermId local_id(const rdf::TermDictionary* dict, rdf::TermId id);
-  /// Local id of `t`: its dictionary id's, else one of its own.
-  rdf::TermId local_id(const rdf::Term& t);
+  /// `rows` renumbered into local ids (unbound cells stay unbound).
+  [[nodiscard]] std::vector<rdf::TermId> local_cells(const IdRows& rows);
   /// Merge candidate rows over the sorted schema `vars` (local ids): joined
   /// with the carry first when there is one.
   void merge(const std::vector<std::string>& vars,
@@ -212,11 +234,8 @@ class MergeAccumulator {
 
   const rdf::TermDictionary* dict_;
   IdTable table_;
-  LocalIds from_dict_;  // dict_ id -> local id
-  /// Terms dict_ lacks (a carry's, or any term without a dictionary).
-  std::deque<rdf::Term> own_terms_;
-  // iteration-order: never iterated — point lookups only.
-  std::unordered_map<rdf::Term, rdf::TermId, rdf::TermHash> own_ids_;
+  LocalIds from_dict_;                  // dict_ id -> local id
+  std::vector<rdf::TermId> dict_ids_;   // local id -> dict_ id
   std::size_t raw_ = SolutionSet{}.byte_size();
   // Open-addressing table of row index + 1 (0 = empty slot), linear probing.
   // iteration-order: never iterated — point lookups only; rows keep their

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -80,8 +81,8 @@ std::size_t pick_next(const std::vector<BgpPattern>& bgp,
 
 }  // namespace
 
-ScanRows LocalEngine::match_ids(const BgpPattern& p) const {
-  ScanRows out;
+IdRows LocalEngine::match_ids(const BgpPattern& p) const {
+  IdRows out;
   out.dict = &store_->dictionary();
   const std::array<const rdf::PatternTerm*, 3> positions = {
       &p.pattern.s, &p.pattern.p, &p.pattern.o};
@@ -226,8 +227,8 @@ SolutionSet LocalEngine::evaluate(const Algebra& a) const {
   return {};
 }
 
-void order_solutions(SolutionSet& set,
-                     const std::vector<OrderCondition>& order) {
+std::vector<std::size_t> order_permutation(
+    const SolutionSet& set, const std::vector<OrderCondition>& order) {
   auto value_less = [](const ExprValue& x, const ExprValue& y) -> int {
     // Errors / unbound sort lowest, then by numeric value, then by term
     // surface form.
@@ -244,17 +245,28 @@ void order_solutions(SolutionSet& set,
     std::string sy = y->to_string();
     return sx.compare(sy) < 0 ? -1 : (sx == sy ? 0 : 1);
   };
-  std::stable_sort(
-      set.rows().begin(), set.rows().end(),
-      [&](const Binding& a, const Binding& b) {
-        for (const OrderCondition& cond : order) {
-          ExprValue va = evaluate(*cond.expr, a);
-          ExprValue vb = evaluate(*cond.expr, b);
-          int c = value_less(va, vb);
-          if (c != 0) return cond.ascending ? c < 0 : c > 0;
-        }
-        return false;
-      });
+  const std::vector<Binding>& rows = set.rows();
+  std::vector<std::size_t> perm(rows.size());
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  std::stable_sort(perm.begin(), perm.end(), [&](std::size_t i, std::size_t j) {
+    for (const OrderCondition& cond : order) {
+      ExprValue va = evaluate(*cond.expr, rows[i]);
+      ExprValue vb = evaluate(*cond.expr, rows[j]);
+      int c = value_less(va, vb);
+      if (c != 0) return cond.ascending ? c < 0 : c > 0;
+    }
+    return false;
+  });
+  return perm;
+}
+
+void order_solutions(SolutionSet& set,
+                     const std::vector<OrderCondition>& order) {
+  const std::vector<std::size_t> perm = order_permutation(set, order);
+  std::vector<Binding> sorted;
+  sorted.reserve(perm.size());
+  for (std::size_t i : perm) sorted.push_back(std::move(set.rows()[i]));
+  set.rows() = std::move(sorted);
 }
 
 std::size_t QueryResult::byte_size() const noexcept {

@@ -34,7 +34,7 @@ class LocalEngine {
   /// Solutions of one triple pattern in store ids, in index order, with
   /// repeated-variable consistency (e.g. `?x p ?x`) enforced by id equality
   /// and any pushed filter applied to each matching row.
-  [[nodiscard]] ScanRows match_ids(const BgpPattern& p) const;
+  [[nodiscard]] IdRows match_ids(const BgpPattern& p) const;
 
   /// match_ids materialized as Bindings.
   [[nodiscard]] SolutionSet match_pattern(const BgpPattern& p) const;
@@ -60,10 +60,14 @@ struct QueryResult {
 };
 
 /// Sort `set` according to ORDER BY conditions (stable; unbound orders
-/// lowest, numeric before lexical comparison). Exposed for reuse by the
-/// distributed post-processing stage.
+/// lowest, numeric before lexical comparison).
 void order_solutions(SolutionSet& set,
                      const std::vector<OrderCondition>& order);
+
+/// The row indexes of `set` in the order order_solutions() sorts them into
+/// (the distributed processor reorders its id rows by it).
+[[nodiscard]] std::vector<std::size_t> order_permutation(
+    const SolutionSet& set, const std::vector<OrderCondition>& order);
 
 /// Apply Project/Distinct/Reduced/OrderBy/Slice modifiers of `q` to a raw
 /// pattern-matching result (used by the distributed processor's

@@ -33,9 +33,40 @@ ExprPtr Expr::binary(ExprKind k, ExprPtr a, ExprPtr b) {
   return e;
 }
 
+namespace {
+
+/// The ECMAScript flags a regex() flags argument selects: `i` ignores case.
+std::regex::flag_type regex_flags(const std::optional<rdf::Term>& f) {
+  auto flags = std::regex::ECMAScript;
+  if (f && f->is_literal() && f->lexical().find('i') != std::string::npos) {
+    flags |= std::regex::icase;
+  }
+  return flags;
+}
+
+/// `pattern` compiled, or null when it is not a valid pattern.
+std::shared_ptr<const std::regex> compile_regex(const std::string& pattern,
+                                                std::regex::flag_type flags) {
+  try {
+    return std::make_shared<const std::regex>(pattern, flags);
+  } catch (const std::regex_error&) {
+    return nullptr;
+  }
+}
+
+}  // namespace
+
 ExprPtr Expr::regex(ExprPtr text, ExprPtr pattern, ExprPtr flags) {
   auto e = std::make_shared<Expr>();
   e->kind = ExprKind::kRegex;
+  if (pattern->kind == ExprKind::kConst && pattern->constant.is_literal() &&
+      (flags == nullptr || flags->kind == ExprKind::kConst)) {
+    e->constant_pattern = true;
+    e->compiled = compile_regex(
+        pattern->constant.lexical(),
+        regex_flags(flags != nullptr ? std::optional(flags->constant)
+                                     : std::nullopt));
+  }
   e->args = {std::move(text), std::move(pattern)};
   if (flags != nullptr) e->args.push_back(std::move(flags));
   return e;
@@ -264,23 +295,19 @@ ExprValue evaluate(const Expr& e, const Binding& binding) {
     }
     case ExprKind::kRegex: {
       ExprValue text = evaluate(*e.args[0], binding);
+      if (!text || !text->is_literal()) return std::nullopt;
+      if (e.constant_pattern) {
+        if (e.compiled == nullptr) return std::nullopt;
+        return bool_term(std::regex_search(text->lexical(), *e.compiled));
+      }
       ExprValue pattern = evaluate(*e.args[1], binding);
-      if (!text || !pattern || !text->is_literal() || !pattern->is_literal())
-        return std::nullopt;
-      auto flags = std::regex::ECMAScript;
-      if (e.args.size() > 2) {
-        ExprValue f = evaluate(*e.args[2], binding);
-        if (f && f->is_literal() &&
-            f->lexical().find('i') != std::string::npos) {
-          flags |= std::regex::icase;
-        }
-      }
-      try {
-        std::regex re(pattern->lexical(), flags);
-        return bool_term(std::regex_search(text->lexical(), re));
-      } catch (const std::regex_error&) {
-        return std::nullopt;
-      }
+      if (!pattern || !pattern->is_literal()) return std::nullopt;
+      const std::shared_ptr<const std::regex> re = compile_regex(
+          pattern->lexical(), regex_flags(e.args.size() > 2
+                                              ? evaluate(*e.args[2], binding)
+                                              : std::nullopt));
+      if (re == nullptr) return std::nullopt;
+      return bool_term(std::regex_search(text->lexical(), *re));
     }
     case ExprKind::kIsIri: {
       ExprValue v = evaluate(*e.args[0], binding);

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <optional>
+#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -55,6 +56,13 @@ struct Expr {
   std::string var;          // kVar / kBound: variable name without '?'
   rdf::Term constant;       // kConst
   std::vector<ExprPtr> args;
+  /// kRegex whose pattern is a constant literal and whose flags are a
+  /// constant or absent: the pattern is compiled once, by Expr::regex, into
+  /// `compiled` (null when it does not compile, which evaluates to the
+  /// error value). Read-only afterwards, so parallel workers share it.
+  /// Otherwise evaluation compiles the pattern per call.
+  bool constant_pattern = false;
+  std::shared_ptr<const std::regex> compiled;
 
   [[nodiscard]] static ExprPtr variable(std::string name);
   [[nodiscard]] static ExprPtr constant_term(rdf::Term t);

@@ -83,44 +83,28 @@ class SolutionSet {
   [[nodiscard]] bool empty() const noexcept { return rows_.empty(); }
 
   void add(Binding b) {
-    // The raw size is a plain per-row sum, so the increment is exact; the
-    // wire (encoded) size is holistic — a new row can extend the payload's
-    // term dictionary or variable schema — so no increment is correct and
-    // the memo must be dropped (net::wire re-sizes the set analytically
-    // from its id view on the next ask).
+    // The raw size is a plain per-row sum, so the increment is exact.
     if (cached_bytes_ != kDirty) cached_bytes_ += b.byte_size();
-    wire_cached_ = 0;
     rows_.push_back(std::move(b));
   }
 
   [[nodiscard]] const std::vector<Binding>& rows() const noexcept {
     return rows_;
   }
-  /// Mutable row access invalidates the cached byte sizes; do not hold the
+  /// Mutable row access invalidates the cached byte size; do not hold the
   /// reference across a byte_size() call and mutate afterwards.
   [[nodiscard]] std::vector<Binding>& rows() noexcept {
     cached_bytes_ = kDirty;
-    wire_cached_ = 0;
     return rows_;
   }
 
   /// Total *raw* (uncompressed) serialized size. The cost model charges the
   /// compressed size instead (net::wire::charged_bytes); this raw figure
   /// travels alongside every send as its `raw_bytes` counterpart so the
-  /// compression win stays observable. Cached: the distributed processor
-  /// asks for it at every ship, and recomputing is O(rows x slots). (Chain
-  /// hops size their travelling merge in id space instead; see
-  /// sparql::MergeAccumulator.)
+  /// compression win stays observable. Cached, since recomputing is
+  /// O(rows x slots). (The distributed processor ships sparql::IdRows and
+  /// sizes those instead.)
   [[nodiscard]] std::size_t byte_size() const noexcept;
-
-  /// Memo slot for the wire-encoded size, owned by net::wire::charged_bytes
-  /// (the analytic sizer lives above this layer and never encodes; it reads
-  /// the set's id view, sparql::id_table). 0 means "not computed": an
-  /// encoded payload is never empty, so 0 is a safe dirty sentinel. Any
-  /// mutation (add, mutable rows()) resets it; normalize() keeps it, since
-  /// the canonical encoding is row-order independent.
-  [[nodiscard]] std::size_t wire_cache() const noexcept { return wire_cached_; }
-  void set_wire_cache(std::size_t n) const noexcept { wire_cached_ = n; }
 
   /// Sort rows canonically (used before comparing result sets in tests and
   /// before returning final answers so output is deterministic). Reordering
@@ -138,12 +122,10 @@ class SolutionSet {
   /// have outdated it. A fresh set is empty, so the cache starts valid and
   /// add() can maintain it incrementally.
   mutable std::size_t cached_bytes_ = kSetFraming;
-  /// Wire-encoded size memo (see wire_cache()); 0 = not computed.
-  mutable std::size_t wire_cached_ = 0;
 };
 
 // Join, minus and left join run the dictionary-id kernels of
-// sparql/columnar.hpp; these names forward to them.
+// sparql/columnar.hpp through their SolutionSet entry points.
 
 /// O1 x O2 (hash join on the shared variables).
 [[nodiscard]] SolutionSet join(const SolutionSet& a, const SolutionSet& b);

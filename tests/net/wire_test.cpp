@@ -10,6 +10,7 @@
 #include "common/varint.hpp"
 #include "rdf/term.hpp"
 #include "rdf/triple.hpp"
+#include "sparql/columnar.hpp"
 #include "sparql/solution.hpp"
 
 namespace ahsw::net::wire {
@@ -110,32 +111,31 @@ TEST(WireCodec, CompressesRepetitiveSetsBelowRawSize) {
   EXPECT_LT(charged_bytes(s), s.byte_size() / 2);
 }
 
-TEST(WireCodec, ChargedBytesMemoIsInvalidatedByMutation) {
+TEST(WireCodec, ChargedBytesFollowsMutation) {
   common::Rng rng(21);
   SolutionSet s = random_set(rng);
-  std::size_t first = charged_bytes(s);
-  EXPECT_EQ(s.wire_cache(), first);
-  EXPECT_EQ(charged_bytes(s), first);  // memo hit
+  const std::size_t first = charged_bytes(s);
+  EXPECT_EQ(first, encode(s).size());
   Binding extra;
   extra.set("x", Term::iri("http://example.org/new-term"));
   s.add(extra);
-  EXPECT_EQ(s.wire_cache(), 0u);  // add() dropped the memo
-  EXPECT_EQ(charged_bytes(s), encoded_size(s));
+  EXPECT_EQ(charged_bytes(s), encode(s).size());
+  EXPECT_GT(charged_bytes(s), first);
 }
 
-TEST(WireCodec, ChargedBytesSurvivesNormalize) {
+TEST(WireCodec, ChargedBytesIsUnchangedByNormalize) {
   common::Rng rng(22);
   SolutionSet s = random_set(rng);
   std::size_t before = charged_bytes(s);
   s.normalize();
-  // normalize() keeps the memo: the canonical encoding is order-free.
-  EXPECT_EQ(s.wire_cache(), before);
+  // The canonical encoding is order-free.
+  EXPECT_EQ(charged_bytes(s), before);
   EXPECT_EQ(charged_bytes(s), encoded_size(s));
 }
 
 // Satellite regression for the cached-size drift bug: after an arbitrary
 // interleaving of append / mutate-in-place / clear-and-refill, both the raw
-// byte_size() cache and the wire-size memo must equal a from-scratch
+// byte_size() cache and the wire size must equal a from-scratch
 // recomputation over the same rows.
 TEST(WireCodec, CachedSizesNeverDriftUnderRandomMutation) {
   common::Rng rng(0xD01F);
@@ -176,8 +176,25 @@ TEST(WireCodec, CachedSizesNeverDriftUnderRandomMutation) {
       ASSERT_EQ(s.byte_size(), fresh.byte_size())
           << "raw cache drifted at trial " << trial << " step " << step;
       ASSERT_EQ(charged_bytes(s), encoded_size(fresh))
-          << "wire memo drifted at trial " << trial << " step " << step;
+          << "wire size drifted at trial " << trial << " step " << step;
     }
+  }
+}
+
+TEST(WireCodec, IdRowsSizeLikeTheirMaterializedSet) {
+  // Rows with unbound cells over a dictionary interned in arrival order,
+  // plus the empty set and the one-row, zero-variable set.
+  common::Rng rng(23);
+  rdf::TermDictionary dict;
+  std::vector<SolutionSet> sets = {SolutionSet{}, SolutionSet{{Binding{}}}};
+  for (int trial = 0; trial < 40; ++trial) sets.push_back(random_set(rng));
+  for (const SolutionSet& s : sets) {
+    const sparql::IdRows ids = sparql::intern_rows(s, dict);
+    const SolutionSet rows = ids.materialize();
+    ASSERT_EQ(rows.rows(), s.rows());
+    EXPECT_EQ(charged_bytes(ids), encode(rows).size()) << s.to_string();
+    EXPECT_EQ(ids.byte_size(), rows.byte_size()) << s.to_string();
+    EXPECT_EQ(charged_bytes(ids), charged_bytes(s)) << s.to_string();
   }
 }
 

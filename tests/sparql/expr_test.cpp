@@ -64,6 +64,55 @@ TEST(Expr, InvalidRegexIsErrorNotThrow) {
   EXPECT_FALSE(satisfies(*e, person_binding()));
 }
 
+TEST(Expr, ConstantRegexIsCompiledOnceAtConstruction) {
+  ExprPtr e = Expr::regex(Expr::variable("name"), lit("Smi.h"));
+  ASSERT_TRUE(e->constant_pattern);
+  ASSERT_NE(e->compiled, nullptr);
+  const std::regex* compiled = e->compiled.get();
+  EXPECT_TRUE(satisfies(*e, person_binding()));
+  Binding other;
+  other.set("name", Term::literal("Jane Doe"));
+  EXPECT_FALSE(satisfies(*e, other));
+  EXPECT_EQ(e->compiled.get(), compiled);  // evaluation reuses it
+}
+
+TEST(Expr, ConstantRegexHonoursTheIFlag) {
+  ExprPtr with_flag =
+      Expr::regex(Expr::variable("name"), lit("JOHN"), lit("i"));
+  ExprPtr other_flags =
+      Expr::regex(Expr::variable("name"), lit("JOHN"), lit("s"));
+  ASSERT_TRUE(with_flag->constant_pattern);
+  ASSERT_TRUE(other_flags->constant_pattern);
+  EXPECT_TRUE(satisfies(*with_flag, person_binding()));
+  EXPECT_FALSE(satisfies(*other_flags, person_binding()));
+}
+
+TEST(Expr, InvalidConstantRegexFiltersFalseOnEveryRow) {
+  ExprPtr e = Expr::regex(Expr::variable("name"), lit("[unclosed"));
+  ASSERT_TRUE(e->constant_pattern);
+  EXPECT_EQ(e->compiled, nullptr);
+  EXPECT_FALSE(evaluate(*e, person_binding()).has_value());
+  Binding b;
+  b.set("name", Term::literal("[unclosed"));
+  EXPECT_FALSE(satisfies(*e, b));
+}
+
+TEST(Expr, VariableRegexPatternCompilesPerRow) {
+  ExprPtr e = Expr::regex(Expr::variable("name"), Expr::variable("pat"),
+                          Expr::variable("flags"));
+  EXPECT_FALSE(e->constant_pattern);
+  EXPECT_EQ(e->compiled, nullptr);
+  Binding b = person_binding();
+  b.set("pat", Term::literal("smith"));
+  EXPECT_FALSE(satisfies(*e, b));
+  b.set("flags", Term::literal("i"));
+  EXPECT_TRUE(satisfies(*e, b));
+  b.set("pat", Term::literal("(bad"));
+  EXPECT_FALSE(evaluate(*e, b).has_value());
+  Binding unbound = person_binding();  // no ?pat: the error value
+  EXPECT_FALSE(evaluate(*e, unbound).has_value());
+}
+
 TEST(Expr, NumericComparisons) {
   Binding b = person_binding();
   EXPECT_TRUE(satisfies(

@@ -1,7 +1,9 @@
 // Differential test of the id-space merge accumulator against the fold it
 // replaces in the executor: acc == deduplicated(set_union(acc, next)) after
-// every add, with the raw size, the wire size and the final canonical rows
-// all equal to the reference's. Contributions mix duplicate rows, rows that
+// every add, with the raw size, the wire size and the rows take() returns
+// (materialized) all equal to the reference's. Contributions are interned
+// into the test's dictionary in arrival order, so id order is not term
+// order. Contributions mix duplicate rows, rows that
 // leave variables unbound (OPTIONAL shape), empty bindings, empty sets, lang
 // and typed literals, and enough distinct terms that dictionary ranks cross
 // the one- and two-byte varint boundaries (128, 16384) and row deltas go
@@ -67,21 +69,25 @@ void expect_sizes_match(const MergeAccumulator& acc, const SolutionSet& ref,
 std::size_t run_fold(common::Rng& rng, int adds, std::size_t max_rows,
                      std::uint64_t spread, const SolutionSet* carry) {
   static const std::vector<const char*> kVars = {"a", "name", "x", "y"};
-  MergeAccumulator acc;
-  if (carry != nullptr) acc.set_carry(*carry);
+  rdf::TermDictionary dict;
+  MergeAccumulator acc(&dict);
+  if (carry != nullptr) acc.set_carry(intern_rows(*carry, dict));
   SolutionSet ref;
   expect_sizes_match(acc, ref, "empty");
   for (int i = 0; i < adds; ++i) {
     SolutionSet local = rng.chance(0.1)
                             ? SolutionSet{}
                             : random_contribution(rng, max_rows, spread, kVars);
-    acc.add(local);
+    acc.add(intern_rows(local, dict));
     SolutionSet contribution = carry != nullptr ? join(*carry, local) : local;
     ref = deduplicated(set_union(ref, contribution));
     expect_sizes_match(acc, ref, "add " + std::to_string(i));
   }
   const std::size_t distinct = acc.table().by_rank.size();
-  EXPECT_EQ(acc.take().rows(), ref.rows());
+  const IdRows taken = acc.take();
+  EXPECT_EQ(taken.materialize().rows(), ref.rows());
+  EXPECT_EQ(taken.byte_size(), ref.byte_size());
+  EXPECT_EQ(net::wire::charged_bytes(taken), net::wire::encode(ref).size());
   EXPECT_EQ(acc.size(), 0u);
   return distinct;
 }
@@ -101,18 +107,19 @@ TEST(MergeAccumulator, RanksCrossVarintBoundaries) {
 
 TEST(MergeAccumulator, GrowsSchemaAcrossContributions) {
   common::Rng rng(33);
-  MergeAccumulator acc;
+  rdf::TermDictionary dict;
+  MergeAccumulator acc(&dict);
   SolutionSet ref;
   const std::vector<std::vector<const char*>> schemas = {
       {}, {"y"}, {"a", "y"}, {"name"}, {"a", "name", "x", "y", "z"}};
   for (int i = 0; i < 25; ++i) {
     SolutionSet local =
         random_contribution(rng, 10, 4, schemas[rng.below(schemas.size())]);
-    acc.add(local);
+    acc.add(intern_rows(local, dict));
     ref = deduplicated(set_union(ref, local));
     expect_sizes_match(acc, ref, "add " + std::to_string(i));
   }
-  EXPECT_EQ(acc.take().rows(), ref.rows());
+  EXPECT_EQ(acc.take().materialize().rows(), ref.rows());
 }
 
 TEST(MergeAccumulator, CarryJoinMatchesJoinFold) {
@@ -131,10 +138,12 @@ TEST(MergeAccumulator, PreparedCarryJoinEqualsJoinAsRowSet) {
   for (int trial = 0; trial < 60; ++trial) {
     SolutionSet carry = random_contribution(rng, 14, 4, kCarryVars);
     SolutionSet local = random_contribution(rng, 14, 4, kLocalVars);
-    MergeAccumulator acc;
-    acc.set_carry(carry);
-    acc.add(local);
-    EXPECT_EQ(acc.take().rows(), deduplicated(join(carry, local)).rows())
+    rdf::TermDictionary dict;
+    MergeAccumulator acc(&dict);
+    acc.set_carry(intern_rows(carry, dict));
+    acc.add(intern_rows(local, dict));
+    EXPECT_EQ(acc.take().materialize().rows(),
+              deduplicated(join(carry, local)).rows())
         << "trial " << trial;
   }
 }
@@ -151,22 +160,25 @@ TEST(MergeAccumulator, CarryWithoutSharedVariablesIsAProduct) {
   Binding l;
   l.set("q", Term::literal("v"));
   local.add(l);
-  MergeAccumulator acc;
-  acc.set_carry(carry);
-  acc.add(local);
-  EXPECT_EQ(acc.take().rows(), deduplicated(join(carry, local)).rows());
+  rdf::TermDictionary dict;
+  MergeAccumulator acc(&dict);
+  acc.set_carry(intern_rows(carry, dict));
+  acc.add(intern_rows(local, dict));
+  EXPECT_EQ(acc.take().materialize().rows(),
+            deduplicated(join(carry, local)).rows());
 }
 
 TEST(MergeAccumulator, EmptyBindingIsHeldOnce) {
   SolutionSet local;
   local.add(Binding{});
   local.add(Binding{});
-  MergeAccumulator acc;
-  acc.add(local);
-  acc.add(local);
+  rdf::TermDictionary dict;
+  MergeAccumulator acc(&dict);
+  acc.add(intern_rows(local, dict));
+  acc.add(intern_rows(local, dict));
   SolutionSet ref = deduplicated(local);
   expect_sizes_match(acc, ref, "empty bindings");
-  EXPECT_EQ(acc.take().rows(), ref.rows());
+  EXPECT_EQ(acc.take().materialize().rows(), ref.rows());
 }
 
 TEST(MergeAccumulator, IdTableSizesLikeTheEncoder) {

@@ -1,7 +1,7 @@
 // Id-native provider scans: LocalEngine::match_ids against a row-at-a-time
-// reference built from decoded triples, the merge accumulator fed ScanRows
-// against the same rows fed as SolutionSets, a carry holding terms the
-// overlay dictionary lacks, and the per-worker dictionary copy of an
+// reference built from decoded triples, the merge accumulator fed scans in
+// store ids against the same rows interned into other dictionaries, a carry
+// binding terms no store holds, and the per-worker dictionary copy of an
 // overlay clone.
 #include <gtest/gtest.h>
 
@@ -106,7 +106,7 @@ TEST(ScanRows, MatchIdsEqualsDecodedReferenceRowForRow) {
   for (const rdf::TripleStore* store : {&a, &b, &standalone}) {
     const LocalEngine engine(*store);
     for (const BgpPattern& p : patterns_under_test()) {
-      const ScanRows rows = engine.match_ids(p);
+      const IdRows rows = engine.match_ids(p);
       EXPECT_EQ(rows.dict, &store->dictionary());
       const SolutionSet want = reference_match(*store, p);
       // Row for row, in scan order.
@@ -128,8 +128,8 @@ TEST(ScanRows, StoresOnOneDictionaryEmitComparableIds) {
   a.insert({iri("x"), iri("p"), iri("y")});
   b.insert({iri("z"), iri("p"), iri("x")});
   const BgpPattern all{TriplePattern{var("s"), var("p"), var("o")}, nullptr};
-  const ScanRows ra = LocalEngine(a).match_ids(all);
-  const ScanRows rb = LocalEngine(b).match_ids(all);
+  const IdRows ra = LocalEngine(a).match_ids(all);
+  const IdRows rb = LocalEngine(b).match_ids(all);
   ASSERT_EQ(ra.vars, (std::vector<std::string>{"o", "p", "s"}));
   // <x> is the subject at a and the object at b: one id for both.
   EXPECT_EQ(ra.cells[2], rb.cells[0]);
@@ -145,11 +145,12 @@ void expect_same_merge(MergeAccumulator& by_ids, MergeAccumulator& by_sets,
       << where;
   const std::size_t wire = net::wire::charged_bytes(by_ids);
   const std::size_t raw = by_ids.raw_bytes();
-  const SolutionSet ids_out = by_ids.take();
-  const SolutionSet sets_out = by_sets.take();
-  EXPECT_EQ(ids_out.rows(), sets_out.rows()) << where;
+  const IdRows ids_out = by_ids.take();
+  const SolutionSet sets_out = by_sets.take().materialize();
+  EXPECT_EQ(ids_out.materialize().rows(), sets_out.rows()) << where;
   EXPECT_EQ(ids_out.byte_size(), raw) << where;
-  EXPECT_EQ(wire, net::wire::encode(ids_out).size()) << where;
+  EXPECT_EQ(net::wire::charged_bytes(ids_out), wire) << where;
+  EXPECT_EQ(wire, net::wire::encode(sets_out).size()) << where;
 }
 
 TEST(ScanRows, AccumulatorFedScanRowsEqualsOneFedSolutionSets) {
@@ -169,20 +170,23 @@ TEST(ScanRows, AccumulatorFedScanRowsEqualsOneFedSolutionSets) {
   }
   for (const BgpPattern& p : patterns_under_test()) {
     for (const bool with_carry : {false, true}) {
+      // by_sets re-interns the materialized rows into the store dictionary;
+      // other_dict interns them into a fresh one, whose id order differs.
+      rdf::TermDictionary other;
       MergeAccumulator by_ids(&dict);
       MergeAccumulator by_sets(&dict);
-      MergeAccumulator no_dict;  // every term through the term path
+      MergeAccumulator other_dict(&other);
       if (with_carry) {
-        by_ids.set_carry(carry);
-        by_sets.set_carry(carry);
-        no_dict.set_carry(carry);
+        by_ids.set_carry(intern_rows(carry, dict));
+        by_sets.set_carry(intern_rows(carry, dict));
+        other_dict.set_carry(intern_rows(carry, other));
       }
       SolutionSet ref;
       for (const rdf::TripleStore& store : stores) {
         const LocalEngine engine(store);
         by_ids.add(engine.match_ids(p));
-        by_sets.add(engine.match_pattern(p));
-        no_dict.add(engine.match_ids(p));
+        by_sets.add(intern_rows(engine.match_pattern(p), dict));
+        other_dict.add(intern_rows(engine.match_pattern(p), other));
         const SolutionSet local = engine.match_pattern(p);
         ref = deduplicated(set_union(ref, with_carry ? join(carry, local)
                                                      : local));
@@ -194,20 +198,20 @@ TEST(ScanRows, AccumulatorFedScanRowsEqualsOneFedSolutionSets) {
       }
       const std::string where =
           p.to_string() + (with_carry ? " with carry" : "");
-      EXPECT_EQ(no_dict.size(), ref.size()) << where;
-      EXPECT_EQ(no_dict.take().rows(), ref.rows()) << where;
+      EXPECT_EQ(other_dict.size(), ref.size()) << where;
+      EXPECT_EQ(other_dict.take().materialize().rows(), ref.rows()) << where;
       expect_same_merge(by_ids, by_sets, where);
     }
   }
 }
 
-TEST(ScanRows, CarryTermsMissingFromTheDictionaryGetTheirOwnIds) {
+TEST(ScanRows, CarryTermsNoStoreHoldsJoinById) {
   rdf::TermDictionary dict;
   rdf::TripleStore store(dict);
   store.insert({iri("a"), iri("knows"), iri("b")});
   store.insert({iri("c"), iri("knows"), iri("b")});
   // The carry binds ?s to a stored term and to one nobody stores, and ?note
-  // to literals the dictionary has never seen.
+  // to literals no store holds.
   SolutionSet carry;
   for (const char* s : {"a", "c", "ghost"}) {
     Binding b;
@@ -215,11 +219,12 @@ TEST(ScanRows, CarryTermsMissingFromTheDictionaryGetTheirOwnIds) {
     b.set("note", Term::literal(std::string("only in the carry ") + s));
     carry.add(std::move(b));
   }
+  const IdRows carry_ids = intern_rows(carry, dict);
   const std::size_t dict_size = dict.size();
   MergeAccumulator acc(&dict);
-  acc.set_carry(carry);
+  acc.set_carry(carry_ids);
   const BgpPattern p{TriplePattern{var("s"), iri("knows"), var("o")}, nullptr};
-  const ScanRows local = LocalEngine(store).match_ids(p);
+  const IdRows local = LocalEngine(store).match_ids(p);
   acc.add(local);
   acc.add(local);  // a repeat adds nothing
 
@@ -228,8 +233,8 @@ TEST(ScanRows, CarryTermsMissingFromTheDictionaryGetTheirOwnIds) {
   ASSERT_EQ(want.size(), 2u);
   EXPECT_EQ(acc.raw_bytes(), want.byte_size());
   EXPECT_EQ(net::wire::charged_bytes(acc), net::wire::encode(want).size());
-  EXPECT_EQ(acc.take().rows(), want.rows());
-  // Mapping the carry looked terms up; it interned nothing.
+  EXPECT_EQ(acc.take().materialize().rows(), want.rows());
+  // The merge renumbered ids; it interned nothing.
   EXPECT_EQ(dict.size(), dict_size);
 }
 
@@ -257,7 +262,7 @@ TEST(ScanRows, WorkerCloneDictionaryIgnoresLaterMasterShares) {
 
   // The clone still answers from its own copy, with the master's ids.
   const BgpPattern p{TriplePattern{var("s"), var("p"), var("o")}, nullptr};
-  const ScanRows rows = LocalEngine(clone->store_of(node)).match_ids(p);
+  const IdRows rows = LocalEngine(clone->store_of(node)).match_ids(p);
   ASSERT_EQ(rows.rows, 1u);
   EXPECT_EQ(rows.dict, &clone->dictionary());
   EXPECT_EQ(clone->dictionary().term(rows.cells[2]), iri("a"));

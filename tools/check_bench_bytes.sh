@@ -9,7 +9,9 @@
 # `throughput`; `primitive` gates the basic, chain, frequency-chain and
 # broadcast strategies of bench_primitive; `churn` gates the availability
 # sweep of bench_churn (run with --benchmark_filter='BM_Churn_Availability',
-# the retry and failover paths). Both series must hold the same
+# the retry and failover paths); `parallel` gates the traced worker sweep of
+# bench_parallel (run with --benchmark_filter='Traced', workers 1/2/4/8
+# through the parallel batch driver). Both series must hold the same
 # records, and for every record the data and result category bytes — the
 # two solution-set-bearing categories, i.e. the traffic the wire codec
 # compresses — must equal the baseline exactly. Simulated bytes are
