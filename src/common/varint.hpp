@@ -1,5 +1,7 @@
-// LEB128-style variable-length integer primitives, shared by the wire
-// codec (src/net/wire) and anything else that needs compact framing.
+// LEB128-style variable-length integer primitives and the sizes of the
+// framed items built from them, shared by the wire codec (src/net/wire) and
+// anything else that needs compact framing (the merge accumulator of
+// sparql/columnar keeps its payload size with them).
 //
 // Header-only and dependency-free on purpose: `common` sits below every
 // other layer, so the encoding primitives can be reused without dragging
@@ -10,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace ahsw::common {
 
@@ -66,6 +69,32 @@ inline bool get_varint(std::string_view in, std::size_t& pos,
   std::size_t i = 0;
   while (i < n && a[i] == b[i]) ++i;
   return i;
+}
+
+/// Encoded size of a string of `len` bytes behind its varint length.
+[[nodiscard]] constexpr std::size_t prefixed_size(std::size_t len) noexcept {
+  return varint_size(len) + len;
+}
+
+/// Encoded size of `items` behind their varint count, each behind its
+/// varint length.
+[[nodiscard]] inline std::size_t prefixed_list_size(
+    const std::vector<std::string>& items) noexcept {
+  std::size_t n = varint_size(items.size());
+  for (const std::string& s : items) n += prefixed_size(s.size());
+  return n;
+}
+
+/// Encoded size of one front-coded dictionary entry: a kind byte, the
+/// length of the prefix `lexical` shares with the previous entry's lexical
+/// `prev`, the rest of `lexical`, then the datatype and the language tag
+/// (`datatype_len` and `lang_len` bytes), each behind its varint length.
+[[nodiscard]] inline std::size_t front_coded_size(
+    std::string_view prev, std::string_view lexical, std::size_t datatype_len,
+    std::size_t lang_len) noexcept {
+  const std::size_t lcp = common_prefix(prev, lexical);
+  return 1 + varint_size(lcp) + prefixed_size(lexical.size() - lcp) +
+         prefixed_size(datatype_len) + prefixed_size(lang_len);
 }
 
 }  // namespace ahsw::common

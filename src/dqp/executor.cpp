@@ -292,7 +292,6 @@ void DagExecutor::setup_query(QueryRun& run) {
       case PhysOpKind::kJoin: t.kind = TaskKind::kJoin; break;
       case PhysOpKind::kLeftJoin: t.kind = TaskKind::kLeftJoin; break;
       case PhysOpKind::kUnion: t.kind = TaskKind::kUnion; break;
-      case PhysOpKind::kMinus: t.kind = TaskKind::kMinus; break;
       case PhysOpKind::kFilter: t.kind = TaskKind::kFilter; break;
       case PhysOpKind::kModifier: t.kind = TaskKind::kModifier; break;
       case PhysOpKind::kPostProcess: t.kind = TaskKind::kPostProcess; break;
@@ -337,8 +336,7 @@ void DagExecutor::fire(QueryRun& run, TaskId id) {
     case TaskKind::kShip: hint = fire_ship(run, id); break;
     case TaskKind::kJoin:
     case TaskKind::kLeftJoin:
-    case TaskKind::kUnion:
-    case TaskKind::kMinus: hint = fire_binary(run, id); break;
+    case TaskKind::kUnion: hint = fire_binary(run, id); break;
     case TaskKind::kFilter: hint = fire_filter(run, id); break;
     case TaskKind::kModifier: hint = fire_modifier(run, id); break;
     case TaskKind::kPostProcess: hint = fire_post(run, id); break;
@@ -954,14 +952,6 @@ net::SimTime DagExecutor::fire_binary(QueryRun& run, TaskId id) {
       out.ready_at = std::max(cl.ready_at, cr.ready_at);
       break;
     }
-    case TaskKind::kMinus: {
-      auto [cl, cr] = colocate(std::move(l), std::move(r), run.initiator,
-                               run.rep);
-      out.set = sparql::minus(cl.set, cr.set);
-      out.site = cl.site;
-      out.ready_at = std::max(cl.ready_at, cr.ready_at);
-      break;
-    }
     case TaskKind::kUnion: {
       if (r.site != l.site) {
         // Fall back to the configured colocation policy between the two
@@ -1008,9 +998,10 @@ net::SimTime DagExecutor::fire_modifier(QueryRun& run, TaskId id) {
       set = sparql::deduplicated(in.set);
       break;
     case sparql::AlgebraKind::kOrderBy:
-      // ORDER BY compares expression values, so it reads the rows as terms.
-      set = sparql::rows_at(
-          in.set, sparql::order_permutation(in.set.materialize(), op.order));
+      // ORDER BY compares expression values, so it reads the columns the
+      // conditions use as terms.
+      set = sparql::rows_at(in.set,
+                            sparql::order_permutation(in.set, op.order));
       break;
     case sparql::AlgebraKind::kSlice: {
       const std::size_t from = std::min<std::size_t>(in.set.rows, op.offset);
@@ -1032,15 +1023,15 @@ net::SimTime DagExecutor::fire_modifier(QueryRun& run, TaskId id) {
 
 net::SimTime DagExecutor::fire_post(QueryRun& run, TaskId id) {
   Task& task = run.tasks[id];
-  Located in = run.tasks[task.deps.front()].out;
+  // tasks is a deque: the tasks added below leave this reference valid.
+  const Located& in = run.tasks[task.deps.front()].out;
 
   if (run.query.form != sparql::QueryForm::kDescribe) {
     obs::SpanScope post_span(trace_, obs::SpanKind::kPostProcess,
                              "modifiers + projection", in.ready_at,
                              run.initiator);
     post_span.finish(in.ready_at);
-    run.result =
-        sparql::finalize_result(run.query, in.set.materialize(), nullptr);
+    run.result = sparql::finalize_result(run.query, in.set, nullptr);
     run.rep.response_time = in.ready_at;
     complete(run, id, in.ready_at);
     return in.ready_at;

@@ -141,7 +141,6 @@ class DagExecutor {
     kJoin,
     kLeftJoin,
     kUnion,
-    kMinus,
     kFilter,
     kModifier,
     kPostProcess,

@@ -17,7 +17,6 @@ std::string_view phys_op_kind_name(PhysOpKind k) noexcept {
     case PhysOpKind::kJoin: return "Join";
     case PhysOpKind::kLeftJoin: return "LeftJoin";
     case PhysOpKind::kUnion: return "Union";
-    case PhysOpKind::kMinus: return "Minus";
     case PhysOpKind::kFilter: return "Filter";
     case PhysOpKind::kModifier: return "Modifier";
     case PhysOpKind::kPostProcess: return "PostProcess";
@@ -215,8 +214,6 @@ struct Compiler {
     case PhysOpKind::kUnion:
       return std::string("Union [colocate=") + colocate +
              (pol.overlap_aware_sites ? ", overlap-aware ends]" : "]");
-    case PhysOpKind::kMinus:
-      return "Minus [site=" + colocate + "]";
     case PhysOpKind::kFilter:
       return "Filter " +
              (op.expr != nullptr ? op.expr->to_string() : "true");

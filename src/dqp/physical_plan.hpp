@@ -8,7 +8,7 @@
 //
 // Two granularities exist on purpose:
 //   - *static* operators, compiled here, mirror the algebra one-to-one
-//     (IndexLookup, ProviderScan, Join, LeftJoin, Union, Minus, Filter,
+//     (IndexLookup, ProviderScan, Join, LeftJoin, Union, Filter,
 //     Modifier, Ship, PostProcess);
 //   - *dynamic* tasks (ChainHop, per-provider scatter legs, DESCRIBE
 //     expansion) are spawned by the executor at fire time, because chain
@@ -94,7 +94,6 @@ enum class PhysOpKind : std::uint8_t {
   kJoin,
   kLeftJoin,
   kUnion,
-  kMinus,        // algebra never emits it today; executor supports it
   kFilter,
   kModifier,     // in-tree Project/Distinct/Reduced/OrderBy/Slice
   kPostProcess,  // final modifiers / DESCRIBE expansion at the initiator

@@ -131,7 +131,10 @@ SharedStateSpec SharedStateSpec::parse(std::string_view text,
       SharedStateDecl st;
       st.name = std::string(words[1]);
       st.home = attr_of(words, "home");
-      for (std::string_view h : common::split(attr_of(words, "hints"), ',')) {
+      // split() returns views into its argument, so the attribute must
+      // outlive the loop (home= and scope= are copied or compared at once).
+      const std::string hints = attr_of(words, "hints");
+      for (std::string_view h : common::split(hints, ',')) {
         h = common::trim(h);
         if (!h.empty()) st.hints.emplace_back(h);
       }

@@ -11,7 +11,9 @@ namespace ahsw::net::wire {
 namespace {
 
 using common::common_prefix;
+using common::front_coded_size;
 using common::get_varint;
+using common::prefixed_list_size;
 using common::put_varint;
 using common::unzigzag;
 using common::varint_size;
@@ -287,24 +289,13 @@ bool decode(std::string_view in, std::vector<rdf::Triple>& out) {
   return true;
 }
 
-std::size_t encoded_size(const sparql::IdTable& t) {
-  // Each section below mirrors encode() term for term.
-  auto string_size = [](std::size_t len) { return varint_size(len) + len; };
-  std::size_t n = varint_size(t.vars.size());
-  for (const std::string& v : t.vars) n += string_size(v.size());
+namespace {
 
-  n += varint_size(t.by_rank.size());
-  std::string_view prev;
-  for (rdf::TermId id : t.by_rank) {
-    const rdf::Term& term = *t.terms[id];
-    const std::size_t lcp = common_prefix(prev, term.lexical());
-    n += 1 + varint_size(lcp) + string_size(term.lexical().size() - lcp) +
-         string_size(term.datatype().size()) + string_size(term.lang().size());
-    prev = term.lexical();
-  }
-
+/// The row section of a payload (every section mirrors encode()): the row
+/// count, then per row its bitmap and its bound slots' dictionary ranks.
+std::size_t row_section_size(const sparql::IdTable& t) {
   const std::size_t width = t.vars.size();
-  n += varint_size(t.rows) + t.rows * ((width + 7) / 8);
+  std::size_t n = varint_size(t.rows) + t.rows * ((width + 7) / 8);
   for (std::size_t r = 0; r < t.rows; ++r) {
     bool first = true;
     std::uint32_t last = 0;
@@ -322,6 +313,20 @@ std::size_t encoded_size(const sparql::IdTable& t) {
   return n;
 }
 
+}  // namespace
+
+std::size_t encoded_size(const sparql::IdTable& t) {
+  std::size_t n = prefixed_list_size(t.vars) + varint_size(t.by_rank.size());
+  std::string_view prev;
+  for (rdf::TermId id : t.by_rank) {
+    const rdf::Term& term = *t.terms[id];
+    n += front_coded_size(prev, term.lexical(), term.datatype().size(),
+                          term.lang().size());
+    prev = term.lexical();
+  }
+  return n + row_section_size(t);
+}
+
 std::size_t encoded_size(const sparql::SolutionSet& s) {
   return encoded_size(sparql::id_table(s));
 }
@@ -335,7 +340,7 @@ std::size_t charged_bytes(const sparql::SolutionSet& s) {
 }
 
 std::size_t charged_bytes(const sparql::MergeAccumulator& acc) {
-  return encoded_size(acc.table());
+  return acc.head_bytes() + row_section_size(acc.table());
 }
 
 std::size_t charged_bytes(const sparql::IdRows& rows) {

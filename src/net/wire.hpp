@@ -33,10 +33,11 @@
 // distributed processor ships (sparql::IdRows: provider scans, merged and
 // joined sets), the id-space merge accumulator of the scatter and chain
 // strategies, which is sized at every chain hop without ever being
-// materialized, and a SolutionSet (the rdfpeers baseline). encode/decode
-// remain the codec, and the tests pin encoded_size == encode().size().
-// Encoder byte counters and size computations live only in this component
-// (lint rule A2).
+// materialized (it keeps its variable and term sections' size as it grows,
+// with the framing sizes of common/varint.hpp that this sizing uses too),
+// and a SolutionSet (the rdfpeers baseline). encode/decode remain the
+// codec, and the tests pin encoded_size == encode().size(). Encoder byte
+// counters live only in this component (lint rule A2).
 #pragma once
 
 #include <cstddef>
@@ -81,7 +82,8 @@ inline constexpr std::uint64_t kMaxEmptyRows = std::uint64_t{1} << 20;
 /// travels with every send as its `raw_bytes` counterpart.
 [[nodiscard]] std::size_t charged_bytes(const sparql::SolutionSet& s);
 
-/// What shipping the accumulator's merged set charges, sized in id space
+/// What shipping the accumulator's merged set charges: the variable and
+/// term sections it keeps as it grows plus one integer pass over the rows
 /// (the chain strategies ship it at every hop).
 [[nodiscard]] std::size_t charged_bytes(const sparql::MergeAccumulator& acc);
 

@@ -394,7 +394,7 @@ IdRows filter_set(const IdRows& in, const Expr& e) {
   return out;
 }
 
-IdRows deduplicated(const IdRows& in) {
+std::vector<std::size_t> canonical_order(const IdRows& in) {
   // The id view ranks exactly the ids the set holds by term, so comparing
   // ranks is Binding's order whatever the dictionary's id order.
   const IdTable t = id_table(in);
@@ -407,6 +407,12 @@ IdRows deduplicated(const IdRows& in) {
                      return canonical_less(local_row(i), local_row(j), width,
                                            [&](TermId l) { return t.rank[l]; });
                    });
+  return order;
+}
+
+IdRows deduplicated(const IdRows& in) {
+  const std::vector<std::size_t> order = canonical_order(in);
+  const std::size_t width = in.vars.size();
   IdRows out;
   out.vars = in.vars;
   out.dict = in.dict;
@@ -801,12 +807,46 @@ void MergeAccumulator::absorb(const std::vector<std::string>& vars,
   }
   if (fresh.empty()) return;
   sort_by_term(fresh, table_.terms);
-  const auto mid = static_cast<std::ptrdiff_t>(table_.by_rank.size());
-  table_.by_rank.insert(table_.by_rank.end(), fresh.begin(), fresh.end());
-  std::inplace_merge(table_.by_rank.begin(), table_.by_rank.begin() + mid,
-                     table_.by_rank.end(), [&](TermId x, TermId y) {
-                       return *table_.terms[x] < *table_.terms[y];
-                     });
+  insert_ranks(fresh);
+}
+
+void MergeAccumulator::insert_ranks(const std::vector<TermId>& fresh) {
+  const std::vector<const rdf::Term*>& terms = table_.terms;
+  const std::vector<TermId>& held = table_.by_rank;
+  // The entry of `id` front-coded against the entry before it (`prev`;
+  // kUnbound before the first entry).
+  auto entry = [&](TermId prev, TermId id) {
+    const rdf::Term& t = *terms[id];
+    return common::front_coded_size(
+        prev == kUnbound ? std::string_view{} : terms[prev]->lexical(),
+        t.lexical(), t.datatype().size(), t.lang().size());
+  };
+  std::vector<TermId> merged;
+  merged.reserve(held.size() + fresh.size());
+  std::size_t i = 0;  // next held entry to place
+  // Place held[i, end): held[i] now follows the fresh entry placed last,
+  // so it is re-costed against that entry instead of held[i - 1].
+  auto place_held = [&](std::size_t end) {
+    if (i == end) return;
+    if (!merged.empty() && (i == 0 || merged.back() != held[i - 1])) {
+      terms_bytes_ -= entry(i == 0 ? kUnbound : held[i - 1], held[i]);
+      terms_bytes_ += entry(merged.back(), held[i]);
+    }
+    merged.insert(merged.end(), held.begin() + static_cast<std::ptrdiff_t>(i),
+                  held.begin() + static_cast<std::ptrdiff_t>(end));
+    i = end;
+  };
+  for (TermId id : fresh) {
+    // No held term equals a fresh one (local ids are distinct terms).
+    const auto at = std::lower_bound(
+        held.begin() + static_cast<std::ptrdiff_t>(i), held.end(), id,
+        [&](TermId x, TermId y) { return *terms[x] < *terms[y]; });
+    place_held(static_cast<std::size_t>(at - held.begin()));
+    terms_bytes_ += entry(merged.empty() ? kUnbound : merged.back(), id);
+    merged.push_back(id);
+  }
+  place_held(held.size());
+  table_.by_rank = std::move(merged);
   set_ranks(table_);
 }
 
@@ -826,6 +866,7 @@ void MergeAccumulator::widen(const std::vector<std::string>& vars) {
   }
   table_.vars = vars;
   table_.cells = std::move(cells);
+  vars_bytes_ = common::prefixed_list_size(vars);
   rehash(slots_.size());
 }
 

@@ -41,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/varint.hpp"
 #include "rdf/dictionary.hpp"
 #include "sparql/expr.hpp"
 #include "sparql/solution.hpp"
@@ -93,6 +94,10 @@ struct IdRows {
 
 /// Filter with the same memoization as above.
 [[nodiscard]] IdRows filter_set(const IdRows& in, const Expr& e);
+
+/// The row indexes of `in` in canonical Binding order; equal rows keep
+/// their input order.
+[[nodiscard]] std::vector<std::size_t> canonical_order(const IdRows& in);
 
 /// Distinct: canonical Binding order with duplicates removed.
 [[nodiscard]] IdRows deduplicated(const IdRows& in);
@@ -165,9 +170,10 @@ class LocalIds {
 /// The running value of `deduplicated(set_union(acc, next))` folded over
 /// every add(), kept in id space. Rows live as tuples of table-local ids in
 /// insertion order with a hash table used only for point lookups (never
-/// iterated, rule D2); the raw size is kept incrementally and take() sorts
-/// once. Provider rows and the carry arrive as IdRows over the
-/// accumulator's dictionary and are only renumbered, never interned.
+/// iterated, rule D2); the raw size and the wire size of the variable and
+/// term sections are kept incrementally, and take() sorts once. Provider
+/// rows and the carry arrive as IdRows over the accumulator's dictionary
+/// and are only renumbered, never interned.
 class MergeAccumulator {
  public:
   /// `dict` resolves every id the accumulator is fed; it must outlive the
@@ -190,6 +196,17 @@ class MergeAccumulator {
 
   /// SolutionSet::byte_size() of the merged set.
   [[nodiscard]] std::size_t raw_bytes() const noexcept { return raw_; }
+
+  /// Wire bytes of the merged set's variable and term sections, the part
+  /// of net::wire's payload before the rows. Kept as the set grows: a term
+  /// entry is front-coded against the term before it, so a merge costs the
+  /// terms it inserts and re-costs only the held term after each run of
+  /// them. (Every row's size depends on every rank, so net::wire adds the
+  /// row section.)
+  [[nodiscard]] std::size_t head_bytes() const noexcept {
+    return vars_bytes_ + common::varint_size(table_.by_rank.size()) +
+           terms_bytes_;
+  }
 
   /// The merged set in id space (by_rank and rank are current).
   [[nodiscard]] const IdTable& table() const noexcept { return table_; }
@@ -224,6 +241,9 @@ class MergeAccumulator {
   /// and re-ranks the terms they bring.
   void absorb(const std::vector<std::string>& vars,
               const std::vector<rdf::TermId>& cells, std::size_t rows);
+  /// Merge the new ids `fresh` (in Term order) into table_.by_rank,
+  /// updating the term section size at the insertion points, and re-rank.
+  void insert_ranks(const std::vector<rdf::TermId>& fresh);
   /// Re-place every row into a wider schema and rebuild the hash table.
   void widen(const std::vector<std::string>& vars);
   /// Insert the row at the back of table_.cells unless it is held already
@@ -237,6 +257,8 @@ class MergeAccumulator {
   LocalIds from_dict_;                  // dict_ id -> local id
   std::vector<rdf::TermId> dict_ids_;   // local id -> dict_ id
   std::size_t raw_ = SolutionSet{}.byte_size();
+  std::size_t vars_bytes_ = common::varint_size(0);  // no variables yet
+  std::size_t terms_bytes_ = 0;  // the term entries, without their count
   // Open-addressing table of row index + 1 (0 = empty slot), linear probing.
   // iteration-order: never iterated — point lookups only; rows keep their
   // insertion order in table_.cells and take() sorts canonically.

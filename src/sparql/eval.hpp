@@ -64,18 +64,28 @@ struct QueryResult {
 void order_solutions(SolutionSet& set,
                      const std::vector<OrderCondition>& order);
 
-/// The row indexes of `set` in the order order_solutions() sorts them into
-/// (the distributed processor reorders its id rows by it).
+/// The row indexes of `set` in the order order_solutions() sorts them into.
 [[nodiscard]] std::vector<std::size_t> order_permutation(
     const SolutionSet& set, const std::vector<OrderCondition>& order);
 
-/// Apply Project/Distinct/Reduced/OrderBy/Slice modifiers of `q` to a raw
-/// pattern-matching result (used by the distributed processor's
-/// post-processing stage at the query initiator).
-[[nodiscard]] QueryResult finalize_result(const Query& q, SolutionSet raw,
+/// The same for id rows, materializing only the columns the conditions
+/// read (the distributed processor reorders its id rows by it).
+[[nodiscard]] std::vector<std::size_t> order_permutation(
+    const IdRows& rows, const std::vector<OrderCondition>& order);
+
+/// The answer to `q` from its raw pattern-matching result, computed in ids:
+/// canonical order (or ORDER BY), projection, DISTINCT (first occurrence of
+/// each projected id tuple), REDUCED (adjacent duplicates), OFFSET/LIMIT;
+/// only the delivered rows' projected columns are materialized, and ASK
+/// materializes nothing. CONSTRUCT materializes each distinct tuple of the
+/// template's variables once; DESCRIBE needs `store` (the distributed
+/// processor, which passes none, resolves its targets itself). This is the
+/// post-processing stage at the query initiator.
+[[nodiscard]] QueryResult finalize_result(const Query& q, const IdRows& raw,
                                           const rdf::TripleStore* store);
 
-/// Parse-transform-evaluate a whole query against one local store.
+/// Parse-transform-evaluate a whole query against one local store (the
+/// result is interned into a private dictionary and finalized in ids).
 [[nodiscard]] QueryResult execute_local(const Query& q,
                                         const rdf::TripleStore& store);
 

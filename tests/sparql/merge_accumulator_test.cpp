@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "net/wire.hpp"
@@ -179,6 +181,122 @@ TEST(MergeAccumulator, EmptyBindingIsHeldOnce) {
   SolutionSet ref = deduplicated(local);
   expect_sizes_match(acc, ref, "empty bindings");
   EXPECT_EQ(acc.take().materialize().rows(), ref.rows());
+}
+
+// The wire size the accumulator keeps as it grows, against the encoder
+// after every add, at the places an incremental term-section update could
+// go wrong: fresh terms before every held term, fresh terms between held
+// terms that share a long prefix (the held successor is re-costed), equal
+// lexical forms told apart only by tag or type, a schema that widens
+// mid-chain, and a chain that joins every add with its carry.
+
+using Row = std::vector<std::pair<const char*, Term>>;
+
+SolutionSet rows_of(const std::vector<Row>& rows) {
+  SolutionSet s;
+  for (const Row& row : rows) {
+    Binding b;
+    for (const auto& [var, term] : row) b.set(var, term);
+    s.add(std::move(b));
+  }
+  return s;
+}
+
+/// One row per term, binding `var`.
+SolutionSet column(const char* var, const std::vector<Term>& terms) {
+  std::vector<Row> rows;
+  for (const Term& t : terms) rows.push_back({{var, t}});
+  return rows_of(rows);
+}
+
+Term iri(const std::string& local) {
+  return Term::iri("http://example.org/a/rather/long/shared/path/" + local);
+}
+
+/// A fold whose kept sizes are compared with the encoder after every add;
+/// the rows are compared when it ends.
+class CheckedFold {
+ public:
+  /// With a carry, every add merges join(carry, rows).
+  explicit CheckedFold(const SolutionSet* carry = nullptr)
+      : acc_(&dict_), carry_(carry) {
+    if (carry_ != nullptr) acc_.set_carry(intern_rows(*carry_, dict_));
+  }
+  ~CheckedFold() { EXPECT_EQ(acc_.take().materialize().rows(), ref_.rows()); }
+
+  void add(const SolutionSet& rows) {
+    acc_.add(intern_rows(rows, dict_));
+    ref_ = deduplicated(
+        set_union(ref_, carry_ != nullptr ? join(*carry_, rows) : rows));
+    expect_sizes_match(acc_, ref_, "add " + std::to_string(adds_++));
+  }
+
+ private:
+  rdf::TermDictionary dict_;
+  MergeAccumulator acc_;
+  const SolutionSet* carry_;
+  SolutionSet ref_;
+  int adds_ = 0;
+};
+
+TEST(MergeAccumulator, SizeKeptWhenNewTermsRankFirst) {
+  // Every add brings terms that sort before everything held, so the old
+  // first entry is re-costed against a fresh predecessor each time.
+  CheckedFold fold;
+  fold.add(column("x", {iri("z9"), iri("z5")}));
+  fold.add(column("x", {iri("y")}));
+  fold.add(column("x", {iri("m1"), iri("m0"), iri("k")}));
+  fold.add(column("x", {Term::blank("b0"), iri("a")}));
+  fold.add(column("x", {iri("")}));
+}
+
+TEST(MergeAccumulator, SizeKeptWhenNewTermsFallBetweenSharedPrefixes) {
+  CheckedFold fold;
+  fold.add(column("x", {iri("aaaa"), iri("zzzz")}));
+  fold.add(column("x", {iri("mmmm")}));
+  // Between aaaa and mmmm: mmmm now follows aaab.
+  fold.add(column("x", {iri("aaab")}));
+  // A run of fresh terms between two held ones.
+  fold.add(column("x", {iri("aaaa0"), iri("aaaa1"), iri("aaaa10")}));
+  // Around and after the last held term.
+  fold.add(column("x", {iri("zzzy"), iri("zzzz0"), iri("zzzzz")}));
+  // Duplicates only: nothing new to rank.
+  fold.add(column("x", {iri("mmmm"), iri("aaab")}));
+}
+
+TEST(MergeAccumulator, SizeKeptForEqualLexicalFormsWithTagsAndTypes) {
+  const std::string xsd = "http://www.w3.org/2001/XMLSchema#";
+  CheckedFold fold;
+  fold.add(column("v", {Term::lang_literal("42", "en")}));
+  fold.add(column("v", {Term::literal("42")}));
+  fold.add(column("v", {Term::typed_literal("42", xsd + "integer")}));
+  fold.add(column("v", {Term::lang_literal("42", "de"), Term::iri("42")}));
+  fold.add(column("v", {Term::typed_literal("42", xsd + "decimal")}));
+  fold.add(column("v", {Term::lang_literal("42", "fr"), Term::literal("4")}));
+}
+
+TEST(MergeAccumulator, SizeKeptWhenTheSchemaWidensMidChain) {
+  CheckedFold fold;
+  fold.add(column("x", {iri("p"), iri("q")}));
+  fold.add(rows_of({{{"x", iri("p")}, {"y", Term::literal("1")}}}));
+  fold.add(rows_of({{{"a", iri("r")}}, {}}));
+  fold.add(rows_of({{{"a", iri("s")}, {"name", Term::literal("n")}}}));
+  fold.add(column("x", {iri("b")}));
+}
+
+TEST(MergeAccumulator, SizeKeptWhenTheChainCarriesAJoin) {
+  // The adds share ?x with the carry and bring ?z; the carry row without
+  // ?x joins every add row.
+  const SolutionSet carry =
+      rows_of({{{"x", iri("p")}, {"y", Term::literal("1")}},
+               {{"x", iri("q")}, {"y", Term::literal("2")}},
+               {{"y", Term::literal("3")}}});
+  CheckedFold fold(&carry);
+  fold.add(rows_of({{{"x", iri("p")}, {"z", iri("k")}}}));
+  fold.add(rows_of({{{"x", iri("q")}, {"z", iri("a")}}}));
+  fold.add(rows_of({{{"x", iri("zz")}, {"z", iri("b")}}}));
+  fold.add(rows_of({{{"z", iri("c")}}}));
+  fold.add(rows_of({{{"x", iri("p")}, {"z", iri("k")}}}));
 }
 
 TEST(MergeAccumulator, IdTableSizesLikeTheEncoder) {

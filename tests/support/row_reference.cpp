@@ -149,4 +149,113 @@ SolutionSet deduplicated(SolutionSet in) {
   return in;
 }
 
+namespace {
+
+/// Substitute the variables bound in `b` into `p`.
+rdf::TriplePattern substituted(const rdf::TriplePattern& p, const Binding& b) {
+  auto sub = [&](const rdf::PatternTerm& pt) -> rdf::PatternTerm {
+    if (const rdf::Variable* v = rdf::var_of(pt)) {
+      if (const rdf::Term* t = b.get(v->name)) return *t;
+    }
+    return pt;
+  };
+  return rdf::TriplePattern{sub(p.s), sub(p.p), sub(p.o)};
+}
+
+/// All triples mentioning `t` as subject or object.
+void describe_term(const rdf::Term& t, const rdf::TripleStore& store,
+                   std::set<rdf::Triple>& out) {
+  for (const rdf::Triple& tr :
+       store.match(rdf::TriplePattern{t, rdf::Variable{"p"},
+                                      rdf::Variable{"o"}})) {
+    out.insert(tr);
+  }
+  for (const rdf::Triple& tr :
+       store.match(rdf::TriplePattern{rdf::Variable{"s"}, rdf::Variable{"p"},
+                                      t})) {
+    out.insert(tr);
+  }
+}
+
+}  // namespace
+
+QueryResult finalize_result(const Query& q, SolutionSet raw,
+                            const rdf::TripleStore* store) {
+  QueryResult res;
+  res.form = q.form;
+
+  if (q.order_by.empty()) {
+    raw.normalize();  // deterministic output when no explicit order given
+  } else {
+    order_solutions(raw, q.order_by);
+  }
+
+  switch (q.form) {
+    case QueryForm::kAsk:
+      res.ask_answer = !raw.empty();
+      return res;
+
+    case QueryForm::kConstruct: {
+      // Rows that leave a template position unbound are skipped (per spec).
+      std::set<rdf::Triple> out;
+      for (const Binding& b : raw.rows()) {
+        for (const rdf::TriplePattern& tp : q.construct_template) {
+          rdf::TriplePattern concrete = substituted(tp, b);
+          if (concrete.bound_count() != 3) continue;
+          out.insert(rdf::Triple{*concrete.bound_s(), *concrete.bound_p(),
+                                 *concrete.bound_o()});
+        }
+      }
+      res.graph.assign(out.begin(), out.end());
+      return res;
+    }
+
+    case QueryForm::kDescribe: {
+      if (store == nullptr) return res;
+      std::set<rdf::Triple> triples;
+      for (const rdf::PatternTerm& target : q.describe_targets) {
+        if (const rdf::Term* t = rdf::term_of(target)) {
+          describe_term(*t, *store, triples);
+        } else {
+          const rdf::Variable& v = std::get<rdf::Variable>(target);
+          for (const Binding& b : raw.rows()) {
+            if (const rdf::Term* bound_term = b.get(v.name)) {
+              describe_term(*bound_term, *store, triples);
+            }
+          }
+        }
+      }
+      res.graph.assign(triples.begin(), triples.end());
+      return res;
+    }
+
+    case QueryForm::kSelect:
+      break;
+  }
+
+  // SELECT: projection, distinct/reduced, slice.
+  res.variables = q.select_all ? q.pattern_variables() : q.select_vars;
+  SolutionSet projected;
+  for (const Binding& b : raw.rows()) {
+    projected.add(b.projected(res.variables));
+  }
+  if (q.distinct) {
+    std::set<Binding> seen;
+    SolutionSet unique;
+    for (Binding& b : projected.rows()) {
+      if (seen.insert(b).second) unique.add(std::move(b));
+    }
+    projected = std::move(unique);
+  } else if (q.reduced) {
+    auto& rows = projected.rows();
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  }
+  auto& rows = projected.rows();
+  std::size_t off = std::min<std::size_t>(rows.size(), q.offset);
+  rows.erase(rows.begin(), rows.begin() + static_cast<std::ptrdiff_t>(off));
+  if (q.limit.has_value() && rows.size() > *q.limit) rows.resize(*q.limit);
+  res.solutions = std::move(projected);
+  return res;
+}
+
 }  // namespace ahsw::sparql::row_reference

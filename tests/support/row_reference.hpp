@@ -1,4 +1,5 @@
-// Row-at-a-time reference implementations of the SPARQL set operators.
+// Row-at-a-time reference implementations of the SPARQL set operators and
+// of query finalization (modifiers and result forms).
 //
 // Every hash-join key concatenates `Term::to_string()` values and every
 // compatibility check compares full terms. That is slow and obviously
@@ -34,5 +35,11 @@ namespace ahsw::sparql::row_reference {
 
 /// Canonically sorted with duplicates removed.
 [[nodiscard]] SolutionSet deduplicated(SolutionSet in);
+
+/// The answer to `q` from its raw result, in Bindings: sort (canonical or
+/// ORDER BY) the whole input, then project, DISTINCT/REDUCED and slice.
+/// The oracle for sparql::finalize_result, which does this in ids.
+[[nodiscard]] QueryResult finalize_result(const Query& q, SolutionSet raw,
+                                          const rdf::TripleStore* store);
 
 }  // namespace ahsw::sparql::row_reference
