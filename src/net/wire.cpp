@@ -328,7 +328,8 @@ std::size_t encoded_size(const sparql::IdTable& t) {
 }
 
 std::size_t encoded_size(const sparql::SolutionSet& s) {
-  return encoded_size(sparql::id_table(s));
+  rdf::TermDictionary dict;
+  return encoded_size(sparql::id_table(sparql::intern_rows(s, dict)));
 }
 
 std::size_t encoded_size(const std::vector<rdf::Triple>& t) {

@@ -292,6 +292,7 @@ net::SimTime HybridOverlay::share_triples(
     std::array<chord::Key, kIndexKeyKinds> keys = index_keys(t);
     for (std::size_t k = 0; k < kinds; ++k) ++delta[keys[k]];
   }
+  s.store.refresh_order();  // the overlay dictionary ranks the new terms
   // Publishes for distinct keys proceed in parallel; completion is the max.
   net::SimTime latest = now;
   for (const auto& [key, freq] : delta) {

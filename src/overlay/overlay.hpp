@@ -137,7 +137,9 @@ class HybridOverlay {
   // -- data ----------------------------------------------------------------
 
   /// Insert triples at a storage node and publish the six index keys per
-  /// triple (aggregated per key). Returns the completion time.
+  /// triple (aggregated per key). The only writer of the overlay's
+  /// dictionary: it refreshes the term order once the triples are interned.
+  /// Returns the completion time.
   net::SimTime share_triples(net::NodeAddress addr,
                              const std::vector<rdf::Triple>& triples,
                              net::SimTime now);

@@ -45,6 +45,11 @@ class TripleStore {
   /// Insert a triple. Returns true if newly added (set semantics).
   bool insert(const Triple& t);
 
+  /// Extend the dictionary's term order to the terms inserted since the
+  /// last refresh (TermDictionary::refresh_order()): whoever inserts calls
+  /// it before ranking kernels read this store's scans.
+  void refresh_order() { dict_->refresh_order(); }
+
   /// Remove a triple. Returns true if it was present.
   bool erase(const Triple& t);
 

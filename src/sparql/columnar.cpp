@@ -5,7 +5,6 @@
 #include <iterator>
 #include <numeric>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "rdf/dictionary.hpp"
@@ -17,26 +16,6 @@ namespace {
 using rdf::TermId;
 inline constexpr TermId kUnbound = rdf::kInvalidTermId;
 inline constexpr std::size_t kNoCol = static_cast<std::size_t>(-1);
-
-/// Row-major id cells of `s` over its sorted schema `vars`; `id_of` maps
-/// each bound term to its id.
-template <typename IdOf>
-std::vector<TermId> id_cells(const SolutionSet& s,
-                             const std::vector<std::string>& vars,
-                             IdOf&& id_of) {
-  const std::size_t width = vars.size();
-  std::vector<TermId> cells(s.size() * width, kUnbound);
-  for (std::size_t r = 0; r < s.size(); ++r) {
-    // Binding slots and vars are both sorted: a merge walk places cells.
-    std::size_t c = 0;
-    for (const auto& [name, term] : s.rows()[r].slots()) {
-      while (vars[c] != name) ++c;
-      cells[r * width + c] = id_of(term);
-      ++c;
-    }
-  }
-  return cells;
-}
 
 /// The dictionary both operands of a binary kernel resolve through (an
 /// operand without bound cells may carry none).
@@ -132,9 +111,12 @@ bool compatible(const TermId* x, const TermId* y,
 Binding materialize(const std::vector<std::string>& vars, const TermId* cells,
                     const rdf::TermDictionary* dict) {
   Binding out;
-  // vars is sorted, so each set() appends at the back.
+  out.reserve(static_cast<std::size_t>(
+      std::count_if(cells, cells + vars.size(),
+                    [](TermId id) { return id != kUnbound; })));
+  // vars is sorted, so the slots append in order.
   for (std::size_t c = 0; c < vars.size(); ++c) {
-    if (cells[c] != kUnbound) out.set(vars[c], dict->term(cells[c]));
+    if (cells[c] != kUnbound) out.append(vars[c], dict->term(cells[c]));
   }
   return out;
 }
@@ -163,13 +145,11 @@ void append_placed(IdRows& out, const IdRows& a, std::size_t ra,
   }
 }
 
-/// Binding's lexicographic slot order over id rows of one sorted schema:
-/// pairs compare name first (column index order is name order) then term
-/// (`key` maps an id to its Term-order position); a row that is a strict
-/// prefix sorts first.
-template <typename Key>
-bool canonical_less(const TermId* x, const TermId* y, std::size_t width,
-                    const Key& key) {
+/// Binding's lexicographic slot order over rows of one sorted schema whose
+/// cells hold Term-order ranks: pairs compare name first (column index
+/// order is name order) then term; a row that is a strict prefix sorts
+/// first.
+bool canonical_less(const TermId* x, const TermId* y, std::size_t width) {
   std::size_t ci = 0;
   std::size_t cj = 0;
   for (;;) {
@@ -177,17 +157,11 @@ bool canonical_less(const TermId* x, const TermId* y, std::size_t width,
     while (cj < width && y[cj] == kUnbound) ++cj;
     if (ci == width || cj == width) break;
     if (ci != cj) return ci < cj;
-    if (x[ci] != y[cj]) return key(x[ci]) < key(y[cj]);
+    if (x[ci] != y[cj]) return x[ci] < y[cj];
     ++ci;
     ++cj;
   }
   return ci == width && cj < width;
-}
-
-/// Packed id-tuple used as a hash key (point lookups only — never iterated,
-/// so hash order cannot leak into output; rule D2).
-void append_id(std::string& key, TermId id) {
-  key.append(reinterpret_cast<const char*>(&id), sizeof id);
 }
 
 /// Columns of the sorted schema `vars` an expression reads (kNoCol: the
@@ -210,28 +184,43 @@ std::vector<std::size_t> expr_columns(const Expr& e,
 class ExprMemo {
  public:
   ExprMemo(const Expr& e, const std::vector<std::string>& vars)
-      : e_(&e), vars_(&vars), cols_(expr_columns(e, vars)) {}
+      : e_(&e),
+        vars_(&vars),
+        cols_(expr_columns(e, vars)),
+        key_(cols_.size()),
+        memo_(cols_.size()) {}
 
   bool operator()(const TermId* row, const rdf::TermDictionary* dict) {
-    key_.clear();
-    for (std::size_t c : cols_) {
-      append_id(key_, c == kNoCol ? kUnbound : row[c]);
+    for (std::size_t k = 0; k < cols_.size(); ++k) {
+      key_[k] = cols_[k] == kNoCol ? kUnbound : row[cols_[k]];
     }
-    auto it = memo_.find(key_);
-    if (it != memo_.end()) return it->second;
-    const bool ok = satisfies(*e_, materialize(*vars_, row, dict));
-    memo_.emplace(key_, ok);
-    return ok;
+    const auto [tuple, fresh] = memo_.insert(key_.data());
+    if (fresh) {
+      verdicts_.push_back(satisfies(*e_, materialize(*vars_, row, dict)));
+    }
+    return verdicts_[tuple] != 0;
   }
 
  private:
   const Expr* e_;
   const std::vector<std::string>* vars_;
   std::vector<std::size_t> cols_;
-  std::string key_;
-  // iteration-order: never iterated — point lookups by packed id tuple.
-  std::unordered_map<std::string, bool> memo_;
+  std::vector<TermId> key_;
+  IdTupleIndex memo_;  // id tuple -> its index in verdicts_
+  std::vector<char> verdicts_;
 };
+
+/// The ids `row` takes on the shared columns (`a` or `b` side) into `key`;
+/// false if one is unbound.
+bool shared_key(const TermId* row,
+                const std::vector<MergeSchema::SharedCol>& shared, bool a_side,
+                std::vector<TermId>& key) {
+  for (std::size_t k = 0; k < shared.size(); ++k) {
+    key[k] = row[a_side ? shared[k].a : shared[k].b];
+    if (key[k] == kUnbound) return false;
+  }
+  return true;
+}
 
 /// The join core shared by join and left_join. Emission order is the
 /// row-order contract of columnar.hpp: per a-row in order, full-key group
@@ -268,33 +257,24 @@ void join_core(const IdRows& a, const IdRows& b, const MergeSchema& m,
 
   // Group b-rows binding every shared var by their shared id tuple; rows
   // missing one (possible after OPTIONAL) go to the pairwise-checked pool.
-  // iteration-order: never iterated — point lookups by packed key only.
-  std::unordered_map<std::string, std::vector<std::size_t>> groups;
+  IdTupleIndex groups(m.shared.size());
+  groups.reserve(b.rows);
   std::vector<std::size_t> partial;
-  std::string key;
-  auto shared_key = [&](const TermId* row, bool a_side) {
-    key.clear();
-    for (const auto& sc : m.shared) {
-      TermId id = row[a_side ? sc.a : sc.b];
-      if (id == kUnbound) return false;
-      append_id(key, id);
-    }
-    return true;
-  };
+  std::vector<TermId> key(m.shared.size());
   for (std::size_t rb = 0; rb < b.rows; ++rb) {
-    if (shared_key(b.row(rb), false)) {
-      groups[key].push_back(rb);
+    if (shared_key(b.row(rb), m.shared, false, key)) {
+      groups.add_row(key.data(), static_cast<std::uint32_t>(rb));
     } else {
       partial.push_back(rb);
     }
   }
 
   for (std::size_t ra = 0; ra < a.rows; ++ra) {
-    if (shared_key(a.row(ra), true)) {
-      if (auto it = groups.find(key); it != groups.end()) {
-        for (std::size_t rb : it->second) {
-          if (compatible_pair(ra, rb)) emit(ra, rb);
-        }
+    if (shared_key(a.row(ra), m.shared, true, key)) {
+      // A full key equal on every shared column is compatible outright.
+      for (std::uint32_t rb = groups.first(key.data());
+           rb != IdTupleIndex::kNone; rb = groups.next(rb)) {
+        emit(ra, rb);
       }
       for (std::size_t rb : partial) {
         if (compatible_pair(ra, rb)) emit(ra, rb);
@@ -395,17 +375,20 @@ IdRows filter_set(const IdRows& in, const Expr& e) {
 }
 
 std::vector<std::size_t> canonical_order(const IdRows& in) {
-  // The id view ranks exactly the ids the set holds by term, so comparing
-  // ranks is Binding's order whatever the dictionary's id order.
-  const IdTable t = id_table(in);
+  // Dictionary ranks follow Term order, so comparing them is Binding's
+  // order whatever the dictionary's id order.
+  if (in.dict != nullptr) in.dict->require_order();
+  std::vector<TermId> ranks = in.cells;
+  for (TermId& id : ranks) {
+    if (id != kUnbound) id = in.dict->rank(id);
+  }
   const std::size_t width = in.vars.size();
-  auto local_row = [&](std::size_t r) { return t.cells.data() + r * width; };
   std::vector<std::size_t> order(in.rows);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t i, std::size_t j) {
-                     return canonical_less(local_row(i), local_row(j), width,
-                                           [&](TermId l) { return t.rank[l]; });
+                     return canonical_less(ranks.data() + i * width,
+                                           ranks.data() + j * width, width);
                    });
   return order;
 }
@@ -509,26 +492,11 @@ SolutionSet vec_deduplicated(const SolutionSet& in) {
 
 namespace {
 
-/// Rank the ids of `ids` by term: sort them into Term order.
-void sort_by_term(std::vector<TermId>& ids,
-                  const std::vector<const rdf::Term*>& terms) {
-  std::sort(ids.begin(), ids.end(),
-            [&](TermId x, TermId y) { return *terms[x] < *terms[y]; });
-}
-
 void set_ranks(IdTable& t) {
   t.rank.resize(t.terms.size());
   for (std::size_t k = 0; k < t.by_rank.size(); ++k) {
     t.rank[t.by_rank[k]] = static_cast<std::uint32_t>(k);
   }
-}
-
-/// Rank every id of a table whose rows use all of its terms.
-void rank_all(IdTable& t) {
-  t.by_rank.resize(t.terms.size());
-  std::iota(t.by_rank.begin(), t.by_rank.end(), TermId{0});
-  sort_by_term(t.by_rank, t.terms);
-  set_ranks(t);
 }
 
 /// Sorted union of two sorted variable lists.
@@ -540,18 +508,6 @@ std::vector<std::string> var_union(const std::vector<std::string>& a,
                  std::back_inserter(out));
   return out;
 }
-
-/// Hash and equality of terms held elsewhere, by value.
-struct TermPtrHash {
-  std::size_t operator()(const rdf::Term* t) const noexcept {
-    return rdf::TermHash{}(*t);
-  }
-};
-struct TermPtrEq {
-  bool operator()(const rdf::Term* a, const rdf::Term* b) const noexcept {
-    return *a == *b;
-  }
-};
 
 }  // namespace
 
@@ -579,26 +535,18 @@ IdRows intern_rows(const SolutionSet& s, rdf::TermDictionary& dict) {
   out.vars = variables_of(s);
   out.rows = s.size();
   out.dict = &dict;
-  out.cells = id_cells(s, out.vars,
-                       [&](const rdf::Term& t) { return dict.intern(t); });
+  const std::size_t width = out.vars.size();
+  out.cells.assign(s.size() * width, kUnbound);
+  for (std::size_t r = 0; r < s.size(); ++r) {
+    // Binding slots and vars are both sorted: a merge walk places cells.
+    std::size_t c = 0;
+    for (const auto& [name, term] : s.rows()[r].slots()) {
+      while (out.vars[c] != name) ++c;
+      out.cells[r * width + c++] = dict.intern(term);
+    }
+  }
+  dict.refresh_order();
   return out;
-}
-
-IdTable id_table(const SolutionSet& s) {
-  IdTable t;
-  t.vars = variables_of(s);
-  t.rows = s.size();
-  // iteration-order: never iterated — point lookups only.
-  std::unordered_map<const rdf::Term*, TermId, TermPtrHash, TermPtrEq>
-      local_of;
-  t.cells = id_cells(s, t.vars, [&](const rdf::Term& term) {
-    auto [it, inserted] =
-        local_of.try_emplace(&term, static_cast<TermId>(t.terms.size()));
-    if (inserted) t.terms.push_back(&term);
-    return it->second;
-  });
-  rank_all(t);
-  return t;
 }
 
 IdTable id_table(const IdRows& rows) {
@@ -606,62 +554,63 @@ IdTable id_table(const IdRows& rows) {
   t.vars = rows.vars;
   t.rows = rows.rows;
   t.cells.reserve(rows.cells.size());
-  LocalIds local;
-  for (TermId id : rows.cells) {
-    TermId l = kUnbound;
-    if (id != kUnbound) {
-      l = local.find(id);
-      if (l == kUnbound) {
-        l = static_cast<TermId>(t.terms.size());
-        local.insert(id, l);
-        t.terms.push_back(&rows.dict->term(id));
-      }
+  if (rows.dict != nullptr) rows.dict->require_order();
+  IdTupleIndex local(1);  // dictionary id -> local id
+  local.reserve(rows.cells.size());
+  std::vector<std::uint32_t> ranks;  // local id -> dictionary rank
+  for (const TermId& id : rows.cells) {
+    if (id == kUnbound) {
+      t.cells.push_back(kUnbound);
+      continue;
+    }
+    const auto [l, fresh] = local.insert(&id);
+    if (fresh) {
+      t.terms.push_back(&rows.dict->term(id));
+      ranks.push_back(rows.dict->rank(id));
     }
     t.cells.push_back(l);
   }
-  rank_all(t);
+  // The rows use every local id: rank them all by dictionary rank.
+  t.by_rank.resize(t.terms.size());
+  std::iota(t.by_rank.begin(), t.by_rank.end(), TermId{0});
+  std::sort(t.by_rank.begin(), t.by_rank.end(),
+            [&](TermId x, TermId y) { return ranks[x] < ranks[y]; });
+  set_ranks(t);
   return t;
 }
 
-std::size_t LocalIds::slot(TermId id) const noexcept {
-  const std::size_t mask = slots_.size() - 1;
-  const std::uint64_t h = std::uint64_t{id} * 0x9e3779b97f4a7c15ULL;
-  std::size_t i = static_cast<std::size_t>(h >> 32) & mask;
-  while (slots_[i].first != kUnbound && slots_[i].first != id) {
-    i = (i + 1) & mask;
+void IdTupleIndex::grow() {
+  const std::size_t stride = width_ + 1;
+  const std::vector<TermId> old = std::exchange(slots_, {});
+  capacity_ = std::max<std::size_t>(16, capacity_ * 2);
+  slots_.assign(capacity_ * stride, 0);
+  for (std::size_t i = 0; i < old.size(); i += stride) {
+    if (old[i] == 0) continue;
+    const std::size_t at = slot(old.data() + i + 1);
+    for (std::size_t c = 0; c < stride; ++c) slots_[at + c] = old[i + c];
   }
-  return i;
 }
 
-TermId LocalIds::find(TermId id) const noexcept {
-  if (slots_.empty()) return kUnbound;
-  const auto& [key, local] = slots_[slot(id)];
-  return key == id ? local : kUnbound;
-}
-
-void LocalIds::insert(TermId id, TermId local) {
-  if ((used_ + 1) * 2 > slots_.size()) {
-    std::vector<std::pair<TermId, TermId>> old = std::move(slots_);
-    slots_.assign(std::max<std::size_t>(16, old.size() * 2),
-                  {kUnbound, kUnbound});
-    for (const auto& entry : old) {
-      if (entry.first != kUnbound) slots_[slot(entry.first)] = entry;
-    }
+void IdTupleIndex::add_row(const TermId* key, std::uint32_t r) {
+  const auto [g, fresh] = insert(key);
+  if (fresh) {
+    head_.push_back(r);
+    tail_.push_back(r);
+  } else {
+    next_[tail_[g]] = r;
+    tail_[g] = r;
   }
-  slots_[slot(id)] = {id, local};
-  ++used_;
+  next_.resize(r + 1, kNone);
 }
 
 std::vector<TermId> MergeAccumulator::local_cells(const IdRows& rows) {
   assert(rows.dict == dict_ || rows.dict == nullptr);
   std::vector<TermId> cells(rows.cells.size(), kUnbound);
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const TermId id = rows.cells[i];
+    const TermId& id = rows.cells[i];
     if (id == kUnbound) continue;
-    TermId l = from_dict_.find(id);
-    if (l == kUnbound) {
-      l = static_cast<TermId>(table_.terms.size());
-      from_dict_.insert(id, l);
+    const auto [l, fresh] = from_dict_.insert(&id);
+    if (fresh) {
       table_.terms.push_back(&dict_->term(id));
       dict_ids_.push_back(id);
     }
@@ -680,6 +629,7 @@ void MergeAccumulator::set_carry(const IdRows& carry) {
 
 void MergeAccumulator::add(const IdRows& local) {
   if (local.rows == 0) return;
+  dict_->require_order();
   merge(local.vars, local_cells(local), local.rows);
 }
 
@@ -700,26 +650,18 @@ void MergeAccumulator::merge(const std::vector<std::string>& vars,
   const std::size_t wm = m.vars.size();
   std::vector<std::size_t> key_cols;
   for (const auto& sc : m.shared) key_cols.push_back(sc.a);
-  std::string key;
-  auto pack = [&](const TermId* row, bool carry_side) {
-    key.clear();
-    for (const auto& sc : m.shared) {
-      const TermId id = row[carry_side ? sc.a : sc.b];
-      if (id == kUnbound) return false;
-      append_id(key, id);
-    }
-    return true;
-  };
+  std::vector<TermId> key(key_cols.size());
   auto carry_row = [&](std::size_t r) { return c.cells.data() + r * wc; };
   if (!key_cols.empty() && c.key_cols != key_cols) {
     // Carry rows binding every shared column group by their shared ids;
     // rows missing one (possible after OPTIONAL) are checked pairwise.
-    c.groups.clear();
+    c.groups = IdTupleIndex(key_cols.size());
+    c.groups.reserve(c.rows);
     c.partial.clear();
     c.key_cols = key_cols;
     for (std::size_t r = 0; r < c.rows; ++r) {
-      if (pack(carry_row(r), true)) {
-        c.groups[key].push_back(r);
+      if (shared_key(carry_row(r), m.shared, true, key)) {
+        c.groups.add_row(key.data(), static_cast<std::uint32_t>(r));
       } else {
         c.partial.push_back(r);
       }
@@ -737,10 +679,11 @@ void MergeAccumulator::merge(const std::vector<std::string>& vars,
     const TermId* lrow = cells.data() + rl * wl;
     if (m.shared.empty()) {
       for (std::size_t rc = 0; rc < c.rows; ++rc) emit(rc, lrow);
-    } else if (pack(lrow, false)) {
+    } else if (shared_key(lrow, m.shared, false, key)) {
       // A full key equal on every shared column is compatible outright.
-      if (auto it = c.groups.find(key); it != c.groups.end()) {
-        for (std::size_t rc : it->second) emit(rc, lrow);
+      for (std::uint32_t rc = c.groups.first(key.data());
+           rc != IdTupleIndex::kNone; rc = c.groups.next(rc)) {
+        emit(rc, lrow);
       }
       for (std::size_t rc : c.partial) {
         if (compatible(carry_row(rc), lrow, m.shared)) emit(rc, lrow);
@@ -793,7 +736,11 @@ void MergeAccumulator::absorb(const std::vector<std::string>& vars,
       // A column outside the schema is unbound in every candidate row.
       if (to[c] != kNoCol) table_.cells[base + to[c]] = cells[r * w + c];
     }
-    if (!insert_back()) continue;
+    if (!held_.insert(table_.cells.data() + base).second) {
+      table_.cells.resize(base);  // held already
+      continue;
+    }
+    ++table_.rows;
     raw_ += row_framing;
     for (std::size_t c = 0; c < width; ++c) {
       const TermId id = table_.cells[base + c];
@@ -806,7 +753,8 @@ void MergeAccumulator::absorb(const std::vector<std::string>& vars,
     }
   }
   if (fresh.empty()) return;
-  sort_by_term(fresh, table_.terms);
+  std::sort(fresh.begin(), fresh.end(),
+            [&](TermId x, TermId y) { return rank_of(x) < rank_of(y); });
   insert_ranks(fresh);
 }
 
@@ -840,7 +788,7 @@ void MergeAccumulator::insert_ranks(const std::vector<TermId>& fresh) {
     // No held term equals a fresh one (local ids are distinct terms).
     const auto at = std::lower_bound(
         held.begin() + static_cast<std::ptrdiff_t>(i), held.end(), id,
-        [&](TermId x, TermId y) { return *terms[x] < *terms[y]; });
+        [&](TermId x, TermId y) { return rank_of(x) < rank_of(y); });
     place_held(static_cast<std::size_t>(at - held.begin()));
     terms_bytes_ += entry(merged.empty() ? kUnbound : merged.back(), id);
     merged.push_back(id);
@@ -867,63 +815,25 @@ void MergeAccumulator::widen(const std::vector<std::string>& vars) {
   table_.vars = vars;
   table_.cells = std::move(cells);
   vars_bytes_ = common::prefixed_list_size(vars);
-  rehash(slots_.size());
-}
-
-std::uint64_t MergeAccumulator::row_hash(std::size_t row) const noexcept {
-  const std::size_t width = table_.vars.size();
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (std::size_t c = 0; c < width; ++c) {
-    h = (h ^ table_.cells[row * width + c]) * 0xff51afd7ed558ccdULL;
-    h ^= h >> 32;
-  }
-  return h;
-}
-
-void MergeAccumulator::rehash(std::size_t capacity) {
-  slots_.assign(capacity, 0);
-  if (capacity == 0) return;
-  const std::size_t mask = capacity - 1;
+  held_ = IdTupleIndex(width);
   for (std::size_t r = 0; r < table_.rows; ++r) {
-    std::size_t i = static_cast<std::size_t>(row_hash(r)) & mask;
-    while (slots_[i] != 0) i = (i + 1) & mask;
-    slots_[i] = static_cast<std::uint32_t>(r + 1);
-  }
-}
-
-bool MergeAccumulator::insert_back() {
-  const std::size_t r = table_.rows;
-  const std::size_t width = table_.vars.size();
-  if ((r + 1) * 2 > slots_.size()) {
-    rehash(std::max<std::size_t>(16, slots_.size() * 2));
-  }
-  const std::size_t mask = slots_.size() - 1;
-  const TermId* row = table_.cells.data() + r * width;
-  for (std::size_t i = static_cast<std::size_t>(row_hash(r)) & mask;;
-       i = (i + 1) & mask) {
-    if (slots_[i] == 0) {
-      slots_[i] = static_cast<std::uint32_t>(r + 1);
-      ++table_.rows;
-      return true;
-    }
-    const TermId* held = table_.cells.data() + (slots_[i] - 1) * width;
-    if (std::equal(row, row + width, held)) {
-      table_.cells.resize(r * width);
-      return false;
-    }
+    held_.insert(table_.cells.data() + r * width);
   }
 }
 
 IdRows MergeAccumulator::take() {
-  const IdTable& t = table_;
+  IdTable& t = table_;
   const std::size_t width = t.vars.size();
+  // The table is dropped below, so its cells turn into ranks in place.
+  for (TermId& l : t.cells) {
+    if (l != kUnbound) l = t.rank[l];
+  }
   std::vector<std::size_t> order(t.rows);
   std::iota(order.begin(), order.end(), std::size_t{0});
   // Rows are distinct, so the canonical order is strict.
   std::sort(order.begin(), order.end(), [&](std::size_t i, std::size_t j) {
     return canonical_less(t.cells.data() + i * width,
-                          t.cells.data() + j * width, width,
-                          [&](TermId id) { return t.rank[id]; });
+                          t.cells.data() + j * width, width);
   });
   IdRows out;
   out.vars = t.vars;
@@ -932,8 +842,8 @@ IdRows MergeAccumulator::take() {
   out.cells.reserve(t.cells.size());
   for (std::size_t r : order) {
     for (std::size_t c = 0; c < width; ++c) {
-      const TermId l = t.cells[r * width + c];
-      out.cells.push_back(l == kUnbound ? kUnbound : dict_ids_[l]);
+      const TermId k = t.cells[r * width + c];
+      out.cells.push_back(k == kUnbound ? kUnbound : dict_ids_[t.by_rank[k]]);
     }
   }
   *this = MergeAccumulator{dict_};

@@ -9,12 +9,15 @@
 // deduplicated, set_union, project, rows_at) read and write ids only; the
 // operands of a binary kernel resolve through one dictionary. A kernel
 // touches a term only to evaluate an expression (materializing the row,
-// memoized per id tuple) or to rank ids by term (deduplicated, which ranks
-// exactly the ids it holds, so its canonical order is Binding's whatever
-// the dictionary's id order). The SolutionSet entry points (vec_* here, the
-// join/minus/left_join/left_join_conditioned/filter_set/deduplicated names
-// of solution.hpp and eval.hpp, which forward to them) intern their
-// operands into a private dictionary, call the id kernel and materialize.
+// memoized per id tuple). Join keys are integer id tuples (IdTupleIndex),
+// and every kernel that orders ids (deduplicated, canonical_order, id_table,
+// MergeAccumulator) compares the dictionary's term ranks, so its order is
+// Binding's whatever the dictionary's id order; it throws std::logic_error
+// when the dictionary's term order is stale. The SolutionSet entry points
+// (vec_* here, the join/minus/left_join/left_join_conditioned/filter_set/
+// deduplicated names of solution.hpp and eval.hpp, which forward to them)
+// intern their operands into a private dictionary, call the id kernel and
+// materialize.
 //
 // Row-order contract: join emits, per left row in order, the compatible
 // right rows in their input order (fully keyed matches before rows that
@@ -34,10 +37,10 @@
 // shape net::wire sizes payloads from.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -72,7 +75,8 @@ struct IdRows {
   [[nodiscard]] SolutionSet materialize() const;
 };
 
-/// `s` in the ids of `dict`, interning every term it binds; rows in order.
+/// `s` in the ids of `dict`, interning every term it binds (and refreshing
+/// its term order); rows in order.
 [[nodiscard]] IdRows intern_rows(const SolutionSet& s,
                                  rdf::TermDictionary& dict);
 
@@ -143,41 +147,95 @@ struct IdTable {
   std::vector<rdf::TermId> cells;
 };
 
-/// `s` in id space, rows in order, duplicates kept; the terms point into
-/// `s`, so the table must not outlive it.
-[[nodiscard]] IdTable id_table(const SolutionSet& s);
-/// `rows` renumbered into table-local ids; the terms point into its
-/// dictionary.
+/// `rows` renumbered into table-local ids, rows in order, duplicates kept;
+/// the terms point into its dictionary.
 [[nodiscard]] IdTable id_table(const IdRows& rows);
 
-/// Open-addressing map from a dictionary id to a table-local id (linear
-/// probing, power-of-two capacity). Per-scan state is sized by the ids the
-/// scan holds, never by the dictionary it reads from.
-class LocalIds {
+/// Open-addressing index over tuples of `width` ids (linear probing over
+/// hashed tuples, equal keys compared cell by cell): numbers the distinct
+/// tuples densely from 0 and chains, per tuple, the rows added under it in
+/// insertion order. Width 1 maps dictionary ids to table-local ids; state
+/// is sized by the tuples held, never by the dictionary. Point lookups
+/// only — never iterated (rule D2).
+class IdTupleIndex {
  public:
-  /// The local id of `id`, or kInvalidTermId when it has none yet.
-  [[nodiscard]] rdf::TermId find(rdf::TermId id) const noexcept;
-  /// Give `id` the local id `local`. Precondition: find(id) is invalid.
-  void insert(rdf::TermId id, rdf::TermId local);
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  explicit IdTupleIndex(std::size_t width = 0) : width_(width) {}
+
+  /// The number of `key`, numbering it next if it is new; the flag tells.
+  std::pair<std::uint32_t, bool> insert(const rdf::TermId* key) {
+    if ((count_ + 1) * 2 > capacity_) grow();
+    const std::size_t at = slot(key);
+    if (slots_[at] != 0) return {slots_[at] - 1, false};
+    slots_[at] = ++count_;
+    for (std::size_t c = 0; c < width_; ++c) slots_[at + 1 + c] = key[c];
+    return {count_ - 1, true};
+  }
+  /// Make room for `n` tuples without growing.
+  void reserve(std::size_t n) {
+    while (capacity_ < 2 * n) grow();
+  }
+  /// The number of `key`, or kNone (an empty slot holds 0, and 0 - 1 wraps
+  /// to kNone).
+  [[nodiscard]] std::uint32_t find(const rdf::TermId* key) const noexcept {
+    return capacity_ == 0 ? kNone : slots_[slot(key)] - 1;
+  }
+
+  /// Chain row `r` (rows arrive in increasing order) to `key`'s tuple.
+  void add_row(const rdf::TermId* key, std::uint32_t r);
+  /// The rows chained to `key`'s tuple: first(key), then next() until kNone.
+  [[nodiscard]] std::uint32_t first(const rdf::TermId* key) const noexcept {
+    const std::uint32_t g = find(key);
+    return g == kNone ? kNone : head_[g];
+  }
+  [[nodiscard]] std::uint32_t next(std::uint32_t r) const noexcept {
+    return next_[r];
+  }
 
  private:
-  [[nodiscard]] std::size_t slot(rdf::TermId id) const noexcept;
-  // iteration-order: never iterated — point lookups only.
-  std::vector<std::pair<rdf::TermId, rdf::TermId>> slots_;
-  std::size_t used_ = 0;
+  /// The offset of `key`'s slot, or of the empty slot it would take.
+  /// (Plain loops: tuples are a few ids, too short for memcmp calls.)
+  [[nodiscard]] std::size_t slot(const rdf::TermId* key) const noexcept {
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (std::size_t c = 0; c < width_; ++c) {
+      h = (h ^ key[c]) * 0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
+    }
+    const std::size_t mask = capacity_ - 1;
+    std::size_t i = static_cast<std::size_t>(h) & mask;
+    for (;; i = (i + 1) & mask) {
+      const rdf::TermId* s = slots_.data() + i * (width_ + 1);
+      std::size_t c = 0;
+      while (*s != 0 && c < width_ && s[1 + c] == key[c]) ++c;
+      if (*s == 0 || c == width_) return i * (width_ + 1);
+    }
+  }
+  /// Double the slots (at least 16) and re-place every tuple.
+  void grow();
+
+  std::size_t width_;
+  std::uint32_t count_ = 0;   // distinct tuples numbered
+  std::size_t capacity_ = 0;  // slots, a power of two
+  // capacity_ slots of 1 + width ids: the tuple's number + 1 (0 = empty
+  // slot), then the tuple itself, so a probe reads one place.
+  std::vector<rdf::TermId> slots_;
+  std::vector<std::uint32_t> head_;  // number -> first chained row
+  std::vector<std::uint32_t> tail_;  // number -> last chained row
+  std::vector<std::uint32_t> next_;  // row -> next row of its tuple
 };
 
 /// The running value of `deduplicated(set_union(acc, next))` folded over
 /// every add(), kept in id space. Rows live as tuples of table-local ids in
-/// insertion order with a hash table used only for point lookups (never
-/// iterated, rule D2); the raw size and the wire size of the variable and
-/// term sections are kept incrementally, and take() sorts once. Provider
-/// rows and the carry arrive as IdRows over the accumulator's dictionary
-/// and are only renumbered, never interned.
+/// insertion order with an IdTupleIndex used only for point lookups; the
+/// raw size and the wire size of the variable and term sections are kept
+/// incrementally, and take() sorts once. Provider rows and the carry
+/// arrive as IdRows over the accumulator's dictionary and are only
+/// renumbered, never interned.
 class MergeAccumulator {
  public:
-  /// `dict` resolves every id the accumulator is fed; it must outlive the
-  /// accumulator.
+  /// `dict` resolves every id the accumulator is fed and ranks them by its
+  /// term order; it must outlive the accumulator.
   explicit MergeAccumulator(const rdf::TermDictionary* dict) : dict_(dict) {}
 
   /// Join every later add() against `carry` (a chain that carries the
@@ -224,9 +282,9 @@ class MergeAccumulator {
     std::size_t rows = 0;
     std::vector<rdf::TermId> cells;
     std::vector<std::size_t> key_cols;  // carry columns grouped on
-    // iteration-order: never iterated — point lookups by packed shared-id
-    // key only; matches are emitted in carry row order from each group.
-    std::unordered_map<std::string, std::vector<std::size_t>> groups;
+    // Point lookups by shared-id tuple only; matches are emitted in carry
+    // row order from each group.
+    IdTupleIndex groups;
     std::vector<std::size_t> partial;  // rows missing a key column
   };
 
@@ -241,28 +299,27 @@ class MergeAccumulator {
   /// and re-ranks the terms they bring.
   void absorb(const std::vector<std::string>& vars,
               const std::vector<rdf::TermId>& cells, std::size_t rows);
+  /// The dictionary's term rank of local id `l`, read live: a refresh
+  /// between adds shifts ranks (keeping their order), so none is cached.
+  [[nodiscard]] std::uint32_t rank_of(rdf::TermId l) const noexcept {
+    return dict_->rank(dict_ids_[l]);
+  }
   /// Merge the new ids `fresh` (in Term order) into table_.by_rank,
   /// updating the term section size at the insertion points, and re-rank.
   void insert_ranks(const std::vector<rdf::TermId>& fresh);
-  /// Re-place every row into a wider schema and rebuild the hash table.
+  /// Re-place every row into a wider schema and re-index the rows.
   void widen(const std::vector<std::string>& vars);
-  /// Insert the row at the back of table_.cells unless it is held already
-  /// (then pop it); returns whether it was new.
-  bool insert_back();
-  [[nodiscard]] std::uint64_t row_hash(std::size_t row) const noexcept;
-  void rehash(std::size_t capacity);
 
   const rdf::TermDictionary* dict_;
   IdTable table_;
-  LocalIds from_dict_;                  // dict_ id -> local id
+  IdTupleIndex from_dict_{1};           // dict_ id -> local id
   std::vector<rdf::TermId> dict_ids_;   // local id -> dict_ id
   std::size_t raw_ = SolutionSet{}.byte_size();
   std::size_t vars_bytes_ = common::varint_size(0);  // no variables yet
   std::size_t terms_bytes_ = 0;  // the term entries, without their count
-  // Open-addressing table of row index + 1 (0 = empty slot), linear probing.
-  // iteration-order: never iterated — point lookups only; rows keep their
-  // insertion order in table_.cells and take() sorts canonically.
-  std::vector<std::uint32_t> slots_;
+  // The held rows; they keep their insertion order in table_.cells and
+  // take() sorts canonically.
+  IdTupleIndex held_;
   std::vector<char> live_;  // local id -> used by a held row
   std::optional<Carry> carry_;
 };

@@ -8,7 +8,6 @@
 #include <numeric>
 #include <set>
 #include <string>
-#include <unordered_set>
 
 namespace ahsw::sparql {
 
@@ -397,13 +396,10 @@ QueryResult finalize_result(const Query& q, const IdRows& raw,
   std::vector<std::size_t> kept;
   if (q.distinct) {
     // First occurrence of each projected id tuple.
-    // iteration-order: never iterated — membership tests only.
-    std::unordered_set<std::string> seen;
-    std::string key;
+    IdTupleIndex seen(width);
+    seen.reserve(order.size());
     for (std::size_t r : order) {
-      key.assign(reinterpret_cast<const char*>(projected.row(r)),
-                 width * sizeof(rdf::TermId));
-      if (seen.insert(key).second) kept.push_back(r);
+      if (seen.insert(projected.row(r)).second) kept.push_back(r);
     }
   } else if (q.reduced) {
     for (std::size_t r : order) {

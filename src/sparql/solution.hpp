@@ -34,6 +34,14 @@ class Binding {
   /// Bind `var` to `term`. Overwrites an existing binding of the same var.
   void set(std::string_view var, rdf::Term term);
 
+  /// Bind `var`, which sorts after every variable bound so far, to `term`
+  /// (a row built in schema order appends each slot at the back).
+  void append(std::string_view var, const rdf::Term& term) {
+    slots_.emplace_back(std::string(var), term);
+  }
+  /// Make room for `n` slots.
+  void reserve(std::size_t n) { slots_.reserve(n); }
+
   [[nodiscard]] bool bound(std::string_view var) const noexcept {
     return get(var) != nullptr;
   }

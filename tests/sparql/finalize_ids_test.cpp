@@ -45,6 +45,7 @@ std::vector<Term> term_pool() {
 rdf::TermDictionary reversed_dictionary(const std::vector<Term>& pool) {
   rdf::TermDictionary dict;
   for (auto it = pool.rbegin(); it != pool.rend(); ++it) dict.intern(*it);
+  dict.refresh_order();
   return dict;
 }
 

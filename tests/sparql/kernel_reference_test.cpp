@@ -133,6 +133,7 @@ rdf::TermDictionary reversed_pool() {
   std::sort(pool.begin(), pool.end());
   rdf::TermDictionary dict;
   for (auto it = pool.rbegin(); it != pool.rend(); ++it) dict.intern(*it);
+  dict.refresh_order();
   return dict;
 }
 
@@ -195,6 +196,34 @@ TEST(KernelReference, IdKernelsMatchOnReversedDictionary) {
     expect_rows(set_union(ia, ib), set_union(a, b), "union " + where);
   }
   EXPECT_EQ(dict.size(), pool);  // every term came from the pool
+
+  // A join and a left join on a two-column key with thousands of distinct
+  // id tuples, so the join's id-tuple index grows and probes. Keys repeat
+  // on the right after 61 * 41 rows (groups chain rows in order), and some
+  // rows leave a key column unbound (checked pairwise).
+  auto keyed = [](int rows, int stride, int period, const char* payload) {
+    SolutionSet s;
+    for (int r = 0; r < rows; ++r) {
+      const int k = r * stride;
+      Binding row;
+      if (k % 13 != 0) {
+        row.set("k1", Term::iri("http://k/" + std::to_string(k % 61)));
+      }
+      if (k % 17 != 0) {
+        row.set("k2", Term::literal("k" + std::to_string(k % period)));
+      }
+      row.set(payload, Term::integer(r));
+      s.add(std::move(row));
+    }
+    return s;
+  };
+  const SolutionSet ka = keyed(1500, 1, 53, "a");
+  const SolutionSet kb = keyed(2700, 7, 41, "b");
+  const IdRows ika = intern_rows(ka, dict);
+  const IdRows ikb = intern_rows(kb, dict);
+  expect_rows(join(ika, ikb), row_reference::join(ka, kb), "keyed join");
+  expect_rows(left_join(ika, ikb), row_reference::left_join(ka, kb),
+              "keyed left join");
 }
 
 TEST(KernelReference, IdKernelsOnZeroVariableRows) {

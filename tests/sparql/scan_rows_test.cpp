@@ -101,8 +101,10 @@ TEST(ScanRows, MatchIdsEqualsDecodedReferenceRowForRow) {
   rdf::TripleStore b(dict);
   fill_store(a, rng, 150);
   fill_store(b, rng, 150);
+  dict.refresh_order();
   rdf::TripleStore standalone;
   fill_store(standalone, rng, 150);
+  standalone.refresh_order();
   for (const rdf::TripleStore* store : {&a, &b, &standalone}) {
     const LocalEngine engine(*store);
     for (const BgpPattern& p : patterns_under_test()) {
@@ -161,6 +163,7 @@ TEST(ScanRows, AccumulatorFedScanRowsEqualsOneFedSolutionSets) {
     stores.emplace_back(dict);
     fill_store(stores.back(), rng, 60);
   }
+  dict.refresh_order();
   SolutionSet carry;
   for (int i = 0; i < 6; ++i) {
     Binding b;
