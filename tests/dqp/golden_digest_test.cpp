@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -33,6 +34,7 @@
 #include "dqp_test_util.hpp"
 #include "fault/harness.hpp"
 #include "obs/explain.hpp"
+#include "workload/vocab.hpp"
 
 namespace ahsw::dqp {
 namespace {
@@ -406,6 +408,132 @@ TEST(GoldenDigest, FaultedRetryBatch) {
   digest.add_audit("faulted-retry/batch", audit);
   EXPECT_GT(retries, 0) << "fault did not bite; the case pins nothing";
   expect_matches_golden(digest, AHSW_GOLDEN_DIGESTS, "faulted-retry/");
+}
+
+// --- Lazy re-lookup after a whole provider row was given up on. ----------
+
+/// A testbed without FOAF data. Storage node 0 holds `?x foaf:knows p0`
+/// for s0..s5; nodes 1 and 2 hold `?x foaf:name ?n` (s1 on both), names
+/// and nicks sorting in the reverse of their subjects' order; node 1 also
+/// holds `?x foaf:nick ?k` for s0..s8. Frequency order scans knows, name,
+/// nick; the name chain ends at node 1, which it shares with nick.
+std::unique_ptr<workload::Testbed> relookup_testbed() {
+  workload::TestbedConfig cfg;
+  cfg.index_nodes = 4;
+  cfg.storage_nodes = 4;
+  cfg.foaf.persons = 0;
+  auto bed = std::make_unique<workload::Testbed>(cfg);
+  auto person = [](int i) {
+    return rdf::Term::iri("http://example.org/people/s" + std::to_string(i));
+  };
+  const rdf::Term knows = rdf::Term::iri(std::string(workload::foaf::kKnows));
+  const rdf::Term name = rdf::Term::iri(std::string(workload::foaf::kName));
+  const rdf::Term nick = rdf::Term::iri(std::string(workload::foaf::kNick));
+  const rdf::Term p0 = rdf::Term::iri("http://example.org/people/p0");
+  std::vector<std::vector<rdf::Triple>> held(3);
+  for (int i = 0; i < 6; ++i) held[0].push_back({person(i), knows, p0});
+  const char* names[] = {"Zed", "Yan", "Xia", "Wes", "Vic", "Uma", "Tom"};
+  for (int i : {0, 1, 4}) {
+    held[1].push_back({person(i), name, rdf::Term::literal(names[i])});
+  }
+  for (int i : {1, 2, 3, 5, 6}) {
+    held[2].push_back({person(i), name, rdf::Term::literal(names[i])});
+  }
+  for (int i = 0; i < 9; ++i) {
+    held[1].push_back(
+        {person(i), nick, rdf::Term::literal("n" + std::to_string(8 - i))});
+  }
+  for (std::size_t n = 0; n < held.size(); ++n) {
+    bed->overlay().share_triples(bed->storage_addrs()[n], held[n], 0);
+  }
+  return bed;
+}
+
+/// The conjunction the carry cases run: ORDER BY ?y ties every row (all
+/// know p0), so the delivered order is the order the carry joins emit.
+constexpr const char* kRelookupConjunction =
+    "SELECT ?x ?n ?k WHERE { ?x foaf:knows ?y . ?x foaf:name ?n . "
+    "?x foaf:nick ?k . } ORDER BY ?y";
+
+/// Run `body` from storage node 3 under `strategy` (no retries, one
+/// re-lookup) while the storage nodes at `victims` fail at t=0 and rejoin
+/// at `rejoin_at`, after their contacts and before the scan gives up on the
+/// last of them: every provider of one pattern is given up on, and the
+/// re-lookup finds the republished row. Digests the traced run against case `id`, requires a re-lookup, and
+/// checks the rows against the merged-store oracle (every provider is back).
+void expect_relookup_matches_golden(const std::string& id,
+                                    PrimitiveStrategy strategy,
+                                    const char* body,
+                                    const std::vector<std::size_t>& victims,
+                                    net::SimTime rejoin_at) {
+  std::unique_ptr<workload::Testbed> bed = relookup_testbed();
+  ExecutionPolicy policy;
+  policy.primitive = strategy;
+  policy.retry.relookup = true;
+  DistributedQueryProcessor proc(bed->overlay(), policy);
+  const sparql::Query query =
+      sparql::parse_query(std::string(kPrologue) + body);
+  fault::FaultSchedule schedule;
+  for (std::size_t v : victims) {
+    schedule.storage_fail(0.0, bed->storage_addrs()[v]);
+    schedule.rejoin(rejoin_at, bed->storage_addrs()[v]);
+  }
+
+  obs::QueryTrace trace;
+  proc.set_trace(&trace);
+  const net::TrafficStats before = bed->network().stats();
+  fault::FaultRunResult run = fault::run_with_faults(
+      proc, bed->overlay(), {BatchQuery{query, bed->storage_addrs()[3]}},
+      schedule, BatchOptions{});
+  const net::TrafficStats delta = bed->network().stats().delta_since(before);
+  check::AuditReport audit;
+  check::AuditOptions opts;
+  opts.churned = true;
+  check::audit_conservation(trace, delta, audit, opts);
+  proc.set_trace(nullptr);
+
+  ASSERT_EQ(run.batch.results.size(), 1u);
+  ASSERT_EQ(run.batch.root_spans.size(), 1u);
+  const ExecutionReport& rep = run.batch.reports.front();
+  EXPECT_GT(rep.relookups, 0) << "no re-lookup ran; the case pins nothing";
+  Digest digest;
+  digest.add_result(id, run.batch.results.front());
+  digest.add_report(id, rep);
+  digest.add_explain(id, trace, run.batch.root_spans.front());
+  digest.add(id, "makespan", exact(run.batch.makespan));
+  digest.add_audit(id, audit);
+  expect_matches_golden(digest, AHSW_GOLDEN_DIGESTS, id + " ");
+
+  const sparql::QueryResult oracle =
+      sparql::execute_local(query, bed->overlay().merged_store());
+  EXPECT_FALSE(oracle.solutions.empty());
+  EXPECT_EQ(testing::canon(run.batch.results.front().solutions).rows(),
+            testing::canon(oracle.solutions).rows());
+}
+
+TEST(GoldenDigest, RelookupScatterRejoinedProvider) {
+  expect_relookup_matches_golden(
+      "relookup/scatter-single", PrimitiveStrategy::kBasic,
+      "SELECT ?x WHERE { ?x foaf:knows <http://example.org/people/p0> . }",
+      {0}, 100.0);
+}
+
+TEST(GoldenDigest, RelookupChainReshipsCarry) {
+  expect_relookup_matches_golden(
+      "relookup/chain-carry", PrimitiveStrategy::kFrequencyChain,
+      kRelookupConjunction,
+      // A chain visits its providers one by one: the second victim must
+      // still be down when the first contact's timeout hands over to it.
+      // The restarted chain ships the carry (larger than the sub-query) from
+      // the lookup's completion and is not rotated to end at node 1.
+      {1, 2}, 300.0);
+}
+
+TEST(GoldenDigest, RelookupScatterJoinsCarry) {
+  expect_relookup_matches_golden(
+      "relookup/scatter-carry", PrimitiveStrategy::kBasic,
+      kRelookupConjunction,
+      {1, 2}, 100.0);
 }
 
 }  // namespace
