@@ -33,7 +33,7 @@ double completeness(workload::Testbed& bed,
                     const sparql::SolutionSet& reference) {
   sparql::QueryResult dist =
       proc.execute(query, bed.storage_addrs().front(), nullptr);
-  sparql::SolutionSet got = sparql::deduplicated(dist.solutions);
+  sparql::SolutionSet got = sparql::vec_deduplicated(dist.solutions);
   if (reference.empty()) return 1.0;
   std::size_t hit = 0;
   for (const sparql::Binding& b : reference.rows()) {
@@ -59,7 +59,7 @@ void BM_Churn_StorageFailures(benchmark::State& state) {
     dqp::DistributedQueryProcessor proc(bed.overlay());
     sparql::QueryResult before =
         proc.execute(kQuery, bed.storage_addrs().front(), nullptr);
-    sparql::SolutionSet reference = sparql::deduplicated(before.solutions);
+    sparql::SolutionSet reference = sparql::vec_deduplicated(before.solutions);
 
     std::size_t to_fail = bed.storage_addrs().size() *
                           static_cast<std::size_t>(fail_pct) / 100;
@@ -122,7 +122,7 @@ void BM_Churn_IndexFailures(benchmark::State& state) {
     }
     std::vector<sparql::SolutionSet> references;
     for (const std::string& q : probes) {
-      references.push_back(sparql::deduplicated(
+      references.push_back(sparql::vec_deduplicated(
           proc.execute(q, bed.storage_addrs().front(), nullptr).solutions));
     }
 

@@ -60,7 +60,7 @@ void BM_SolutionJoin(benchmark::State& state) {
   SolutionSet a = make_set(n, n / 4 + 1, "x", "a", 1);
   SolutionSet b = make_set(n, n / 4 + 1, "x", "b", 2);
   run_timed(state, "join/n=" + std::to_string(n),
-            [&] { benchmark::DoNotOptimize(sparql::join(a, b)); });
+            [&] { benchmark::DoNotOptimize(sparql::vec_join(a, b)); });
   state.SetComplexityN(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SolutionJoin)->Range(64, 4096)->Complexity();
@@ -70,7 +70,7 @@ void BM_SolutionLeftJoin(benchmark::State& state) {
   SolutionSet a = make_set(n, n / 4 + 1, "x", "a", 3);
   SolutionSet b = make_set(n / 2, n / 4 + 1, "x", "b", 4);
   run_timed(state, "left-join/n=" + std::to_string(n),
-            [&] { benchmark::DoNotOptimize(sparql::left_join(a, b)); });
+            [&] { benchmark::DoNotOptimize(sparql::vec_left_join(a, b)); });
 }
 BENCHMARK(BM_SolutionLeftJoin)->Range(64, 1024);
 
@@ -79,7 +79,7 @@ void BM_SolutionMinus(benchmark::State& state) {
   SolutionSet a = make_set(n, n / 4 + 1, "x", "a", 5);
   SolutionSet b = make_set(n / 4, n / 4 + 1, "x", "b", 6);
   run_timed(state, "minus/n=" + std::to_string(n),
-            [&] { benchmark::DoNotOptimize(sparql::minus(a, b)); });
+            [&] { benchmark::DoNotOptimize(sparql::vec_minus(a, b)); });
 }
 BENCHMARK(BM_SolutionMinus)->Range(64, 1024);
 
@@ -88,7 +88,7 @@ void BM_SolutionDedup(benchmark::State& state) {
   SolutionSet a = make_set(n, 16, "x", "a", 7);
   run_timed(state, "dedup/n=" + std::to_string(n), [&] {
     SolutionSet copy = a;
-    benchmark::DoNotOptimize(sparql::deduplicated(std::move(copy)));
+    benchmark::DoNotOptimize(sparql::vec_deduplicated(std::move(copy)));
   });
 }
 BENCHMARK(BM_SolutionDedup)->Range(64, 4096);
@@ -101,7 +101,9 @@ void BM_FilterEvaluation(benchmark::State& state) {
       sparql::Expr::constant_term(
           rdf::Term::integer(static_cast<long long>(n / 2))));
   run_timed(state, "filter/n=" + std::to_string(n),
-            [&] { benchmark::DoNotOptimize(sparql::filter_set(a, *cond)); });
+            [&] {
+              benchmark::DoNotOptimize(sparql::vec_filter_set(a, *cond));
+            });
 }
 BENCHMARK(BM_FilterEvaluation)->Range(64, 4096);
 

@@ -330,8 +330,8 @@ void DagExecutor::fire(QueryRun& run, TaskId id) {
     }
     case TaskKind::kLookup: hint = fire_lookup(run, id); break;
     case TaskKind::kScan: hint = fire_scan(run, id); break;
-    case TaskKind::kScatterLeg: hint = fire_scatter_leg(run, id); break;
-    case TaskKind::kChainHop: hint = fire_chain_hop(run, id); break;
+    case TaskKind::kScatterLeg:
+    case TaskKind::kChainHop: hint = fire_contact(run, id); break;
     case TaskKind::kRelookup: hint = fire_relookup(run, id); break;
     case TaskKind::kShip: hint = fire_ship(run, id); break;
     case TaskKind::kJoin:
@@ -430,28 +430,17 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
   const PhysicalOp* op =
       task.op != kNoOp ? &run.plan.ops[task.op] : nullptr;
 
-  sparql::BgpPattern pat;
   overlay::HybridOverlay::Located loc;
-  Located* carry = nullptr;
   std::optional<net::NodeAddress> pend;
+  if (op != nullptr && op->preferred_end_from != kNoOp) {
+    pend = run.tasks[op->preferred_end_from].out.site;
+  }
 
-  if (op == nullptr) {
-    // Dynamic DESCRIBE part: standalone pattern, no pend, no carry.
-    pat = task.pattern;
-    loc = run.tasks[task.deps.front()].loc;
-    if (!loc.ok) {
-      task.out.site = run.initiator;
-      task.out.ready_at = task.base;
-      complete(run, id, task.out.ready_at);
-      return 0;
-    }
-  } else if (op->slot < 0) {
-    // Standalone single-pattern BGP.
-    pat = op->pattern;
-    loc = run.tasks[op->lookup].loc;
-    if (op->preferred_end_from != kNoOp) {
-      pend = run.tasks[op->preferred_end_from].out.site;
-    }
+  if (op == nullptr || op->slot < 0) {
+    // A standalone single-pattern BGP, or a dynamic DESCRIBE part (pattern
+    // set at spawn, no pend, no carry).
+    if (op != nullptr) task.pattern = op->pattern;
+    loc = run.tasks[op != nullptr ? op->lookup : task.deps.front()].loc;
     if (!loc.ok) {
       task.out.site = run.initiator;
       task.out.ready_at = task.base;
@@ -503,7 +492,7 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
     }
     const GroupState& g = *g0.group;
     const std::size_t i = g.order[static_cast<std::size_t>(op->slot)];
-    pat = run.tasks[lookups[i]].pattern;
+    task.pattern = run.tasks[lookups[i]].pattern;
     loc = run.tasks[lookups[i]].loc;
     if (op->slot > 0) {
       const Task& prev = run.tasks[op->inputs.front()];
@@ -516,10 +505,6 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
       }
       task.carry = prev.out;
       task.has_carry = true;
-      carry = &task.carry;
-    }
-    if (op->preferred_end_from != kNoOp) {
-      pend = run.tasks[op->preferred_end_from].out.site;
     }
     if (policy_.overlap_aware_sites &&
         op->slot + 1 < static_cast<int>(g.order.size())) {
@@ -535,287 +520,215 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
   const net::SimTime now = loc.completed_at;
 
   if (loc.providers.empty()) {
-    task.out.site = carry != nullptr ? carry->site : run.initiator;
+    task.out.site = task.has_carry ? task.carry.site : run.initiator;
     task.out.ready_at =
-        std::max(now, carry != nullptr ? carry->ready_at : now);
+        std::max(now, task.has_carry ? task.carry.ready_at : now);
     complete(run, id, task.out.ready_at);
     return 0;
   }
 
   task.pattern_span = open_span(obs::SpanKind::kPattern,
-                                pat.pattern.to_string(), now, run.initiator);
+                                task.pattern.pattern.to_string(), now,
+                                run.initiator);
 
-  PrimitiveStrategy strategy = policy_.primitive;
+  task.strategy = policy_.primitive;
   if (policy_.adaptive && !loc.broadcast && loc.providers.size() > 1) {
-    strategy = optimizer::choose_primitive_strategy(
+    task.strategy = optimizer::choose_primitive_strategy(
         loc.providers, net().cost_model(), policy_.objectives);
     run.rep.plan_notes.push_back(
-        std::string("adaptive: ") + pat.pattern.to_string() + " -> " +
-        std::string(optimizer::primitive_strategy_name(strategy)));
+        std::string("adaptive: ") + task.pattern.pattern.to_string() + " -> " +
+        std::string(optimizer::primitive_strategy_name(task.strategy)));
   }
-
-  task.pattern = pat;
-  task.strategy = strategy;  // a later re-lookup re-orders with the same one
   task.acc =
       std::make_unique<sparql::MergeAccumulator>(&overlay_->dictionary());
-  const bool scatter_gather =
-      strategy == PrimitiveStrategy::kBasic || loc.broadcast;
-
-  if (scatter_gather) {
-    // Basic strategy (Sect. IV-C): the index node is the assembly site; all
-    // providers evaluate in parallel and ship their mappings to it. A
-    // broadcast (fully unbound) pattern floods from the initiator instead.
-    task.assembly = loc.broadcast ? run.initiator
-                    : overlay_->ring().contains(loc.index_node)
-                        ? overlay_->ring().address_of(loc.index_node)
-                        : run.initiator;
-    task.chain = loc.providers;
-    task.remaining = task.chain.size();
-    task.t = now;
-    task.done_at = now;
-    for (std::size_t k = 0; k < task.chain.size(); ++k) {
-      Task leg;
-      leg.kind = TaskKind::kScatterLeg;
-      leg.scan = id;
-      leg.position = k;
-      leg.base = now;
-      leg.parent_span = run.tasks[id].pattern_span;
-      add_task(run, std::move(leg));
-    }
-    close_span(run.tasks[id].pattern_span, 0.0);
-    return 0;
-  }
-
-  // Chain strategies: the sub-query travels a provider chain; every
-  // provider merges its local mappings into the travelling set.
-  std::vector<overlay::Provider> chain =
-      optimizer::chain_order(loc.providers, strategy);
-  if (policy_.overlap_aware_sites && pend.has_value()) {
-    rotate_end_to_back(chain, *pend);
-  }
-
-  net::NodeAddress owner_addr =
-      overlay_->ring().contains(loc.index_node)
-          ? overlay_->ring().address_of(loc.index_node)
-          : run.initiator;
-  net::SimTime t;
-  {
-    obs::SpanScope ship_span(
-        trace_, obs::SpanKind::kSubQueryShip,
-        "to node " + std::to_string(chain.front().address), now, owner_addr);
-    t = net().send(owner_addr, chain.front().address, subquery_wire_bytes(pat),
-                   now, net::Category::kQuery);
-    if (carry != nullptr) {
-      const SetSize& size = sized(*carry);
-      t = std::max(t, net().send(carry->site, chain.front().address,
-                                 size.wire, carry->ready_at,
-                                 net::Category::kData, size.raw));
-      task.acc->set_carry(carry->set);
-    }
-    ship_span.finish(t);
-  }
-  task.chain = std::move(chain);
-  task.t = t;
-  task.sender = owner_addr;
-  task.site = owner_addr;
-
-  Task hop;
-  hop.kind = TaskKind::kChainHop;
-  hop.scan = id;
-  hop.position = 0;
-  hop.base = t;
-  hop.parent_span = task.pattern_span;
-  add_task(run, std::move(hop));
+  dispatch(run, id, loc,
+           policy_.overlap_aware_sites ? pend : std::nullopt,
+           /*carry_from=*/0.0);
   close_span(run.tasks[id].pattern_span, 0.0);
   return 0;
 }
 
-net::SimTime DagExecutor::fire_scatter_leg(QueryRun& run, TaskId id) {
-  Task& leg = run.tasks[id];
-  Task& scan = run.tasks[leg.scan];
-  const net::NodeAddress prov = scan.chain[leg.position].address;
+net::SimTime DagExecutor::dispatch(QueryRun& run, TaskId scan_id,
+                                   const overlay::HybridOverlay::Located& loc,
+                                   std::optional<net::NodeAddress> end,
+                                   net::SimTime carry_from) {
+  Task& scan = run.tasks[scan_id];
+  const net::SimTime now = loc.completed_at;
+  const net::NodeAddress owner =
+      overlay_->ring().contains(loc.index_node)
+          ? overlay_->ring().address_of(loc.index_node)
+          : run.initiator;
+  scan.failed_contacts = 0;
 
-  // A retry leg re-ships the sub-query after its backoff (leg.base carries
-  // the backoff-delayed start; first attempts have base == scan.t).
-  std::optional<obs::SpanScope> retry_span;
-  if (leg.attempt > 0) {
-    retry_span.emplace(trace_, obs::SpanKind::kRetry,
-                       "attempt " + std::to_string(leg.attempt + 1) +
-                           " node " + std::to_string(prov),
-                       leg.base, prov);
+  if (scan.strategy == PrimitiveStrategy::kBasic || loc.broadcast) {
+    // Basic strategy (Sect. IV-C): the index node is the assembly site; all
+    // providers evaluate in parallel and ship their mappings to it. A
+    // broadcast (fully unbound) pattern floods from the initiator instead.
+    scan.assembly = loc.broadcast ? run.initiator : owner;
+    scan.chain = loc.providers;
+    scan.remaining = scan.chain.size();
+    scan.done_at = now;
+    for (std::size_t k = 0; k < scan.chain.size(); ++k) {
+      spawn_contact(run, TaskKind::kScatterLeg, scan_id, k, 0, now);
+    }
+    return now;
   }
+
+  // Chain strategies: the sub-query travels a provider chain; every
+  // provider merges its local mappings into the travelling set.
+  scan.chain = optimizer::chain_order(loc.providers, scan.strategy);
+  if (end.has_value()) rotate_end_to_back(scan.chain, *end);
+  const net::NodeAddress first = scan.chain.front().address;
   net::SimTime t;
   {
     obs::SpanScope ship_span(trace_, obs::SpanKind::kSubQueryShip,
-                             "to node " + std::to_string(prov), leg.base,
-                             scan.assembly);
-    t = net().send(scan.assembly, prov, subquery_wire_bytes(scan.pattern),
-                   leg.base, net::Category::kQuery);
+                             "to node " + std::to_string(first), now, owner);
+    t = net().send(owner, first, subquery_wire_bytes(scan.pattern), now,
+                   net::Category::kQuery);
+    if (scan.has_carry) {
+      const SetSize& size = sized(scan.carry);
+      t = std::max(t, net().send(scan.carry.site, first, size.wire,
+                                 std::max(carry_from, scan.carry.ready_at),
+                                 net::Category::kData, size.raw));
+      scan.acc->set_carry(scan.carry.set);
+    }
     ship_span.finish(t);
   }
-  t = claim(prov, run.qid, t);
-  {
-    obs::SpanScope exec_span(trace_, obs::SpanKind::kLocalExec,
-                             "node " + std::to_string(prov), t, prov);
-    std::optional<sparql::IdRows> local =
-        run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
-    if (local.has_value()) {
-      t = net().send(prov, scan.assembly, net::wire::charged_bytes(*local),
-                     t, net::Category::kData, local->byte_size());
-      scan.acc->add(*local);
-    } else if (policy_.retry.enabled() &&
-               leg.attempt < policy_.retry.max_retries) {
-      // Dead contact with attempts left: hand the slot to a replacement leg
-      // starting after the deterministic backoff. The outstanding-leg count
-      // is NOT decremented — the replacement inherits this slot.
-      ++run.rep.retries;
-      exec_span.finish(t);
-      if (retry_span.has_value()) retry_span->finish(t);
-      Task redo;
-      redo.kind = TaskKind::kScatterLeg;
-      redo.scan = leg.scan;
-      redo.position = leg.position;
-      redo.attempt = leg.attempt + 1;
-      redo.base = t + policy_.retry.backoff_ms(leg.attempt + 1);
-      redo.parent_span = scan.pattern_span;
-      complete(run, id, t);
-      add_task(run, std::move(redo));
-      return t;
-    } else {
-      give_up_on_provider(prov, scan.pattern, t, run.initiator, run.rep);
-      ++scan.failed_contacts;
-    }
-    exec_span.finish(t);
-  }
-  if (retry_span.has_value()) retry_span->finish(t);
-  scan.done_at = std::max(scan.done_at, t);
-  complete(run, id, t);
-
-  assert(scan.remaining > 0);
-  if (--scan.remaining > 0) return t;
-  if (policy_.retry.relookup && !scan.relooked &&
-      scan.failed_contacts == scan.chain.size()) {
-    // Every provider of the row was given up on: fall back to lazy repair +
-    // one fresh lookup instead of completing with nothing.
-    spawn_relookup(run, leg.scan, scan.done_at);
-    return t;
-  }
-
-  // Last leg: gather at the assembly site, joining any carried set there.
-  Located out;
-  out.set = scan.acc->take();
-  out.site = scan.assembly;
-  out.ready_at = scan.done_at;
-  if (scan.has_carry) {
-    obs::SpanScope ship_span(trace_, obs::SpanKind::kShip,
-                             "carry to assembly", scan.carry.ready_at,
-                             scan.assembly);
-    Located c = ship(scan.carry, scan.assembly, net::Category::kData);
-    ship_span.finish(c.ready_at);
-    out.set = sparql::join(c.set, out.set);
-    out.ready_at = std::max(out.ready_at, c.ready_at);
-  }
-  scan.out = std::move(out);
-  complete(run, leg.scan, scan.out.ready_at);
-  return scan.out.ready_at;
-}
-
-net::SimTime DagExecutor::fire_chain_hop(QueryRun& run, TaskId id) {
-  Task& hop = run.tasks[id];
-  Task& scan = run.tasks[hop.scan];
-  const net::NodeAddress prov = scan.chain[hop.position].address;
-
-  // A retry hop re-sends the travelling payload from the previous sender
-  // after its backoff (scan.t carries the backoff-delayed start).
-  std::optional<obs::SpanScope> retry_span;
-  net::SimTime start = scan.t;
-  if (hop.attempt > 0) {
-    retry_span.emplace(trace_, obs::SpanKind::kRetry,
-                       "attempt " + std::to_string(hop.attempt + 1) +
-                           " node " + std::to_string(prov),
-                       start, prov);
-    const SetSize payload = hop_payload(scan);
-    start = net().send(scan.sender, prov, payload.wire, start,
-                       hop.position == 0 ? net::Category::kQuery
-                                         : net::Category::kData,
-                       payload.raw);
-  }
-  net::SimTime t = claim(prov, run.qid, start);
-  {
-    obs::SpanScope hop_span(trace_, obs::SpanKind::kChainHop,
-                            "node " + std::to_string(prov), t, prov);
-    std::optional<sparql::IdRows> local =
-        run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
-    if (local.has_value()) {
-      // With a carry, the accumulator merges join(carry, local).
-      scan.acc->add(*local);
-      scan.site = prov;
-      scan.sender = prov;
-    } else if (policy_.retry.enabled() &&
-               hop.attempt < policy_.retry.max_retries) {
-      ++run.rep.retries;
-      hop_span.finish(t);
-      if (retry_span.has_value()) retry_span->finish(t);
-      scan.t = t + policy_.retry.backoff_ms(hop.attempt + 1);
-      Task redo;
-      redo.kind = TaskKind::kChainHop;
-      redo.scan = hop.scan;
-      redo.position = hop.position;
-      redo.attempt = hop.attempt + 1;
-      redo.base = scan.t;
-      redo.parent_span = scan.pattern_span;
-      complete(run, id, t);
-      add_task(run, std::move(redo));
-      return t;
-    } else {
-      give_up_on_provider(prov, scan.pattern, t, run.initiator, run.rep);
-      ++scan.failed_contacts;
-    }
-    const bool last = hop.position + 1 >= scan.chain.size();
-    if (!last) {
-      const net::NodeAddress next = scan.chain[hop.position + 1].address;
-      const SetSize payload = hop_payload(scan);
-      t = net().send(scan.sender, next, payload.wire, t, net::Category::kData,
-                     payload.raw);
-    }
-    hop_span.finish(t);
-  }
-  if (retry_span.has_value()) retry_span->finish(t);
-  scan.t = t;
-  complete(run, id, t);
-
-  const bool last = hop.position + 1 >= scan.chain.size();
-  if (!last) {
-    Task next_hop;
-    next_hop.kind = TaskKind::kChainHop;
-    next_hop.scan = hop.scan;
-    next_hop.position = hop.position + 1;
-    next_hop.base = t;
-    next_hop.parent_span = scan.pattern_span;
-    add_task(run, std::move(next_hop));
-    return 0;
-  }
-  if (policy_.retry.relookup && !scan.relooked &&
-      scan.failed_contacts == scan.chain.size()) {
-    // The whole chain was given up on: lazy repair + one fresh lookup.
-    spawn_relookup(run, hop.scan, t);
-    return t;
-  }
-  scan.out.set = scan.acc->take();
-  scan.out.site = scan.site;
-  scan.out.ready_at = t;
-  complete(run, hop.scan, t);
+  scan.site = owner;
+  spawn_contact(run, TaskKind::kChainHop, scan_id, 0, 0, t);
   return t;
 }
 
-void DagExecutor::spawn_relookup(QueryRun& run, TaskId scan_id,
-                                 net::SimTime at) {
-  Task rl;
-  rl.kind = TaskKind::kRelookup;
-  rl.scan = scan_id;
-  rl.base = at;
-  rl.parent_span = run.tasks[scan_id].pattern_span;
-  add_task(run, std::move(rl));
+void DagExecutor::spawn_contact(QueryRun& run, TaskKind kind, TaskId scan_id,
+                                std::size_t position, int attempt,
+                                net::SimTime base) {
+  Task c;
+  c.kind = kind;
+  c.scan = scan_id;
+  c.position = position;
+  c.attempt = attempt;
+  c.base = base;
+  c.parent_span = run.tasks[scan_id].pattern_span;
+  add_task(run, std::move(c));
+}
+
+net::SimTime DagExecutor::fire_contact(QueryRun& run, TaskId id) {
+  Task& c = run.tasks[id];
+  Task& scan = run.tasks[c.scan];
+  const bool leg = c.kind == TaskKind::kScatterLeg;
+  const bool next_hop = !leg && c.position + 1 < scan.chain.size();
+  const net::NodeAddress prov = scan.chain[c.position].address;
+
+  // A retry starts after its backoff (c.base) and re-sends what the first
+  // attempt received: a leg its sub-query, which every leg ships from the
+  // assembly site, a hop the travelling payload from where it is.
+  std::optional<obs::SpanScope> retry_span;
+  if (c.attempt > 0) {
+    retry_span.emplace(trace_, obs::SpanKind::kRetry,
+                       "attempt " + std::to_string(c.attempt + 1) +
+                           " node " + std::to_string(prov),
+                       c.base, prov);
+  }
+  net::SimTime t = c.base;
+  if (leg) {
+    obs::SpanScope ship_span(trace_, obs::SpanKind::kSubQueryShip,
+                             "to node " + std::to_string(prov), t,
+                             scan.assembly);
+    t = net().send(scan.assembly, prov, subquery_wire_bytes(scan.pattern), t,
+                   net::Category::kQuery);
+    ship_span.finish(t);
+  } else if (c.attempt > 0) {
+    const SetSize payload = hop_payload(scan);
+    t = net().send(scan.site, prov, payload.wire, t,
+                   c.position == 0 ? net::Category::kQuery
+                                   : net::Category::kData,
+                   payload.raw);
+  }
+  t = claim(prov, run.qid, t);
+  {
+    obs::SpanScope span(
+        trace_, leg ? obs::SpanKind::kLocalExec : obs::SpanKind::kChainHop,
+        "node " + std::to_string(prov), t, prov);
+    std::optional<sparql::IdRows> local =
+        run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
+    if (local.has_value()) {
+      if (leg) {
+        t = net().send(prov, scan.assembly, net::wire::charged_bytes(*local),
+                       t, net::Category::kData, local->byte_size());
+      } else {
+        scan.site = prov;
+      }
+      // With a carry, a chain's accumulator merges join(carry, local).
+      scan.acc->add(*local);
+    } else if (policy_.retry.enabled() &&
+               c.attempt < policy_.retry.max_retries) {
+      // Dead contact with attempts left: a replacement contact inherits
+      // the slot after the deterministic backoff (a scatter's count of
+      // outstanding legs is NOT decremented).
+      ++run.rep.retries;
+      span.finish(t);
+      if (retry_span.has_value()) retry_span->finish(t);
+      complete(run, id, t);
+      spawn_contact(run, c.kind, c.scan, c.position, c.attempt + 1,
+                    t + policy_.retry.backoff_ms(c.attempt + 1));
+      return t;
+    } else {
+      give_up_on_provider(prov, scan.pattern, t, run.initiator, run.rep);
+      ++scan.failed_contacts;
+    }
+    if (next_hop) {
+      const SetSize payload = hop_payload(scan);
+      t = net().send(scan.site, scan.chain[c.position + 1].address,
+                     payload.wire, t, net::Category::kData, payload.raw);
+    }
+    span.finish(t);
+  }
+  if (retry_span.has_value()) retry_span->finish(t);
+  complete(run, id, t);
+
+  if (leg) {
+    scan.done_at = std::max(scan.done_at, t);
+    assert(scan.remaining > 0);
+    if (--scan.remaining > 0) return t;
+  } else if (next_hop) {
+    spawn_contact(run, TaskKind::kChainHop, c.scan, c.position + 1, 0, t);
+    return 0;
+  }
+
+  // The scan's last contact.
+  const net::SimTime end = leg ? scan.done_at : t;
+  if (policy_.retry.relookup && !scan.relooked &&
+      scan.failed_contacts == scan.chain.size()) {
+    // Every provider of the row was given up on: fall back to lazy repair +
+    // one fresh lookup instead of completing with nothing. The re-lookup
+    // pops after any injected recovery stamped before `end`, so it can see
+    // providers that came back while the scan was timing out.
+    Task rl;
+    rl.kind = TaskKind::kRelookup;
+    rl.scan = c.scan;
+    rl.base = end;
+    rl.parent_span = scan.pattern_span;
+    add_task(run, std::move(rl));
+    return t;
+  }
+  Located out;
+  out.set = scan.acc->take();
+  out.site = leg ? scan.assembly : scan.site;
+  out.ready_at = end;
+  if (leg && scan.has_carry) {
+    // A scatter gathers at the assembly site and joins the carry there (a
+    // chain merged it at every hop).
+    obs::SpanScope ship_span(trace_, obs::SpanKind::kShip,
+                             "carry to assembly", scan.carry.ready_at,
+                             scan.assembly);
+    Located carried = ship(scan.carry, scan.assembly, net::Category::kData);
+    ship_span.finish(carried.ready_at);
+    out.set = sparql::join(carried.set, out.set);
+    out.ready_at = std::max(out.ready_at, carried.ready_at);
+  }
+  scan.out = std::move(out);
+  complete(run, c.scan, scan.out.ready_at);
+  return scan.out.ready_at;
 }
 
 net::SimTime DagExecutor::fire_relookup(QueryRun& run, TaskId id) {
@@ -844,73 +757,10 @@ net::SimTime DagExecutor::fire_relookup(QueryRun& run, TaskId id) {
     complete(run, rl.scan, scan.out.ready_at);
     return scan.out.ready_at;
   }
-
-  const bool scatter_gather =
-      scan.strategy == PrimitiveStrategy::kBasic || loc.broadcast;
-  scan.failed_contacts = 0;
-  scan.chain.clear();
-
-  if (scatter_gather) {
-    scan.assembly = loc.broadcast ? run.initiator
-                    : overlay_->ring().contains(loc.index_node)
-                        ? overlay_->ring().address_of(loc.index_node)
-                        : run.initiator;
-    scan.chain = loc.providers;
-    scan.remaining = scan.chain.size();
-    scan.t = loc.completed_at;
-    scan.done_at = loc.completed_at;
-    for (std::size_t k = 0; k < scan.chain.size(); ++k) {
-      Task leg;
-      leg.kind = TaskKind::kScatterLeg;
-      leg.scan = rl.scan;
-      leg.position = k;
-      leg.base = loc.completed_at;
-      leg.parent_span = scan.pattern_span;
-      add_task(run, std::move(leg));
-    }
-    complete(run, id, loc.completed_at);
-    return 0;
-  }
-
-  std::vector<overlay::Provider> chain =
-      optimizer::chain_order(loc.providers, scan.strategy);
-  net::NodeAddress owner_addr =
-      overlay_->ring().contains(loc.index_node)
-          ? overlay_->ring().address_of(loc.index_node)
-          : run.initiator;
-  net::SimTime t;
-  {
-    obs::SpanScope ship_span(
-        trace_, obs::SpanKind::kSubQueryShip,
-        "to node " + std::to_string(chain.front().address), loc.completed_at,
-        owner_addr);
-    t = net().send(owner_addr, chain.front().address,
-                   subquery_wire_bytes(scan.pattern), loc.completed_at,
-                   net::Category::kQuery);
-    if (scan.has_carry) {
-      const SetSize& size = sized(scan.carry);
-      t = std::max(t, net().send(scan.carry.site, chain.front().address,
-                                 size.wire,
-                                 std::max(loc.completed_at,
-                                          scan.carry.ready_at),
-                                 net::Category::kData, size.raw));
-      scan.acc->set_carry(scan.carry.set);
-    }
-    ship_span.finish(t);
-  }
-  scan.chain = std::move(chain);
-  scan.t = t;
-  scan.sender = owner_addr;
-  scan.site = owner_addr;
-
-  Task hop;
-  hop.kind = TaskKind::kChainHop;
-  hop.scan = rl.scan;
-  hop.position = 0;
-  hop.base = t;
-  hop.parent_span = scan.pattern_span;
-  add_task(run, std::move(hop));
-  complete(run, id, t);
+  // The restart keeps the scan's strategy, ships a carry no earlier than
+  // the lookup's answer and does not re-aim the chain's end.
+  complete(run, id,
+           dispatch(run, rl.scan, loc, std::nullopt, loc.completed_at));
   return 0;
 }
 

@@ -172,7 +172,7 @@ class DagExecutor {
     sparql::BgpPattern pattern;
     TaskId scan = kNoTask;      // kScatterLeg / kChainHop / kRelookup: owner
     std::size_t position = 0;   // provider index within the scan
-    int attempt = 0;            // leg/hop: contacts of this slot so far
+    int attempt = 0;            // leg/hop: earlier contacts of this slot
     bool quiet_ship = false;    // kShip without a span (DESCRIBE parts)
     net::Category ship_category = net::Category::kResult;
     net::NodeAddress ship_target = net::kNoAddress;
@@ -187,8 +187,8 @@ class DagExecutor {
     std::vector<overlay::Provider> chain;    // providers in visit order
     /// Scan: the scatter / chain merge (heap-held: only scans use it).
     std::unique_ptr<sparql::MergeAccumulator> acc;
-    net::SimTime t = 0;                      // chain clock / scatter start
-    net::NodeAddress sender = net::kNoAddress;
+    /// Chain: where the travelling set is (the index node, then the last
+    /// provider that answered).
     net::NodeAddress site = net::kNoAddress;
     std::size_t failed_contacts = 0;  // scan: providers given up on
     bool relooked = false;            // scan: lazy re-lookup already spent
@@ -222,8 +222,12 @@ class DagExecutor {
   void fire(QueryRun& run, TaskId id);
   net::SimTime fire_lookup(QueryRun& run, TaskId id);
   net::SimTime fire_scan(QueryRun& run, TaskId id);
-  net::SimTime fire_scatter_leg(QueryRun& run, TaskId id);
-  net::SimTime fire_chain_hop(QueryRun& run, TaskId id);
+  /// One contact of a provider slot, a scatter leg or a chain hop: claims
+  /// the provider, runs the pattern there and, when it is dead, retries the
+  /// slot after the backoff or gives up on it. The scan's last contact
+  /// completes the scan, or spawns the re-lookup when every provider was
+  /// given up on.
+  net::SimTime fire_contact(QueryRun& run, TaskId id);
   net::SimTime fire_relookup(QueryRun& run, TaskId id);
   net::SimTime fire_ship(QueryRun& run, TaskId id);
   net::SimTime fire_binary(QueryRun& run, TaskId id);
@@ -255,10 +259,20 @@ class DagExecutor {
   void give_up_on_provider(net::NodeAddress provider,
                            const sparql::BgpPattern& p, net::SimTime now,
                            net::NodeAddress initiator, ExecutionReport& rep);
-  /// Spawn the scan's one lazy-repair re-lookup task at `at`. It pops after
-  /// any injected recovery stamped before `at`, so a re-lookup can see
-  /// providers that came back while the scan was timing out.
-  void spawn_relookup(QueryRun& run, TaskId scan_id, net::SimTime at);
+  /// Start `scan_id`'s strategy over the providers of `loc` (Sect. IV-C):
+  /// one scatter leg per provider from the assembly site, or the sub-query
+  /// and any carry shipped to the first hop of the chain, which `end` (when
+  /// set) moves to the back. The carry ship starts no earlier than
+  /// `carry_from`. Returns when the dispatch is done. fire_scan and the
+  /// lazy-repair re-lookup both start a scan here.
+  net::SimTime dispatch(QueryRun& run, TaskId scan_id,
+                        const overlay::HybridOverlay::Located& loc,
+                        std::optional<net::NodeAddress> end,
+                        net::SimTime carry_from);
+  /// Spawn contact `attempt` (0 = first) of provider slot `position` of
+  /// `scan_id` at `base`.
+  void spawn_contact(QueryRun& run, TaskKind kind, TaskId scan_id,
+                     std::size_t position, int attempt, net::SimTime base);
   std::pair<Located, Located> colocate(Located a, Located b,
                                        net::NodeAddress initiator,
                                        ExecutionReport& rep);

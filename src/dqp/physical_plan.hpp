@@ -33,15 +33,15 @@ namespace ahsw::dqp {
 /// timeout.
 ///
 /// A dead provider costs one failure-detection timeout per contact. With
-/// retries enabled, the dispatcher re-contacts the *next* ranked provider
-/// of the level-2 frequency row (ascending frequency, the chain order)
-/// after a deterministic backoff; when the whole provider set is exhausted
-/// and `relookup` is set, it falls back to the paper's lazy repair: one
-/// fresh index lookup, then one more pass over whatever the repaired row
-/// returns. Every attempt is charged through the normal traffic categories
-/// and wrapped in a kRetry span.
+/// retries enabled, the dispatcher re-contacts the *same* provider (the
+/// same scatter leg or chain position) after a deterministic backoff, up to
+/// `max_retries` more times, before giving up on it; when every provider of
+/// the scan's row was given up on and `relookup` is set, it falls back to
+/// the paper's lazy repair: one fresh index lookup, then one more pass over
+/// whatever the repaired row returns. Every retry is charged through the
+/// normal traffic categories and wrapped in a kRetry span.
 struct RetryPolicy {
-  int max_retries = 0;            // extra contacts per pattern beyond the first pass
+  int max_retries = 0;            // extra contacts per provider after the 1st
   double backoff_base_ms = 8.0;   // wait before the first retry
   double backoff_growth = 2.0;    // multiplier per further attempt
   bool relookup = false;          // lazy repair + one re-lookup on exhaustion

@@ -128,7 +128,7 @@ Repository::Resolution Repository::resolve_pattern(
       sparql::SolutionSet local = match_at(id);
       t = net_->send(peer.address, me, net::wire::charged_bytes(local), t,
                      net::Category::kData, local.byte_size());
-      res.solutions = sparql::deduplicated(
+      res.solutions = sparql::vec_deduplicated(
           sparql::set_union(res.solutions, local));
       res.completed_at = std::max(res.completed_at, t);
     }
@@ -157,7 +157,7 @@ Repository::Resolution Repository::resolve_pattern(
   res.completed_at = net_->send(lr.owner_address, peers_.at(from).address,
                                 net::wire::charged_bytes(local), t,
                                 net::Category::kData, local.byte_size());
-  res.solutions = sparql::deduplicated(std::move(local));
+  res.solutions = sparql::vec_deduplicated(std::move(local));
   res.ok = true;
   return res;
 }
@@ -244,7 +244,7 @@ Repository::Resolution Repository::resolve_disjunctive(
     }
     res.hops += branch.hops;
     res.completed_at = std::max(res.completed_at, branch.completed_at);
-    res.solutions = sparql::deduplicated(
+    res.solutions = sparql::vec_deduplicated(
         sparql::set_union(res.solutions, branch.solutions));
   }
   return res;
@@ -300,7 +300,7 @@ Repository::Resolution Repository::resolve_range(chord::Key from,
                    net::wire::charged_bytes(local), t, net::Category::kData,
                    local.byte_size());
     res.completed_at = std::max(res.completed_at, reply);
-    res.solutions = sparql::deduplicated(
+    res.solutions = sparql::vec_deduplicated(
         sparql::set_union(res.solutions, std::move(local)));
     ++res.hops;
 

@@ -61,13 +61,11 @@ struct MergeSchema {
   std::vector<std::string> vars;     // sorted union of both schemas
   std::vector<std::size_t> from_a;   // a column -> output column
   std::vector<std::size_t> from_b;   // b column -> output column
-  struct SharedCol {
-    std::size_t a;
-    std::size_t b;
-  };
-  /// Columns present in both schemas: a schema lists the variables bound
-  /// in at least one row, so these are the operands' shared variables.
-  std::vector<SharedCol> shared;
+  /// Columns present in both schemas, paired in order (a schema lists the
+  /// variables bound in at least one row, so these are the operands' shared
+  /// variables).
+  std::vector<std::size_t> shared_a;
+  std::vector<std::size_t> shared_b;
 };
 
 MergeSchema merge_schema(const std::vector<std::string>& a,
@@ -87,7 +85,8 @@ MergeSchema merge_schema(const std::vector<std::string>& a,
       m.from_b[j++] = out;
     } else {
       m.vars.push_back(a[i]);
-      m.shared.push_back({i, j});
+      m.shared_a.push_back(i);
+      m.shared_b.push_back(j);
       m.from_a[i++] = out;
       m.from_b[j++] = out;
     }
@@ -97,12 +96,11 @@ MergeSchema merge_schema(const std::vector<std::string>& a,
 
 /// Compatible per Perez et al., in id space: every variable bound in both
 /// rows carries the same id. Only shared-schema columns can disagree.
-bool compatible(const TermId* x, const TermId* y,
-                const std::vector<MergeSchema::SharedCol>& shared) {
-  for (const auto& sc : shared) {
-    if (x[sc.a] != kUnbound && y[sc.b] != kUnbound && x[sc.a] != y[sc.b]) {
-      return false;
-    }
+bool compatible(const TermId* x, const TermId* y, const MergeSchema& m) {
+  for (std::size_t k = 0; k < m.shared_a.size(); ++k) {
+    const TermId xa = x[m.shared_a[k]];
+    const TermId yb = y[m.shared_b[k]];
+    if (xa != kUnbound && yb != kUnbound && xa != yb) return false;
   }
   return true;
 }
@@ -210,24 +208,11 @@ class ExprMemo {
   std::vector<char> verdicts_;
 };
 
-/// The ids `row` takes on the shared columns (`a` or `b` side) into `key`;
-/// false if one is unbound.
-bool shared_key(const TermId* row,
-                const std::vector<MergeSchema::SharedCol>& shared, bool a_side,
-                std::vector<TermId>& key) {
-  for (std::size_t k = 0; k < shared.size(); ++k) {
-    key[k] = row[a_side ? shared[k].a : shared[k].b];
-    if (key[k] == kUnbound) return false;
-  }
-  return true;
-}
-
 /// The join core shared by join and left_join. Emission order is the
-/// row-order contract of columnar.hpp: per a-row in order, full-key group
-/// matches in b insertion order, then partial rows, with a full scan for
-/// a-rows missing part of the shared key. When `matched` is non-null it
-/// records, per a-row, whether any pair was emitted (the LeftJoin minus
-/// part needs it). `out` gets the merged schema; the caller trims it.
+/// row-order contract of columnar.hpp: per a-row in order, the b-rows the
+/// KeyedProbe yields. When `matched` is non-null it records, per a-row,
+/// whether any pair was emitted (the LeftJoin minus part needs it). `out`
+/// gets the merged schema; the caller trims it.
 void join_core(const IdRows& a, const IdRows& b, const MergeSchema& m,
                IdRows& out, std::vector<char>* matched) {
   out.vars = m.vars;
@@ -235,55 +220,15 @@ void join_core(const IdRows& a, const IdRows& b, const MergeSchema& m,
   if (matched != nullptr) matched->assign(a.rows, 0);
   const std::size_t wa = a.vars.size();
   const std::size_t wb = b.vars.size();
-
-  auto emit = [&](std::size_t ra, std::size_t rb) {
-    const std::size_t base = out.cells.size();
-    out.cells.resize(base + m.vars.size());
-    merge_cells(a.row(ra), wa, b.row(rb), wb, m, out.cells.data() + base);
-    ++out.rows;
-    if (matched != nullptr) (*matched)[ra] = 1;
-  };
-  auto compatible_pair = [&](std::size_t ra, std::size_t rb) {
-    return compatible(a.row(ra), b.row(rb), m.shared);
-  };
-
-  if (m.shared.empty()) {
-    // Cartesian product: no shared vars, every pair compatible.
-    for (std::size_t ra = 0; ra < a.rows; ++ra) {
-      for (std::size_t rb = 0; rb < b.rows; ++rb) emit(ra, rb);
-    }
-    return;
-  }
-
-  // Group b-rows binding every shared var by their shared id tuple; rows
-  // missing one (possible after OPTIONAL) go to the pairwise-checked pool.
-  IdTupleIndex groups(m.shared.size());
-  groups.reserve(b.rows);
-  std::vector<std::size_t> partial;
-  std::vector<TermId> key(m.shared.size());
-  for (std::size_t rb = 0; rb < b.rows; ++rb) {
-    if (shared_key(b.row(rb), m.shared, false, key)) {
-      groups.add_row(key.data(), static_cast<std::uint32_t>(rb));
-    } else {
-      partial.push_back(rb);
-    }
-  }
-
+  KeyedProbe probe(b.cells.data(), b.rows, wb, m.shared_b);
   for (std::size_t ra = 0; ra < a.rows; ++ra) {
-    if (shared_key(a.row(ra), m.shared, true, key)) {
-      // A full key equal on every shared column is compatible outright.
-      for (std::uint32_t rb = groups.first(key.data());
-           rb != IdTupleIndex::kNone; rb = groups.next(rb)) {
-        emit(ra, rb);
-      }
-      for (std::size_t rb : partial) {
-        if (compatible_pair(ra, rb)) emit(ra, rb);
-      }
-    } else {
-      for (std::size_t rb = 0; rb < b.rows; ++rb) {
-        if (compatible_pair(ra, rb)) emit(ra, rb);
-      }
-    }
+    probe.each(a.row(ra), m.shared_a, [&](std::size_t rb) {
+      const std::size_t base = out.cells.size();
+      out.cells.resize(base + m.vars.size());
+      merge_cells(a.row(ra), wa, b.row(rb), wb, m, out.cells.data() + base);
+      ++out.rows;
+      if (matched != nullptr) (*matched)[ra] = 1;
+    });
   }
 }
 
@@ -305,7 +250,7 @@ IdRows minus(const IdRows& a, const IdRows& b) {
   for (std::size_t ra = 0; ra < a.rows; ++ra) {
     bool any = false;
     for (std::size_t rb = 0; rb < b.rows && !any; ++rb) {
-      any = compatible(a.row(ra), b.row(rb), m.shared);
+      any = compatible(a.row(ra), b.row(rb), m);
     }
     if (!any) {
       out.cells.insert(out.cells.end(), a.row(ra), a.row(ra) + wa);
@@ -343,7 +288,7 @@ IdRows left_join_conditioned(const IdRows& a, const IdRows& b,
   for (std::size_t ra = 0; ra < a.rows; ++ra) {
     bool extended = false;
     for (std::size_t rb = 0; rb < b.rows; ++rb) {
-      if (!compatible(a.row(ra), b.row(rb), m.shared)) continue;
+      if (!compatible(a.row(ra), b.row(rb), m)) continue;
       merge_cells(a.row(ra), a.vars.size(), b.row(rb), b.vars.size(), m,
                   buf.data());
       if (satisfied(buf.data(), out.dict)) {
@@ -603,6 +548,30 @@ void IdTupleIndex::add_row(const TermId* key, std::uint32_t r) {
   next_.resize(r + 1, kNone);
 }
 
+KeyedProbe::KeyedProbe(const TermId* cells, std::size_t rows,
+                       std::size_t width, std::vector<std::size_t> cols)
+    : cols_(std::move(cols)),
+      rows_(rows),
+      groups_(cols_.size()),
+      key_(cols_.size()) {
+  const std::size_t k = cols_.size();
+  keys_.resize(rows * k);
+  groups_.reserve(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    TermId* key = keys_.data() + r * k;
+    bool full = true;
+    for (std::size_t c = 0; c < k; ++c) {
+      key[c] = cells[r * width + cols_[c]];
+      full = full && key[c] != kUnbound;
+    }
+    if (full) {
+      groups_.add_row(key, static_cast<std::uint32_t>(r));
+    } else {
+      pool_.push_back(static_cast<std::uint32_t>(r));
+    }
+  }
+}
+
 std::vector<TermId> MergeAccumulator::local_cells(const IdRows& rows) {
   assert(rows.dict == dict_ || rows.dict == nullptr);
   std::vector<TermId> cells(rows.cells.size(), kUnbound);
@@ -645,54 +614,22 @@ void MergeAccumulator::merge(const std::vector<std::string>& vars,
   // probe the carry grouped once on the shared columns.
   Carry& c = *carry_;
   const MergeSchema m = merge_schema(c.vars, vars);
+  if (!c.probe.has_value() || c.probe->cols() != m.shared_a) {
+    c.probe.emplace(c.cells.data(), c.rows, c.vars.size(), m.shared_a);
+  }
   const std::size_t wc = c.vars.size();
   const std::size_t wl = vars.size();
   const std::size_t wm = m.vars.size();
-  std::vector<std::size_t> key_cols;
-  for (const auto& sc : m.shared) key_cols.push_back(sc.a);
-  std::vector<TermId> key(key_cols.size());
-  auto carry_row = [&](std::size_t r) { return c.cells.data() + r * wc; };
-  if (!key_cols.empty() && c.key_cols != key_cols) {
-    // Carry rows binding every shared column group by their shared ids;
-    // rows missing one (possible after OPTIONAL) are checked pairwise.
-    c.groups = IdTupleIndex(key_cols.size());
-    c.groups.reserve(c.rows);
-    c.partial.clear();
-    c.key_cols = key_cols;
-    for (std::size_t r = 0; r < c.rows; ++r) {
-      if (shared_key(carry_row(r), m.shared, true, key)) {
-        c.groups.add_row(key.data(), static_cast<std::uint32_t>(r));
-      } else {
-        c.partial.push_back(r);
-      }
-    }
-  }
-
   std::vector<TermId> out;
   std::size_t out_rows = 0;
-  auto emit = [&](std::size_t rc, const TermId* lrow) {
-    out.resize(out.size() + wm);
-    merge_cells(carry_row(rc), wc, lrow, wl, m, out.data() + out_rows * wm);
-    ++out_rows;
-  };
   for (std::size_t rl = 0; rl < rows; ++rl) {
     const TermId* lrow = cells.data() + rl * wl;
-    if (m.shared.empty()) {
-      for (std::size_t rc = 0; rc < c.rows; ++rc) emit(rc, lrow);
-    } else if (shared_key(lrow, m.shared, false, key)) {
-      // A full key equal on every shared column is compatible outright.
-      for (std::uint32_t rc = c.groups.first(key.data());
-           rc != IdTupleIndex::kNone; rc = c.groups.next(rc)) {
-        emit(rc, lrow);
-      }
-      for (std::size_t rc : c.partial) {
-        if (compatible(carry_row(rc), lrow, m.shared)) emit(rc, lrow);
-      }
-    } else {
-      for (std::size_t rc = 0; rc < c.rows; ++rc) {
-        if (compatible(carry_row(rc), lrow, m.shared)) emit(rc, lrow);
-      }
-    }
+    c.probe->each(lrow, m.shared_b, [&](std::size_t rc) {
+      out.resize(out.size() + wm);
+      merge_cells(c.cells.data() + rc * wc, wc, lrow, wl, m,
+                  out.data() + out_rows * wm);
+      ++out_rows;
+    });
   }
   absorb(m.vars, out, out_rows);
 }

@@ -10,14 +10,14 @@
 // operands of a binary kernel resolve through one dictionary. A kernel
 // touches a term only to evaluate an expression (materializing the row,
 // memoized per id tuple). Join keys are integer id tuples (IdTupleIndex),
-// and every kernel that orders ids (deduplicated, canonical_order, id_table,
-// MergeAccumulator) compares the dictionary's term ranks, so its order is
-// Binding's whatever the dictionary's id order; it throws std::logic_error
-// when the dictionary's term order is stale. The SolutionSet entry points
-// (vec_* here, the join/minus/left_join/left_join_conditioned/filter_set/
-// deduplicated names of solution.hpp and eval.hpp, which forward to them)
-// intern their operands into a private dictionary, call the id kernel and
-// materialize.
+// probed through one KeyedProbe by join, left_join and the
+// MergeAccumulator's carry join, and every kernel that orders ids
+// (deduplicated, canonical_order, id_table, MergeAccumulator) compares the
+// dictionary's term ranks, so its order is Binding's whatever the
+// dictionary's id order; it throws std::logic_error when the dictionary's
+// term order is stale. The SolutionSet entry points are the vec_* functions
+// here: each interns its operands into a private dictionary, calls the id
+// kernel and materializes.
 //
 // Row-order contract: join emits, per left row in order, the compatible
 // right rows in their input order (fully keyed matches before rows that
@@ -225,6 +225,74 @@ class IdTupleIndex {
   std::vector<std::uint32_t> next_;  // row -> next row of its tuple
 };
 
+/// The keyed probe of every join over id rows (join, left_join and the
+/// MergeAccumulator's carry join). The build rows are grouped by the ids
+/// they take on the key columns in an IdTupleIndex; rows missing one of
+/// those ids (possible after OPTIONAL) wait in a pool checked pairwise.
+/// each() yields, for one probe row, its group in build-row order, then the
+/// compatible pool rows; a probe row missing a key id is checked against
+/// every build row. With no key column every row shares the empty key, so
+/// each() yields the cross product.
+class KeyedProbe {
+ public:
+  /// Group the `rows` rows of `cells` (row-major, `width` ids a row) on the
+  /// columns `cols`.
+  KeyedProbe(const rdf::TermId* cells, std::size_t rows, std::size_t width,
+             std::vector<std::size_t> cols);
+
+  /// The build columns grouped on.
+  [[nodiscard]] const std::vector<std::size_t>& cols() const noexcept {
+    return cols_;
+  }
+
+  /// Call emit(r) for every build row r compatible with `row`, whose ids on
+  /// the key sit at the columns `row_cols` (paired with cols() in order).
+  template <typename Emit>
+  void each(const rdf::TermId* row, const std::vector<std::size_t>& row_cols,
+            Emit&& emit) {
+    bool full = true;
+    for (std::size_t k = 0; k < key_.size(); ++k) {
+      key_[k] = row[row_cols[k]];
+      full = full && key_[k] != rdf::kInvalidTermId;
+    }
+    if (!full) {
+      for (std::size_t r = 0; r < rows_; ++r) {
+        if (compatible(r)) emit(r);
+      }
+      return;
+    }
+    // A full key equal on every key column is compatible outright.
+    for (std::uint32_t r = groups_.first(key_.data()); r != IdTupleIndex::kNone;
+         r = groups_.next(r)) {
+      emit(r);
+    }
+    for (std::uint32_t r : pool_) {
+      if (compatible(r)) emit(r);
+    }
+  }
+
+ private:
+  /// Build row `r` and the probe key bind no key column to different ids.
+  [[nodiscard]] bool compatible(std::size_t r) const noexcept {
+    const rdf::TermId* k = keys_.data() + r * key_.size();
+    for (std::size_t c = 0; c < key_.size(); ++c) {
+      if (k[c] != rdf::kInvalidTermId && key_[c] != rdf::kInvalidTermId &&
+          k[c] != key_[c]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  std::vector<std::size_t> cols_;
+  std::size_t rows_ = 0;
+  std::vector<rdf::TermId> keys_;  // rows_ x cols_: each build row's key
+  // Point lookups by key only; each group chains its rows in build order.
+  IdTupleIndex groups_;
+  std::vector<std::uint32_t> pool_;  // build rows missing a key id
+  std::vector<rdf::TermId> key_;     // the probe row's key
+};
+
 /// The running value of `deduplicated(set_union(acc, next))` folded over
 /// every add(), kept in id space. Rows live as tuples of table-local ids in
 /// insertion order with an IdTupleIndex used only for point lookups; the
@@ -240,8 +308,8 @@ class MergeAccumulator {
 
   /// Join every later add() against `carry` (a chain that carries the
   /// partial result of earlier conjunction patterns). The carry is
-  /// renumbered here once and hash-grouped at the first add() on the
-  /// columns it shares with the provider rows; add(local) then merges
+  /// renumbered here once and grouped in a KeyedProbe at the first add() on
+  /// the columns it shares with the provider rows; add(local) then merges
   /// join(carry, local) without materialising it. Replaces any earlier
   /// carry.
   void set_carry(const IdRows& carry);
@@ -275,17 +343,13 @@ class MergeAccumulator {
   [[nodiscard]] IdRows take();
 
  private:
-  /// The carry in local ids plus its hash grouping on the columns it shares
-  /// with the provider rows (regrouped only if those columns change).
+  /// The carry in local ids plus its probe on the columns it shares with
+  /// the provider rows (regrouped only if those columns change).
   struct Carry {
     std::vector<std::string> vars;
     std::size_t rows = 0;
     std::vector<rdf::TermId> cells;
-    std::vector<std::size_t> key_cols;  // carry columns grouped on
-    // Point lookups by shared-id tuple only; matches are emitted in carry
-    // row order from each group.
-    IdTupleIndex groups;
-    std::vector<std::size_t> partial;  // rows missing a key column
+    std::optional<KeyedProbe> probe;
   };
 
   /// `rows` renumbered into local ids (unbound cells stay unbound).

@@ -185,14 +185,14 @@ SolutionSet LocalEngine::evaluate(const Algebra& a) const {
     case AlgebraKind::kBgp:
       return evaluate_bgp(a.bgp);
     case AlgebraKind::kJoin:
-      return join(evaluate(*a.left), evaluate(*a.right));
+      return vec_join(evaluate(*a.left), evaluate(*a.right));
     case AlgebraKind::kLeftJoin:
-      return left_join_conditioned(evaluate(*a.left), evaluate(*a.right),
-                                   a.expr);
+      return vec_left_join_conditioned(evaluate(*a.left),
+                                       evaluate(*a.right), a.expr);
     case AlgebraKind::kUnion:
       return set_union(evaluate(*a.left), evaluate(*a.right));
     case AlgebraKind::kFilter:
-      return filter_set(evaluate(*a.left), *a.expr);
+      return vec_filter_set(evaluate(*a.left), *a.expr);
     case AlgebraKind::kProject: {
       SolutionSet in = evaluate(*a.left);
       SolutionSet out;
@@ -200,7 +200,7 @@ SolutionSet LocalEngine::evaluate(const Algebra& a) const {
       return out;
     }
     case AlgebraKind::kDistinct:
-      return deduplicated(evaluate(*a.left));
+      return vec_deduplicated(evaluate(*a.left));
     case AlgebraKind::kReduced: {
       SolutionSet in = evaluate(*a.left);
       auto& rows = in.rows();
@@ -420,15 +420,6 @@ QueryResult finalize_result(const Query& q, const IdRows& raw,
                           kept.begin() + static_cast<std::ptrdiff_t>(to)})
           .materialize();
   return res;
-}
-
-SolutionSet left_join_conditioned(const SolutionSet& a, const SolutionSet& b,
-                                  const ExprPtr& cond) {
-  return vec_left_join_conditioned(a, b, cond);
-}
-
-SolutionSet filter_set(const SolutionSet& in, const Expr& e) {
-  return vec_filter_set(in, e);
 }
 
 SolutionSet deduplicated(const SolutionSet& in) {

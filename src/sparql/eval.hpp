@@ -89,19 +89,9 @@ void order_solutions(SolutionSet& set,
 [[nodiscard]] QueryResult execute_local(const Query& q,
                                         const rdf::TripleStore& store);
 
-/// LeftJoin with an optional condition (SPARQL OPTIONAL semantics): each
-/// left row extends with every compatible right row satisfying `cond`, or
-/// survives alone when none does. cond == nullptr means `true`.
-/// These three forward to the dictionary-id kernels of sparql/columnar.hpp.
-[[nodiscard]] SolutionSet left_join_conditioned(const SolutionSet& a,
-                                                const SolutionSet& b,
-                                                const ExprPtr& cond);
-
-/// Rows of `in` satisfying `e`.
-[[nodiscard]] SolutionSet filter_set(const SolutionSet& in, const Expr& e);
-
-/// Canonically sorted with duplicates removed (set semantics, used at every
-/// in-network merge point of the distributed processor).
+/// vec_deduplicated under the kernel's name: the benchmark harness
+/// (perfbench/) compares answers with it. Everything else calls
+/// vec_deduplicated.
 [[nodiscard]] SolutionSet deduplicated(const SolutionSet& in);
 
 }  // namespace ahsw::sparql

@@ -1,7 +1,5 @@
 #include "sparql/solution.hpp"
 
-#include "sparql/columnar.hpp"
-
 #include <algorithm>
 #include <iterator>
 
@@ -119,24 +117,12 @@ std::string SolutionSet::to_string() const {
   return out;
 }
 
-SolutionSet join(const SolutionSet& a, const SolutionSet& b) {
-  return vec_join(a, b);
-}
-
 SolutionSet set_union(const SolutionSet& a, const SolutionSet& b) {
   SolutionSet out;
   out.rows().reserve(a.size() + b.size());
   for (const Binding& r : a.rows()) out.add(r);
   for (const Binding& r : b.rows()) out.add(r);
   return out;
-}
-
-SolutionSet minus(const SolutionSet& a, const SolutionSet& b) {
-  return vec_minus(a, b);
-}
-
-SolutionSet left_join(const SolutionSet& a, const SolutionSet& b) {
-  return vec_left_join(a, b);
 }
 
 std::vector<std::string> variables_of(const SolutionSet& s) {

@@ -132,21 +132,11 @@ class SolutionSet {
   mutable std::size_t cached_bytes_ = kSetFraming;
 };
 
-// Join, minus and left join run the dictionary-id kernels of
-// sparql/columnar.hpp through their SolutionSet entry points.
-
-/// O1 x O2 (hash join on the shared variables).
-[[nodiscard]] SolutionSet join(const SolutionSet& a, const SolutionSet& b);
+// Join, minus, left join, filter and distinct over SolutionSets are the
+// vec_* entry points of sparql/columnar.hpp.
 
 /// O1 u O2.
 [[nodiscard]] SolutionSet set_union(const SolutionSet& a,
-                                    const SolutionSet& b);
-
-/// O1 - O2 (per Perez et al.: drop u1 compatible with any u2).
-[[nodiscard]] SolutionSet minus(const SolutionSet& a, const SolutionSet& b);
-
-/// Left outer join without a condition: (O1 x O2) u (O1 - O2).
-[[nodiscard]] SolutionSet left_join(const SolutionSet& a,
                                     const SolutionSet& b);
 
 /// Variables appearing in any row of `s`, sorted.

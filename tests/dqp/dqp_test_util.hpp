@@ -17,7 +17,7 @@ inline constexpr std::string_view kPrologue =
 /// Distinct, canonically ordered rows of a solution set (distributed
 /// execution merges with set semantics, so comparisons are as sets).
 inline sparql::SolutionSet canon(const sparql::SolutionSet& s) {
-  return sparql::deduplicated(s);
+  return sparql::vec_deduplicated(s);
 }
 
 /// Run `query` distributed from `initiator` and against the merged-store

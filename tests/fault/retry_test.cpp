@@ -57,7 +57,8 @@ dqp::ExecutionReport faulted_run(const dqp::ExecutionPolicy& policy,
   FaultRunResult res =
       run_with_faults(proc, bed.overlay(), {knows_query(bed)}, schedule);
   if (rows != nullptr) {
-    *rows = sparql::deduplicated(res.batch.results.front().solutions).size();
+    *rows =
+        sparql::vec_deduplicated(res.batch.results.front().solutions).size();
   }
   return res.batch.reports.front();
 }

@@ -168,8 +168,8 @@ TEST_P(FilterPushEquivalence, PushedPlanGivesSameSolutions) {
     sparql::LocalEngine engine(store);
     AlgebraPtr plain = pattern_of(query);
     AlgebraPtr pushed = push_filters(plain);
-    sparql::SolutionSet a = sparql::deduplicated(engine.evaluate(*plain));
-    sparql::SolutionSet b = sparql::deduplicated(engine.evaluate(*pushed));
+    sparql::SolutionSet a = sparql::vec_deduplicated(engine.evaluate(*plain));
+    sparql::SolutionSet b = sparql::vec_deduplicated(engine.evaluate(*pushed));
     EXPECT_EQ(a.rows(), b.rows()) << "seed " << seed << "\nplain:  "
                                   << plain->to_string() << "\npushed: "
                                   << pushed->to_string();

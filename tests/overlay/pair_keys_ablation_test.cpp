@@ -77,8 +77,8 @@ TEST(PairKeysAblation, AnswersStayOracleCorrect) {
         proc.execute(parsed, bed.storage_addrs().front(), nullptr);
     sparql::QueryResult oracle =
         sparql::execute_local(parsed, bed.overlay().merged_store());
-    EXPECT_EQ(sparql::deduplicated(dist.solutions).rows(),
-              sparql::deduplicated(oracle.solutions).rows())
+    EXPECT_EQ(sparql::vec_deduplicated(dist.solutions).rows(),
+              sparql::vec_deduplicated(oracle.solutions).rows())
         << q;
   }
 }

@@ -52,7 +52,7 @@ TEST(KernelReference, JoinMatchesRowForRow) {
   for (int trial = 0; trial < 60; ++trial) {
     SolutionSet a = random_set(rng);
     SolutionSet b = random_set(rng);
-    EXPECT_EQ(join(a, b).rows(), row_reference::join(a, b).rows())
+    EXPECT_EQ(vec_join(a, b).rows(), row_reference::join(a, b).rows())
         << "trial " << trial;
   }
 }
@@ -62,9 +62,9 @@ TEST(KernelReference, MinusAndLeftJoinMatch) {
   for (int trial = 0; trial < 60; ++trial) {
     SolutionSet a = random_set(rng);
     SolutionSet b = random_set(rng);
-    EXPECT_EQ(minus(a, b).rows(), row_reference::minus(a, b).rows())
+    EXPECT_EQ(vec_minus(a, b).rows(), row_reference::minus(a, b).rows())
         << "trial " << trial;
-    EXPECT_EQ(left_join(a, b).rows(), row_reference::left_join(a, b).rows())
+    EXPECT_EQ(vec_left_join(a, b).rows(), row_reference::left_join(a, b).rows())
         << "trial " << trial;
   }
 }
@@ -78,10 +78,10 @@ TEST(KernelReference, ConditionedLeftJoinMatches) {
   for (int trial = 0; trial < 60; ++trial) {
     SolutionSet a = random_set(rng);
     SolutionSet b = random_set(rng);
-    EXPECT_EQ(left_join_conditioned(a, b, cond).rows(),
+    EXPECT_EQ(vec_left_join_conditioned(a, b, cond).rows(),
               row_reference::left_join_conditioned(a, b, cond).rows())
         << "trial " << trial;
-    EXPECT_EQ(left_join_conditioned(a, b, nullptr).rows(),
+    EXPECT_EQ(vec_left_join_conditioned(a, b, nullptr).rows(),
               row_reference::left_join_conditioned(a, b, nullptr).rows())
         << "trial " << trial;
   }
@@ -95,10 +95,10 @@ TEST(KernelReference, FilterAndDistinctMatch) {
                                            Expr::variable("b")));
   for (int trial = 0; trial < 60; ++trial) {
     SolutionSet s = random_set(rng);
-    EXPECT_EQ(filter_set(s, *cond).rows(),
+    EXPECT_EQ(vec_filter_set(s, *cond).rows(),
               row_reference::filter_set(s, *cond).rows())
         << "trial " << trial;
-    EXPECT_EQ(deduplicated(s).rows(), row_reference::deduplicated(s).rows())
+    EXPECT_EQ(vec_deduplicated(s).rows(), row_reference::deduplicated(s).rows())
         << "trial " << trial;
   }
 }
@@ -109,12 +109,13 @@ TEST(KernelReference, EmptyAndEmptyBindingEdgeCases) {
   one_empty_row.add(Binding{});
   for (const SolutionSet* a : {&empty, &one_empty_row}) {
     for (const SolutionSet* b : {&empty, &one_empty_row}) {
-      EXPECT_EQ(join(*a, *b).rows(), row_reference::join(*a, *b).rows());
-      EXPECT_EQ(left_join(*a, *b).rows(),
+      EXPECT_EQ(vec_join(*a, *b).rows(), row_reference::join(*a, *b).rows());
+      EXPECT_EQ(vec_left_join(*a, *b).rows(),
                 row_reference::left_join(*a, *b).rows());
-      EXPECT_EQ(minus(*a, *b).rows(), row_reference::minus(*a, *b).rows());
+      EXPECT_EQ(vec_minus(*a, *b).rows(), row_reference::minus(*a, *b).rows());
     }
-    EXPECT_EQ(deduplicated(*a).rows(), row_reference::deduplicated(*a).rows());
+    EXPECT_EQ(vec_deduplicated(*a).rows(),
+              row_reference::deduplicated(*a).rows());
   }
 }
 

@@ -81,8 +81,9 @@ std::size_t run_fold(common::Rng& rng, int adds, std::size_t max_rows,
                             ? SolutionSet{}
                             : random_contribution(rng, max_rows, spread, kVars);
     acc.add(intern_rows(local, dict));
-    SolutionSet contribution = carry != nullptr ? join(*carry, local) : local;
-    ref = deduplicated(set_union(ref, contribution));
+    SolutionSet contribution =
+        carry != nullptr ? vec_join(*carry, local) : local;
+    ref = vec_deduplicated(set_union(ref, contribution));
     expect_sizes_match(acc, ref, "add " + std::to_string(i));
   }
   const std::size_t distinct = acc.table().by_rank.size();
@@ -118,7 +119,7 @@ TEST(MergeAccumulator, GrowsSchemaAcrossContributions) {
     SolutionSet local =
         random_contribution(rng, 10, 4, schemas[rng.below(schemas.size())]);
     acc.add(intern_rows(local, dict));
-    ref = deduplicated(set_union(ref, local));
+    ref = vec_deduplicated(set_union(ref, local));
     expect_sizes_match(acc, ref, "add " + std::to_string(i));
   }
   EXPECT_EQ(acc.take().materialize().rows(), ref.rows());
@@ -145,7 +146,32 @@ TEST(MergeAccumulator, PreparedCarryJoinEqualsJoinAsRowSet) {
     acc.set_carry(intern_rows(carry, dict));
     acc.add(intern_rows(local, dict));
     EXPECT_EQ(acc.take().materialize().rows(),
-              deduplicated(join(carry, local)).rows())
+              vec_deduplicated(vec_join(carry, local)).rows())
+        << "trial " << trial;
+  }
+}
+
+TEST(MergeAccumulator, CarryRegroupsWhenSharedColumnsChange) {
+  // Contributions over different schemas share different columns with the
+  // carry, so the carry's probe must follow them.
+  common::Rng rng(38);
+  static const std::vector<const char*> kCarryVars = {"x", "y"};
+  const std::vector<std::vector<const char*>> schemas = {
+      {"x"}, {"x", "y"}, {"y"}, {"a"}, {"a", "x", "y"}};
+  for (int trial = 0; trial < 20; ++trial) {
+    SolutionSet carry = random_contribution(rng, 12, 3, kCarryVars);
+    rdf::TermDictionary dict;
+    MergeAccumulator acc(&dict);
+    acc.set_carry(intern_rows(carry, dict));
+    SolutionSet ref;
+    for (std::size_t i = 0; i < 2 * schemas.size(); ++i) {
+      SolutionSet local =
+          random_contribution(rng, 10, 3, schemas[i % schemas.size()]);
+      acc.add(intern_rows(local, dict));
+      ref = vec_deduplicated(set_union(ref, vec_join(carry, local)));
+      expect_sizes_match(acc, ref, "add " + std::to_string(i));
+    }
+    EXPECT_EQ(acc.take().materialize().rows(), ref.rows())
         << "trial " << trial;
   }
 }
@@ -167,7 +193,7 @@ TEST(MergeAccumulator, CarryWithoutSharedVariablesIsAProduct) {
   acc.set_carry(intern_rows(carry, dict));
   acc.add(intern_rows(local, dict));
   EXPECT_EQ(acc.take().materialize().rows(),
-            deduplicated(join(carry, local)).rows());
+            vec_deduplicated(vec_join(carry, local)).rows());
 }
 
 TEST(MergeAccumulator, EmptyBindingIsHeldOnce) {
@@ -178,7 +204,7 @@ TEST(MergeAccumulator, EmptyBindingIsHeldOnce) {
   MergeAccumulator acc(&dict);
   acc.add(intern_rows(local, dict));
   acc.add(intern_rows(local, dict));
-  SolutionSet ref = deduplicated(local);
+  SolutionSet ref = vec_deduplicated(local);
   expect_sizes_match(acc, ref, "empty bindings");
   EXPECT_EQ(acc.take().materialize().rows(), ref.rows());
 }
@@ -226,8 +252,8 @@ class CheckedFold {
 
   void add(const SolutionSet& rows) {
     acc_.add(intern_rows(rows, dict_));
-    ref_ = deduplicated(
-        set_union(ref_, carry_ != nullptr ? join(*carry_, rows) : rows));
+    ref_ = vec_deduplicated(
+        set_union(ref_, carry_ != nullptr ? vec_join(*carry_, rows) : rows));
     expect_sizes_match(acc_, ref_, "add " + std::to_string(adds_++));
   }
 

@@ -191,8 +191,8 @@ TEST(ScanRows, AccumulatorFedScanRowsEqualsOneFedSolutionSets) {
         by_sets.add(intern_rows(engine.match_pattern(p), dict));
         other_dict.add(intern_rows(engine.match_pattern(p), other));
         const SolutionSet local = engine.match_pattern(p);
-        ref = deduplicated(set_union(ref, with_carry ? join(carry, local)
-                                                     : local));
+        ref = vec_deduplicated(
+            set_union(ref, with_carry ? vec_join(carry, local) : local));
         ASSERT_EQ(by_ids.size(), ref.size()) << p.to_string();
         ASSERT_EQ(by_ids.raw_bytes(), ref.byte_size()) << p.to_string();
         ASSERT_EQ(net::wire::charged_bytes(by_ids),
@@ -232,7 +232,7 @@ TEST(ScanRows, CarryTermsNoStoreHoldsJoinById) {
   acc.add(local);  // a repeat adds nothing
 
   const SolutionSet want =
-      deduplicated(join(carry, LocalEngine(store).match_pattern(p)));
+      vec_deduplicated(vec_join(carry, LocalEngine(store).match_pattern(p)));
   ASSERT_EQ(want.size(), 2u);
   EXPECT_EQ(acc.raw_bytes(), want.byte_size());
   EXPECT_EQ(net::wire::charged_bytes(acc), net::wire::encode(want).size());

@@ -83,7 +83,7 @@ TEST(Binding, OrderingIsCanonical) {
 TEST(SolutionSet, JoinOnSharedVariable) {
   SolutionSet a({bind({{"x", "1"}, {"y", "a"}}), bind({{"x", "2"}, {"y", "b"}})});
   SolutionSet b({bind({{"y", "a"}, {"z", "p"}}), bind({{"y", "zz"}, {"z", "q"}})});
-  SolutionSet j = join(a, b);
+  SolutionSet j = vec_join(a, b);
   ASSERT_EQ(j.size(), 1u);
   EXPECT_EQ(*j.rows()[0].get("x"), iri("1"));
   EXPECT_EQ(*j.rows()[0].get("z"), iri("p"));
@@ -92,7 +92,7 @@ TEST(SolutionSet, JoinOnSharedVariable) {
 TEST(SolutionSet, JoinWithoutSharedVarsIsCartesian) {
   SolutionSet a({bind({{"x", "1"}}), bind({{"x", "2"}})});
   SolutionSet b({bind({{"y", "a"}}), bind({{"y", "b"}}), bind({{"y", "c"}})});
-  EXPECT_EQ(join(a, b).size(), 6u);
+  EXPECT_EQ(vec_join(a, b).size(), 6u);
 }
 
 TEST(SolutionSet, JoinHandlesPartiallyBoundRows) {
@@ -100,21 +100,21 @@ TEST(SolutionSet, JoinHandlesPartiallyBoundRows) {
   // arises after OPTIONAL).
   SolutionSet a({bind({{"x", "1"}})});
   SolutionSet b({bind({{"x", "1"}, {"y", "a"}}), bind({{"y", "b"}})});
-  SolutionSet j = join(a, b);
+  SolutionSet j = vec_join(a, b);
   EXPECT_EQ(j.size(), 2u);
 }
 
 TEST(SolutionSet, JoinWithEmptyIsEmpty) {
   SolutionSet a({bind({{"x", "1"}})});
-  EXPECT_TRUE(join(a, SolutionSet{}).empty());
-  EXPECT_TRUE(join(SolutionSet{}, a).empty());
+  EXPECT_TRUE(vec_join(a, SolutionSet{}).empty());
+  EXPECT_TRUE(vec_join(SolutionSet{}, a).empty());
 }
 
 TEST(SolutionSet, JoinWithEmptyMappingIsIdentity) {
   SolutionSet a({bind({{"x", "1"}}), bind({{"x", "2"}})});
   SolutionSet unit({Binding{}});
-  EXPECT_EQ(join(a, unit).size(), a.size());
-  EXPECT_EQ(join(unit, a).size(), a.size());
+  EXPECT_EQ(vec_join(a, unit).size(), a.size());
+  EXPECT_EQ(vec_join(unit, a).size(), a.size());
 }
 
 TEST(SolutionSet, UnionConcatenates) {
@@ -126,27 +126,27 @@ TEST(SolutionSet, UnionConcatenates) {
 TEST(SolutionSet, MinusDropsCompatibleRows) {
   SolutionSet a({bind({{"x", "1"}}), bind({{"x", "2"}})});
   SolutionSet b({bind({{"x", "1"}, {"y", "q"}})});
-  SolutionSet m = minus(a, b);
+  SolutionSet m = vec_minus(a, b);
   ASSERT_EQ(m.size(), 1u);
   EXPECT_EQ(*m.rows()[0].get("x"), iri("2"));
 }
 
 TEST(SolutionSet, MinusAgainstEmptyKeepsAll) {
   SolutionSet a({bind({{"x", "1"}})});
-  EXPECT_EQ(minus(a, SolutionSet{}).size(), 1u);
+  EXPECT_EQ(vec_minus(a, SolutionSet{}).size(), 1u);
 }
 
 TEST(SolutionSet, MinusWithEmptyMappingRemovesEverything) {
   // The empty mapping is compatible with every row.
   SolutionSet a({bind({{"x", "1"}})});
   SolutionSet b({Binding{}});
-  EXPECT_TRUE(minus(a, b).empty());
+  EXPECT_TRUE(vec_minus(a, b).empty());
 }
 
 TEST(SolutionSet, LeftJoinKeepsUnmatchedLeftRows) {
   SolutionSet a({bind({{"x", "1"}}), bind({{"x", "2"}})});
   SolutionSet b({bind({{"x", "1"}, {"y", "q"}})});
-  SolutionSet lj = left_join(a, b);
+  SolutionSet lj = vec_left_join(a, b);
   lj.normalize();
   ASSERT_EQ(lj.size(), 2u);
   EXPECT_TRUE(lj.rows()[0].bound("y"));   // x=1 extended
@@ -164,8 +164,9 @@ TEST(SolutionSetProperty, LeftJoinDefinitionHolds) {
       b.add(bind({{"y", std::to_string(rng.below(5))},
                   {"z", std::to_string(rng.below(5))}}));
     }
-    SolutionSet lhs = deduplicated(left_join(a, b));
-    SolutionSet rhs = deduplicated(set_union(join(a, b), minus(a, b)));
+    SolutionSet lhs = vec_deduplicated(vec_left_join(a, b));
+    SolutionSet rhs =
+        vec_deduplicated(set_union(vec_join(a, b), vec_minus(a, b)));
     EXPECT_EQ(lhs.rows(), rhs.rows());
   }
 }
@@ -180,8 +181,8 @@ TEST(SolutionSetProperty, JoinIsCommutativeAsSets) {
       b.add(bind({{"y", std::to_string(rng.below(4))},
                   {"z", std::to_string(rng.below(4))}}));
     }
-    EXPECT_EQ(deduplicated(join(a, b)).rows(),
-              deduplicated(join(b, a)).rows());
+    EXPECT_EQ(vec_deduplicated(vec_join(a, b)).rows(),
+              vec_deduplicated(vec_join(b, a)).rows());
   }
 }
 
@@ -199,8 +200,9 @@ TEST(SolutionSetProperty, JoinDistributesOverUnion) {
       b.add(bind({{"y", std::to_string(rng.below(4))},
                   {"z", std::to_string(rng.below(4))}}));
     }
-    EXPECT_EQ(deduplicated(join(r, set_union(a, b))).rows(),
-              deduplicated(set_union(join(r, a), join(r, b))).rows());
+    EXPECT_EQ(
+        vec_deduplicated(vec_join(r, set_union(a, b))).rows(),
+        vec_deduplicated(set_union(vec_join(r, a), vec_join(r, b))).rows());
   }
 }
 
