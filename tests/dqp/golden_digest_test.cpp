@@ -410,6 +410,89 @@ TEST(GoldenDigest, FaultedRetryBatch) {
   expect_matches_golden(digest, AHSW_GOLDEN_DIGESTS, "faulted-retry/");
 }
 
+// --- Location tables after index and storage churn. ---------------------
+
+/// The rows of one location table, one line per entry: key, address,
+/// frequency and version.
+std::vector<std::string> table_lines(const overlay::LocationTable& table) {
+  std::vector<std::string> out;
+  for (const overlay::Row& r : table.rows()) {
+    for (const overlay::Provider& p : r.providers) {
+      out.push_back(std::to_string(r.key) + " " + std::to_string(p.address) +
+                    " " + std::to_string(p.frequency) + " " +
+                    std::to_string(p.version));
+    }
+  }
+  return out;
+}
+
+/// Replication factor 3 on 8 index nodes. Under a faulted batch an index
+/// node and a storage node fail, repair promotes replica rows and re-seeds
+/// the replicas, and the storage node recovers and rejoins; then another
+/// node retracts triples and the system converges. Digests the traffic of
+/// the whole run and, for every live index node in id order, its primary
+/// and replica rows and both tables' byte sizes (tombstones included).
+TEST(GoldenDigest, ChurnedIndexState) {
+  const char* bodies[] = {
+      "SELECT ?x ?o WHERE { ?x foaf:knows ?o . }",
+      "SELECT ?x ?n WHERE { ?x foaf:name ?n . }",
+      "SELECT ?x WHERE { ?x foaf:nick ?k . }",
+  };
+  workload::TestbedConfig cfg = faulted_config();
+  cfg.index_nodes = 8;
+  cfg.overlay.replication_factor = 3;
+  workload::Testbed bed(cfg);
+  ExecutionPolicy policy;
+  policy.retry.max_retries = 1;
+  policy.retry.relookup = true;
+  DistributedQueryProcessor proc(bed.overlay(), policy);
+  std::vector<BatchQuery> batch;
+  for (std::size_t i = 0; i < std::size(bodies); ++i) {
+    batch.push_back(
+        BatchQuery{sparql::parse_query(std::string(kPrologue) + bodies[i]),
+                   bed.storage_addrs()[i]});
+  }
+  const net::NodeAddress victim = bed.storage_addrs()[4];
+  fault::FaultSchedule schedule;
+  schedule.index_fail(1.0, bed.index_ids()[3])
+      .storage_fail(2.0, victim)
+      .repair(300.0)
+      .recover(600.0, victim)
+      .rejoin(650.0, victim);
+
+  const net::TrafficStats before = bed.network().stats();
+  fault::FaultRunResult run = fault::run_with_faults(
+      proc, bed.overlay(), batch, schedule, BatchOptions{});
+  ASSERT_EQ(run.injection_log.applied, 5);
+  const net::NodeAddress leaver = bed.storage_addrs()[1];
+  std::vector<rdf::Triple> retracted;
+  bed.overlay().store_of(leaver).for_each([&](const rdf::Triple& t) {
+    if (retracted.size() < 12) retracted.push_back(t);
+  });
+  bed.overlay().unshare_triples(leaver, retracted, 1000.0);
+  fault::converge(bed.overlay(), 2000.0);
+  const net::TrafficStats delta = bed.network().stats().delta_since(before);
+
+  Digest digest;
+  digest.add_traffic("churned-index/run", "delta", delta);
+  int live = 0;
+  for (const auto& [id, ix] : bed.overlay().index_nodes()) {
+    if (!bed.overlay().ring().contains(id) ||
+        bed.network().is_failed(ix.address)) {
+      continue;
+    }
+    const std::string node = "churned-index/node" + std::to_string(live++);
+    digest.add(node, "id", std::to_string(id));
+    digest.add(node, "table", hex_digest(table_lines(ix.table)));
+    digest.add(node, "replicas", hex_digest(table_lines(ix.replicas)));
+    digest.add(node, "bytes",
+               "table=" + std::to_string(ix.table.byte_size()) +
+                   " replicas=" + std::to_string(ix.replicas.byte_size()));
+  }
+  EXPECT_EQ(live, 7);
+  expect_matches_golden(digest, AHSW_GOLDEN_DIGESTS, "churned-index/");
+}
+
 // --- Lazy re-lookup after a whole provider row was given up on. ----------
 
 /// A testbed without FOAF data. Storage node 0 holds `?x foaf:knows p0`
