@@ -293,4 +293,31 @@ BENCHMARK(BM_Churn_IndexJoinSliceCost)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
+// Host cost of replica maintenance (Sect. III-D): steady-state repair on
+// the churn-rw overlay shape (64 index nodes, 32 storage nodes, 600 FOAF
+// persons, replication 3). Nothing has failed, so each repair reconciles
+// every replica row into its owner and re-seeds every owner row at its
+// replicas. The counter is host time per replica row held (seconds, printed
+// with an SI prefix). Host time only: no BENCH JSON record.
+void BM_Repair(benchmark::State& state) {
+  workload::TestbedConfig cfg = base_config(3);
+  cfg.index_nodes = 64;
+  cfg.storage_nodes = 32;
+  cfg.foaf.persons = 600;
+  workload::Testbed bed(cfg);
+  bed.overlay().repair(0);  // settle before timing
+  std::size_t replica_rows = 0;
+  for (const auto& [id, ix] : bed.overlay().index_nodes()) {
+    replica_rows += ix.replicas.row_count();
+  }
+  for (auto _ : state) bed.overlay().repair(0);
+  state.counters["replica_rows"] = static_cast<double>(replica_rows);
+  state.counters["s_per_replica_row"] = benchmark::Counter(
+      static_cast<double>(replica_rows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+BENCHMARK(BM_Repair)->Unit(benchmark::kMillisecond);
+
 }  // namespace

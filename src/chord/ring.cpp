@@ -121,8 +121,8 @@ Ring::LookupResult Ring::find_successor(Key from_node, Key key,
   if (!alive(from_node)) return res;
 
   obs::SpanScope span(trace_, obs::SpanKind::kRingRoute,
-                      "key " + std::to_string(key), now,
-                      nodes_.at(from_node).address);
+                      trace_ ? "key " + std::to_string(key) : std::string(),
+                      now, nodes_.at(from_node).address);
 
   const int max_hops = 4 * bits_ + 16;
   Key cur = from_node;

@@ -1,8 +1,30 @@
 #include "overlay/location_table.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace ahsw::overlay {
+namespace {
+
+/// First index at or after `from` in `v` (ascending by key) whose key is
+/// not below `key`. Gallops from `from`, so a walk in ascending key order
+/// pays for the gap it skips rather than for the whole table.
+template <class T>
+std::size_t seek(const std::vector<T>& v, std::size_t from, chord::Key key) {
+  // From the start a plain binary search: single lookups pay no gallop.
+  std::size_t step = from == 0 ? v.size() + 1 : 1;
+  for (; from + step <= v.size() && v[from + step - 1].key < key; step *= 2) {
+    from += step;
+  }
+  return static_cast<std::size_t>(
+      std::lower_bound(v.begin() + static_cast<std::ptrdiff_t>(from),
+                       v.begin() + static_cast<std::ptrdiff_t>(
+                                       std::min(v.size(), from + step)),
+                       key, [](const T& x, chord::Key k) { return x.key < k; }) -
+      v.begin());
+}
+
+}  // namespace
 
 void LocationTable::sort_row(std::vector<Provider>& row) {
   std::sort(row.begin(), row.end(), [](const Provider& a, const Provider& b) {
@@ -12,22 +34,8 @@ void LocationTable::sort_row(std::vector<Provider>& row) {
 }
 
 std::size_t LocationTable::row_index(chord::Key key) const noexcept {
-  auto it = std::lower_bound(
-      rows_.begin(), rows_.end(), key,
-      [](const Row& r, chord::Key k) { return r.key < k; });
-  if (it == rows_.end() || it->key != key) return kNpos;
-  return static_cast<std::size_t>(it - rows_.begin());
-}
-
-std::size_t LocationTable::row_index_or_insert(chord::Key key) {
-  auto it = std::lower_bound(
-      rows_.begin(), rows_.end(), key,
-      [](const Row& r, chord::Key k) { return r.key < k; });
-  if (it != rows_.end() && it->key == key) {
-    return static_cast<std::size_t>(it - rows_.begin());
-  }
-  it = rows_.insert(it, Row{key, spare_.acquire()});
-  return static_cast<std::size_t>(it - rows_.begin());
+  const std::size_t i = seek(rows_, 0, key);
+  return i < rows_.size() && rows_[i].key == key ? i : kNpos;
 }
 
 void LocationTable::erase_row_at(std::size_t i) {
@@ -40,34 +48,26 @@ void LocationTable::erase_row(chord::Key key) {
   if (i != kNpos) erase_row_at(i);
 }
 
-void LocationTable::bury(chord::Key key, net::NodeAddress address,
-                         std::uint32_t version) {
-  auto it = std::lower_bound(
-      tombstones_.begin(), tombstones_.end(), std::make_pair(key, address),
-      [](const Tombstone& t, const std::pair<chord::Key, net::NodeAddress>& k) {
-        if (t.key != k.first) return t.key < k.first;
-        return t.address < k.second;
-      });
-  if (it != tombstones_.end() && it->key == key && it->address == address) {
-    it->version = std::max(it->version, version);
-    return;
+std::size_t LocationTable::tomb_index(chord::Key key,
+                                      net::NodeAddress address) const {
+  std::size_t i = seek(tombstones_, 0, key);
+  while (i < tombstones_.size() && tombstones_[i].key == key &&
+         tombstones_[i].address < address) {
+    ++i;
   }
-  tombstones_.insert(it, Tombstone{key, address, version});
+  return i;
 }
 
-std::uint32_t LocationTable::revive(chord::Key key, net::NodeAddress address) {
-  auto it = std::lower_bound(
-      tombstones_.begin(), tombstones_.end(), std::make_pair(key, address),
-      [](const Tombstone& t, const std::pair<chord::Key, net::NodeAddress>& k) {
-        if (t.key != k.first) return t.key < k.first;
-        return t.address < k.second;
-      });
-  if (it == tombstones_.end() || it->key != key || it->address != address) {
-    return 0;
+void LocationTable::bury(chord::Key key, net::NodeAddress address,
+                         std::uint32_t version) {
+  std::size_t i = tomb_index(key, address);
+  if (i < tombstones_.size() && tombstones_[i].key == key &&
+      tombstones_[i].address == address) {
+    tombstones_[i].version = std::max(tombstones_[i].version, version);
+  } else {
+    tombstones_.insert(tombstones_.begin() + static_cast<std::ptrdiff_t>(i),
+                       Tombstone{key, address, version});
   }
-  std::uint32_t buried = it->version;
-  tombstones_.erase(it);
-  return buried;
 }
 
 bool LocationTable::tombstoned(chord::Key key, net::NodeAddress address) const {
@@ -76,33 +76,21 @@ bool LocationTable::tombstoned(chord::Key key, net::NodeAddress address) const {
 
 std::optional<std::uint32_t> LocationTable::tombstone_version(
     chord::Key key, net::NodeAddress address) const {
-  auto it = std::lower_bound(
-      tombstones_.begin(), tombstones_.end(), std::make_pair(key, address),
-      [](const Tombstone& t, const std::pair<chord::Key, net::NodeAddress>& k) {
-        if (t.key != k.first) return t.key < k.first;
-        return t.address < k.second;
-      });
-  if (it == tombstones_.end() || it->key != key || it->address != address) {
+  std::size_t i = tomb_index(key, address);
+  if (i == tombstones_.size() || tombstones_[i].key != key ||
+      tombstones_[i].address != address) {
     return std::nullopt;
   }
-  return it->version;
+  return tombstones_[i].version;
 }
 
 void LocationTable::publish(chord::Key key, net::NodeAddress address,
                             std::uint32_t frequency) {
-  if (frequency == 0) return;
-  std::uint32_t buried = revive(key, address);
-  std::vector<Provider>& row = rows_[row_index_or_insert(key)].providers;
-  for (Provider& p : row) {
-    if (p.address == address) {
-      p.frequency += frequency;
-      ++p.version;
-      sort_row(row);
-      return;
-    }
-  }
-  row.push_back(Provider{address, frequency, buried + 1});
-  sort_row(row);
+  // An absorbed entry at version 0: the frequency adds, the version steps
+  // past the entry's or its burial's.
+  Cursor at;
+  const Provider entry{address, frequency, 0};
+  merge_row(at, key, {&entry, 1}, MergeRule::kAbsorb);
 }
 
 bool LocationTable::retract(chord::Key key, net::NodeAddress address,
@@ -134,102 +122,103 @@ void LocationTable::upsert(chord::Key key, net::NodeAddress address,
     purge(key, address);
     return;
   }
-  std::uint32_t buried = revive(key, address);
-  std::vector<Provider>& row = rows_[row_index_or_insert(key)].providers;
-  for (Provider& p : row) {
-    if (p.address == address) {
-      p.frequency = frequency;
-      ++p.version;
-      sort_row(row);
-      return;
-    }
-  }
-  row.push_back(Provider{address, frequency, buried + 1});
-  sort_row(row);
+  Cursor at;
+  const Provider entry{address, frequency, 0};
+  merge_row(at, key, {&entry, 1}, MergeRule::kSet);
 }
 
 void LocationTable::upsert_replica(chord::Key key, net::NodeAddress address,
                                    std::uint32_t frequency,
                                    std::uint32_t version) {
-  if (frequency == 0) {
-    bury(key, address, version);
-    std::size_t ri = row_index(key);
-    if (ri == kNpos) return;
-    std::vector<Provider>& row = rows_[ri].providers;
-    auto pos = std::remove_if(row.begin(), row.end(), [&](const Provider& p) {
-      return p.address == address && p.version <= version;
-    });
-    row.erase(pos, row.end());
-    if (row.empty()) erase_row_at(ri);
-    return;
-  }
-  if (std::optional<std::uint32_t> buried = tombstone_version(key, address);
-      buried.has_value()) {
-    if (*buried >= version) return;  // stale push from before the burial
-    (void)revive(key, address);
-  }
-  std::vector<Provider>& row = rows_[row_index_or_insert(key)].providers;
-  for (Provider& p : row) {
-    if (p.address == address) {
-      if (version < p.version) return;  // out-of-order push
-      p.frequency = frequency;
-      p.version = version;
-      sort_row(row);
-      return;
-    }
-  }
-  row.push_back(Provider{address, frequency, version});
-  sort_row(row);
+  Cursor at;
+  const Provider entry{address, frequency, version};
+  merge_row(at, key, {&entry, 1}, MergeRule::kMirror);
 }
 
-void LocationTable::reconcile(const RowSnapshot& rows) {
-  for (const Row& incoming : rows) {
-    const chord::Key key = incoming.key;
-    // Locate the row lazily: when every incoming provider is rejected
-    // (tombstoned or stale) no empty row must churn into existence just to
-    // be erased again.
-    std::size_t ri = row_index(key);
-    bool changed = false;
-    for (const Provider& in : incoming.providers) {
-      if (in.frequency == 0) continue;  // replicas never mirror empty entries
-      // A deleted provider only comes back when the snapshot is strictly
-      // newer than its burial (it demonstrably re-published since).
-      if (std::optional<std::uint32_t> buried =
-              tombstone_version(key, in.address);
-          buried.has_value()) {
-        if (*buried >= in.version) continue;
-        (void)revive(key, in.address);
+void LocationTable::merge_rows(std::span<const Row> rows, MergeRule rule) {
+  Cursor at;
+  for (const Row& r : rows) merge_row(at, r.key, r.providers, rule);
+}
+
+void LocationTable::merge_row(Cursor& at, chord::Key key,
+                              std::span<const Provider> incoming,
+                              MergeRule rule) {
+  assert(at.row == 0 || rows_[at.row - 1].key < key);
+  const std::size_t cursor = at.row = seek(rows_, at.row, key);
+  // The row comes into existence only once an entry is accepted.
+  bool present = cursor < rows_.size() && rows_[cursor].key == key;
+  bool changed = false;
+  // Pushes carry versions from elsewhere and are gated by them; owner-side
+  // writes always take effect and step the version.
+  const bool pushed =
+      rule == MergeRule::kMirror || rule == MergeRule::kReconcile;
+  // The key's tombstones are tombstones_[tb, te).
+  const std::size_t tb = seek(tombstones_, at.tomb, key);
+  std::size_t te = tb;
+  while (te < tombstones_.size() && tombstones_[te].key == key) ++te;
+  for (const Provider& in : incoming) {
+    std::size_t ti = tb;
+    while (ti < te && tombstones_[ti].address < in.address) ++ti;
+    const bool buried = ti < te && tombstones_[ti].address == in.address;
+    const auto tomb = tombstones_.begin() + static_cast<std::ptrdiff_t>(ti);
+    if (in.frequency == 0) {
+      // Only a mirrored removal carries an empty entry: it buries the
+      // owner's version and drops an entry no newer than it.
+      if (rule != MergeRule::kMirror) continue;
+      if (buried) {
+        tomb->version = std::max(tomb->version, in.version);
+      } else {
+        tombstones_.insert(tomb, Tombstone{key, in.address, in.version});
+        ++te;
       }
-      if (ri == kNpos) ri = row_index_or_insert(key);
-      bool found = false;
-      for (Provider& p : rows_[ri].providers) {
-        if (p.address != in.address) continue;
-        found = true;
-        if (in.version > p.version) {
-          // Newer snapshot wins outright — including a *lower* frequency
-          // (the partial-retract case the old max-merge resurrected).
-          p.frequency = in.frequency;
-          p.version = in.version;
-          changed = true;
-        } else if (in.version == p.version) {
-          // Same causal state from several replica holders: max keeps the
-          // merge idempotent without inflating the row.
-          if (in.frequency > p.frequency) {
-            p.frequency = in.frequency;
-            changed = true;
-          }
-        }
-        break;
+      if (present) {
+        std::erase_if(rows_[cursor].providers, [&](const Provider& p) {
+          return p.address == in.address && p.version <= in.version;
+        });
       }
-      if (!found) {
-        rows_[ri].providers.push_back(in);
-        changed = true;
-      }
+      continue;
     }
-    if (ri == kNpos) continue;
-    if (changed) sort_row(rows_[ri].providers);
-    if (rows_[ri].providers.empty()) erase_row_at(ri);
+    // A deleted provider only comes back when the push is strictly newer
+    // than its burial (it demonstrably re-published since); an owner-side
+    // write always revives it, starting past the burial.
+    std::uint32_t revived = 0;
+    if (buried) {
+      if (pushed && tomb->version >= in.version) continue;
+      revived = tomb->version;
+      tombstones_.erase(tomb);
+      --te;
+    }
+    if (!present) {
+      rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(cursor),
+                   Row{key, spare_.acquire()});
+      present = true;
+    }
+    std::vector<Provider>& row = rows_[cursor].providers;
+    auto p = std::find_if(row.begin(), row.end(), [&](const Provider& q) {
+      return q.address == in.address;
+    });
+    if (p == row.end()) {
+      row.push_back(pushed ? in
+                           : Provider{in.address, in.frequency,
+                                      std::max(in.version, revived + 1)});
+    } else if (!pushed) {
+      p->frequency = rule == MergeRule::kSet ? in.frequency
+                                             : p->frequency + in.frequency;
+      p->version = std::max(p->version, in.version) + 1;
+    } else if (in.version > p->version ||
+               (in.version == p->version && rule == MergeRule::kMirror)) {
+      *p = in;  // newer wins outright, even with a lower frequency
+    } else if (in.version == p->version && in.frequency > p->frequency) {
+      p->frequency = in.frequency;  // several holders, one causal state
+    } else {
+      continue;  // an older (reordered or stale) push
+    }
+    changed = true;
   }
+  at.tomb = te;
+  if (!present) return;
+  if (changed) sort_row(rows_[cursor].providers);
+  if (rows_[cursor].providers.empty()) erase_row_at(cursor);
 }
 
 bool LocationTable::purge(chord::Key key, net::NodeAddress address) {
@@ -320,34 +309,6 @@ RowSnapshot LocationTable::extract_range_mapped(
   }
   rows_.resize(w);
   return out;  // ascending by key: rows_ was sorted
-}
-
-void LocationTable::absorb(const RowSnapshot& rows) {
-  for (const Row& incoming : rows) {
-    const chord::Key key = incoming.key;
-    for (const Provider& in : incoming.providers) {
-      if (in.frequency == 0) continue;
-      // Preserve incoming versions: resetting a transferred entry to
-      // version 1 would let that owner's replica mirrors (still carrying
-      // the higher pre-transfer version) overwrite later mutations — the
-      // resurrection bug reintroduced through ownership transfer.
-      std::uint32_t buried = revive(key, in.address);
-      std::vector<Provider>& row = rows_[row_index_or_insert(key)].providers;
-      bool found = false;
-      for (Provider& p : row) {
-        if (p.address != in.address) continue;
-        p.frequency += in.frequency;
-        p.version = std::max(p.version, in.version) + 1;
-        found = true;
-        break;
-      }
-      if (!found) {
-        row.push_back(
-            Provider{in.address, in.frequency, std::max(in.version, buried + 1)});
-      }
-      sort_row(row);
-    }
-  }
 }
 
 std::size_t LocationTable::entry_count() const noexcept {

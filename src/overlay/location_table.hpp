@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chord/ring.hpp"
@@ -82,11 +83,17 @@ class LocationTable {
   /// the replica-maintenance write path. Takes effect only when `version`
   /// is at least as new as what this table holds (entry or tombstone), so
   /// reordered or repeated pushes are harmless. frequency == 0 removes the
-  /// entry and buries `version`.
+  /// entry and buries `version`. The one-entry case of mirror().
   void upsert_replica(chord::Key key, net::NodeAddress address,
                       std::uint32_t frequency, std::uint32_t version);
 
-  /// Merge a snapshot of rows, taking the *newer version* per provider
+  /// upsert_replica() for every entry of `rows` (ascending by key), merged
+  /// a row at a time: one row and one tombstone search, at most one sort.
+  void mirror(std::span<const Row> rows) {
+    merge_rows(rows, MergeRule::kMirror);
+  }
+
+  /// Merge rows (ascending by key), taking the *newer version* per provider
   /// (recovery merge: several replica holders may push the same row without
   /// inflating it; equal versions merge by max frequency, so the merge stays
   /// idempotent). A provider this table has deleted from a row (retract to
@@ -96,7 +103,9 @@ class LocationTable {
   /// This closes the old at-least-once window where a *partial* retract
   /// (which only lowers the frequency) could be undone by a stale replica
   /// snapshot max-merging the old, higher frequency back in.
-  void reconcile(const RowSnapshot& rows);
+  void reconcile(std::span<const Row> rows) {
+    merge_rows(rows, MergeRule::kReconcile);
+  }
 
   /// Drop a provider from one row entirely (lazy repair after a storage
   /// node failure, Sect. III-D). Returns true if it was present.
@@ -130,11 +139,13 @@ class LocationTable {
       chord::Key lo, chord::Key hi,
       const std::function<chord::Key(chord::Key)>& to_ring);
 
-  /// Merge rows (from a slice transfer or replica activation). Versions are
+  /// Merge rows (ascending by key; from a slice transfer). Versions are
   /// preserved: an entry new to this table keeps the incoming version (so a
   /// transferred row stays ahead of its replica mirrors), a merged entry
   /// adds frequencies and advances past both versions.
-  void absorb(const RowSnapshot& rows);
+  void absorb(std::span<const Row> rows) {
+    merge_rows(rows, MergeRule::kAbsorb);
+  }
 
   /// Remove one row entirely.
   void erase_row(chord::Key key);
@@ -182,17 +193,32 @@ class LocationTable {
     std::uint32_t version = 0;
   };
 
+  /// mirror(): a version at least as new wins, frequency 0 buries.
+  /// reconcile(): a strictly newer version wins, equal versions take the
+  /// max frequency. absorb() and publish(): frequencies add, the version
+  /// steps past both. upsert(): the frequency is set, the version steps.
+  enum class MergeRule : std::uint8_t { kMirror, kReconcile, kAbsorb, kSet };
+  /// Where merge_row starts its searches of rows_ and tombstones_: at or
+  /// before the key's place in each. It leaves them at the key's row and
+  /// past its tombstones, so rows merged in ascending key order are searched
+  /// forward only.
+  struct Cursor {
+    std::size_t row = 0;
+    std::size_t tomb = 0;
+  };
+  void merge_row(Cursor& at, chord::Key key,
+                 std::span<const Provider> incoming, MergeRule rule);
+  void merge_rows(std::span<const Row> rows, MergeRule rule);
+  /// First tombstone at or after (key, address).
+  [[nodiscard]] std::size_t tomb_index(chord::Key key,
+                                       net::NodeAddress address) const;
+
   /// Index of `key` in rows_, or npos. Binary search over the sorted rows.
   [[nodiscard]] std::size_t row_index(chord::Key key) const noexcept;
-  /// Index of `key`, inserting an empty row (pool-backed) when absent.
-  [[nodiscard]] std::size_t row_index_or_insert(chord::Key key);
   /// Erase rows_[i], parking its provider capacity in the pool.
   void erase_row_at(std::size_t i);
 
   void bury(chord::Key key, net::NodeAddress address, std::uint32_t version);
-  /// Clear the tombstone; returns the buried version (0 when none) so the
-  /// reviving entry can start strictly past it.
-  std::uint32_t revive(chord::Key key, net::NodeAddress address);
 
   /// Restore the (frequency asc, address asc) row invariant after a
   /// mutation — the deterministic order lookup() and the chain strategies
@@ -204,6 +230,8 @@ class LocationTable {
   std::vector<Row> rows_;             // sorted by key
   std::vector<Tombstone> tombstones_;  // sorted by (key, address)
   common::VectorPool<Provider> spare_;  // capacity recycled across row churn
+  // The per-entry merges merge_row replaced: its oracle in tests/support.
+  friend struct LocationTableReference;
 };
 
 }  // namespace ahsw::overlay

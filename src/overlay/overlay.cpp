@@ -12,6 +12,15 @@ constexpr std::size_t kPublishBytes = 24;   // key + address + frequency
 // they are 4 bytes wider than a plain publish.
 constexpr std::size_t kReplicaPushBytes = 28;  // key + address + freq + version
 constexpr std::size_t kRequestBytes = 32;   // pattern key + requester
+
+/// The owner's (key, provider) entry as its replicas mirror it: when the
+/// entry is gone, frequency 0 with the version the owner buried.
+Provider held_entry(const LocationTable& owner, chord::Key key,
+                    net::NodeAddress provider) {
+  if (const Provider* entry = owner.find(key, provider)) return *entry;
+  return Provider{provider, 0,
+                  owner.tombstone_version(key, provider).value_or(0)};
+}
 }  // namespace
 
 HybridOverlay::HybridOverlay(net::Network& network, OverlayConfig config)
@@ -166,42 +175,57 @@ void HybridOverlay::on_transfer(chord::Key old_owner, chord::Key new_owner,
   net_->send(oi->second.address, ni->second.address, bytes, when,
              net::Category::kIndex);
   ni->second.table.absorb(slice);
-  // Re-replicate the transferred rows from their new owner: replica
-  // placement follows ownership, otherwise a later crash of the new owner
-  // would lose rows whose replicas still trail the old owner.
-  for (const Row& r : slice) {
-    for (const Provider& p : r.providers) {
-      replicate_row(ni->second, r.key, p.address, when);
+  // Re-replicate the transferred entries as their new owner now holds them:
+  // replica placement follows ownership, otherwise a later crash of the new
+  // owner would lose rows whose replicas still trail the old owner.
+  for (Row& r : slice) {
+    for (Provider& p : r.providers) {
+      p = held_entry(ni->second.table, r.key, p.address);
     }
   }
+  replicate_rows(ni->second, slice, when);
+}
+
+std::vector<IndexNodeState*> HybridOverlay::replica_targets(chord::Key owner) {
+  std::vector<IndexNodeState*> out;
+  if (config_.replication_factor <= 1 || !ring_.contains(owner)) return out;
+  const auto copies = static_cast<std::size_t>(config_.replication_factor - 1);
+  for (chord::Key succ : ring_.state(owner).successors) {
+    if (out.size() >= copies) break;
+    auto it = index_.find(succ);
+    if (it != index_.end() && succ != owner) out.push_back(&it->second);
+  }
+  return out;
 }
 
 void HybridOverlay::replicate_row(IndexNodeState& owner, chord::Key key,
                                   net::NodeAddress provider,
                                   net::SimTime now) {
-  if (config_.replication_factor <= 1) return;
-  if (!ring_.contains(owner.id)) return;
-  // Replicas mirror the owner's (frequency, version) verbatim, so repeated
-  // replication (publish, slice transfer, recovery) is idempotent and
-  // reordered pushes are rejected by the version check. When the entry is
-  // gone the push carries frequency 0 with the buried tombstone version, so
-  // replicas bury the same version the owner did.
-  const Provider* entry = owner.table.find(key, provider);
-  std::uint32_t freq = entry ? entry->frequency : 0;
-  std::uint32_t version =
-      entry ? entry->version
-            : owner.table.tombstone_version(key, provider).value_or(0);
-  const chord::NodeState& rs = ring_.state(owner.id);
-  int copies = 0;
-  for (chord::Key succ : rs.successors) {
-    if (copies >= config_.replication_factor - 1) break;
-    auto it = index_.find(succ);
-    if (it == index_.end() || succ == owner.id) continue;
-    net_->send(owner.address, it->second.address, kReplicaPushBytes, now,
+  const Provider entry = held_entry(owner.table, key, provider);
+  for (IndexNodeState* replica : replica_targets(owner.id)) {
+    net_->send(owner.address, replica->address, kReplicaPushBytes, now,
                net::Category::kIndex);
-    it->second.replicas.upsert_replica(key, provider, freq, version);
-    ++copies;
+    replica->replicas.upsert_replica(key, provider, entry.frequency,
+                                     entry.version);
   }
+}
+
+void HybridOverlay::replicate_rows(IndexNodeState& owner,
+                                   std::span<const Row> rows,
+                                   net::SimTime now) {
+  const std::vector<IndexNodeState*> targets = replica_targets(owner.id);
+  if (targets.empty()) return;
+  // The pushes are charged in the order of one push per entry and replica;
+  // each replica then merges the rows whole.
+  for (const Row& r : rows) {
+    for (std::size_t i = 0; i < r.providers.size(); ++i) {
+      for (IndexNodeState* replica : targets) {
+        net_->send(owner.address, replica->address, kReplicaPushBytes, now,
+                   net::Category::kIndex);
+      }
+    }
+  }
+  for (IndexNodeState* replica : targets) replica->replicas.mirror(rows);
 }
 
 void HybridOverlay::configure_caches(const CacheConfig& config) {
@@ -361,9 +385,10 @@ HybridOverlay::Located HybridOverlay::locate(net::NodeAddress requester,
   }
 
   chord::Key key = *pk;
-  obs::SpanScope span(trace_, obs::SpanKind::kIndexLookup,
-                      "key " + std::to_string(ring_.truncate(key)), now,
-                      requester);
+  obs::SpanScope span(
+      trace_, obs::SpanKind::kIndexLookup,
+      trace_ ? "key " + std::to_string(ring_.truncate(key)) : std::string(),
+      now, requester);
   chord::Key entry = entry_ring_node(requester);
   net::NodeAddress entry_addr = ring_.address_of(entry);
   net::SimTime t = net_->send(requester, entry_addr, kRequestBytes, now,
@@ -398,27 +423,21 @@ net::SimTime HybridOverlay::report_dead_provider(net::NodeAddress reporter,
   chord::Key owner = ring_.oracle_successor(ring_.truncate(key));
   auto it = index_.find(owner);
   if (it == index_.end()) return now;
-  obs::SpanScope span(trace_, obs::SpanKind::kRepair,
-                      "purge dead provider " + std::to_string(dead), now,
-                      reporter);
+  obs::SpanScope span(
+      trace_, obs::SpanKind::kRepair,
+      trace_ ? "purge dead provider " + std::to_string(dead) : std::string(),
+      now, reporter);
   net::SimTime t = net_->send(reporter, it->second.address, kPublishBytes,
                               now, net::Category::kIndex);
   it->second.table.purge(key, dead);
-  if (config_.propagate_purge_to_replicas && config_.replication_factor > 1 &&
-      ring_.contains(owner)) {
-    // Forward the purge along the same successor walk replicate_row uses:
-    // a replica row left unpurged resurrects the dead provider as soon as
-    // the primary fails and repair() promotes it.
-    const chord::NodeState& rs = ring_.state(owner);
-    int copies = 0;
-    for (chord::Key succ : rs.successors) {
-      if (copies >= config_.replication_factor - 1) break;
-      auto hi = index_.find(succ);
-      if (hi == index_.end() || succ == owner) continue;
-      net_->send(it->second.address, hi->second.address, kReplicaPushBytes, t,
+  if (config_.propagate_purge_to_replicas) {
+    // Forward the purge to the owner's replicas: a replica row left
+    // unpurged resurrects the dead provider as soon as the primary fails
+    // and repair() promotes it.
+    for (IndexNodeState* replica : replica_targets(owner)) {
+      net_->send(it->second.address, replica->address, kReplicaPushBytes, t,
                  net::Category::kIndex);
-      hi->second.replicas.purge(key, dead);
-      ++copies;
+      replica->replicas.purge(key, dead);
     }
   }
   // The row changed (the dead provider is gone): leased cached copies are
@@ -514,7 +533,7 @@ void HybridOverlay::repair(net::SimTime now) {
       } else {
         promoted.push_back(r.key);
       }
-      oi->second.table.reconcile({r});
+      oi->second.table.reconcile({&r, 1});
     }
     for (chord::Key key : promoted) holder.replicas.erase_row(key);
   }
@@ -522,12 +541,7 @@ void HybridOverlay::repair(net::SimTime now) {
   // stale (conservatively: all of them once per repair).
   for (chord::Key owner_id : live) {
     IndexNodeState& owner = index_.at(owner_id);
-    RowSnapshot rows = owner.table.rows();
-    for (const Row& r : rows) {
-      for (const Provider& p : r.providers) {
-        replicate_row(owner, r.key, p.address, now);
-      }
-    }
+    replicate_rows(owner, owner.table.rows(), now);
   }
 }
 

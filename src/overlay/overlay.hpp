@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "chord/ring.hpp"
@@ -288,10 +289,19 @@ class HybridOverlay {
   /// (+ replicas).
   net::SimTime publish_key(net::NodeAddress from, chord::Key key,
                            std::uint32_t freq, PublishOp op, net::SimTime now);
-  /// Push a snapshot of the owner's current (key, provider) entry to the
-  /// owner's replica successors (idempotent; 0 removes the replica entry).
+  /// The owner's replica holders: its first replication_factor - 1 ring
+  /// successors with index state (Sect. III-D); none with replication off
+  /// or once the owner has left the ring.
+  std::vector<IndexNodeState*> replica_targets(chord::Key owner);
+  /// Push the owner's current (key, provider) entry to its replicas
+  /// (idempotent; 0 removes the replica entry).
   void replicate_row(IndexNodeState& owner, chord::Key key,
                      net::NodeAddress provider, net::SimTime now);
+  /// Push `rows` (ascending by key, entries as the owner holds them) to the
+  /// owner's replicas: one push per entry and replica, one row merge per
+  /// row and replica.
+  void replicate_rows(IndexNodeState& owner, std::span<const Row> rows,
+                      net::SimTime now);
   void on_transfer(chord::Key old_owner, chord::Key new_owner, chord::Key lo,
                    chord::Key hi, net::SimTime when);
   /// Push the owner's invalidation of `key` to every lease subscriber

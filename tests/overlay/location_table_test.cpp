@@ -168,8 +168,8 @@ TEST(LocationTable, ReconcileTakesNewerVersionPerProvider) {
   t.publish(K1, D1, 10);  // owner entry at version 1
   // Two replica holders push overlapping snapshots: a stale one (version 1,
   // the pre-publish frequency) and a newer one (version 2).
-  t.reconcile({{K1, {{D1, 7, 1}, {D2, 4, 1}}}});
-  t.reconcile({{K1, {{D1, 12, 2}, {D2, 4, 1}}}});
+  t.reconcile(RowSnapshot{{K1, {{D1, 7, 1}, {D2, 4, 1}}}});
+  t.reconcile(RowSnapshot{{K1, {{D1, 12, 2}, {D2, 4, 1}}}});
   std::vector<Provider> row = t.lookup(K1);
   ASSERT_EQ(row.size(), 2u);
   EXPECT_EQ(row[0].address, D2);
@@ -183,9 +183,10 @@ TEST(LocationTable, ReconcileEqualVersionsMergeByMaxFrequency) {
   // Several holders pushing the *same* causal state must stay idempotent:
   // equal versions merge by max, so repeated pushes never inflate the row.
   LocationTable t;
-  t.reconcile({{K1, {{D1, 7, 3}}}});
-  t.reconcile({{K1, {{D1, 7, 3}}}});
-  t.reconcile({{K1, {{D1, 5, 3}}}});  // lower freq at the same version loses
+  t.reconcile(RowSnapshot{{K1, {{D1, 7, 3}}}});
+  t.reconcile(RowSnapshot{{K1, {{D1, 7, 3}}}});
+  // A lower frequency at the same version loses.
+  t.reconcile(RowSnapshot{{K1, {{D1, 5, 3}}}});
   std::vector<Provider> row = t.lookup(K1);
   ASSERT_EQ(row.size(), 1u);
   EXPECT_EQ(row[0].frequency, 7u);
@@ -215,7 +216,7 @@ TEST(LocationTable, ReconcileAllTombstonedLeavesNoEmptyRow) {
   t.publish(K1, D1, 5);
   t.retract(K1, D1, 5);  // row gone, tombstone buried at version 1
   EXPECT_EQ(t.row_count(), 0u);
-  t.reconcile({{K1, {{D1, 5, 1}}}, {K2, {{D2, 0, 9}}}});
+  t.reconcile(RowSnapshot{{K1, {{D1, 5, 1}}}, {K2, {{D2, 0, 9}}}});
   EXPECT_EQ(t.row_count(), 0u);
   EXPECT_TRUE(t.empty());
 }
@@ -240,7 +241,7 @@ TEST(LocationTable, ReconcileDoesNotResurrectRetractedProvider) {
   EXPECT_TRUE(t.lookup(K3).empty());
   EXPECT_TRUE(t.tombstoned(K3, D1));
 
-  t.reconcile({{K3, {{D1, 30}}}});  // stale replica still lists D1
+  t.reconcile(RowSnapshot{{K3, {{D1, 30}}}});  // stale replica still lists D1
   EXPECT_TRUE(t.lookup(K3).empty()) << "retracted provider resurrected";
 }
 
@@ -249,7 +250,7 @@ TEST(LocationTable, ReconcileDoesNotResurrectPurgedProvider) {
   // followed by a stale replica push.
   LocationTable t = table_one();
   EXPECT_TRUE(t.purge(K2, D3));
-  t.reconcile({{K2, {{D1, 10}, {D3, 20}, {D4, 15}}}});
+  t.reconcile(RowSnapshot{{K2, {{D1, 10}, {D3, 20}, {D4, 15}}}});
   std::vector<Provider> row = t.lookup(K2);
   ASSERT_EQ(row.size(), 2u);
   EXPECT_EQ(row[0].address, D1);
@@ -268,9 +269,11 @@ TEST(LocationTable, RepublishClearsTombstone) {
   EXPECT_EQ(*t.tombstone_version(K1, D1), 1u);
   t.publish(K1, D1, 8);   // revived at version 2
   EXPECT_FALSE(t.tombstoned(K1, D1));
-  t.reconcile({{K1, {{D1, 5, 1}}}});  // stale pre-burial snapshot: rejected
+  // A stale pre-burial snapshot is rejected.
+  t.reconcile(RowSnapshot{{K1, {{D1, 5, 1}}}});
   EXPECT_EQ(t.lookup(K1)[0].frequency, 8u);
-  t.reconcile({{K1, {{D1, 11, 3}}}});  // post-revival snapshot: accepted
+  // A post-revival snapshot is accepted.
+  t.reconcile(RowSnapshot{{K1, {{D1, 11, 3}}}});
   ASSERT_EQ(t.lookup(K1).size(), 1u);
   EXPECT_EQ(t.lookup(K1)[0].frequency, 11u);
 }
@@ -306,7 +309,8 @@ TEST(LocationTable, AbsorbPreservesVersions) {
   ASSERT_EQ(b.lookup(K1).size(), 1u);
   EXPECT_EQ(b.lookup(K1)[0].version, 3u);
   EXPECT_TRUE(b.retract(K1, D1, 15));  // version 4, frequency 15
-  b.reconcile({{K1, {{D1, 30, 3}}}});  // stale mirror of the old owner
+  // A stale mirror of the old owner.
+  b.reconcile(RowSnapshot{{K1, {{D1, 30, 3}}}});
   EXPECT_EQ(b.lookup(K1)[0].frequency, 15u);
 }
 
@@ -317,7 +321,7 @@ TEST(LocationTable, PurgeEverywhereTombstonesAffectedRows) {
   EXPECT_TRUE(t.tombstoned(K2, D1));
   EXPECT_TRUE(t.tombstoned(K3, D1));
   EXPECT_FALSE(t.tombstoned(K1, D3));
-  t.reconcile({{K3, {{D1, 30}}}});
+  t.reconcile(RowSnapshot{{K3, {{D1, 30}}}});
   EXPECT_TRUE(t.lookup(K3).empty());
 }
 
@@ -338,7 +342,7 @@ TEST(LocationTable, RowsIterateAscendingByKeyAfterArbitraryMutations) {
   t.purge_everywhere(D2);
   t.erase_row(1 + (5 * 37) % 97);
   RowSnapshot slice = t.extract_range(10, 40);  // detach a middle slice...
-  t.reconcile({{3, {{D1, 7, 50}}}, {200, {{D3, 9, 50}}}});
+  t.reconcile(RowSnapshot{{3, {{D1, 7, 50}}}, {200, {{D3, 9, 50}}}});
   t.absorb(slice);  // ...and splice it back after unrelated churn
 
   ASSERT_GT(t.row_count(), 10u);
