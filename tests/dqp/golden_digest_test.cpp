@@ -25,7 +25,9 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -34,6 +36,7 @@
 #include "dqp_test_util.hpp"
 #include "fault/harness.hpp"
 #include "obs/explain.hpp"
+#include "overlay/keys.hpp"
 #include "workload/vocab.hpp"
 
 namespace ahsw::dqp {
@@ -491,6 +494,126 @@ TEST(GoldenDigest, ChurnedIndexState) {
   }
   EXPECT_EQ(live, 7);
   expect_matches_golden(digest, AHSW_GOLDEN_DIGESTS, "churned-index/");
+}
+
+// --- The index-write send sequence. ------------------------------------
+
+/// Replication factor 3 on 8 index nodes, with a message tracer attached
+/// after setup. Each step of share -> unshare -> storage fail and rejoin ->
+/// storage leave -> republish_all -> index fail and repair gets one line
+/// digesting every message it sent (from, to, bytes, raw bytes, send and
+/// arrival time, category) in send order; two initiators hold invalidation
+/// leases on rows each step touches. Then, for every live index node in id
+/// order, its primary and replica rows, tombstone versions and byte sizes.
+TEST(GoldenDigest, IndexWriteSendSequence) {
+  workload::TestbedConfig cfg = faulted_config();
+  cfg.index_nodes = 8;
+  cfg.overlay.replication_factor = 3;
+  workload::Testbed bed(cfg);
+  overlay::HybridOverlay& ov = bed.overlay();
+  net::Network& network = bed.network();
+  const std::vector<net::NodeAddress>& storage = bed.storage_addrs();
+
+  std::vector<std::string> sent;
+  network.set_tracer([&](const net::MessageEvent& e) {
+    sent.push_back(std::to_string(e.from) + " " + std::to_string(e.to) + " " +
+                   std::to_string(e.bytes) + " " +
+                   std::to_string(e.raw_bytes) + " " + exact(e.sent_at) +
+                   " " + exact(e.arrives_at) + " " +
+                   std::string(net::category_name(e.category)));
+  });
+  Digest digest;
+  auto step = [&](const std::string& name) {
+    digest.add("send-sequence/" + name, "sent", hex_digest(sent));
+    sent.clear();
+  };
+
+  const rdf::Term knows = rdf::Term::iri(std::string(workload::foaf::kKnows));
+  const rdf::Term name = rdf::Term::iri(std::string(workload::foaf::kName));
+  const std::vector<chord::Key> leased = {
+      overlay::index_key(overlay::IndexKeyKind::kP, knows),
+      overlay::index_key(overlay::IndexKeyKind::kP, name)};
+  auto lease = [&] {
+    for (chord::Key key : leased) {
+      ov.subscribe_invalidations(key, storage[0]);
+      ov.subscribe_invalidations(key, storage[5]);
+    }
+  };
+
+  const net::NodeAddress writer = storage[2];
+  std::vector<rdf::Triple> added;
+  for (int i = 0; i < 8; ++i) {
+    const rdf::Term s =
+        rdf::Term::iri("http://example.org/people/w" + std::to_string(i));
+    added.push_back({s, knows, rdf::Term::iri("http://example.org/people/w" +
+                                              std::to_string((i + 3) % 8))});
+    added.push_back({s, name, rdf::Term::literal("W" + std::to_string(i))});
+  }
+  lease();
+  ov.share_triples(writer, added, 100.0);
+  step("share");
+
+  std::vector<rdf::Triple> removed(added.begin(), added.begin() + 6);
+  ov.store_of(writer).for_each([&](const rdf::Triple& t) {
+    if (removed.size() < 14) removed.push_back(t);
+  });
+  lease();
+  ov.unshare_triples(writer, removed, 200.0);
+  step("unshare");
+
+  const net::NodeAddress crashed = storage[4];
+  ov.storage_node_fail(crashed);
+  network.recover(crashed);
+  lease();
+  ov.storage_node_rejoin(crashed, 300.0);
+  step("rejoin");
+
+  lease();
+  ov.storage_node_leave(storage[1], 400.0);
+  step("leave");
+
+  lease();
+  ov.republish_all(500.0);
+  step("republish");
+
+  ov.index_node_fail(bed.index_ids()[3]);
+  ov.repair(600.0);
+  step("repair");
+  network.set_tracer(nullptr);
+
+  // Every key a remaining storage node publishes, for the tombstone lines.
+  std::set<chord::Key> keys;
+  for (const auto& [addr, s] : ov.storage_nodes()) {
+    for (const auto& [key, freq] : s.published) keys.insert(key);
+  }
+  auto tomb_lines = [&](const overlay::LocationTable& table) {
+    std::vector<std::string> out;
+    for (chord::Key key : keys) {
+      for (net::NodeAddress a : storage) {
+        if (std::optional<std::uint32_t> v = table.tombstone_version(key, a)) {
+          out.push_back(std::to_string(key) + " " + std::to_string(a) + " " +
+                        std::to_string(*v));
+        }
+      }
+    }
+    return out;
+  };
+  int live = 0;
+  for (const auto& [id, ix] : ov.index_nodes()) {
+    if (!ov.ring().contains(id) || network.is_failed(ix.address)) continue;
+    const std::string node = "send-sequence/node" + std::to_string(live++);
+    digest.add(node, "id", std::to_string(id));
+    digest.add(node, "table", hex_digest(table_lines(ix.table)));
+    digest.add(node, "replicas", hex_digest(table_lines(ix.replicas)));
+    digest.add(node, "tombstones",
+               hex_digest(tomb_lines(ix.table)) + " replicas " +
+                   hex_digest(tomb_lines(ix.replicas)));
+    digest.add(node, "bytes",
+               "table=" + std::to_string(ix.table.byte_size()) +
+                   " replicas=" + std::to_string(ix.replicas.byte_size()));
+  }
+  EXPECT_EQ(live, 7);
+  expect_matches_golden(digest, AHSW_GOLDEN_DIGESTS, "send-sequence/");
 }
 
 // --- Lazy re-lookup after a whole provider row was given up on. ----------
