@@ -320,4 +320,33 @@ void BM_Repair(benchmark::State& state) {
 
 BENCHMARK(BM_Repair)->Unit(benchmark::kMillisecond);
 
+// Host cost of storage-node rejoin (Sect. III-C): on the churn-rw overlay
+// shape, every storage node in turn re-announces all of its published keys
+// as snapshots, through the batched publish path (routing, owner writes and
+// replica mirrors). The counter is host time per republished key (seconds,
+// printed with an SI prefix). Host time only: no BENCH JSON record.
+void BM_Rejoin(benchmark::State& state) {
+  workload::TestbedConfig cfg = base_config(3);
+  cfg.index_nodes = 64;
+  cfg.storage_nodes = 32;
+  cfg.foaf.persons = 600;
+  workload::Testbed bed(cfg);
+  std::size_t keys = 0;
+  for (net::NodeAddress addr : bed.storage_addrs()) {
+    keys += bed.overlay().storage_state(addr).published.size();
+  }
+  for (auto _ : state) {
+    for (net::NodeAddress addr : bed.storage_addrs()) {
+      bed.overlay().storage_node_rejoin(addr, 0);
+    }
+  }
+  state.counters["keys"] = static_cast<double>(keys);
+  state.counters["s_per_key"] = benchmark::Counter(
+      static_cast<double>(keys),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+BENCHMARK(BM_Rejoin)->Unit(benchmark::kMillisecond);
+
 }  // namespace

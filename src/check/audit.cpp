@@ -503,7 +503,7 @@ void audit_overlay(const overlay::HybridOverlay& ov, AuditReport& rep,
   for (const auto& [ixid, ix] : ov.index_nodes()) {
     if (!ring.contains(ixid) || net.is_failed(ix.address)) continue;
     // The designated holders are the first rf-1 successor-list entries
-    // hosting index state — the same walk replicate_row performs.
+    // hosting index state — the same walk replica_targets performs.
     std::vector<Key> holders;
     for (Key succ : ring.state(ixid).successors) {
       if (holders.size() >= static_cast<std::size_t>(rf - 1)) break;

@@ -84,70 +84,33 @@ std::optional<std::uint32_t> LocationTable::tombstone_version(
   return tombstones_[i].version;
 }
 
-void LocationTable::publish(chord::Key key, net::NodeAddress address,
-                            std::uint32_t frequency) {
-  // An absorbed entry at version 0: the frequency adds, the version steps
-  // past the entry's or its burial's.
-  Cursor at;
-  const Provider entry{address, frequency, 0};
-  merge_row(at, key, {&entry, 1}, MergeRule::kAbsorb);
-}
-
-bool LocationTable::retract(chord::Key key, net::NodeAddress address,
-                            std::uint32_t frequency) {
-  std::size_t ri = row_index(key);
-  if (ri == kNpos) return false;
-  std::vector<Provider>& row = rows_[ri].providers;
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    if (row[i].address != address) continue;
-    if (row[i].frequency <= frequency) {
-      // Bury the version the entry died at: a stale replica snapshot can
-      // only carry this version or older, so reconcile() rejects it.
-      bury(key, address, row[i].version);
-      row.erase(row.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      row[i].frequency -= frequency;
-      ++row[i].version;
-      sort_row(row);
-    }
-    if (row.empty()) erase_row_at(ri);
-    return true;
-  }
-  return false;
-}
-
-void LocationTable::upsert(chord::Key key, net::NodeAddress address,
-                           std::uint32_t frequency) {
-  if (frequency == 0) {
-    purge(key, address);
-    return;
-  }
-  Cursor at;
-  const Provider entry{address, frequency, 0};
-  merge_row(at, key, {&entry, 1}, MergeRule::kSet);
-}
-
-void LocationTable::upsert_replica(chord::Key key, net::NodeAddress address,
-                                   std::uint32_t frequency,
-                                   std::uint32_t version) {
-  Cursor at;
-  const Provider entry{address, frequency, version};
-  merge_row(at, key, {&entry, 1}, MergeRule::kMirror);
-}
-
 void LocationTable::merge_rows(std::span<const Row> rows, MergeRule rule) {
   Cursor at;
   for (const Row& r : rows) merge_row(at, r.key, r.providers, rule);
 }
 
-void LocationTable::merge_row(Cursor& at, chord::Key key,
+void LocationTable::reconcile(std::span<const Row* const> rows) {
+  Cursor at;
+  for (const Row* r : rows) {
+    merge_row(at, r->key, r->providers, MergeRule::kReconcile);
+  }
+}
+
+void LocationTable::merge_entries(std::span<const KeyedEntry> entries,
+                                  MergeRule rule) {
+  Cursor at;
+  for (const KeyedEntry& e : entries) {
+    merge_row(at, e.key, {&e.provider, 1}, rule);
+  }
+}
+
+bool LocationTable::merge_row(Cursor& at, chord::Key key,
                               std::span<const Provider> incoming,
                               MergeRule rule) {
   assert(at.row == 0 || rows_[at.row - 1].key < key);
   const std::size_t cursor = at.row = seek(rows_, at.row, key);
   // The row comes into existence only once an entry is accepted.
   bool present = cursor < rows_.size() && rows_[cursor].key == key;
-  bool changed = false;
   // Pushes carry versions from elsewhere and are gated by them; owner-side
   // writes always take effect and step the version.
   const bool pushed =
@@ -156,25 +119,74 @@ void LocationTable::merge_row(Cursor& at, chord::Key key,
   const std::size_t tb = seek(tombstones_, at.tomb, key);
   std::size_t te = tb;
   while (te < tombstones_.size() && tombstones_[te].key == key) ++te;
+  // A pushed row equal to the stored one changes nothing, unless one of its
+  // providers is also buried here: the burial either rejects the push or is
+  // revived by it.
+  if (pushed && present &&
+      std::ranges::equal(incoming, rows_[cursor].providers) &&
+      std::none_of(tombstones_.begin() + static_cast<std::ptrdiff_t>(tb),
+                   tombstones_.begin() + static_cast<std::ptrdiff_t>(te),
+                   [&](const Tombstone& t) {
+                     return std::ranges::any_of(incoming,
+                                                [&](const Provider& p) {
+                                                  return p.address == t.address;
+                                                });
+                   })) {
+    at.tomb = te;
+    return false;
+  }
+  bool touched = false;  // an entry was added, changed or dropped
+  bool resort = false;   // an entry was added or its frequency changed
   for (const Provider& in : incoming) {
     std::size_t ti = tb;
     while (ti < te && tombstones_[ti].address < in.address) ++ti;
     const bool buried = ti < te && tombstones_[ti].address == in.address;
     const auto tomb = tombstones_.begin() + static_cast<std::ptrdiff_t>(ti);
+    // Bury `version` under the incoming provider; a burial keeps the newest.
+    auto bury_here = [&](std::uint32_t version) {
+      if (buried) {
+        tomb->version = std::max(tomb->version, version);
+      } else {
+        tombstones_.insert(tomb, Tombstone{key, in.address, version});
+        ++te;
+      }
+    };
+    auto entry = present ? std::find_if(rows_[cursor].providers.begin(),
+                                       rows_[cursor].providers.end(),
+                                       [&](const Provider& q) {
+                                         return q.address == in.address;
+                                       })
+                        : std::vector<Provider>::iterator{};
+    const bool found = present && entry != rows_[cursor].providers.end();
+    // Owner-side removal: a retract lowers the entry and steps its version;
+    // at or below zero, and on a purge (a set to 0), the entry's version is
+    // buried and the entry dropped. Only a purge buries an absent entry: it
+    // expresses delete intent, and a stale push may still be in flight.
+    if (rule == MergeRule::kRetract ||
+        (rule == MergeRule::kSet && in.frequency == 0)) {
+      if (!found) {
+        if (rule == MergeRule::kSet) bury_here(0);
+        continue;
+      }
+      if (rule == MergeRule::kRetract && entry->frequency > in.frequency) {
+        entry->frequency -= in.frequency;
+        ++entry->version;
+        resort = true;
+      } else {
+        bury_here(entry->version);
+        rows_[cursor].providers.erase(entry);
+      }
+      touched = true;
+      continue;
+    }
     if (in.frequency == 0) {
       // Only a mirrored removal carries an empty entry: it buries the
       // owner's version and drops an entry no newer than it.
       if (rule != MergeRule::kMirror) continue;
-      if (buried) {
-        tomb->version = std::max(tomb->version, in.version);
-      } else {
-        tombstones_.insert(tomb, Tombstone{key, in.address, in.version});
-        ++te;
-      }
-      if (present) {
-        std::erase_if(rows_[cursor].providers, [&](const Provider& p) {
-          return p.address == in.address && p.version <= in.version;
-        });
+      bury_here(in.version);
+      if (found && entry->version <= in.version) {
+        rows_[cursor].providers.erase(entry);
+        touched = true;
       }
       continue;
     }
@@ -188,59 +200,65 @@ void LocationTable::merge_row(Cursor& at, chord::Key key,
       tombstones_.erase(tomb);
       --te;
     }
-    if (!present) {
-      rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(cursor),
-                   Row{key, spare_.acquire()});
-      present = true;
-    }
-    std::vector<Provider>& row = rows_[cursor].providers;
-    auto p = std::find_if(row.begin(), row.end(), [&](const Provider& q) {
-      return q.address == in.address;
-    });
-    if (p == row.end()) {
-      row.push_back(pushed ? in
-                           : Provider{in.address, in.frequency,
-                                      std::max(in.version, revived + 1)});
+    if (!found) {
+      if (!present) {
+        rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(cursor),
+                     Row{key, spare_.acquire()});
+        present = true;
+      }
+      rows_[cursor].providers.push_back(
+          pushed ? in
+                 : Provider{in.address, in.frequency,
+                            std::max(in.version, revived + 1)});
     } else if (!pushed) {
-      p->frequency = rule == MergeRule::kSet ? in.frequency
-                                             : p->frequency + in.frequency;
-      p->version = std::max(p->version, in.version) + 1;
-    } else if (in.version > p->version ||
-               (in.version == p->version && rule == MergeRule::kMirror)) {
-      *p = in;  // newer wins outright, even with a lower frequency
-    } else if (in.version == p->version && in.frequency > p->frequency) {
-      p->frequency = in.frequency;  // several holders, one causal state
+      entry->frequency = rule == MergeRule::kSet
+                             ? in.frequency
+                             : entry->frequency + in.frequency;
+      entry->version = std::max(entry->version, in.version) + 1;
+    } else if (in.version > entry->version ||
+               (in.version == entry->version && rule == MergeRule::kMirror)) {
+      if (*entry == in) continue;  // an equal mirror: nothing to re-sort
+      *entry = in;  // newer wins outright, even with a lower frequency
+    } else if (in.version == entry->version &&
+               in.frequency > entry->frequency) {
+      entry->frequency = in.frequency;  // several holders, one causal state
     } else {
       continue;  // an older (reordered or stale) push
     }
-    changed = true;
+    touched = resort = true;
   }
   at.tomb = te;
-  if (!present) return;
-  if (changed) sort_row(rows_[cursor].providers);
+  if (!present) return touched;
+  if (resort) sort_row(rows_[cursor].providers);
   if (rows_[cursor].providers.empty()) erase_row_at(cursor);
+  return touched;
 }
 
-bool LocationTable::purge(chord::Key key, net::NodeAddress address) {
-  std::size_t ri = row_index(key);
-  if (ri == kNpos) {
-    // Tombstone even when the entry is already gone: the purge expresses
-    // delete intent, and a stale replica push may still be in flight.
-    bury(key, address, 0);
-    return false;
+void LocationTable::held(std::span<KeyedEntry> entries) const {
+  Cursor at;
+  for (KeyedEntry& e : entries) {
+    const net::NodeAddress address = e.provider.address;
+    at.row = seek(rows_, at.row, e.key);
+    if (at.row < rows_.size() && rows_[at.row].key == e.key) {
+      const std::vector<Provider>& row = rows_[at.row].providers;
+      auto p = std::find_if(row.begin(), row.end(), [&](const Provider& q) {
+        return q.address == address;
+      });
+      if (p != row.end()) {
+        e.provider = *p;
+        continue;
+      }
+    }
+    std::size_t ti = at.tomb = seek(tombstones_, at.tomb, e.key);
+    while (ti < tombstones_.size() && tombstones_[ti].key == e.key &&
+           tombstones_[ti].address < address) {
+      ++ti;
+    }
+    const bool buried = ti < tombstones_.size() &&
+                        tombstones_[ti].key == e.key &&
+                        tombstones_[ti].address == address;
+    e.provider = Provider{address, 0, buried ? tombstones_[ti].version : 0};
   }
-  std::vector<Provider>& row = rows_[ri].providers;
-  std::uint32_t died_at = 0;
-  auto pos = std::remove_if(row.begin(), row.end(), [&](const Provider& p) {
-    if (p.address != address) return false;
-    died_at = std::max(died_at, p.version);
-    return true;
-  });
-  bool changed = pos != row.end();
-  row.erase(pos, row.end());
-  bury(key, address, died_at);
-  if (row.empty()) erase_row_at(ri);
-  return changed;
 }
 
 void LocationTable::purge_everywhere(net::NodeAddress address) {

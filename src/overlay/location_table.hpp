@@ -35,9 +35,10 @@ namespace ahsw::overlay {
 /// it, and a full removal buries it in the tombstone. Replicas mirror the
 /// owner's version verbatim, so recovery reconciliation can order snapshots
 /// causally instead of max-merging frequencies — a stale replica snapshot
-/// (older version) can never overwrite a newer, lower frequency. The
-/// version rides inside the entry's existing 12-byte wire envelope
-/// (packed with the frequency), so no byte-accounting formula changes.
+/// (older version) can never overwrite a newer, lower frequency. The version
+/// travels with the entry: byte_size() and response_bytes() charge each
+/// serialized entry LocationTable::kProviderBytes (address, frequency and
+/// version: 16 bytes).
 struct Provider {
   net::NodeAddress address = net::kNoAddress;
   std::uint32_t frequency = 0;  // matching triples at that node
@@ -59,36 +60,74 @@ struct Row {
 /// ascending key.
 using RowSnapshot = std::vector<Row>;
 
+/// One entry of one row: the unit of a batched write (a storage node's
+/// publish, retract or snapshot of a key, or an owner's entry as its
+/// replicas mirror it).
+struct KeyedEntry {
+  chord::Key key = 0;
+  Provider provider;
+
+  friend bool operator==(const KeyedEntry&, const KeyedEntry&) = default;
+};
+
 class LocationTable {
  public:
+  // Owner-side writes, one entry each. Every batched write takes its
+  // entries (or rows) ascending by key, one per key, and walks the table
+  // forward once: one row and one tombstone search per key from a galloping
+  // cursor, at most one sort per row.
+
   /// Add `frequency` matching triples for (key, address); merges with an
   /// existing entry for the same provider. Owner-side: bumps the entry
   /// version past any buried tombstone version.
   void publish(chord::Key key, net::NodeAddress address,
-               std::uint32_t frequency);
+               std::uint32_t frequency) {
+    write_one(key, {address, frequency, 0}, MergeRule::kAbsorb);
+  }
+  /// publish() for every (key, address, frequency) of `entries`.
+  void publish(std::span<const KeyedEntry> entries) {
+    merge_entries(entries, MergeRule::kAbsorb);
+  }
 
-  /// Decrease the frequency for (key, address) by `frequency`; removes the
-  /// entry at zero (burying its version). Returns true if something changed.
+  /// Decrease the frequency for (key, address) by `frequency`, stepping the
+  /// version; removes the entry at or below zero (burying its version).
+  /// Returns true if something changed.
   bool retract(chord::Key key, net::NodeAddress address,
-               std::uint32_t frequency);
+               std::uint32_t frequency) {
+    return write_one(key, {address, frequency, 0}, MergeRule::kRetract);
+  }
+  /// retract() for every (key, address, frequency) of `entries`.
+  void retract(std::span<const KeyedEntry> entries) {
+    merge_entries(entries, MergeRule::kRetract);
+  }
 
   /// Set the frequency for (key, address) to exactly `frequency`
   /// (snapshot semantics: used by storage-node rejoin, where repeated
-  /// writes must be idempotent). frequency == 0 removes the entry.
-  /// Owner-side: bumps the version like every owner mutation.
+  /// writes must be idempotent). frequency == 0 removes the entry, as
+  /// purge() does. Owner-side: bumps the version like every owner mutation.
   void upsert(chord::Key key, net::NodeAddress address,
-              std::uint32_t frequency);
+              std::uint32_t frequency) {
+    write_one(key, {address, frequency, 0}, MergeRule::kSet);
+  }
+  /// upsert() for every (key, address, frequency) of `entries`.
+  void upsert(std::span<const KeyedEntry> entries) {
+    merge_entries(entries, MergeRule::kSet);
+  }
 
   /// Mirror the owner's (frequency, version) for (key, address) verbatim —
   /// the replica-maintenance write path. Takes effect only when `version`
   /// is at least as new as what this table holds (entry or tombstone), so
   /// reordered or repeated pushes are harmless. frequency == 0 removes the
-  /// entry and buries `version`. The one-entry case of mirror().
+  /// entry and buries `version`.
   void upsert_replica(chord::Key key, net::NodeAddress address,
-                      std::uint32_t frequency, std::uint32_t version);
-
-  /// upsert_replica() for every entry of `rows` (ascending by key), merged
-  /// a row at a time: one row and one tombstone search, at most one sort.
+                      std::uint32_t frequency, std::uint32_t version) {
+    write_one(key, {address, frequency, version}, MergeRule::kMirror);
+  }
+  /// upsert_replica() for every entry of `entries`.
+  void mirror(std::span<const KeyedEntry> entries) {
+    merge_entries(entries, MergeRule::kMirror);
+  }
+  /// upsert_replica() for every entry of `rows`, a row at a time.
   void mirror(std::span<const Row> rows) {
     merge_rows(rows, MergeRule::kMirror);
   }
@@ -106,10 +145,22 @@ class LocationTable {
   void reconcile(std::span<const Row> rows) {
     merge_rows(rows, MergeRule::kReconcile);
   }
+  /// reconcile() of rows held elsewhere (repair merges a replica holder's
+  /// rows in place, grouped by owner).
+  void reconcile(std::span<const Row* const> rows);
+
+  /// For each entry (ascending by key), replace its provider with this
+  /// table's entry for that (key, address), or, when there is none, with
+  /// frequency 0 and the version buried under it (0 if none): an owner's
+  /// entries as its replicas mirror them. One forward walk.
+  void held(std::span<KeyedEntry> entries) const;
 
   /// Drop a provider from one row entirely (lazy repair after a storage
-  /// node failure, Sect. III-D). Returns true if it was present.
-  bool purge(chord::Key key, net::NodeAddress address);
+  /// node failure, Sect. III-D), burying its version even when it is
+  /// already gone. Returns true if it was present.
+  bool purge(chord::Key key, net::NodeAddress address) {
+    return write_one(key, {address, 0, 0}, MergeRule::kSet);
+  }
 
   /// Drop a provider from every row (bulk repair).
   void purge_everywhere(net::NodeAddress address);
@@ -196,8 +247,17 @@ class LocationTable {
   /// mirror(): a version at least as new wins, frequency 0 buries.
   /// reconcile(): a strictly newer version wins, equal versions take the
   /// max frequency. absorb() and publish(): frequencies add, the version
-  /// steps past both. upsert(): the frequency is set, the version steps.
-  enum class MergeRule : std::uint8_t { kMirror, kReconcile, kAbsorb, kSet };
+  /// steps past both. upsert(): the frequency is set, the version steps;
+  /// frequency 0 purges. retract(): the frequency drops and the version
+  /// steps; at or below zero the entry's version is buried and the entry
+  /// dropped.
+  enum class MergeRule : std::uint8_t {
+    kMirror,
+    kReconcile,
+    kAbsorb,
+    kSet,
+    kRetract,
+  };
   /// Where merge_row starts its searches of rows_ and tombstones_: at or
   /// before the key's place in each. It leaves them at the key's row and
   /// past its tombstones, so rows merged in ascending key order are searched
@@ -206,9 +266,16 @@ class LocationTable {
     std::size_t row = 0;
     std::size_t tomb = 0;
   };
-  void merge_row(Cursor& at, chord::Key key,
+  /// Merges `incoming` into the row of `key`; true if an entry was added,
+  /// changed or dropped.
+  bool merge_row(Cursor& at, chord::Key key,
                  std::span<const Provider> incoming, MergeRule rule);
+  bool write_one(chord::Key key, const Provider& entry, MergeRule rule) {
+    Cursor at;
+    return merge_row(at, key, {&entry, 1}, rule);
+  }
   void merge_rows(std::span<const Row> rows, MergeRule rule);
+  void merge_entries(std::span<const KeyedEntry> entries, MergeRule rule);
   /// First tombstone at or after (key, address).
   [[nodiscard]] std::size_t tomb_index(chord::Key key,
                                        net::NodeAddress address) const;

@@ -1,7 +1,9 @@
 #include "overlay/overlay.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
+#include <utility>
 
 namespace ahsw::overlay {
 
@@ -12,15 +14,6 @@ constexpr std::size_t kPublishBytes = 24;   // key + address + frequency
 // they are 4 bytes wider than a plain publish.
 constexpr std::size_t kReplicaPushBytes = 28;  // key + address + freq + version
 constexpr std::size_t kRequestBytes = 32;   // pattern key + requester
-
-/// The owner's (key, provider) entry as its replicas mirror it: when the
-/// entry is gone, frequency 0 with the version the owner buried.
-Provider held_entry(const LocationTable& owner, chord::Key key,
-                    net::NodeAddress provider) {
-  if (const Provider* entry = owner.find(key, provider)) return *entry;
-  return Provider{provider, 0,
-                  owner.tombstone_version(key, provider).value_or(0)};
-}
 }  // namespace
 
 HybridOverlay::HybridOverlay(net::Network& network, OverlayConfig config)
@@ -180,7 +173,9 @@ void HybridOverlay::on_transfer(chord::Key old_owner, chord::Key new_owner,
   // owner would lose rows whose replicas still trail the old owner.
   for (Row& r : slice) {
     for (Provider& p : r.providers) {
-      p = held_entry(ni->second.table, r.key, p.address);
+      KeyedEntry held{r.key, p};
+      ni->second.table.held({&held, 1});
+      p = held.provider;
     }
   }
   replicate_rows(ni->second, slice, when);
@@ -196,18 +191,6 @@ std::vector<IndexNodeState*> HybridOverlay::replica_targets(chord::Key owner) {
     if (it != index_.end() && succ != owner) out.push_back(&it->second);
   }
   return out;
-}
-
-void HybridOverlay::replicate_row(IndexNodeState& owner, chord::Key key,
-                                  net::NodeAddress provider,
-                                  net::SimTime now) {
-  const Provider entry = held_entry(owner.table, key, provider);
-  for (IndexNodeState* replica : replica_targets(owner.id)) {
-    net_->send(owner.address, replica->address, kReplicaPushBytes, now,
-               net::Category::kIndex);
-    replica->replicas.upsert_replica(key, provider, entry.frequency,
-                                     entry.version);
-  }
 }
 
 void HybridOverlay::replicate_rows(IndexNodeState& owner,
@@ -271,38 +254,99 @@ void HybridOverlay::push_invalidations(chord::Key key,
   cache_subscribers_.erase(it);
 }
 
-net::SimTime HybridOverlay::publish_key(net::NodeAddress from, chord::Key key,
-                                        std::uint32_t freq, PublishOp op,
-                                        net::SimTime now) {
-  chord::Key entry = entry_ring_node(from);
-  net::NodeAddress entry_addr = ring_.address_of(entry);
-  net::SimTime t =
-      net_->send(from, entry_addr, kPublishBytes, now, net::Category::kIndex);
-  // Rows are keyed by the full hash Kj; the ring routes its truncation.
-  chord::Ring::LookupResult lr =
-      ring_.find_successor(entry, ring_.truncate(key), t);
-  if (!lr.ok) return t;
-  t = lr.completed_at;
-  t = net_->send(entry_addr, lr.owner_address, kPublishBytes, t,
+net::SimTime HybridOverlay::publish_keys(
+    net::NodeAddress from, const std::map<chord::Key, std::uint32_t>& keys,
+    PublishOp op, net::SimTime now) {
+  // Send pass: every key's messages, in key order. No send depends on what
+  // a table holds, so the writes can follow in bulk.
+  struct Delivered {
+    IndexNodeState* owner;
+    KeyedEntry write;
+  };
+  std::vector<Delivered> delivered;
+  delivered.reserve(keys.size());
+  net::SimTime latest = now;
+  const chord::Key entry = entry_ring_node(from);
+  const net::NodeAddress entry_addr = ring_.address_of(entry);
+  // Consecutive keys mostly share an owner; its replicas are walked once.
+  const IndexNodeState* targets_of = nullptr;
+  std::vector<IndexNodeState*> targets;
+  for (const auto& [key, freq] : keys) {
+    net::SimTime t = net_->send(from, entry_addr, kPublishBytes, now,
+                                net::Category::kIndex);
+    // Rows are keyed by the full hash Kj; the ring routes its truncation.
+    chord::Ring::LookupResult lr =
+        ring_.find_successor(entry, ring_.truncate(key), t);
+    auto it = index_.end();
+    if (lr.ok) {
+      t = net_->send(entry_addr, lr.owner_address, kPublishBytes,
+                     lr.completed_at, net::Category::kIndex);
+      it = index_.find(lr.owner);
+    }
+    latest = std::max(latest, t);
+    if (it == index_.end()) continue;
+    IndexNodeState& owner = it->second;
+    if (targets_of != &owner) {
+      targets = replica_targets(owner.id);
+      targets_of = &owner;
+    }
+    for (IndexNodeState* replica : targets) {
+      net_->send(owner.address, replica->address, kReplicaPushBytes, t,
                  net::Category::kIndex);
-  auto it = index_.find(lr.owner);
-  if (it == index_.end()) return t;
-  switch (op) {
-    case PublishOp::kAdd:
-      it->second.table.publish(key, from, freq);
-      break;
-    case PublishOp::kRetract:
-      it->second.table.retract(key, from, freq);
-      break;
-    case PublishOp::kSnapshot:
-      it->second.table.upsert(key, from, freq);
-      break;
+    }
+    // Owner-side mutation: leased cached copies of this row are now stale —
+    // push their invalidations (charged, they are real messages).
+    push_invalidations(key, owner.address, t, /*charge=*/true);
+    delivered.push_back({&owner, {key, {from, freq, 0}}});
   }
-  replicate_row(it->second, key, from, t);
-  // Owner-side mutation: leased cached copies of this row are now stale —
-  // push their invalidations (charged, they are real messages).
-  push_invalidations(key, it->second.address, t, /*charge=*/true);
-  return t;
+
+  // Write pass: one forward walk per owner table (the stable sort keeps
+  // keys ascending within an owner). The owner's resulting entries, read
+  // the same way, are queued for each of its replicas.
+  std::stable_sort(delivered.begin(), delivered.end(),
+                   [](const Delivered& a, const Delivered& b) {
+                     return a.owner->id < b.owner->id;
+                   });
+  std::vector<KeyedEntry> batch;
+  std::vector<std::pair<IndexNodeState*, std::vector<KeyedEntry>>> mirrors;
+  for (auto group = delivered.begin(); group != delivered.end();) {
+    IndexNodeState& owner = *group->owner;
+    batch.clear();
+    for (; group != delivered.end() && group->owner == &owner; ++group) {
+      batch.push_back(group->write);
+    }
+    switch (op) {
+      case PublishOp::kAdd:
+        owner.table.publish(batch);
+        break;
+      case PublishOp::kRetract:
+        owner.table.retract(batch);
+        break;
+      case PublishOp::kSnapshot:
+        owner.table.upsert(batch);
+        break;
+    }
+    targets = replica_targets(owner.id);
+    if (targets.empty()) continue;
+    owner.table.held(batch);
+    for (IndexNodeState* replica : targets) {
+      auto m = std::find_if(mirrors.begin(), mirrors.end(),
+                            [&](const auto& q) { return q.first == replica; });
+      if (m == mirrors.end()) m = mirrors.insert(m, {replica, {}});
+      m->second.insert(m->second.end(), batch.begin(), batch.end());
+    }
+  }
+
+  // Mirror pass: one forward walk per replica table, its entries (runs from
+  // several owners) back in key order.
+  for (auto& [replica, entries] : mirrors) {
+    std::sort(entries.begin(), entries.end(),
+              [](const KeyedEntry& a, const KeyedEntry& b) {
+                return a.key < b.key;
+              });
+    replica->replicas.mirror(entries);
+  }
+  return latest;
 }
 
 net::SimTime HybridOverlay::share_triples(
@@ -318,11 +362,8 @@ net::SimTime HybridOverlay::share_triples(
   }
   s.store.refresh_order();  // the overlay dictionary ranks the new terms
   // Publishes for distinct keys proceed in parallel; completion is the max.
-  net::SimTime latest = now;
-  for (const auto& [key, freq] : delta) {
-    latest = std::max(latest, publish_key(addr, key, freq, PublishOp::kAdd, now));
-    s.published[key] += freq;
-  }
+  const net::SimTime latest = publish_keys(addr, delta, PublishOp::kAdd, now);
+  for (const auto& [key, freq] : delta) s.published[key] += freq;
   return latest;
 }
 
@@ -337,10 +378,9 @@ net::SimTime HybridOverlay::unshare_triples(
     std::array<chord::Key, kIndexKeyKinds> keys = index_keys(t);
     for (std::size_t k = 0; k < kinds; ++k) ++delta[keys[k]];
   }
-  net::SimTime latest = now;
+  const net::SimTime latest =
+      publish_keys(addr, delta, PublishOp::kRetract, now);
   for (const auto& [key, freq] : delta) {
-    latest =
-        std::max(latest, publish_key(addr, key, freq, PublishOp::kRetract, now));
     auto it = s.published.find(key);
     if (it != s.published.end()) {
       it->second = it->second > freq ? it->second - freq : 0;
@@ -468,13 +508,8 @@ void HybridOverlay::storage_node_fail(net::NodeAddress addr) {
 
 net::SimTime HybridOverlay::storage_node_leave(net::NodeAddress addr,
                                                net::SimTime now) {
-  StorageNodeState& s = storage_.at(addr);
-  net::SimTime latest = now;
-  std::map<chord::Key, std::uint32_t> published = s.published;
-  for (const auto& [key, freq] : published) {
-    latest =
-        std::max(latest, publish_key(addr, key, freq, PublishOp::kRetract, now));
-  }
+  const net::SimTime latest = publish_keys(
+      addr, storage_.at(addr).published, PublishOp::kRetract, now);
   storage_.erase(addr);
   return latest;
 }
@@ -486,12 +521,7 @@ net::SimTime HybridOverlay::storage_node_rejoin(net::NodeAddress addr,
   // Snapshot semantics, not additive: the primary row may still carry the
   // pre-crash entry (lazy repair only purges rows a query actually hit), and
   // where it was purged the tombstone must be revived, not max-merged around.
-  net::SimTime latest = now;
-  for (const auto& [key, freq] : s.published) {
-    latest = std::max(latest,
-                      publish_key(addr, key, freq, PublishOp::kSnapshot, now));
-  }
-  return latest;
+  return publish_keys(addr, s.published, PublishOp::kSnapshot, now);
 }
 
 void HybridOverlay::repair(net::SimTime now) {
@@ -519,21 +549,53 @@ void HybridOverlay::repair(net::SimTime now) {
   for (const auto& [id, ix] : index_) {
     if (ring_.contains(id)) live.push_back(id);
   }
+  // Ring members ascending by id, with their index state (null without):
+  // the oracle successor of a ring point is the first member at or after
+  // it, wrapping to the lowest.
+  std::vector<std::pair<chord::Key, IndexNodeState*>> members;
+  members.reserve(ring_.size());
+  for (const auto& [id, node] : ring_.nodes()) {
+    auto it = index_.find(id);
+    members.emplace_back(id, it == index_.end() ? nullptr : &it->second);
+  }
+  auto owner_of = [&](chord::Key key) -> IndexNodeState* {
+    auto it = std::lower_bound(
+        members.begin(), members.end(), ring_.truncate(key),
+        [](const auto& m, chord::Key point) { return m.first < point; });
+    return (it == members.end() ? members.front() : *it).second;
+  };
+  std::vector<std::pair<IndexNodeState*, const Row*>> routed;
+  std::vector<const Row*> group;
+  std::vector<chord::Key> promoted;
   for (chord::Key holder_id : live) {
     IndexNodeState& holder = index_.at(holder_id);
-    std::vector<chord::Key> promoted;
+    routed.clear();
+    promoted.clear();
     for (const Row& r : holder.replicas.rows()) {
-      chord::Key owner_id = ring_.oracle_successor(ring_.truncate(r.key));
-      auto oi = index_.find(owner_id);
-      if (oi == index_.end()) continue;
-      if (owner_id != holder_id) {
-        net_->send(holder.address, oi->second.address,
+      IndexNodeState* owner = owner_of(r.key);
+      if (owner == nullptr) continue;
+      if (owner != &holder) {
+        net_->send(holder.address, owner->address,
                    8 + LocationTable::kProviderBytes * r.providers.size(),
                    now, net::Category::kIndex);
       } else {
         promoted.push_back(r.key);
       }
-      oi->second.table.reconcile({&r, 1});
+      routed.emplace_back(owner, &r);
+    }
+    // One forward walk per owner table; the stable sort keeps each owner's
+    // rows ascending by key.
+    std::stable_sort(routed.begin(), routed.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first->id < b.first->id;
+                     });
+    for (auto run = routed.begin(); run != routed.end();) {
+      IndexNodeState& owner = *run->first;
+      group.clear();
+      for (; run != routed.end() && run->first == &owner; ++run) {
+        group.push_back(run->second);
+      }
+      owner.table.reconcile(group);
     }
     for (chord::Key key : promoted) holder.replicas.erase_row(key);
   }
@@ -570,10 +632,8 @@ net::SimTime HybridOverlay::republish_all(net::SimTime now) {
   net::SimTime latest = now;
   for (auto& [addr, s] : storage_) {
     if (net_->is_failed(addr)) continue;
-    for (const auto& [key, freq] : s.published) {
-      latest = std::max(latest,
-                        publish_key(addr, key, freq, PublishOp::kSnapshot, now));
-    }
+    latest = std::max(
+        latest, publish_keys(addr, s.published, PublishOp::kSnapshot, now));
   }
   return latest;
 }

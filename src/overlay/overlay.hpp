@@ -278,25 +278,28 @@ class HybridOverlay {
   /// copy's own dictionary (same ids). Everything else is copied as is.
   HybridOverlay(const HybridOverlay& other);
 
-  /// How publish_key applies a delivered (key, provider, freq) entry.
+  /// How publish_keys applies a delivered (key, provider, freq) entry.
   enum class PublishOp : std::uint8_t {
     kAdd,       // additive publish (new triples shared)
     kRetract,   // subtract freq, remove at zero (unshare / leave)
     kSnapshot,  // set freq exactly; idempotent, revives tombstones (rejoin)
   };
 
-  /// Deliver one publish/retract/snapshot to the owning index node
-  /// (+ replicas).
-  net::SimTime publish_key(net::NodeAddress from, chord::Key key,
-                           std::uint32_t freq, PublishOp op, net::SimTime now);
+  /// Deliver one publish/retract/snapshot per (key, freq) of `keys` from
+  /// `from` to each key's owning index node and its replicas. Every message
+  /// is sent per key, in key order, as if each key went alone: the entry
+  /// hop, the ring hops, the owner hop, one push per replica and the
+  /// invalidation pushes. The writes then land grouped by owner, one
+  /// forward walk per owner table, and the owners' resulting entries are
+  /// mirrored one forward walk per replica table. Returns the completion
+  /// time of the slowest key (`now` when there is none).
+  net::SimTime publish_keys(net::NodeAddress from,
+                            const std::map<chord::Key, std::uint32_t>& keys,
+                            PublishOp op, net::SimTime now);
   /// The owner's replica holders: its first replication_factor - 1 ring
   /// successors with index state (Sect. III-D); none with replication off
   /// or once the owner has left the ring.
   std::vector<IndexNodeState*> replica_targets(chord::Key owner);
-  /// Push the owner's current (key, provider) entry to its replicas
-  /// (idempotent; 0 removes the replica entry).
-  void replicate_row(IndexNodeState& owner, chord::Key key,
-                     net::NodeAddress provider, net::SimTime now);
   /// Push `rows` (ascending by key, entries as the owner holds them) to the
   /// owner's replicas: one push per entry and replica, one row merge per
   /// row and replica.
@@ -331,6 +334,9 @@ class HybridOverlay {
   std::map<net::NodeAddress, LocationCache> caches_;
   /// Lease subscriptions: row key -> initiators to notify on mutation.
   std::map<chord::Key, std::set<net::NodeAddress>> cache_subscribers_;
+  // The per-key write path publish_keys batches: its oracle in
+  // tests/support.
+  friend struct OverlayReference;
 };
 
 }  // namespace ahsw::overlay

@@ -83,7 +83,7 @@ void LocationTableReference::upsert(LocationTable& t, chord::Key key,
                                     net::NodeAddress address,
                                     std::uint32_t frequency) {
   if (frequency == 0) {
-    t.purge(key, address);
+    purge(t, key, address);
     return;
   }
   std::uint32_t buried = revive(t, key, address);
@@ -99,6 +99,53 @@ void LocationTableReference::upsert(LocationTable& t, chord::Key key,
   }
   row.push_back(Provider{address, frequency, buried + 1});
   t.sort_row(row);
+}
+
+bool LocationTableReference::retract(LocationTable& t, chord::Key key,
+                                     net::NodeAddress address,
+                                     std::uint32_t frequency) {
+  std::size_t ri = t.row_index(key);
+  if (ri == LocationTable::kNpos) return false;
+  std::vector<Provider>& row = t.rows_[ri].providers;
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    if (row[i].address != address) continue;
+    if (row[i].frequency <= frequency) {
+      // Bury the version the entry died at: a stale replica snapshot can
+      // only carry this version or older, so reconcile() rejects it.
+      bury(t, key, address, row[i].version);
+      row.erase(row.begin() + static_cast<std::ptrdiff_t>(i));
+    } else {
+      row[i].frequency -= frequency;
+      ++row[i].version;
+      t.sort_row(row);
+    }
+    if (row.empty()) t.erase_row_at(ri);
+    return true;
+  }
+  return false;
+}
+
+bool LocationTableReference::purge(LocationTable& t, chord::Key key,
+                                   net::NodeAddress address) {
+  std::size_t ri = t.row_index(key);
+  if (ri == LocationTable::kNpos) {
+    // Tombstone even when the entry is already gone: the purge expresses
+    // delete intent, and a stale replica push may still be in flight.
+    bury(t, key, address, 0);
+    return false;
+  }
+  std::vector<Provider>& row = t.rows_[ri].providers;
+  std::uint32_t died_at = 0;
+  auto pos = std::remove_if(row.begin(), row.end(), [&](const Provider& p) {
+    if (p.address != address) return false;
+    died_at = std::max(died_at, p.version);
+    return true;
+  });
+  bool changed = pos != row.end();
+  row.erase(pos, row.end());
+  bury(t, key, address, died_at);
+  if (row.empty()) t.erase_row_at(ri);
+  return changed;
 }
 
 void LocationTableReference::upsert_replica(LocationTable& t, chord::Key key,
@@ -216,13 +263,21 @@ void LocationTableReference::absorb(LocationTable& t, const RowSnapshot& rows) {
   }
 }
 
-
 void LocationTableReference::mirror(LocationTable& t, const RowSnapshot& rows) {
   for (const Row& r : rows) {
     for (const Provider& p : r.providers) {
       upsert_replica(t, r.key, p.address, p.frequency, p.version);
     }
   }
+}
+
+std::vector<LocationTableReference::Burial> LocationTableReference::tombstones(
+    const LocationTable& t) {
+  std::vector<Burial> out;
+  for (const LocationTable::Tombstone& b : t.tombstones_) {
+    out.push_back(Burial{b.key, b.address, b.version});
+  }
+  return out;
 }
 
 }  // namespace ahsw::overlay
