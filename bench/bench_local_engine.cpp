@@ -1,5 +1,5 @@
 // E10 — local-engine micro-costs: the solution-set algebra every node runs
-// (join, left join, union, minus, filter) and BGP matching against a local
+// (join, left join, union, filter) and BGP matching against a local
 // store. These are real wall-clock benchmarks (the only ones in the suite),
 // establishing that local evaluation is cheap relative to the simulated
 // communication the other experiments measure.
@@ -73,15 +73,6 @@ void BM_SolutionLeftJoin(benchmark::State& state) {
             [&] { benchmark::DoNotOptimize(sparql::vec_left_join(a, b)); });
 }
 BENCHMARK(BM_SolutionLeftJoin)->Range(64, 1024);
-
-void BM_SolutionMinus(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  SolutionSet a = make_set(n, n / 4 + 1, "x", "a", 5);
-  SolutionSet b = make_set(n / 4, n / 4 + 1, "x", "b", 6);
-  run_timed(state, "minus/n=" + std::to_string(n),
-            [&] { benchmark::DoNotOptimize(sparql::vec_minus(a, b)); });
-}
-BENCHMARK(BM_SolutionMinus)->Range(64, 1024);
 
 void BM_SolutionDedup(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <set>
 
 #include "net/wire.hpp"
@@ -293,7 +292,6 @@ void DagExecutor::setup_query(QueryRun& run) {
       case PhysOpKind::kLeftJoin: t.kind = TaskKind::kLeftJoin; break;
       case PhysOpKind::kUnion: t.kind = TaskKind::kUnion; break;
       case PhysOpKind::kFilter: t.kind = TaskKind::kFilter; break;
-      case PhysOpKind::kModifier: t.kind = TaskKind::kModifier; break;
       case PhysOpKind::kPostProcess: t.kind = TaskKind::kPostProcess; break;
     }
     add_task(run, std::move(t));
@@ -338,7 +336,6 @@ void DagExecutor::fire(QueryRun& run, TaskId id) {
     case TaskKind::kLeftJoin:
     case TaskKind::kUnion: hint = fire_binary(run, id); break;
     case TaskKind::kFilter: hint = fire_filter(run, id); break;
-    case TaskKind::kModifier: hint = fire_modifier(run, id); break;
     case TaskKind::kPostProcess: hint = fire_post(run, id); break;
     case TaskKind::kDescribeGather:
       hint = fire_describe_gather(run, id);
@@ -830,43 +827,6 @@ net::SimTime DagExecutor::fire_filter(QueryRun& run, TaskId id) {
   const Located& in = run.tasks[op.inputs.front()].out;
   task.out = Located{sparql::filter_set(in.set, *op.expr), in.site,
                      in.ready_at, std::nullopt};
-  complete(run, id, task.out.ready_at);
-  return 0;
-}
-
-net::SimTime DagExecutor::fire_modifier(QueryRun& run, TaskId id) {
-  Task& task = run.tasks[id];
-  const PhysicalOp& op = run.plan.ops[task.op];
-  const Located& in = run.tasks[op.inputs.front()].out;
-  IdRows set;
-  switch (op.modifier) {
-    case sparql::AlgebraKind::kProject:
-      set = sparql::project(in.set, op.vars);
-      break;
-    case sparql::AlgebraKind::kDistinct:
-    case sparql::AlgebraKind::kReduced:
-      set = sparql::deduplicated(in.set);
-      break;
-    case sparql::AlgebraKind::kOrderBy:
-      // ORDER BY compares expression values, so it reads the columns the
-      // conditions use as terms.
-      set = sparql::rows_at(in.set,
-                            sparql::order_permutation(in.set, op.order));
-      break;
-    case sparql::AlgebraKind::kSlice: {
-      const std::size_t from = std::min<std::size_t>(in.set.rows, op.offset);
-      std::size_t to = in.set.rows;
-      if (op.limit.has_value() && *op.limit < to - from) to = from + *op.limit;
-      std::vector<std::size_t> picks(to - from);
-      std::iota(picks.begin(), picks.end(), from);
-      set = sparql::rows_at(in.set, picks);
-      break;
-    }
-    default:
-      set = in.set;
-      break;
-  }
-  task.out = Located{std::move(set), in.site, in.ready_at, std::nullopt};
   complete(run, id, task.out.ready_at);
   return 0;
 }

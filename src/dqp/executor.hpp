@@ -142,7 +142,6 @@ class DagExecutor {
     kLeftJoin,
     kUnion,
     kFilter,
-    kModifier,
     kPostProcess,
     kDescribeGather,  // dynamic: assemble DESCRIBE part results
   };
@@ -232,7 +231,6 @@ class DagExecutor {
   net::SimTime fire_ship(QueryRun& run, TaskId id);
   net::SimTime fire_binary(QueryRun& run, TaskId id);
   net::SimTime fire_filter(QueryRun& run, TaskId id);
-  net::SimTime fire_modifier(QueryRun& run, TaskId id);
   net::SimTime fire_post(QueryRun& run, TaskId id);
   net::SimTime fire_describe_gather(QueryRun& run, TaskId id);
 

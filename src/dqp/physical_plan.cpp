@@ -1,29 +1,9 @@
 #include "dqp/physical_plan.hpp"
 
-#include <cassert>
-
 namespace ahsw::dqp {
 
 using sparql::Algebra;
 using sparql::AlgebraKind;
-
-std::string_view phys_op_kind_name(PhysOpKind k) noexcept {
-  switch (k) {
-    case PhysOpKind::kConst: return "Const";
-    case PhysOpKind::kIndexLookup: return "IndexLookup";
-    case PhysOpKind::kProviderScan: return "ProviderScan";
-    case PhysOpKind::kChainHop: return "ChainHop";
-    case PhysOpKind::kShip: return "Ship";
-    case PhysOpKind::kJoin: return "Join";
-    case PhysOpKind::kLeftJoin: return "LeftJoin";
-    case PhysOpKind::kUnion: return "Union";
-    case PhysOpKind::kFilter: return "Filter";
-    case PhysOpKind::kModifier: return "Modifier";
-    case PhysOpKind::kPostProcess: return "PostProcess";
-  }
-  assert(false && "phys_op_kind_name: unnamed PhysOpKind enumerator");
-  return "?";
-}
 
 std::size_t subquery_wire_bytes(const sparql::BgpPattern& p) {
   std::size_t n = p.pattern.byte_size() + 32;
@@ -155,21 +135,8 @@ struct Compiler {
         op.expr = a.expr;
         return add(std::move(op));
       }
-
-      default: {
-        // In-tree solution modifiers (full translate() output).
-        OpId c = compile(*a.left, pend, barrier);
-        PhysicalOp op;
-        op.kind = PhysOpKind::kModifier;
-        op.inputs = {c};
-        op.modifier = a.kind;
-        op.vars = a.vars;
-        op.order = a.order;
-        op.offset = a.offset;
-        op.limit = a.limit;
-        return add(std::move(op));
-      }
     }
+    return kNoOp;
   }
 };
 
@@ -217,35 +184,6 @@ struct Compiler {
     case PhysOpKind::kFilter:
       return "Filter " +
              (op.expr != nullptr ? op.expr->to_string() : "true");
-    case PhysOpKind::kModifier:
-      switch (op.modifier) {
-        case AlgebraKind::kProject: {
-          std::string vars;
-          for (const std::string& v : op.vars) {
-            vars += (vars.empty() ? "?" : " ?") + v;
-          }
-          return "Project [" + vars + "]";
-        }
-        case AlgebraKind::kDistinct:
-          return "Distinct";
-        case AlgebraKind::kReduced:
-          return "Reduced";
-        case AlgebraKind::kOrderBy: {
-          std::string keys;
-          for (const sparql::OrderCondition& c : op.order) {
-            if (!keys.empty()) keys += ", ";
-            keys += c.expr->to_string();
-            keys += c.ascending ? " asc" : " desc";
-          }
-          return "OrderBy [" + keys + "]";
-        }
-        case AlgebraKind::kSlice:
-          return "Slice [offset=" + std::to_string(op.offset) + ", limit=" +
-                 (op.limit.has_value() ? std::to_string(*op.limit) : "-") +
-                 "]";
-        default:
-          return "Modifier";
-      }
     case PhysOpKind::kPostProcess:
       return plan.form == sparql::QueryForm::kDescribe
                  ? "PostProcess [DESCRIBE expansion @ initiator]"
@@ -275,15 +213,6 @@ std::vector<std::string> PhysicalPlan::to_lines() const {
     for (OpId in : op.inputs) self(self, in, depth + 1);
   };
   rec(rec, post, 0);
-  return out;
-}
-
-std::string PhysicalPlan::to_string() const {
-  std::string out;
-  for (const std::string& line : to_lines()) {
-    out += line;
-    out += '\n';
-  }
   return out;
 }
 

@@ -8,8 +8,8 @@
 //
 // Two granularities exist on purpose:
 //   - *static* operators, compiled here, mirror the algebra one-to-one
-//     (IndexLookup, ProviderScan, Join, LeftJoin, Union, Filter,
-//     Modifier, Ship, PostProcess);
+//     (IndexLookup, ProviderScan, Join, LeftJoin, Union, Filter, Ship,
+//     PostProcess);
 //   - *dynamic* tasks (ChainHop, per-provider scatter legs, DESCRIBE
 //     expansion) are spawned by the executor at fire time, because chain
 //     membership and join order depend on runtime index lookups. The kinds
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -95,11 +94,8 @@ enum class PhysOpKind : std::uint8_t {
   kLeftJoin,
   kUnion,
   kFilter,
-  kModifier,     // in-tree Project/Distinct/Reduced/OrderBy/Slice
   kPostProcess,  // final modifiers / DESCRIBE expansion at the initiator
 };
-
-[[nodiscard]] std::string_view phys_op_kind_name(PhysOpKind k) noexcept;
 
 /// One node of the physical plan DAG.
 ///
@@ -138,13 +134,6 @@ struct PhysicalOp {
 
   // kFilter condition / kLeftJoin condition (null means `true`):
   sparql::ExprPtr expr;
-
-  // kModifier payload (mirrors the algebra node):
-  sparql::AlgebraKind modifier = sparql::AlgebraKind::kProject;
-  std::vector<std::string> vars;
-  std::vector<sparql::OrderCondition> order;
-  std::uint64_t offset = 0;
-  std::optional<std::uint64_t> limit;
 };
 
 /// A compiled query plan: `ops` in topological order (inputs precede
@@ -160,7 +149,6 @@ struct PhysicalPlan {
   /// EXPLAIN rendering: one line per operator, children indented beneath
   /// their consumer, shared nodes printed once and referenced as `^#id`.
   [[nodiscard]] std::vector<std::string> to_lines() const;
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Compile the optimized algebra into a physical plan. `a` must be the

@@ -348,10 +348,4 @@ std::size_t charged_bytes(const sparql::IdRows& rows) {
   return encoded_size(sparql::id_table(rows));
 }
 
-std::size_t raw_bytes(const std::vector<rdf::Triple>& t) {
-  std::size_t n = 0;
-  for (const rdf::Triple& tr : t) n += tr.byte_size();
-  return n;
-}
-
 }  // namespace ahsw::net::wire

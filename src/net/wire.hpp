@@ -92,7 +92,4 @@ inline constexpr std::uint64_t kMaxEmptyRows = std::uint64_t{1} << 20;
 /// IdRows::byte_size().
 [[nodiscard]] std::size_t charged_bytes(const sparql::IdRows& rows);
 
-/// Raw (uncompressed) size of a triple payload, for raw-byte accounting.
-[[nodiscard]] std::size_t raw_bytes(const std::vector<rdf::Triple>& t);
-
 }  // namespace ahsw::net::wire

@@ -76,38 +76,6 @@ std::string timeouts_by_category_object(
   return out;
 }
 
-std::string span_to_json(const Span& s) {
-  std::string out = "{";
-  out += "\"id\": " + std::to_string(s.id);
-  out += ", \"parent\": ";
-  out += s.parent == kNoSpan ? "null" : std::to_string(s.parent);
-  out += ", \"kind\": " + json_string(span_kind_name(s.kind));
-  out += ", \"label\": " + json_string(s.label);
-  out += ", \"site\": ";
-  out += s.site == net::kNoAddress ? "null" : std::to_string(s.site);
-  out += ", \"begin_ms\": " + json_number(s.begin);
-  out += ", \"end_ms\": " + json_number(s.end);
-  out += ", \"messages\": " + std::to_string(s.messages);
-  out += ", \"bytes\": " + std::to_string(s.bytes);
-  out += ", \"raw_bytes\": " + std::to_string(s.raw_bytes);
-  out += ", \"timeouts\": " + std::to_string(s.timeouts);
-  out += ", \"by_category\": " + by_category_object(s.messages_by, s.bytes_by);
-  out += ", \"timeouts_by_category\": " +
-         timeouts_by_category_object(s.timeouts_by);
-  out += ", \"peers\": [";
-  for (std::size_t i = 0; i < s.peers.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(s.peers[i]);
-  }
-  out += "], \"children\": [";
-  for (std::size_t i = 0; i < s.children.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(s.children[i]);
-  }
-  out += "]}";
-  return out;
-}
-
 std::string default_experiment_name() {
 #ifdef __GLIBC__
   std::string name = program_invocation_short_name;
@@ -119,22 +87,6 @@ std::string default_experiment_name() {
 }
 
 }  // namespace
-
-std::string trace_to_json(const QueryTrace& trace) {
-  std::string out = "{\"spans\": [";
-  const std::vector<Span>& spans = trace.spans();
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += span_to_json(spans[i]);
-  }
-  out += "], \"roots\": [";
-  for (std::size_t i = 0; i < trace.roots().size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(trace.roots()[i]);
-  }
-  out += "]}";
-  return out;
-}
 
 std::vector<PhaseCost> phase_rollup(const QueryTrace& trace) {
   PhaseCost by_kind[kSpanKindCount];
@@ -171,12 +123,8 @@ void BenchSink::record(BenchRecord r) {
   }
 }
 
-void BenchSink::set_output_path(std::string path) { path_ = std::move(path); }
-
 void BenchSink::write(std::ostream& os) const {
-  std::string experiment =
-      experiment_.empty() ? default_experiment_name() : experiment_;
-  os << "{\n  \"experiment\": " << json_string(experiment)
+  os << "{\n  \"experiment\": " << json_string(default_experiment_name())
      << ",\n  \"records\": [";
   bool first_record = true;
   for (const std::string& name : order_) {
@@ -221,15 +169,10 @@ void BenchSink::write(std::ostream& os) const {
 
 void BenchSink::flush() {
   if (records_.empty()) return;
-  std::string path = path_;
-  if (path.empty()) {
-    // Single-threaded bench-main startup read; no concurrent setenv.
-    if (const char* env = std::getenv("AHSW_BENCH_JSON")) {  // NOLINT(concurrency-mt-unsafe)
-      path = env;
-    } else {
-      path = "BENCH_" + default_experiment_name() + ".json";
-    }
-  }
+  // Single-threaded bench-main startup read; no concurrent setenv.
+  const char* env = std::getenv("AHSW_BENCH_JSON");  // NOLINT(concurrency-mt-unsafe)
+  const std::string path =
+      env != nullptr ? env : "BENCH_" + default_experiment_name() + ".json";
   std::ofstream f(path);
   if (!f) return;  // benches must not fail because the CWD is read-only
   write(f);

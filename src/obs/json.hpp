@@ -1,6 +1,6 @@
-// Machine-readable exporters: span trees and per-experiment benchmark
-// results as JSON (hand-rolled writer — the container has no JSON library,
-// and the schema is small and flat).
+// Machine-readable exporter: per-experiment benchmark results as JSON
+// (hand-rolled writer — the project uses no JSON library, and the schema is
+// small and flat).
 //
 // Benchmarks record one BenchRecord per measured query (or per averaged
 // batch) into the process-wide BenchSink; the sink writes
@@ -20,9 +20,6 @@
 #include "obs/trace.hpp"
 
 namespace ahsw::obs {
-
-/// The whole span forest as a JSON object {"spans": [...]}.
-[[nodiscard]] std::string trace_to_json(const QueryTrace& trace);
 
 /// Aggregate cost per phase (span kind), self counters summed over all
 /// spans of that kind. Only kinds with at least one span appear.
@@ -61,18 +58,15 @@ class BenchSink {
   BenchSink& operator=(const BenchSink&) = delete;
 
   void record(BenchRecord r);
-  /// Override the output path (default: BENCH_<experiment>.json in the
-  /// working directory, experiment derived from the binary name with its
-  /// "bench_" prefix stripped; env AHSW_BENCH_JSON overrides).
-  void set_output_path(std::string path);
+  /// The output path is BENCH_<experiment>.json in the working directory,
+  /// the experiment derived from the binary name with its "bench_" prefix
+  /// stripped; env AHSW_BENCH_JSON overrides it.
   void write(std::ostream& os) const;
   void flush();
 
  private:
   BenchSink() = default;
 
-  std::string path_;
-  std::string experiment_;
   std::vector<std::string> order_;
   std::map<std::string, BenchRecord> records_;
 };

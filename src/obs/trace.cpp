@@ -129,13 +129,6 @@ SpanId QueryTrace::adopt_subtree(const QueryTrace& donor, SpanId root) {
   return new_root;
 }
 
-void QueryTrace::absorb_unattributed(const QueryTrace& donor) noexcept {
-  unattributed_bytes_ += donor.unattributed_bytes_;
-  unattributed_raw_bytes_ += donor.unattributed_raw_bytes_;
-  unattributed_messages_ += donor.unattributed_messages_;
-  unattributed_timeouts_ += donor.unattributed_timeouts_;
-}
-
 void QueryTrace::clear() {
   assert(stack_.empty() && "clear() with open spans would orphan scopes");
   spans_.clear();

@@ -121,10 +121,6 @@ class QueryTrace {
   /// serial driver's. No span may be open here (`active() == kNoSpan`).
   SpanId adopt_subtree(const QueryTrace& donor, SpanId root);
 
-  /// Fold `donor`'s unattributed counters into this trace's (spans are not
-  /// copied; pair with adopt_subtree when merging whole traces).
-  void absorb_unattributed(const QueryTrace& donor) noexcept;
-
   [[nodiscard]] const std::vector<Span>& spans() const noexcept {
     return spans_;
   }

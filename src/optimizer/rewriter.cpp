@@ -97,19 +97,7 @@ AlgebraPtr sink(const AlgebraPtr& a, std::vector<ExprPtr> conjuncts,
             break;
           }
         }
-        if (!placed) {
-          std::set<std::string> all;
-          for (const sparql::BgpPattern& p : patterns) {
-            std::set<std::string> pv = pattern_variables(p.pattern);
-            all.insert(pv.begin(), pv.end());
-          }
-          if (subset(cvars, all)) {
-            // Keep directly above this BGP: re-emitted by caller.
-            left_over.push_back(c);
-          } else {
-            left_over.push_back(c);
-          }
-        }
+        if (!placed) left_over.push_back(c);
       }
       return Algebra::make_bgp2(std::move(patterns));
     }
@@ -186,33 +174,8 @@ AlgebraPtr sink(const AlgebraPtr& a, std::vector<ExprPtr> conjuncts,
       ExprPtr remaining = combine_conjuncts(here);
       return remaining == nullptr ? out : Algebra::make_filter(remaining, out);
     }
-
-    default: {
-      // Slice does not commute with filtering: keep conjuncts above it.
-      if (a->kind == AlgebraKind::kSlice) {
-        auto copy = std::make_shared<Algebra>(*a);
-        copy->left = rewrite(a->left);
-        AlgebraPtr out = copy;
-        ExprPtr remaining = combine_conjuncts(conjuncts);
-        return remaining == nullptr ? out
-                                    : Algebra::make_filter(remaining, out);
-      }
-      // Other modifier nodes commute with filters: recurse into the child,
-      // re-apply any conjuncts that could not sink.
-      std::vector<ExprPtr> rest;
-      AlgebraPtr child =
-          a->left != nullptr ? sink(a->left, std::move(conjuncts), rest)
-                             : nullptr;
-      ExprPtr remaining = combine_conjuncts(rest);
-      if (remaining != nullptr) {
-        child = Algebra::make_filter(remaining, child);
-      }
-      auto copy = std::make_shared<Algebra>(*a);
-      copy->left = child;
-      if (a->right != nullptr) copy->right = rewrite(a->right);
-      return copy;
-    }
   }
+  return a;
 }
 
 }  // namespace

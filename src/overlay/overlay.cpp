@@ -470,15 +470,13 @@ net::SimTime HybridOverlay::report_dead_provider(net::NodeAddress reporter,
   net::SimTime t = net_->send(reporter, it->second.address, kPublishBytes,
                               now, net::Category::kIndex);
   it->second.table.purge(key, dead);
-  if (config_.propagate_purge_to_replicas) {
-    // Forward the purge to the owner's replicas: a replica row left
-    // unpurged resurrects the dead provider as soon as the primary fails
-    // and repair() promotes it.
-    for (IndexNodeState* replica : replica_targets(owner)) {
-      net_->send(it->second.address, replica->address, kReplicaPushBytes, t,
-                 net::Category::kIndex);
-      replica->replicas.purge(key, dead);
-    }
+  // Forward the purge to the owner's replicas: a replica row left unpurged
+  // resurrects the dead provider as soon as the primary fails and repair()
+  // promotes it.
+  for (IndexNodeState* replica : replica_targets(owner)) {
+    net_->send(it->second.address, replica->address, kReplicaPushBytes, t,
+               net::Category::kIndex);
+    replica->replicas.purge(key, dead);
   }
   // The row changed (the dead provider is gone): leased cached copies are
   // stale. The reporter's own cache is invalidated by the executor's

@@ -40,12 +40,6 @@ struct OverlayConfig {
   /// attribute and over-approximate the provider set (ablation of the
   /// design choice in Sect. III-B).
   bool pair_keys = true;
-  /// Forward the lazy purge of a dead provider to the owner's replica
-  /// successors. With only the primary row purged, a later crash of the
-  /// primary promotes a replica row that still lists the dead provider
-  /// (resurrection through replicas). False reproduces the pre-fix
-  /// behavior, kept for the regression test.
-  bool propagate_purge_to_replicas = true;
 };
 
 /// An index node: a ring member hosting a location-table shard.

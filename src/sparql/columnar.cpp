@@ -241,26 +241,6 @@ IdRows join(const IdRows& a, const IdRows& b) {
   return out;
 }
 
-IdRows minus(const IdRows& a, const IdRows& b) {
-  const MergeSchema m = merge_schema(a.vars, b.vars);
-  IdRows out;
-  out.vars = a.vars;
-  out.dict = a.dict;
-  const std::size_t wa = a.vars.size();
-  for (std::size_t ra = 0; ra < a.rows; ++ra) {
-    bool any = false;
-    for (std::size_t rb = 0; rb < b.rows && !any; ++rb) {
-      any = compatible(a.row(ra), b.row(rb), m);
-    }
-    if (!any) {
-      out.cells.insert(out.cells.end(), a.row(ra), a.row(ra) + wa);
-      ++out.rows;
-    }
-  }
-  trim(out);
-  return out;
-}
-
 IdRows left_join(const IdRows& a, const IdRows& b) {
   const MergeSchema m = merge_schema(a.vars, b.vars);
   IdRows out;
@@ -403,12 +383,6 @@ SolutionSet vec_join(const SolutionSet& a, const SolutionSet& b) {
   rdf::TermDictionary dict;
   const IdRows ia = intern_rows(a, dict);
   return join(ia, intern_rows(b, dict)).materialize();
-}
-
-SolutionSet vec_minus(const SolutionSet& a, const SolutionSet& b) {
-  rdf::TermDictionary dict;
-  const IdRows ia = intern_rows(a, dict);
-  return minus(ia, intern_rows(b, dict)).materialize();
 }
 
 SolutionSet vec_left_join(const SolutionSet& a, const SolutionSet& b) {

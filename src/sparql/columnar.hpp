@@ -5,7 +5,7 @@
 // store dictionary, from the provider scan to the post-processing step,
 // which materializes Bindings once for the rows the initiator delivers.
 //
-// The kernels (join, minus, left_join, left_join_conditioned, filter_set,
+// The kernels (join, left_join, left_join_conditioned, filter_set,
 // deduplicated, set_union, project, rows_at) read and write ids only; the
 // operands of a binary kernel resolve through one dictionary. A kernel
 // touches a term only to evaluate an expression (materializing the row,
@@ -21,7 +21,7 @@
 //
 // Row-order contract: join emits, per left row in order, the compatible
 // right rows in their input order (fully keyed matches before rows that
-// leave a shared variable unbound); minus and filter keep input order; an
+// leave a shared variable unbound); filter keeps input order; an
 // unconditioned left join appends the unmatched left rows after the join
 // part, a conditioned one emits each left row's extensions (or the row
 // alone) in place; distinct is the canonical sort with duplicates removed;
@@ -83,9 +83,6 @@ struct IdRows {
 /// Join: O1 x O2.
 [[nodiscard]] IdRows join(const IdRows& a, const IdRows& b);
 
-/// Minus: O1 - O2.
-[[nodiscard]] IdRows minus(const IdRows& a, const IdRows& b);
-
 /// LeftJoin without condition: join part then unmatched rows.
 [[nodiscard]] IdRows left_join(const IdRows& a, const IdRows& b);
 
@@ -119,8 +116,6 @@ struct IdRows {
 
 // The SolutionSet entry points: intern, run the kernel, materialize.
 [[nodiscard]] SolutionSet vec_join(const SolutionSet& a, const SolutionSet& b);
-[[nodiscard]] SolutionSet vec_minus(const SolutionSet& a,
-                                    const SolutionSet& b);
 [[nodiscard]] SolutionSet vec_left_join(const SolutionSet& a,
                                         const SolutionSet& b);
 [[nodiscard]] SolutionSet vec_left_join_conditioned(const SolutionSet& a,

@@ -193,36 +193,6 @@ SolutionSet LocalEngine::evaluate(const Algebra& a) const {
       return set_union(evaluate(*a.left), evaluate(*a.right));
     case AlgebraKind::kFilter:
       return vec_filter_set(evaluate(*a.left), *a.expr);
-    case AlgebraKind::kProject: {
-      SolutionSet in = evaluate(*a.left);
-      SolutionSet out;
-      for (const Binding& b : in.rows()) out.add(b.projected(a.vars));
-      return out;
-    }
-    case AlgebraKind::kDistinct:
-      return vec_deduplicated(evaluate(*a.left));
-    case AlgebraKind::kReduced: {
-      SolutionSet in = evaluate(*a.left);
-      auto& rows = in.rows();
-      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-      return in;
-    }
-    case AlgebraKind::kOrderBy: {
-      SolutionSet in = evaluate(*a.left);
-      order_solutions(in, a.order);
-      return in;
-    }
-    case AlgebraKind::kSlice: {
-      SolutionSet in = evaluate(*a.left);
-      auto& rows = in.rows();
-      std::size_t off = std::min<std::size_t>(rows.size(), a.offset);
-      rows.erase(rows.begin(),
-                 rows.begin() + static_cast<std::ptrdiff_t>(off));
-      if (a.limit.has_value() && rows.size() > *a.limit) {
-        rows.resize(*a.limit);
-      }
-      return in;
-    }
   }
   return {};
 }
@@ -258,38 +228,6 @@ std::vector<std::size_t> order_permutation(
     return false;
   });
   return perm;
-}
-
-void order_solutions(SolutionSet& set,
-                     const std::vector<OrderCondition>& order) {
-  const std::vector<std::size_t> perm = order_permutation(set, order);
-  std::vector<Binding> sorted;
-  sorted.reserve(perm.size());
-  for (std::size_t i : perm) sorted.push_back(std::move(set.rows()[i]));
-  set.rows() = std::move(sorted);
-}
-
-std::size_t QueryResult::byte_size() const noexcept {
-  std::size_t n = solutions.byte_size() + 1;
-  for (const rdf::Triple& t : graph) n += t.byte_size();
-  return n;
-}
-
-std::string QueryResult::to_string() const {
-  switch (form) {
-    case QueryForm::kAsk:
-      return ask_answer ? "true" : "false";
-    case QueryForm::kSelect:
-      return solutions.to_string();
-    default: {
-      std::string out;
-      for (const rdf::Triple& t : graph) {
-        out += t.to_string();
-        out += '\n';
-      }
-      return out;
-    }
-  }
 }
 
 std::vector<std::size_t> order_permutation(

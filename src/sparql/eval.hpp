@@ -54,17 +54,10 @@ struct QueryResult {
   SolutionSet solutions;               // SELECT
   bool ask_answer = false;             // ASK
   std::vector<rdf::Triple> graph;      // CONSTRUCT / DESCRIBE
-
-  [[nodiscard]] std::size_t byte_size() const noexcept;
-  [[nodiscard]] std::string to_string() const;
 };
 
-/// Sort `set` according to ORDER BY conditions (stable; unbound orders
+/// The row indexes of `set` in ORDER BY order (stable; unbound orders
 /// lowest, numeric before lexical comparison).
-void order_solutions(SolutionSet& set,
-                     const std::vector<OrderCondition>& order);
-
-/// The row indexes of `set` in the order order_solutions() sorts them into.
 [[nodiscard]] std::vector<std::size_t> order_permutation(
     const SolutionSet& set, const std::vector<OrderCondition>& order);
 

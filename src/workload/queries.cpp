@@ -25,17 +25,6 @@ constexpr std::string_view kPrologue =
 
 }  // namespace
 
-std::string_view query_class_name(QueryClass c) noexcept {
-  switch (c) {
-    case QueryClass::kPrimitive: return "primitive";
-    case QueryClass::kConjunction: return "conjunction";
-    case QueryClass::kOptional: return "optional";
-    case QueryClass::kUnion: return "union";
-    case QueryClass::kFilter: return "filter";
-  }
-  return "?";
-}
-
 std::string make_query(QueryClass cls, const FoafConfig& cfg,
                        common::Rng& rng) {
   std::string q(kPrologue);

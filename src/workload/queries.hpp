@@ -20,8 +20,6 @@ enum class QueryClass {
   kFilter,       // FILTER over a BGP, optionally + OPTIONAL (Fig. 9)
 };
 
-[[nodiscard]] std::string_view query_class_name(QueryClass c) noexcept;
-
 /// One random query of the given class, parameterized by entities that
 /// exist in a generate_foaf(cfg) dataset.
 [[nodiscard]] std::string make_query(QueryClass cls, const FoafConfig& cfg,

@@ -7,7 +7,7 @@ Testbed::Testbed(const TestbedConfig& cfg)
   for (std::size_t i = 0; i < cfg.index_nodes; ++i) {
     index_ids_.push_back(overlay_.add_index_node(setup_done_));
   }
-  if (cfg.oracle_fingers) overlay_.ring().fix_all_fingers_oracle();
+  overlay_.ring().fix_all_fingers_oracle();
 
   for (std::size_t i = 0; i < cfg.storage_nodes; ++i) {
     storage_addrs_.push_back(overlay_.add_storage_node());

@@ -20,13 +20,12 @@ struct TestbedConfig {
   /// foaf.persons = 0 for an empty system.
   FoafConfig foaf;
   PartitionConfig partition;  // nodes field is overridden by storage_nodes
-  /// Converge fingers via the oracle after membership setup (true for
-  /// steady-state experiments; false to study join traffic itself).
-  bool oracle_fingers = true;
 };
 
-/// A fully assembled system. Member order matters: the network must outlive
-/// (and be constructed before) the overlay.
+/// A fully assembled system in steady state: fingers are converged by the
+/// oracle once the index nodes have joined, so join traffic is never part of
+/// a measurement. Member order matters: the network must outlive (and be
+/// constructed before) the overlay.
 class Testbed {
  public:
   explicit Testbed(const TestbedConfig& cfg);

@@ -1,11 +1,13 @@
 // Seeded-corruption suite: deliberately break each invariant class through
 // the fault-injection hooks (Ring::mutable_state, HybridOverlay::
 // index_state) and assert the auditor reports exactly that class — 100%
-// detection, zero cross-talk between invariants.
+// detection, zero cross-talk between invariants. One case per invariant also
+// pins the line a failing audit prints for it.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <set>
+#include <string>
 
 #include "check/audit.hpp"
 #include "dqp/processor.hpp"
@@ -22,6 +24,15 @@ std::set<Invariant> classes(const AuditReport& rep) {
     if (rep.has(inv)) out.insert(inv);
   }
   return out;
+}
+
+/// The rendered line of the first violation of `inv` (what a failing audit
+/// prints), or "" when there is none.
+std::string first_line(const AuditReport& rep, Invariant inv) {
+  for (const Violation& v : rep.violations) {
+    if (v.invariant == inv) return v.to_string();
+  }
+  return {};
 }
 
 workload::TestbedConfig config(int replication) {
@@ -79,6 +90,7 @@ TEST(SeededCorruption, I1SkewedSuccessorPointer) {
   // Point the first node's immediate successor past the true one.
   chord::NodeState& st = ring.mutable_state(ids.front());
   ASSERT_GE(st.successors.size(), 2u);
+  const chord::Key truth = st.successors.front();
   st.successors.front() = st.successors[1];
 
   AuditReport rep = audit(bed);
@@ -87,6 +99,11 @@ TEST(SeededCorruption, I1SkewedSuccessorPointer) {
   EXPECT_EQ(classes(rep),
             std::set<Invariant>{Invariant::kRingTopology})
       << rep.to_string();
+  EXPECT_EQ(first_line(rep, Invariant::kRingTopology),
+            "[CORRUPT] I1-ring-topology node=" + std::to_string(ids.front()) +
+                ": first live successor is " +
+                std::to_string(st.successors[1]) + ", ring order expects " +
+                std::to_string(truth));
 }
 
 TEST(SeededCorruption, I1SkewedPredecessorPointer) {
@@ -127,6 +144,12 @@ TEST(SeededCorruption, I2DroppedIndexKey) {
   EXPECT_GT(rep.count(Invariant::kSixKey, Severity::kCorrupt), 0u);
   EXPECT_EQ(classes(rep), std::set<Invariant>{Invariant::kSixKey})
       << rep.to_string();
+  EXPECT_EQ(first_line(rep, Invariant::kSixKey),
+            "[CORRUPT] I2-six-key node=" + std::to_string(t.owner) +
+                " key=" + std::to_string(t.key) +
+                " provider=" + std::to_string(t.provider) +
+                ": shared triples (" + std::to_string(t.freq) +
+                ") have no index entry at the owner");
   // The violation names the exact (owner, key, provider).
   bool located = false;
   for (const Violation& v : rep.violations) {
@@ -148,6 +171,13 @@ TEST(SeededCorruption, I3SkewedFrequency) {
   EXPECT_GT(rep.count(Invariant::kLocationCoherence, Severity::kCorrupt), 0u);
   EXPECT_EQ(classes(rep), std::set<Invariant>{Invariant::kLocationCoherence})
       << rep.to_string();
+  EXPECT_EQ(first_line(rep, Invariant::kLocationCoherence),
+            "[CORRUPT] I3-location-coherence node=" + std::to_string(t.owner) +
+                " key=" + std::to_string(t.key) +
+                " provider=" + std::to_string(t.provider) + ": frequency " +
+                std::to_string(t.freq + 3) + " inflated over actual " +
+                std::to_string(t.freq) +
+                " (at-least-once replication window)");
 }
 
 TEST(SeededCorruption, I3UndercountedFrequencyIsAlwaysCorrupt) {
@@ -194,6 +224,12 @@ TEST(SeededCorruption, I4DeletedReplicaRow) {
   EXPECT_GT(rep.count(Invariant::kReplication, Severity::kCorrupt), 0u);
   EXPECT_EQ(classes(rep), std::set<Invariant>{Invariant::kReplication})
       << rep.to_string();
+  EXPECT_EQ(first_line(rep, Invariant::kReplication),
+            "[CORRUPT] I4-replication node=" + std::to_string(*holder) +
+                " key=" + std::to_string(t.key) +
+                " provider=" + std::to_string(t.provider) +
+                ": replica row missing at designated holder (owner " +
+                std::to_string(t.owner) + ")");
 }
 
 TEST(SeededCorruption, I5DesyncedSpanCounters) {
@@ -227,6 +263,11 @@ TEST(SeededCorruption, I5DesyncedSpanCounters) {
   EXPECT_GT(rep.count(Invariant::kConservation, Severity::kCorrupt), 0u);
   EXPECT_EQ(classes(rep), std::set<Invariant>{Invariant::kConservation})
       << rep.to_string();
+  // The one message sent outside the trace is the hole.
+  EXPECT_EQ(first_line(rep, Invariant::kConservation),
+            "[CORRUPT] I5-conservation: messages do not conserve: span sum " +
+                std::to_string(delta.messages - 1) + " != traffic delta " +
+                std::to_string(delta.messages));
 }
 
 TEST(SeededCorruption, I6FailedProviderRevivedInPrimaryRow) {
@@ -255,6 +296,12 @@ TEST(SeededCorruption, I6FailedProviderRevivedInPrimaryRow) {
     }
   }
   EXPECT_TRUE(located) << rep.to_string();
+  EXPECT_EQ(first_line(rep, Invariant::kLiveness),
+            "[CORRUPT] I6-liveness node=" + std::to_string(t.owner) +
+                " key=" + std::to_string(t.key) +
+                " provider=" + std::to_string(t.provider) +
+                ": primary row still lists a failed provider after "
+                "convergence");
 
   // Without the converged bar the same entry is lazy-repair staleness (I3),
   // not an I6 violation.

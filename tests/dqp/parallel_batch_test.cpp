@@ -215,6 +215,141 @@ TEST(ParallelBatch, CacheStateLogReplayMatchesSerial) {
   EXPECT_NE(serial_2.delta.messages, serial_1.delta.messages);
 }
 
+constexpr std::string_view kHotRow = "http://example.org/g#hot";
+constexpr std::string_view kColdRow = "http://example.org/g#cold";
+constexpr std::string_view kRowPredicate = "http://example.org/g#p";
+
+rdf::Triple row_triple(std::string_view subject, const char* value) {
+  return {rdf::Term::iri(std::string(subject)),
+          rdf::Term::iri(std::string(kRowPredicate)),
+          rdf::Term::literal(value)};
+}
+
+/// Sixteen single-pattern queries in eight residue classes (qid % 8). Class
+/// r runs twice from initiator r and reads row keys no other class reads,
+/// so caches, leases and lazy purges stay partition-independent at every
+/// worker count in {2, 4, 8}. Class 0 reads the hot row, class 1 the cold
+/// row, the others FOAF rows.
+std::vector<std::string> lease_and_give_up_queries() {
+  auto row_query = [](std::string_view subject) {
+    return "SELECT ?o WHERE { <" + std::string(subject) + "> <" +
+           std::string(kRowPredicate) + "> ?o . }";
+  };
+  const std::string bodies[] = {
+      row_query(kHotRow),
+      row_query(kColdRow),
+      "SELECT ?x ?o WHERE { ?x foaf:knows ?o . }",
+      "SELECT ?x ?n WHERE { ?x foaf:name ?n . }",
+      "SELECT ?x ?k WHERE { ?x foaf:nick ?k . }",
+      "SELECT ?x ?m WHERE { ?x foaf:mbox ?m . }",
+      "SELECT ?o WHERE { <http://example.org/people/p1> foaf:knows ?o . }",
+      "ASK { <http://example.org/people/p2> foaf:knows ?y . }",
+  };
+  std::vector<std::string> out;
+  for (int round = 0; round < 2; ++round) {
+    for (const std::string& b : bodies) {
+      out.push_back(std::string(kPrologue) + b);
+    }
+  }
+  return out;
+}
+
+struct LeaseOutcome {
+  RunOutcome first;
+  overlay::CacheStats cache;    // every initiator's cache after the first
+  net::TrafficStats hot_write;  // a new provider of the hot row, after it
+  RunOutcome second;            // a serial batch after that
+};
+
+/// Nine storage nodes: the first eight initiate, the ninth fails before the
+/// batch. The hot class's initiator has looked the hot row up once before,
+/// so with a hot threshold of 2 its first lookup in the batch leases the
+/// row (a kSubscribe action); the hot row's provider stays up, so only a
+/// later write to the row ends the lease. The cold row's one provider is
+/// the failed node: its scans retry once, then give up and invalidate the
+/// unleased cached row (a kCacheInvalidate action), as the FOAF classes'
+/// scans that reach the failed node do.
+LeaseOutcome run_lease_and_give_up(int workers) {
+  workload::TestbedConfig cfg = config();
+  cfg.storage_nodes = 9;
+  workload::Testbed bed(cfg);
+  overlay::HybridOverlay& ov = bed.overlay();
+  const std::vector<net::NodeAddress>& nodes = bed.storage_addrs();
+  DistributedQueryProcessor proc(ov);
+  proc.policy().cache.enabled = true;
+  proc.policy().cache.hot_threshold = 2;
+  proc.policy().retry.max_retries = 1;
+  ov.configure_caches(proc.policy().cache);
+
+  (void)ov.share_triples(nodes[7], {row_triple(kHotRow, "h")}, 0);
+  (void)ov.share_triples(nodes[8], {row_triple(kColdRow, "c")}, 0);
+  ov.storage_node_fail(nodes[8]);
+  const rdf::TriplePattern hot{rdf::Term::iri(std::string(kHotRow)),
+                               rdf::Term::iri(std::string(kRowPredicate)),
+                               rdf::Variable{"o"}};
+  (void)ov.cache_for(nodes[0]).lookup(*ov.row_key(hot), 0);
+
+  const std::vector<std::string> queries = lease_and_give_up_queries();
+  std::vector<net::NodeAddress> initiators;
+  for (std::size_t qid = 0; qid < queries.size(); ++qid) {
+    initiators.push_back(nodes[qid % 8]);
+  }
+  LeaseOutcome out;
+  auto batch = [&](RunOutcome& r, int w) {
+    BatchOptions opts;
+    opts.workers = w;
+    const net::TrafficStats before = bed.network().stats();
+    r.batch = proc.execute_batch(queries, initiators, opts);
+    r.end_stats = bed.network().stats();
+    r.delta = r.end_stats.delta_since(before);
+  };
+  batch(out.first, workers);
+  out.cache = ov.cache_stats_total();
+  const net::TrafficStats before = bed.network().stats();
+  (void)ov.share_triples(nodes[6], {row_triple(kHotRow, "h2")}, 0);
+  out.hot_write = bed.network().stats().delta_since(before);
+  batch(out.second, /*workers=*/1);
+  return out;
+}
+
+TEST(ParallelBatch, CacheLeaseAndGiveUpReplayMatchesSerial) {
+  // The replay of kSubscribe and kCacheInvalidate: a lease taken and a row
+  // invalidated on a worker's clone must reach the master exactly as a
+  // serial run leaves them. A lost subscription shows in the hot row's
+  // write (no invalidation push); a lost invalidation in the second batch
+  // (a cache hit where serial misses).
+  const LeaseOutcome serial = run_lease_and_give_up(/*workers=*/1);
+  EXPECT_GT(serial.cache.leases, 0u) << "the hot row must be leased";
+  EXPECT_GT(serial.cache.invalidations, 0u) << "no give-up invalidated a row";
+  int skipped = 0;
+  for (const ExecutionReport& r : serial.first.batch.reports) {
+    skipped += r.dead_providers_skipped;
+  }
+  EXPECT_GT(skipped, 0) << "the failed node must be a provider";
+
+  for (int workers : {2, 4, 8}) {
+    SCOPED_TRACE(workers);
+    const LeaseOutcome parallel = run_lease_and_give_up(workers);
+    ASSERT_EQ(parallel.first.batch.worker_makespans.size(),
+              static_cast<std::size_t>(workers));
+    expect_batches_identical(serial.first.batch, parallel.first.batch);
+    expect_stats_equal(serial.first.delta, parallel.first.delta,
+                       "first-batch delta");
+    EXPECT_EQ(serial.cache.hits, parallel.cache.hits);
+    EXPECT_EQ(serial.cache.misses, parallel.cache.misses);
+    EXPECT_EQ(serial.cache.invalidations, parallel.cache.invalidations);
+    EXPECT_EQ(serial.cache.expirations, parallel.cache.expirations);
+    EXPECT_EQ(serial.cache.insertions, parallel.cache.insertions);
+    EXPECT_EQ(serial.cache.leases, parallel.cache.leases);
+    expect_stats_equal(serial.hot_write, parallel.hot_write, "hot-row write");
+    expect_batches_identical(serial.second.batch, parallel.second.batch);
+    expect_stats_equal(serial.second.delta, parallel.second.delta,
+                       "second-batch delta");
+    expect_stats_equal(serial.second.end_stats, parallel.second.end_stats,
+                       "absolute end stats");
+  }
+}
+
 /// Faulted batches: four queries whose patterns share row keys only within
 /// a worker's residue class (knows on even qids, name/nick on odd), so the
 /// lazy dead-provider repairs stay partition-independent at workers=2.

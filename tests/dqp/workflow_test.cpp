@@ -112,6 +112,20 @@ TEST(Workflow, DescribeQueryDistributed) {
       bed.storage_addrs().front());
 }
 
+TEST(Workflow, DescribeVariableTargetDistributed) {
+  // DESCRIBE ?x WHERE {...}: the targets are the pattern's bindings, which
+  // the initiator gathers before it describes each of them.
+  workload::Testbed bed(config());
+  DistributedQueryProcessor proc(bed.overlay());
+  const std::string query =
+      std::string(kPrologue) +
+      "DESCRIBE ?x WHERE { ?x foaf:knows <http://example.org/people/p1> . }";
+  const sparql::QueryResult oracle = sparql::execute_local(
+      sparql::parse_query(query), bed.overlay().merged_store());
+  EXPECT_FALSE(oracle.graph.empty()) << "p1 must be known by someone";
+  expect_matches_oracle(bed, proc, query, bed.storage_addrs().front());
+}
+
 TEST(Workflow, PlanExposesOptimizedAlgebra) {
   workload::Testbed bed(config());
   DistributedQueryProcessor proc(bed.overlay());

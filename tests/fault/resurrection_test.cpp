@@ -1,9 +1,9 @@
 // Regression for the dead-provider resurrection bug: a lazy purge only
 // reached the owner's primary row, so when the owner later failed, repair
 // promoted the stale replica row and the dead provider came back from the
-// grave. `OverlayConfig::propagate_purge_to_replicas = false` reproduces the
-// pre-fix behavior; the default propagates the purge to every replica
-// holder.
+// grave. `HybridOverlay::report_dead_provider` now forwards every purge to
+// the owner's replica holders; these tests check that a crash of the owner
+// after a lazy purge keeps the corpse buried.
 #include <gtest/gtest.h>
 
 #include "check/audit.hpp"
@@ -17,12 +17,11 @@ namespace {
 constexpr std::string_view kPrologue =
     "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n";
 
-workload::TestbedConfig config(bool propagate) {
+workload::TestbedConfig config() {
   workload::TestbedConfig cfg;
   cfg.index_nodes = 5;
   cfg.storage_nodes = 6;
   cfg.overlay.replication_factor = 2;
-  cfg.overlay.propagate_purge_to_replicas = propagate;
   cfg.foaf.persons = 70;
   cfg.foaf.seed = 51;
   cfg.partition.seed = 52;
@@ -38,10 +37,9 @@ struct ChurnOutcome {
 };
 
 /// Fail a provider, let a query lazily purge it, then crash the row's owner
-/// and repair: replica promotion either resurrects the corpse (pre-fix) or
-/// not (fixed).
-ChurnOutcome churn_owner_after_lazy_purge(bool propagate) {
-  workload::Testbed bed(config(propagate));
+/// and repair: replica promotion must not resurrect the corpse.
+ChurnOutcome churn_owner_after_lazy_purge() {
+  workload::Testbed bed(config());
   dqp::DistributedQueryProcessor proc(bed.overlay());
   net::NodeAddress victim = bed.storage_addrs()[2];
   bed.overlay().storage_node_fail(victim);
@@ -76,17 +74,11 @@ ChurnOutcome churn_owner_after_lazy_purge(bool propagate) {
   return out;
 }
 
-TEST(Resurrection, StaleReplicaResurrectsCorpseWithoutPropagation) {
-  // Pins the pre-fix failure mode: with purge propagation disabled, the
-  // promoted replica row lists the dead provider again and the next query
-  // pays a second round of timeouts for a corpse it already reported.
-  ChurnOutcome out = churn_owner_after_lazy_purge(/*propagate=*/false);
-  EXPECT_TRUE(out.victim_listed_after_repair);
-  EXPECT_GT(out.second_query_skips, 0);
-}
-
 TEST(Resurrection, PurgePropagationKeepsCorpseBuried) {
-  ChurnOutcome out = churn_owner_after_lazy_purge(/*propagate=*/true);
+  // Without the propagation the promoted replica row lists the dead
+  // provider again and the next query pays a second round of timeouts for
+  // a corpse it already reported.
+  ChurnOutcome out = churn_owner_after_lazy_purge();
   EXPECT_FALSE(out.victim_listed_after_repair);
   EXPECT_EQ(out.second_query_skips, 0);
 }
@@ -98,7 +90,7 @@ TEST(Resurrection, ConvergedAuditCleanAfterChurnStorm) {
   if (!check::audit_enabled()) {
     GTEST_SKIP() << "set AHSW_AUDIT=1 to run the audit-backed storm";
   }
-  workload::Testbed bed(config(/*propagate=*/true));
+  workload::Testbed bed(config());
   dqp::ExecutionPolicy policy;
   policy.retry.max_retries = 1;
   policy.retry.relookup = true;
