@@ -70,14 +70,6 @@ Binding Binding::merged(const Binding& other) const {
   return out;
 }
 
-Binding Binding::projected(const std::vector<std::string>& vars) const {
-  Binding out;
-  for (const std::string& v : vars) {
-    if (const rdf::Term* t = get(v)) out.set(v, *t);
-  }
-  return out;
-}
-
 std::size_t Binding::byte_size() const noexcept {
   std::size_t n = 2;  // row framing
   for (const auto& [name, term] : slots_) {

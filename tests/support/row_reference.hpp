@@ -15,6 +15,10 @@
 
 namespace ahsw::sparql::row_reference {
 
+/// `b` with only the named variables kept (SPARQL projection).
+[[nodiscard]] Binding projected(const Binding& b,
+                                const std::vector<std::string>& vars);
+
 /// O1 x O2 (hash join on the shared variables).
 [[nodiscard]] SolutionSet join(const SolutionSet& a, const SolutionSet& b);
 
