@@ -89,6 +89,31 @@ void append_utf8(std::string& out, std::uint32_t cp) {
 
 }  // namespace
 
+std::string json_escape(std::string_view raw) {
+  constexpr char kLowerHex[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(raw.size() + 2);
+  for (char c : raw) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        auto byte = static_cast<unsigned char>(c);
+        if (byte < 0x20) {
+          out += "\\u00";
+          out += kLowerHex[byte >> 4];
+          out += kLowerHex[byte & 0xF];
+        } else {
+          out += c;
+        }
+      }
+    }
+  }
+  return out;
+}
+
 std::string escape_ntriples(std::string_view raw) {
   std::string out;
   out.reserve(raw.size());

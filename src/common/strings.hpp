@@ -22,6 +22,11 @@ namespace ahsw::common {
 [[nodiscard]] bool starts_with(std::string_view s,
                                std::string_view prefix) noexcept;
 
+/// Escape `raw` for the inside of a JSON string: quote, backslash, newline
+/// and tab use their named escapes; any other control character becomes
+/// \u00xx. Other bytes (including UTF-8) pass through.
+[[nodiscard]] std::string json_escape(std::string_view raw);
+
 /// Escape a literal value for N-Triples output: backslash, quote, newline,
 /// carriage return and tab use their named escapes; any other control
 /// character becomes \u00XX. Other bytes (including UTF-8) pass through.

@@ -35,6 +35,13 @@ std::size_t column_of(const IdRows& set, std::string_view var) {
   return static_cast<std::size_t>(it - set.vars.begin());
 }
 
+/// `initiator`'s cache counters (zero before its cache exists).
+overlay::CacheStats cache_stats(const overlay::HybridOverlay& ov,
+                                net::NodeAddress initiator) {
+  const auto it = ov.caches().find(initiator);
+  return it == ov.caches().end() ? overlay::CacheStats{} : it->second.stats();
+}
+
 /// Move `end` to the back of `chain` if present (chains may be asked to
 /// finish at an overlap node; relative order of the rest is preserved).
 void rotate_end_to_back(std::vector<overlay::Provider>& chain,
@@ -56,7 +63,7 @@ void rotate_end_to_back(std::vector<overlay::Provider>& chain,
 overlay::HybridOverlay::Located DagExecutor::locate(
     const rdf::TriplePattern& p, net::NodeAddress initiator, net::SimTime now,
     ExecutionReport& rep) {
-  overlay::HybridOverlay::Located loc = overlay_->locate(initiator, p, now);
+  overlay::HybridOverlay::Located loc = overlay_.locate(initiator, p, now);
   ++rep.index_lookups;
   rep.ring_hops += loc.hops;
   if (!loc.ok) rep.complete = false;
@@ -95,7 +102,7 @@ std::optional<sparql::IdRows> DagExecutor::run_at_provider(
     return std::nullopt;
   }
   ++rep.providers_contacted;
-  sparql::LocalEngine engine(overlay_->store_of(provider));
+  sparql::LocalEngine engine(ov().store_of(provider));
   return engine.match_ids(p);
 }
 
@@ -105,50 +112,32 @@ void DagExecutor::give_up_on_provider(net::NodeAddress provider,
                                       net::NodeAddress initiator,
                                       ExecutionReport& rep) {
   ++rep.dead_providers_skipped;
+  const std::optional<chord::Key> key = ov().row_key(p.pattern);
+  if (!key.has_value()) return;
   if (policy_.cache.enabled) {
     // Invalidate-on-timeout: the cached row listed a provider that just
     // exhausted its retries, so the next lookup of this key must re-fetch
     // instead of paying the dead-provider timeout again.
-    if (std::optional<chord::Key> key = overlay_->row_key(p.pattern)) {
-      overlay::LocationCache& cache = overlay_->cache_for(initiator);
-      const overlay::CacheStats before = cache.stats();
-      if (state_log_ != nullptr) {
-        StateAction a;
-        a.kind = StateAction::Kind::kCacheInvalidate;
-        a.when = now;
-        a.initiator = initiator;
-        a.key = *key;
-        record(std::move(a));
-      }
-      if (cache.invalidate(*key)) {
-        obs::SpanScope span(
-            trace_, obs::SpanKind::kCache,
-            "invalidate key " + std::to_string(overlay_->ring().truncate(*key)),
-            now, initiator);
-        span.finish(now);
-      }
-      rep.cache.accumulate(cache.stats().delta_since(before));
+    const overlay::CacheStats before = cache_stats(ov(), initiator);
+    if (overlay_.cache_invalidate(initiator, *key, now)) {
+      obs::SpanScope span(
+          trace_, obs::SpanKind::kCache,
+          "invalidate key " + std::to_string(ov().ring().truncate(*key)), now,
+          initiator);
+      span.finish(now);
     }
+    rep.cache.accumulate(cache_stats(ov(), initiator).delta_since(before));
   }
-  if (state_log_ != nullptr) {
-    StateAction a;
-    a.kind = StateAction::Kind::kReportDead;
-    a.when = now;
-    a.initiator = initiator;
-    a.dead = provider;
-    a.pattern = p.pattern;
-    record(std::move(a));
-  }
-  overlay_->report_dead_provider(initiator, p.pattern, provider, now);
+  overlay_.report_dead(initiator, *key, provider, now);
 }
 
 std::pair<DagExecutor::Located, DagExecutor::Located> DagExecutor::colocate(
     Located a, Located b, net::NodeAddress initiator, ExecutionReport& rep) {
   std::vector<optimizer::SiteCandidate> candidates;
   if (policy_.join_site == JoinSitePolicy::kThirdSite) {
-    for (net::NodeAddress addr : overlay_->live_storage_addresses()) {
+    for (net::NodeAddress addr : ov().live_storage_addresses()) {
       candidates.push_back(optimizer::SiteCandidate{
-          addr, overlay_->storage_state(addr).capacity});
+          addr, ov().storage_nodes().at(addr).capacity});
     }
   }
   // Operand sizes are the *charged* (wire-encoded) sizes: move-small
@@ -302,15 +291,6 @@ void DagExecutor::setup_query(QueryRun& run) {
 // ---------------------------------------------------------------------------
 // Firing.
 
-void DagExecutor::record(StateAction a) {
-  if (state_log_ == nullptr) return;
-  a.at = fire_at_;
-  a.qid = fire_qid_;
-  a.task = fire_task_;
-  a.seq = fire_seq_++;
-  state_log_->push_back(std::move(a));
-}
-
 void DagExecutor::fire(QueryRun& run, TaskId id) {
   const net::TrafficStats before = net().stats();
   const obs::SpanId parent = run.tasks[id].parent_span;
@@ -349,20 +329,12 @@ void DagExecutor::fire(QueryRun& run, TaskId id) {
 net::SimTime DagExecutor::fire_lookup(QueryRun& run, TaskId id) {
   Task& t = run.tasks[id];
   std::optional<chord::Key> key;
-  if (policy_.cache.enabled) key = overlay_->row_key(t.pattern.pattern);
+  if (policy_.cache.enabled) key = ov().row_key(t.pattern.pattern);
   if (key.has_value()) {
-    overlay::LocationCache& cache = overlay_->cache_for(run.initiator);
-    const overlay::CacheStats before = cache.stats();
-    const std::string klabel = std::to_string(overlay_->ring().truncate(*key));
-    if (state_log_ != nullptr) {
-      StateAction a;
-      a.kind = StateAction::Kind::kCacheLookup;
-      a.when = t.base;
-      a.initiator = run.initiator;
-      a.key = *key;
-      record(std::move(a));
-    }
-    if (const overlay::CachedRow* row = cache.lookup(*key, t.base)) {
+    const overlay::CacheStats before = cache_stats(ov(), run.initiator);
+    const std::string klabel = std::to_string(ov().ring().truncate(*key));
+    if (const overlay::CachedRow* row =
+            overlay_.cache_lookup(run.initiator, *key, t.base)) {
       // Hit: the row is served at the initiator — no ring lookup, no index
       // traffic, completion at the task's own start time.
       obs::SpanScope span(trace_, obs::SpanKind::kCache, "hit key " + klabel,
@@ -374,7 +346,8 @@ net::SimTime DagExecutor::fire_lookup(QueryRun& run, TaskId id) {
       t.loc.cached = true;
       t.loc.snapshot_age_ms = t.base - row->inserted_at;
       span.finish(t.base);
-      run.rep.cache.accumulate(cache.stats().delta_since(before));
+      run.rep.cache.accumulate(
+          cache_stats(ov(), run.initiator).delta_since(before));
       complete(run, id, t.base);
       return 0;
     }
@@ -384,36 +357,16 @@ net::SimTime DagExecutor::fire_lookup(QueryRun& run, TaskId id) {
       span.finish(t.base);
     }
     t.loc = locate(t.pattern.pattern, run.initiator, t.base, run.rep);
-    if (t.loc.ok && !t.loc.broadcast) {
-      if (state_log_ != nullptr) {
-        StateAction a;
-        a.kind = StateAction::Kind::kCacheInsert;
-        a.when = t.loc.completed_at;
-        a.initiator = run.initiator;
-        a.key = *key;
-        a.index_node = t.loc.index_node;
-        a.fetched_at = t.loc.completed_at;
-        a.providers = t.loc.providers;
-        record(std::move(a));
-      }
-      if (cache.insert(*key, t.loc.providers, t.loc.index_node,
-                       t.loc.completed_at)) {
-        // The key crossed the hot threshold: the cached row becomes a
-        // leased extra replica — the owner pushes invalidations to this
-        // initiator on every row mutation (subscription rides the lookup
-        // response, so it is free).
-        overlay_->subscribe_invalidations(*key, run.initiator);
-        if (state_log_ != nullptr) {
-          StateAction a;
-          a.kind = StateAction::Kind::kSubscribe;
-          a.when = t.loc.completed_at;
-          a.initiator = run.initiator;
-          a.key = *key;
-          record(std::move(a));
-        }
-      }
+    if (t.loc.ok && !t.loc.broadcast &&
+        overlay_.cache_insert(run.initiator, *key, t.loc)) {
+      // The key crossed the hot threshold: the cached row becomes a leased
+      // extra replica — the owner pushes invalidations to this initiator on
+      // every row mutation (subscription rides the lookup response, so it
+      // is free).
+      overlay_.subscribe(run.initiator, *key, t.loc.completed_at);
     }
-    run.rep.cache.accumulate(cache.stats().delta_since(before));
+    run.rep.cache.accumulate(
+        cache_stats(ov(), run.initiator).delta_since(before));
     complete(run, id, t.loc.completed_at);
     return 0;
   }
@@ -537,7 +490,7 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
         std::string(optimizer::primitive_strategy_name(task.strategy)));
   }
   task.acc =
-      std::make_unique<sparql::MergeAccumulator>(&overlay_->dictionary());
+      std::make_unique<sparql::MergeAccumulator>(&ov().dictionary());
   dispatch(run, id, loc,
            policy_.overlap_aware_sites ? pend : std::nullopt,
            /*carry_from=*/0.0);
@@ -552,8 +505,8 @@ net::SimTime DagExecutor::dispatch(QueryRun& run, TaskId scan_id,
   Task& scan = run.tasks[scan_id];
   const net::SimTime now = loc.completed_at;
   const net::NodeAddress owner =
-      overlay_->ring().contains(loc.index_node)
-          ? overlay_->ring().address_of(loc.index_node)
+      ov().ring().contains(loc.index_node)
+          ? ov().ring().address_of(loc.index_node)
           : run.initiator;
   scan.failed_contacts = 0;
 
@@ -985,9 +938,7 @@ BatchResult DagExecutor::run(const std::vector<BatchQuery>& batch,
       if (inj.apply) inj.apply(ev.at);
       continue;
     }
-    fire_at_ = ev.at;
-    fire_qid_ = ev.query;
-    fire_task_ = ev.task;
+    overlay_.enter_fire(ev);
     fire(runs_[run_of_qid_[ev.query]], ev.task);
   }
 

@@ -46,50 +46,17 @@
 #include <vector>
 
 #include "dqp/processor.hpp"
+#include "dqp/state_log.hpp"
 #include "net/event_queue.hpp"
 #include "sparql/columnar.hpp"
 
 namespace ahsw::dqp {
 
-/// One shared-overlay mutation performed by the executor on behalf of a
-/// query, recorded so the parallel batch driver can replay worker-shard
-/// side effects onto the master overlay in the serial driver's global
-/// (time, query, task) order. The ordering key is the *enclosing fire's*
-/// event key — the serial scheduler orders whole fires, and mutations
-/// within one fire happen in program order (`seq` preserves it across the
-/// merge). `when` is the simulated time the mutation itself used.
-struct StateAction {
-  enum class Kind : std::uint8_t {
-    kCacheLookup,      // cache_for(initiator).lookup(key, when)
-    kCacheInsert,      // cache_for(initiator).insert(key, providers, ...)
-    kSubscribe,        // subscribe_invalidations(key, initiator)
-    kCacheInvalidate,  // cache_for(initiator).invalidate(key)
-    kReportDead,       // report_dead_provider(initiator, pattern, dead, when)
-  };
-  Kind kind = Kind::kCacheLookup;
-  net::SimTime at = 0;        // enclosing fire's event time
-  std::uint32_t qid = 0;      // enclosing fire's query id
-  std::uint32_t task = 0;     // enclosing fire's task id
-  std::uint32_t seq = 0;      // program order within the fire / worker log
-  net::SimTime when = 0;      // sim time the mutation was issued at
-  net::NodeAddress initiator = net::kNoAddress;
-  net::NodeAddress dead = net::kNoAddress;  // kReportDead: the dead provider
-  rdf::TriplePattern pattern;               // kReportDead: reported pattern
-  chord::Key key = 0;                       // cache row key
-  chord::Key index_node = 0;                // kCacheInsert: serving owner
-  net::SimTime fetched_at = 0;              // kCacheInsert: snapshot time
-  std::vector<overlay::Provider> providers; // kCacheInsert: row snapshot
-};
-
-/// Ordered per-worker log of shared-state mutations (append-only; already
-/// sorted by (at, qid, task, seq) because the worker's event loop is).
-using StateLog = std::vector<StateAction>;
-
 class DagExecutor {
  public:
   DagExecutor(overlay::HybridOverlay& ov, ExecutionPolicy policy,
               obs::QueryTrace* trace, BatchOptions opts = {})
-      : overlay_(&ov), policy_(policy), trace_(trace),
+      : overlay_(ov), policy_(policy), trace_(trace),
         opts_(std::move(opts)) {}
 
   /// Execute the batch to completion; returns per-query results/reports in
@@ -106,7 +73,7 @@ class DagExecutor {
 
   /// Record every shared-overlay mutation into `log` (nullptr disables).
   /// The parallel driver replays the log on the master overlay.
-  void set_state_log(StateLog* log) noexcept { state_log_ = log; }
+  void set_state_log(StateLog* log) noexcept { overlay_.attach(log); }
 
  private:
   /// What shipping a set charges: its wire-encoded size and the raw
@@ -291,13 +258,12 @@ class DagExecutor {
   void close_span(obs::SpanId span, net::SimTime end);
   void reopen_span(obs::SpanId span);
 
-  [[nodiscard]] net::Network& net() { return overlay_->network(); }
+  [[nodiscard]] net::Network& net() { return overlay_.network(); }
+  [[nodiscard]] const overlay::HybridOverlay& ov() const {
+    return overlay_.view();
+  }
 
-  /// Append `a` to the state log (no-op without one), stamping the
-  /// enclosing fire's (at, qid, task) ordering key and the next seq.
-  void record(StateAction a);
-
-  overlay::HybridOverlay* overlay_;
+  RecordingOverlay overlay_;
   ExecutionPolicy policy_;
   obs::QueryTrace* trace_;
   BatchOptions opts_;
@@ -306,11 +272,6 @@ class DagExecutor {
   /// Dense map query id -> index into runs_ (identity for plain batches;
   /// sparse shard ids for worker runs).
   std::vector<std::uint32_t> run_of_qid_;
-  StateLog* state_log_ = nullptr;
-  net::SimTime fire_at_ = 0;       // event time of the fire in progress
-  std::uint32_t fire_qid_ = 0;     // query id of the fire in progress
-  std::uint32_t fire_task_ = 0;    // task id of the fire in progress
-  std::uint32_t fire_seq_ = 0;     // next StateAction seq
   /// node -> (busy until, last claimant qid + 1). Ordered map for
   /// deterministic bookkeeping.
   std::map<net::NodeAddress, std::pair<net::SimTime, std::uint32_t>> busy_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <mutex>
 // ahsw-lint: allow(D1) worker threads carry no simulated time: each shard is
 // a self-contained deterministic sub-simulation on a cloned overlay, and the
 // merge below fixes the global order by (time, query, task) — the scheduler
@@ -16,65 +15,12 @@ namespace ahsw::dqp {
 
 namespace {
 
-/// The mutex guarding the worker -> master StateLog handoff, annotated for
-/// clang's -Wthread-safety analysis (no-op wrappers elsewhere).
-class AHSW_CAPABILITY("mutex") DepositMutex {
- public:
-  void lock() AHSW_ACQUIRE() { mu_.lock(); }
-  void unlock() AHSW_RELEASE() { mu_.unlock(); }
-
- private:
-  std::mutex mu_;
-};
-
-/// Scoped acquisition of a DepositMutex (std::lock_guard cannot carry the
-/// AHSW_SCOPED_CAPABILITY annotation).
-class AHSW_SCOPED_CAPABILITY DepositLock {
- public:
-  explicit DepositLock(DepositMutex& mu) AHSW_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~DepositLock() AHSW_RELEASE() { mu_.unlock(); }
-  DepositLock(const DepositLock&) = delete;
-  DepositLock& operator=(const DepositLock&) = delete;
-
- private:
-  DepositMutex& mu_;
-};
-
-/// Collects each worker's completed StateLog on the master. The deposit is
-/// the one point where worker threads write shared memory, so it is the one
-/// place that needs a lock: workers finish in wall-clock order, the master
-/// drains in worker order after the join barrier, and the (time, query,
-/// task) merge below re-establishes the serial order regardless.
-class StateLogDeposit {
- public:
-  explicit StateLogDeposit(std::size_t workers) {
-    DepositLock lock(mu_);
-    logs_.resize(workers);
-  }
-
-  void deposit(std::size_t worker, StateLog log) {
-    DepositLock lock(mu_);
-    logs_[worker] = std::move(log);
-  }
-
-  /// Master-side drain; call after every worker has joined.
-  [[nodiscard]] std::vector<StateLog> drain() {
-    DepositLock lock(mu_);
-    return std::move(logs_);
-  }
-
- private:
-  DepositMutex mu_;
-  // ahsw-lint: guarded_by(mu_) one slot per worker, written cross-thread
-  std::vector<StateLog> logs_ AHSW_GUARDED_BY(mu_);
-};
-
 /// One worker's world: a private copy of the network + overlay, the shard's
 /// queries with their original batch-wide ids, and (for traced batches) the
 /// shard-local span forest the master grafts. Declared after `network` so
-/// the trace unbinds before its network dies.
+/// the trace unbinds before its network dies. The worker thread writes only
+/// its own shard's `result` and `log`; the join below orders both before
+/// the master reads them.
 struct Shard {
   std::vector<BatchQuery> queries;
   std::vector<std::uint32_t> qids;
@@ -82,6 +28,7 @@ struct Shard {
   std::unique_ptr<overlay::HybridOverlay> overlay;
   BatchOptions opts;
   BatchResult result;
+  StateLog log;
   obs::QueryTrace trace;
 };
 
@@ -103,31 +50,6 @@ struct MergeEntry {
   if (a.qid != b.qid) return a.qid < b.qid;
   if (a.task != b.task) return a.task < b.task;
   return a.seq < b.seq;
-}
-
-/// Re-apply one recorded shard mutation on the master overlay. Must mirror
-/// the executor's own calls exactly (src/dqp/executor.cpp recording sites):
-/// the replay reproduces the serial driver's overlay end state, including
-/// cache rows, access counts, lease subscriptions and table tombstones.
-void replay_action(overlay::HybridOverlay& ov, const StateAction& a) {
-  switch (a.kind) {
-    case StateAction::Kind::kCacheLookup:
-      (void)ov.cache_for(a.initiator).lookup(a.key, a.when);
-      break;
-    case StateAction::Kind::kCacheInsert:
-      (void)ov.cache_for(a.initiator)
-          .insert(a.key, a.providers, a.index_node, a.fetched_at);
-      break;
-    case StateAction::Kind::kSubscribe:
-      ov.subscribe_invalidations(a.key, a.initiator);
-      break;
-    case StateAction::Kind::kCacheInvalidate:
-      (void)ov.cache_for(a.initiator).invalidate(a.key);
-      break;
-    case StateAction::Kind::kReportDead:
-      (void)ov.report_dead_provider(a.initiator, a.pattern, a.dead, a.when);
-      break;
-  }
 }
 
 }  // namespace
@@ -197,33 +119,28 @@ BatchResult run_parallel_batch(overlay::HybridOverlay& overlay,
   }
 
   // -- execute shards on worker threads ------------------------------------
-  StateLogDeposit deposit(shards.size());
   // ahsw-lint: allow(D1) see file header — shard runs are deterministic and
   // share nothing; thread scheduling cannot reorder any simulated event.
   std::vector<std::thread> pool;
   pool.reserve(shards.size());
-  for (std::size_t w = 0; w < shards.size(); ++w) {
-    Shard& s = shards[w];
+  for (Shard& s : shards) {
     // ahsw-lint: allow(D1) one deterministic shard per thread.
-    pool.emplace_back([&s, &policy, &deposit, trace, w]() {
-      StateLog log;
+    pool.emplace_back([&s, &policy, trace]() {
       DagExecutor exec(*s.overlay, policy,
                        trace != nullptr ? &s.trace : nullptr, s.opts);
-      exec.set_state_log(&log);
+      exec.set_state_log(&s.log);
       s.result = exec.run(s.queries, s.qids);
-      deposit.deposit(w, std::move(log));
     });
   }
   for (std::thread& t : pool) t.join();  // ahsw-lint: allow(D1) barrier only
-  const std::vector<StateLog> logs = deposit.drain();
 
   // -- merge: replay shard mutations + master injections in serial order ---
   std::vector<MergeEntry> entries;
   std::size_t total_actions = 0;
-  for (const StateLog& log : logs) total_actions += log.size();
+  for (const Shard& s : shards) total_actions += s.log.size();
   entries.reserve(total_actions + opts.injections.size());
-  for (const StateLog& log : logs) {
-    for (const StateAction& a : log) {
+  for (const Shard& s : shards) {
+    for (const StateAction& a : s.log) {
       entries.push_back(MergeEntry{a.at, a.qid, a.task, a.seq, &a});
     }
   }
@@ -271,7 +188,7 @@ BatchResult run_parallel_batch(overlay::HybridOverlay& overlay,
     net.set_tracer(nullptr);
     net.set_timeout_tracer(nullptr);
     if (trace != nullptr) overlay.set_trace(nullptr);
-    replay_action(overlay, *e.action);
+    (void)apply(overlay, *e.action);
     if (trace != nullptr) overlay.set_trace(trace);
     net.set_tracer(tracer);
     net.set_timeout_tracer(timeout_tracer);

@@ -33,24 +33,6 @@
 
 #include "dqp/processor.hpp"
 
-// Clang thread-safety analysis attributes (-Wthread-safety) for the
-// master/worker handoff in src/dqp/parallel.cpp. Empty under other
-// compilers, so the annotated code stays portable; the strict (Werror)
-// build turns the analysis on for clang (see the ahsw_warnings target).
-#if defined(__clang__)
-#define AHSW_CAPABILITY(x) __attribute__((capability(x)))
-#define AHSW_SCOPED_CAPABILITY __attribute__((scoped_lockable))
-#define AHSW_GUARDED_BY(x) __attribute__((guarded_by(x)))
-#define AHSW_ACQUIRE(...) __attribute__((acquire_capability(__VA_ARGS__)))
-#define AHSW_RELEASE(...) __attribute__((release_capability(__VA_ARGS__)))
-#else
-#define AHSW_CAPABILITY(x)
-#define AHSW_SCOPED_CAPABILITY
-#define AHSW_GUARDED_BY(x)
-#define AHSW_ACQUIRE(...)
-#define AHSW_RELEASE(...)
-#endif
-
 namespace ahsw::dqp {
 
 /// Whether `execute_batch` may take the parallel path: workers > 1, at

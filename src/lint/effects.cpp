@@ -8,6 +8,8 @@
 
 namespace ahsw::lint {
 
+using common::json_escape;
+
 namespace {
 
 [[nodiscard]] std::string lower(std::string_view s) {
@@ -20,22 +22,6 @@ namespace {
 
 [[nodiscard]] bool contains_ci(std::string_view hay, std::string_view needle) {
   return lower(hay).find(lower(needle)) != std::string::npos;
-}
-
-[[nodiscard]] std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 /// `key=value` attribute inside a spec declaration head, "" when absent.
@@ -111,18 +97,6 @@ SharedStateSpec SharedStateSpec::parse(std::string_view text,
         continue;
       }
       spec.roots.emplace_back(words[1]);
-    } else if (kind == "master_root") {
-      if (words.size() != 2) {
-        fail("expected `master_root <Function>`");
-        continue;
-      }
-      spec.master_roots.emplace_back(words[1]);
-    } else if (kind == "record") {
-      if (words.size() != 2) {
-        fail("expected `record <Function>`");
-        continue;
-      }
-      spec.records.emplace_back(words[1]);
     } else if (kind == "state") {
       if (words.size() < 2 || colon == std::string_view::npos) {
         fail("expected `state <Name> home=... hints=...: <mutators>`");
@@ -159,7 +133,6 @@ SharedStateSpec SharedStateSpec::parse(std::string_view text,
       sf.dispatch = has_word(words, "dispatch");
       sf.shard = attr_of(words, "shard");
       sf.merge = attr_of(words, "merge");
-      sf.master_only = attr_of(words, "role") == "master";
       sf.why = std::string(tail);
       if (sf.state.empty() || sf.why.empty()) {
         fail("surface '" + sf.function +
@@ -194,47 +167,29 @@ const SurfaceDecl* SharedStateSpec::surface_for(std::string_view function,
   return nullptr;
 }
 
-std::vector<std::string> EffectsContext::path_to(
-    const std::vector<std::size_t>& parent, std::size_t fn) const {
-  std::vector<std::string> path;
-  if (fn >= parent.size() || parent[fn] == kNoFunction) return path;
-  std::size_t u = fn;
-  while (true) {
-    path.push_back(table.functions[u].qualified());
-    if (parent[u] == u) break;
-    u = parent[u];
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 EffectsReport analyze_effects(const std::vector<SourceFile>& files,
                               const SharedStateSpec& spec,
-                              const LayerSpec& layers, EffectsContext* ctx) {
+                              const LayerSpec& layers) {
   EffectsReport report;
-  EffectsContext local;
-  EffectsContext& c = ctx != nullptr ? *ctx : local;
-  c.table = SymbolTable::build(files);
-  c.graph = CallGraph::resolve(c.table, layers);
+  const SymbolTable table = SymbolTable::build(files);
+  const CallGraph graph = CallGraph::resolve(table, layers);
 
+  std::vector<std::size_t> roots;
   for (const std::string& r : spec.roots) {
-    for (std::size_t idx : c.table.find(r)) c.worker_roots.push_back(idx);
+    for (std::size_t idx : table.find(r)) roots.push_back(idx);
     report.roots.push_back(r);
   }
-  for (const std::string& r : spec.master_roots) {
-    for (std::size_t idx : c.table.find(r)) c.master_roots.push_back(idx);
-  }
-  c.worker_parent = c.graph.reach(c.worker_roots);
-  // The master context spawns the workers, so a plain BFS from the master
-  // roots would swallow the whole dispatch tree; cut it at the worker roots.
-  c.master_parent = c.graph.reach_avoiding(
-      c.master_roots,
-      std::set<std::size_t>(c.worker_roots.begin(), c.worker_roots.end()));
-  c.roles = thread_roles(c.worker_parent, c.master_parent);
-
-  auto path_to = [&](std::size_t fn) { return c.path_to(c.worker_parent, fn); };
-  const SymbolTable& table = c.table;
-  const std::vector<std::size_t>& parent = c.worker_parent;
+  const std::vector<std::size_t> parent = graph.reach(roots);
+  // Shortest call path root -> ... -> fn.
+  auto path_to = [&](std::size_t fn) {
+    std::vector<std::string> path;
+    for (std::size_t u = fn;; u = parent[u]) {
+      path.push_back(table.functions[u].qualified());
+      if (parent[u] == u) break;
+    }
+    std::reverse(path.begin(), path.end());
+    return path;
+  };
 
   for (std::size_t fi = 0; fi < table.functions.size(); ++fi) {
     const FunctionDef& fn = table.functions[fi];
@@ -273,8 +228,6 @@ EffectsReport analyze_effects(const std::vector<SourceFile>& files,
         tp.declared = surface != nullptr;
         tp.dispatch = surface != nullptr && surface->dispatch;
         tp.reachable = reachable;
-        tp.role = c.roles[fi];
-        tp.function_index = fi;
         if (reachable) tp.path = path_to(fi);
 
         if (!tp.declared && st.global) {
@@ -336,12 +289,6 @@ std::string EffectsReport::ledger_json(const SharedStateSpec& spec) const {
     out << (i == 0 ? "" : ", ") << "\"" << json_escape(roots[i]) << "\"";
   }
   out << "],\n";
-  out << "  \"master_roots\": [";
-  for (std::size_t i = 0; i < spec.master_roots.size(); ++i) {
-    out << (i == 0 ? "" : ", ") << "\""
-        << json_escape(spec.master_roots[i]) << "\"";
-  }
-  out << "],\n";
   out << "  \"states\": [";
   for (std::size_t i = 0; i < spec.states.size(); ++i) {
     out << (i == 0 ? "" : ", ") << "\"" << json_escape(spec.states[i].name)
@@ -366,7 +313,6 @@ std::string EffectsReport::ledger_json(const SharedStateSpec& spec) const {
         << (t.declared ? "true" : "false")
         << ", \"dispatch\": " << (t.dispatch ? "true" : "false")
         << ", \"reachable\": " << (t.reachable ? "true" : "false")
-        << ", \"role\": \"" << thread_role_name(t.role) << "\""
         << ", \"path\": [";
     for (std::size_t i = 0; i < t.path.size(); ++i) {
       out << (i == 0 ? "" : ", ") << "\"" << json_escape(t.path[i]) << "\"";

@@ -62,22 +62,12 @@ struct SurfaceDecl {
   /// replay scheme ("state-log"). At most one is non-empty.
   std::string shard;
   std::string merge;
-  /// `role=master`: the surface belongs to the master context (clone /
-  /// replay / merge) and must be unreachable from worker roots (rule C2).
-  bool master_only = false;
   std::string why;  // mandatory justification
 };
 
 /// Parsed tools/ahsw_shared_state.spec.
 struct SharedStateSpec {
-  std::vector<std::string> roots;  // worker dispatch roots, qualified names
-  /// Master-context roots (clone construction, StateLog replay, the merge
-  /// barrier). Reachability from these — cut at the worker roots — defines
-  /// the master thread role for rule family C.
-  std::vector<std::string> master_roots;
-  /// StateLog record surfaces: functions whose presence on a worker call
-  /// path satisfies C1's record-dominates-mutate obligation.
-  std::vector<std::string> records;
+  std::vector<std::string> roots;  // dispatch roots, qualified names
   std::vector<SharedStateDecl> states;
   std::vector<SurfaceDecl> surfaces;
   std::set<std::string> singletons;  // P3-exempt static/global names
@@ -85,11 +75,9 @@ struct SharedStateSpec {
   /// Parse the spec text; malformed lines are reported into `errors`.
   /// Grammar (one declaration per line, `#` comments):
   ///   root <Function>
-  ///   master_root <Function>
-  ///   record <Function>
   ///   state <Name> home=<prefix> hints=<h1,h2> [scope=dispatch]: <m> <m> ...
-  ///   surface <Function> state=<Name> [dispatch] [shard=<p>|merge=<s>]
-  ///       [role=master]: <justification>
+  ///   surface <Function> state=<Name> [dispatch] [shard=<p>|merge=<s>]:
+  ///       <justification>
   ///   singleton <name>: <justification>
   [[nodiscard]] static SharedStateSpec parse(
       std::string_view text, std::vector<std::string>* errors = nullptr);
@@ -108,34 +96,8 @@ struct TouchPoint {
   int line = 0;
   bool declared = false;   // a surface covers (function, state)
   bool dispatch = false;   // ...and that surface is dispatch-safe
-  bool reachable = false;  // on a path from a worker dispatch root
-  /// Thread role of the enclosing function under the parallel driver
-  /// (schema_version 2 field — the vocabulary shared with the race ledger).
-  ThreadRole role = ThreadRole::kNone;
-  /// Index of the enclosing function in EffectsContext::table.functions —
-  /// lets the race analysis walk the call graph from a touch without
-  /// re-matching names. Not serialized.
-  std::size_t function_index = kNoFunction;
+  bool reachable = false;  // on a path from a dispatch root
   std::vector<std::string> path;  // root -> ... -> function, when reachable
-};
-
-/// The shared machinery of the P and C passes: the symbol table, resolved
-/// call graph, and both reachability passes with per-function roles.
-/// analyze_effects fills one on request so analyze_races does not rebuild
-/// the graph from scratch.
-struct EffectsContext {
-  SymbolTable table;
-  CallGraph graph;
-  std::vector<std::size_t> worker_roots;   // indices into table.functions
-  std::vector<std::size_t> master_roots;   // indices into table.functions
-  std::vector<std::size_t> worker_parent;  // CallGraph::reach from workers
-  std::vector<std::size_t> master_parent;  // reach_avoiding(worker roots)
-  std::vector<ThreadRole> roles;
-
-  /// Shortest call path root -> ... -> fn under `parent`; empty when
-  /// unreachable.
-  [[nodiscard]] std::vector<std::string> path_to(
-      const std::vector<std::size_t>& parent, std::size_t fn) const;
 };
 
 struct EffectsReport {
@@ -144,24 +106,21 @@ struct EffectsReport {
   std::vector<std::string> roots;       // resolved root names, spec order
 
   /// The stable parallel-safety ledger (P4): schema_version, roots, states,
-  /// and every touch point without line numbers, deduplicated. Schema
-  /// version 2 adds the resolved thread role per touch point.
+  /// and every touch point without line numbers, deduplicated.
   [[nodiscard]] std::string ledger_json(const SharedStateSpec& spec) const;
 };
 
-/// Schema version of the P4 ledger (`tools/ahsw_effects.json`). Version 2:
-/// every touch point carries its resolved thread role, and the header lists
-/// the master roots next to the worker roots.
-inline constexpr int kEffectsSchemaVersion = 2;
+/// Schema version of the P4 ledger (`tools/ahsw_effects.json`). Version 3
+/// drops version 2's thread role per touch point and its master-root
+/// header.
+inline constexpr int kEffectsSchemaVersion = 3;
 
 /// Run the effect analysis over a tokenized file set. Diagnostics and
 /// ledger entries are emitted for `src/` files only — tools and benches
 /// drive the simulator single-threaded by construction — but their
-/// definitions still feed the call graph. When `ctx` is non-null it
-/// receives the symbol table / call graph / role machinery for reuse by the
-/// race analysis (races.hpp).
+/// definitions still feed the call graph.
 [[nodiscard]] EffectsReport analyze_effects(
     const std::vector<SourceFile>& files, const SharedStateSpec& spec,
-    const LayerSpec& layers, EffectsContext* ctx = nullptr);
+    const LayerSpec& layers);
 
 }  // namespace ahsw::lint

@@ -6,7 +6,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/strings.hpp"
+
 namespace ahsw::lint {
+
+using common::json_escape;
 
 namespace {
 
@@ -34,37 +38,6 @@ void merge(LintReport* into, LintReport part) {
     ++into->by_rule[d.rule];
     into->diagnostics.push_back(std::move(d));
   }
-}
-
-[[nodiscard]] std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -220,16 +193,6 @@ void lint_tree_effects(const std::string& root, const LintConfig& cfg,
   EffectsReport effects = analyze_effects(files, spec, cfg.layers);
   merge_whole_program(files, std::move(effects.diagnostics), report);
   if (ledger_json != nullptr) *ledger_json = effects.ledger_json(spec);
-}
-
-void lint_tree_races(const std::string& root, const LintConfig& cfg,
-                     const SharedStateSpec& spec, LintReport* report,
-                     std::string* ledger_json,
-                     const std::vector<std::string>& dirs) {
-  std::vector<SourceFile> files = tokenize_tree(root, dirs);
-  RacesReport races = analyze_races(files, spec, cfg.layers);
-  merge_whole_program(files, std::move(races.diagnostics), report);
-  if (ledger_json != nullptr) *ledger_json = races.ledger_json();
 }
 
 LintConfig load_config(const std::string& root,

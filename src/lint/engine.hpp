@@ -9,14 +9,13 @@
 #include <vector>
 
 #include "lint/effects.hpp"
-#include "lint/races.hpp"
 #include "lint/rules.hpp"
 
 namespace ahsw::lint {
 
-/// Version stamp of the `ahsw_lint.json` diagnostic rendering. The ledgers
-/// carry their own stamps (kEffectsSchemaVersion, kRacesSchemaVersion) so
-/// each format can evolve without forcing the others. Bump when a field
+/// Version stamp of the `ahsw_lint.json` diagnostic rendering. The effects
+/// ledger carries its own stamp (kEffectsSchemaVersion) so each format can
+/// evolve without forcing the other. Bump when a field
 /// changes meaning or shape, so diff tooling never has to guess.
 inline constexpr int kJsonSchemaVersion = 1;
 
@@ -67,15 +66,6 @@ void lint_tree_effects(const std::string& root, const LintConfig& cfg,
                        std::string* ledger_json,
                        const std::vector<std::string>& dirs = {"src", "tools",
                                                                "bench"});
-
-/// Run the race analysis (rule family C) over the tree and merge its
-/// post-suppression diagnostics into `report`. When `ledger_json` is
-/// non-null it receives the stable race ledger (C5).
-void lint_tree_races(const std::string& root, const LintConfig& cfg,
-                     const SharedStateSpec& spec, LintReport* report,
-                     std::string* ledger_json,
-                     const std::vector<std::string>& dirs = {"src", "tools",
-                                                             "bench"});
 
 /// Build the default config: parse the layer spec at `layers_path`
 /// (default `<root>/tools/ahsw_layers.spec`). Throws std::runtime_error on

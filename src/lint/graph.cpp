@@ -65,8 +65,8 @@ using Tokens = std::vector<Token>;
 /// declarations.
 class Extractor {
  public:
-  Extractor(const SourceFile& file, std::size_t file_index, SymbolTable* out)
-      : f_(file), file_index_(file_index), t_(file.tokens), out_(out) {}
+  Extractor(const SourceFile& file, SymbolTable* out)
+      : f_(file), t_(file.tokens), out_(out) {}
 
   void run() {
     std::size_t i = 0;
@@ -220,9 +220,6 @@ class Extractor {
     def.qualifier = !qualifier.empty() ? qualifier : enclosing_class();
     def.file = f_.path;
     def.line = t_[i].line;
-    def.file_index = file_index_;
-    def.body_begin = j + 1;
-    def.body_end = body_end;
     scan_body(j + 1, body_end, &def);
     out_->functions.push_back(std::move(def));
     return body_end + 1;
@@ -318,7 +315,6 @@ class Extractor {
   }
 
   const SourceFile& f_;
-  std::size_t file_index_;
   const Tokens& t_;
   SymbolTable* out_;
   std::vector<Scope> scopes_;
@@ -360,7 +356,7 @@ std::size_t receiver_chain(const std::vector<Token>& toks, std::size_t i,
 SymbolTable SymbolTable::build(const std::vector<SourceFile>& files) {
   SymbolTable table;
   for (std::size_t i = 0; i < files.size(); ++i) {
-    Extractor(files[i], i, &table).run();
+    Extractor(files[i], &table).run();
   }
   for (std::size_t i = 0; i < table.functions.size(); ++i) {
     table.by_name[table.functions[i].name].push_back(i);
@@ -458,17 +454,10 @@ CallGraph CallGraph::resolve(const SymbolTable& table,
 
 std::vector<std::size_t> CallGraph::reach(
     const std::vector<std::size_t>& roots) const {
-  return reach_avoiding(roots, {});
-}
-
-std::vector<std::size_t> CallGraph::reach_avoiding(
-    const std::vector<std::size_t>& roots,
-    const std::set<std::size_t>& blocked) const {
   std::vector<std::size_t> parent(out.size(), kNoFunction);
   std::deque<std::size_t> work;
   for (std::size_t r : roots) {
-    if (r < parent.size() && parent[r] == kNoFunction &&
-        blocked.count(r) == 0) {
+    if (r < parent.size() && parent[r] == kNoFunction) {
       parent[r] = r;
       work.push_back(r);
     }
@@ -477,42 +466,13 @@ std::vector<std::size_t> CallGraph::reach_avoiding(
     std::size_t u = work.front();
     work.pop_front();
     for (std::size_t v : out[u]) {
-      if (parent[v] == kNoFunction && blocked.count(v) == 0) {
+      if (parent[v] == kNoFunction) {
         parent[v] = u;
         work.push_back(v);
       }
     }
   }
   return parent;
-}
-
-std::string_view thread_role_name(ThreadRole role) {
-  switch (role) {
-    case ThreadRole::kNone:
-      return "none";
-    case ThreadRole::kWorker:
-      return "worker";
-    case ThreadRole::kMaster:
-      return "master";
-    case ThreadRole::kBoth:
-      return "both";
-  }
-  return "none";
-}
-
-std::vector<ThreadRole> thread_roles(
-    const std::vector<std::size_t>& worker_parent,
-    const std::vector<std::size_t>& master_parent) {
-  std::vector<ThreadRole> roles(worker_parent.size(), ThreadRole::kNone);
-  for (std::size_t i = 0; i < roles.size(); ++i) {
-    const bool w = worker_parent[i] != kNoFunction;
-    const bool m = i < master_parent.size() && master_parent[i] != kNoFunction;
-    roles[i] = w && m   ? ThreadRole::kBoth
-               : w      ? ThreadRole::kWorker
-               : m      ? ThreadRole::kMaster
-                        : ThreadRole::kNone;
-  }
-  return roles;
 }
 
 }  // namespace ahsw::lint

@@ -48,13 +48,6 @@ struct FunctionDef {
   std::string file;       // repo-relative path
   int line = 0;
   std::vector<CallSite> calls;
-  /// Body token range [body_begin, body_end) in the owning file's token
-  /// stream, plus that file's index in the scanned set — lets whole-program
-  /// passes (C3 static references, C4 lock evidence) re-scan a body without
-  /// re-walking declarations.
-  std::size_t file_index = 0;
-  std::size_t body_begin = 0;
-  std::size_t body_end = 0;
 
   [[nodiscard]] std::string qualified() const {
     return qualifier.empty() ? name : qualifier + "::" + name;
@@ -93,30 +86,7 @@ struct CallGraph {
   /// path from a root (kNoFunction when unreachable, self for a root).
   [[nodiscard]] std::vector<std::size_t> reach(
       const std::vector<std::size_t>& roots) const;
-
-  /// BFS from `roots` that refuses to enter any function in `blocked`:
-  /// blocked functions are neither marked reachable nor expanded, even when
-  /// they appear in `roots`. This carves the master context out of a call
-  /// graph where the master (clone / merge / replay code) spawns the worker
-  /// roots on threads — without the cut, everything past `DagExecutor::run`
-  /// would count as master too.
-  [[nodiscard]] std::vector<std::size_t> reach_avoiding(
-      const std::vector<std::size_t>& roots,
-      const std::set<std::size_t>& blocked) const;
 };
-
-/// Thread role of a function under the parallel batch driver (rule family
-/// C): worker = reachable from a per-shard dispatch root, master = reachable
-/// from the clone/replay/merge roots without passing through a worker root,
-/// both = hazardous overlap.
-enum class ThreadRole : unsigned char { kNone, kWorker, kMaster, kBoth };
-
-[[nodiscard]] std::string_view thread_role_name(ThreadRole role);
-
-/// Combine the two reachability passes into per-function roles.
-[[nodiscard]] std::vector<ThreadRole> thread_roles(
-    const std::vector<std::size_t>& worker_parent,
-    const std::vector<std::size_t>& master_parent);
 
 /// Walk a member-access chain backwards from token `i` (inclusive) and
 /// collect its identifiers, e.g. `overlay_->network().stats` at the final

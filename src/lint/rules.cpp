@@ -622,24 +622,6 @@ constexpr std::string_view kMarker = "ahsw-lint:";
     if (target > 0) s.lines.insert(target);
     std::string_view rest =
         common::trim(std::string_view(c.text).substr(at + kMarker.size()));
-    if (common::starts_with(rest, "guarded_by(")) {
-      // The C4 annotation form of the marker (guarded_by with a mutex name)
-      // — owned by the race analysis, not a suppression. Well-formed when
-      // the argument is a plain identifier; anything else falls through to
-      // S1.
-      std::string_view arg = rest.substr(std::string_view("guarded_by(").size());
-      std::size_t close = arg.find(')');
-      bool ok = close != std::string_view::npos && close > 0;
-      for (std::size_t k = 0; ok && k < close; ++k) {
-        const char ch = arg[k];
-        ok = (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
-             (ch >= '0' && ch <= '9') || ch == '_';
-      }
-      if (ok) continue;
-      s.malformed = true;
-      out.push_back(std::move(s));
-      continue;
-    }
     if (!common::starts_with(rest, "allow(")) {
       s.malformed = true;
       out.push_back(std::move(s));
@@ -760,22 +742,6 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "the parallel-safety ledger (ahsw_effects.json) inventories every "
        "shared touch point with its dispatch call path; its diff is gated "
        "in CI"},
-      {"C1", "races",
-       "worker-reachable mutations of merge=state-log state are dominated "
-       "by a StateLog record call on the same worker path"},
-      {"C2", "races",
-       "master-context functions (master_root / role=master surfaces) are "
-       "unreachable from the worker dispatch roots"},
-      {"C3", "races",
-       "no mutable global/static or scope=dispatch state is referenced "
-       "from both thread roles"},
-      {"C4", "races",
-       "members annotated // ahsw-lint: guarded_by(<mutex>) are accessed "
-       "only after visibly acquiring the named mutex"},
-      {"C5", "races",
-       "the race ledger (ahsw_races.json) inventories every shared touch "
-       "point with its thread role, discipline and call path; its diff is "
-       "gated in CI"},
   };
   return kCatalogue;
 }

@@ -6,34 +6,14 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/strings.hpp"
+
 namespace ahsw::obs {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
 std::string json_string(std::string_view s) {
-  std::string out = "\"";
-  append_escaped(out, s);
-  out += '"';
-  return out;
+  return "\"" + common::json_escape(s) + "\"";
 }
 
 std::string json_number(double v) {

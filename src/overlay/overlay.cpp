@@ -454,12 +454,9 @@ HybridOverlay::Located HybridOverlay::locate(net::NodeAddress requester,
 }
 
 net::SimTime HybridOverlay::report_dead_provider(net::NodeAddress reporter,
-                                                 const rdf::TriplePattern& p,
+                                                 chord::Key key,
                                                  net::NodeAddress dead,
                                                  net::SimTime now) {
-  std::optional<chord::Key> pk = row_key(p);
-  if (!pk.has_value()) return now;
-  chord::Key key = *pk;
   chord::Key owner = ring_.oracle_successor(ring_.truncate(key));
   auto it = index_.find(owner);
   if (it == index_.end()) return now;

@@ -167,9 +167,9 @@ class HybridOverlay {
                  net::SimTime now);
 
   /// Lazy location-table repair (Sect. III-D): after a query timeout on
-  /// `dead`, the reporter tells the owning index node to drop its entries.
-  net::SimTime report_dead_provider(net::NodeAddress reporter,
-                                    const rdf::TriplePattern& p,
+  /// `dead`, the reporter tells the owner of row `key` (the pattern's
+  /// row_key) to drop its entries.
+  net::SimTime report_dead_provider(net::NodeAddress reporter, chord::Key key,
                                     net::NodeAddress dead, net::SimTime now);
 
   // -- location-row caching (docs/caching.md) ------------------------------

@@ -106,8 +106,11 @@ TEST_P(ChurnStress, RingStaysConsistentUnderRandomChurn) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ChurnStress,
-                         ::testing::Values(11u, 22u, 33u, 44u, 55u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ChurnStress, ::testing::Values(11u, 22u, 33u, 44u, 55u),
+    [](const ::testing::TestParamInfo<std::uint64_t>& instance) {
+      return std::to_string(instance.param);
+    });
 
 }  // namespace
 }  // namespace ahsw::chord

@@ -87,6 +87,14 @@ TEST(UnescapeNTriples, HandlesTrailingBackslash) {
   EXPECT_EQ(unescape_ntriples("a\\"), "a\\");
 }
 
+TEST(JsonEscape, EscapesQuoteBackslashAndControlCharacters) {
+  EXPECT_EQ(json_escape("say \"hi\"\\\n\t" + std::string(1, '\x01') + "end"),
+            "say \\\"hi\\\"\\\\\\n\\t\\u0001end");
+  EXPECT_EQ(json_escape(std::string(1, '\x1F')), "\\u001f");
+  // Other bytes, UTF-8 included, pass through.
+  EXPECT_EQ(json_escape("caf\xC3\xA9 /"), "caf\xC3\xA9 /");
+}
+
 TEST(EscapeNTriples, ControlCharactersUseNumericEscapes) {
   EXPECT_EQ(escape_ntriples(std::string(1, '\x01')), "\\u0001");
   EXPECT_EQ(escape_ntriples(std::string(1, '\x1F')), "\\u001F");

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "dqp_test_util.hpp"
+#include "../support/param_names.hpp"
 #include "workload/vocab.hpp"
 
 namespace ahsw::dqp {
@@ -62,8 +63,15 @@ std::vector<PolicyCase> policy_cases() {
   return out;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPolicyCombinations, ConjunctionPolicies,
-                         ::testing::ValuesIn(policy_cases()));
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicyCombinations, ConjunctionPolicies,
+    ::testing::ValuesIn(policy_cases()),
+    [](const ::testing::TestParamInfo<PolicyCase>& instance) {
+      return test_names::param_name(
+                 optimizer::primitive_strategy_name(instance.param.strategy)) +
+             (instance.param.freq_order ? "_freq_order" : "_plan_order") +
+             (instance.param.overlap_sites ? "_overlap_sites" : "_any_site");
+    });
 
 TEST(Conjunction, ThreePatternPathQuery) {
   workload::Testbed bed(config());

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "dqp_test_util.hpp"
+#include "../support/param_names.hpp"
 #include "workload/queries.hpp"
 
 namespace ahsw::dqp {
@@ -67,7 +68,16 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{5, PrimitiveStrategy::kBasic, JoinSitePolicy::kThirdSite,
                  false},
         Scenario{6, PrimitiveStrategy::kChain, JoinSitePolicy::kMoveSmall,
-                 true}));
+                 true}),
+    [](const ::testing::TestParamInfo<Scenario>& instance) {
+      const Scenario& sc = instance.param;
+      return "seed" + std::to_string(sc.seed) + "_" +
+             test_names::param_name(
+                 optimizer::primitive_strategy_name(sc.strategy)) +
+             "_" +
+             test_names::param_name(optimizer::join_site_policy_name(sc.site)) +
+             (sc.push_filters ? "_push_filters" : "_no_push");
+    });
 
 }  // namespace
 }  // namespace ahsw::dqp

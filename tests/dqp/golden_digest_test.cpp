@@ -318,8 +318,13 @@ TEST_P(DagEquivalence, AdaptiveDeadProvider) {
   expect_variant("adaptive-dead-provider", /*kill_provider=*/true);
 }
 
+std::string query_class_name(
+    const ::testing::TestParamInfo<QueryClass>& info) {
+  return info.param.name;
+}
+
 INSTANTIATE_TEST_SUITE_P(QueryClasses, DagEquivalence,
-                         ::testing::ValuesIn(kQueryClasses));
+                         ::testing::ValuesIn(kQueryClasses), query_class_name);
 
 // --- Set kernels: 5 query classes, healthy and with a dead provider. ----
 
@@ -350,7 +355,8 @@ TEST_P(VectorizedToggle, InvisibleWithDeadProvider) {
 
 INSTANTIATE_TEST_SUITE_P(QueryClasses, VectorizedToggle,
                          ::testing::ValuesIn(std::begin(kQueryClasses),
-                                             std::begin(kQueryClasses) + 5));
+                                             std::begin(kQueryClasses) + 5),
+                         query_class_name);
 
 // --- Faulted batch with retries and lazy re-lookup. ---------------------
 

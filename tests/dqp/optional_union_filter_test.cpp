@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "dqp_test_util.hpp"
+#include "../support/param_names.hpp"
 #include "workload/vocab.hpp"
 
 namespace ahsw::dqp {
@@ -69,10 +70,14 @@ TEST_P(JoinSitePolicies, Fig9FilterOptionalMatchesOracle) {
                         bed.storage_addrs()[3]);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllPolicies, JoinSitePolicies,
-                         ::testing::Values(JoinSitePolicy::kMoveSmall,
-                                           JoinSitePolicy::kQuerySite,
-                                           JoinSitePolicy::kThirdSite));
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, JoinSitePolicies,
+    ::testing::Values(JoinSitePolicy::kMoveSmall, JoinSitePolicy::kQuerySite,
+                      JoinSitePolicy::kThirdSite),
+    [](const ::testing::TestParamInfo<JoinSitePolicy>& instance) {
+      return test_names::param_name(
+          optimizer::join_site_policy_name(instance.param));
+    });
 
 TEST(Optional, MoveSmallShipsTheSmallerOperand) {
   // Make one side far bigger than the other and check the plan went to the

@@ -3,7 +3,10 @@
 // tradeoff the paper predicts between Basic and the chain optimizations.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "dqp_test_util.hpp"
+#include "../support/param_names.hpp"
 #include "workload/vocab.hpp"
 
 namespace ahsw::dqp {
@@ -25,6 +28,7 @@ workload::TestbedConfig small_config() {
 }
 
 struct ShapeStrategyCase {
+  const char* shape;  // test_names::shape_name of the query's pattern
   const char* query;
   PrimitiveStrategy strategy;
 };
@@ -43,41 +47,45 @@ TEST_P(PrimitiveShapes, DistributedMatchesOracle) {
 }
 
 // One query per bound-position shape; p0 is the most popular person.
-constexpr const char* kShapeQueries[] = {
-    // (s, p, o) fully bound -> ASK-like select
-    "SELECT ?x WHERE { <http://example.org/people/p1> foaf:knows "
-    "<http://example.org/people/p0> . }",
-    // (s, p, ?o)
-    "SELECT ?o WHERE { <http://example.org/people/p1> foaf:knows ?o . }",
-    // (s, ?p, o)
-    "SELECT ?p WHERE { <http://example.org/people/p1> ?p "
-    "<http://example.org/people/p0> . }",
-    // (?s, p, o)
-    "SELECT ?x WHERE { ?x foaf:knows <http://example.org/people/p0> . }",
-    // (s, ?p, ?o)
-    "SELECT ?p ?o WHERE { <http://example.org/people/p3> ?p ?o . }",
-    // (?s, p, ?o)
-    "SELECT ?x ?o WHERE { ?x foaf:nick ?o . }",
-    // (?s, ?p, o)
-    "SELECT ?x ?p WHERE { ?x ?p <http://example.org/people/p0> . }",
-    // (?s, ?p, ?o) -> broadcast / flooding
-    "SELECT ?s ?p ?o WHERE { ?s ?p ?o . }",
+constexpr std::pair<const char*, const char*> kShapeQueries[] = {
+    // fully bound -> ASK-like select
+    {"spo",
+     "SELECT ?x WHERE { <http://example.org/people/p1> foaf:knows "
+     "<http://example.org/people/p0> . }"},
+    {"spx",
+     "SELECT ?o WHERE { <http://example.org/people/p1> foaf:knows ?o . }"},
+    {"sxo",
+     "SELECT ?p WHERE { <http://example.org/people/p1> ?p "
+     "<http://example.org/people/p0> . }"},
+    {"xpo",
+     "SELECT ?x WHERE { ?x foaf:knows <http://example.org/people/p0> . }"},
+    {"sxx", "SELECT ?p ?o WHERE { <http://example.org/people/p3> ?p ?o . }"},
+    {"xpx", "SELECT ?x ?o WHERE { ?x foaf:nick ?o . }"},
+    {"xxo", "SELECT ?x ?p WHERE { ?x ?p <http://example.org/people/p0> . }"},
+    // -> broadcast / flooding
+    {"xxx", "SELECT ?s ?p ?o WHERE { ?s ?p ?o . }"},
 };
 
 std::vector<ShapeStrategyCase> all_cases() {
   std::vector<ShapeStrategyCase> out;
-  for (const char* q : kShapeQueries) {
+  for (const auto& [shape, q] : kShapeQueries) {
     for (PrimitiveStrategy s :
          {PrimitiveStrategy::kBasic, PrimitiveStrategy::kChain,
           PrimitiveStrategy::kFrequencyChain}) {
-      out.push_back({q, s});
+      out.push_back({shape, q, s});
     }
   }
   return out;
 }
 
-INSTANTIATE_TEST_SUITE_P(EightShapesThreeStrategies, PrimitiveShapes,
-                         ::testing::ValuesIn(all_cases()));
+INSTANTIATE_TEST_SUITE_P(
+    EightShapesThreeStrategies, PrimitiveShapes,
+    ::testing::ValuesIn(all_cases()),
+    [](const ::testing::TestParamInfo<ShapeStrategyCase>& instance) {
+      return std::string(instance.param.shape) + "_" +
+             test_names::param_name(
+                 optimizer::primitive_strategy_name(instance.param.strategy));
+    });
 
 /// Helper: run one query under a strategy and return its report.
 ExecutionReport run_with(workload::Testbed& bed, PrimitiveStrategy s,

@@ -102,8 +102,11 @@ TEST_P(RandomNested, DistributedMatchesOracle) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomNested,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, RandomNested, ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u),
+    [](const ::testing::TestParamInfo<std::uint64_t>& instance) {
+      return std::to_string(instance.param);
+    });
 
 }  // namespace
 }  // namespace ahsw::dqp

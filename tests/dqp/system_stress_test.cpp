@@ -158,8 +158,11 @@ TEST_P(SystemStress, QueriesStayOracleCorrectThroughChurn) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SystemStress,
-                         ::testing::Values(101u, 202u, 303u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, SystemStress, ::testing::Values(101u, 202u, 303u),
+    [](const ::testing::TestParamInfo<std::uint64_t>& instance) {
+      return std::to_string(instance.param);
+    });
 
 }  // namespace
 }  // namespace ahsw::dqp

@@ -91,30 +91,26 @@ TEST(SharedStateSpec, ReportsMalformedDeclarations) {
   EXPECT_NE(errors[3].find("wibble"), std::string::npos);
 }
 
-TEST(SharedStateSpec, ParsesMasterRootsRecordsAndDisciplines) {
+TEST(SharedStateSpec, ParsesDisciplines) {
   std::vector<std::string> errors;
   lint::SharedStateSpec spec = lint::SharedStateSpec::parse(
       "root DagExecutor::run\n"
-      "master_root run_parallel_batch\n"
-      "record DagExecutor::record\n"
       "state Log home=src/dqp/parallel hints=log: append\n"
       "surface DagExecutor::fire state=Log dispatch merge=state-log:"
       " replayed on the master\n"
-      "surface Replay::apply state=Log role=master: merge-side apply\n",
+      "surface Shard::run state=Log dispatch shard=per-worker: one log per"
+      " worker\n",
       &errors);
   EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors[0]);
-  ASSERT_EQ(spec.master_roots.size(), 1u);
-  EXPECT_EQ(spec.master_roots[0], "run_parallel_batch");
-  ASSERT_EQ(spec.records.size(), 1u);
-  EXPECT_EQ(spec.records[0], "DagExecutor::record");
 
   const lint::SurfaceDecl* fire = spec.surface_for("DagExecutor::fire", "Log");
   ASSERT_NE(fire, nullptr);
   EXPECT_EQ(fire->merge, "state-log");
   EXPECT_TRUE(fire->shard.empty());
-  const lint::SurfaceDecl* apply = spec.surface_for("Replay::apply", "Log");
-  ASSERT_NE(apply, nullptr);
-  EXPECT_TRUE(apply->master_only);
+  const lint::SurfaceDecl* run = spec.surface_for("Shard::run", "Log");
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ(run->shard, "per-worker");
+  EXPECT_TRUE(run->merge.empty());
 }
 
 TEST(SharedStateSpec, RejectsShardAndMergeOnOneSurface) {
@@ -240,12 +236,12 @@ TEST(Effects, LedgerIsStableDedupedAndVersioned) {
       spec);
   std::string ledger = report.ledger_json(spec);
   EXPECT_NE(ledger.find("\"tool\": \"ahsw-effects\""), std::string::npos);
-  EXPECT_NE(ledger.find("\"schema_version\": 2"), std::string::npos);
+  EXPECT_NE(ledger.find("\"schema_version\": 3"), std::string::npos);
   EXPECT_NE(ledger.find("\"roots\": [\"DagExecutor::run\"]"),
             std::string::npos);
-  EXPECT_NE(ledger.find("\"master_roots\": []"), std::string::npos);
-  // v2: every touch carries its resolved thread role.
-  EXPECT_NE(ledger.find("\"role\": \"worker\""), std::string::npos);
+  // v3: no thread roles, no master roots.
+  EXPECT_EQ(ledger.find("master_roots"), std::string::npos);
+  EXPECT_EQ(ledger.find("\"role\""), std::string::npos);
   // Two insert sites, one ledger entry, no line numbers anywhere.
   std::size_t first = ledger.find("\"mutator\": \"insert\"");
   ASSERT_NE(first, std::string::npos);

@@ -173,8 +173,7 @@ TEST(SymbolTable, LambdaBodyCallsAttributeToTheSpawningFunction) {
   // The parallel driver hands each shard a lambda captured into a
   // std::thread. The scanner is flat: calls inside the lambda body belong
   // to the enclosing function's token range, so the worker code stays
-  // reachable from the spawn site — exactly what the thread-role passes
-  // need (the role cut happens at the worker root, not at the lambda).
+  // reachable from the spawn site.
   lint::SymbolTable table = lint::SymbolTable::build({snip(
       "src/dqp/parallel.cpp",
       "void shard_work() { }\n"

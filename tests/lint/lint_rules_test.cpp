@@ -201,77 +201,4 @@ TEST(LintFixtures, P4LedgerGolden) {
   EXPECT_EQ(report.ledger_json(effects_fixture_spec()), expected);
 }
 
-// --- race-analysis fixtures (rule family C) ------------------------------
-// These run the race analysis (analyze_races) against a scoped-down spec
-// with worker/master roots, a record surface, and one state each of the
-// merge=state-log and role=master flavors.
-
-constexpr std::string_view kRacesFixtureSpec =
-    "root DagExecutor::run\n"
-    "master_root run_parallel_batch\n"
-    "record DagExecutor::record\n"
-    "state LocationCache home=src/overlay/location_cache hints=cache:"
-    " insert invalidate\n"
-    "surface DagExecutor::fire_lookup state=LocationCache dispatch"
-    " merge=state-log: keyed insert, replayed on the master\n"
-    "surface replay_action state=LocationCache role=master:"
-    " master-side StateLog replay\n";
-
-lint::SharedStateSpec races_fixture_spec() {
-  std::vector<std::string> errors;
-  lint::SharedStateSpec spec =
-      lint::SharedStateSpec::parse(kRacesFixtureSpec, &errors);
-  EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors[0]);
-  return spec;
-}
-
-lint::RacesReport run_races_fixture(const std::string& name) {
-  const std::string dir = AHSW_LINT_FIXTURE_DIR;
-  std::string text = read_file(dir + "/" + name + ".cppsnip");
-  constexpr std::string_view kTag = "// ahsw-lint-fixture: ";
-  EXPECT_EQ(text.rfind(kTag, 0), 0u) << name << " missing fixture tag";
-  std::string label =
-      text.substr(kTag.size(), text.find('\n') - kTag.size());
-  return lint::analyze_races({lint::tokenize(label, text)},
-                             races_fixture_spec(),
-                             fixture_config().layers);
-}
-
-void expect_races_golden(const std::string& name) {
-  lint::RacesReport report = run_races_fixture(name);
-  std::string out;
-  for (const lint::Diagnostic& d : report.diagnostics) {
-    out += d.to_string() + "\n";
-  }
-  std::string expected = read_file(std::string(AHSW_LINT_FIXTURE_DIR) + "/" +
-                                   name + ".expected");
-  EXPECT_EQ(out, expected) << "fixture: " << name;
-}
-
-TEST(LintFixtures, C1UnrecordedStateLogMutation) {
-  expect_races_golden("c1_unrecorded_mutation");
-}
-
-TEST(LintFixtures, C2WorkerReachesReplaySurface) {
-  expect_races_golden("c2_worker_reaches_replay");
-}
-
-TEST(LintFixtures, C3CrossRoleStatic) {
-  expect_races_golden("c3_cross_role_static");
-}
-
-TEST(LintFixtures, C4UnguardedMemberAccess) {
-  expect_races_golden("c4_unguarded_member");
-}
-
-TEST(LintFixtures, C5RacesLedgerGolden) {
-  // The C1 fixture's touch point as the stable race ledger JSON: the site
-  // stays in the ledger (with role, discipline, and worker path) whether or
-  // not the record obligation is met.
-  lint::RacesReport report = run_races_fixture("c1_unrecorded_mutation");
-  std::string expected = read_file(std::string(AHSW_LINT_FIXTURE_DIR) +
-                                   "/c5_races_ledger.expected");
-  EXPECT_EQ(report.ledger_json(), expected);
-}
-
 }  // namespace

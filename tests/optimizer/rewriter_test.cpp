@@ -159,10 +159,15 @@ rdf::TripleStore random_store(std::uint64_t seed) {
   return store;
 }
 
-class FilterPushEquivalence : public ::testing::TestWithParam<const char*> {};
+struct FilterCase {
+  const char* name;
+  const char* query;
+};
+
+class FilterPushEquivalence : public ::testing::TestWithParam<FilterCase> {};
 
 TEST_P(FilterPushEquivalence, PushedPlanGivesSameSolutions) {
-  std::string query = GetParam();
+  std::string query = GetParam().query;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     rdf::TripleStore store = random_store(seed);
     sparql::LocalEngine engine(store);
@@ -179,25 +184,33 @@ TEST_P(FilterPushEquivalence, PushedPlanGivesSameSolutions) {
 INSTANTIATE_TEST_SUITE_P(
     Queries, FilterPushEquivalence,
     ::testing::Values(
-        // single-pattern filter
-        "SELECT ?x WHERE { ?x <http://p> ?v . FILTER(?v > 10) }",
-        // conjunctive filter across two patterns
-        "SELECT ?x WHERE { ?x <http://p> ?v . ?x <http://q> ?w . "
-        "FILTER(?v > 5 && ?w > 5) }",
-        // cross-pattern comparison (cannot push into one pattern)
-        "SELECT ?x WHERE { ?x <http://p> ?v . ?x <http://q> ?w . "
-        "FILTER(?v < ?w) }",
-        // filter over a union
-        "SELECT ?x WHERE { { ?x <http://p> ?v . } UNION { ?x <http://q> ?v . "
-        "} FILTER(?v >= 20) }",
-        // filter above an optional, on the mandatory side
-        "SELECT ?x WHERE { ?x <http://p> ?v . OPTIONAL { ?v <http://q> ?w . "
-        "} FILTER(isIRI(?v)) }",
-        // filter referencing the optional side
-        "SELECT ?x WHERE { ?x <http://p> ?v . OPTIONAL { ?v <http://q> ?w . "
-        "} FILTER(bound(?w)) }",
-        // filter with negation
-        "SELECT ?x WHERE { ?x <http://p> ?v . FILTER(!(?v = 7)) }"));
+        FilterCase{"SinglePattern",
+                   "SELECT ?x WHERE { ?x <http://p> ?v . FILTER(?v > 10) }"},
+        // across two patterns
+        FilterCase{"Conjunctive",
+                   "SELECT ?x WHERE { ?x <http://p> ?v . ?x <http://q> ?w . "
+                   "FILTER(?v > 5 && ?w > 5) }"},
+        // cannot push into one pattern
+        FilterCase{"CrossPattern",
+                   "SELECT ?x WHERE { ?x <http://p> ?v . ?x <http://q> ?w . "
+                   "FILTER(?v < ?w) }"},
+        FilterCase{"OverUnion",
+                   "SELECT ?x WHERE { { ?x <http://p> ?v . } UNION "
+                   "{ ?x <http://q> ?v . } FILTER(?v >= 20) }"},
+        // above an optional, on the mandatory side
+        FilterCase{"MandatorySide",
+                   "SELECT ?x WHERE { ?x <http://p> ?v . OPTIONAL "
+                   "{ ?v <http://q> ?w . } FILTER(isIRI(?v)) }"},
+        // referencing the optional side
+        FilterCase{"OptionalSide",
+                   "SELECT ?x WHERE { ?x <http://p> ?v . OPTIONAL "
+                   "{ ?v <http://q> ?w . } FILTER(bound(?w)) }"},
+        FilterCase{"Negation",
+                   "SELECT ?x WHERE { ?x <http://p> ?v . "
+                   "FILTER(!(?v = 7)) }"}),
+    [](const ::testing::TestParamInfo<FilterCase>& instance) {
+      return std::string(instance.param.name);
+    });
 
 }  // namespace
 }  // namespace ahsw::optimizer

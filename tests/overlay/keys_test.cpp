@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "../support/param_names.hpp"
 namespace ahsw::overlay {
 namespace {
 
@@ -75,7 +76,11 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeCase{true, false, true, IndexKeyKind::kSO},
                       ShapeCase{true, false, false, IndexKeyKind::kS},
                       ShapeCase{false, true, false, IndexKeyKind::kP},
-                      ShapeCase{false, false, true, IndexKeyKind::kO}));
+                      ShapeCase{false, false, true, IndexKeyKind::kO}),
+    [](const ::testing::TestParamInfo<ShapeCase>& instance) {
+      const ShapeCase& c = instance.param;
+      return test_names::shape_name(c.s, c.p, c.o);
+    });
 
 TEST(PatternKey, FullyUnboundHasNoKey) {
   TriplePattern p{Variable{"s"}, Variable{"p"}, Variable{"o"}};

@@ -361,7 +361,7 @@ TEST(Overlay, ReportDeadProviderPurgesRow) {
   f.overlay.share_triples(d2, {t}, 0);
   f.overlay.storage_node_fail(d1);
   TriplePattern pat{t.s, t.p, Variable{"o"}};
-  f.overlay.report_dead_provider(d2, pat, d1, 0);
+  f.overlay.report_dead_provider(d2, *f.overlay.row_key(pat), d1, 0);
   auto loc = f.overlay.locate(d2, pat, 0);
   ASSERT_TRUE(loc.ok);
   ASSERT_EQ(loc.providers.size(), 1u);

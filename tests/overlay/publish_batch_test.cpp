@@ -154,7 +154,8 @@ void run_history(std::uint64_t seed, int steps) {
       for (Twin* t : {batched.get(), oracle.get()}) {
         t->overlay.storage_node_fail(addr);
         if (report) {
-          t->overlay.report_dead_provider(reporter, pattern, addr, now);
+          t->overlay.report_dead_provider(
+              reporter, *t->overlay.row_key(pattern), addr, now);
         }
         t->network.recover(addr);
       }

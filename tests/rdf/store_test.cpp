@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
+#include "../support/param_names.hpp"
 
 namespace ahsw::rdf {
 namespace {
@@ -81,7 +82,11 @@ INSTANTIATE_TEST_SUITE_P(
         PatternCase{false, true, false, 3},  // (?,p,?)  knows edges
         PatternCase{false, false, true, 1},  // (?,?,o)  * * b
         PatternCase{false, false, false, 5}  // full scan
-        ));
+        ),
+    [](const ::testing::TestParamInfo<PatternCase>& instance) {
+      const PatternCase& pc = instance.param;
+      return test_names::shape_name(pc.bind_s, pc.bind_p, pc.bind_o);
+    });
 
 TEST(TripleStore, MatchReturnsActualTriples) {
   TripleStore s = small_store();

@@ -3,7 +3,6 @@
 // Usage:
 //   ahsw_lint [--root DIR] [--layers FILE] [--json FILE]
 //             [--effects] [--effects-spec FILE] [--effects-json FILE]
-//             [--races] [--races-json FILE]
 //             [--rules] [paths...]
 //
 // With no paths, lints every .cpp/.hpp under src/, tools/ and bench/ of
@@ -11,9 +10,7 @@
 // root-relative files to lint instead. `--effects` additionally runs the
 // whole-program shared-state effect analysis (rule family P) against
 // tools/ahsw_shared_state.spec; `--effects-json` writes the stable
-// parallel-safety ledger (and implies --effects). `--races` runs the
-// static race analysis (rule family C) over the same spec; `--races-json`
-// writes the race ledger (and implies --races). `--rules` prints the
+// parallel-safety ledger (and implies --effects). `--rules` prints the
 // rule catalogue as the markdown table docs/static_analysis.md embeds
 // (tools/check_rules_docs.sh gates drift) and exits. Exit codes: 0 clean,
 // 1 diagnostics found, 2 usage or I/O error.
@@ -30,8 +27,8 @@ namespace {
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--root DIR] [--layers FILE] [--json FILE] [--effects]"
-               " [--effects-spec FILE] [--effects-json FILE] [--races]"
-               " [--races-json FILE] [--rules] [paths...]\n";
+               " [--effects-spec FILE] [--effects-json FILE] [--rules]"
+               " [paths...]\n";
   return 2;
 }
 
@@ -62,9 +59,7 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string effects_spec;
   std::string effects_json;
-  std::string races_json;
   bool effects = false;
-  bool races = false;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -82,11 +77,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--effects-json" && i + 1 < argc) {
       effects_json = argv[++i];
       effects = true;
-    } else if (arg == "--races") {
-      races = true;
-    } else if (arg == "--races-json" && i + 1 < argc) {
-      races_json = argv[++i];
-      races = true;
     } else if (arg == "--rules") {
       print_rules();
       return 0;
@@ -99,8 +89,8 @@ int main(int argc, char** argv) {
       paths.push_back(arg);
     }
   }
-  if ((effects || races) && !paths.empty()) {
-    std::cerr << "ahsw-lint: --effects/--races are whole-tree analyses and "
+  if (effects && !paths.empty()) {
+    std::cerr << "ahsw-lint: --effects is a whole-tree analysis and "
                  "cannot be combined with explicit paths\n";
     return 2;
   }
@@ -110,22 +100,13 @@ int main(int argc, char** argv) {
     ahsw::lint::LintReport report =
         paths.empty() ? ahsw::lint::lint_tree(root, cfg)
                       : ahsw::lint::lint_files(root, paths, cfg);
-    if (effects || races) {
+    if (effects) {
       ahsw::lint::SharedStateSpec spec =
           ahsw::lint::load_shared_state_spec(root, effects_spec);
-      if (effects) {
-        std::string ledger;
-        ahsw::lint::lint_tree_effects(root, cfg, spec, &report, &ledger);
-        if (!effects_json.empty() && !write_text(effects_json, ledger)) {
-          return 2;
-        }
-      }
-      if (races) {
-        std::string ledger;
-        ahsw::lint::lint_tree_races(root, cfg, spec, &report, &ledger);
-        if (!races_json.empty() && !write_text(races_json, ledger)) {
-          return 2;
-        }
+      std::string ledger;
+      ahsw::lint::lint_tree_effects(root, cfg, spec, &report, &ledger);
+      if (!effects_json.empty() && !write_text(effects_json, ledger)) {
+        return 2;
       }
     }
     if (!json_path.empty() && !write_text(json_path, report.to_json())) {

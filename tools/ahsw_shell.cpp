@@ -41,10 +41,9 @@
 //                                availability metrics)
 //   audit [converged]            run the invariant auditor (I1-I5; with
 //                                `converged`: converge first, then I1-I6)
-//   lint [effects|races]         run ahsw-lint over the source tree (with
+//   lint [effects]               run ahsw-lint over the source tree (with
 //                                `effects`: plus the shared-state effect
-//                                analysis, rule family P; with `races`:
-//                                plus the thread-role race analysis, C)
+//                                analysis, rule family P)
 //   stats                        system summary
 //   quit
 #include <fstream>
@@ -468,9 +467,7 @@ int run(std::istream& in, bool interactive) {
         // The static half of the correctness suite: audit checks the
         // running system, lint checks the source tree it was built from.
         // `lint effects` additionally runs the shared-state effect
-        // analysis (rule family P); `lint races` the thread-role race
-        // analysis (rule family C) — both against
-        // tools/ahsw_shared_state.spec.
+        // analysis (rule family P) against tools/ahsw_shared_state.spec.
 #ifdef AHSW_SOURCE_ROOT
         const std::string root = AHSW_SOURCE_ROOT;
 #else
@@ -483,9 +480,6 @@ int run(std::istream& in, bool interactive) {
         if (mode == "effects") {
           lint::SharedStateSpec spec = lint::load_shared_state_spec(root);
           lint::lint_tree_effects(root, cfg, spec, &report, nullptr);
-        } else if (mode == "races") {
-          lint::SharedStateSpec spec = lint::load_shared_state_spec(root);
-          lint::lint_tree_races(root, cfg, spec, &report, nullptr);
         }
         std::cout << report.to_string();
       } else if (cmd == "stats") {

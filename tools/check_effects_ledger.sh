@@ -35,11 +35,10 @@ if [ ! -f "${fresh}" ]; then
   exit 2
 fi
 
-# Schema pin: v2 carries the resolved thread role per touch point (the
-# vocabulary shared with tools/ahsw_races.json). A regenerated baseline at
-# any other version means the tool and this gate disagree about the format.
-if ! grep -q '"schema_version": 2' "${fresh}"; then
-  echo "error: generated ledger is not schema_version 2 (thread roles); rebuild ahsw_lint" >&2
+# Schema pin: a regenerated baseline at any other version means the tool
+# and this gate disagree about the format.
+if ! grep -q '"schema_version": 3' "${fresh}"; then
+  echo "error: generated ledger is not schema_version 3; rebuild ahsw_lint" >&2
   exit 2
 fi
 

@@ -3,15 +3,18 @@
 # "same behaviour, least code" aim.
 #
 # Makes a --coverage Debug build of the whole tree and of the perfbench
-# binary, then runs what the project runs: the tier-1 suite (plain and with
-# AHSW_AUDIT=1), the CI bench smokes, `perfbench --selftest` and every
-# perfbench workload at --trace 0 and --trace 1. It then reads the counters
-# with `gcov --json-format` and prints each src/ function that no run
-# reached (its hits summed over every object that compiles it), followed by
-# the totals:
+# binary, then runs what the project runs: the CI bench smokes, `perfbench
+# --selftest`, every perfbench workload at --trace 0 and --trace 1, the
+# shell demo script and the shell's `lint effects`; then the tier-1 suite
+# (plain and with AHSW_AUDIT=1). It reads the counters with
+# `gcov --json-format` before and after the tier-1 suite, summing each src/
+# function's hits over every object that compiles it, and prints each
+# function that no run reached, each function only the tier-1 suite
+# reached, and the totals:
 #
 #   zero-hit src/ functions: <n> of <total>
 #   never-run src/ lines: <n> of <total>
+#   test-only src/ functions: <n>
 #
 # Usage: tools/coverage.sh [build-dir]      (default: build-coverage)
 # Needs the gcov that matches the compiler (GCC) and python3.
@@ -32,6 +35,50 @@ quiet() {
   "$@" >"$dir/step.log" 2>&1 || { cat "$dir/step.log" >&2; return 1; }
 }
 
+# collect <out.json>: the hits so far of every src/ function and line,
+# summed over every object that compiles it.
+collect() {
+  python3 - "$root/src" "$dir" "$1" <<'EOF'
+import json
+import os
+import subprocess
+import sys
+
+src, build, out_path = sys.argv[1] + os.sep, sys.argv[2], sys.argv[3]
+functions = {}  # "file:start_line name" -> hits
+lines = {}      # "file:line" -> hits
+
+for dirpath, _, names in os.walk(build):
+    for name in sorted(names):
+        if not name.endswith(".gcno"):
+            continue
+        out = subprocess.run(
+            ["gcov", "--json-format", "--stdout", name], cwd=dirpath,
+            capture_output=True, text=True, check=True).stdout
+        for doc in out.splitlines():
+            if not doc.startswith("{"):
+                continue
+            data = json.loads(doc)
+            cwd = data.get("current_working_directory", dirpath)
+            for f in data["files"]:
+                path = os.path.normpath(os.path.join(cwd, f["file"]))
+                if not path.startswith(src):
+                    continue
+                rel = "src/" + path[len(src):]
+                for fn in f["functions"]:
+                    key = "%s:%d %s" % (rel, fn["start_line"],
+                                        fn["demangled_name"])
+                    functions[key] = (functions.get(key, 0) +
+                                      fn["execution_count"])
+                for ln in f["lines"]:
+                    key = "%s:%d" % (rel, ln["line_number"])
+                    lines[key] = lines.get(key, 0) + ln["count"]
+
+with open(out_path, "w") as out:
+    json.dump({"functions": functions, "lines": lines}, out)
+EOF
+}
+
 echo "coverage: building into $dir" >&2
 quiet cmake -S . -B "$dir/tree" "${flags[@]}"
 quiet cmake --build "$dir/tree" -j "$jobs"
@@ -39,11 +86,6 @@ quiet cmake -S perfbench -B "$dir/perfbench" "${flags[@]}"
 quiet cmake --build "$dir/perfbench" --target perfbench -j "$jobs"
 # Counters of this sweep only.
 find "$dir" -name '*.gcda' -delete
-
-echo "coverage: tier-1 suite, plain and audited" >&2
-quiet ctest --test-dir "$dir/tree" -j "$jobs" --output-on-failure
-AHSW_AUDIT=1 quiet ctest --test-dir "$dir/tree" -j "$jobs" \
-  --output-on-failure
 
 echo "coverage: bench smokes" >&2
 (
@@ -66,45 +108,44 @@ for workload in mixed-bulk mixed-parallel point-zipf churn-rw; do
   done
 done
 
-python3 - "$root/src" "$dir" <<'EOF'
+echo "coverage: shell demo and lint" >&2
+quiet "$dir/tree/tools/ahsw_shell" examples/data/shell_demo.txt
+printf 'lint effects\nquit\n' | quiet "$dir/tree/tools/ahsw_shell"
+collect "$dir/without_tests.json"
+
+echo "coverage: tier-1 suite, plain and audited" >&2
+quiet ctest --test-dir "$dir/tree" -j "$jobs" --output-on-failure
+AHSW_AUDIT=1 quiet ctest --test-dir "$dir/tree" -j "$jobs" \
+  --output-on-failure
+collect "$dir/with_tests.json"
+
+python3 - "$dir/without_tests.json" "$dir/with_tests.json" <<'EOF'
 import json
-import os
-import subprocess
 import sys
 
-src, build = sys.argv[1] + os.sep, sys.argv[2]
-functions = {}  # (file, start line, name) -> hits over every object
-lines = {}      # (file, line) -> hits over every object
+with open(sys.argv[1]) as f:
+    without_tests = json.load(f)["functions"]
+with open(sys.argv[2]) as f:
+    full = json.load(f)
+functions, lines = full["functions"], full["lines"]
 
-for dirpath, _, names in os.walk(build):
-    for name in sorted(names):
-        if not name.endswith(".gcno"):
-            continue
-        out = subprocess.run(
-            ["gcov", "--json-format", "--stdout", name], cwd=dirpath,
-            capture_output=True, text=True, check=True).stdout
-        for doc in out.splitlines():
-            if not doc.startswith("{"):
-                continue
-            data = json.loads(doc)
-            cwd = data.get("current_working_directory", dirpath)
-            for f in data["files"]:
-                path = os.path.normpath(os.path.join(cwd, f["file"]))
-                if not path.startswith(src):
-                    continue
-                rel = "src/" + path[len(src):]
-                for fn in f["functions"]:
-                    key = (rel, fn["start_line"], fn["demangled_name"])
-                    hits = fn["execution_count"]
-                    functions[key] = functions.get(key, 0) + hits
-                for ln in f["lines"]:
-                    key = (rel, ln["line_number"])
-                    lines[key] = lines.get(key, 0) + ln["count"]
 
-unhit = sorted(k for k, hits in functions.items() if hits == 0)
-for rel, line, name in unhit:
-    print("%s:%d %s" % (rel, line, name))
+def order(key):
+    where, name = key.split(" ", 1)
+    path, line = where.rsplit(":", 1)
+    return (path, int(line), name)
+
+
+unhit = sorted((k for k, hits in functions.items() if hits == 0), key=order)
+test_only = sorted((k for k, hits in functions.items()
+                    if hits > 0 and without_tests.get(k, 0) == 0), key=order)
+for key in unhit:
+    print(key)
+print("reached only by the tier-1 suite:")
+for key in test_only:
+    print("  " + key)
 dead_lines = sum(1 for hits in lines.values() if hits == 0)
 print("zero-hit src/ functions: %d of %d" % (len(unhit), len(functions)))
 print("never-run src/ lines: %d of %d" % (dead_lines, len(lines)))
+print("test-only src/ functions: %d" % len(test_only))
 EOF

@@ -2,11 +2,10 @@
 # Static-analysis gate: clang-tidy (profile in .clang-tidy) and cppcheck over
 # src/, tools/ and bench/, then ahsw-lint (the self-hosted domain linter,
 # built from src/lint/) over the same tree — token rules plus the
-# whole-program effect analysis (rule family P) and the thread-role race
-# analysis (rule family C) against tools/ahsw_shared_state.spec, with
-# drift gates on the committed parallel-safety ledger
-# (tools/ahsw_effects.json), the race ledger (tools/ahsw_races.json), and
-# the rule-catalogue table embedded in docs/static_analysis.md. The dynamic counterpart of
+# whole-program effect analysis (rule family P) against
+# tools/ahsw_shared_state.spec, with drift gates on the committed
+# parallel-safety ledger (tools/ahsw_effects.json) and the rule-catalogue
+# table embedded in docs/static_analysis.md. The dynamic counterpart of
 # this gate is the invariant auditor (src/check/, AHSW_AUDIT=1); see
 # docs/static_analysis.md for both halves.
 #
@@ -70,25 +69,18 @@ fi
 
 echo "== ahsw-lint =="
 if cmake --build "${build_dir}" --target ahsw_lint_tool -j > /dev/null; then
-  # JSON diagnostics and the regenerated ledgers land next to the
+  # JSON diagnostics and the regenerated ledger land next to the
   # analysis build; CI uploads them as artifacts so findings are
   # inspectable without re-running the job. --effects runs the
-  # whole-program shared-state analysis (rule family P), --races the
-  # thread-role race analysis (rule family C).
-  if ! "${build_dir}/tools/ahsw_lint" --root . --effects --races \
+  # whole-program shared-state analysis (rule family P).
+  if ! "${build_dir}/tools/ahsw_lint" --root . --effects \
       --json "${build_dir}/ahsw_lint.json" \
-      --effects-json "${build_dir}/ahsw_effects.json" \
-      --races-json "${build_dir}/ahsw_races.json"; then
+      --effects-json "${build_dir}/ahsw_effects.json"; then
     status=1
   fi
 
   echo "== parallel-safety ledger drift =="
   if ! tools/check_effects_ledger.sh "${build_dir}/ahsw_effects.json"; then
-    status=1
-  fi
-
-  echo "== race ledger drift =="
-  if ! tools/check_races_ledger.sh "${build_dir}/ahsw_races.json"; then
     status=1
   fi
 
