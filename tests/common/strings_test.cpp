@@ -95,6 +95,78 @@ TEST(JsonEscape, EscapesQuoteBackslashAndControlCharacters) {
   EXPECT_EQ(json_escape("caf\xC3\xA9 /"), "caf\xC3\xA9 /");
 }
 
+TEST(JsonEscape, EmptyInputStaysEmpty) { EXPECT_EQ(json_escape(""), ""); }
+
+TEST(JsonEscape, PrintableAsciiOtherThanQuoteAndBackslashPassesThrough) {
+  std::string printable;
+  for (char c = 0x20; c < 0x7F; ++c) {
+    if (c != '"' && c != '\\') printable += c;
+  }
+  EXPECT_EQ(json_escape(printable), printable);
+  // DEL is not a JSON control character.
+  EXPECT_EQ(json_escape("\x7F"), "\x7F");
+}
+
+TEST(JsonEscape, EmbeddedNulByteIsEscaped) {
+  const std::string raw("a\0b", 3);
+  EXPECT_EQ(json_escape(raw), "a\\u0000b");
+}
+
+TEST(JsonEscape, OnlyNewlineAndTabUseShortEscapes) {
+  // Carriage return, backspace and form feed take the \u00xx form, so
+  // every JSON file the project writes keeps one spelling per byte.
+  EXPECT_EQ(json_escape("\r"), "\\u000d");
+  EXPECT_EQ(json_escape("\b"), "\\u0008");
+  EXPECT_EQ(json_escape("\f"), "\\u000c");
+  EXPECT_EQ(json_escape("\x1B[0m"), "\\u001b[0m");
+}
+
+/// Decode the inside of a JSON string as json_escape writes it.
+std::string json_unescape(std::string_view escaped) {
+  std::string out;
+  for (std::size_t i = 0; i < escaped.size(); ++i) {
+    if (escaped[i] != '\\') {
+      out += escaped[i];
+      continue;
+    }
+    const char tag = escaped[++i];
+    switch (tag) {
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'u':
+        out += static_cast<char>(
+            std::stoi(std::string(escaped.substr(i + 1, 4)), nullptr, 16));
+        i += 4;
+        break;
+      default: out += tag; break;  // '"' and '\\'
+    }
+  }
+  return out;
+}
+
+TEST(JsonEscape, OutputIsAValidJsonStringThatDecodesBack) {
+  Rng rng(0x15011);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string raw;
+    const std::size_t len = rng.below(64);
+    for (std::size_t i = 0; i < len; ++i) {
+      raw += static_cast<char>(rng.below(256));
+    }
+    const std::string escaped = json_escape(raw);
+    // No raw control character and no unescaped quote may remain.
+    for (std::size_t i = 0; i < escaped.size(); ++i) {
+      const auto byte = static_cast<unsigned char>(escaped[i]);
+      ASSERT_GE(byte, 0x20u) << "trial " << trial << " offset " << i;
+      if (escaped[i] == '\\') {
+        ++i;
+      } else {
+        ASSERT_NE(escaped[i], '"') << "trial " << trial << " offset " << i;
+      }
+    }
+    EXPECT_EQ(json_unescape(escaped), raw) << "trial " << trial;
+  }
+}
+
 TEST(EscapeNTriples, ControlCharactersUseNumericEscapes) {
   EXPECT_EQ(escape_ntriples(std::string(1, '\x01')), "\\u0001");
   EXPECT_EQ(escape_ntriples(std::string(1, '\x1F')), "\\u001F");

@@ -215,6 +215,48 @@ TEST(ParallelBatch, CacheStateLogReplayMatchesSerial) {
   EXPECT_NE(serial_2.delta.messages, serial_1.delta.messages);
 }
 
+TEST(ParallelBatch, CachedBatchWithUnevenShardsMatchesSerial) {
+  // Three workers over eight queries: shards of three, three and two
+  // queries, so the per-shard logs differ in length and the replay merges
+  // them unevenly.
+  workload::Testbed serial_bed(config());
+  RunOutcome serial = run_batch(serial_bed, /*workers=*/1, /*cache_on=*/true);
+  workload::Testbed parallel_bed(config());
+  RunOutcome parallel =
+      run_batch(parallel_bed, /*workers=*/3, /*cache_on=*/true);
+
+  ASSERT_EQ(parallel.batch.worker_makespans.size(), 3u);
+  expect_batches_identical(serial.batch, parallel.batch);
+  expect_stats_equal(serial.delta, parallel.delta, "network delta");
+  const overlay::CacheStats cs = serial_bed.overlay().cache_stats_total();
+  const overlay::CacheStats cp = parallel_bed.overlay().cache_stats_total();
+  EXPECT_GT(cs.insertions, 0u);
+  EXPECT_EQ(cs.hits, cp.hits);
+  EXPECT_EQ(cs.misses, cp.misses);
+  EXPECT_EQ(cs.insertions, cp.insertions);
+  EXPECT_EQ(cs.leases, cp.leases);
+}
+
+TEST(ParallelBatch, MoreWorkersThanQueriesRunsOneShardPerQuery) {
+  // Workers beyond the batch size are not started: sixteen requested over
+  // eight queries gives eight single-query shards, each with its own log.
+  workload::Testbed serial_bed(config());
+  RunOutcome serial = run_batch(serial_bed, /*workers=*/1, /*cache_on=*/true);
+  workload::Testbed parallel_bed(config());
+  RunOutcome parallel =
+      run_batch(parallel_bed, /*workers=*/16, /*cache_on=*/true);
+
+  ASSERT_EQ(parallel.batch.worker_makespans.size(), batch_queries().size());
+  for (std::size_t w = 0; w < parallel.batch.worker_makespans.size(); ++w) {
+    EXPECT_EQ(parallel.batch.worker_makespans[w],
+              parallel.batch.reports[w].response_time)
+        << w;
+  }
+  expect_batches_identical(serial.batch, parallel.batch);
+  expect_stats_equal(serial.end_stats, parallel.end_stats,
+                     "absolute end stats");
+}
+
 constexpr std::string_view kHotRow = "http://example.org/g#hot";
 constexpr std::string_view kColdRow = "http://example.org/g#cold";
 constexpr std::string_view kRowPredicate = "http://example.org/g#p";

@@ -125,6 +125,23 @@ TEST(SharedStateSpec, RejectsShardAndMergeOnOneSurface) {
   EXPECT_EQ(spec.surface_for("F", "Log"), nullptr);
 }
 
+TEST(SharedStateSpec, RetiredRoleKeywordsAreUnknown) {
+  // Thread roles left the grammar with schema 3: `master_root` and
+  // `record` lines are errors, not silently accepted declarations.
+  std::vector<std::string> errors;
+  const lint::SharedStateSpec spec = lint::SharedStateSpec::parse(
+      "root DagExecutor::run\n"
+      "master_root run_parallel_batch\n"
+      "record RecordingOverlay::append: the state log\n",
+      &errors);
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_NE(errors[0].find("line 2"), std::string::npos);
+  EXPECT_NE(errors[0].find("master_root"), std::string::npos);
+  EXPECT_NE(errors[1].find("line 3"), std::string::npos);
+  EXPECT_NE(errors[1].find("record"), std::string::npos);
+  EXPECT_EQ(spec.roots, (std::vector<std::string>{"DagExecutor::run"}));
+}
+
 TEST(Effects, P1FlagsUndeclaredMutationOutsideHome) {
   lint::EffectsReport report = analyze(
       {lint::tokenize("src/dqp/executor.cpp",
@@ -252,6 +269,26 @@ TEST(Effects, LedgerIsStableDedupedAndVersioned) {
       ledger.find("\"path\": [\"DagExecutor::run\", "
                   "\"DagExecutor::fire_lookup\"]"),
       std::string::npos);
+}
+
+TEST(Effects, LedgerEscapesControlCharactersInFileNames) {
+  lint::SharedStateSpec spec = parse_spec();
+  lint::EffectsReport report = analyze(
+      {lint::tokenize("src/dqp/exec\tutor\x01.cpp",
+                      "SimTime DagExecutor::run() { fire_lookup(); }\n"
+                      "void DagExecutor::fire_lookup() {\n"
+                      "  cache_.insert(a, b);\n"
+                      "}\n")},
+      spec);
+  const std::string ledger = report.ledger_json(spec);
+  EXPECT_NE(ledger.find("\"file\": \"src/dqp/exec\\tutor\\u0001.cpp\""),
+            std::string::npos)
+      << ledger;
+  for (char c : ledger) {
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << ledger;
+    }
+  }
 }
 
 }  // namespace

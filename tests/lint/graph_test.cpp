@@ -262,4 +262,44 @@ TEST(CallGraph, ReachReturnsShortestPathParents) {
   EXPECT_EQ(parent[stray], lint::kNoFunction);
 }
 
+TEST(CallGraph, ReachVisitsEachFunctionOfACycleOnce) {
+  lint::SymbolTable table = lint::SymbolTable::build({snip(
+      "src/dqp/executor.cpp",
+      "void pong();\n"
+      "void ping() { pong(); }\n"
+      "void pong() { ping(); }\n"
+      "void root() { ping(); }\n")});
+  lint::CallGraph graph =
+      lint::CallGraph::resolve(table, lint::LayerSpec::parse(kLayers));
+  std::size_t root = table.find("root")[0];
+  std::size_t ping = table.find("ping")[0];
+  std::size_t pong = table.find("pong")[0];
+
+  std::vector<std::size_t> parent = graph.reach({root});
+  EXPECT_EQ(parent[root], root);
+  EXPECT_EQ(parent[ping], root);
+  // pong's edge back to ping does not re-parent ping.
+  EXPECT_EQ(parent[pong], ping);
+}
+
+TEST(CallGraph, ReachFromSeveralRootsKeepsEachRootItsOwnParent) {
+  lint::SymbolTable table = lint::SymbolTable::build({snip(
+      "src/dqp/executor.cpp",
+      "void shared() { }\n"
+      "void first() { shared(); }\n"
+      "void second() { first(); shared(); }\n")});
+  lint::CallGraph graph =
+      lint::CallGraph::resolve(table, lint::LayerSpec::parse(kLayers));
+  std::size_t shared = table.find("shared")[0];
+  std::size_t first = table.find("first")[0];
+  std::size_t second = table.find("second")[0];
+
+  // A root reached from another root is still a root of its own path.
+  std::vector<std::size_t> parent = graph.reach({second, first});
+  EXPECT_EQ(parent[second], second);
+  EXPECT_EQ(parent[first], first);
+  EXPECT_NE(parent[shared], lint::kNoFunction);
+  EXPECT_TRUE(parent[shared] == first || parent[shared] == second);
+}
+
 }  // namespace

@@ -186,4 +186,16 @@ TEST(Report, SummaryAndJsonShape) {
   EXPECT_NE(clean.to_string().find("ahsw-lint: clean"), std::string::npos);
 }
 
+TEST(Report, JsonEscapesFileNames) {
+  lint::LintConfig cfg = config_with("dqp: common\ncommon:\n");
+  lint::LintReport r = lint::lint_source(
+      "src/dqp/we\"ird\t.cpp", "int f() { return std::rand(); }\n", cfg);
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  const std::string json = r.to_json();
+  EXPECT_NE(json.find("\"file\": \"src/dqp/we\\\"ird\\t.cpp\""),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find('\t'), std::string::npos) << json;
+}
+
 }  // namespace
