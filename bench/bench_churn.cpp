@@ -295,17 +295,23 @@ BENCHMARK(BM_Churn_IndexJoinSliceCost)
 
 // Host cost of replica maintenance (Sect. III-D): steady-state repair on
 // the churn-rw overlay shape (64 index nodes, 32 storage nodes, 600 FOAF
-// persons, replication 3). Nothing has failed, so each repair reconciles
-// every replica row into its owner and re-seeds every owner row at its
-// replicas. The counter is host time per replica row held (seconds, printed
-// with an SI prefix). Host time only: no BENCH JSON record.
+// persons, replication 3). Nothing has failed and every write path has
+// mirrored its change into the replica tables, so the replicas are in sync:
+// each repair makes every send (a push per replica row held off its owner,
+// one per owner entry and replica) but skips the reconcile and re-seed
+// merges, which would change nothing. The counter is host time per replica
+// row held (seconds, printed with an SI prefix). Host time only: no BENCH
+// JSON record.
 void BM_Repair(benchmark::State& state) {
   workload::TestbedConfig cfg = base_config(3);
   cfg.index_nodes = 64;
   cfg.storage_nodes = 32;
   cfg.foaf.persons = 600;
   workload::Testbed bed(cfg);
-  bed.overlay().repair(0);  // settle before timing
+  // Settle before timing: after a repair whose merges changed rows the
+  // next one merges again.
+  bed.overlay().repair(0);
+  bed.overlay().repair(0);
   std::size_t replica_rows = 0;
   for (const auto& [id, ix] : bed.overlay().index_nodes()) {
     replica_rows += ix.replicas.row_count();
@@ -319,6 +325,43 @@ void BM_Repair(benchmark::State& state) {
 }
 
 BENCHMARK(BM_Repair)->Unit(benchmark::kMillisecond);
+
+// The same repair after an index-node failure, so it takes the full path:
+// the ring drops the failed node, every replica row is reconciled into its
+// current owner and every owner row re-seeded at its replicas. Before each
+// timed repair (untimed) a fresh index node joins and one live node fails,
+// keeping the ring at 64; the counter divides by the replica rows held
+// after the first settle, as BM_Repair's does.
+void BM_Repair_AfterIndexFail(benchmark::State& state) {
+  workload::TestbedConfig cfg = base_config(3);
+  cfg.index_nodes = 64;
+  cfg.storage_nodes = 32;
+  cfg.foaf.persons = 600;
+  workload::Testbed bed(cfg);
+  overlay::HybridOverlay& ov = bed.overlay();
+  ov.repair(0);
+  ov.repair(0);
+  std::size_t replica_rows = 0;
+  for (const auto& [id, ix] : ov.index_nodes()) {
+    replica_rows += ix.replicas.row_count();
+  }
+  std::size_t round = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ov.add_index_node(0);
+    const std::vector<chord::Key> live = ov.ring().live_ids();
+    ov.index_node_fail(live[(round++ * 7) % live.size()]);
+    state.ResumeTiming();
+    ov.repair(0);
+  }
+  state.counters["replica_rows"] = static_cast<double>(replica_rows);
+  state.counters["s_per_replica_row"] = benchmark::Counter(
+      static_cast<double>(replica_rows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+BENCHMARK(BM_Repair_AfterIndexFail)->Unit(benchmark::kMillisecond);
 
 // Host cost of storage-node rejoin (Sect. III-C): on the churn-rw overlay
 // shape, every storage node in turn re-announces all of its published keys

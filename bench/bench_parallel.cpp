@@ -10,7 +10,7 @@
 // bench_throughput) and reports the wall-clock speedup plus the per-worker
 // makespan attribution that shows how the qid % workers partition balances
 // the shards. Under --audit, every sweep point runs the converged invariant
-// audit (I1-I6) over the master overlay after the merge.
+// audit (I1-I7) over the master overlay after the merge.
 // ahsw-lint: allow(D1) E14-P measures the *wall-clock* speedup of the
 // parallel driver by design; no wall-clock value feeds the simulation —
 // byte-identity vs the serial run is enforced right next to the reads.
@@ -187,7 +187,7 @@ void BM_ParallelBatch_Bulk(benchmark::State& state) {
     state.counters["makespan_ms"] = r.makespan;
     benchutil::record_mean_extra_json(state, name, r.reports, std::move(extra));
 
-    // Converged invariant audit (I1-I6): the merge must leave the master
+    // Converged invariant audit (I1-I7): the merge must leave the master
     // overlay indistinguishable from one that ran the batch serially.
     check::AuditOptions opt;
     opt.converged = true;
@@ -330,7 +330,7 @@ void BM_ParallelBatch_Traced(benchmark::State& state) {
     benchutil::record_mean_extra_json(state, name, r.reports,
                                       std::move(extra));
 
-    // Converged invariant audit (I1-I6): a traced merge must leave the
+    // Converged invariant audit (I1-I7): a traced merge must leave the
     // master overlay exactly as clean as an untraced one.
     check::AuditOptions opt;
     opt.converged = true;

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "check/audit.hpp"
+#include "common/audit_switch.hpp"
 #include "dqp/processor.hpp"
 #include "obs/json.hpp"
 #include "workload/queries.hpp"
@@ -25,7 +26,7 @@ namespace ahsw::benchutil {
 /// Process-wide audit switch: on when bench_main saw `--audit` or the
 /// AHSW_AUDIT environment variable asks for audits.
 inline bool& audit_flag() {
-  static bool flag = check::audit_enabled();
+  static bool flag = common::audit_enabled();
   return flag;
 }
 inline void set_audit(bool on) { audit_flag() = on; }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -85,6 +83,8 @@ std::string_view invariant_name(Invariant i) noexcept {
       return "I5-conservation";
     case Invariant::kLiveness:
       return "I6-liveness";
+    case Invariant::kReplicaSync:
+      return "I7-replica-sync";
   }
   return "unknown";
 }
@@ -421,6 +421,18 @@ void audit_overlay(const overlay::HybridOverlay& ov, AuditReport& rep,
     }
   }
 
+  // -- I7: replica sync --------------------------------------------------
+  // A repair in sync skips its merges; an audited one runs them anyway and
+  // counts any row they changed, which no desync-free history can produce.
+  if (ov.replica_sync_violations() > 0) {
+    add(rep, opt,
+        make(Invariant::kReplicaSync, Severity::kCorrupt, 0, 0,
+             net::kNoAddress,
+             std::to_string(ov.replica_sync_violations()) +
+                 " rows changed by the merges of repairs that found the "
+                 "replicas in sync"));
+  }
+
   // -- I6: liveness (post-convergence) ----------------------------------
   // After fault::converge (repair + oracle purge) every failure has been
   // detected and purged from every copy, so a surviving reference to a
@@ -625,18 +637,6 @@ AuditReport audit(const overlay::HybridOverlay& overlay,
 
 AuditReport audit(workload::Testbed& testbed, const AuditOptions& options) {
   return audit(testbed.overlay(), options);
-}
-
-bool audit_enabled() {
-  static const bool enabled = [] {
-    // Read once at first call, before any threads could exist.
-    const char* v = std::getenv("AHSW_AUDIT");  // NOLINT(concurrency-mt-unsafe)
-    if (v == nullptr) return false;
-    std::string s(v);
-    for (char& c : s) c = static_cast<char>(std::tolower(c));
-    return !(s.empty() || s == "0" || s == "off" || s == "false" || s == "no");
-  }();
-  return enabled;
 }
 
 }  // namespace ahsw::check

@@ -24,6 +24,12 @@
 //                            fault::converge), no failed storage node may
 //                            remain referenced by any primary or replica
 //                            row. Gated on AuditOptions::converged.
+//   I7 replica sync        — no repair that found the replicas in sync
+//                            (HybridOverlay::replicas_in_sync) changed a
+//                            row with its merges. Only audited runs
+//                            (AHSW_AUDIT=1) merge in sync, so only they can
+//                            see a violation: a desync event the overlay
+//                            does not mark.
 //
 // Violations carry a severity: kCorrupt means the invariant is broken in a
 // way the protocol can never produce on its own (lost publish, wrong ring
@@ -54,8 +60,9 @@ enum class Invariant : std::uint8_t {
   kReplication = 3,        // I4
   kConservation = 4,       // I5
   kLiveness = 5,           // I6
+  kReplicaSync = 6,        // I7
 };
-inline constexpr int kInvariantCount = 6;
+inline constexpr int kInvariantCount = 7;
 
 [[nodiscard]] std::string_view invariant_name(Invariant i) noexcept;
 
@@ -160,10 +167,5 @@ void audit_conservation(const obs::QueryTrace& trace,
                                 const AuditOptions& options = {});
 [[nodiscard]] AuditReport audit(workload::Testbed& testbed,
                                 const AuditOptions& options = {});
-
-/// True when the AHSW_AUDIT environment variable asks for audits
-/// ("1"/"ON"/"on"/"true"/...; "0"/"OFF"/"false"/unset disable). Gates the
-/// audit hooks in stress tests and benchmarks.
-[[nodiscard]] bool audit_enabled();
 
 }  // namespace ahsw::check

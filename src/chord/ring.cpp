@@ -62,6 +62,7 @@ std::optional<Key> Ring::first_live_id() const {
 }
 
 void Ring::refresh_successor_list(NodeState& n) {
+  const std::vector<Key> before = n.successors;
   n.successors.clear();
   auto it = nodes_.upper_bound(n.id);
   for (int i = 0; i < config_.successor_list_length; ++i) {
@@ -72,6 +73,7 @@ void Ring::refresh_successor_list(NodeState& n) {
     ++it;
   }
   if (n.successors.empty()) n.successors.push_back(n.id);  // singleton ring
+  if (n.successors != before) ++topology_;
 }
 
 Key Ring::create(net::NodeAddress address, Key id) {
@@ -84,6 +86,7 @@ Key Ring::create(net::NodeAddress address, Key id) {
   n.successors = {id};
   n.fingers.assign(static_cast<std::size_t>(bits_), id);
   nodes_.emplace(id, std::move(n));
+  ++topology_;
   return id;
 }
 
@@ -178,6 +181,7 @@ Ring::JoinResult Ring::join(net::NodeAddress address, Key id, Key bootstrap,
   n.predecessor = pred;
   n.fingers.assign(static_cast<std::size_t>(bits_), succ);
   nodes_.emplace(id, std::move(n));
+  ++topology_;
 
   // Splice neighbor pointers (the outcome an immediate stabilization round
   // would converge to).
@@ -225,6 +229,7 @@ void Ring::leave(Key id, net::SimTime now) {
   auto it = nodes_.find(id);
   assert(it != nodes_.end());
   NodeState& n = it->second;
+  ++topology_;
 
   if (nodes_.size() == 1) {
     nodes_.erase(it);
@@ -251,6 +256,7 @@ void Ring::fail(Key id) {
   auto it = nodes_.find(id);
   assert(it != nodes_.end());
   net_->fail(it->second.address);
+  ++topology_;
 }
 
 void Ring::repair(net::SimTime now) {
@@ -275,6 +281,7 @@ void Ring::repair(net::SimTime now) {
     if (succ != f && failover_) failover_(f, succ, now);
   }
   for (Key f : failed) nodes_.erase(f);
+  ++topology_;
 
   // Every surviving node reconciles its neighbor state (one probe each).
   for (auto& [id, n] : nodes_) {

@@ -152,8 +152,12 @@ class Ring {
   [[nodiscard]] const NodeState& state(Key id) const { return nodes_.at(id); }
   /// Mutable ground-truth state: a fault-injection hook for tests and the
   /// invariant auditor's seeded-corruption suite (tests/check). Production
-  /// code routes every mutation through join/leave/fail/repair.
-  [[nodiscard]] NodeState& mutable_state(Key id) { return nodes_.at(id); }
+  /// code routes every mutation through join/leave/fail/repair. Counts as a
+  /// topology change.
+  [[nodiscard]] NodeState& mutable_state(Key id) {
+    ++topology_;
+    return nodes_.at(id);
+  }
   [[nodiscard]] const std::map<Key, NodeState>& nodes() const noexcept {
     return nodes_;
   }
@@ -169,6 +173,14 @@ class Ring {
   /// which only ever want live_ids().front().
   [[nodiscard]] std::optional<Key> first_live_id() const;
   [[nodiscard]] const RingConfig& config() const noexcept { return config_; }
+
+  /// Counts ring topology changes: membership (create, join, leave, a repair
+  /// that drops failed nodes), failures (fail) and every successor-list
+  /// change, wherever it happens (join, leave, repair, stabilization,
+  /// fix_all_fingers_oracle). Finger updates do not count. The overlay
+  /// compares it across repairs: replica placement follows the successor
+  /// lists and row ownership follows membership.
+  [[nodiscard]] std::uint64_t topology() const noexcept { return topology_; }
 
  private:
   [[nodiscard]] bool alive(Key id) const;
@@ -188,6 +200,7 @@ class Ring {
   TransferHook transfer_;
   FailoverHook failover_;
   obs::QueryTrace* trace_ = nullptr;
+  std::uint64_t topology_ = 0;
 };
 
 }  // namespace ahsw::chord

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <unordered_set>
 
@@ -129,10 +130,20 @@ class Network {
                   Category category = Category::kRouting);
 
   /// Mark a node as failed / recovered. Failed nodes never reply.
-  void fail(NodeAddress n) { failed_.insert(n); }
-  void recover(NodeAddress n) { failed_.erase(n); }
+  void fail(NodeAddress n) {
+    if (failed_.insert(n).second) ++liveness_changes_[n];
+  }
+  void recover(NodeAddress n) {
+    if (failed_.erase(n) > 0) ++liveness_changes_[n];
+  }
   [[nodiscard]] bool is_failed(NodeAddress n) const {
     return failed_.count(n) > 0;
+  }
+  /// How often `n` has failed or recovered: a node that failed and
+  /// recovered between two reads shows as a change, which is_failed hides.
+  [[nodiscard]] std::uint64_t liveness_changes(NodeAddress n) const {
+    auto it = liveness_changes_.find(n);
+    return it == liveness_changes_.end() ? 0 : it->second;
   }
 
   [[nodiscard]] const TrafficStats& stats() const noexcept { return stats_; }
@@ -168,6 +179,7 @@ class Network {
   TrafficStats stats_;
   // iteration-order: never iterated — membership queries (is_failed) only.
   std::unordered_set<NodeAddress> failed_;
+  std::map<NodeAddress, std::uint64_t> liveness_changes_;
   NodeAddress next_address_ = 1;
   Tracer tracer_;
   TimeoutTracer timeout_tracer_;

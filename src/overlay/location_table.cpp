@@ -84,16 +84,23 @@ std::optional<std::uint32_t> LocationTable::tombstone_version(
   return tombstones_[i].version;
 }
 
-void LocationTable::merge_rows(std::span<const Row> rows, MergeRule rule) {
+std::size_t LocationTable::merge_rows(std::span<const Row> rows,
+                                      MergeRule rule) {
   Cursor at;
-  for (const Row& r : rows) merge_row(at, r.key, r.providers, rule);
+  std::size_t changed = 0;
+  for (const Row& r : rows) {
+    if (merge_row(at, r.key, r.providers, rule)) ++changed;
+  }
+  return changed;
 }
 
-void LocationTable::reconcile(std::span<const Row* const> rows) {
+std::size_t LocationTable::reconcile(std::span<const Row* const> rows) {
   Cursor at;
+  std::size_t changed = 0;
   for (const Row* r : rows) {
-    merge_row(at, r->key, r->providers, MergeRule::kReconcile);
+    if (merge_row(at, r->key, r->providers, MergeRule::kReconcile)) ++changed;
   }
+  return changed;
 }
 
 void LocationTable::merge_entries(std::span<const KeyedEntry> entries,
@@ -136,7 +143,10 @@ bool LocationTable::merge_row(Cursor& at, chord::Key key,
     return false;
   }
   bool touched = false;  // an entry was added, changed or dropped
-  bool resort = false;   // an entry was added or its frequency changed
+  // An entry was added or its frequency changed: only then can the
+  // (frequency, address) order break. A version-only update (every snapshot
+  // upsert of an unchanged frequency, most mirrors) or a drop keeps it.
+  bool resort = false;
   for (const Provider& in : incoming) {
     std::size_t ti = tb;
     while (ti < te && tombstones_[ti].address < in.address) ++ti;
@@ -210,22 +220,27 @@ bool LocationTable::merge_row(Cursor& at, chord::Key key,
           pushed ? in
                  : Provider{in.address, in.frequency,
                             std::max(in.version, revived + 1)});
+      resort = true;
     } else if (!pushed) {
-      entry->frequency = rule == MergeRule::kSet
-                             ? in.frequency
-                             : entry->frequency + in.frequency;
+      const std::uint32_t frequency = rule == MergeRule::kSet
+                                          ? in.frequency
+                                          : entry->frequency + in.frequency;
+      resort = resort || frequency != entry->frequency;
+      entry->frequency = frequency;
       entry->version = std::max(entry->version, in.version) + 1;
     } else if (in.version > entry->version ||
                (in.version == entry->version && rule == MergeRule::kMirror)) {
-      if (*entry == in) continue;  // an equal mirror: nothing to re-sort
+      if (*entry == in) continue;  // an equal mirror
+      resort = resort || in.frequency != entry->frequency;
       *entry = in;  // newer wins outright, even with a lower frequency
     } else if (in.version == entry->version &&
                in.frequency > entry->frequency) {
       entry->frequency = in.frequency;  // several holders, one causal state
+      resort = true;
     } else {
       continue;  // an older (reordered or stale) push
     }
-    touched = resort = true;
+    touched = true;
   }
   at.tomb = te;
   if (!present) return touched;

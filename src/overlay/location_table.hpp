@@ -127,9 +127,10 @@ class LocationTable {
   void mirror(std::span<const KeyedEntry> entries) {
     merge_entries(entries, MergeRule::kMirror);
   }
-  /// upsert_replica() for every entry of `rows`, a row at a time.
-  void mirror(std::span<const Row> rows) {
-    merge_rows(rows, MergeRule::kMirror);
+  /// upsert_replica() for every entry of `rows`, a row at a time. Returns
+  /// how many rows it changed.
+  std::size_t mirror(std::span<const Row> rows) {
+    return merge_rows(rows, MergeRule::kMirror);
   }
 
   /// Merge rows (ascending by key), taking the *newer version* per provider
@@ -141,13 +142,14 @@ class LocationTable {
   /// than the burial — i.e. the provider demonstrably re-published since.
   /// This closes the old at-least-once window where a *partial* retract
   /// (which only lowers the frequency) could be undone by a stale replica
-  /// snapshot max-merging the old, higher frequency back in.
-  void reconcile(std::span<const Row> rows) {
-    merge_rows(rows, MergeRule::kReconcile);
+  /// snapshot max-merging the old, higher frequency back in. Returns how
+  /// many rows it changed.
+  std::size_t reconcile(std::span<const Row> rows) {
+    return merge_rows(rows, MergeRule::kReconcile);
   }
   /// reconcile() of rows held elsewhere (repair merges a replica holder's
   /// rows in place, grouped by owner).
-  void reconcile(std::span<const Row* const> rows);
+  std::size_t reconcile(std::span<const Row* const> rows);
 
   /// For each entry (ascending by key), replace its provider with this
   /// table's entry for that (key, address), or, when there is none, with
@@ -274,7 +276,8 @@ class LocationTable {
     Cursor at;
     return merge_row(at, key, {&entry, 1}, rule);
   }
-  void merge_rows(std::span<const Row> rows, MergeRule rule);
+  /// Merges each row; returns how many of them changed.
+  std::size_t merge_rows(std::span<const Row> rows, MergeRule rule);
   void merge_entries(std::span<const KeyedEntry> entries, MergeRule rule);
   /// First tombstone at or after (key, address).
   [[nodiscard]] std::size_t tomb_index(chord::Key key,

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <utility>
 
+#include "common/audit_switch.hpp"
+
 namespace ahsw::overlay {
 
 namespace {
@@ -41,7 +43,11 @@ HybridOverlay::HybridOverlay(const HybridOverlay& other)
       trace_(other.trace_),
       cache_config_(other.cache_config_),
       caches_(other.caches_),
-      cache_subscribers_(other.cache_subscribers_) {
+      cache_subscribers_(other.cache_subscribers_),
+      replicas_synced_(other.replicas_synced_),
+      synced_topology_(other.synced_topology_),
+      synced_liveness_(other.synced_liveness_),
+      replica_sync_violations_(other.replica_sync_violations_) {
   // The copied stores still point at the other overlay's dictionary.
   for (auto& [addr, s] : storage_) s.store.rebind(*dict_);
 }
@@ -193,11 +199,10 @@ std::vector<IndexNodeState*> HybridOverlay::replica_targets(chord::Key owner) {
   return out;
 }
 
-void HybridOverlay::replicate_rows(IndexNodeState& owner,
-                                   std::span<const Row> rows,
-                                   net::SimTime now) {
+std::size_t HybridOverlay::replicate_rows(IndexNodeState& owner,
+                                          std::span<const Row> rows,
+                                          net::SimTime now, bool merge) {
   const std::vector<IndexNodeState*> targets = replica_targets(owner.id);
-  if (targets.empty()) return;
   // The pushes are charged in the order of one push per entry and replica;
   // each replica then merges the rows whole.
   for (const Row& r : rows) {
@@ -208,7 +213,26 @@ void HybridOverlay::replicate_rows(IndexNodeState& owner,
       }
     }
   }
-  for (IndexNodeState* replica : targets) replica->replicas.mirror(rows);
+  std::size_t changed = 0;
+  if (merge) {
+    for (IndexNodeState* replica : targets) {
+      changed += replica->replicas.mirror(rows);
+    }
+  }
+  return changed;
+}
+
+std::uint64_t HybridOverlay::index_liveness() const {
+  std::uint64_t changes = 0;
+  for (const auto& [id, ix] : index_) {
+    changes += net_->liveness_changes(ix.address);
+  }
+  return changes;
+}
+
+bool HybridOverlay::replicas_in_sync() const {
+  return replicas_synced_ && ring_.topology() == synced_topology_ &&
+         index_liveness() == synced_liveness_;
 }
 
 void HybridOverlay::configure_caches(const CacheConfig& config) {
@@ -540,6 +564,14 @@ void HybridOverlay::repair(net::SimTime now) {
   // several holders pushing the same row stay idempotent and a stale holder
   // cannot resurrect an old, higher frequency; owners then re-seed replicas
   // at their own successors.
+  //
+  // In sync, both merges would change nothing: every write path mirrors its
+  // change to the replicas as it lands. Repair then makes every send, in
+  // the same order, and merges nothing. Audited runs merge anyway and count
+  // any row a merge in sync changes (docs/fault_injection.md).
+  const bool synced = replicas_in_sync();
+  const bool merge = !synced || common::audit_enabled();
+  std::size_t changed = 0;
   std::vector<chord::Key> live;
   for (const auto& [id, ix] : index_) {
     if (ring_.contains(id)) live.push_back(id);
@@ -576,7 +608,7 @@ void HybridOverlay::repair(net::SimTime now) {
       } else {
         promoted.push_back(r.key);
       }
-      routed.emplace_back(owner, &r);
+      if (merge) routed.emplace_back(owner, &r);
     }
     // One forward walk per owner table; the stable sort keeps each owner's
     // rows ascending by key.
@@ -590,16 +622,22 @@ void HybridOverlay::repair(net::SimTime now) {
       for (; run != routed.end() && run->first == &owner; ++run) {
         group.push_back(run->second);
       }
-      owner.table.reconcile(group);
+      changed += owner.table.reconcile(group);
     }
     for (chord::Key key : promoted) holder.replicas.erase_row(key);
   }
-  // Owners re-replicate every row they now hold whose replicas may be
-  // stale (conservatively: all of them once per repair).
+  // Owners re-seed every row they now hold at their replicas.
   for (chord::Key owner_id : live) {
     IndexNodeState& owner = index_.at(owner_id);
-    replicate_rows(owner, owner.table.rows(), now);
+    changed += replicate_rows(owner, owner.table.rows(), now, merge);
   }
+  if (synced) replica_sync_violations_ += changed;
+  // A repair whose merges changed rows is not yet a fixpoint: the rows it
+  // re-seeded can move again at the next repair (an owner's row mirrored
+  // into the replica table of the key's true owner is promoted there).
+  replicas_synced_ = changed == 0;
+  synced_topology_ = ring_.topology();
+  synced_liveness_ = index_liveness();
 }
 
 void HybridOverlay::purge_failed_everywhere() {

@@ -116,8 +116,23 @@ class HybridOverlay {
   /// time of the slowest republish.
   net::SimTime storage_node_rejoin(net::NodeAddress addr, net::SimTime now);
 
-  /// Ring repair + promotion of replica rows to their new owners.
+  /// Ring repair + promotion of replica rows to their new owners. While the
+  /// replicas are in sync (replicas_in_sync()) it makes the same sends but
+  /// skips the merges, which would change nothing.
   void repair(net::SimTime now);
+  /// True when no desync event has happened since the last repair that ran
+  /// its merges and changed no row with them (docs/fault_injection.md,
+  /// "Replica sync"). A desync event is a ring topology change
+  /// (chord::Ring::topology()), a liveness change of an index node's address
+  /// or a mutable index_state() access. Every write path mirrors its change
+  /// into the replica tables as it lands, so storage churn keeps it true.
+  [[nodiscard]] bool replicas_in_sync() const;
+  /// Rows the merges of repairs that found the replicas in sync changed.
+  /// Only audited runs (common::audit_enabled()) merge in sync, so only they
+  /// can count one; the auditor reports any as a replica-sync violation.
+  [[nodiscard]] std::size_t replica_sync_violations() const noexcept {
+    return replica_sync_violations_;
+  }
   /// Oracle-driven anti-entropy: drop every currently-failed storage address
   /// from every primary and replica row (tombstoning it, as the lazy purge
   /// would). Lazy repair only cleans rows queries actually hit; the fault
@@ -222,8 +237,10 @@ class HybridOverlay {
   }
   /// Mutable index-node state: a fault-injection hook for the invariant
   /// auditor's seeded-corruption tests (tests/check). Production code
-  /// routes every mutation through publish/retract/transfer/repair.
+  /// routes every mutation through publish/retract/transfer/repair. A desync
+  /// event: the next repair runs its merges.
   [[nodiscard]] IndexNodeState& index_state(chord::Key id) {
+    replicas_synced_ = false;
     return index_.at(id);
   }
   [[nodiscard]] const std::map<net::NodeAddress, StorageNodeState>&
@@ -295,10 +312,12 @@ class HybridOverlay {
   /// or once the owner has left the ring.
   std::vector<IndexNodeState*> replica_targets(chord::Key owner);
   /// Push `rows` (ascending by key, entries as the owner holds them) to the
-  /// owner's replicas: one push per entry and replica, one row merge per
-  /// row and replica.
-  void replicate_rows(IndexNodeState& owner, std::span<const Row> rows,
-                      net::SimTime now);
+  /// owner's replicas: one push per entry and replica and, when `merge`,
+  /// one row merge per row and replica. Returns the rows the merges changed.
+  std::size_t replicate_rows(IndexNodeState& owner, std::span<const Row> rows,
+                             net::SimTime now, bool merge = true);
+  /// Sum of the liveness changes of the index nodes' addresses.
+  [[nodiscard]] std::uint64_t index_liveness() const;
   void on_transfer(chord::Key old_owner, chord::Key new_owner, chord::Key lo,
                    chord::Key hi, net::SimTime when);
   /// Push the owner's invalidation of `key` to every lease subscriber
@@ -328,6 +347,13 @@ class HybridOverlay {
   std::map<net::NodeAddress, LocationCache> caches_;
   /// Lease subscriptions: row key -> initiators to notify on mutation.
   std::map<chord::Key, std::set<net::NodeAddress>> cache_subscribers_;
+  /// Replica sync state as the last repair left it: whether its merges
+  /// found nothing to change (cleared by index_state()), and the ring
+  /// topology and index liveness it saw.
+  bool replicas_synced_ = false;
+  std::uint64_t synced_topology_ = 0;
+  std::uint64_t synced_liveness_ = 0;
+  std::size_t replica_sync_violations_ = 0;
   // The per-key write path publish_keys batches: its oracle in
   // tests/support.
   friend struct OverlayReference;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "check/audit.hpp"
+#include "common/audit_switch.hpp"
 #include "chord/ring.hpp"
 #include "common/rng.hpp"
 
@@ -19,7 +20,7 @@ class ChurnStress : public ::testing::TestWithParam<std::uint64_t> {};
 /// for audits taken while membership events are still unrepaired.
 void maybe_audit(const Ring& ring, const net::Network& net, bool churned,
                  const char* where) {
-  if (!check::audit_enabled()) return;
+  if (!common::audit_enabled()) return;
   check::AuditOptions opt;
   opt.churned = churned;
   check::AuditReport rep;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "check/audit.hpp"
+#include "common/audit_switch.hpp"
 #include "dqp_test_util.hpp"
 #include "workload/generators.hpp"
 #include "workload/queries.hpp"
@@ -49,7 +50,7 @@ TEST_P(SystemStress, QueriesStayOracleCorrectThroughChurn) {
   // AHSW_AUDIT=1: trace every query and check the I5 conservation invariant
   // (span self-counters must sum exactly to the query's traffic delta).
   obs::QueryTrace trace;
-  if (check::audit_enabled()) proc.set_trace(&trace);
+  if (common::audit_enabled()) proc.set_trace(&trace);
 
   auto check = [&](const std::string& q) {
     net::NodeAddress initiator = storages[rng.below(storages.size())];
@@ -60,7 +61,7 @@ TEST_P(SystemStress, QueriesStayOracleCorrectThroughChurn) {
     trace.clear();
     net::TrafficStats before = bed.network().stats();
     sparql::QueryResult dist = proc.execute(parsed, initiator, nullptr);
-    if (check::audit_enabled()) {
+    if (common::audit_enabled()) {
       net::TrafficStats delta = bed.network().stats().delta_since(before);
       check::AuditReport rep;
       check::audit_conservation(trace, delta, rep);
@@ -76,7 +77,7 @@ TEST_P(SystemStress, QueriesStayOracleCorrectThroughChurn) {
   // is mid-churn (stale provider pointers, replica drift), so the lenient
   // severity model applies — but nothing may ever be corrupt.
   auto audit_overlay_state = [&](int phase) {
-    if (!check::audit_enabled()) return;
+    if (!common::audit_enabled()) return;
     check::AuditOptions opt;
     opt.churned = true;
     check::AuditReport rep = check::audit(bed.overlay(), opt);

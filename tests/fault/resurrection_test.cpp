@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "check/audit.hpp"
+#include "common/audit_switch.hpp"
 #include "fault/harness.hpp"
 #include "workload/testbed.hpp"
 #include "workload/vocab.hpp"
@@ -87,7 +88,7 @@ TEST(Resurrection, ConvergedAuditCleanAfterChurnStorm) {
   // AHSW_AUDIT-gated end-to-end check: a churny faulted batch followed by
   // convergence must satisfy I6 (no failed node in any primary or replica
   // row) together with the rest of the invariant suite.
-  if (!check::audit_enabled()) {
+  if (!common::audit_enabled()) {
     GTEST_SKIP() << "set AHSW_AUDIT=1 to run the audit-backed storm";
   }
   workload::Testbed bed(config());

@@ -12,87 +12,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "overlay/overlay.hpp"
+#include "support/overlay_twin.hpp"
 #include "support/publish_reference.hpp"
-#include "support/replica_reference.hpp"
 
 namespace ahsw::overlay {
 namespace {
 
 using Oracle = OverlayReference;
-
-/// One overlay with a tracer recording every message it sends.
-struct Twin {
-  explicit Twin(const OverlayConfig& cfg) : overlay(network, cfg) {
-    network.set_tracer([this](const net::MessageEvent& e) {
-      char line[160];
-      std::snprintf(line, sizeof line, "%u->%u %zuB %.17g..%.17g %s", e.from,
-                    e.to, e.bytes, e.sent_at, e.arrives_at,
-                    std::string(net::category_name(e.category)).c_str());
-      sent.emplace_back(line);
-    });
-  }
-  net::Network network;
-  HybridOverlay overlay;
-  std::vector<std::string> sent;
-};
-
-rdf::Term iri(const std::string& local) {
-  return rdf::Term::iri("http://example.org/" + local);
-}
-
-/// A triple over a small vocabulary, so keys and rows recur across nodes.
-rdf::Triple random_triple(common::Rng& rng) {
-  const rdf::Term s = iri("s" + std::to_string(rng.below(12)));
-  const rdf::Term p = iri("p" + std::to_string(rng.below(3)));
-  const rdf::Term o =
-      rng.chance(0.5) ? iri("s" + std::to_string(rng.below(12)))
-                      : rdf::Term::literal("v" + std::to_string(rng.below(6)));
-  return {s, p, o};
-}
-
-void expect_same(Twin& batched, Twin& oracle, const std::string& where) {
-  ASSERT_EQ(batched.sent, oracle.sent) << where;
-  batched.sent.clear();
-  oracle.sent.clear();
-  const net::TrafficStats& a = batched.network.stats();
-  const net::TrafficStats& b = oracle.network.stats();
-  ASSERT_EQ(a.messages, b.messages) << where;
-  ASSERT_EQ(a.bytes, b.bytes) << where;
-  ASSERT_EQ(a.timeouts, b.timeouts) << where;
-  const auto& ia = batched.overlay.index_nodes();
-  const auto& ib = oracle.overlay.index_nodes();
-  ASSERT_EQ(ia.size(), ib.size()) << where;
-  for (auto x = ia.begin(), y = ib.begin(); x != ia.end(); ++x, ++y) {
-    const std::string node = where + " index node " + std::to_string(x->first);
-    ASSERT_EQ(x->first, y->first) << node;
-    ASSERT_EQ(x->second.table.rows(), y->second.table.rows()) << node;
-    ASSERT_EQ(x->second.replicas.rows(), y->second.replicas.rows()) << node;
-    ASSERT_EQ(x->second.table.byte_size(), y->second.table.byte_size())
-        << node;
-    ASSERT_EQ(x->second.replicas.byte_size(), y->second.replicas.byte_size())
-        << node;
-    ASSERT_EQ(LocationTableReference::tombstones(x->second.table),
-              LocationTableReference::tombstones(y->second.table))
-        << node;
-    ASSERT_EQ(LocationTableReference::tombstones(x->second.replicas),
-              LocationTableReference::tombstones(y->second.replicas))
-        << node;
-  }
-  const auto& sa = batched.overlay.storage_nodes();
-  const auto& sb = oracle.overlay.storage_nodes();
-  ASSERT_EQ(sa.size(), sb.size()) << where;
-  for (auto x = sa.begin(), y = sb.begin(); x != sa.end(); ++x, ++y) {
-    ASSERT_EQ(x->first, y->first) << where;
-    ASSERT_EQ(x->second.published, y->second.published) << where;
-  }
-}
 
 void run_history(std::uint64_t seed, int steps) {
   OverlayConfig cfg;

@@ -39,8 +39,8 @@
 //   inject list | clear          show / drop the pending fault schedule
 //                                (the next `batch` consumes it and prints
 //                                availability metrics)
-//   audit [converged]            run the invariant auditor (I1-I5; with
-//                                `converged`: converge first, then I1-I6)
+//   audit [converged]            run the invariant auditor (I1-I5, I7; with
+//                                `converged`: converge first, then I1-I7)
 //   lint [effects]               run ahsw-lint over the source tree (with
 //                                `effects`: plus the shared-state effect
 //                                analysis, rule family P)
