@@ -1,7 +1,9 @@
 // Two overlays built alike and driven through the same history, one by the
 // code under test and one by a reference path: the harness of the overlay
 // differential tests (tests/overlay/publish_batch_test.cpp,
-// replica_sync_test.cpp). Test-only; nothing under src/ includes this.
+// replica_sync_test.cpp), whose state comparison the parallel driver's
+// differential test (tests/dqp/parallel_differential_test.cpp) reuses.
+// Test-only; nothing under src/ includes this.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -45,25 +47,13 @@ inline rdf::Triple random_triple(common::Rng& rng) {
   return {s, p, o};
 }
 
-/// Both twins sent the same messages in the same order since the last call
-/// (which clears the logs), charged the same traffic, and hold the same
-/// index rows, tombstones, byte sizes and storage-side publish bookkeeping.
-inline void expect_same(Twin& a, Twin& b, const std::string& where) {
-  ASSERT_EQ(a.sent, b.sent) << where;
-  a.sent.clear();
-  b.sent.clear();
-  const net::TrafficStats& sa = a.network.stats();
-  const net::TrafficStats& sb = b.network.stats();
-  ASSERT_EQ(sa.messages, sb.messages) << where;
-  ASSERT_EQ(sa.bytes, sb.bytes) << where;
-  ASSERT_EQ(sa.raw_bytes, sb.raw_bytes) << where;
-  ASSERT_EQ(sa.timeouts, sb.timeouts) << where;
-  for (int c = 0; c < net::kCategoryCount; ++c) {
-    ASSERT_EQ(sa.messages_by[c], sb.messages_by[c]) << where;
-    ASSERT_EQ(sa.bytes_by[c], sb.bytes_by[c]) << where;
-  }
-  const auto& ia = a.overlay.index_nodes();
-  const auto& ib = b.overlay.index_nodes();
+/// Both overlays hold the same index rows, tombstones, byte sizes and
+/// storage-side publish bookkeeping.
+inline void expect_same_index_state(const HybridOverlay& a,
+                                    const HybridOverlay& b,
+                                    const std::string& where) {
+  const auto& ia = a.index_nodes();
+  const auto& ib = b.index_nodes();
   ASSERT_EQ(ia.size(), ib.size()) << where;
   for (auto x = ia.begin(), y = ib.begin(); x != ia.end(); ++x, ++y) {
     const std::string node = where + " index node " + std::to_string(x->first);
@@ -81,13 +71,33 @@ inline void expect_same(Twin& a, Twin& b, const std::string& where) {
               LocationTableReference::tombstones(y->second.replicas))
         << node;
   }
-  const auto& qa = a.overlay.storage_nodes();
-  const auto& qb = b.overlay.storage_nodes();
+  const auto& qa = a.storage_nodes();
+  const auto& qb = b.storage_nodes();
   ASSERT_EQ(qa.size(), qb.size()) << where;
   for (auto x = qa.begin(), y = qb.begin(); x != qa.end(); ++x, ++y) {
     ASSERT_EQ(x->first, y->first) << where;
     ASSERT_EQ(x->second.published, y->second.published) << where;
   }
+}
+
+/// Both twins sent the same messages in the same order since the last call
+/// (which clears the logs), charged the same traffic, and hold the same
+/// index state (expect_same_index_state).
+inline void expect_same(Twin& a, Twin& b, const std::string& where) {
+  ASSERT_EQ(a.sent, b.sent) << where;
+  a.sent.clear();
+  b.sent.clear();
+  const net::TrafficStats& sa = a.network.stats();
+  const net::TrafficStats& sb = b.network.stats();
+  ASSERT_EQ(sa.messages, sb.messages) << where;
+  ASSERT_EQ(sa.bytes, sb.bytes) << where;
+  ASSERT_EQ(sa.raw_bytes, sb.raw_bytes) << where;
+  ASSERT_EQ(sa.timeouts, sb.timeouts) << where;
+  for (int c = 0; c < net::kCategoryCount; ++c) {
+    ASSERT_EQ(sa.messages_by[c], sb.messages_by[c]) << where;
+    ASSERT_EQ(sa.bytes_by[c], sb.bytes_by[c]) << where;
+  }
+  expect_same_index_state(a.overlay, b.overlay, where);
 }
 
 }  // namespace ahsw::overlay
