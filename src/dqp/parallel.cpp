@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <memory>
+#include <optional>
 // ahsw-lint: allow(D1) worker threads carry no simulated time: each shard is
 // a self-contained deterministic sub-simulation on a cloned overlay, and the
 // merge below fixes the global order by (time, query, task) — the scheduler
@@ -10,6 +12,7 @@
 #include <thread>
 
 #include "dqp/executor.hpp"
+#include "sparql/ast.hpp"
 
 namespace ahsw::dqp {
 
@@ -52,6 +55,94 @@ struct MergeEntry {
   return a.seq < b.seq;
 }
 
+/// Where a query ran: its shard and its position among the shard's queries.
+struct Slot {
+  std::uint32_t shard = 0;
+  std::uint32_t index = 0;
+};
+
+/// The row keys a query's lookups can read. The executor locates the triple
+/// patterns of the WHERE clause and, for DESCRIBE, (t, ?, ?) and (?, ?, t)
+/// per target t. A variable target is bound only at run time, so such a
+/// query may read `any` key.
+struct TouchedKeys {
+  std::vector<chord::Key> keys;
+  bool any = false;
+};
+
+void add_pattern_keys(const overlay::HybridOverlay& ov,
+                      const sparql::GroupPattern& g, TouchedKeys* out) {
+  for (const sparql::GroupElement& e : g.elements) {
+    if (e.kind == sparql::GroupElement::Kind::kTriple) {
+      if (std::optional<chord::Key> k = ov.row_key(e.triple)) {
+        out->keys.push_back(*k);
+      }
+    }
+    for (const sparql::GroupPattern& sub : e.groups) {
+      add_pattern_keys(ov, sub, out);
+    }
+  }
+}
+
+[[nodiscard]] TouchedKeys touched_keys(const overlay::HybridOverlay& ov,
+                                       const sparql::Query& q) {
+  TouchedKeys out;
+  add_pattern_keys(ov, q.where, &out);
+  for (const rdf::PatternTerm& target : q.describe_targets) {
+    const rdf::Term* t = rdf::term_of(target);
+    if (t == nullptr) {
+      out.any = true;
+      continue;
+    }
+    for (const rdf::TriplePattern& p :
+         {rdf::TriplePattern{*t, rdf::Variable{"p"}, rdf::Variable{"o"}},
+          rdf::TriplePattern{rdf::Variable{"s"}, rdf::Variable{"p"}, *t}}) {
+      if (std::optional<chord::Key> k = ov.row_key(p)) out.keys.push_back(*k);
+    }
+  }
+  return out;
+}
+
+/// The coupling check: a row key that a dead-provider report in one shard
+/// carries and that another shard touches, through its log or through a
+/// pattern of one of its queries. Such a report purges a row another shard
+/// read, or may have read, on its clone without the purge, so the merged
+/// result could differ from the serial one. Keys without a report need no
+/// check: cache actions stay within their initiator's shard and replay in
+/// serial order.
+[[nodiscard]] std::optional<chord::Key> coupled_key(
+    const overlay::HybridOverlay& ov, const std::vector<Shard>& shards) {
+  std::map<chord::Key, std::size_t> reported;  // key -> first reporting shard
+  for (std::size_t w = 0; w < shards.size(); ++w) {
+    for (const StateAction& a : shards[w].log) {
+      if (a.kind == StateAction::Kind::kReportDead) {
+        reported.emplace(a.key, w);
+      }
+    }
+  }
+  if (reported.empty()) return std::nullopt;
+  const auto elsewhere = [&reported](chord::Key key, std::size_t w) {
+    const auto it = reported.find(key);
+    return it != reported.end() && it->second != w;
+  };
+  for (std::size_t w = 0; w < shards.size(); ++w) {
+    for (const StateAction& a : shards[w].log) {
+      if (elsewhere(a.key, w)) return a.key;
+    }
+    for (const BatchQuery& q : shards[w].queries) {
+      const TouchedKeys touched = touched_keys(ov, q.query);
+      for (chord::Key key : touched.keys) {
+        if (elsewhere(key, w)) return key;
+      }
+      if (!touched.any) continue;
+      for (const auto& [key, reporter] : reported) {
+        if (reporter != w) return key;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 bool parallel_batch_eligible(const BatchOptions& opts, std::size_t batch_size,
@@ -69,20 +160,35 @@ bool parallel_batch_eligible(const BatchOptions& opts, std::size_t batch_size,
   return true;
 }
 
-BatchResult run_parallel_batch(overlay::HybridOverlay& overlay,
-                               const ExecutionPolicy& policy,
-                               const std::vector<BatchQuery>& batch,
-                               const BatchOptions& opts,
-                               obs::QueryTrace* trace) {
+std::optional<BatchResult> run_parallel_batch(
+    overlay::HybridOverlay& overlay, const ExecutionPolicy& policy,
+    const std::vector<BatchQuery>& batch, const BatchOptions& opts,
+    obs::QueryTrace* trace, std::string* reason) {
   assert(parallel_batch_eligible(opts, batch.size()) &&
          "run_parallel_batch: caller must check eligibility");
-  const std::size_t workers = std::min<std::size_t>(
-      static_cast<std::size_t>(opts.workers), batch.size());
+  const auto refuse = [reason](std::string why) {
+    if (reason != nullptr) *reason = std::move(why);
+    return std::nullopt;
+  };
 
-  // -- partition: qid % workers (the documented rule) -----------------------
-  std::vector<Shard> shards(workers);
+  // -- partition: one shard per initiator, round robin ----------------------
+  // Initiators take shards in order of first appearance, so all of one
+  // initiator's queries (and its location cache) live in one shard.
+  const std::size_t workers = static_cast<std::size_t>(opts.workers);
+  std::map<net::NodeAddress, std::uint32_t> shard_of;
+  std::vector<Slot> slots(batch.size());
   for (std::size_t qid = 0; qid < batch.size(); ++qid) {
-    Shard& s = shards[qid % workers];
+    slots[qid].shard =
+        shard_of
+            .emplace(batch[qid].initiator,
+                     static_cast<std::uint32_t>(shard_of.size() % workers))
+            .first->second;
+  }
+  if (shard_of.size() == 1) return refuse("one initiator");
+  std::vector<Shard> shards(std::min(workers, shard_of.size()));
+  for (std::size_t qid = 0; qid < batch.size(); ++qid) {
+    Shard& s = shards[slots[qid].shard];
+    slots[qid].index = static_cast<std::uint32_t>(s.queries.size());
     s.queries.push_back(batch[qid]);
     s.qids.push_back(static_cast<std::uint32_t>(qid));
   }
@@ -134,6 +240,13 @@ BatchResult run_parallel_batch(overlay::HybridOverlay& overlay,
   }
   for (std::thread& t : pool) t.join();  // ahsw-lint: allow(D1) barrier only
 
+  // -- coupling check: before the master is touched, so the serial driver
+  // can rerun the batch from the same state --------------------------------
+  if (const std::optional<chord::Key> key = coupled_key(overlay, shards)) {
+    return refuse("coupled: key " +
+                  std::to_string(overlay.ring().truncate(*key)));
+  }
+
   // -- merge: replay shard mutations + master injections in serial order ---
   std::vector<MergeEntry> entries;
   std::size_t total_actions = 0;
@@ -160,8 +273,8 @@ BatchResult run_parallel_batch(overlay::HybridOverlay& overlay,
   std::vector<obs::SpanId> merged_roots(batch.size(), obs::kNoSpan);
   if (trace != nullptr) {
     for (std::size_t qid = 0; qid < batch.size(); ++qid) {
-      const Shard& s = shards[qid % workers];
-      const obs::SpanId root = s.result.root_spans[qid / workers];
+      const Shard& s = shards[slots[qid].shard];
+      const obs::SpanId root = s.result.root_spans[slots[qid].index];
       if (root == obs::kNoSpan) continue;
       merged_roots[qid] = trace->adopt_subtree(s.trace, root);
     }
@@ -197,9 +310,9 @@ BatchResult run_parallel_batch(overlay::HybridOverlay& overlay,
 
   // Lazy re-attachment is the one shard-side mutation outside the log: an
   // initiator whose index node died re-attached to the first live ring node
-  // *at lookup time*. Adopt each shard's final attachment for its own
-  // initiators so a later batch re-attaches from the same state serial
-  // execution would have left.
+  // *at lookup time*. Each initiator ran in one shard only, so adopting that
+  // shard's final attachment leaves the state serial execution would have
+  // left.
   for (const Shard& s : shards) {
     for (const BatchQuery& q : s.queries) {
       if (!overlay.is_storage_node(q.initiator)) continue;

@@ -1,6 +1,7 @@
 #include "dqp/processor.hpp"
 
 #include <cassert>
+#include <optional>
 
 #include "dqp/executor.hpp"
 #include "dqp/parallel.hpp"
@@ -39,13 +40,17 @@ BatchResult DistributedQueryProcessor::execute_batch(
     const std::vector<BatchQuery>& batch, const BatchOptions& opts) {
   std::string reason;
   if (parallel_batch_eligible(opts, batch.size(), &reason)) {
-    return run_parallel_batch(*overlay_, policy_, batch, opts, trace_);
+    if (std::optional<BatchResult> out = run_parallel_batch(
+            *overlay_, policy_, batch, opts, trace_, &reason)) {
+      return std::move(*out);
+    }
   }
   DagExecutor exec(*overlay_, policy_, trace_, opts);
   BatchResult out = exec.run(batch);
-  // A batch that asked for workers but fell back to the serial scheduler
-  // says why, so sweeps and tests can tell "parallel ran" from "parallel
-  // was silently refused" without diffing timings.
+  // A batch that asked for workers but ran on the serial scheduler, because
+  // it was ineligible or the parallel driver handed it back, says why, so
+  // sweeps and tests can tell "parallel ran" from "parallel was refused"
+  // without diffing timings.
   if (opts.workers > 1) {
     for (ExecutionReport& rep : out.reports) {
       rep.plan_notes.push_back("parallel: serial fallback (" + reason + ")");

@@ -75,16 +75,18 @@ struct BatchOptions {
   /// sorts). Applied even when stamped after the last query task finishes.
   std::vector<InjectedEvent> injections;
   /// Worker threads for the parallel batch driver (docs/execution_engine.md
-  /// "Parallel driver"). 1 (the default) runs today's serial scheduler.
-  /// With workers > 1 the batch is partitioned by query id (qid % workers),
-  /// each shard runs on a cloned overlay, and shared-state mutations are
-  /// replayed on the master in (time, query, task) order. Parallelism
-  /// changes wall-clock time only, never simulated time; traced batches
-  /// record per-worker span forests the master grafts back in query order.
-  /// The driver falls back to serial when the service model is on
-  /// (cross-query contention couples shards) or when `injections` is
-  /// non-empty without an `injection_factory`; the fallback reason is
-  /// surfaced in every report's plan notes.
+  /// "Parallel driver"). 1 (the default) runs the serial scheduler. With
+  /// workers > 1 the batch is partitioned by initiator (one shard per
+  /// distinct initiator, round robin, at most `workers` shards), each shard
+  /// runs on a cloned overlay, and shared-state mutations are replayed on
+  /// the master in (time, query, task) order. Parallelism changes
+  /// wall-clock time only, never simulated time; traced batches record
+  /// per-worker span forests the master grafts back in query order. The
+  /// batch runs serially instead when the service model is on (cross-query
+  /// contention couples shards), when `injections` is non-empty without an
+  /// `injection_factory`, when it has one initiator, or when a
+  /// dead-provider report in one shard meets a row key another shard
+  /// touches; the reason is surfaced in every report's plan notes.
   int workers = 1;
   /// Rebuilds the injected events against a worker's cloned overlay, so
   /// every shard observes the same fault schedule on its own world. The

@@ -1,10 +1,12 @@
 // The deterministic parallel batch driver (src/dqp/parallel.cpp): with
-// workers > 1 and a partition-independent workload, every observable of a
-// batch — per-query results, full reports, network-wide traffic, and the
-// master overlay's end state — must be byte-identical to the serial driver.
-// Also pins worker-makespan attribution, the fault-broadcast path, the
-// post-run replay guarantee (a second batch behaves as if the first ran
-// serially), and the eligibility fallbacks.
+// workers > 1, every observable of a batch — per-query results, full
+// reports, network-wide traffic, and the master overlay's end state — must
+// be byte-identical to the serial driver. The batches here have distinct
+// initiators and shard-local row keys, so each of them runs on the parallel
+// path (tests/dqp/parallel_differential_test.cpp covers the batches that
+// do not). Also pins worker-makespan attribution, the fault-broadcast path,
+// the post-run replay guarantee (a second batch behaves as if the first ran
+// serially), and the fallbacks to the serial driver.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -160,8 +162,10 @@ TEST(ParallelBatch, WorkerMakespanAttributionFollowsPartition) {
   workload::Testbed bed(config());
   RunOutcome r = run_batch(bed, workers, /*cache_on=*/false);
   ASSERT_EQ(r.batch.worker_makespans.size(), static_cast<std::size_t>(workers));
-  // Partition rule is qid % workers: each worker's makespan is the max
-  // response time over exactly its residue class.
+  // Partition rule is by initiator, round robin in order of first
+  // appearance; with one distinct initiator per query that puts query qid
+  // on worker qid % workers, so each worker's makespan is the max response
+  // time over exactly its residue class.
   for (int w = 0; w < workers; ++w) {
     net::SimTime expect = 0;
     for (std::size_t qid = 0; qid < r.batch.reports.size(); ++qid) {
@@ -269,9 +273,8 @@ rdf::Triple row_triple(std::string_view subject, const char* value) {
 
 /// Sixteen single-pattern queries in eight residue classes (qid % 8). Class
 /// r runs twice from initiator r and reads row keys no other class reads,
-/// so caches, leases and lazy purges stay partition-independent at every
-/// worker count in {2, 4, 8}. Class 0 reads the hot row, class 1 the cold
-/// row, the others FOAF rows.
+/// so no lazy purge couples two shards at any worker count in {2, 4, 8}.
+/// Class 0 reads the hot row, class 1 the cold row, the others FOAF rows.
 std::vector<std::string> lease_and_give_up_queries() {
   auto row_query = [](std::string_view subject) {
     return "SELECT ?o WHERE { <" + std::string(subject) + "> <" +
@@ -392,9 +395,9 @@ TEST(ParallelBatch, CacheLeaseAndGiveUpReplayMatchesSerial) {
   }
 }
 
-/// Faulted batches: four queries whose patterns share row keys only within
-/// a worker's residue class (knows on even qids, name/nick on odd), so the
-/// lazy dead-provider repairs stay partition-independent at workers=2.
+/// Faulted batches: four queries from four initiators whose patterns share
+/// row keys only within a worker's shard at workers=2 (knows on even qids,
+/// name/nick on odd), so no lazy dead-provider repair couples two shards.
 std::vector<std::string> fault_queries() {
   const char* bodies[] = {
       "SELECT ?x ?o WHERE { ?x foaf:knows ?o . }",
@@ -514,6 +517,23 @@ TEST(ParallelBatch, FallsBackToSerialWhenIneligible) {
   for (const ExecutionReport& rep : r.reports) {
     EXPECT_EQ(rep.plan_notes.back(),
               "parallel: serial fallback (service model on)");
+  }
+
+  // A batch with one initiator has nothing to shard: it runs serially and
+  // says so.
+  workload::Testbed one_bed(config());
+  DistributedQueryProcessor one_proc(one_bed.overlay());
+  BatchOptions one_opts;
+  one_opts.workers = 4;
+  BatchResult one = one_proc.execute_batch(
+      queries,
+      std::vector<net::NodeAddress>(queries.size(),
+                                    one_bed.storage_addrs().front()),
+      one_opts);
+  EXPECT_TRUE(one.worker_makespans.empty());
+  for (const ExecutionReport& rep : one.reports) {
+    EXPECT_EQ(rep.plan_notes.back(),
+              "parallel: serial fallback (one initiator)");
   }
 
   // A serial run with workers = 1 carries no fallback note: nothing was
