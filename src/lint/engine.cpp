@@ -143,58 +143,6 @@ LintReport lint_tree(const std::string& root, const LintConfig& cfg,
   return lint_files(root, collect_tree(root, dirs), cfg);
 }
 
-std::vector<SourceFile> tokenize_tree(const std::string& root,
-                                      const std::vector<std::string>& dirs) {
-  std::vector<SourceFile> files;
-  for (const std::string& rel : collect_tree(root, dirs)) {
-    files.push_back(tokenize(rel, read_file(fs::path(root) / rel)));
-  }
-  return files;
-}
-
-namespace {
-
-/// Apply the normal suppression machinery per file to a whole-program
-/// pass's diagnostics and merge the survivors into `report`, so a justified
-/// `// ahsw-lint: allow(P1) ...` works exactly like the token rules.
-void merge_whole_program(const std::vector<SourceFile>& files,
-                         std::vector<Diagnostic> diagnostics,
-                         LintReport* report) {
-  std::map<std::string, std::vector<Diagnostic>> by_file;
-  for (Diagnostic& d : diagnostics) {
-    by_file[d.file].push_back(std::move(d));
-  }
-  for (const SourceFile& f : files) {
-    auto it = by_file.find(f.path);
-    if (it == by_file.end()) continue;
-    std::size_t suppressed = 0;
-    std::vector<Diagnostic> kept =
-        apply_suppressions(f, std::move(it->second), &suppressed);
-    report->suppressed += suppressed;
-    // S1 findings about the file's markers were already raised by the token
-    // pass over the same tree; re-reporting them here would double-count.
-    kept.erase(std::remove_if(kept.begin(), kept.end(),
-                              [](const Diagnostic& d) { return d.rule == "S1"; }),
-               kept.end());
-    for (Diagnostic& d : kept) {
-      ++report->by_rule[d.rule];
-      report->diagnostics.push_back(std::move(d));
-    }
-  }
-}
-
-}  // namespace
-
-void lint_tree_effects(const std::string& root, const LintConfig& cfg,
-                       const SharedStateSpec& spec, LintReport* report,
-                       std::string* ledger_json,
-                       const std::vector<std::string>& dirs) {
-  std::vector<SourceFile> files = tokenize_tree(root, dirs);
-  EffectsReport effects = analyze_effects(files, spec, cfg.layers);
-  merge_whole_program(files, std::move(effects.diagnostics), report);
-  if (ledger_json != nullptr) *ledger_json = effects.ledger_json(spec);
-}
-
 LintConfig load_config(const std::string& root,
                        const std::string& layers_path) {
   std::string spec_path =
@@ -211,24 +159,6 @@ LintConfig load_config(const std::string& root,
                              " declares no modules");
   }
   return cfg;
-}
-
-SharedStateSpec load_shared_state_spec(const std::string& root,
-                                       const std::string& spec_path) {
-  std::string path = spec_path.empty()
-                         ? root + "/tools/ahsw_shared_state.spec"
-                         : spec_path;
-  std::string text = read_file(path);
-  std::vector<std::string> errors;
-  SharedStateSpec spec = SharedStateSpec::parse(text, &errors);
-  if (!errors.empty()) {
-    throw std::runtime_error("ahsw-lint: " + path + ": " + errors[0]);
-  }
-  if (spec.states.empty() || spec.roots.empty()) {
-    throw std::runtime_error("ahsw-lint: " + path +
-                             " declares no states or no dispatch roots");
-  }
-  return spec;
 }
 
 }  // namespace ahsw::lint

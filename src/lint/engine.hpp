@@ -8,15 +8,12 @@
 #include <string_view>
 #include <vector>
 
-#include "lint/effects.hpp"
 #include "lint/rules.hpp"
 
 namespace ahsw::lint {
 
-/// Version stamp of the `ahsw_lint.json` diagnostic rendering. The effects
-/// ledger carries its own stamp (kEffectsSchemaVersion) so each format can
-/// evolve without forcing the other. Bump when a field
-/// changes meaning or shape, so diff tooling never has to guess.
+/// Version stamp of the `ahsw_lint.json` diagnostic rendering. Bump when a
+/// field changes meaning or shape, so diff tooling never has to guess.
 inline constexpr int kJsonSchemaVersion = 1;
 
 struct LintReport {
@@ -52,33 +49,11 @@ struct LintReport {
     const std::string& root, const LintConfig& cfg,
     const std::vector<std::string>& dirs = {"src", "tools", "bench"});
 
-/// Tokenize every lintable file under the given top-level directories, in
-/// sorted path order — the input of the whole-program effect analysis.
-[[nodiscard]] std::vector<SourceFile> tokenize_tree(
-    const std::string& root,
-    const std::vector<std::string>& dirs = {"src", "tools", "bench"});
-
-/// Run the effect analysis (rule family P) over the tree and merge its
-/// post-suppression diagnostics into `report`. When `ledger_json` is
-/// non-null it receives the stable parallel-safety ledger (P4).
-void lint_tree_effects(const std::string& root, const LintConfig& cfg,
-                       const SharedStateSpec& spec, LintReport* report,
-                       std::string* ledger_json,
-                       const std::vector<std::string>& dirs = {"src", "tools",
-                                                               "bench"});
-
 /// Build the default config: parse the layer spec at `layers_path`
 /// (default `<root>/tools/ahsw_layers.spec`). Throws std::runtime_error on
 /// a missing or malformed spec — the gate must not silently run without
 /// layering.
 [[nodiscard]] LintConfig load_config(const std::string& root,
                                      const std::string& layers_path = "");
-
-/// Parse the shared-state spec at `spec_path` (default
-/// `<root>/tools/ahsw_shared_state.spec`). Throws std::runtime_error on a
-/// missing or malformed spec — the effects gate must not run against an
-/// empty contract.
-[[nodiscard]] SharedStateSpec load_shared_state_spec(
-    const std::string& root, const std::string& spec_path = "");
 
 }  // namespace ahsw::lint

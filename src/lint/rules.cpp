@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <iterator>
 
 #include "common/strings.hpp"
 
@@ -310,6 +311,104 @@ void check_d2_d3(const SourceFile& f, std::vector<Diagnostic>* out) {
           "unordered container member '" + d.name +
               "' in a header needs an `// iteration-order: <contract>` "
               "comment stating why hash order cannot leak"});
+    }
+  }
+}
+
+/// Skip a template argument list starting at `<`: angle depth only, with
+/// `>>` closing two. Stops at a `;` (a comparison, not a template).
+[[nodiscard]] std::size_t skip_angles(const Tokens& t, std::size_t i) {
+  int depth = 0;
+  for (; i < t.size(); ++i) {
+    if (t[i].is("<")) ++depth;
+    if (t[i].is(">") && --depth == 0) return i + 1;
+    if (t[i].is(">>")) {
+      depth -= 2;
+      if (depth <= 0) return i + 1;
+    }
+    if (t[i].is(";")) return i;
+  }
+  return i;
+}
+
+/// Keywords that can stand between `static` and a variable's name.
+[[nodiscard]] bool is_decl_keyword(std::string_view t) {
+  static constexpr std::string_view kKeywords[] = {
+      "static", "inline",   "thread_local", "volatile", "mutable",
+      "struct", "class",    "union",        "enum",     "typename",
+      "auto",   "void",     "bool",         "char",     "int",
+      "long",   "short",    "float",        "double",   "unsigned",
+      "signed", "template",
+  };
+  return std::find(std::begin(kKeywords), std::end(kKeywords), t) !=
+         std::end(kKeywords);
+}
+
+/// The variable a `static`/`inline` at `i` declares, or "" when it is
+/// const/constexpr or a function. At declaration scope `name(` is a
+/// function; inside a function body it is a direct-initialized local.
+[[nodiscard]] std::string static_variable(const Tokens& t, std::size_t i,
+                                          bool local) {
+  std::string name;
+  for (std::size_t j = i + 1; j < t.size();) {
+    const Token& tok = t[j];
+    if (tok.ident("const") || tok.ident("constexpr") ||
+        tok.ident("consteval") || tok.ident("constinit")) {
+      return "";
+    }
+    if (tok.is(";") || tok.is("=") || tok.is("{")) break;
+    if (tok.is("(")) {
+      if (!local) return "";
+      break;
+    }
+    if (tok.is("<")) {
+      j = skip_angles(t, j);
+      continue;
+    }
+    if (tok.kind == Token::Kind::kIdentifier && !is_decl_keyword(tok.text)) {
+      name = tok.text;
+    }
+    ++j;
+  }
+  return name;
+}
+
+/// Whether the `{` at `open` opens a namespace, class or enum body rather
+/// than a function body, block or initializer: its declaration names a
+/// class-key or `namespace` and it does not follow a parameter list.
+[[nodiscard]] bool opens_scope(const Tokens& t, std::size_t open) {
+  if (open > 0 && t[open - 1].is(")")) return false;
+  for (std::size_t j = open; j > 0; --j) {
+    const Token& tok = t[j - 1];
+    if (tok.is(";") || tok.is("{") || tok.is("}")) break;
+    if (tok.ident("namespace") || tok.ident("class") || tok.ident("struct") ||
+        tok.ident("union") || tok.ident("enum") || tok.ident("extern")) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void check_d4(const SourceFile& f, std::vector<Diagnostic>* out) {
+  if (!common::starts_with(f.path, "src/")) return;
+  const Tokens& t = f.tokens;
+  std::vector<bool> body;  // per open brace: inside a function body?
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    const bool in_body = !body.empty() && body.back();
+    if (t[i].is("{")) {
+      body.push_back(in_body || !opens_scope(t, i));
+    } else if (t[i].is("}")) {
+      if (!body.empty()) body.pop_back();
+    } else if (t[i].ident("static") || (!in_body && t[i].ident("inline"))) {
+      const std::string name = static_variable(t, i, in_body);
+      if (name.empty()) continue;
+      out->push_back(Diagnostic{
+          "D4", f.path, t[i].line,
+          std::string(in_body ? "function-local static '"
+                              : "non-const static/global '") +
+              name +
+              "' is mutable state every worker thread of the parallel "
+              "driver shares; make it const or pass it explicitly"});
     }
   }
 }
@@ -706,6 +805,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
       {"D3", "determinism",
        "unordered container members in headers document their "
        "iteration-order contract"},
+      {"D4", "determinism",
+       "no non-const namespace-scope, class-scope or function-local "
+       "static/inline variables in src/"},
       {"A1", "accounting",
        "every Network::send / Network::timeout call site names its traffic "
        "category explicitly, and send() charges wire-encoded sizes, never "
@@ -728,20 +830,6 @@ const std::vector<RuleInfo>& rule_catalogue() {
       {"S1", "suppressions",
        "ahsw-lint: allow(...) markers are well-formed and carry a "
        "justification"},
-      {"P1", "effects",
-       "declared shared mutable state is mutated outside its home "
-       "implementation only through sync surfaces declared in "
-       "tools/ahsw_shared_state.spec"},
-      {"P2", "effects",
-       "functions transitively reachable from the DagExecutor dispatch "
-       "roots mutate shared state only through dispatch-safe surfaces"},
-      {"P3", "effects",
-       "no non-const globals or function-local statics outside the "
-       "declared singletons"},
-      {"P4", "effects",
-       "the parallel-safety ledger (ahsw_effects.json) inventories every "
-       "shared touch point with its dispatch call path; its diff is gated "
-       "in CI"},
   };
   return kCatalogue;
 }
@@ -767,6 +855,7 @@ std::vector<Diagnostic> run_rules(const SourceFile& file,
   std::vector<Diagnostic> out;
   check_d1(file, &out);
   check_d2_d3(file, &out);
+  check_d4(file, &out);
   check_a1(file, &out);
   check_a2(file, &out);
   check_o1(file, &out);

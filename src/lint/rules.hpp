@@ -10,7 +10,9 @@
 //       sanctioned sources); D2: iterating an unordered container leaks
 //       hash order into whatever consumes the loop; D3: every unordered
 //       container member in a header documents its iteration-order
-//       contract.
+//       contract; D4: no non-const static or global variables in src/,
+//       which every worker thread of the parallel batch driver would
+//       share.
 //   A — accounting.   A1: every Network::send / Network::timeout call site
 //       names its traffic category explicitly; A2: traffic counters mutate
 //       only inside the accounting layer (TrafficStats / the span ledger),
@@ -90,13 +92,13 @@ struct LintConfig {
 /// One catalogue row: the single source of truth the generated table in
 /// docs/static_analysis.md is checked against (`ahsw-lint --rules`).
 struct RuleInfo {
-  std::string_view id;      // "D1", ..., "P4"
+  std::string_view id;      // "D1", ..., "S1"
   std::string_view family;  // "determinism", ...
   std::string_view summary;
 };
 
-/// Every rule the linter can emit (token families, suppressions, and the
-/// effect-analysis P family), in catalogue order.
+/// Every rule the linter can emit (the token families and suppressions),
+/// in catalogue order.
 [[nodiscard]] const std::vector<RuleInfo>& rule_catalogue();
 
 /// The module a repo-relative path belongs to for the layering rules:

@@ -87,6 +87,8 @@ std::vector<PhaseCost> phase_rollup(const QueryTrace& trace) {
 }
 
 BenchSink& BenchSink::instance() {
+  // ahsw-lint: allow(D4) the process-wide bench JSON sink, written only by
+  // single-threaded bench mains, never by a parallel batch's workers.
   static BenchSink sink;
   return sink;
 }

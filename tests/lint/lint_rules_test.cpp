@@ -73,6 +73,8 @@ TEST(LintFixtures, D3UnorderedMemberContract) {
   expect_golden("d3_unordered_member");
 }
 
+TEST(LintFixtures, D4MutableStatic) { expect_golden("d4_mutable_static"); }
+
 TEST(LintFixtures, A1UncategorizedSend) {
   expect_golden("a1_uncategorized_send");
 }
@@ -135,70 +137,6 @@ TEST(LintFixtures, LineCommentBackslashSpliceStripped) {
 
 TEST(LintFixtures, AdjacentStringLiteralsStripped) {
   expect_golden("tok_adjacent_strings");
-}
-
-// --- effect-analysis fixtures (rule family P) ---------------------------
-// These run the whole-program pass (analyze_effects) instead of the
-// token-rule pipeline, against a scoped-down shared-state spec.
-
-constexpr std::string_view kEffectsFixtureSpec =
-    "root DagExecutor::run\n"
-    "state LocationCache home=src/overlay/location_cache hints=cache:"
-    " insert invalidate\n"
-    "surface DagExecutor::fire_cache_warm state=LocationCache:"
-    " setup-time prefill, not a dispatch surface\n"
-    "singleton sanctioned_sink: declared singleton for the P3 fixture\n";
-
-lint::SharedStateSpec effects_fixture_spec() {
-  std::vector<std::string> errors;
-  lint::SharedStateSpec spec =
-      lint::SharedStateSpec::parse(kEffectsFixtureSpec, &errors);
-  EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors[0]);
-  return spec;
-}
-
-lint::EffectsReport run_effects_fixture(const std::string& name) {
-  const std::string dir = AHSW_LINT_FIXTURE_DIR;
-  std::string text = read_file(dir + "/" + name + ".cppsnip");
-  constexpr std::string_view kTag = "// ahsw-lint-fixture: ";
-  EXPECT_EQ(text.rfind(kTag, 0), 0u) << name << " missing fixture tag";
-  std::string label =
-      text.substr(kTag.size(), text.find('\n') - kTag.size());
-  return lint::analyze_effects({lint::tokenize(label, text)},
-                               effects_fixture_spec(),
-                               fixture_config().layers);
-}
-
-void expect_effects_golden(const std::string& name) {
-  lint::EffectsReport report = run_effects_fixture(name);
-  std::string out;
-  for (const lint::Diagnostic& d : report.diagnostics) {
-    out += d.to_string() + "\n";
-  }
-  std::string expected = read_file(std::string(AHSW_LINT_FIXTURE_DIR) + "/" +
-                                   name + ".expected");
-  EXPECT_EQ(out, expected) << "fixture: " << name;
-}
-
-TEST(LintFixtures, P1UndeclaredSharedMutation) {
-  expect_effects_golden("p1_undeclared_shared_mutation");
-}
-
-TEST(LintFixtures, P2DispatchPathMutation) {
-  expect_effects_golden("p2_dispatch_mutation");
-}
-
-TEST(LintFixtures, P3UndeclaredStatic) {
-  expect_effects_golden("p3_undeclared_static");
-}
-
-TEST(LintFixtures, P4LedgerGolden) {
-  // The P2 fixture's touch point, rendered as the stable ledger JSON: the
-  // golden file pins the schema (schema_version, dedup, no line numbers).
-  lint::EffectsReport report = run_effects_fixture("p2_dispatch_mutation");
-  std::string expected = read_file(std::string(AHSW_LINT_FIXTURE_DIR) +
-                                   "/p4_ledger.expected");
-  EXPECT_EQ(report.ledger_json(effects_fixture_spec()), expected);
 }
 
 }  // namespace

@@ -1,17 +1,13 @@
 // ahsw-lint driver.
 //
 // Usage:
-//   ahsw_lint [--root DIR] [--layers FILE] [--json FILE]
-//             [--effects] [--effects-spec FILE] [--effects-json FILE]
-//             [--rules] [paths...]
+//   ahsw_lint [--root DIR] [--layers FILE] [--json FILE] [--rules]
+//             [paths...]
 //
 // With no paths, lints every .cpp/.hpp under src/, tools/ and bench/ of
 // the root (the CI gate configuration). Paths, when given, are
-// root-relative files to lint instead. `--effects` additionally runs the
-// whole-program shared-state effect analysis (rule family P) against
-// tools/ahsw_shared_state.spec; `--effects-json` writes the stable
-// parallel-safety ledger (and implies --effects). `--rules` prints the
-// rule catalogue as the markdown table docs/static_analysis.md embeds
+// root-relative files to lint instead. `--rules` prints the rule catalogue
+// as the markdown table docs/static_analysis.md embeds
 // (tools/check_rules_docs.sh gates drift) and exits. Exit codes: 0 clean,
 // 1 diagnostics found, 2 usage or I/O error.
 #include <fstream>
@@ -26,8 +22,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--root DIR] [--layers FILE] [--json FILE] [--effects]"
-               " [--effects-spec FILE] [--effects-json FILE] [--rules]"
+            << " [--root DIR] [--layers FILE] [--json FILE] [--rules]"
                " [paths...]\n";
   return 2;
 }
@@ -57,9 +52,6 @@ int main(int argc, char** argv) {
   std::string root = ".";
   std::string layers;
   std::string json_path;
-  std::string effects_spec;
-  std::string effects_json;
-  bool effects = false;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -69,14 +61,6 @@ int main(int argc, char** argv) {
       layers = argv[++i];
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--effects") {
-      effects = true;
-    } else if (arg == "--effects-spec" && i + 1 < argc) {
-      effects_spec = argv[++i];
-      effects = true;
-    } else if (arg == "--effects-json" && i + 1 < argc) {
-      effects_json = argv[++i];
-      effects = true;
     } else if (arg == "--rules") {
       print_rules();
       return 0;
@@ -89,26 +73,11 @@ int main(int argc, char** argv) {
       paths.push_back(arg);
     }
   }
-  if (effects && !paths.empty()) {
-    std::cerr << "ahsw-lint: --effects is a whole-tree analysis and "
-                 "cannot be combined with explicit paths\n";
-    return 2;
-  }
-
   try {
     ahsw::lint::LintConfig cfg = ahsw::lint::load_config(root, layers);
     ahsw::lint::LintReport report =
         paths.empty() ? ahsw::lint::lint_tree(root, cfg)
                       : ahsw::lint::lint_files(root, paths, cfg);
-    if (effects) {
-      ahsw::lint::SharedStateSpec spec =
-          ahsw::lint::load_shared_state_spec(root, effects_spec);
-      std::string ledger;
-      ahsw::lint::lint_tree_effects(root, cfg, spec, &report, &ledger);
-      if (!effects_json.empty() && !write_text(effects_json, ledger)) {
-        return 2;
-      }
-    }
     if (!json_path.empty() && !write_text(json_path, report.to_json())) {
       return 2;
     }

@@ -41,9 +41,7 @@
 //                                availability metrics)
 //   audit [converged]            run the invariant auditor (I1-I5, I7; with
 //                                `converged`: converge first, then I1-I7)
-//   lint [effects]               run ahsw-lint over the source tree (with
-//                                `effects`: plus the shared-state effect
-//                                analysis, rule family P)
+//   lint                         run ahsw-lint over the source tree
 //   stats                        system summary
 //   quit
 #include <fstream>
@@ -466,22 +464,13 @@ int run(std::istream& in, bool interactive) {
       } else if (cmd == "lint") {
         // The static half of the correctness suite: audit checks the
         // running system, lint checks the source tree it was built from.
-        // `lint effects` additionally runs the shared-state effect
-        // analysis (rule family P) against tools/ahsw_shared_state.spec.
 #ifdef AHSW_SOURCE_ROOT
         const std::string root = AHSW_SOURCE_ROOT;
 #else
         const std::string root = ".";
 #endif
-        std::string mode;
-        ss >> mode;
         lint::LintConfig cfg = lint::load_config(root);
-        lint::LintReport report = lint::lint_tree(root, cfg);
-        if (mode == "effects") {
-          lint::SharedStateSpec spec = lint::load_shared_state_spec(root);
-          lint::lint_tree_effects(root, cfg, spec, &report, nullptr);
-        }
-        std::cout << report.to_string();
+        std::cout << lint::lint_tree(root, cfg).to_string();
       } else if (cmd == "stats") {
         if (shell.ready()) {
           std::size_t entries = 0;
