@@ -8,9 +8,11 @@
 // makespan — must be byte-identical to the workers=1 run. This benchmark
 // *enforces* that (divergence aborts, like the cache A/B in
 // bench_throughput) and reports the wall-clock speedup plus the per-worker
-// makespan attribution that shows how the qid % workers partition balances
-// the shards. Under --audit, every sweep point runs the converged invariant
-// audit (I1-I7) over the master overlay after the merge.
+// makespan attribution that shows how the initiator partition balances the
+// shards (with one initiator per storage node in round robin, query qid
+// runs on worker qid % workers). Under --audit, every sweep point runs the
+// converged invariant audit (I1-I7) over the master overlay after the
+// merge.
 // ahsw-lint: allow(D1) E14-P measures the *wall-clock* speedup of the
 // parallel driver by design; no wall-clock value feeds the simulation —
 // byte-identity vs the serial run is enforced right next to the reads.
@@ -27,11 +29,11 @@ using namespace ahsw;
 
 constexpr int kQueries = 10000;
 constexpr std::size_t kRingNodes = 1000;
-// Divisible by every swept worker count, so each initiator's queries fall
-// into one residue class of qid % workers and the per-initiator caches stay
-// partition-independent (the byte-identity precondition). Kept modest so
-// per-query work (provider scans over every storage node for the full-scan
-// bodies) doesn't dwarf the scheduler + driver costs the sweep measures.
+// Divisible by every swept worker count, so the driver's round-robin
+// initiator shards hold equally many initiators and queries. Kept modest
+// so per-query work (provider scans over every storage node for the
+// full-scan bodies) doesn't dwarf the scheduler + driver costs the sweep
+// measures.
 constexpr std::size_t kStorageNodes = 16;
 
 workload::TestbedConfig make_config() {
@@ -49,9 +51,11 @@ workload::TestbedConfig make_config() {
 constexpr std::string_view kPrologue =
     "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n";
 
-/// The 10k-query batch: the E14 plan-class mix, parsed once per distinct
-/// body and fanned out round-robin over the storage nodes.
-std::vector<dqp::BatchQuery> make_batch(const workload::Testbed& bed) {
+/// `queries` queries of the E14 plan-class mix, parsed once per distinct
+/// body and fanned out round-robin over the first `initiators` storage
+/// nodes.
+std::vector<dqp::BatchQuery> make_batch(const workload::Testbed& bed,
+                                        int queries, std::size_t initiators) {
   const char* bodies[] = {
       "SELECT ?x ?o WHERE { ?x foaf:knows ?o . }",
       "SELECT ?x ?n ?o WHERE { ?x foaf:name ?n . ?x foaf:knows ?o . }",
@@ -69,12 +73,11 @@ std::vector<dqp::BatchQuery> make_batch(const workload::Testbed& bed) {
     parsed.push_back(sparql::parse_query(std::string(kPrologue) + b));
   }
   std::vector<dqp::BatchQuery> out;
-  out.reserve(kQueries);
-  for (int i = 0; i < kQueries; ++i) {
+  out.reserve(static_cast<std::size_t>(queries));
+  for (int i = 0; i < queries; ++i) {
     const auto u = static_cast<std::size_t>(i);
-    out.push_back(dqp::BatchQuery{
-        parsed[u % parsed.size()],
-        bed.storage_addrs()[u % bed.storage_addrs().size()]});
+    out.push_back(dqp::BatchQuery{parsed[u % parsed.size()],
+                                  bed.storage_addrs()[u % initiators]});
   }
   return out;
 }
@@ -85,7 +88,9 @@ std::vector<dqp::BatchQuery> make_batch(const workload::Testbed& bed) {
 struct Fixture {
   workload::Testbed bed;
   std::vector<dqp::BatchQuery> batch;
-  Fixture() : bed(make_config()), batch(make_batch(bed)) {}
+  Fixture()
+      : bed(make_config()),
+        batch(make_batch(bed, kQueries, bed.storage_addrs().size())) {}
 };
 
 Fixture& fixture() {
@@ -113,18 +118,20 @@ void die(const std::string& what, std::size_t i) {
   std::exit(1);
 }
 
-/// Abort on any simulated-observable divergence from the serial baseline.
-void check_identity(const dqp::BatchResult& r, const net::TrafficStats& delta) {
-  const Baseline& base = baseline();
-  if (r.results.size() != base.result.results.size()) die("result count", 0);
-  if (r.makespan != base.result.makespan) die("makespan", 0);
+/// Abort on any simulated-observable divergence from the serial run `base`
+/// (its batch traffic in `base_delta`).
+void check_identity(const dqp::BatchResult& base,
+                    const net::TrafficStats& base_delta,
+                    const dqp::BatchResult& r, const net::TrafficStats& delta) {
+  if (r.results.size() != base.results.size()) die("result count", 0);
+  if (r.makespan != base.makespan) die("makespan", 0);
   for (std::size_t i = 0; i < r.results.size(); ++i) {
-    if (r.results[i].solutions.rows() != base.result.results[i].solutions.rows())
+    if (r.results[i].solutions.rows() != base.results[i].solutions.rows())
       die("solution rows", i);
-    if (r.results[i].ask_answer != base.result.results[i].ask_answer)
+    if (r.results[i].ask_answer != base.results[i].ask_answer)
       die("ask answer", i);
     const dqp::ExecutionReport& a = r.reports[i];
-    const dqp::ExecutionReport& b = base.result.reports[i];
+    const dqp::ExecutionReport& b = base.reports[i];
     if (a.traffic.messages != b.traffic.messages ||
         a.traffic.bytes != b.traffic.bytes ||
         a.traffic.timeouts != b.traffic.timeouts)
@@ -133,8 +140,8 @@ void check_identity(const dqp::BatchResult& r, const net::TrafficStats& delta) {
     if (a.ring_hops != b.ring_hops || a.index_lookups != b.index_lookups)
       die("lookup counters", i);
   }
-  if (delta.messages != base.delta.messages || delta.bytes != base.delta.bytes ||
-      delta.timeouts != base.delta.timeouts)
+  if (delta.messages != base_delta.messages ||
+      delta.bytes != base_delta.bytes || delta.timeouts != base_delta.timeouts)
     die("network delta", 0);
 }
 
@@ -172,12 +179,12 @@ void BM_ParallelBatch_Bulk(benchmark::State& state) {
       base.result = r;
       base.delta = delta;
     } else if (baseline().ready) {
-      check_identity(r, delta);
+      check_identity(baseline().result, baseline().delta, r, delta);
       const double speedup = baseline().wall_ms / wall_ms;
       state.counters["speedup"] = speedup;
       extra["speedup_vs_serial"] = speedup;
-      // Per-worker makespan attribution: how evenly qid % workers spreads
-      // the simulated work across the shards.
+      // Per-worker makespan attribution: how evenly the initiator shards
+      // spread the simulated work.
       for (std::size_t w = 0; w < r.worker_makespans.size(); ++w) {
         extra["worker" + std::to_string(w) + "_makespan_ms"] =
             r.worker_makespans[w];
@@ -343,6 +350,91 @@ BENCHMARK(BM_ParallelBatch_Traced)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
+
+// -- shared hot initiators --------------------------------------------------
+//
+// The batch the initiator partition exists for: caching on, and every query
+// issued by one of four storage nodes, so each initiator's location cache
+// runs hot (at hot threshold 2 its repeated rows are leased) and each of the
+// four shards holds one initiator. Every cache action is recorded on a
+// worker and replayed on the master, so this is the host cost of the
+// StateLog record/replay path. Each iteration builds two identical systems,
+// runs the batch serially on one and with four workers on the other, and
+// aborts on any divergence. `coupled_reruns` counts batches the driver
+// handed back to the serial scheduler; no provider is down, so no
+// dead-provider report can couple the shards. Not part of the byte-gated
+// `Traced` series.
+
+constexpr int kHotQueries = 2000;
+constexpr std::size_t kHotInitiators = 4;
+constexpr int kHotWorkers = 4;
+
+struct HotRun {
+  dqp::BatchResult result;
+  net::TrafficStats delta;
+  double wall_ms = 0;
+};
+
+HotRun run_hot(workload::Testbed& bed, int workers) {
+  dqp::DistributedQueryProcessor proc(bed.overlay());
+  proc.policy().cache.enabled = true;
+  proc.policy().cache.hot_threshold = 2;
+  bed.overlay().configure_caches(proc.policy().cache);
+  const std::vector<dqp::BatchQuery> batch =
+      make_batch(bed, kHotQueries, kHotInitiators);
+  dqp::BatchOptions opts;
+  opts.workers = workers;
+  HotRun out;
+  const net::TrafficStats before = bed.network().stats();
+  // ahsw-lint: allow(D1) wall-clock is the measurand (see file header).
+  const auto t0 = std::chrono::steady_clock::now();
+  out.result = proc.execute_batch(batch, opts);
+  // ahsw-lint: allow(D1) second wall-clock read closing the measurement.
+  const auto t1 = std::chrono::steady_clock::now();
+  out.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  out.delta = bed.network().stats().delta_since(before);
+  return out;
+}
+
+void BM_ParallelBatch_HotInitiators(benchmark::State& state) {
+  const std::string name = "parallel_hot/q=" + std::to_string(kHotQueries) +
+                           "/initiators=" + std::to_string(kHotInitiators) +
+                           "/workers=" + std::to_string(kHotWorkers);
+  for (auto _ : state) {
+    workload::Testbed serial_bed(make_config());
+    workload::Testbed parallel_bed(make_config());
+    const HotRun serial = run_hot(serial_bed, 1);
+    const HotRun parallel = run_hot(parallel_bed, kHotWorkers);
+    check_identity(serial.result, serial.delta, parallel.result,
+                   parallel.delta);
+    int coupled_reruns = 0;
+    for (const std::string& note : parallel.result.reports.front().plan_notes) {
+      if (note.find("(coupled: key ") != std::string::npos) ++coupled_reruns;
+    }
+
+    std::map<std::string, double> extra;
+    extra["workers"] = kHotWorkers;
+    extra["shards"] =
+        static_cast<double>(parallel.result.worker_makespans.size());
+    extra["coupled_reruns"] = coupled_reruns;
+    extra["serial_wall_ms"] = serial.wall_ms;
+    extra["wall_ms"] = parallel.wall_ms;
+    extra["speedup_vs_serial"] = serial.wall_ms / parallel.wall_ms;
+    state.counters["wall_ms"] = parallel.wall_ms;
+    state.counters["speedup"] = serial.wall_ms / parallel.wall_ms;
+    state.counters["coupled_reruns"] = coupled_reruns;
+    benchutil::record_mean_extra_json(state, name, parallel.result.reports,
+                                      std::move(extra));
+
+    check::AuditOptions opt;
+    opt.converged = true;
+    benchutil::maybe_audit(parallel_bed.overlay(), name, opt);
+  }
+}
+
+BENCHMARK(BM_ParallelBatch_HotInitiators)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -240,8 +240,9 @@ std::optional<BatchResult> run_parallel_batch(
   }
   for (std::thread& t : pool) t.join();  // ahsw-lint: allow(D1) barrier only
 
-  // -- coupling check: before the master is touched, so the serial driver
-  // can rerun the batch from the same state --------------------------------
+  // -- coupling check, before the master is touched ------------------------
+  // A coupled batch goes back to the caller, which reruns it serially from
+  // the state the shards were cloned from.
   if (const std::optional<chord::Key> key = coupled_key(overlay, shards)) {
     return refuse("coupled: key " +
                   std::to_string(overlay.ring().truncate(*key)));

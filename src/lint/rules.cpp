@@ -345,15 +345,17 @@ void check_d2_d3(const SourceFile& f, std::vector<Diagnostic>* out) {
 }
 
 /// The variable a `static`/`inline` at `i` declares, or "" when it is
-/// const/constexpr or a function. At declaration scope `name(` is a
-/// function; inside a function body it is a direct-initialized local.
+/// const/constexpr, a function or an inline namespace. At declaration
+/// scope `name(` is a function; inside a function body it is a
+/// direct-initialized local.
 [[nodiscard]] std::string static_variable(const Tokens& t, std::size_t i,
                                           bool local) {
   std::string name;
   for (std::size_t j = i + 1; j < t.size();) {
     const Token& tok = t[j];
     if (tok.ident("const") || tok.ident("constexpr") ||
-        tok.ident("consteval") || tok.ident("constinit")) {
+        tok.ident("consteval") || tok.ident("constinit") ||
+        tok.ident("namespace")) {
       return "";
     }
     if (tok.is(";") || tok.is("=") || tok.is("{")) break;

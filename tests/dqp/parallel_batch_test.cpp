@@ -34,7 +34,7 @@ workload::TestbedConfig config() {
 }
 
 /// Eight queries, one per storage node: distinct initiators keep the
-/// per-initiator caches partition-independent for any worker count.
+/// queries in one shard per initiator at any worker count.
 std::vector<std::string> batch_queries() {
   const char* bodies[] = {
       "SELECT ?x ?o WHERE { ?x foaf:knows ?o . }",

@@ -17,7 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -318,6 +318,14 @@ class FirstDifference {
 /// makespan per shard, a fallback none.
 enum class Path { kParallel, kRerun, kOtherFallback };
 
+void PrintTo(Path p, std::ostream* os) {
+  switch (p) {
+    case Path::kParallel: *os << "parallel"; break;
+    case Path::kRerun: *os << "coupled rerun"; break;
+    case Path::kOtherFallback: *os << "other fallback"; break;
+  }
+}
+
 std::string parallel_note(const ExecutionReport& r) {
   for (const std::string& n : r.plan_notes) {
     if (n.rfind("parallel:", 0) == 0) return n;
@@ -369,6 +377,10 @@ struct Case {
   std::uint64_t seed = 0;
   int workers = 0;
 };
+
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "seed " << c.seed << ", workers " << c.workers;
+}
 
 class ParallelDifferential : public ::testing::TestWithParam<Case> {};
 
@@ -445,8 +457,28 @@ Workload shared_keys() {
   return w;
 }
 
+/// A coupling only the static key set shows: caching off, the ninth
+/// storage node down. Query 0 gives up on it while scanning foaf:knows
+/// and purges it from that row. Query 1, in the other shard, first times
+/// out on it twice in its own chain, then looks the foaf:knows row up
+/// inside OPTIONAL, after the purge. It never scans that row (the empty
+/// pattern beside it ends the join early), so its log does not carry the
+/// key, but serially its lookup returns one provider fewer.
+Workload lookup_only_key() {
+  Workload w;
+  w.cfg = base_config(0);
+  w.pre_failed.push_back(kStorageNodes - 1);
+  w.queries = {
+      query_template(0, 0),
+      "SELECT ?x ?n ?y WHERE { ?x foaf:name ?n . ?x foaf:nick ?k . "
+      "OPTIONAL { ?x foaf:knows ?y . ?y foaf:name \"nobody\" . } }",
+  };
+  w.initiators = {0, 1};
+  return w;
+}
+
 // Sharding by initiator removes the cache coupling: the batch stays
-// parallel. The shared key is a true coupling: the batch reruns serially.
+// parallel. The shared keys are true couplings: the batch reruns serially.
 
 TEST(ParallelDifferentialNamed, SharedInitiatorsWorkers2) {
   EXPECT_EQ(expect_parallel_matches_serial(shared_initiators(), 2),
@@ -464,6 +496,11 @@ TEST(ParallelDifferentialNamed, SharedKeysWorkers2) {
 
 TEST(ParallelDifferentialNamed, SharedKeysWorkers4) {
   EXPECT_EQ(expect_parallel_matches_serial(shared_keys(), 4), Path::kRerun);
+}
+
+TEST(ParallelDifferentialNamed, KeyOnlyLookedUp) {
+  EXPECT_EQ(expect_parallel_matches_serial(lookup_only_key(), 2),
+            Path::kRerun);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 # Makes a --coverage Debug build of the whole tree and of the perfbench
 # binary, then runs what the project runs: the CI bench smokes, `perfbench
 # --selftest`, every perfbench workload at --trace 0 and --trace 1, the
-# shell demo script and the shell's `lint effects`; then the tier-1 suite
+# shell demo script and the shell's `lint`; then the tier-1 suite
 # (plain and with AHSW_AUDIT=1). It reads the counters with
 # `gcov --json-format` before and after the tier-1 suite, summing each src/
 # function's hits over every object that compiles it, and prints each
@@ -110,7 +110,7 @@ done
 
 echo "coverage: shell demo and lint" >&2
 quiet "$dir/tree/tools/ahsw_shell" examples/data/shell_demo.txt
-printf 'lint effects\nquit\n' | quiet "$dir/tree/tools/ahsw_shell"
+printf 'lint\nquit\n' | quiet "$dir/tree/tools/ahsw_shell"
 collect "$dir/without_tests.json"
 
 echo "coverage: tier-1 suite, plain and audited" >&2

@@ -1,13 +1,10 @@
 #!/usr/bin/env bash
 # Static-analysis gate: clang-tidy (profile in .clang-tidy) and cppcheck over
 # src/, tools/ and bench/, then ahsw-lint (the self-hosted domain linter,
-# built from src/lint/) over the same tree — token rules plus the
-# whole-program effect analysis (rule family P) against
-# tools/ahsw_shared_state.spec, with drift gates on the committed
-# parallel-safety ledger (tools/ahsw_effects.json) and the rule-catalogue
-# table embedded in docs/static_analysis.md. The dynamic counterpart of
-# this gate is the invariant auditor (src/check/, AHSW_AUDIT=1); see
-# docs/static_analysis.md for both halves.
+# built from src/lint/) over the same tree, with a drift gate on the
+# rule-catalogue table embedded in docs/static_analysis.md. The dynamic
+# counterpart of this gate is the invariant auditor (src/check/,
+# AHSW_AUDIT=1); see docs/static_analysis.md for both halves.
 #
 # Exit codes: non-zero on any finding. When an external tool is not
 # installed the step is skipped with a notice — unless AHSW_STATIC_STRICT=1
@@ -69,18 +66,10 @@ fi
 
 echo "== ahsw-lint =="
 if cmake --build "${build_dir}" --target ahsw_lint_tool -j > /dev/null; then
-  # JSON diagnostics and the regenerated ledger land next to the
-  # analysis build; CI uploads them as artifacts so findings are
-  # inspectable without re-running the job. --effects runs the
-  # whole-program shared-state analysis (rule family P).
-  if ! "${build_dir}/tools/ahsw_lint" --root . --effects \
-      --json "${build_dir}/ahsw_lint.json" \
-      --effects-json "${build_dir}/ahsw_effects.json"; then
-    status=1
-  fi
-
-  echo "== parallel-safety ledger drift =="
-  if ! tools/check_effects_ledger.sh "${build_dir}/ahsw_effects.json"; then
+  # JSON diagnostics land next to the analysis build; CI uploads them as
+  # an artifact so findings are inspectable without re-running the job.
+  if ! "${build_dir}/tools/ahsw_lint" --root . \
+      --json "${build_dir}/ahsw_lint.json"; then
     status=1
   fi
 
