@@ -162,21 +162,16 @@ std::pair<DagExecutor::Located, DagExecutor::Located> DagExecutor::colocate(
 obs::SpanId DagExecutor::open_span(obs::SpanKind kind, std::string label,
                                    net::SimTime at, net::NodeAddress site) {
   if (trace_ == nullptr) return obs::kNoSpan;
-  // ahsw-lint: allow(O1) interleaved firings cannot hold one RAII scope
-  // per task; fire() balances every open with a close_span.
   return trace_->open(kind, std::move(label), at, site);
 }
 
 void DagExecutor::close_span(obs::SpanId span, net::SimTime end) {
   if (trace_ == nullptr || span == obs::kNoSpan) return;
-  // ahsw-lint: allow(O1) the matching close for open_span / reopen_span.
   trace_->close(span, end);
 }
 
 void DagExecutor::reopen_span(obs::SpanId span) {
   if (trace_ == nullptr || span == obs::kNoSpan) return;
-  // ahsw-lint: allow(O1) a task span is re-entered once per interleaved
-  // firing; close_span balances it before the next event fires.
   trace_->reopen(span);
 }
 

@@ -250,9 +250,9 @@ class DagExecutor {
   // Span plumbing for the interleaved DAG: firings of different queries
   // interleave arbitrarily, so a task's enclosing span is re-entered around
   // each fire instead of being held open by one RAII scope. These three
-  // helpers are the only sanctioned manual QueryTrace calls outside
-  // SpanScope (rule O1); each is a no-op without a bound trace, and fire()
-  // balances every open/reopen with a close.
+  // helpers are the only manual QueryTrace calls outside SpanScope
+  // (QueryTrace befriends only the two); each is a no-op without a bound
+  // trace, and fire() balances every open/reopen with a close.
   obs::SpanId open_span(obs::SpanKind kind, std::string label,
                         net::SimTime at, net::NodeAddress site);
   void close_span(obs::SpanId span, net::SimTime end);

@@ -24,13 +24,9 @@ using Tokens = std::vector<Token>;
   return lower(hay).find(lower(needle)) != std::string::npos;
 }
 
-[[nodiscard]] bool is_header(std::string_view path) {
-  return path.size() >= 4 && path.substr(path.size() - 4) == ".hpp";
-}
-
 /// True when `path` starts with any of the given prefixes — the rule
-/// whitelists (the accounting layer may mutate its own counters, the span
-/// ledger may drive itself, the Rng wrapper may touch entropy).
+/// whitelists (the accounting layer may mutate its own counters, the Rng
+/// wrapper may touch entropy, the PointMap wrapper may hold a hash map).
 [[nodiscard]] bool whitelisted(std::string_view path,
                                std::initializer_list<std::string_view> list) {
   for (std::string_view p : list) {
@@ -109,24 +105,16 @@ using Tokens = std::vector<Token>;
   return -1;
 }
 
-/// True when `line` carries, or is directly preceded by, a comment whose
-/// text contains `marker` (used by D3's iteration-order contracts).
-[[nodiscard]] bool has_marker(const SourceFile& file, int line,
-                              std::string_view marker) {
-  for (const Comment& c : file.comments) {
-    if (c.text.find(marker) == std::string::npos) continue;
-    if (c.begin <= line && line <= c.end) return true;
-    if (attach_line(file, c) == line) return true;
-  }
-  return false;
-}
-
 // -- D rules: determinism ---------------------------------------------------
 
 struct BannedIdent {
   std::string_view ident;
   std::string_view why;
 };
+
+constexpr std::string_view kHashOrder =
+    "hash container whose iteration order is unspecified; use "
+    "common::PointMap (point lookups, no iterators) or an ordered container";
 
 // Identifiers that may never appear in sim code, wherever they come from.
 constexpr BannedIdent kBannedAlways[] = {
@@ -140,6 +128,10 @@ constexpr BannedIdent kBannedAlways[] = {
     {"rand", "global unseeded RNG; use common::Rng"},
     {"srand", "global unseeded RNG; use common::Rng"},
     {"this_thread", "real-time waiting has no place in simulated time"},
+    {"unordered_map", kHashOrder},
+    {"unordered_set", kHashOrder},
+    {"unordered_multimap", kHashOrder},
+    {"unordered_multiset", kHashOrder},
 };
 
 // Identifiers banned only as direct calls (`time(...)`), since the bare
@@ -153,22 +145,32 @@ constexpr BannedIdent kBannedCalls[] = {
     {"strftime", "wall-clock formatting; sim code reports SimTime"},
 };
 
+constexpr std::string_view kNondeterministic =
+    "pulls wall-clock/OS-randomness/threading into sim code; determinism "
+    "requires common::Rng and net::SimTime";
+constexpr std::string_view kHashHeader =
+    "pulls a hash container into sim code; its iteration order is "
+    "unspecified, so use common::PointMap or an ordered container";
+
 // Headers whose inclusion is itself the violation.
-constexpr std::string_view kBannedIncludes[] = {
-    "chrono", "ctime", "time.h", "random", "thread", "sys/time.h",
-    "pthread.h",
+constexpr BannedIdent kBannedIncludes[] = {
+    {"chrono", kNondeterministic},    {"ctime", kNondeterministic},
+    {"time.h", kNondeterministic},    {"random", kNondeterministic},
+    {"thread", kNondeterministic},    {"sys/time.h", kNondeterministic},
+    {"pthread.h", kNondeterministic}, {"unordered_map", kHashHeader},
+    {"unordered_set", kHashHeader},
 };
 
 void check_d1(const SourceFile& f, std::vector<Diagnostic>* out) {
-  if (whitelisted(f.path, {"src/common/rng"})) return;
+  // The sanctioned wrappers: common::Rng owns the entropy, common::PointMap
+  // the one hash container.
+  if (whitelisted(f.path, {"src/common/rng", "src/common/point_map"})) return;
   for (const IncludeDirective& inc : f.includes) {
-    for (std::string_view banned : kBannedIncludes) {
-      if (inc.angled && inc.path == banned) {
-        out->push_back(Diagnostic{
-            "D1", f.path, inc.line,
-            "#include <" + inc.path +
-                "> pulls wall-clock/OS-randomness/threading into sim code; "
-                "determinism requires common::Rng and net::SimTime"});
+    for (const BannedIdent& banned : kBannedIncludes) {
+      if (inc.angled && inc.path == banned.ident) {
+        out->push_back(Diagnostic{"D1", f.path, inc.line,
+                                  "#include <" + inc.path + "> " +
+                                      std::string(banned.why)});
       }
     }
   }
@@ -206,111 +208,6 @@ void check_d1(const SourceFile& f, std::vector<Diagnostic>* out) {
           "'std::" + t[i].text +
               "': real concurrency breaks deterministic replay; model "
               "parallelism through the event scheduler"});
-    }
-  }
-}
-
-struct UnorderedDecl {
-  std::string name;
-  int line = 0;
-};
-
-/// Variable / member names declared with an unordered container type in
-/// this file. Function declarations returning one are skipped.
-[[nodiscard]] std::vector<UnorderedDecl> unordered_decls(const SourceFile& f) {
-  static constexpr std::string_view kTypes[] = {
-      "unordered_map", "unordered_set", "unordered_multimap",
-      "unordered_multiset"};
-  std::vector<UnorderedDecl> decls;
-  const Tokens& t = f.tokens;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    bool is_type = false;
-    for (std::string_view ty : kTypes) {
-      if (t[i].ident(ty)) is_type = true;
-    }
-    if (!is_type) continue;
-    std::size_t j = i + 1;
-    if (j < t.size() && t[j].is("<")) {
-      int depth = 0;
-      for (; j < t.size(); ++j) {
-        if (t[j].is("<")) ++depth;
-        if (t[j].is(">")) --depth;
-        if (t[j].is(">>")) depth -= 2;
-        if (depth <= 0) {
-          ++j;
-          break;
-        }
-      }
-    }
-    while (j < t.size() &&
-           (t[j].is("&") || t[j].is("*") || t[j].ident("const"))) {
-      ++j;
-    }
-    if (j + 1 < t.size() && t[j].kind == Token::Kind::kIdentifier) {
-      const Token& after = t[j + 1];
-      if (after.is(";") || after.is("=") || after.is("{") || after.is(",") ||
-          after.is(")")) {
-        decls.push_back(UnorderedDecl{t[j].text, t[j].line});
-      }
-    }
-  }
-  return decls;
-}
-
-void check_d2_d3(const SourceFile& f, std::vector<Diagnostic>* out) {
-  std::vector<UnorderedDecl> decls = unordered_decls(f);
-  if (decls.empty()) return;
-  std::set<std::string> names;
-  for (const UnorderedDecl& d : decls) names.insert(d.name);
-
-  const Tokens& t = f.tokens;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    // Range-for whose range expression mentions an unordered container.
-    if (t[i].ident("for") && i + 1 < t.size() && t[i + 1].is("(")) {
-      std::size_t close = match_forward(t, i + 1, "(", ")");
-      int depth = 0;
-      std::size_t colon = 0;
-      for (std::size_t j = i + 2; j < close; ++j) {
-        if (t[j].is("(") || t[j].is("[") || t[j].is("{")) ++depth;
-        if (t[j].is(")") || t[j].is("]") || t[j].is("}")) --depth;
-        if (depth == 0 && t[j].is(":")) {
-          colon = j;
-          break;
-        }
-      }
-      for (std::size_t j = colon + 1; colon != 0 && j < close; ++j) {
-        if (t[j].kind == Token::Kind::kIdentifier &&
-            names.count(t[j].text) > 0) {
-          out->push_back(Diagnostic{
-              "D2", f.path, t[j].line,
-              "iterating unordered container '" + t[j].text +
-                  "' leaks hash order into downstream output; iterate an "
-                  "ordered projection instead"});
-          break;
-        }
-      }
-    }
-    // Explicit iterator walks: name.begin(), name->cbegin(), ...
-    if (t[i].kind == Token::Kind::kIdentifier && names.count(t[i].text) > 0 &&
-        i + 2 < t.size() && (t[i + 1].is(".") || t[i + 1].is("->"))) {
-      const std::string& m = t[i + 2].text;
-      if (m == "begin" || m == "cbegin" || m == "rbegin" || m == "crbegin") {
-        out->push_back(Diagnostic{
-            "D2", f.path, t[i].line,
-            "iterator walk over unordered container '" + t[i].text +
-                "' leaks hash order; iterate an ordered projection instead"});
-      }
-    }
-  }
-
-  if (!is_header(f.path)) return;
-  for (const UnorderedDecl& d : decls) {
-    if (!has_marker(f, d.line, "iteration-order:")) {
-      out->push_back(Diagnostic{
-          "D3", f.path, d.line,
-          "unordered container member '" + d.name +
-              "' in a header needs an `// iteration-order: <contract>` "
-              "comment stating why hash order cannot leak"});
     }
   }
 }
@@ -417,54 +314,40 @@ void check_d4(const SourceFile& f, std::vector<Diagnostic>* out) {
 
 // -- A rules: accounting ----------------------------------------------------
 
+/// The charged (3rd) argument of send() must not be a raw byte_size():
+/// solution payloads are charged at their wire-encoded size
+/// (net::wire::charged_bytes), with byte_size passed separately as the
+/// trailing raw_bytes argument. The repository's fixed-format pattern
+/// shipping predates the wire codec and stays raw by design. (That every
+/// send and timeout names its category is the signature's job: neither
+/// has a defaulted category parameter.)
 void check_a1(const SourceFile& f, std::vector<Diagnostic>* out) {
-  if (whitelisted(f.path, {"src/net/network"})) return;
+  if (whitelisted(f.path, {"src/net/network", "src/net/wire",
+                           "src/rdfpeers/repository"})) {
+    return;
+  }
   const Tokens& t = f.tokens;
   for (std::size_t i = 1; i + 1 < t.size(); ++i) {
-    if (!(t[i].ident("send") || t[i].ident("timeout"))) continue;
+    if (!t[i].ident("send")) continue;
     if (!(t[i - 1].is(".") || t[i - 1].is("->"))) continue;
     if (!t[i + 1].is("(")) continue;
-    std::size_t close = match_forward(t, i + 1, "(", ")");
-    bool categorized = false;
-    for (std::size_t j = i + 2; j < close; ++j) {
-      if (t[j].kind != Token::Kind::kIdentifier) continue;
-      if (t[j].text == "Category" ||
-          lower(t[j].text).find("category") != std::string::npos) {
-        categorized = true;
+    const std::size_t close = match_forward(t, i + 1, "(", ")");
+    int depth = 0;
+    int arg = 0;
+    for (std::size_t j = i + 1; j < close; ++j) {
+      if (t[j].is("(") || t[j].is("[") || t[j].is("{")) {
+        ++depth;
+      } else if (t[j].is(")") || t[j].is("]") || t[j].is("}")) {
+        --depth;
+      } else if (depth == 1 && t[j].is(",")) {
+        ++arg;
+      } else if (arg == 2 && t[j].ident("byte_size")) {
+        out->push_back(Diagnostic{
+            "A1", f.path, t[j].line,
+            "raw byte_size() charged as wire traffic; charge "
+            "net::wire::charged_bytes and pass byte_size as the "
+            "raw_bytes argument"});
         break;
-      }
-    }
-    if (!categorized) {
-      out->push_back(Diagnostic{
-          "A1", f.path, t[i].line,
-          "Network::" + t[i].text +
-              " call site without an explicit net::Category; every charged "
-              "interaction must name its traffic category"});
-    }
-    // The charged (3rd) argument of send() must not be a raw byte_size():
-    // solution payloads are charged at their wire-encoded size
-    // (net::wire::charged_bytes), with byte_size passed separately as the
-    // trailing raw_bytes argument. The repository's fixed-format pattern
-    // shipping predates the wire codec and stays raw by design.
-    if (t[i].ident("send") &&
-        !whitelisted(f.path, {"src/net/wire", "src/rdfpeers/repository"})) {
-      int depth = 0;
-      int arg = 0;
-      for (std::size_t j = i + 1; j < close; ++j) {
-        if (t[j].is("(") || t[j].is("[") || t[j].is("{")) {
-          ++depth;
-        } else if (t[j].is(")") || t[j].is("]") || t[j].is("}")) {
-          --depth;
-        } else if (depth == 1 && t[j].is(",")) {
-          ++arg;
-        } else if (arg == 2 && t[j].ident("byte_size")) {
-          out->push_back(Diagnostic{
-              "A1", f.path, t[j].line,
-              "raw byte_size() charged as wire traffic; charge "
-              "net::wire::charged_bytes and pass byte_size as the "
-              "raw_bytes argument"});
-          break;
-        }
       }
     }
   }
@@ -556,31 +439,6 @@ void check_a2(const SourceFile& f, std::vector<Diagnostic>* out) {
 }
 
 // -- O rules: observability -------------------------------------------------
-
-void check_o1(const SourceFile& f, std::vector<Diagnostic>* out) {
-  if (whitelisted(f.path, {"src/obs/trace"})) return;
-  const Tokens& t = f.tokens;
-  for (std::size_t i = 1; i + 1 < t.size(); ++i) {
-    if (!(t[i].ident("open") || t[i].ident("close") || t[i].ident("reopen"))) {
-      continue;
-    }
-    if (!(t[i - 1].is(".") || t[i - 1].is("->"))) continue;
-    if (!t[i + 1].is("(")) continue;
-    std::vector<std::string> chain;
-    static_cast<void>(chain_back(t, i - 1, &chain));
-    bool on_trace = false;
-    for (const std::string& link : chain) {
-      if (contains_ci(link, "trace")) on_trace = true;
-    }
-    if (on_trace) {
-      out->push_back(Diagnostic{
-          "O1", f.path, t[i].line,
-          "manual QueryTrace::" + t[i].text +
-              " outside SpanScope; RAII scopes keep span trees balanced "
-              "(unbalanced spans corrupt I5 attribution)"});
-    }
-  }
-}
 
 /// Scan one switch statement (token `i` is the `switch` keyword). Nested
 /// switches are handled recursively and excluded from the enclosing
@@ -799,28 +657,18 @@ LayerSpec LayerSpec::parse(std::string_view text,
 const std::vector<RuleInfo>& rule_catalogue() {
   static const std::vector<RuleInfo> kCatalogue = {
       {"D1", "determinism",
-       "wall-clock, OS randomness and threading primitives are banned in "
-       "sim code; use common::Rng and net::SimTime"},
-      {"D2", "determinism",
-       "iterating an unordered container leaks hash order into downstream "
-       "output; iterate an ordered projection"},
-      {"D3", "determinism",
-       "unordered container members in headers document their "
-       "iteration-order contract"},
+       "wall-clock, OS randomness, threading primitives and raw hash "
+       "containers are banned in sim code; use common::Rng, net::SimTime "
+       "and common::PointMap"},
       {"D4", "determinism",
        "no non-const namespace-scope, class-scope or function-local "
        "static/inline variables in src/"},
       {"A1", "accounting",
-       "every Network::send / Network::timeout call site names its traffic "
-       "category explicitly, and send() charges wire-encoded sizes, never "
-       "a raw byte_size()"},
+       "Network::send charges wire-encoded sizes, never a raw byte_size()"},
       {"A2", "accounting",
        "traffic, cache, and compression (raw_bytes/wire_bytes) counters "
        "mutate only inside the accounting layer (Network / TrafficStats / "
        "LocationCache / net::wire)"},
-      {"O1", "observability",
-       "manual QueryTrace::open/close/reopen is forbidden outside "
-       "SpanScope; RAII keeps span trees balanced"},
       {"O2", "observability",
        "switches over guarded enums (Category, SpanKind, PhysOpKind) stay "
        "exhaustive with no default: label"},
@@ -856,11 +704,9 @@ std::vector<Diagnostic> run_rules(const SourceFile& file,
                                   const LintConfig& cfg) {
   std::vector<Diagnostic> out;
   check_d1(file, &out);
-  check_d2_d3(file, &out);
   check_d4(file, &out);
   check_a1(file, &out);
   check_a2(file, &out);
-  check_o1(file, &out);
   check_o2(file, cfg, &out);
   check_layering(file, cfg, &out);
   return out;

@@ -1,31 +1,33 @@
 // The ahsw-lint rule catalogue.
 //
-// Four rule families statically enforce the contracts that PR 3's
+// Four rule families statically enforce the contracts that the
 // deterministic executor and the traffic-accounting layer rely on but that
 // generic tooling cannot express (full catalogue with rationale and
 // examples: docs/static_analysis.md):
 //
-//   D — determinism.  D1: wall-clock, OS randomness, and threading
-//       primitives are banned in sim code (common::Rng and SimTime are the
-//       sanctioned sources); D2: iterating an unordered container leaks
-//       hash order into whatever consumes the loop; D3: every unordered
-//       container member in a header documents its iteration-order
-//       contract; D4: no non-const static or global variables in src/,
-//       which every worker thread of the parallel batch driver would
+//   D — determinism.  D1: wall-clock, OS randomness, threading primitives
+//       and raw std::unordered_* containers are banned in sim code
+//       (common::Rng, SimTime and common::PointMap are the sanctioned
+//       replacements); D4: no non-const static or global variables in
+//       src/, which every worker thread of the parallel batch driver would
 //       share.
-//   A — accounting.   A1: every Network::send / Network::timeout call site
-//       names its traffic category explicitly; A2: traffic counters mutate
-//       only inside the accounting layer (TrafficStats / the span ledger),
-//       and cache hit/miss/invalidate counters only inside LocationCache
-//       (CacheStats is read-only to consumers).
-//   O — observability. O1: manual QueryTrace::open/close/reopen calls are
-//       forbidden outside SpanScope (RAII keeps span trees balanced);
-//       O2: a switch over a guarded enum (Category, SpanKind, PhysOpKind)
-//       must be exhaustive — no silent `default:` that would swallow a new
-//       enumerator.
+//   A — accounting.   A1: Network::send charges wire-encoded sizes, never a
+//       raw byte_size(); A2: traffic counters mutate only inside the
+//       accounting layer (TrafficStats / the span ledger), and cache
+//       hit/miss/invalidate counters only inside LocationCache (CacheStats
+//       is read-only to consumers).
+//   O — observability. O2: a switch over a guarded enum (Category,
+//       SpanKind, PhysOpKind) must be exhaustive — no silent `default:`
+//       that would swallow a new enumerator.
 //   L — layering.     L1: `#include` edges must follow the declared module
 //       DAG (tools/ahsw_layers.spec); L2: every module must be declared in
 //       the spec.
+//
+// Contracts a type or a signature can carry are not rules here: a
+// common::PointMap has no iterators, QueryTrace's span calls are private to
+// SpanScope and the DAG executor, and Network::send / Network::timeout
+// have no defaulted category (docs/static_analysis.md, "What replaced D2,
+// D3 and O1").
 //
 // Suppressions: `// ahsw-lint: allow(RULE[,RULE...]) <justification>` on
 // the offending line, or as the comment block directly above it. The

@@ -6,8 +6,8 @@
 // once comments, string literals, and preprocessor noise are out of the
 // way. This tokenizer produces exactly that: a flat token list with line
 // numbers, plus the comment text (kept separately, because suppressions
-// and iteration-order contracts live in comments) and the `#include`
-// directives (the input of the layering rules).
+// live in comments) and the `#include` directives (the input of the
+// layering rules).
 #pragma once
 
 #include <string>

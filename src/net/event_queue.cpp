@@ -90,9 +90,8 @@ void EventQueue::refresh_top() noexcept {
 
 void EventQueue::push(ReadyEvent e) {
   const std::uint64_t key = time_key(e.at);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    bucket_push(buckets_[it->second].heap, pack(e.query, e.task));
+  if (const BucketId* held = index_.find(key)) {
+    bucket_push(buckets_[*held].heap, pack(e.query, e.task));
   } else {
     BucketId id;
     if (!free_.empty()) {
@@ -106,7 +105,7 @@ void EventQueue::push(ReadyEvent e) {
     b.at = e.at;
     b.heap.clear();
     b.heap.push_back(pack(e.query, e.task));
-    index_.emplace(key, id);
+    index_.try_emplace(key, id);
     time_heap_.push_back(id);
     sift_up_time(time_heap_.size() - 1);
   }

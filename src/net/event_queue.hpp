@@ -23,9 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/point_map.hpp"
 #include "net/network.hpp"
 
 namespace ahsw::net {
@@ -90,10 +90,9 @@ class EventQueue {
   std::vector<BucketId> time_heap_;  // 4-ary min-heap over bucket ids
   std::vector<Bucket> buckets_;      // arena indexed by BucketId
   std::vector<BucketId> free_;       // recycled bucket slots
-  // iteration-order: never iterated — point lookups/erases only, so hash
-  // order cannot leak into the pop sequence. Keyed by the timestamp's bit
-  // pattern (-0.0 normalized onto +0.0).
-  std::unordered_map<std::uint64_t, BucketId> index_;
+  // Bucket of each timestamp, keyed by its bit pattern (-0.0 normalized
+  // onto +0.0).
+  common::PointMap<std::uint64_t, BucketId> index_;
   std::size_t size_ = 0;
   ReadyEvent top_{};  // materialized minimum; valid while !empty()
 };

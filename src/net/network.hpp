@@ -16,8 +16,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
-#include <unordered_set>
 
 namespace ahsw::net {
 
@@ -126,8 +126,10 @@ class Network {
   /// gives up. Bumps the aggregate and per-category timeout counters and
   /// notifies the timeout tracer with the suspected-dead node, so observers
   /// see failure-detection cost the same way they see transmission cost.
-  SimTime timeout(SimTime now, NodeAddress suspect = kNoAddress,
-                  Category category = Category::kRouting);
+  /// Every call site names the suspect (kNoAddress when unknown) and the
+  /// category: neither has a default, so no timeout is booked silently
+  /// against a category its caller did not choose.
+  SimTime timeout(SimTime now, NodeAddress suspect, Category category);
 
   /// Mark a node as failed / recovered. Failed nodes never reply.
   void fail(NodeAddress n) {
@@ -137,7 +139,7 @@ class Network {
     if (failed_.erase(n) > 0) ++liveness_changes_[n];
   }
   [[nodiscard]] bool is_failed(NodeAddress n) const {
-    return failed_.count(n) > 0;
+    return failed_.contains(n);
   }
   /// How often `n` has failed or recovered: a node that failed and
   /// recovered between two reads shows as a change, which is_failed hides.
@@ -177,8 +179,7 @@ class Network {
  private:
   CostModel model_;
   TrafficStats stats_;
-  // iteration-order: never iterated — membership queries (is_failed) only.
-  std::unordered_set<NodeAddress> failed_;
+  std::set<NodeAddress> failed_;
   std::map<NodeAddress, std::uint64_t> liveness_changes_;
   NodeAddress next_address_ = 1;
   Tracer tracer_;

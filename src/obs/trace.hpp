@@ -24,6 +24,10 @@
 
 #include "net/network.hpp"
 
+namespace ahsw::dqp {
+class DagExecutor;
+}  // namespace ahsw::dqp
+
 namespace ahsw::obs {
 
 using SpanId = std::uint32_t;
@@ -92,23 +96,6 @@ class QueryTrace {
   void unbind();
   [[nodiscard]] bool bound() const noexcept { return net_ != nullptr; }
 
-  /// Open a span as a child of the innermost open span (a new root when no
-  /// span is open). Returns its id. Prefer SpanScope over calling this
-  /// directly.
-  SpanId open(SpanKind kind, std::string label, net::SimTime at,
-              net::NodeAddress site = net::kNoAddress);
-  /// Close the innermost open span (must be `id`). The end time is the max
-  /// of the begin time, `at`, and all activity observed inside the span.
-  void close(SpanId id, net::SimTime at);
-
-  /// Push an existing (closed) span back onto the attribution stack: new
-  /// spans opened while it is active become its children and traffic lands
-  /// in its self counters again. Close with `close(id, ...)` as usual. The
-  /// DAG executor uses this to attach each operator firing under its query's
-  /// root (or pattern) span even though firings of different queries
-  /// interleave in event order.
-  void reopen(SpanId id);
-
   /// Drop all recorded spans (the binding is kept). Lets one trace be
   /// reused across queries without accumulating a forest.
   void clear();
@@ -160,6 +147,32 @@ class QueryTrace {
   }
 
  private:
+  // Span structure is driven only by these three calls, and only a
+  // SpanScope or the DAG executor may make them: a scope closes what it
+  // opens, and the executor's open_span/close_span/reopen_span helpers
+  // re-enter a task's span around each firing, because firings of
+  // different queries interleave and cannot hold one C++ scope per task.
+  // Any other caller does not compile, so every span tree stays balanced
+  // (an unbalanced tree corrupts I5 attribution).
+  friend class SpanScope;
+  friend class dqp::DagExecutor;
+
+  /// Open a span as a child of the innermost open span (a new root when no
+  /// span is open). Returns its id.
+  SpanId open(SpanKind kind, std::string label, net::SimTime at,
+              net::NodeAddress site = net::kNoAddress);
+  /// Close the innermost open span (must be `id`). The end time is the max
+  /// of the begin time, `at`, and all activity observed inside the span.
+  void close(SpanId id, net::SimTime at);
+
+  /// Push an existing (closed) span back onto the attribution stack: new
+  /// spans opened while it is active become its children and traffic lands
+  /// in its self counters again. Close with `close(id, ...)` as usual. The
+  /// DAG executor uses this to attach each operator firing under its query's
+  /// root (or pattern) span even though firings of different queries
+  /// interleave in event order.
+  void reopen(SpanId id);
+
   void on_message(const net::MessageEvent& e);
   void on_timeout(const net::TimeoutEvent& e);
   void add_peer(Span& s, net::NodeAddress addr);

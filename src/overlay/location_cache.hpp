@@ -33,6 +33,9 @@
 
 namespace ahsw::overlay {
 
+/// Wire size of one owner-pushed invalidation (key + epoch).
+inline constexpr std::size_t kInvalidationBytes = 16;
+
 struct CacheConfig {
   bool enabled = false;
   /// How long an unleased cached row may serve lookups — the staleness
@@ -45,8 +48,6 @@ struct CacheConfig {
   double hot_ttl_ms = 4000.0;
   /// Per-initiator row capacity; the earliest-expiring row is evicted.
   std::size_t max_rows = 64;
-  /// Wire size of one owner-pushed invalidation (key + epoch).
-  std::size_t invalidation_bytes = 16;
 
   friend bool operator==(const CacheConfig&, const CacheConfig&) = default;
 };

@@ -269,7 +269,7 @@ void HybridOverlay::push_invalidations(chord::Key key,
     auto ci = caches_.find(initiator);
     if (ci != caches_.end()) ci->second.invalidate(key);
     if (charge) {
-      net_->send(owner_addr, initiator, cache_config_.invalidation_bytes, now,
+      net_->send(owner_addr, initiator, kInvalidationBytes, now,
                  net::Category::kIndex);
     }
   }

@@ -7,16 +7,16 @@
 namespace ahsw::rdf {
 
 TermId TermDictionary::intern(const Term& t) {
-  auto [it, inserted] =
+  auto [id, inserted] =
       ids_.try_emplace(t, static_cast<TermId>(terms_.size()));
   if (inserted) terms_.push_back(t);
-  return it->second;
+  return *id;
 }
 
 std::optional<TermId> TermDictionary::find(const Term& t) const {
-  auto it = ids_.find(t);
-  if (it == ids_.end()) return std::nullopt;
-  return it->second;
+  const TermId* id = ids_.find(t);
+  if (id == nullptr) return std::nullopt;
+  return *id;
 }
 
 void TermDictionary::refresh_order() {

@@ -11,9 +11,9 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/point_map.hpp"
 #include "rdf/term.hpp"
 
 namespace ahsw::rdf {
@@ -38,9 +38,8 @@ class TermDictionary {
   [[nodiscard]] std::size_t size() const noexcept { return terms_.size(); }
 
   /// The sanctioned traversal: every interned term in id (= insertion)
-  /// order, so `terms()[id] == term(id)`. Callers must never walk `ids_` —
-  /// its hash order would differ across platforms and leak into any output
-  /// built from it (rule D2).
+  /// order, so `terms()[id] == term(id)`. `ids_` is a common::PointMap,
+  /// which cannot be walked, so its hash order never reaches an output.
   [[nodiscard]] const std::deque<Term>& terms() const noexcept {
     return terms_;
   }
@@ -63,9 +62,7 @@ class TermDictionary {
   void require_order() const;
 
  private:
-  // iteration-order: never iterated — point lookups only; traversal goes
-  // through terms(), which is deterministic insertion order.
-  std::unordered_map<Term, TermId, TermHash> ids_;
+  common::PointMap<Term, TermId, TermHash> ids_;
   std::deque<Term> terms_;  // deque: references survive later interns
   std::vector<TermId> by_rank_;      // the ordered ids, in Term order
   std::vector<std::uint32_t> rank_;  // id -> its index in by_rank_

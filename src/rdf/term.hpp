@@ -76,7 +76,7 @@ class Term {
 
 std::ostream& operator<<(std::ostream& os, const Term& t);
 
-/// Stable hash for unordered containers and the distributed index.
+/// Stable hash for common::PointMap keys and the distributed index.
 struct TermHash {
   [[nodiscard]] std::size_t operator()(const Term& t) const noexcept;
 };

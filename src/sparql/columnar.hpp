@@ -151,7 +151,7 @@ struct IdTable {
 /// tuples densely from 0 and chains, per tuple, the rows added under it in
 /// insertion order. Width 1 maps dictionary ids to table-local ids; state
 /// is sized by the tuples held, never by the dictionary. Point lookups
-/// only — never iterated (rule D2).
+/// only: it has no iterators, so its slot order cannot leak.
 class IdTupleIndex {
  public:
   static constexpr std::uint32_t kNone = 0xffffffffu;

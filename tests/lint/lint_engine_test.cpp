@@ -152,7 +152,7 @@ TEST(Suppression, WrongRuleDoesNotSuppress) {
   lint::LintConfig cfg = config_with("dqp: common\ncommon:\n");
   const char* src =
       "int f() {\n"
-      "  // ahsw-lint: allow(O1) wrong family entirely\n"
+      "  // ahsw-lint: allow(A2) wrong family entirely\n"
       "  return std::rand();\n"
       "}\n";
   lint::LintReport r = lint::lint_source("src/dqp/f.cpp", src, cfg);

@@ -65,19 +65,7 @@ void expect_golden(const std::string& name) {
 
 TEST(LintFixtures, D1WallClockAndRand) { expect_golden("d1_wall_clock"); }
 
-TEST(LintFixtures, D2UnorderedIteration) {
-  expect_golden("d2_unordered_iteration");
-}
-
-TEST(LintFixtures, D3UnorderedMemberContract) {
-  expect_golden("d3_unordered_member");
-}
-
 TEST(LintFixtures, D4MutableStatic) { expect_golden("d4_mutable_static"); }
-
-TEST(LintFixtures, A1UncategorizedSend) {
-  expect_golden("a1_uncategorized_send");
-}
 
 TEST(LintFixtures, A1RawBytesCharged) { expect_golden("a1_raw_bytes_charged"); }
 
@@ -90,8 +78,6 @@ TEST(LintFixtures, A2WireCounterMutation) {
 TEST(LintFixtures, A2CacheCounterMutation) {
   expect_golden("a2_cache_counter_mutation");
 }
-
-TEST(LintFixtures, O1ManualSpan) { expect_golden("o1_manual_span"); }
 
 TEST(LintFixtures, O2DefaultInGuardedSwitch) {
   expect_golden("o2_default_switch");

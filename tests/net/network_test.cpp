@@ -50,7 +50,7 @@ TEST(Network, CategoriesAreTrackedSeparately) {
 
 TEST(Network, TimeoutAdvancesClockAndCounts) {
   Network net(CostModel{1.0, 0.0, 250.0});
-  SimTime t = net.timeout(10.0);
+  SimTime t = net.timeout(10.0, kNoAddress, Category::kRouting);
   EXPECT_DOUBLE_EQ(t, 260.0);
   EXPECT_EQ(net.stats().timeouts, 1u);
 }
@@ -68,7 +68,7 @@ TEST(Network, FailAndRecover) {
 TEST(Network, ResetStatsClearsEverything) {
   Network net;
   net.send(1, 2, 100, 0, Category::kIndex);
-  net.timeout(0);
+  net.timeout(0, kNoAddress, Category::kRouting);
   net.reset_stats();
   EXPECT_EQ(net.stats().messages, 0u);
   EXPECT_EQ(net.stats().bytes, 0u);

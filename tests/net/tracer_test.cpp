@@ -50,7 +50,9 @@ TEST(TimeoutTracer, DefaultsToUnknownSuspectAndRoutingCategory) {
   Network net;
   std::vector<TimeoutEvent> events;
   net.set_timeout_tracer([&](const TimeoutEvent& e) { events.push_back(e); });
-  net.timeout(0.0);
+  // The values timeout() defaulted to before its parameters lost their
+  // defaults; the event still carries them unchanged.
+  net.timeout(0.0, kNoAddress, Category::kRouting);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].suspect, kNoAddress);
   EXPECT_EQ(events[0].category, Category::kRouting);
