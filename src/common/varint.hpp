@@ -1,11 +1,12 @@
-// LEB128-style variable-length integer primitives and the sizes of the
-// framed items built from them, shared by the wire codec (src/net/wire) and
-// anything else that needs compact framing (the merge accumulator of
-// sparql/columnar keeps its payload size with them).
+// Sizes of LEB128-style variable-length integers and of the framed items
+// built from them, shared by the wire sizer (src/net/wire) and the merge
+// accumulator of sparql/columnar, which keeps its payload size with them.
+// Nothing in src/ writes or reads the bytes; the reference codec in
+// tests/support/wire_codec does.
 //
 // Header-only and dependency-free on purpose: `common` sits below every
-// other layer, so the encoding primitives can be reused without dragging
-// the full codec (which knows about solution sets) below `net`.
+// other layer, so the sizing primitives can be reused without dragging
+// the sizer (which knows about solution sets) below `net`.
 #pragma once
 
 #include <cstddef>
@@ -26,40 +27,11 @@ namespace ahsw::common {
   return n;
 }
 
-/// Append `v` to `out` as an unsigned LEB128 varint.
-inline void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-/// Decode one varint from `in` starting at `pos`, advancing `pos` past it.
-/// Returns false on truncated or over-long (> 10 byte) input.
-inline bool get_varint(std::string_view in, std::size_t& pos,
-                       std::uint64_t& out) noexcept {
-  out = 0;
-  int shift = 0;
-  while (pos < in.size() && shift < 64) {
-    const auto byte = static_cast<std::uint8_t>(in[pos++]);
-    out |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return true;
-    shift += 7;
-  }
-  return false;
-}
-
 /// ZigZag mapping for signed deltas (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...),
 /// so small negative gaps stay small on the wire.
 [[nodiscard]] constexpr std::uint64_t zigzag(std::int64_t v) noexcept {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
-}
-
-[[nodiscard]] constexpr std::int64_t unzigzag(std::uint64_t v) noexcept {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
 }
 
 /// Length of the longest common prefix of `a` and `b` (front coding).

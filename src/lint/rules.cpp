@@ -318,12 +318,11 @@ void check_d4(const SourceFile& f, std::vector<Diagnostic>* out) {
 /// solution payloads are charged at their wire-encoded size
 /// (net::wire::charged_bytes), with byte_size passed separately as the
 /// trailing raw_bytes argument. The repository's fixed-format pattern
-/// shipping predates the wire codec and stays raw by design. (That every
+/// shipping predates the wire format and stays raw by design. (That every
 /// send and timeout names its category is the signature's job: neither
 /// has a defaulted category parameter.)
 void check_a1(const SourceFile& f, std::vector<Diagnostic>* out) {
-  if (whitelisted(f.path, {"src/net/network", "src/net/wire",
-                           "src/rdfpeers/repository"})) {
+  if (whitelisted(f.path, {"src/net/network", "src/rdfpeers/repository"})) {
     return;
   }
   const Tokens& t = f.tokens;
@@ -364,13 +363,12 @@ constexpr std::string_view kCacheCounterFields[] = {
 
 /// Compression accounting pair (wire-charged vs uncompressed size). Unlike
 /// the generic counters these names are unambiguous, so any mutation
-/// outside the wire/accounting layer is a violation — no receiver-chain
+/// outside the accounting layer is a violation — no receiver-chain
 /// heuristic needed.
 constexpr std::string_view kWireCounterFields[] = {"raw_bytes", "wire_bytes"};
 
 void check_a2(const SourceFile& f, std::vector<Diagnostic>* out) {
-  if (whitelisted(f.path, {"src/net/network", "src/net/wire",
-                           "src/obs/trace.cpp",
+  if (whitelisted(f.path, {"src/net/network", "src/obs/trace.cpp",
                            "src/overlay/location_cache"})) {
     return;
   }
@@ -422,9 +420,9 @@ void check_a2(const SourceFile& f, std::vector<Diagnostic>* out) {
     if (accounting_target) {
       const char* what =
           is_wire_counter
-              ? "' mutated outside the wire accounting layer; compressed/raw "
-                "byte pairs change only inside src/net/wire, Network "
-                "charging, or the span ledger"
+              ? "' mutated outside the accounting layer; compressed/raw "
+                "byte pairs change only through Network charging or the "
+                "span ledger"
               : is_counter
                     ? "' mutated outside the accounting layer; byte totals "
                       "change only through Network charging or "
@@ -668,7 +666,7 @@ const std::vector<RuleInfo>& rule_catalogue() {
       {"A2", "accounting",
        "traffic, cache, and compression (raw_bytes/wire_bytes) counters "
        "mutate only inside the accounting layer (Network / TrafficStats / "
-       "LocationCache / net::wire)"},
+       "the span ledger / LocationCache)"},
       {"O2", "observability",
        "switches over guarded enums (Category, SpanKind, PhysOpKind) stay "
        "exhaustive with no default: label"},

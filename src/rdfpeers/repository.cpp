@@ -114,7 +114,7 @@ Repository::Resolution Repository::resolve_pattern(
 
   auto match_at = [&](chord::Key peer) {
     sparql::LocalEngine engine(peers_.at(peer).store);
-    return engine.match_pattern(sparql::BgpPattern{p, nullptr});
+    return engine.match_ids(sparql::BgpPattern{p, nullptr}).materialize();
   };
 
   if (s == nullptr && pr == nullptr && o == nullptr) {

@@ -135,10 +135,6 @@ IdRows LocalEngine::match_ids(const BgpPattern& p) const {
   return out;
 }
 
-SolutionSet LocalEngine::match_pattern(const BgpPattern& p) const {
-  return match_ids(p).materialize();
-}
-
 SolutionSet LocalEngine::extend(const SolutionSet& input,
                                 const BgpPattern& p) const {
   SolutionSet out;

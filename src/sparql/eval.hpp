@@ -36,9 +36,6 @@ class LocalEngine {
   /// and any pushed filter applied to each matching row.
   [[nodiscard]] IdRows match_ids(const BgpPattern& p) const;
 
-  /// match_ids materialized as Bindings.
-  [[nodiscard]] SolutionSet match_pattern(const BgpPattern& p) const;
-
  private:
   /// Extend each binding in `input` with matches of `p`.
   [[nodiscard]] SolutionSet extend(const SolutionSet& input,

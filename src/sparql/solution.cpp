@@ -32,44 +32,6 @@ void Binding::set(std::string_view var, rdf::Term term) {
   }
 }
 
-bool Binding::compatible(const Binding& other) const noexcept {
-  // Merge-walk over two sorted slot vectors.
-  auto a = slots_.begin();
-  auto b = other.slots_.begin();
-  while (a != slots_.end() && b != other.slots_.end()) {
-    if (a->first < b->first) {
-      ++a;
-    } else if (b->first < a->first) {
-      ++b;
-    } else {
-      if (a->second != b->second) return false;
-      ++a;
-      ++b;
-    }
-  }
-  return true;
-}
-
-Binding Binding::merged(const Binding& other) const {
-  Binding out;
-  out.slots_.reserve(slots_.size() + other.slots_.size());
-  auto a = slots_.begin();
-  auto b = other.slots_.begin();
-  while (a != slots_.end() || b != other.slots_.end()) {
-    if (b == other.slots_.end() ||
-        (a != slots_.end() && a->first < b->first)) {
-      out.slots_.push_back(*a++);
-    } else if (a == slots_.end() || b->first < a->first) {
-      out.slots_.push_back(*b++);
-    } else {
-      out.slots_.push_back(*a);  // equal names; compatible => equal terms
-      ++a;
-      ++b;
-    }
-  }
-  return out;
-}
-
 std::size_t Binding::byte_size() const noexcept {
   std::size_t n = 2;  // row framing
   for (const auto& [name, term] : slots_) {
@@ -89,12 +51,9 @@ std::string Binding::to_string() const {
 }
 
 std::size_t SolutionSet::byte_size() const noexcept {
-  if (cached_bytes_ == kDirty) {
-    std::size_t n = kSetFraming;
-    for (const Binding& b : rows_) n += b.byte_size();
-    cached_bytes_ = n;
-  }
-  return cached_bytes_;
+  std::size_t n = kSetFraming;
+  for (const Binding& b : rows_) n += b.byte_size();
+  return n;
 }
 
 void SolutionSet::normalize() { std::sort(rows_.begin(), rows_.end()); }

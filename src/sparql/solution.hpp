@@ -6,9 +6,14 @@
 //   - u1, u2 are compatible iff they agree on every shared variable;
 //   - Join:  O1 x O2 = { u1 u u2 | u1 in O1, u2 in O2, compatible }
 //   - Union: O1 u O2
-//   - Minus: O1 - O2 = { u1 | forall u2 in O2: not compatible(u1, u2) }
-//   - LeftJoin: (O1 x O2) u (O1 - O2), with an optional filter condition
+//   - Difference: O1 \ O2 = { u1 in O1 | forall u2 in O2: not
+//     compatible(u1, u2) }, which occurs only inside LeftJoin (it is not
+//     SPARQL 1.1 MINUS, which the parser does not accept);
+//   - LeftJoin: (O1 x O2) u (O1 \ O2), with an optional filter condition
 //     applied inside the join part (SPARQL OPTIONAL semantics).
+// set_union below and the id kernels of sparql/columnar.hpp implement
+// Union, Join and LeftJoin. Their row-at-a-time definitions, compatible()
+// and merged() included, are the test oracle in tests/support/row_reference.
 #pragma once
 
 #include <cstddef>
@@ -49,12 +54,6 @@ class Binding {
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
 
-  /// Compatible per Perez et al.: every shared variable maps to equal terms.
-  [[nodiscard]] bool compatible(const Binding& other) const noexcept;
-
-  /// Union of two compatible mappings. Precondition: compatible(other).
-  [[nodiscard]] Binding merged(const Binding& other) const;
-
   /// Sorted (name, term) pairs; iteration order is deterministic.
   [[nodiscard]] const std::vector<std::pair<std::string, rdf::Term>>& slots()
       const noexcept {
@@ -81,52 +80,37 @@ class Binding {
 class SolutionSet {
  public:
   SolutionSet() = default;
-  explicit SolutionSet(std::vector<Binding> rows)
-      : rows_(std::move(rows)), cached_bytes_(kDirty) {}
+  explicit SolutionSet(std::vector<Binding> rows) : rows_(std::move(rows)) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
   [[nodiscard]] bool empty() const noexcept { return rows_.empty(); }
 
-  void add(Binding b) {
-    // The raw size is a plain per-row sum, so the increment is exact.
-    if (cached_bytes_ != kDirty) cached_bytes_ += b.byte_size();
-    rows_.push_back(std::move(b));
-  }
+  void add(Binding b) { rows_.push_back(std::move(b)); }
 
   [[nodiscard]] const std::vector<Binding>& rows() const noexcept {
     return rows_;
   }
-  /// Mutable row access invalidates the cached byte size; do not hold the
-  /// reference across a byte_size() call and mutate afterwards.
-  [[nodiscard]] std::vector<Binding>& rows() noexcept {
-    cached_bytes_ = kDirty;
-    return rows_;
-  }
+  [[nodiscard]] std::vector<Binding>& rows() noexcept { return rows_; }
 
   /// Total *raw* (uncompressed) serialized size. The cost model charges the
   /// compressed size instead (net::wire::charged_bytes); this raw figure
   /// travels alongside every send as its `raw_bytes` counterpart so the
-  /// compression win stays observable. Cached, since recomputing is
-  /// O(rows x slots). (The distributed processor ships sparql::IdRows and
-  /// sizes those instead.)
+  /// compression win stays observable. Summed over the rows on each call;
+  /// every caller sizes a given set once. (The distributed processor ships
+  /// sparql::IdRows and sizes those instead.)
   [[nodiscard]] std::size_t byte_size() const noexcept;
 
-  /// Sort rows canonically (used before comparing result sets in tests and
-  /// before returning final answers so output is deterministic). Reordering
-  /// does not change the serialized size, so the cache survives.
+  /// Sort rows canonically, so tests can compare result sets whatever
+  /// order their rows arrived in. (Final answers are ordered in ids, by
+  /// finalize_result.)
   void normalize();
 
   [[nodiscard]] std::string to_string() const;
 
  private:
-  static constexpr std::size_t kDirty = static_cast<std::size_t>(-1);
   static constexpr std::size_t kSetFraming = 4;
 
   std::vector<Binding> rows_;
-  /// Serialized size of rows_ plus framing, or kDirty when a mutation may
-  /// have outdated it. A fresh set is empty, so the cache starts valid and
-  /// add() can maintain it incrementally.
-  mutable std::size_t cached_bytes_ = kSetFraming;
 };
 
 // Join, left join, filter and distinct over SolutionSets are the

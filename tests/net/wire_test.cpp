@@ -7,11 +7,11 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/varint.hpp"
 #include "rdf/term.hpp"
 #include "rdf/triple.hpp"
 #include "sparql/columnar.hpp"
 #include "sparql/solution.hpp"
+#include "support/wire_codec.hpp"
 
 namespace ahsw::net::wire {
 namespace {
@@ -19,6 +19,10 @@ namespace {
 using rdf::Term;
 using sparql::Binding;
 using sparql::SolutionSet;
+using wire_codec::decode;
+using wire_codec::encode;
+using wire_codec::kMaxEmptyRows;
+using wire_codec::put_varint;
 
 Term random_term(common::Rng& rng) {
   switch (rng.below(5)) {
@@ -46,6 +50,16 @@ SolutionSet random_set(common::Rng& rng, std::size_t max_rows = 20) {
   return s;
 }
 
+std::vector<rdf::Triple> random_triples(common::Rng& rng, std::size_t n) {
+  std::vector<rdf::Triple> triples;
+  for (std::size_t i = 0; i < n; ++i) {
+    triples.push_back({Term::iri("http://s/" + std::to_string(rng.below(10))),
+                       Term::iri("http://p/" + std::to_string(rng.below(4))),
+                       random_term(rng)});
+  }
+  return triples;
+}
+
 TEST(WireCodec, EmptySetRoundTrips) {
   SolutionSet empty;
   std::string payload = encode(empty);
@@ -60,7 +74,7 @@ TEST(WireCodec, SolutionSetsRoundTrip) {
   for (int trial = 0; trial < 30; ++trial) {
     SolutionSet s = random_set(rng);
     std::string payload = encode(s);
-    EXPECT_EQ(payload.size(), encoded_size(s));
+    EXPECT_EQ(payload.size(), charged_bytes(s));
     SolutionSet back;
     ASSERT_TRUE(decode(payload, back)) << "trial " << trial;
     // The dictionary is canonical but rows keep their order, so decode is
@@ -71,28 +85,22 @@ TEST(WireCodec, SolutionSetsRoundTrip) {
 
 TEST(WireCodec, TriplesRoundTrip) {
   common::Rng rng(99);
-  std::vector<rdf::Triple> triples;
-  for (int i = 0; i < 50; ++i) {
-    triples.push_back({Term::iri("http://s/" + std::to_string(rng.below(10))),
-                       Term::iri("http://p/" + std::to_string(rng.below(4))),
-                       random_term(rng)});
-  }
+  const std::vector<rdf::Triple> triples = random_triples(rng, 50);
   std::string payload = encode(triples);
   std::vector<rdf::Triple> back;
   ASSERT_TRUE(decode(payload, back));
   EXPECT_EQ(back, triples);
-  EXPECT_EQ(encoded_size(triples), payload.size());
 }
 
 TEST(WireCodec, EncodedSizeIsRowOrderIndependent) {
   common::Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     SolutionSet s = random_set(rng);
-    std::size_t size = encoded_size(s);
+    std::size_t size = charged_bytes(s);
     std::vector<Binding> rows = s.rows();
     rng.shuffle(rows);
     SolutionSet reordered{std::move(rows)};
-    EXPECT_EQ(encoded_size(reordered), size) << "trial " << trial;
+    EXPECT_EQ(charged_bytes(reordered), size) << "trial " << trial;
   }
 }
 
@@ -130,12 +138,11 @@ TEST(WireCodec, ChargedBytesIsUnchangedByNormalize) {
   s.normalize();
   // The canonical encoding is order-free.
   EXPECT_EQ(charged_bytes(s), before);
-  EXPECT_EQ(charged_bytes(s), encoded_size(s));
+  EXPECT_EQ(charged_bytes(s), encode(s).size());
 }
 
-// Satellite regression for the cached-size drift bug: after an arbitrary
-// interleaving of append / mutate-in-place / clear-and-refill, both the raw
-// byte_size() cache and the wire size must equal a from-scratch
+// After an arbitrary interleaving of append / mutate-in-place / drop, both
+// the raw byte_size() and the wire size must equal a from-scratch
 // recomputation over the same rows.
 TEST(WireCodec, CachedSizesNeverDriftUnderRandomMutation) {
   common::Rng rng(0xD01F);
@@ -165,7 +172,7 @@ TEST(WireCodec, CachedSizesNeverDriftUnderRandomMutation) {
                      static_cast<std::ptrdiff_t>(rng.below(rows.size())));
           break;
         }
-        default: {  // interleave size queries so caches get populated
+        default: {  // interleave size queries between mutations
           (void)s.byte_size();
           (void)charged_bytes(s);
           break;
@@ -174,8 +181,8 @@ TEST(WireCodec, CachedSizesNeverDriftUnderRandomMutation) {
       // Recompute both sizes on a fresh copy of the same rows.
       SolutionSet fresh{std::vector<Binding>(s.rows())};
       ASSERT_EQ(s.byte_size(), fresh.byte_size())
-          << "raw cache drifted at trial " << trial << " step " << step;
-      ASSERT_EQ(charged_bytes(s), encoded_size(fresh))
+          << "raw size drifted at trial " << trial << " step " << step;
+      ASSERT_EQ(charged_bytes(s), encode(fresh).size())
           << "wire size drifted at trial " << trial << " step " << step;
     }
   }
@@ -216,7 +223,7 @@ TEST(WireCodec, DecodeRejectsTruncatedPayloads) {
 // decode as some other kind.
 std::string huge_count() {
   std::string out;
-  common::put_varint(out, (std::uint64_t{1} << 63) - 1);  // 9 bytes
+  put_varint(out, (std::uint64_t{1} << 63) - 1);  // 9 bytes
   return out;
 }
 
@@ -227,8 +234,8 @@ TEST(WireCodec, DecodeRejectsHugeVariableCount) {
 
 TEST(WireCodec, DecodeRejectsHugeTermCount) {
   std::string payload;
-  common::put_varint(payload, 0);  // nvars
-  payload += huge_count();         // nterms
+  put_varint(payload, 0);   // nvars
+  payload += huge_count();  // nterms
   SolutionSet out;
   EXPECT_FALSE(decode(payload, out));
 }
@@ -240,23 +247,23 @@ TEST(WireCodec, TripleDecodeRejectsHugeTermCount) {
 
 TEST(WireCodec, TripleDecodeRejectsHugeTripleCount) {
   std::string payload;
-  common::put_varint(payload, 0);  // nterms
-  payload += huge_count();         // ntriples
+  put_varint(payload, 0);   // nterms
+  payload += huge_count();  // ntriples
   std::vector<rdf::Triple> out;
   EXPECT_FALSE(decode(payload, out));
 }
 
 TEST(WireCodec, DecodeRejectsUnknownTermKind) {
   std::string payload;
-  common::put_varint(payload, 0);  // nvars
-  common::put_varint(payload, 1);  // nterms
-  payload.push_back(7);            // kind: none of iri/literal/blank
-  common::put_varint(payload, 0);  // lcp
-  common::put_varint(payload, 1);  // suffix
+  put_varint(payload, 0);  // nvars
+  put_varint(payload, 1);  // nterms
+  payload.push_back(7);    // kind: none of iri/literal/blank
+  put_varint(payload, 0);  // lcp
+  put_varint(payload, 1);  // suffix
   payload.push_back('a');
-  common::put_varint(payload, 0);  // datatype
-  common::put_varint(payload, 0);  // lang
-  common::put_varint(payload, 0);  // nrows
+  put_varint(payload, 0);  // datatype
+  put_varint(payload, 0);  // lang
+  put_varint(payload, 0);  // nrows
   SolutionSet out;
   EXPECT_FALSE(decode(payload, out));
   // The same payload with a known kind decodes: only the kind was at fault.
@@ -268,16 +275,16 @@ TEST(WireCodec, DecodeRejectsUnknownTermKind) {
 // cannot bound the row count; decode caps it at kMaxEmptyRows.
 TEST(WireCodec, DecodeRejectsHugeRowCountWithoutVariables) {
   std::string payload;
-  common::put_varint(payload, 0);  // nvars
-  common::put_varint(payload, 0);  // nterms
-  payload += huge_count();         // nrows
+  put_varint(payload, 0);   // nvars
+  put_varint(payload, 0);   // nterms
+  payload += huge_count();  // nrows
   SolutionSet out;
   EXPECT_FALSE(decode(payload, out));
 
   std::string over_cap;
-  common::put_varint(over_cap, 0);
-  common::put_varint(over_cap, 0);
-  common::put_varint(over_cap, kMaxEmptyRows + 1);
+  put_varint(over_cap, 0);
+  put_varint(over_cap, 0);
+  put_varint(over_cap, kMaxEmptyRows + 1);
   EXPECT_FALSE(decode(over_cap, out));
 }
 
@@ -289,6 +296,72 @@ TEST(WireCodec, SmallZeroVariableSetRoundTrips) {
   SolutionSet back;
   ASSERT_TRUE(decode(payload, back));
   EXPECT_EQ(back.rows(), s.rows());
+}
+
+/// `payload` after one to three seeded edits, each a flipped bit, a
+/// truncation or a few inserted random bytes.
+std::string mutated(std::string payload, common::Rng& rng) {
+  const std::uint64_t edits = rng.between(1, 3);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    switch (rng.below(3)) {
+      case 0:
+        if (payload.empty()) break;
+        payload[rng.below(payload.size())] ^=
+            static_cast<char>(1 << rng.below(8));
+        break;
+      case 1:
+        payload.resize(rng.below(payload.size() + 1));
+        break;
+      default: {
+        std::string bytes(rng.between(1, 4), '\0');
+        for (char& c : bytes) c = static_cast<char>(rng.below(256));
+        payload.insert(rng.below(payload.size() + 1), bytes);
+        break;
+      }
+    }
+  }
+  return payload;
+}
+
+// Mutated payloads: decode answers true or false and never throws. A
+// payload it accepts holds no more rows than its bytes can carry (or, with
+// no variable bound, than kMaxEmptyRows), so each input's work is bounded
+// by its size, and it re-encodes to a payload that decodes to the same
+// rows.
+TEST(WireCodec, DecodeSurvivesSeededMutations) {
+  common::Rng rng(0xF022);
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string set_payload = encode(random_set(rng));
+    const std::string triple_payload =
+        encode(random_triples(rng, rng.below(30)));
+    for (int m = 0; m < 4; ++m) {
+      const std::string in = mutated(set_payload, rng);
+      SolutionSet rows;
+      bool ok = false;
+      ASSERT_NO_THROW(ok = decode(in, rows)) << "trial " << trial;
+      if (ok) {
+        ++accepted;
+        EXPECT_LE(rows.size(), sparql::variables_of(rows).empty()
+                                   ? kMaxEmptyRows
+                                   : in.size())
+            << "trial " << trial;
+        SolutionSet back;
+        ASSERT_TRUE(decode(encode(rows), back)) << "trial " << trial;
+        EXPECT_EQ(back.rows(), rows.rows()) << "trial " << trial;
+      }
+      const std::string tin = mutated(triple_payload, rng);
+      std::vector<rdf::Triple> triples;
+      ASSERT_NO_THROW(ok = decode(tin, triples)) << "trial " << trial;
+      if (ok) {
+        ++accepted;
+        EXPECT_LE(3 * triples.size(), tin.size()) << "trial " << trial;
+      }
+    }
+  }
+  // A flip inside a term's suffix keeps a payload well formed, so some
+  // mutants decode; none would mean the checks above never ran.
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "net/wire.hpp"
 #include "sparql/columnar.hpp"
 #include "sparql/eval.hpp"
+#include "support/wire_codec.hpp"
 
 namespace ahsw::sparql {
 namespace {
@@ -61,7 +62,8 @@ void expect_sizes_match(const MergeAccumulator& acc, const SolutionSet& ref,
                         const std::string& where) {
   ASSERT_EQ(acc.size(), ref.size()) << where;
   ASSERT_EQ(acc.raw_bytes(), ref.byte_size()) << where;
-  ASSERT_EQ(net::wire::charged_bytes(acc), net::wire::encode(ref).size())
+  ASSERT_EQ(net::wire::charged_bytes(acc),
+            net::wire_codec::encode(ref).size())
       << where;
 }
 
@@ -90,7 +92,8 @@ std::size_t run_fold(common::Rng& rng, int adds, std::size_t max_rows,
   const IdRows taken = acc.take();
   EXPECT_EQ(taken.materialize().rows(), ref.rows());
   EXPECT_EQ(taken.byte_size(), ref.byte_size());
-  EXPECT_EQ(net::wire::charged_bytes(taken), net::wire::encode(ref).size());
+  EXPECT_EQ(net::wire::charged_bytes(taken),
+            net::wire_codec::encode(ref).size());
   EXPECT_EQ(acc.size(), 0u);
   return distinct;
 }
@@ -361,8 +364,8 @@ TEST(MergeAccumulator, IdTableSizesLikeTheEncoder) {
   for (int trial = 0; trial < 40; ++trial) {
     SolutionSet s = random_contribution(rng, 40, 1 + rng.below(300), kVars);
     rdf::TermDictionary dict;
-    EXPECT_EQ(net::wire::encoded_size(id_table(intern_rows(s, dict))),
-              net::wire::encode(s).size())
+    EXPECT_EQ(net::wire::charged_bytes(intern_rows(s, dict)),
+              net::wire_codec::encode(s).size())
         << "trial " << trial;
   }
 }

@@ -15,6 +15,7 @@
 #include "sparql/columnar.hpp"
 #include "sparql/eval.hpp"
 #include "sparql/expr.hpp"
+#include "support/wire_codec.hpp"
 
 namespace ahsw::sparql {
 namespace {
@@ -113,11 +114,11 @@ TEST(ScanRows, MatchIdsEqualsDecodedReferenceRowForRow) {
       const SolutionSet want = reference_match(*store, p);
       // Row for row, in scan order.
       EXPECT_EQ(rows.materialize().rows(), want.rows()) << p.to_string();
-      EXPECT_EQ(engine.match_pattern(p).rows(), want.rows()) << p.to_string();
       EXPECT_EQ(rows.rows, want.size()) << p.to_string();
       EXPECT_EQ(rows.vars, variables_of(want)) << p.to_string();
       EXPECT_EQ(rows.byte_size(), want.byte_size()) << p.to_string();
-      EXPECT_EQ(net::wire::charged_bytes(rows), net::wire::encode(want).size())
+      EXPECT_EQ(net::wire::charged_bytes(rows),
+                net::wire_codec::encode(want).size())
           << p.to_string();
     }
   }
@@ -152,7 +153,7 @@ void expect_same_merge(MergeAccumulator& by_ids, MergeAccumulator& by_sets,
   EXPECT_EQ(ids_out.materialize().rows(), sets_out.rows()) << where;
   EXPECT_EQ(ids_out.byte_size(), raw) << where;
   EXPECT_EQ(net::wire::charged_bytes(ids_out), wire) << where;
-  EXPECT_EQ(wire, net::wire::encode(sets_out).size()) << where;
+  EXPECT_EQ(wire, net::wire_codec::encode(sets_out).size()) << where;
 }
 
 TEST(ScanRows, AccumulatorFedScanRowsEqualsOneFedSolutionSets) {
@@ -188,15 +189,15 @@ TEST(ScanRows, AccumulatorFedScanRowsEqualsOneFedSolutionSets) {
       for (const rdf::TripleStore& store : stores) {
         const LocalEngine engine(store);
         by_ids.add(engine.match_ids(p));
-        by_sets.add(intern_rows(engine.match_pattern(p), dict));
-        other_dict.add(intern_rows(engine.match_pattern(p), other));
-        const SolutionSet local = engine.match_pattern(p);
+        const SolutionSet local = engine.match_ids(p).materialize();
+        by_sets.add(intern_rows(local, dict));
+        other_dict.add(intern_rows(local, other));
         ref = vec_deduplicated(
             set_union(ref, with_carry ? vec_join(carry, local) : local));
         ASSERT_EQ(by_ids.size(), ref.size()) << p.to_string();
         ASSERT_EQ(by_ids.raw_bytes(), ref.byte_size()) << p.to_string();
         ASSERT_EQ(net::wire::charged_bytes(by_ids),
-                  net::wire::encode(ref).size())
+                  net::wire_codec::encode(ref).size())
             << p.to_string();
       }
       const std::string where =
@@ -232,10 +233,11 @@ TEST(ScanRows, CarryTermsNoStoreHoldsJoinById) {
   acc.add(local);  // a repeat adds nothing
 
   const SolutionSet want =
-      vec_deduplicated(vec_join(carry, LocalEngine(store).match_pattern(p)));
+      vec_deduplicated(vec_join(carry, local.materialize()));
   ASSERT_EQ(want.size(), 2u);
   EXPECT_EQ(acc.raw_bytes(), want.byte_size());
-  EXPECT_EQ(net::wire::charged_bytes(acc), net::wire::encode(want).size());
+  EXPECT_EQ(net::wire::charged_bytes(acc),
+            net::wire_codec::encode(want).size());
   EXPECT_EQ(acc.take().materialize().rows(), want.rows());
   // The merge renumbered ids; it interned nothing.
   EXPECT_EQ(dict.size(), dict_size);

@@ -42,6 +42,47 @@ std::vector<std::string> shared_variables(const SolutionSet& a,
 
 }  // namespace
 
+bool compatible(const Binding& a, const Binding& b) noexcept {
+  // Merge-walk over two sorted slot vectors.
+  auto x = a.slots().begin();
+  auto y = b.slots().begin();
+  while (x != a.slots().end() && y != b.slots().end()) {
+    if (x->first < y->first) {
+      ++x;
+    } else if (y->first < x->first) {
+      ++y;
+    } else {
+      if (x->second != y->second) return false;
+      ++x;
+      ++y;
+    }
+  }
+  return true;
+}
+
+Binding merged(const Binding& a, const Binding& b) {
+  Binding out;
+  out.reserve(a.size() + b.size());
+  auto x = a.slots().begin();
+  auto y = b.slots().begin();
+  // Both walks are sorted by name, so each slot appends at the back.
+  while (x != a.slots().end() || y != b.slots().end()) {
+    if (y == b.slots().end() ||
+        (x != a.slots().end() && x->first < y->first)) {
+      out.append(x->first, x->second);
+      ++x;
+    } else if (x == a.slots().end() || y->first < x->first) {
+      out.append(y->first, y->second);
+      ++y;
+    } else {
+      out.append(x->first, x->second);  // compatible => equal terms
+      ++x;
+      ++y;
+    }
+  }
+  return out;
+}
+
 Binding projected(const Binding& b, const std::vector<std::string>& vars) {
   Binding out;
   for (const std::string& v : vars) {
@@ -58,7 +99,7 @@ SolutionSet join(const SolutionSet& a, const SolutionSet& b) {
     // Cartesian product (no shared vars => all pairs compatible).
     for (const Binding& ra : a.rows()) {
       for (const Binding& rb : b.rows()) {
-        out.add(ra.merged(rb));
+        out.add(merged(ra, rb));
       }
     }
     return out;
@@ -83,14 +124,14 @@ SolutionSet join(const SolutionSet& a, const SolutionSet& b) {
       for (auto it = lo; it != hi; ++it) {
         // Shared vars equal by construction; still need full compatibility
         // in case of vars bound in b but unbound in this a-row's shared set.
-        if (ra.compatible(*it->second)) out.add(ra.merged(*it->second));
+        if (compatible(ra, *it->second)) out.add(merged(ra, *it->second));
       }
       for (const Binding* rb : partial) {
-        if (ra.compatible(*rb)) out.add(ra.merged(*rb));
+        if (compatible(ra, *rb)) out.add(merged(ra, *rb));
       }
     } else {
       for (const Binding& rb : b.rows()) {
-        if (ra.compatible(rb)) out.add(ra.merged(rb));
+        if (compatible(ra, rb)) out.add(merged(ra, rb));
       }
     }
   }
@@ -102,7 +143,7 @@ SolutionSet minus(const SolutionSet& a, const SolutionSet& b) {
   for (const Binding& ra : a.rows()) {
     bool any_compatible = false;
     for (const Binding& rb : b.rows()) {
-      if (ra.compatible(rb)) {
+      if (compatible(ra, rb)) {
         any_compatible = true;
         break;
       }
@@ -129,8 +170,8 @@ SolutionSet left_join_conditioned(const SolutionSet& a, const SolutionSet& b,
   for (const Binding& u1 : a.rows()) {
     bool extended = false;
     for (const Binding& u2 : b.rows()) {
-      if (u1.compatible(u2)) {
-        Binding m = u1.merged(u2);
+      if (compatible(u1, u2)) {
+        Binding m = merged(u1, u2);
         if (satisfies(*cond, m)) {
           out.add(std::move(m));
           extended = true;

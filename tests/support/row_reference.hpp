@@ -15,6 +15,12 @@
 
 namespace ahsw::sparql::row_reference {
 
+/// Compatible per Perez et al.: every shared variable maps to equal terms.
+[[nodiscard]] bool compatible(const Binding& a, const Binding& b) noexcept;
+
+/// Union of two compatible mappings. Precondition: compatible(a, b).
+[[nodiscard]] Binding merged(const Binding& a, const Binding& b);
+
 /// `b` with only the named variables kept (SPARQL projection).
 [[nodiscard]] Binding projected(const Binding& b,
                                 const std::vector<std::string>& vars);
