@@ -7,8 +7,12 @@
 // repair eliminates after the first hit). Index failures lose location rows
 // unless replication >= 2 masks them; republication restores service at a
 // bounded index-traffic cost.
+#include <deque>
+#include <utility>
+
 #include "bench_util.hpp"
 #include "fault/harness.hpp"
+#include "workload/generators.hpp"
 #include "workload/queries.hpp"
 
 namespace {
@@ -391,5 +395,124 @@ void BM_Rejoin(benchmark::State& state) {
 }
 
 BENCHMARK(BM_Rejoin)->Unit(benchmark::kMillisecond);
+
+// Host cost of storage-node writes once churn has buried many tombstones
+// (Sect. III-C/III-D): on the churn-rw shape, rounds in which two rotating
+// storage nodes share 150 fresh triples each, every write batch older than
+// the newest four is unshared, and one storage node fails, is purged
+// everywhere and rejoins. Unshares and purges bury (key, provider)
+// tombstones, later shares and rejoins revive them. An untimed warm-up runs
+// such rounds until the location tables hold kTombstonesPerEntry
+// tombstones per live entry (at most kMaxWarmupRounds rounds); then each iteration is one more round, of
+// which only the share_triples and unshare_triples calls are timed. The
+// counter is host time per triple written (shared or unshared). Host time
+// only: no BENCH JSON record.
+class WriteChurn {
+ public:
+  static constexpr std::size_t kWriters = 2;
+  static constexpr std::size_t kTriplesPerWrite = 150;
+  static constexpr std::size_t kKeptBatches = 4;
+  static constexpr std::size_t kTombstonesPerEntry = 3;
+  static constexpr std::size_t kMaxWarmupRounds = 2000;
+
+  WriteChurn(workload::Testbed& bed, workload::FoafConfig fresh) : bed_(bed) {
+    fresh.seed = 93;
+    fresh_ = workload::generate_foaf(fresh);
+  }
+
+  /// One round; returns the triples it shared and unshared. With `timed`,
+  /// the benchmark timer runs only inside share_triples and
+  /// unshare_triples.
+  std::size_t round(benchmark::State* timed) {
+    overlay::HybridOverlay& ov = bed_.overlay();
+    const std::vector<net::NodeAddress>& addrs = bed_.storage_addrs();
+    auto write = [&](auto&& call) {
+      if (timed != nullptr) timed->ResumeTiming();
+      call();
+      if (timed != nullptr) timed->PauseTiming();
+    };
+    if (timed != nullptr) timed->PauseTiming();
+    std::size_t triples = 0;
+    for (std::size_t w = 0; w < kWriters; ++w) {
+      const net::NodeAddress a = addrs[(round_ * kWriters + w) % addrs.size()];
+      std::vector<rdf::Triple> chunk;
+      for (std::size_t k = 0; k < kTriplesPerWrite; ++k) {
+        chunk.push_back(fresh_[next_++ % fresh_.size()]);
+      }
+      write([&] { ov.share_triples(a, chunk, 0); });
+      triples += chunk.size();
+      written_.emplace_back(a, std::move(chunk));
+    }
+    while (written_.size() > kKeptBatches) {
+      const auto [a, chunk] = std::move(written_.front());
+      written_.pop_front();
+      write([&] { ov.unshare_triples(a, chunk, 0); });
+      triples += chunk.size();
+    }
+    const net::NodeAddress victim = addrs[(round_ * 5 + 3) % addrs.size()];
+    ov.storage_node_fail(victim);
+    ov.purge_failed_everywhere();
+    bed_.network().recover(victim);
+    ov.storage_node_rejoin(victim, 0);
+    ++round_;
+    if (timed != nullptr) timed->ResumeTiming();
+    return triples;
+  }
+
+  /// Tombstones and live entries over every primary and replica table.
+  /// A table's byte size is 8 + per row (8 + 16 per entry) + 20 per
+  /// tombstone, so the tombstones are what the rows leave of it.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> tombstones_and_entries()
+      const {
+    std::size_t tombstones = 0;
+    std::size_t entries = 0;
+    for (const auto& [id, ix] : bed_.overlay().index_nodes()) {
+      for (const overlay::LocationTable* t : {&ix.table, &ix.replicas}) {
+        const std::size_t rows_bytes =
+            8 + 8 * t->row_count() +
+            overlay::LocationTable::kProviderBytes * t->entry_count();
+        tombstones += (t->byte_size() - rows_bytes) /
+                      overlay::LocationTable::kTombstoneBytes;
+        entries += t->entry_count();
+      }
+    }
+    return {tombstones, entries};
+  }
+
+ private:
+  workload::Testbed& bed_;
+  std::vector<rdf::Triple> fresh_;
+  std::deque<std::pair<net::NodeAddress, std::vector<rdf::Triple>>> written_;
+  std::size_t next_ = 0;
+  std::size_t round_ = 0;
+};
+
+void BM_WriteChurn(benchmark::State& state) {
+  workload::TestbedConfig cfg = base_config(3);
+  cfg.index_nodes = 64;
+  cfg.storage_nodes = 32;
+  cfg.foaf.persons = 600;
+  workload::Testbed bed(cfg);
+  WriteChurn churn(bed, cfg.foaf);
+  std::size_t warmup_rounds = 0;
+  for (; warmup_rounds < WriteChurn::kMaxWarmupRounds; ++warmup_rounds) {
+    const auto [tombstones, entries] = churn.tombstones_and_entries();
+    if (tombstones >= WriteChurn::kTombstonesPerEntry * entries) break;
+    churn.round(nullptr);
+  }
+  const auto [tombstones, entries] = churn.tombstones_and_entries();
+  std::size_t triples = 0;
+  for (auto _ : state) triples += churn.round(&state);
+  state.counters["warmup_rounds"] = static_cast<double>(warmup_rounds);
+  state.counters["tombstones_per_entry"] =
+      static_cast<double>(tombstones) / static_cast<double>(entries);
+  state.counters["s_per_triple"] = benchmark::Counter(
+      static_cast<double>(triples),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+BENCHMARK(BM_WriteChurn)
+    ->Iterations(40)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include "overlay/location_table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <iterator>
+#include <limits>
+#include <stdexcept>
 
 namespace ahsw::overlay {
 namespace {
@@ -24,6 +28,11 @@ std::size_t seek(const std::vector<T>& v, std::size_t from, chord::Key key) {
       v.begin());
 }
 
+/// Free-list index of a power-of-two slot size.
+std::size_t slot_class(std::uint32_t cap) {
+  return static_cast<std::size_t>(std::countr_zero(cap));
+}
+
 }  // namespace
 
 void LocationTable::sort_row(std::vector<Provider>& row) {
@@ -38,9 +47,13 @@ std::size_t LocationTable::row_index(chord::Key key) const noexcept {
   return i < rows_.size() && rows_[i].key == key ? i : kNpos;
 }
 
-void LocationTable::erase_row_at(std::size_t i) {
+void LocationTable::erase_row_at(std::size_t i, std::size_t& ghost) {
+  const chord::Key key = rows_[i].key;
+  const BurialList list = row_burials_[i];
   spare_.release(std::move(rows_[i].providers));
   rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(i));
+  row_burials_.erase(row_burials_.begin() + static_cast<std::ptrdiff_t>(i));
+  set_ghost(ghost, key, list);
 }
 
 void LocationTable::erase_row(chord::Key key) {
@@ -48,40 +61,124 @@ void LocationTable::erase_row(chord::Key key) {
   if (i != kNpos) erase_row_at(i);
 }
 
-std::size_t LocationTable::tomb_index(chord::Key key,
-                                      net::NodeAddress address) const {
-  std::size_t i = seek(tombstones_, 0, key);
-  while (i < tombstones_.size() && tombstones_[i].key == key &&
-         tombstones_[i].address < address) {
-    ++i;
-  }
-  return i;
-}
-
-void LocationTable::bury(chord::Key key, net::NodeAddress address,
-                         std::uint32_t version) {
-  std::size_t i = tomb_index(key, address);
-  if (i < tombstones_.size() && tombstones_[i].key == key &&
-      tombstones_[i].address == address) {
-    tombstones_[i].version = std::max(tombstones_[i].version, version);
+void LocationTable::set_ghost(std::size_t& ghost, chord::Key key,
+                              BurialList list) {
+  ghost = seek(ghosts_, ghost, key);
+  const auto at = ghosts_.begin() + static_cast<std::ptrdiff_t>(ghost);
+  const bool found = ghost < ghosts_.size() && at->key == key;
+  if (list.len == 0) {
+    if (found) ghosts_.erase(at);
+  } else if (found) {
+    at->list = list;
   } else {
-    tombstones_.insert(tombstones_.begin() + static_cast<std::ptrdiff_t>(i),
-                       Tombstone{key, address, version});
+    ghosts_.insert(at, Ghost{key, list});
   }
 }
 
-bool LocationTable::tombstoned(chord::Key key, net::NodeAddress address) const {
-  return tombstone_version(key, address).has_value();
+std::size_t LocationTable::burial_index(BurialList list,
+                                        net::NodeAddress address) const {
+  const std::span<const Burial> b = burials(list);
+  return static_cast<std::size_t>(
+      std::lower_bound(b.begin(), b.end(), address,
+                       [](const Burial& x, net::NodeAddress a) {
+                         return x.address < a;
+                       }) -
+      b.begin());
+}
+
+std::uint32_t LocationTable::acquire_slot(std::uint32_t cap) {
+  std::uint32_t& head = free_slots_[slot_class(cap)];
+  if (head != kNoSlot) {
+    const std::uint32_t off = head;
+    head = slab_[off].address;
+    return off;
+  }
+  assert(slab_.size() + cap <= std::numeric_limits<std::uint32_t>::max());
+  const auto off = static_cast<std::uint32_t>(slab_.size());
+  slab_.resize(slab_.size() + cap);
+  return off;
+}
+
+void LocationTable::release_slot(BurialList list) {
+  if (list.cap == 0) return;
+  std::uint32_t& head = free_slots_[slot_class(list.cap)];
+  slab_[list.off].address = head;
+  head = list.off;
+}
+
+void LocationTable::bury(BurialList& list, net::NodeAddress address,
+                         std::uint32_t version) {
+  const std::size_t i = burial_index(list, address);
+  if (i < list.len && slab_[list.off + i].address == address) {
+    Burial& b = slab_[list.off + i];
+    b.version = std::max(b.version, version);
+    return;
+  }
+  if (list.len == list.cap) {  // move to a slot twice the size
+    const std::uint32_t cap = list.cap == 0 ? 1 : 2u * list.cap;
+    if (cap >= (1u << kSlotClasses)) {
+      throw std::length_error("LocationTable: too many tombstones for a key");
+    }
+    const std::uint32_t off = acquire_slot(cap);
+    std::copy_n(slab_.begin() + list.off, list.len, slab_.begin() + off);
+    release_slot(list);
+    list.off = off;
+    list.cap = static_cast<std::uint16_t>(cap);
+  }
+  Burial* p = slab_.data() + list.off;
+  std::move_backward(p + i, p + list.len, p + list.len + 1);
+  p[i] = Burial{address, version};
+  ++list.len;
+  ++tombstones_;
+}
+
+void LocationTable::erase_burial(BurialList& list, std::size_t i) {
+  Burial* p = slab_.data() + list.off;
+  std::move(p + i + 1, p + list.len, p + i);
+  --list.len;
+  --tombstones_;
+  if (list.len == 0) {
+    release_slot(list);
+    list = BurialList{};
+  }
+}
+
+void LocationTable::compact_if_sparse() {
+  if (slab_.size() <= 2 * tombstones_ + kSlabSlack) return;
+  std::vector<Burial> slab;
+  slab.reserve(2 * tombstones_);
+  auto repack = [&](BurialList& list) {
+    if (list.len == 0) return;
+    const auto off = static_cast<std::uint32_t>(slab.size());
+    const std::span<const Burial> b = burials(list);
+    slab.insert(slab.end(), b.begin(), b.end());
+    list.off = off;
+    list.cap = static_cast<std::uint16_t>(std::bit_ceil(list.len));
+    slab.resize(off + list.cap);
+  };
+  for (BurialList& list : row_burials_) repack(list);
+  for (Ghost& g : ghosts_) repack(g.list);
+  slab_ = std::move(slab);
+  free_slots_ = no_free_slots();
+}
+
+std::optional<std::uint32_t> LocationTable::buried_version(
+    BurialList list, net::NodeAddress address) const {
+  const std::size_t i = burial_index(list, address);
+  if (i == list.len || slab_[list.off + i].address != address) {
+    return std::nullopt;
+  }
+  return slab_[list.off + i].version;
 }
 
 std::optional<std::uint32_t> LocationTable::tombstone_version(
     chord::Key key, net::NodeAddress address) const {
-  std::size_t i = tomb_index(key, address);
-  if (i == tombstones_.size() || tombstones_[i].key != key ||
-      tombstones_[i].address != address) {
-    return std::nullopt;
+  if (std::size_t i = row_index(key); i != kNpos) {
+    return buried_version(row_burials_[i], address);
   }
-  return tombstones_[i].version;
+  const std::size_t g = seek(ghosts_, 0, key);
+  if (g == ghosts_.size() || ghosts_[g].key != key) return std::nullopt;
+  return buried_version(ghosts_[g].list, address);
 }
 
 std::size_t LocationTable::merge_rows(std::span<const Row> rows,
@@ -122,24 +219,26 @@ bool LocationTable::merge_row(Cursor& at, chord::Key key,
   // writes always take effect and step the version.
   const bool pushed =
       rule == MergeRule::kMirror || rule == MergeRule::kReconcile;
-  // The key's tombstones are tombstones_[tb, te).
-  const std::size_t tb = seek(tombstones_, at.tomb, key);
-  std::size_t te = tb;
-  while (te < tombstones_.size() && tombstones_[te].key == key) ++te;
+  // The key's burials: its row's, or its ghost's when it has no row. The
+  // list is edited here and stored back once the row's fate is known.
+  bool ghosted = false;
+  if (!present) {
+    at.ghost = seek(ghosts_, at.ghost, key);
+    ghosted = at.ghost < ghosts_.size() && ghosts_[at.ghost].key == key;
+  }
+  BurialList list = present   ? row_burials_[cursor]
+                    : ghosted ? ghosts_[at.ghost].list
+                              : BurialList{};
   // A pushed row equal to the stored one changes nothing, unless one of its
   // providers is also buried here: the burial either rejects the push or is
   // revived by it.
   if (pushed && present &&
       std::ranges::equal(incoming, rows_[cursor].providers) &&
-      std::none_of(tombstones_.begin() + static_cast<std::ptrdiff_t>(tb),
-                   tombstones_.begin() + static_cast<std::ptrdiff_t>(te),
-                   [&](const Tombstone& t) {
-                     return std::ranges::any_of(incoming,
-                                                [&](const Provider& p) {
-                                                  return p.address == t.address;
-                                                });
-                   })) {
-    at.tomb = te;
+      std::ranges::none_of(burials(list), [&](const Burial& b) {
+        return std::ranges::any_of(incoming, [&](const Provider& p) {
+          return p.address == b.address;
+        });
+      })) {
     return false;
   }
   bool touched = false;  // an entry was added, changed or dropped
@@ -148,19 +247,6 @@ bool LocationTable::merge_row(Cursor& at, chord::Key key,
   // upsert of an unchanged frequency, most mirrors) or a drop keeps it.
   bool resort = false;
   for (const Provider& in : incoming) {
-    std::size_t ti = tb;
-    while (ti < te && tombstones_[ti].address < in.address) ++ti;
-    const bool buried = ti < te && tombstones_[ti].address == in.address;
-    const auto tomb = tombstones_.begin() + static_cast<std::ptrdiff_t>(ti);
-    // Bury `version` under the incoming provider; a burial keeps the newest.
-    auto bury_here = [&](std::uint32_t version) {
-      if (buried) {
-        tomb->version = std::max(tomb->version, version);
-      } else {
-        tombstones_.insert(tomb, Tombstone{key, in.address, version});
-        ++te;
-      }
-    };
     auto entry = present ? std::find_if(rows_[cursor].providers.begin(),
                                        rows_[cursor].providers.end(),
                                        [&](const Provider& q) {
@@ -175,7 +261,7 @@ bool LocationTable::merge_row(Cursor& at, chord::Key key,
     if (rule == MergeRule::kRetract ||
         (rule == MergeRule::kSet && in.frequency == 0)) {
       if (!found) {
-        if (rule == MergeRule::kSet) bury_here(0);
+        if (rule == MergeRule::kSet) bury(list, in.address, 0);
         continue;
       }
       if (rule == MergeRule::kRetract && entry->frequency > in.frequency) {
@@ -183,7 +269,7 @@ bool LocationTable::merge_row(Cursor& at, chord::Key key,
         ++entry->version;
         resort = true;
       } else {
-        bury_here(entry->version);
+        bury(list, in.address, entry->version);
         rows_[cursor].providers.erase(entry);
       }
       touched = true;
@@ -193,7 +279,7 @@ bool LocationTable::merge_row(Cursor& at, chord::Key key,
       // Only a mirrored removal carries an empty entry: it buries the
       // owner's version and drops an entry no newer than it.
       if (rule != MergeRule::kMirror) continue;
-      bury_here(in.version);
+      bury(list, in.address, in.version);
       if (found && entry->version <= in.version) {
         rows_[cursor].providers.erase(entry);
         touched = true;
@@ -204,16 +290,19 @@ bool LocationTable::merge_row(Cursor& at, chord::Key key,
     // than its burial (it demonstrably re-published since); an owner-side
     // write always revives it, starting past the burial.
     std::uint32_t revived = 0;
-    if (buried) {
-      if (pushed && tomb->version >= in.version) continue;
-      revived = tomb->version;
-      tombstones_.erase(tomb);
-      --te;
+    if (const std::size_t ti = burial_index(list, in.address);
+        ti < list.len && slab_[list.off + ti].address == in.address) {
+      revived = slab_[list.off + ti].version;
+      if (pushed && revived >= in.version) continue;
+      erase_burial(list, ti);
     }
     if (!found) {
       if (!present) {
         rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(cursor),
                      Row{key, spare_.acquire()});
+        row_burials_.insert(
+            row_burials_.begin() + static_cast<std::ptrdiff_t>(cursor),
+            BurialList{});
         present = true;
       }
       rows_[cursor].providers.push_back(
@@ -242,10 +331,18 @@ bool LocationTable::merge_row(Cursor& at, chord::Key key,
     }
     touched = true;
   }
-  at.tomb = te;
-  if (!present) return touched;
-  if (resort) sort_row(rows_[cursor].providers);
-  if (rows_[cursor].providers.empty()) erase_row_at(cursor);
+  if (present) {
+    row_burials_[cursor] = list;
+    if (resort) sort_row(rows_[cursor].providers);
+    if (rows_[cursor].providers.empty()) {
+      erase_row_at(cursor, at.ghost);
+    } else if (ghosted) {  // a row created here took over the key's ghost
+      ghosts_.erase(ghosts_.begin() + static_cast<std::ptrdiff_t>(at.ghost));
+    }
+  } else {
+    set_ghost(at.ghost, key, list);
+  }
+  compact_if_sparse();
   return touched;
 }
 
@@ -254,6 +351,7 @@ void LocationTable::held(std::span<KeyedEntry> entries) const {
   for (KeyedEntry& e : entries) {
     const net::NodeAddress address = e.provider.address;
     at.row = seek(rows_, at.row, e.key);
+    BurialList list;
     if (at.row < rows_.size() && rows_[at.row].key == e.key) {
       const std::vector<Provider>& row = rows_[at.row].providers;
       auto p = std::find_if(row.begin(), row.end(), [&](const Provider& q) {
@@ -263,25 +361,26 @@ void LocationTable::held(std::span<KeyedEntry> entries) const {
         e.provider = *p;
         continue;
       }
+      list = row_burials_[at.row];
+    } else {
+      at.ghost = seek(ghosts_, at.ghost, e.key);
+      if (at.ghost < ghosts_.size() && ghosts_[at.ghost].key == e.key) {
+        list = ghosts_[at.ghost].list;
+      }
     }
-    std::size_t ti = at.tomb = seek(tombstones_, at.tomb, e.key);
-    while (ti < tombstones_.size() && tombstones_[ti].key == e.key &&
-           tombstones_[ti].address < address) {
-      ++ti;
-    }
-    const bool buried = ti < tombstones_.size() &&
-                        tombstones_[ti].key == e.key &&
-                        tombstones_[ti].address == address;
-    e.provider = Provider{address, 0, buried ? tombstones_[ti].version : 0};
+    e.provider = Provider{address, 0, buried_version(list, address).value_or(0)};
   }
 }
 
 void LocationTable::purge_everywhere(net::NodeAddress address) {
   // Single compaction pass: purge every row, drop the emptied ones, and
-  // park their provider capacity — no per-row vector erase churn.
+  // park their provider capacity — no per-row vector erase churn. The
+  // emptied rows' burials become ghosts, merged in by key at the end.
+  std::vector<Ghost> emptied;
   std::size_t w = 0;
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     std::vector<Provider>& row = rows_[r].providers;
+    BurialList& list = row_burials_[r];
     std::uint32_t died_at = 0;
     auto pos = std::remove_if(row.begin(), row.end(), [&](const Provider& p) {
       if (p.address != address) return false;
@@ -290,16 +389,32 @@ void LocationTable::purge_everywhere(net::NodeAddress address) {
     });
     if (pos != row.end()) {
       row.erase(pos, row.end());
-      bury(rows_[r].key, address, died_at);
+      bury(list, address, died_at);
     }
     if (row.empty()) {
       spare_.release(std::move(row));
+      if (list.len != 0) emptied.push_back(Ghost{rows_[r].key, list});
       continue;
     }
-    if (w != r) rows_[w] = std::move(rows_[r]);
+    if (w != r) {
+      rows_[w] = std::move(rows_[r]);
+      row_burials_[w] = list;
+    }
     ++w;
   }
   rows_.resize(w);
+  row_burials_.resize(w);
+  merge_ghosts(emptied);
+  compact_if_sparse();
+}
+
+void LocationTable::merge_ghosts(std::span<const Ghost> more) {
+  if (more.empty()) return;
+  std::vector<Ghost> merged;
+  merged.reserve(ghosts_.size() + more.size());
+  std::ranges::merge(ghosts_, more, std::back_inserter(merged), {},
+                     &Ghost::key, &Ghost::key);
+  ghosts_ = std::move(merged);
 }
 
 std::vector<Provider> LocationTable::lookup(chord::Key key) const {
@@ -308,39 +423,34 @@ std::vector<Provider> LocationTable::lookup(chord::Key key) const {
   return rows_[ri].providers;  // rows are kept sorted on mutation
 }
 
-const Provider* LocationTable::find(chord::Key key,
-                                    net::NodeAddress address) const {
-  std::size_t ri = row_index(key);
-  if (ri == kNpos) return nullptr;
-  for (const Provider& p : rows_[ri].providers) {
-    if (p.address == address) return &p;
-  }
-  return nullptr;
-}
-
 const Row* LocationTable::find_row(chord::Key key) const {
   std::size_t ri = row_index(key);
   return ri == kNpos ? nullptr : &rows_[ri];
 }
 
-RowSnapshot LocationTable::extract_range(chord::Key lo, chord::Key hi) {
-  return extract_range_mapped(lo, hi, [](chord::Key k) { return k; });
-}
-
-RowSnapshot LocationTable::extract_range_mapped(
+RowSnapshot LocationTable::extract_range(
     chord::Key lo, chord::Key hi,
     const std::function<chord::Key(chord::Key)>& to_ring) {
   RowSnapshot out;
+  std::vector<Ghost> left;  // burials of the extracted rows stay here
   std::size_t w = 0;
   for (std::size_t r = 0; r < rows_.size(); ++r) {
     if (chord::in_open_closed(to_ring(rows_[r].key), lo, hi)) {
+      if (row_burials_[r].len != 0) {
+        left.push_back(Ghost{rows_[r].key, row_burials_[r]});
+      }
       out.push_back(std::move(rows_[r]));
     } else {
-      if (w != r) rows_[w] = std::move(rows_[r]);
+      if (w != r) {
+        rows_[w] = std::move(rows_[r]);
+        row_burials_[w] = row_burials_[r];
+      }
       ++w;
     }
   }
   rows_.resize(w);
+  row_burials_.resize(w);
+  merge_ghosts(left);
   return out;  // ascending by key: rows_ was sorted
 }
 
@@ -359,7 +469,7 @@ std::size_t LocationTable::byte_size() const noexcept {
   // charged at all.
   std::size_t n = 8;
   for (const Row& r : rows_) n += 8 + kProviderBytes * r.providers.size();
-  n += kTombstoneBytes * tombstones_.size();
+  n += kTombstoneBytes * tombstones_;
   return n;
 }
 

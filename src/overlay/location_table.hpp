@@ -6,16 +6,25 @@
 // frequency is the statistic the paper's optimizations consume (chain
 // ordering in Sect. IV-C, join ordering / site selection in Sect. IV-D).
 //
-// Storage is a sorted flat vector of rows (and a sorted flat tombstone
-// vector) rather than the former std::map-of-maps: 1k-node rings hold
-// thousands of rows per index node, and the batch driver hits them on every
-// lookup, so binary search over contiguous rows beats pointer-chasing tree
-// nodes, and bulk walks (repair, purge_everywhere, byte accounting) become
-// linear scans. Iteration order stays ascending-by-key — the same
-// deterministic order the map gave — and erased rows park their provider
-// capacity in a pool so repair/churn loops stop thrashing the allocator.
+// Rows sit in one vector sorted by key: rings of 1k nodes hold thousands of
+// rows per index node, and the batch driver hits them on every lookup, so
+// binary search over contiguous rows beats pointer-chasing tree nodes, and
+// bulk walks (repair, purge_everywhere, byte accounting) are linear scans.
+// Erased rows park their provider capacity in a pool, so repair and churn
+// loops do not thrash the allocator.
+//
+// Tombstones (a deleted (key, provider) pair with the version it died at)
+// outnumber live entries several times over under churn, and nearly every
+// index write buries or revives one. They are kept per key, beside the row:
+// a row owns a small handle into one slab of (address, version) entries,
+// and a key with tombstones but no live row is a "ghost" in a short sorted
+// vector of (key, handle). Each key's list sits in a power-of-two slot of
+// the slab, recycled through per-size free lists, so a bury or a revival
+// shifts only that key's own slot, a merge reads a present row's burials
+// without any search, and no row allocates on the heap for them.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -74,8 +83,8 @@ class LocationTable {
  public:
   // Owner-side writes, one entry each. Every batched write takes its
   // entries (or rows) ascending by key, one per key, and walks the table
-  // forward once: one row and one tombstone search per key from a galloping
-  // cursor, at most one sort per row.
+  // forward once: one row search per key from a galloping cursor (and one
+  // ghost search for a key without a row), at most one sort per row.
 
   /// Add `frequency` matching triples for (key, address); merges with an
   /// existing entry for the same provider. Owner-side: bumps the entry
@@ -173,22 +182,15 @@ class LocationTable {
   /// a plain copy — hot-key lookups no longer pay O(n log n) per call.
   [[nodiscard]] std::vector<Provider> lookup(chord::Key key) const;
 
-  /// One row entry, or nullptr when absent (no copy; used by replica
-  /// maintenance to read the owner's authoritative frequency + version).
-  [[nodiscard]] const Provider* find(chord::Key key,
-                                     net::NodeAddress address) const;
-
   /// The full row for a key, or nullptr when absent (no copy).
   [[nodiscard]] const Row* find_row(chord::Key key) const;
 
-  /// Remove and return all rows with key in (lo, hi] on the ring — the
-  /// slice handed to a joining index node (Sect. III-C). Sorted by key.
-  [[nodiscard]] RowSnapshot extract_range(chord::Key lo, chord::Key hi);
-
-  /// Same, but ring position is `to_ring(key)` instead of the key itself.
-  /// Rows are keyed by the full hash Kj (so distinct keys never merge), while
-  /// ownership lives in the m-bit ring space; this mapping bridges the two.
-  [[nodiscard]] RowSnapshot extract_range_mapped(
+  /// Remove and return all rows whose ring position `to_ring(key)` lies in
+  /// (lo, hi] — the slice handed to a joining index node (Sect. III-C).
+  /// Sorted by key. Rows are keyed by the full hash Kj (so distinct keys
+  /// never merge), while ownership lives in the m-bit ring space; `to_ring`
+  /// bridges the two. The rows' tombstones stay here (see Burial).
+  [[nodiscard]] RowSnapshot extract_range(
       chord::Key lo, chord::Key hi,
       const std::function<chord::Key(chord::Key)>& to_ring);
 
@@ -200,7 +202,7 @@ class LocationTable {
     merge_rows(rows, MergeRule::kAbsorb);
   }
 
-  /// Remove one row entirely.
+  /// Remove one row entirely; its tombstones stay.
   void erase_row(chord::Key key);
 
   [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
@@ -226,24 +228,33 @@ class LocationTable {
   /// tests — audits and repair walk this directly).
   [[nodiscard]] const std::vector<Row>& rows() const noexcept { return rows_; }
 
-  /// True if (key, address) was deleted here and not re-published since —
-  /// reconcile() refuses to resurrect such entries with stale versions.
-  [[nodiscard]] bool tombstoned(chord::Key key, net::NodeAddress address) const;
-
-  /// The version buried with a tombstoned (key, address), if any.
+  /// The version buried with (key, address), if it was deleted here and not
+  /// re-published since — reconcile() refuses to resurrect such entries
+  /// with stale versions.
   [[nodiscard]] std::optional<std::uint32_t> tombstone_version(
       chord::Key key, net::NodeAddress address) const;
 
  private:
-  /// Deleted (key, provider) pair awaiting re-publication, with the version
-  /// it died at. Tombstones stay local: they do not travel with
-  /// extract_range slices, so a new owner has a short resurrection window
-  /// until the next purge — the documented at-least-once behavior of
-  /// recovery reconciliation.
-  struct Tombstone {
-    chord::Key key = 0;
+  /// A deleted provider of one key awaiting re-publication, with the version
+  /// it died at; the key is the list's. Tombstones stay local: they do not
+  /// travel with extract_range slices, so a new owner has a short
+  /// resurrection window until the next purge — the documented
+  /// at-least-once behavior of recovery reconciliation.
+  struct Burial {
     net::NodeAddress address = net::kNoAddress;
     std::uint32_t version = 0;
+  };
+  /// One key's burials: slab_[off, off + len), ascending by address, in a
+  /// slot of `cap` entries (a power of two; 0 when the key has none).
+  struct BurialList {
+    std::uint32_t off = 0;
+    std::uint16_t len = 0;
+    std::uint16_t cap = 0;
+  };
+  /// A key with burials and no row.
+  struct Ghost {
+    chord::Key key = 0;
+    BurialList list;
   };
 
   /// mirror(): a version at least as new wins, frequency 0 buries.
@@ -260,13 +271,12 @@ class LocationTable {
     kSet,
     kRetract,
   };
-  /// Where merge_row starts its searches of rows_ and tombstones_: at or
-  /// before the key's place in each. It leaves them at the key's row and
-  /// past its tombstones, so rows merged in ascending key order are searched
-  /// forward only.
+  /// Where merge_row starts its searches of rows_ and ghosts_: at or
+  /// before the key's place in each. It leaves them at the key's place, so
+  /// rows merged in ascending key order are searched forward only.
   struct Cursor {
     std::size_t row = 0;
-    std::size_t tomb = 0;
+    std::size_t ghost = 0;
   };
   /// Merges `incoming` into the row of `key`; true if an entry was added,
   /// changed or dropped.
@@ -279,16 +289,43 @@ class LocationTable {
   /// Merges each row; returns how many of them changed.
   std::size_t merge_rows(std::span<const Row> rows, MergeRule rule);
   void merge_entries(std::span<const KeyedEntry> entries, MergeRule rule);
-  /// First tombstone at or after (key, address).
-  [[nodiscard]] std::size_t tomb_index(chord::Key key,
-                                       net::NodeAddress address) const;
 
   /// Index of `key` in rows_, or npos. Binary search over the sorted rows.
   [[nodiscard]] std::size_t row_index(chord::Key key) const noexcept;
-  /// Erase rows_[i], parking its provider capacity in the pool.
-  void erase_row_at(std::size_t i);
+  /// Erase rows_[i], parking its provider capacity in the pool; its
+  /// burials become a ghost. `ghost` is at or before the key's place in
+  /// ghosts_ and is left there.
+  void erase_row_at(std::size_t i, std::size_t& ghost);
+  void erase_row_at(std::size_t i) {
+    std::size_t ghost = 0;
+    erase_row_at(i, ghost);
+  }
+  /// Make `list` the burials of `key`, which has no row: its ghost, or no
+  /// ghost when the list is empty. `ghost` is as for erase_row_at.
+  void set_ghost(std::size_t& ghost, chord::Key key, BurialList list);
+  /// Merge ghosts (ascending by key, none of them in ghosts_) into ghosts_.
+  void merge_ghosts(std::span<const Ghost> more);
 
-  void bury(chord::Key key, net::NodeAddress address, std::uint32_t version);
+  [[nodiscard]] std::span<const Burial> burials(BurialList list) const {
+    return {slab_.data() + list.off, list.len};
+  }
+  /// The version buried under `address` in `list`, if any.
+  [[nodiscard]] std::optional<std::uint32_t> buried_version(
+      BurialList list, net::NodeAddress address) const;
+  /// Position of `address` in `list`, or of the first burial above it.
+  [[nodiscard]] std::size_t burial_index(BurialList list,
+                                         net::NodeAddress address) const;
+  /// Bury `version` under `address` in `list`; a burial keeps the newest.
+  void bury(BurialList& list, net::NodeAddress address, std::uint32_t version);
+  /// Erase position `i` of `list`; an emptied list gives its slot back.
+  void erase_burial(BurialList& list, std::size_t i);
+  /// A free slot of `cap` entries: a recycled one, or new at the slab's end.
+  [[nodiscard]] std::uint32_t acquire_slot(std::uint32_t cap);
+  void release_slot(BurialList list);
+  /// Repack every list into a fresh slab, each in the smallest slot that
+  /// holds it, once recycled slots have left the slab more than twice the
+  /// size of what it holds (plus kSlabSlack).
+  void compact_if_sparse();
 
   /// Restore the (frequency asc, address asc) row invariant after a
   /// mutation — the deterministic order lookup() and the chain strategies
@@ -296,10 +333,25 @@ class LocationTable {
   static void sort_row(std::vector<Provider>& row);
 
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kSlabSlack = 64;
+  /// Slot sizes 1, 2, 4, ..., 2^15 (BurialList::cap is 16 bits wide).
+  static constexpr std::size_t kSlotClasses = 16;
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::array<std::uint32_t, kSlotClasses> no_free_slots() {
+    std::array<std::uint32_t, kSlotClasses> heads{};
+    heads.fill(kNoSlot);
+    return heads;
+  }
 
-  std::vector<Row> rows_;             // sorted by key
-  std::vector<Tombstone> tombstones_;  // sorted by (key, address)
-  common::VectorPool<Provider> spare_;  // capacity recycled across row churn
+  std::vector<Row> rows_;                // sorted by key
+  std::vector<BurialList> row_burials_;  // parallel to rows_
+  std::vector<Ghost> ghosts_;            // sorted by key; no empty list
+  std::vector<Burial> slab_;             // every key's burials
+  /// The first free slot of each size class (log2 of cap), or kNoSlot. A
+  /// free slot's first entry holds the offset of the next in its address.
+  std::array<std::uint32_t, kSlotClasses> free_slots_ = no_free_slots();
+  std::size_t tombstones_ = 0;           // burials across all lists
+  common::VectorPool<Provider> spare_;   // capacity recycled across row churn
   // The per-entry merges merge_row replaced: its oracle in tests/support.
   friend struct LocationTableReference;
 };

@@ -164,7 +164,7 @@ void HybridOverlay::on_transfer(chord::Key old_owner, chord::Key new_owner,
       index_by_address_[ni->second.address] = new_owner;
     }
   }
-  RowSnapshot slice = oi->second.table.extract_range_mapped(
+  RowSnapshot slice = oi->second.table.extract_range(
       lo, hi, [this](chord::Key k) { return ring_.truncate(k); });
   if (slice.empty()) return;
   std::size_t bytes = 8;

@@ -12,6 +12,9 @@ namespace {
 constexpr chord::Key K1 = 101, K2 = 102, K3 = 103;
 constexpr net::NodeAddress D1 = 1, D2 = 2, D3 = 3, D4 = 4;
 
+/// Ring position = key: a slice taken by the keys themselves.
+chord::Key identity(chord::Key key) { return key; }
+
 LocationTable table_one() {
   LocationTable t;
   t.publish(K1, D1, 15);
@@ -112,7 +115,7 @@ TEST(LocationTable, PurgeEverywhereSimulatesLazyRepair) {
 TEST(LocationTable, ExtractRangeTakesOpenClosedSlice) {
   LocationTable t = table_one();
   // Keys 101..103; slice (101, 102] takes exactly K2.
-  auto slice = t.extract_range(101, 102);
+  auto slice = t.extract_range(101, 102, identity);
   ASSERT_EQ(slice.size(), 1u);
   EXPECT_EQ(slice.begin()->key, K2);
   EXPECT_EQ(t.row_count(), 2u);
@@ -124,7 +127,7 @@ TEST(LocationTable, ExtractRangeHandlesWraparound) {
   t.publish(5, D1, 1);
   t.publish(1000, D2, 1);
   // (900, 10] wraps: takes both 1000 and 5.
-  auto slice = t.extract_range(900, 10);
+  auto slice = t.extract_range(900, 10, identity);
   EXPECT_EQ(slice.size(), 2u);
   EXPECT_TRUE(t.empty());
 }
@@ -132,7 +135,7 @@ TEST(LocationTable, ExtractRangeHandlesWraparound) {
 TEST(LocationTable, AbsorbMergesSlice) {
   LocationTable a = table_one();
   LocationTable b;
-  b.absorb(a.extract_range(0, ~chord::Key{0}));
+  b.absorb(a.extract_range(0, ~chord::Key{0}, identity));
   EXPECT_EQ(b.row_count(), 3u);
   EXPECT_EQ(b.entry_count(), 6u);
   EXPECT_EQ(b.lookup(K2).size(), 3u);
@@ -239,7 +242,7 @@ TEST(LocationTable, ReconcileDoesNotResurrectRetractedProvider) {
   LocationTable t = table_one();
   EXPECT_TRUE(t.retract(K3, D1, 30));  // D1 fully retracts from K3
   EXPECT_TRUE(t.lookup(K3).empty());
-  EXPECT_TRUE(t.tombstoned(K3, D1));
+  EXPECT_TRUE(t.tombstone_version(K3, D1).has_value());
 
   t.reconcile(RowSnapshot{{K3, {{D1, 30}}}});  // stale replica still lists D1
   EXPECT_TRUE(t.lookup(K3).empty()) << "retracted provider resurrected";
@@ -264,11 +267,10 @@ TEST(LocationTable, RepublishClearsTombstone) {
   LocationTable t;
   t.publish(K1, D1, 5);   // version 1
   t.retract(K1, D1, 5);   // buried at version 1
-  EXPECT_TRUE(t.tombstoned(K1, D1));
   ASSERT_TRUE(t.tombstone_version(K1, D1).has_value());
   EXPECT_EQ(*t.tombstone_version(K1, D1), 1u);
   t.publish(K1, D1, 8);   // revived at version 2
-  EXPECT_FALSE(t.tombstoned(K1, D1));
+  EXPECT_FALSE(t.tombstone_version(K1, D1).has_value());
   // A stale pre-burial snapshot is rejected.
   t.reconcile(RowSnapshot{{K1, {{D1, 5, 1}}}});
   EXPECT_EQ(t.lookup(K1)[0].frequency, 8u);
@@ -289,7 +291,7 @@ TEST(LocationTable, UpsertReplicaMirrorsVersionVerbatim) {
   EXPECT_EQ(replicas.lookup(K1)[0].frequency, 9u);
   replicas.upsert_replica(K1, D1, 0, 5);   // removal push: buries version 5
   EXPECT_TRUE(replicas.lookup(K1).empty());
-  EXPECT_TRUE(replicas.tombstoned(K1, D1));
+  EXPECT_TRUE(replicas.tombstone_version(K1, D1).has_value());
   replicas.upsert_replica(K1, D1, 7, 5);   // not newer than burial: rejected
   EXPECT_TRUE(replicas.lookup(K1).empty());
   replicas.upsert_replica(K1, D1, 7, 6);   // re-publish reached the owner
@@ -305,7 +307,7 @@ TEST(LocationTable, AbsorbPreservesVersions) {
   a.publish(K1, D1, 10);
   a.publish(K1, D1, 10);  // version 3, frequency 30
   LocationTable b;
-  b.absorb(a.extract_range(0, ~chord::Key{0}));
+  b.absorb(a.extract_range(0, ~chord::Key{0}, identity));
   ASSERT_EQ(b.lookup(K1).size(), 1u);
   EXPECT_EQ(b.lookup(K1)[0].version, 3u);
   EXPECT_TRUE(b.retract(K1, D1, 15));  // version 4, frequency 15
@@ -317,10 +319,10 @@ TEST(LocationTable, AbsorbPreservesVersions) {
 TEST(LocationTable, PurgeEverywhereTombstonesAffectedRows) {
   LocationTable t = table_one();
   t.purge_everywhere(D1);
-  EXPECT_TRUE(t.tombstoned(K1, D1));
-  EXPECT_TRUE(t.tombstoned(K2, D1));
-  EXPECT_TRUE(t.tombstoned(K3, D1));
-  EXPECT_FALSE(t.tombstoned(K1, D3));
+  EXPECT_TRUE(t.tombstone_version(K1, D1).has_value());
+  EXPECT_TRUE(t.tombstone_version(K2, D1).has_value());
+  EXPECT_TRUE(t.tombstone_version(K3, D1).has_value());
+  EXPECT_FALSE(t.tombstone_version(K1, D3).has_value());
   t.reconcile(RowSnapshot{{K3, {{D1, 30}}}});
   EXPECT_TRUE(t.lookup(K3).empty());
 }
@@ -341,7 +343,8 @@ TEST(LocationTable, RowsIterateAscendingByKeyAfterArbitraryMutations) {
   t.purge(1 + (4 * 37) % 97, D1);
   t.purge_everywhere(D2);
   t.erase_row(1 + (5 * 37) % 97);
-  RowSnapshot slice = t.extract_range(10, 40);  // detach a middle slice...
+  // Detach a middle slice...
+  RowSnapshot slice = t.extract_range(10, 40, identity);
   t.reconcile(RowSnapshot{{3, {{D1, 7, 50}}}, {200, {{D3, 9, 50}}}});
   t.absorb(slice);  // ...and splice it back after unrelated churn
 
@@ -384,7 +387,7 @@ TEST(LocationTable, ByteSizeCountsTombstones) {
   // snapshot that travels on transfers must charge for it, or deletions
   // would propagate for free.
   ASSERT_TRUE(t.purge(K1, D1));
-  EXPECT_TRUE(t.tombstoned(K1, D1));
+  EXPECT_TRUE(t.tombstone_version(K1, D1).has_value());
   EXPECT_EQ(t.byte_size(), 8u + 20u);
   EXPECT_LT(t.byte_size(), with_entry);
 }

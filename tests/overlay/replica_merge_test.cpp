@@ -37,7 +37,7 @@ constexpr net::NodeAddress kAddrs[] = {1, 2, 3, 4, 5, 6};
 /// buried version once the entry is gone.
 Provider held(const LocationTable& owner, chord::Key key,
               net::NodeAddress address) {
-  if (const Provider* p = owner.find(key, address)) return *p;
+  if (const Provider* p = find_entry(owner, key, address)) return *p;
   return Provider{address, 0,
                   owner.tombstone_version(key, address).value_or(0)};
 }
@@ -201,7 +201,7 @@ void run_history(std::uint64_t seed, int steps) {
         // provider, so it must take the full merge (and clear the burial).
         replica.mirror(owner.rows());
         Ref::mirror(replica_ref, owner.rows());
-        const Provider* p = owner.find(key, a);
+        const Provider* p = find_entry(owner, key, a);
         if (p != nullptr && p->version > 0) {
           replica.upsert_replica(key, a, 0, p->version - 1);
           Ref::upsert_replica(replica_ref, key, a, 0, p->version - 1);

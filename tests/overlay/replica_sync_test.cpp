@@ -223,8 +223,7 @@ TEST(ReplicaSync, AuditCountsARowChangedByAMergeInSync) {
   const chord::Key owner =
       ov.ring().oracle_successor(ov.ring().truncate(row.key));
   ov.repair(10);
-  const Provider* held = ov.index_nodes().at(owner).table.find(row.key,
-                                                               p.address);
+  const Provider* held = find_entry(ov.index_nodes().at(owner).table, row.key, p.address);
   ASSERT_NE(held, nullptr);
   const check::AuditReport report = check::audit(ov);
   if (common::audit_enabled()) {

@@ -65,7 +65,7 @@ void OverlayReference::replicate_row(HybridOverlay& ov, IndexNodeState& owner,
                                      net::SimTime now) {
   Provider entry{provider, 0,
                  owner.table.tombstone_version(key, provider).value_or(0)};
-  if (const Provider* held = owner.table.find(key, provider)) entry = *held;
+  if (const Provider* held = find_entry(owner.table, key, provider)) entry = *held;
   for (IndexNodeState* replica : ov.replica_targets(owner.id)) {
     ov.net_->send(owner.address, replica->address, kReplicaPushBytes, now,
                   net::Category::kIndex);

@@ -4,38 +4,44 @@
 #include <utility>
 
 namespace ahsw::overlay {
-namespace {
 
-auto tomb_less() {
-  return [](const auto& t, const std::pair<chord::Key, net::NodeAddress>& k) {
-    if (t.key != k.first) return t.key < k.first;
-    return t.address < k.second;
-  };
+LocationTableReference::KeyBurials LocationTableReference::key_burials(
+    const LocationTable& t, chord::Key key) {
+  std::size_t ghost = 0;
+  const std::size_t row = t.row_index(key);
+  if (row != LocationTable::kNpos) return {row, ghost, t.row_burials_[row]};
+  while (ghost < t.ghosts_.size() && t.ghosts_[ghost].key < key) ++ghost;
+  if (ghost < t.ghosts_.size() && t.ghosts_[ghost].key == key) {
+    return {row, ghost, t.ghosts_[ghost].list};
+  }
+  return {row, ghost, {}};
 }
 
-}  // namespace
+void LocationTableReference::store(LocationTable& t, chord::Key key,
+                                   KeyBurials& k) {
+  if (k.row != LocationTable::kNpos) {
+    t.row_burials_[k.row] = k.list;
+  } else {
+    t.set_ghost(k.ghost, key, k.list);
+  }
+}
 
 void LocationTableReference::bury(LocationTable& t, chord::Key key,
                                   net::NodeAddress address,
                                   std::uint32_t version) {
-  auto it = std::lower_bound(t.tombstones_.begin(), t.tombstones_.end(),
-                             std::make_pair(key, address), tomb_less());
-  if (it != t.tombstones_.end() && it->key == key && it->address == address) {
-    it->version = std::max(it->version, version);
-    return;
-  }
-  t.tombstones_.insert(it, LocationTable::Tombstone{key, address, version});
+  KeyBurials k = key_burials(t, key);
+  t.bury(k.list, address, version);
+  store(t, key, k);
 }
 
 std::uint32_t LocationTableReference::revive(LocationTable& t, chord::Key key,
                                              net::NodeAddress address) {
-  auto it = std::lower_bound(t.tombstones_.begin(), t.tombstones_.end(),
-                             std::make_pair(key, address), tomb_less());
-  if (it == t.tombstones_.end() || it->key != key || it->address != address) {
-    return 0;
-  }
-  std::uint32_t buried = it->version;
-  t.tombstones_.erase(it);
+  KeyBurials k = key_burials(t, key);
+  const std::size_t i = t.burial_index(k.list, address);
+  if (i == k.list.len || t.slab_[k.list.off + i].address != address) return 0;
+  std::uint32_t buried = t.slab_[k.list.off + i].version;
+  t.erase_burial(k.list, i);
+  store(t, key, k);
   return buried;
 }
 
@@ -44,21 +50,26 @@ std::size_t LocationTableReference::row_index_or_insert(LocationTable& t,
   auto it = std::lower_bound(
       t.rows_.begin(), t.rows_.end(), key,
       [](const Row& r, chord::Key k) { return r.key < k; });
-  if (it != t.rows_.end() && it->key == key) {
-    return static_cast<std::size_t>(it - t.rows_.begin());
+  const auto i = static_cast<std::size_t>(it - t.rows_.begin());
+  if (it != t.rows_.end() && it->key == key) return i;
+  // A new row takes over the key's ghost, if it has one.
+  const KeyBurials k = key_burials(t, key);
+  if (k.list.len != 0) {
+    t.ghosts_.erase(t.ghosts_.begin() + static_cast<std::ptrdiff_t>(k.ghost));
   }
-  it = t.rows_.insert(it, Row{key, t.spare_.acquire()});
-  return static_cast<std::size_t>(it - t.rows_.begin());
+  t.rows_.insert(it, Row{key, t.spare_.acquire()});
+  t.row_burials_.insert(
+      t.row_burials_.begin() + static_cast<std::ptrdiff_t>(i), k.list);
+  return i;
 }
 
 std::optional<std::uint32_t> LocationTableReference::tombstone_version(
     const LocationTable& t, chord::Key key, net::NodeAddress address) {
-  auto it = std::lower_bound(t.tombstones_.begin(), t.tombstones_.end(),
-                             std::make_pair(key, address), tomb_less());
-  if (it == t.tombstones_.end() || it->key != key || it->address != address) {
-    return std::nullopt;
+  const KeyBurials k = key_burials(t, key);
+  for (const LocationTable::Burial& b : t.burials(k.list)) {
+    if (b.address == address) return b.version;
   }
-  return it->version;
+  return std::nullopt;
 }
 
 void LocationTableReference::publish(LocationTable& t, chord::Key key,
@@ -273,11 +284,26 @@ void LocationTableReference::mirror(LocationTable& t, const RowSnapshot& rows) {
 
 std::vector<LocationTableReference::Burial> LocationTableReference::tombstones(
     const LocationTable& t) {
+  // Rows and ghosts hold disjoint keys; walk both in key order.
   std::vector<Burial> out;
-  for (const LocationTable::Tombstone& b : t.tombstones_) {
-    out.push_back(Burial{b.key, b.address, b.version});
+  auto flatten = [&](chord::Key key, LocationTable::BurialList list) {
+    for (const LocationTable::Burial& b : t.burials(list)) {
+      out.push_back(Burial{key, b.address, b.version});
+    }
+  };
+  std::size_t g = 0;
+  for (std::size_t r = 0; r < t.rows_.size(); ++r) {
+    for (; g < t.ghosts_.size() && t.ghosts_[g].key < t.rows_[r].key; ++g) {
+      flatten(t.ghosts_[g].key, t.ghosts_[g].list);
+    }
+    flatten(t.rows_[r].key, t.row_burials_[r]);
   }
+  for (; g < t.ghosts_.size(); ++g) flatten(t.ghosts_[g].key, t.ghosts_[g].list);
   return out;
+}
+
+std::size_t LocationTableReference::slab_entries(const LocationTable& t) {
+  return t.slab_.size();
 }
 
 }  // namespace ahsw::overlay

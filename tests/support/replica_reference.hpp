@@ -11,12 +11,22 @@
 // Test-only; nothing under src/ includes this.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
 #include "overlay/location_table.hpp"
 
 namespace ahsw::overlay {
+
+/// The entry of `address` in the row of `key`, or nullptr (no copy).
+inline const Provider* find_entry(const LocationTable& t, chord::Key key,
+                                  net::NodeAddress address) {
+  const Row* row = t.find_row(key);
+  if (row == nullptr) return nullptr;
+  auto p = std::ranges::find(row->providers, address, &Provider::address);
+  return p == row->providers.end() ? nullptr : &*p;
+}
 
 /// Friend of LocationTable: reads and writes its rows and tombstones.
 struct LocationTableReference {
@@ -45,9 +55,20 @@ struct LocationTableReference {
     friend bool operator==(const Burial&, const Burial&) = default;
   };
   static std::vector<Burial> tombstones(const LocationTable& t);
+  /// Entries the tombstone slab holds, live or in free slots.
+  static std::size_t slab_entries(const LocationTable& t);
 
  private:
-  // The row and tombstone searches as the per-entry merges ran them.
+  // The row and tombstone searches as the per-entry merges ran them, on the
+  // table's per-key burial lists.
+  struct KeyBurials {
+    std::size_t row;    // in rows_, or kNpos for a key without a row
+    std::size_t ghost;  // the key's place in ghosts_ when it has no row
+    LocationTable::BurialList list;
+  };
+  static KeyBurials key_burials(const LocationTable& t, chord::Key key);
+  /// Store an edited list back as the key's row's or ghost's.
+  static void store(LocationTable& t, chord::Key key, KeyBurials& k);
   static std::size_t row_index_or_insert(LocationTable& t, chord::Key key);
   static void bury(LocationTable& t, chord::Key key, net::NodeAddress address,
                    std::uint32_t version);
