@@ -33,10 +33,7 @@ std::uint64_t tagged_hash(std::uint8_t tag, std::string_view a,
   h ^= tag;
   h *= kFnvPrime;
   h = fnv1a64(a, h);
-  // Field separator outside the value alphabet of N-Triples terms, so that
-  // ("ab","c") and ("a","bc") hash differently.
-  h ^= 0x1fULL;
-  h *= kFnvPrime;
+  h = fnv1a64(kFieldSeparator, h);
   h = fnv1a64(b, h);
   return mix64(h);
 }

@@ -33,6 +33,11 @@ namespace ahsw::common {
 [[nodiscard]] std::uint64_t tagged_hash(std::uint8_t tag,
                                         std::string_view a) noexcept;
 
+/// The byte a two-field tagged_hash feeds between its fields: outside the
+/// value alphabet of N-Triples terms, so ("ab","c") and ("a","bc") hash
+/// differently.
+inline constexpr std::string_view kFieldSeparator = "\x1f";
+
 /// Hash of a two-field key (e.g. (s,p) or (p,o)) with domain separation and
 /// an unambiguous field boundary.
 [[nodiscard]] std::uint64_t tagged_hash(std::uint8_t tag, std::string_view a,

@@ -1,5 +1,6 @@
 #include "common/strings.hpp"
 
+#include <algorithm>
 #include <cstdint>
 
 namespace ahsw::common {
@@ -140,6 +141,12 @@ std::string escape_ntriples(std::string_view raw) {
     }
   }
   return out;
+}
+
+bool needs_ntriples_escape(std::string_view raw) noexcept {
+  return std::any_of(raw.begin(), raw.end(), [](char c) {
+    return c == '\\' || c == '"' || static_cast<unsigned char>(c) < 0x20;
+  });
 }
 
 std::string unescape_ntriples(std::string_view escaped) {

@@ -32,6 +32,9 @@ namespace ahsw::common {
 /// character becomes \u00XX. Other bytes (including UTF-8) pass through.
 [[nodiscard]] std::string escape_ntriples(std::string_view raw);
 
+/// True iff escape_ntriples(raw) differs from raw (a byte it escapes occurs).
+[[nodiscard]] bool needs_ntriples_escape(std::string_view raw) noexcept;
+
 /// Inverse of escape_ntriples: named escapes plus \uXXXX / \UXXXXXXXX
 /// decoded to UTF-8 (malformed numeric escapes are kept verbatim).
 /// unescape_ntriples(escape_ntriples(s)) == s for every byte string s.

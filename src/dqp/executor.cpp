@@ -122,8 +122,10 @@ void DagExecutor::give_up_on_provider(net::NodeAddress provider,
     if (overlay_.cache_invalidate(initiator, *key, now)) {
       obs::SpanScope span(
           trace_, obs::SpanKind::kCache,
-          "invalidate key " + std::to_string(ov().ring().truncate(*key)), now,
-          initiator);
+          trace_ ? "invalidate key " +
+                       std::to_string(ov().ring().truncate(*key))
+                 : std::string(),
+          now, initiator);
       span.finish(now);
     }
     rep.cache.accumulate(cache_stats(ov(), initiator).delta_since(before));
@@ -231,7 +233,8 @@ void DagExecutor::setup_query(QueryRun& run) {
   run.root_span = open_span(obs::SpanKind::kQuery, std::move(label), 0.0,
                             run.initiator);
   obs::SpanId plan_span = open_span(
-      obs::SpanKind::kPlan, "transform + global optimization", 0.0,
+      obs::SpanKind::kPlan,
+      trace_ ? "transform + global optimization" : std::string(), 0.0,
       run.initiator);
   sparql::AlgebraPtr pattern = sparql::translate_pattern(q.where);
   if (policy_.push_filters) pattern = optimizer::push_filters(pattern);
@@ -327,13 +330,15 @@ net::SimTime DagExecutor::fire_lookup(QueryRun& run, TaskId id) {
   if (policy_.cache.enabled) key = ov().row_key(t.pattern.pattern);
   if (key.has_value()) {
     const overlay::CacheStats before = cache_stats(ov(), run.initiator);
-    const std::string klabel = std::to_string(ov().ring().truncate(*key));
+    const std::string klabel =
+        trace_ ? std::to_string(ov().ring().truncate(*key)) : std::string();
     if (const overlay::CachedRow* row =
             overlay_.cache_lookup(run.initiator, *key, t.base)) {
       // Hit: the row is served at the initiator — no ring lookup, no index
       // traffic, completion at the task's own start time.
-      obs::SpanScope span(trace_, obs::SpanKind::kCache, "hit key " + klabel,
-                          t.base, run.initiator);
+      obs::SpanScope span(trace_, obs::SpanKind::kCache,
+                          trace_ ? "hit key " + klabel : std::string(), t.base,
+                          run.initiator);
       t.loc.providers = row->providers;
       t.loc.index_node = row->index_node;
       t.loc.ok = true;
@@ -347,7 +352,8 @@ net::SimTime DagExecutor::fire_lookup(QueryRun& run, TaskId id) {
       return 0;
     }
     {
-      obs::SpanScope span(trace_, obs::SpanKind::kCache, "miss key " + klabel,
+      obs::SpanScope span(trace_, obs::SpanKind::kCache,
+                          trace_ ? "miss key " + klabel : std::string(),
                           t.base, run.initiator);
       span.finish(t.base);
     }
@@ -472,9 +478,10 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
     return 0;
   }
 
-  task.pattern_span = open_span(obs::SpanKind::kPattern,
-                                task.pattern.pattern.to_string(), now,
-                                run.initiator);
+  task.pattern_span = open_span(
+      obs::SpanKind::kPattern,
+      trace_ ? task.pattern.pattern.to_string() : std::string(), now,
+      run.initiator);
 
   task.strategy = policy_.primitive;
   if (policy_.adaptive && !loc.broadcast && loc.providers.size() > 1) {
@@ -785,9 +792,10 @@ net::SimTime DagExecutor::fire_post(QueryRun& run, TaskId id) {
   const Located& in = run.tasks[task.deps.front()].out;
 
   if (run.query.form != sparql::QueryForm::kDescribe) {
-    obs::SpanScope post_span(trace_, obs::SpanKind::kPostProcess,
-                             "modifiers + projection", in.ready_at,
-                             run.initiator);
+    obs::SpanScope post_span(
+        trace_, obs::SpanKind::kPostProcess,
+        trace_ ? "modifiers + projection" : std::string(), in.ready_at,
+        run.initiator);
     post_span.finish(in.ready_at);
     run.result = sparql::finalize_result(run.query, in.set, nullptr);
     run.rep.response_time = in.ready_at;

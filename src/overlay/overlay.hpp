@@ -77,7 +77,8 @@ class HybridOverlay {
   /// shard-private trace for traced batches). Heap-allocated
   /// so the rebound hook's captured pointer stays stable. The clone's
   /// stores intern into its own copy of the term dictionary, so no
-  /// dictionary is shared across threads. The parallel batch driver gives
+  /// dictionary is shared across threads (the copied terms share their
+  /// immutable reps through atomic counts). The parallel batch driver gives
   /// each worker one clone; the master instance is never mutated by worker
   /// execution.
   [[nodiscard]] std::unique_ptr<HybridOverlay> clone_for_worker(

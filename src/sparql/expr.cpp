@@ -172,9 +172,14 @@ namespace {
   return std::nullopt;
 }
 
+/// A comparison or regex verdict: a copy of one of two shared terms, so it
+/// allocates nothing.
 [[nodiscard]] rdf::Term bool_term(bool v) {
-  return rdf::Term::typed_literal(v ? "true" : "false",
-                                  std::string(rdf::xsd::kBoolean));
+  static const rdf::Term kTrue =
+      rdf::Term::typed_literal("true", std::string(rdf::xsd::kBoolean));
+  static const rdf::Term kFalse =
+      rdf::Term::typed_literal("false", std::string(rdf::xsd::kBoolean));
+  return v ? kTrue : kFalse;
 }
 
 /// Three-valued comparison: <0, 0, >0, or nullopt on incomparable operands.

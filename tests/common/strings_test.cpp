@@ -62,6 +62,14 @@ TEST(EscapeNTriples, RoundTripsThroughUnescape) {
   EXPECT_EQ(unescape_ntriples(escape_ntriples(raw)), raw);
 }
 
+TEST(EscapeNTriples, NeedsEscapeIffEscapingChangesTheBytes) {
+  for (int b = 0; b < 256; ++b) {
+    const std::string s = "a" + std::string(1, static_cast<char>(b)) + "z";
+    EXPECT_EQ(needs_ntriples_escape(s), escape_ntriples(s) != s) << b;
+  }
+  EXPECT_FALSE(needs_ntriples_escape(""));
+}
+
 TEST(UnescapeNTriples, DecodesNumericEscapes) {
   // \uXXXX used to pass through verbatim, which broke the inverse law:
   // escape would then double the backslash and the literal value grew a

@@ -6,6 +6,7 @@
 // can succeed at all.
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "common/point_map.hpp"
 #include "net/network.hpp"
 #include "obs/trace.hpp"
+#include "rdf/term.hpp"
 
 namespace ahsw {
 namespace {
@@ -80,6 +82,16 @@ TEST(TypeContracts, TimeoutAndSendNameTheirCategory) {
   static_assert(!kTimeoutAtSuspect<net::Network>);
   static_assert(kTimeoutCategorized<net::Network>);
   static_assert(!kSendUncategorized<net::Network>);
+}
+
+TEST(TypeContracts, TermIsASmallNothrowHandle) {
+  // A term is one shared-rep handle: copying it into a Binding, Triple or
+  // ExprValue bumps a count and cannot throw.
+  EXPECT_LE(sizeof(rdf::Term), 16u);
+  EXPECT_TRUE(std::is_nothrow_copy_constructible_v<rdf::Term>);
+  EXPECT_TRUE(std::is_nothrow_copy_assignable_v<rdf::Term>);
+  EXPECT_TRUE(std::is_nothrow_move_constructible_v<rdf::Term>);
+  EXPECT_TRUE(std::is_nothrow_move_assignable_v<rdf::Term>);
 }
 
 TEST(PointMap, FindEmplaceErase) {

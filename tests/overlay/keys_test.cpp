@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
+
+#include "common/hash.hpp"
 
 #include "../support/param_names.hpp"
 namespace ahsw::overlay {
@@ -47,6 +50,41 @@ TEST(IndexKeys, PairKeysDependOnOrder) {
   Term a = Term::iri("a"), b = Term::iri("b");
   EXPECT_NE(index_key(IndexKeyKind::kSP, a, b),
             index_key(IndexKeyKind::kSP, b, a));
+}
+
+TEST(IndexKeys, KeysHashTheSurfaceForm) {
+  // The keys hash each term's to_string() form without building it; every
+  // key a node holds must stay the one that form gives.
+  const std::vector<Term> terms = {
+      Term(),
+      Term::iri("http://example.org/person/42"),
+      Term::blank("b7"),
+      Term::literal("plain"),
+      Term::literal(""),
+      Term::lang_literal("chat", "fr"),
+      Term::typed_literal("7", "http://www.w3.org/2001/XMLSchema#integer"),
+      Term::literal("quote \" back \\ nl \n tab \t cr \r bell \a"),
+      Term::lang_literal("line\nbreak", "en"),
+      Term::typed_literal("a\"b", "http://e.org/dt"),
+  };
+  for (const Term& a : terms) {
+    for (IndexKeyKind k :
+         {IndexKeyKind::kS, IndexKeyKind::kP, IndexKeyKind::kO}) {
+      EXPECT_EQ(index_key(k, a),
+                common::tagged_hash(static_cast<std::uint8_t>(k),
+                                    a.to_string()))
+          << a.to_string();
+    }
+    for (const Term& b : terms) {
+      for (IndexKeyKind k :
+           {IndexKeyKind::kSP, IndexKeyKind::kPO, IndexKeyKind::kSO}) {
+        EXPECT_EQ(index_key(k, a, b),
+                  common::tagged_hash(static_cast<std::uint8_t>(k),
+                                      a.to_string(), b.to_string()))
+            << a.to_string() << " " << b.to_string();
+      }
+    }
+  }
 }
 
 struct ShapeCase {

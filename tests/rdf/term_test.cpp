@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
+#include <vector>
 
 namespace ahsw::rdf {
 namespace {
@@ -129,6 +131,45 @@ TEST(Term, ByteSizeGrowsWithContent) {
   EXPECT_LT(Term::literal("a").byte_size(), Term::literal("abcdef").byte_size());
   EXPECT_GT(Term::lang_literal("a", "en").byte_size(),
             Term::literal("a").byte_size());
+}
+
+TEST(TermShare, EqualValuesInDistinctRepsAreEqual) {
+  // The default term holds no rep; an empty IRI built by the factory does.
+  // Equality, order and hash see values only.
+  const Term built = Term::iri("");
+  EXPECT_EQ(Term(), built);
+  EXPECT_EQ(Term() <=> built, std::strong_ordering::equal);
+  EXPECT_EQ(TermHash{}(Term()), TermHash{}(built));
+  const Term a = Term::typed_literal("5", std::string(xsd::kInteger));
+  const Term b = Term::integer(5);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a <=> b, std::strong_ordering::equal);
+  EXPECT_EQ(TermHash{}(a), TermHash{}(b));
+  EXPECT_LT(Term(), Term::iri("a"));
+}
+
+TEST(TermShare, ConcurrentCopiesOfOneRep) {
+  // Copies of one term on several threads share its rep through an atomic
+  // count (the parallel driver's worker clones do this with the dictionary).
+  const Term shared = Term::lang_literal(
+      "a literal long enough to live on the heap", "en");
+  constexpr int kThreads = 4;
+  constexpr int kCopies = 20000;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&shared] {
+      for (int c = 0; c < kCopies; ++c) {
+        Term copy = shared;
+        Term moved = std::move(copy);
+        copy = moved;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(shared.lexical(), "a literal long enough to live on the heap");
+  EXPECT_EQ(shared.lang(), "en");
+  EXPECT_EQ(shared, Term::lang_literal(
+                        "a literal long enough to live on the heap", "en"));
 }
 
 }  // namespace
