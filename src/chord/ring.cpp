@@ -8,8 +8,8 @@
 namespace ahsw::chord {
 
 namespace {
-/// Size charged for one routing/control message (query id, key, addresses).
-constexpr std::size_t kControlBytes = 64;
+/// The charge of one routing/control message (query id, key, addresses).
+constexpr net::Charge kControl = net::Charge::fixed(64);
 }  // namespace
 
 bool in_open_closed(Key x, Key lo, Key hi) noexcept {
@@ -141,13 +141,13 @@ Ring::LookupResult Ring::find_successor(Key from_node, Key key,
       res.ok = true;
       // The resolving node reports the answer back to the initiator.
       res.completed_at = net_->send(n.address, nodes_.at(from_node).address,
-                                    kControlBytes, now, net::Category::kRouting);
+                                    kControl, now, net::Category::kRouting);
       return res;
     }
 
     Key next = closest_preceding(n, key);
     if (next == cur) next = *succ;
-    now = net_->send(n.address, nodes_.at(next).address, kControlBytes, now,
+    now = net_->send(n.address, nodes_.at(next).address, kControl, now,
                      net::Category::kRouting);
     cur = next;
   }
@@ -164,8 +164,8 @@ Ring::JoinResult Ring::join(net::NodeAddress address, Key id, Key bootstrap,
   jr.id = id;
 
   // Ask the bootstrap node for successor(id).
-  now = net_->send(net::kNoAddress, nodes_.at(bootstrap).address,
-                   kControlBytes, now, net::Category::kRouting);
+  now = net_->send(net::kNoAddress, nodes_.at(bootstrap).address, kControl, now,
+                   net::Category::kRouting);
   LookupResult lr = find_successor(bootstrap, id, now);
   assert(lr.ok && "join lookup failed");
   now = lr.completed_at;
@@ -190,7 +190,7 @@ Ring::JoinResult Ring::join(net::NodeAddress address, Key id, Key bootstrap,
     refresh_successor_list(nodes_.at(pred));
   }
   refresh_successor_list(nodes_.at(id));
-  now = net_->send(address, nodes_.at(succ).address, kControlBytes, now,
+  now = net_->send(address, nodes_.at(succ).address, kControl, now,
                    net::Category::kRouting);  // notify(successor)
 
   // The new node takes over (pred, id] from its successor: the paper's
@@ -241,10 +241,10 @@ void Ring::leave(Key id, net::SimTime now) {
 
   // Graceful departure (Sect. III-D): successor takes over the key range
   // and the location table; neighbors are notified.
-  now = net_->send(n.address, nodes_.at(succ).address, kControlBytes, now,
+  now = net_->send(n.address, nodes_.at(succ).address, kControl, now,
                    net::Category::kRouting);
   if (transfer_) transfer_(id, succ, pred, id, now);
-  net_->send(n.address, nodes_.at(pred).address, kControlBytes, now,
+  net_->send(n.address, nodes_.at(pred).address, kControl, now,
              net::Category::kRouting);
 
   nodes_.at(succ).predecessor = pred;
@@ -292,8 +292,8 @@ void Ring::repair(net::SimTime now) {
         finger = n.successors.front();
       }
     }
-    net_->send(n.address, nodes_.at(n.successors.front()).address,
-               kControlBytes, now, net::Category::kRouting);
+    net_->send(n.address, nodes_.at(n.successors.front()).address, kControl,
+               now, net::Category::kRouting);
   }
   // Re-establish predecessors from ground truth (stabilization outcome).
   for (auto& [id, n] : nodes_) {
@@ -349,16 +349,16 @@ net::SimTime Ring::stabilize_all(net::SimTime now) {
     std::optional<Key> succ = first_live_successor(n, t);
     if (!succ) continue;
     // successor.predecessor round trip + notify.
-    t = net_->send(n.address, nodes_.at(*succ).address, kControlBytes, t,
+    t = net_->send(n.address, nodes_.at(*succ).address, kControl, t,
                    net::Category::kRouting);
-    t = net_->send(nodes_.at(*succ).address, n.address, kControlBytes, t,
+    t = net_->send(nodes_.at(*succ).address, n.address, kControl, t,
                    net::Category::kRouting);
     std::optional<Key> sp = nodes_.at(*succ).predecessor;
     if (sp && alive(*sp) && in_open_open(*sp, id, *succ)) {
       succ = *sp;
     }
     refresh_successor_list(n);
-    t = net_->send(n.address, nodes_.at(*succ).address, kControlBytes, t,
+    t = net_->send(n.address, nodes_.at(*succ).address, kControl, t,
                    net::Category::kRouting);
     nodes_.at(*succ).predecessor = id;
     latest = std::max(latest, t);

@@ -70,28 +70,24 @@ overlay::HybridOverlay::Located DagExecutor::locate(
   return loc;
 }
 
-const DagExecutor::SetSize& DagExecutor::sized(Located& l) {
-  if (!l.size.has_value()) {
-    l.size = SetSize{net::wire::charged_bytes(l.set), l.set.byte_size()};
-  }
+net::Charge DagExecutor::sized(Located& l) {
+  if (!l.size.has_value()) l.size = net::wire::charge(l.set);
   return *l.size;
 }
 
 DagExecutor::Located DagExecutor::ship(Located from, net::NodeAddress target,
                                        net::Category category) {
   if (from.site == target) return from;
-  const SetSize& size = sized(from);
-  from.ready_at = net().send(from.site, target, size.wire, from.ready_at,
-                             category, size.raw);
+  from.ready_at =
+      net().send(from.site, target, sized(from), from.ready_at, category);
   from.site = target;
   return from;
 }
 
-DagExecutor::SetSize DagExecutor::hop_payload(Task& scan) {
-  const SetSize carry = scan.has_carry ? sized(scan.carry) : SetSize{};
-  const std::size_t query = subquery_wire_bytes(scan.pattern);
-  return SetSize{query + net::wire::charged_bytes(*scan.acc) + carry.wire,
-                 query + scan.acc->raw_bytes() + carry.raw};
+net::Charge DagExecutor::hop_payload(Task& scan) {
+  const net::Charge payload =
+      subquery_charge(scan.pattern) + net::wire::charge(*scan.acc);
+  return scan.has_carry ? payload + sized(scan.carry) : payload;
 }
 
 std::optional<sparql::IdRows> DagExecutor::run_at_provider(
@@ -145,8 +141,8 @@ std::pair<DagExecutor::Located, DagExecutor::Located> DagExecutor::colocate(
   // Operand sizes are the *charged* (wire-encoded) sizes: move-small
   // decisions follow what shipping actually costs under compression.
   net::NodeAddress site = optimizer::choose_join_site(
-      policy_.join_site, optimizer::LocatedOperand{a.site, sized(a).wire},
-      optimizer::LocatedOperand{b.site, sized(b).wire}, initiator,
+      policy_.join_site, optimizer::LocatedOperand{a.site, sized(a).wire()},
+      optimizer::LocatedOperand{b.site, sized(b).wire()}, initiator,
       candidates);
   rep.plan_notes.push_back(
       std::string("join-site: ") +
@@ -535,13 +531,12 @@ net::SimTime DagExecutor::dispatch(QueryRun& run, TaskId scan_id,
   {
     obs::SpanScope ship_span(trace_, obs::SpanKind::kSubQueryShip,
                              "to node " + std::to_string(first), now, owner);
-    t = net().send(owner, first, subquery_wire_bytes(scan.pattern), now,
+    t = net().send(owner, first, subquery_charge(scan.pattern), now,
                    net::Category::kQuery);
     if (scan.has_carry) {
-      const SetSize& size = sized(scan.carry);
-      t = std::max(t, net().send(scan.carry.site, first, size.wire,
+      t = std::max(t, net().send(scan.carry.site, first, sized(scan.carry),
                                  std::max(carry_from, scan.carry.ready_at),
-                                 net::Category::kData, size.raw));
+                                 net::Category::kData));
       scan.acc->set_carry(scan.carry.set);
     }
     ship_span.finish(t);
@@ -586,15 +581,13 @@ net::SimTime DagExecutor::fire_contact(QueryRun& run, TaskId id) {
     obs::SpanScope ship_span(trace_, obs::SpanKind::kSubQueryShip,
                              "to node " + std::to_string(prov), t,
                              scan.assembly);
-    t = net().send(scan.assembly, prov, subquery_wire_bytes(scan.pattern), t,
+    t = net().send(scan.assembly, prov, subquery_charge(scan.pattern), t,
                    net::Category::kQuery);
     ship_span.finish(t);
   } else if (c.attempt > 0) {
-    const SetSize payload = hop_payload(scan);
-    t = net().send(scan.site, prov, payload.wire, t,
+    t = net().send(scan.site, prov, hop_payload(scan), t,
                    c.position == 0 ? net::Category::kQuery
-                                   : net::Category::kData,
-                   payload.raw);
+                                   : net::Category::kData);
   }
   t = claim(prov, run.qid, t);
   {
@@ -605,8 +598,8 @@ net::SimTime DagExecutor::fire_contact(QueryRun& run, TaskId id) {
         run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
     if (local.has_value()) {
       if (leg) {
-        t = net().send(prov, scan.assembly, net::wire::charged_bytes(*local),
-                       t, net::Category::kData, local->byte_size());
+        t = net().send(prov, scan.assembly, net::wire::charge(*local), t,
+                       net::Category::kData);
       } else {
         scan.site = prov;
       }
@@ -629,9 +622,8 @@ net::SimTime DagExecutor::fire_contact(QueryRun& run, TaskId id) {
       ++scan.failed_contacts;
     }
     if (next_hop) {
-      const SetSize payload = hop_payload(scan);
       t = net().send(scan.site, scan.chain[c.position + 1].address,
-                     payload.wire, t, net::Category::kData, payload.raw);
+                     hop_payload(scan), t, net::Category::kData);
     }
     span.finish(t);
   }

@@ -76,22 +76,15 @@ class DagExecutor {
   void set_state_log(StateLog* log) noexcept { overlay_.attach(log); }
 
  private:
-  /// What shipping a set charges: its wire-encoded size and the raw
-  /// (uncompressed) counterpart.
-  struct SetSize {
-    std::size_t wire = 0;
-    std::size_t raw = 0;
-  };
-
   /// An intermediate solution set living at a node of the overlay, in the
   /// ids of the overlay's dictionary.
   struct Located {
     sparql::IdRows set;
     net::NodeAddress site = net::kNoAddress;
     net::SimTime ready_at = 0;
-    /// The size of `set`, filled by the first sized() call; every new set
-    /// starts a new Located.
-    std::optional<SetSize> size;
+    /// The charge of shipping `set`, filled by the first sized() call;
+    /// every new set starts a new Located.
+    std::optional<net::Charge> size;
   };
 
   using TaskId = std::uint32_t;
@@ -206,12 +199,13 @@ class DagExecutor {
                                          net::NodeAddress initiator,
                                          net::SimTime now,
                                          ExecutionReport& rep);
-  /// The size of `l.set`, computed on the first call and kept beside it.
-  static const SetSize& sized(Located& l);
+  /// The charge of shipping `l.set`, computed on the first call and kept
+  /// beside it.
+  static net::Charge sized(Located& l);
   Located ship(Located from, net::NodeAddress target, net::Category category);
   /// What a chain hop ships: the sub-query, the travelling merge and the
   /// carry (a chain with a carry ships it along at every hop).
-  SetSize hop_payload(Task& scan);
+  net::Charge hop_payload(Task& scan);
   /// Contact a provider: charges a timeout and returns nullopt when it is
   /// dead, without giving up on it — the caller decides between a retry
   /// (RetryPolicy) and `give_up_on_provider`.

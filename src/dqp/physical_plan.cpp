@@ -5,10 +5,10 @@ namespace ahsw::dqp {
 using sparql::Algebra;
 using sparql::AlgebraKind;
 
-std::size_t subquery_wire_bytes(const sparql::BgpPattern& p) {
+net::Charge subquery_charge(const sparql::BgpPattern& p) {
   std::size_t n = p.pattern.byte_size() + 32;
   if (p.pushed_filter != nullptr) n += p.pushed_filter->byte_size();
-  return n;
+  return net::Charge::fixed(n);
 }
 
 namespace {

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "net/network.hpp"
 #include "optimizer/planner.hpp"
 #include "overlay/location_cache.hpp"
 #include "sparql/algebra.hpp"
@@ -158,8 +159,8 @@ struct PhysicalPlan {
                                                  const ExecutionPolicy& policy,
                                                  sparql::QueryForm form);
 
-/// Wire size of a shipped sub-query: the pattern, any pushed filter, and
-/// plan metadata (chain list, return address).
-[[nodiscard]] std::size_t subquery_wire_bytes(const sparql::BgpPattern& p);
+/// The charge of a shipped sub-query, a fixed-format message: the pattern,
+/// any pushed filter, and plan metadata (chain list, return address).
+[[nodiscard]] net::Charge subquery_charge(const sparql::BgpPattern& p);
 
 }  // namespace ahsw::dqp

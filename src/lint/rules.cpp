@@ -314,44 +314,6 @@ void check_d4(const SourceFile& f, std::vector<Diagnostic>* out) {
 
 // -- A rules: accounting ----------------------------------------------------
 
-/// The charged (3rd) argument of send() must not be a raw byte_size():
-/// solution payloads are charged at their wire-encoded size
-/// (net::wire::charged_bytes), with byte_size passed separately as the
-/// trailing raw_bytes argument. The repository's fixed-format pattern
-/// shipping predates the wire format and stays raw by design. (That every
-/// send and timeout names its category is the signature's job: neither
-/// has a defaulted category parameter.)
-void check_a1(const SourceFile& f, std::vector<Diagnostic>* out) {
-  if (whitelisted(f.path, {"src/net/network", "src/rdfpeers/repository"})) {
-    return;
-  }
-  const Tokens& t = f.tokens;
-  for (std::size_t i = 1; i + 1 < t.size(); ++i) {
-    if (!t[i].ident("send")) continue;
-    if (!(t[i - 1].is(".") || t[i - 1].is("->"))) continue;
-    if (!t[i + 1].is("(")) continue;
-    const std::size_t close = match_forward(t, i + 1, "(", ")");
-    int depth = 0;
-    int arg = 0;
-    for (std::size_t j = i + 1; j < close; ++j) {
-      if (t[j].is("(") || t[j].is("[") || t[j].is("{")) {
-        ++depth;
-      } else if (t[j].is(")") || t[j].is("]") || t[j].is("}")) {
-        --depth;
-      } else if (depth == 1 && t[j].is(",")) {
-        ++arg;
-      } else if (arg == 2 && t[j].ident("byte_size")) {
-        out->push_back(Diagnostic{
-            "A1", f.path, t[j].line,
-            "raw byte_size() charged as wire traffic; charge "
-            "net::wire::charged_bytes and pass byte_size as the "
-            "raw_bytes argument"});
-        break;
-      }
-    }
-  }
-}
-
 constexpr std::string_view kCounterFields[] = {
     "messages", "bytes", "timeouts", "messages_by", "bytes_by", "timeouts_by"};
 
@@ -661,8 +623,6 @@ const std::vector<RuleInfo>& rule_catalogue() {
       {"D4", "determinism",
        "no non-const namespace-scope, class-scope or function-local "
        "static/inline variables in src/"},
-      {"A1", "accounting",
-       "Network::send charges wire-encoded sizes, never a raw byte_size()"},
       {"A2", "accounting",
        "traffic, cache, and compression (raw_bytes/wire_bytes) counters "
        "mutate only inside the accounting layer (Network / TrafficStats / "
@@ -703,7 +663,6 @@ std::vector<Diagnostic> run_rules(const SourceFile& file,
   std::vector<Diagnostic> out;
   check_d1(file, &out);
   check_d4(file, &out);
-  check_a1(file, &out);
   check_a2(file, &out);
   check_o2(file, cfg, &out);
   check_layering(file, cfg, &out);

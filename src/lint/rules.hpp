@@ -11,8 +11,7 @@
 //       replacements); D4: no non-const static or global variables in
 //       src/, which every worker thread of the parallel batch driver would
 //       share.
-//   A — accounting.   A1: Network::send charges wire-encoded sizes, never a
-//       raw byte_size(); A2: traffic counters mutate only inside the
+//   A — accounting.   A2: traffic counters mutate only inside the
 //       accounting layer (TrafficStats / the span ledger), and cache
 //       hit/miss/invalidate counters only inside LocationCache (CacheStats
 //       is read-only to consumers).
@@ -25,9 +24,10 @@
 //
 // Contracts a type or a signature can carry are not rules here: a
 // common::PointMap has no iterators, QueryTrace's span calls are private to
-// SpanScope and the DAG executor, and Network::send / Network::timeout
-// have no defaulted category (docs/static_analysis.md, "What replaced D2,
-// D3 and O1").
+// SpanScope and the DAG executor, Network::send / Network::timeout have no
+// defaulted category, and Network::send takes a net::Charge that only
+// net::wire makes for a payload (docs/static_analysis.md, "What replaced
+// D2, D3, O1 and A1").
 //
 // Suppressions: `// ahsw-lint: allow(RULE[,RULE...]) <justification>` on
 // the offending line, or as the comment block directly above it. The

@@ -46,19 +46,18 @@ void TrafficStats::accumulate(const TrafficStats& delta) noexcept {
   }
 }
 
-SimTime Network::send(NodeAddress from, NodeAddress to, std::size_t bytes,
-                      SimTime now, Category category, std::size_t raw_bytes) {
+SimTime Network::transmit(NodeAddress from, NodeAddress to, std::size_t wire,
+                          std::size_t raw, SimTime now, Category category) {
   if (from == to) return now;  // node-local: no network involved
-  if (raw_bytes == 0) raw_bytes = bytes;  // no compressed encoding
   ++stats_.messages;
-  stats_.bytes += bytes;
-  stats_.raw_bytes += raw_bytes;
+  stats_.bytes += wire;
+  stats_.raw_bytes += raw;
   auto c = static_cast<std::size_t>(category);
   ++stats_.messages_by[c];
-  stats_.bytes_by[c] += bytes;
-  SimTime arrival = now + model_.latency(bytes);
+  stats_.bytes_by[c] += wire;
+  SimTime arrival = now + model_.latency(wire);
   if (tracer_) {
-    tracer_(MessageEvent{from, to, bytes, raw_bytes, now, arrival, category});
+    tracer_(MessageEvent{from, to, wire, raw, now, arrival, category});
   }
   return arrival;
 }

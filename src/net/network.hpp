@@ -19,7 +19,23 @@
 #include <set>
 #include <string>
 
+namespace ahsw::sparql {
+struct IdRows;
+class MergeAccumulator;
+class SolutionSet;
+}  // namespace ahsw::sparql
+
 namespace ahsw::net {
+
+class Charge;
+
+namespace wire {
+// The only makers of a payload's charge; declared with their siblings in
+// net/wire.hpp.
+[[nodiscard]] Charge charge(const sparql::SolutionSet& s);
+[[nodiscard]] Charge charge(const sparql::MergeAccumulator& acc);
+[[nodiscard]] Charge charge(const sparql::IdRows& rows);
+}  // namespace wire
 
 /// Logical node address; unique across index and storage nodes.
 using NodeAddress = std::uint32_t;
@@ -52,11 +68,10 @@ struct CostModel {
   }
 };
 
-/// Aggregate traffic counters. `bytes` is what the cost model charged — the
-/// wire (compressed) size for payloads shipped through net::wire —
-/// `raw_bytes` the uncompressed counterpart, so the compression ratio is
-/// observable wherever traffic is (docs/cost_model.md "Compressed wire
-/// charging").
+/// Aggregate traffic counters. `bytes` is what the cost model charged (each
+/// message's Charge::wire()), `raw_bytes` the uncompressed counterpart
+/// (Charge::raw()), so the compression ratio is observable wherever traffic
+/// is (docs/cost_model.md "Compressed wire charging").
 struct TrafficStats {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
@@ -78,9 +93,8 @@ struct TrafficStats {
   void accumulate(const TrafficStats& delta) noexcept;
 };
 
-/// One charged message, as seen by a tracer. `bytes` is the charged (wire)
-/// size; `raw_bytes` the uncompressed size of the same payload (== bytes
-/// for messages with no compressed encoding).
+/// One charged message, as seen by a tracer: `bytes` and `raw_bytes` are
+/// its Charge's wire() and raw() (equal for a fixed-format message).
 struct MessageEvent {
   NodeAddress from = kNoAddress;
   NodeAddress to = kNoAddress;
@@ -101,6 +115,38 @@ struct TimeoutEvent {
   SimTime gave_up_at = 0;  // at + timeout_ms: when it moved on
 };
 
+/// What one message charges: `wire()`, the size the cost model bills, and
+/// `raw()`, the uncompressed size of the same payload. Only net::wire's
+/// `charge` makes a payload's charge; every other message has a fixed
+/// format with no compressed encoding and is `fixed(n)`. No constructor
+/// takes a bare size, so a raw byte count cannot be billed as wire traffic.
+class Charge {
+ public:
+  [[nodiscard]] static constexpr Charge fixed(std::size_t bytes) noexcept {
+    return Charge(bytes, bytes);
+  }
+
+  [[nodiscard]] constexpr std::size_t wire() const noexcept { return wire_; }
+  [[nodiscard]] constexpr std::size_t raw() const noexcept { return raw_; }
+
+  /// One message carrying both payloads (a header and its rows).
+  [[nodiscard]] friend constexpr Charge operator+(Charge a,
+                                                  Charge b) noexcept {
+    return Charge(a.wire_ + b.wire_, a.raw_ + b.raw_);
+  }
+
+ private:
+  constexpr Charge(std::size_t wire, std::size_t raw) noexcept
+      : wire_(wire), raw_(raw) {}
+
+  friend Charge wire::charge(const sparql::SolutionSet& s);
+  friend Charge wire::charge(const sparql::MergeAccumulator& acc);
+  friend Charge wire::charge(const sparql::IdRows& rows);
+
+  std::size_t wire_;
+  std::size_t raw_;
+};
+
 /// The simulated network: address allocation, failure injection, and the
 /// charging of messages against the cost model.
 class Network {
@@ -110,17 +156,15 @@ class Network {
   /// Allocate a fresh node address.
   [[nodiscard]] NodeAddress allocate_address() { return next_address_++; }
 
-  /// Charge one message `from` -> `to` carrying `bytes` payload starting at
-  /// `now`; returns its arrival time. A node-local interaction (from == to)
-  /// is free. Sending to a failed node still transmits (and is charged) —
+  /// Charge one message `from` -> `to` starting at `now`; returns its
+  /// arrival time. The cost model bills `charge.wire()`; `charge.raw()`
+  /// goes to the raw counter. A node-local interaction (from == to) is
+  /// free. Sending to a failed node still transmits (and is charged) —
   /// callers discover the failure by timeout; see `timeout()`.
-  ///
-  /// `bytes` is the wire (charged) size; callers shipping payloads with a
-  /// compressed encoding (net::wire) pass the uncompressed size as
-  /// `raw_bytes` so both ends of the ratio are accounted. 0 (the default)
-  /// means "no separate raw size": raw accounting then mirrors `bytes`.
-  SimTime send(NodeAddress from, NodeAddress to, std::size_t bytes,
-               SimTime now, Category category, std::size_t raw_bytes = 0);
+  SimTime send(NodeAddress from, NodeAddress to, Charge charge, SimTime now,
+               Category category) {
+    return transmit(from, to, charge.wire(), charge.raw(), now, category);
+  }
 
   /// Charge a failure-detection timeout at `now`; returns when the sender
   /// gives up. Bumps the aggregate and per-category timeout counters and
@@ -177,6 +221,11 @@ class Network {
   }
 
  private:
+  // send's body, on the two sizes: a Charge taken by value out of line is
+  // spilled and reloaded on every message.
+  SimTime transmit(NodeAddress from, NodeAddress to, std::size_t wire,
+                   std::size_t raw, SimTime now, Category category);
+
   CostModel model_;
   TrafficStats stats_;
   std::set<NodeAddress> failed_;

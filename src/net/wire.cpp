@@ -64,4 +64,16 @@ std::size_t charged_bytes(const sparql::IdRows& rows) {
   return encoded_size(sparql::id_table(rows));
 }
 
+Charge charge(const sparql::SolutionSet& s) {
+  return Charge(charged_bytes(s), s.byte_size());
+}
+
+Charge charge(const sparql::MergeAccumulator& acc) {
+  return Charge(charged_bytes(acc), acc.raw_bytes());
+}
+
+Charge charge(const sparql::IdRows& rows) {
+  return Charge(charged_bytes(rows), rows.byte_size());
+}
+
 }  // namespace ahsw::net::wire

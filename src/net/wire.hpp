@@ -30,7 +30,8 @@
 // a payload. `charged_bytes` computes the encoded size above from an id
 // view of the payload (sparql::IdTable): the sorted vars, the terms in rank
 // order with their front-coding prefix lengths, and per row the bitmap plus
-// the varint or zigzag rank deltas. The same formula sizes the id relations
+// the varint or zigzag rank deltas; `charge` pairs it with the raw size as
+// the net::Charge a send takes. The same formula sizes the id relations
 // the distributed processor ships (sparql::IdRows: provider scans, merged
 // and joined sets), the id-space merge accumulator of the scatter and chain
 // strategies, which is sized at every chain hop without ever being
@@ -43,14 +44,22 @@
 
 #include <cstddef>
 
+#include "net/network.hpp"
 #include "sparql/columnar.hpp"
 #include "sparql/solution.hpp"
 
 namespace ahsw::net::wire {
 
-/// What Network::send charges for shipping `s`: its encoded size. The raw
+/// The Charge of shipping a payload: its encoded size (charged_bytes) as
+/// wire, its uncompressed size (byte_size, raw_bytes) as raw. These are the
+/// only functions that make a Charge whose raw differs from its wire.
+[[nodiscard]] Charge charge(const sparql::SolutionSet& s);
+[[nodiscard]] Charge charge(const sparql::MergeAccumulator& acc);
+[[nodiscard]] Charge charge(const sparql::IdRows& rows);
+
+/// What Network::send bills for shipping `s`: its encoded size. The raw
 /// (uncompressed) size stays observable as SolutionSet::byte_size() and
-/// travels with every send as its `raw_bytes` counterpart.
+/// travels with every send as its Charge's raw().
 [[nodiscard]] std::size_t charged_bytes(const sparql::SolutionSet& s);
 
 /// What shipping the accumulator's merged set charges: the variable and

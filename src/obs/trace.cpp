@@ -189,24 +189,6 @@ void QueryTrace::on_timeout(const net::TimeoutEvent& e) {
   spans_.push_back(std::move(leaf));
 }
 
-std::uint64_t QueryTrace::total_bytes() const noexcept {
-  std::uint64_t n = 0;
-  for (const Span& s : spans_) n += s.bytes;
-  return n;
-}
-
-std::uint64_t QueryTrace::total_messages() const noexcept {
-  std::uint64_t n = 0;
-  for (const Span& s : spans_) n += s.messages;
-  return n;
-}
-
-std::uint64_t QueryTrace::total_timeouts() const noexcept {
-  std::uint64_t n = 0;
-  for (const Span& s : spans_) n += s.timeouts;
-  return n;
-}
-
 namespace {
 template <typename Get>
 std::uint64_t subtree_sum(const std::vector<Span>& spans, SpanId id,

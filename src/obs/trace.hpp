@@ -119,13 +119,6 @@ class QueryTrace {
     return stack_.empty() ? kNoSpan : stack_.back();
   }
 
-  /// Totals over all spans' self counters. When one trace covers exactly
-  /// one query these equal the query's TrafficStats delta (minus anything
-  /// charged while no span was open — see unattributed_*).
-  [[nodiscard]] std::uint64_t total_bytes() const noexcept;
-  [[nodiscard]] std::uint64_t total_messages() const noexcept;
-  [[nodiscard]] std::uint64_t total_timeouts() const noexcept;
-
   /// Subtree totals (self counters summed over `id` and its descendants).
   [[nodiscard]] std::uint64_t subtree_bytes(SpanId id) const;
   [[nodiscard]] std::uint64_t subtree_messages(SpanId id) const;

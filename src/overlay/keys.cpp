@@ -7,18 +7,6 @@
 
 namespace ahsw::overlay {
 
-std::string_view index_key_kind_name(IndexKeyKind k) noexcept {
-  switch (k) {
-    case IndexKeyKind::kS: return "S";
-    case IndexKeyKind::kP: return "P";
-    case IndexKeyKind::kO: return "O";
-    case IndexKeyKind::kSP: return "SP";
-    case IndexKeyKind::kPO: return "PO";
-    case IndexKeyKind::kSO: return "SO";
-  }
-  return "?";
-}
-
 namespace {
 /// Continue FNV-1a state `h` over the canonical byte form of `t`, its full
 /// surface form t.to_string() (which distinguishes IRIs from equal-spelled

@@ -26,8 +26,6 @@ enum class IndexKeyKind : std::uint8_t {
 };
 inline constexpr int kIndexKeyKinds = 6;
 
-[[nodiscard]] std::string_view index_key_kind_name(IndexKeyKind k) noexcept;
-
 /// DHT key for a single-attribute index entry.
 [[nodiscard]] chord::Key index_key(IndexKeyKind kind, const rdf::Term& a);
 

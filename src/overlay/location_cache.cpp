@@ -85,8 +85,6 @@ std::size_t LocationCache::invalidate_provider(net::NodeAddress address) {
   return dropped;
 }
 
-void LocationCache::clear() { rows_.clear(); }
-
 void LocationCache::evict_for_capacity() {
   while (rows_.size() > config_.max_rows) {
     // Deterministic victim: earliest expiry, ties by key order. No LRU

@@ -33,8 +33,8 @@
 
 namespace ahsw::overlay {
 
-/// Wire size of one owner-pushed invalidation (key + epoch).
-inline constexpr std::size_t kInvalidationBytes = 16;
+/// The charge of one owner-pushed invalidation (key + epoch).
+inline constexpr net::Charge kInvalidation = net::Charge::fixed(16);
 
 struct CacheConfig {
   bool enabled = false;
@@ -102,10 +102,6 @@ class LocationCache {
   /// Drop every cached row listing `address` (bulk convergence cleanup).
   /// Returns the number of rows dropped.
   std::size_t invalidate_provider(net::NodeAddress address);
-
-  /// Drop everything silently (reconfiguration; not counted as
-  /// invalidations since nothing observable was served stale).
-  void clear();
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }

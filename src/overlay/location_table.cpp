@@ -461,14 +461,8 @@ std::size_t LocationTable::entry_count() const noexcept {
 }
 
 std::size_t LocationTable::byte_size() const noexcept {
-  // 16 per provider: address (8) + frequency (4) + version (4). The
-  // pre-version figure of 12 survived the replica-versioning change, so
-  // every slice transfer and reconcile push undercounted by 4 bytes per
-  // entry — and tombstones (key + address + buried version), which do
-  // travel with snapshots to keep deletions from resurrecting, were never
-  // charged at all.
   std::size_t n = 8;
-  for (const Row& r : rows_) n += 8 + kProviderBytes * r.providers.size();
+  for (const Row& r : rows_) n += row_bytes(r.providers.size());
   n += kTombstoneBytes * tombstones_;
   return n;
 }

@@ -45,7 +45,7 @@ namespace ahsw::overlay {
 /// owner's version verbatim, so recovery reconciliation can order snapshots
 /// causally instead of max-merging frequencies — a stale replica snapshot
 /// (older version) can never overwrite a newer, lower frequency. The version
-/// travels with the entry: byte_size() and response_bytes() charge each
+/// travels with the entry: row_bytes() and response_bytes() size each
 /// serialized entry LocationTable::kProviderBytes (address, frequency and
 /// version: 16 bytes).
 struct Provider {
@@ -214,9 +214,14 @@ class LocationTable {
   /// Serialized tombstone: key (8) + address (8) + buried version (4).
   static constexpr std::size_t kTombstoneBytes = 20;
 
-  /// Serialized size (for charging slice transfers / replication traffic):
-  /// table framing + per-row key + full provider entries + tombstones.
+  /// Serialized size of the whole table: framing + row_bytes per row +
+  /// tombstones. No message charges it; the golden digests pin it.
   [[nodiscard]] std::size_t byte_size() const noexcept;
+  /// Serialized size of one row on the wire (a slice transfer or a repair
+  /// push): its key + full provider entries.
+  [[nodiscard]] static constexpr std::size_t row_bytes(std::size_t providers) {
+    return 8 + kProviderBytes * providers;
+  }
   /// Serialized size of one provider list response. Entries carry their
   /// version (the initiator-side cache needs it to refuse stale rows), so
   /// the response charges kProviderBytes per provider as well.

@@ -10,12 +10,13 @@
 namespace ahsw::overlay {
 
 namespace {
-constexpr std::size_t kPublishBytes = 24;   // key + address + frequency
+// key + address + frequency
+constexpr net::Charge kPublish = net::Charge::fixed(24);
 // Owner-to-replica pushes additionally carry the owner's per-entry version
 // (replicas mirror it verbatim and use it to reject reordered pushes), so
 // they are 4 bytes wider than a plain publish.
-constexpr std::size_t kReplicaPushBytes = 28;  // key + address + freq + version
-constexpr std::size_t kRequestBytes = 32;   // pattern key + requester
+constexpr net::Charge kReplicaPush = net::Charge::fixed(28);
+constexpr net::Charge kRequest = net::Charge::fixed(32);  // key + requester
 }  // namespace
 
 HybridOverlay::HybridOverlay(net::Network& network, OverlayConfig config)
@@ -169,10 +170,10 @@ void HybridOverlay::on_transfer(chord::Key old_owner, chord::Key new_owner,
   if (slice.empty()) return;
   std::size_t bytes = 8;
   for (const Row& r : slice) {
-    bytes += 8 + LocationTable::kProviderBytes * r.providers.size();
+    bytes += LocationTable::row_bytes(r.providers.size());
   }
-  net_->send(oi->second.address, ni->second.address, bytes, when,
-             net::Category::kIndex);
+  net_->send(oi->second.address, ni->second.address, net::Charge::fixed(bytes),
+             when, net::Category::kIndex);
   ni->second.table.absorb(slice);
   // Re-replicate the transferred entries as their new owner now holds them:
   // replica placement follows ownership, otherwise a later crash of the new
@@ -208,7 +209,7 @@ std::size_t HybridOverlay::replicate_rows(IndexNodeState& owner,
   for (const Row& r : rows) {
     for (std::size_t i = 0; i < r.providers.size(); ++i) {
       for (IndexNodeState* replica : targets) {
-        net_->send(owner.address, replica->address, kReplicaPushBytes, now,
+        net_->send(owner.address, replica->address, kReplicaPush, now,
                    net::Category::kIndex);
       }
     }
@@ -269,7 +270,7 @@ void HybridOverlay::push_invalidations(chord::Key key,
     auto ci = caches_.find(initiator);
     if (ci != caches_.end()) ci->second.invalidate(key);
     if (charge) {
-      net_->send(owner_addr, initiator, kInvalidationBytes, now,
+      net_->send(owner_addr, initiator, kInvalidation, now,
                  net::Category::kIndex);
     }
   }
@@ -296,15 +297,15 @@ net::SimTime HybridOverlay::publish_keys(
   const IndexNodeState* targets_of = nullptr;
   std::vector<IndexNodeState*> targets;
   for (const auto& [key, freq] : keys) {
-    net::SimTime t = net_->send(from, entry_addr, kPublishBytes, now,
+    net::SimTime t = net_->send(from, entry_addr, kPublish, now,
                                 net::Category::kIndex);
     // Rows are keyed by the full hash Kj; the ring routes its truncation.
     chord::Ring::LookupResult lr =
         ring_.find_successor(entry, ring_.truncate(key), t);
     auto it = index_.end();
     if (lr.ok) {
-      t = net_->send(entry_addr, lr.owner_address, kPublishBytes,
-                     lr.completed_at, net::Category::kIndex);
+      t = net_->send(entry_addr, lr.owner_address, kPublish, lr.completed_at,
+                     net::Category::kIndex);
       it = index_.find(lr.owner);
     }
     latest = std::max(latest, t);
@@ -315,7 +316,7 @@ net::SimTime HybridOverlay::publish_keys(
       targets_of = &owner;
     }
     for (IndexNodeState* replica : targets) {
-      net_->send(owner.address, replica->address, kReplicaPushBytes, t,
+      net_->send(owner.address, replica->address, kReplicaPush, t,
                  net::Category::kIndex);
     }
     // Owner-side mutation: leased cached copies of this row are now stale —
@@ -455,13 +456,13 @@ HybridOverlay::Located HybridOverlay::locate(net::NodeAddress requester,
       now, requester);
   chord::Key entry = entry_ring_node(requester);
   net::NodeAddress entry_addr = ring_.address_of(entry);
-  net::SimTime t = net_->send(requester, entry_addr, kRequestBytes, now,
+  net::SimTime t = net_->send(requester, entry_addr, kRequest, now,
                               net::Category::kIndex);
   chord::Ring::LookupResult lr =
       ring_.find_successor(entry, ring_.truncate(key), t);
   if (!lr.ok) return res;
-  t = net_->send(entry_addr, lr.owner_address, kRequestBytes,
-                 lr.completed_at, net::Category::kIndex);
+  t = net_->send(entry_addr, lr.owner_address, kRequest, lr.completed_at,
+                 net::Category::kIndex);
   res.hops = lr.hops;
   res.index_node = lr.owner;
 
@@ -471,8 +472,9 @@ HybridOverlay::Located HybridOverlay::locate(net::NodeAddress requester,
   res.ok = true;
   res.completed_at =
       net_->send(lr.owner_address, requester,
-                 LocationTable::response_bytes(res.providers.size()), t,
-                 net::Category::kIndex);
+                 net::Charge::fixed(
+                     LocationTable::response_bytes(res.providers.size())),
+                 t, net::Category::kIndex);
   span.finish(res.completed_at);
   return res;
 }
@@ -488,14 +490,14 @@ net::SimTime HybridOverlay::report_dead_provider(net::NodeAddress reporter,
       trace_, obs::SpanKind::kRepair,
       trace_ ? "purge dead provider " + std::to_string(dead) : std::string(),
       now, reporter);
-  net::SimTime t = net_->send(reporter, it->second.address, kPublishBytes,
-                              now, net::Category::kIndex);
+  net::SimTime t = net_->send(reporter, it->second.address, kPublish, now,
+                              net::Category::kIndex);
   it->second.table.purge(key, dead);
   // Forward the purge to the owner's replicas: a replica row left unpurged
   // resurrects the dead provider as soon as the primary fails and repair()
   // promotes it.
   for (IndexNodeState* replica : replica_targets(owner)) {
-    net_->send(it->second.address, replica->address, kReplicaPushBytes, t,
+    net_->send(it->second.address, replica->address, kReplicaPush, t,
                net::Category::kIndex);
     replica->replicas.purge(key, dead);
   }
@@ -603,7 +605,8 @@ void HybridOverlay::repair(net::SimTime now) {
       if (owner == nullptr) continue;
       if (owner != &holder) {
         net_->send(holder.address, owner->address,
-                   8 + LocationTable::kProviderBytes * r.providers.size(),
+                   net::Charge::fixed(
+                       LocationTable::row_bytes(r.providers.size())),
                    now, net::Category::kIndex);
       } else {
         promoted.push_back(r.key);

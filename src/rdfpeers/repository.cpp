@@ -68,8 +68,9 @@ std::optional<chord::Key> Repository::place(chord::Key from, chord::Key key,
       ring_.find_successor(from, ring_.truncate(key), now);
   if (!lr.ok) return std::nullopt;
   hops += lr.hops;
-  now = net_->send(peers_.at(from).address, lr.owner_address, bytes,
-                   lr.completed_at, net::Category::kData);
+  now = net_->send(peers_.at(from).address, lr.owner_address,
+                   net::Charge::fixed(bytes), lr.completed_at,
+                   net::Category::kData);
   return lr.owner;
 }
 
@@ -123,11 +124,12 @@ Repository::Resolution Repository::resolve_pattern(
     net::NodeAddress me = peers_.at(from).address;
     for (auto& [id, peer] : peers_) {
       if (net_->is_failed(peer.address)) continue;
-      net::SimTime t = net_->send(me, peer.address, kControlBytes, now,
+      net::SimTime t = net_->send(me, peer.address,
+                                  net::Charge::fixed(kControlBytes), now,
                                   net::Category::kQuery);
       sparql::SolutionSet local = match_at(id);
-      t = net_->send(peer.address, me, net::wire::charged_bytes(local), t,
-                     net::Category::kData, local.byte_size());
+      t = net_->send(peer.address, me, net::wire::charge(local), t,
+                     net::Category::kData);
       res.solutions = sparql::vec_deduplicated(
           sparql::set_union(res.solutions, local));
       res.completed_at = std::max(res.completed_at, t);
@@ -151,12 +153,12 @@ Repository::Resolution Repository::resolve_pattern(
   if (!lr.ok) return res;
   res.hops = lr.hops;
   net::SimTime t = net_->send(peers_.at(from).address, lr.owner_address,
-                              kControlBytes + p.byte_size(), lr.completed_at,
-                              net::Category::kQuery);
+                              net::Charge::fixed(kControlBytes + p.byte_size()),
+                              lr.completed_at, net::Category::kQuery);
   sparql::SolutionSet local = match_at(lr.owner);
   res.completed_at = net_->send(lr.owner_address, peers_.at(from).address,
-                                net::wire::charged_bytes(local), t,
-                                net::Category::kData, local.byte_size());
+                                net::wire::charge(local), t,
+                                net::Category::kData);
   res.solutions = sparql::vec_deduplicated(std::move(local));
   res.ok = true;
   return res;
@@ -197,7 +199,8 @@ Repository::Resolution Repository::resolve_conjunctive(
     res.hops += lr.hops;
     // Ship the query + current candidate set to the next owner.
     t = net_->send(prev_addr, lr.owner_address,
-                   kControlBytes + p.byte_size() + term_set_bytes(candidates),
+                   net::Charge::fixed(kControlBytes + p.byte_size() +
+                                      term_set_bytes(candidates)),
                    lr.completed_at, net::Category::kData);
 
     std::set<rdf::Term> local;
@@ -219,8 +222,8 @@ Repository::Resolution Repository::resolve_conjunctive(
   }
 
   res.completed_at = net_->send(prev_addr, peers_.at(from).address,
-                                term_set_bytes(candidates), t,
-                                net::Category::kResult);
+                                net::Charge::fixed(term_set_bytes(candidates)),
+                                t, net::Category::kResult);
   for (const rdf::Term& subject : candidates) {
     sparql::Binding b;
     b.set(subject_var->name, subject);
@@ -283,7 +286,7 @@ Repository::Resolution Repository::resolve_range(chord::Key from,
   // the wrap owner covers the rest), or the walk closes the full circle.
   for (std::size_t guard = 0; guard < peers_.size(); ++guard) {
     t = net_->send(prev_addr, peers_.at(cur).address,
-                   kControlBytes + pattern.byte_size(), t,
+                   net::Charge::fixed(kControlBytes + pattern.byte_size()), t,
                    net::Category::kQuery);
     sparql::SolutionSet local;
     peers_.at(cur).store.match(pattern, [&](const rdf::Triple& triple) {
@@ -296,9 +299,8 @@ Repository::Resolution Repository::resolve_range(chord::Key from,
       }
     });
     net::SimTime reply =
-        net_->send(peers_.at(cur).address, me,
-                   net::wire::charged_bytes(local), t, net::Category::kData,
-                   local.byte_size());
+        net_->send(peers_.at(cur).address, me, net::wire::charge(local), t,
+                   net::Category::kData);
     res.completed_at = std::max(res.completed_at, reply);
     res.solutions = sparql::vec_deduplicated(
         sparql::set_union(res.solutions, std::move(local)));

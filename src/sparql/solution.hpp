@@ -94,7 +94,7 @@ class SolutionSet {
 
   /// Total *raw* (uncompressed) serialized size. The cost model charges the
   /// compressed size instead (net::wire::charged_bytes); this raw figure
-  /// travels alongside every send as its `raw_bytes` counterpart so the
+  /// travels with every send as the raw() of its net::wire::charge, so the
   /// compression win stays observable. Summed over the rows on each call;
   /// every caller sizes a given set once. (The distributed processor ships
   /// sparql::IdRows and sizes those instead.)

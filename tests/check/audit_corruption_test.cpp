@@ -256,7 +256,7 @@ TEST(SeededCorruption, I5DesyncedSpanCounters) {
   // the delta but in no span — the conservation sum must catch the hole.
   proc.set_trace(nullptr);  // unbinds the trace
   bed.network().send(bed.storage_addrs().front(), bed.storage_addrs().back(),
-                     64, 0, net::Category::kData);
+                     net::Charge::fixed(64), 0, net::Category::kData);
   net::TrafficStats delta = bed.network().stats().delta_since(before);
   AuditReport rep;
   audit_conservation(trace, delta, rep);

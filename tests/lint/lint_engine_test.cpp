@@ -53,19 +53,6 @@ TEST(Rules, SelfIncludeAlwaysAllowed) {
   EXPECT_TRUE(r.clean());
 }
 
-TEST(Rules, A1CategoryVariableCounts) {
-  // Forwarding a `category` parameter is an explicit choice, not an
-  // omission: ship()-style helpers must not be flagged.
-  lint::LintConfig cfg = config_with("dqp: net common\nnet:\ncommon:\n");
-  lint::LintReport r = lint::lint_source(
-      "src/dqp/f.cpp",
-      "double go(N& net, C category, double now) {\n"
-      "  return net.send(1, 2, 8, now, category);\n"
-      "}\n",
-      cfg);
-  EXPECT_TRUE(r.clean());
-}
-
 TEST(Rules, O2IsNestingAware) {
   lint::LintConfig cfg = config_with("dqp: common\ncommon:\n");
   // Outer switch over a guarded enum with no default; the inner switch is

@@ -67,8 +67,6 @@ TEST(LintFixtures, D1WallClockAndRand) { expect_golden("d1_wall_clock"); }
 
 TEST(LintFixtures, D4MutableStatic) { expect_golden("d4_mutable_static"); }
 
-TEST(LintFixtures, A1RawBytesCharged) { expect_golden("a1_raw_bytes_charged"); }
-
 TEST(LintFixtures, A2CounterMutation) { expect_golden("a2_counter_mutation"); }
 
 TEST(LintFixtures, A2WireCounterMutation) {

@@ -1,5 +1,5 @@
-// The contracts that replaced lint rules D2, D3, O1 and A1's category
-// clause, checked where they now live: in types and signatures. Each
+// The contracts that replaced lint rules D2, D3, O1 and A1, checked where
+// they now live: in types and signatures. Each
 // requires-expression sits in a variable template, so an ill-formed call
 // (a missing member, a private one, too few arguments) makes it false
 // instead of failing the build; the positive cases show that each probe
@@ -47,9 +47,19 @@ constexpr bool kTimeoutCategorized = requires(N& n) {
 };
 template <typename N>
 constexpr bool kSendUncategorized = requires(N& n) {
-  n.send(net::NodeAddress{}, net::NodeAddress{}, std::size_t{},
+  n.send(net::NodeAddress{}, net::NodeAddress{}, net::Charge::fixed(0),
          net::SimTime{});
 };
+template <typename N, typename C>
+constexpr bool kSendTakes = requires(N& n, C c) {
+  n.send(net::NodeAddress{}, net::NodeAddress{}, c, net::SimTime{},
+         net::Category::kData);
+};
+template <typename C>
+constexpr bool kBraceFromTwoSizes =
+    requires(std::size_t a, std::size_t b) { C{a, b}; };
+template <typename C>
+constexpr bool kBraceEmpty = requires { C{}; };
 
 using IntMap = common::PointMap<int, int>;
 
@@ -82,6 +92,22 @@ TEST(TypeContracts, TimeoutAndSendNameTheirCategory) {
   static_assert(!kTimeoutAtSuspect<net::Network>);
   static_assert(kTimeoutCategorized<net::Network>);
   static_assert(!kSendUncategorized<net::Network>);
+}
+
+TEST(TypeContracts, SendTakesAChargeOnlyTheSizerMakesForAPayload) {
+  static_assert(kSendTakes<net::Network, net::Charge>);
+  static_assert(!kSendTakes<net::Network, std::size_t>);
+
+  // No way to make a Charge from bare sizes: a payload's comes from
+  // net::wire::charge, a fixed-format message's from Charge::fixed.
+  static_assert(!std::is_constructible_v<net::Charge, std::size_t>);
+  static_assert(
+      !std::is_constructible_v<net::Charge, std::size_t, std::size_t>);
+  static_assert(!kBraceFromTwoSizes<net::Charge>);
+  static_assert(!kBraceEmpty<net::Charge>);
+
+  constexpr net::Charge sum = net::Charge::fixed(24) + net::Charge::fixed(8);
+  static_assert(sum.wire() == 32 && sum.raw() == 32);
 }
 
 TEST(TypeContracts, TermIsASmallNothrowHandle) {

@@ -1,6 +1,11 @@
 #include "net/network.hpp"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "net/wire.hpp"
 
 namespace ahsw::net {
 namespace {
@@ -21,7 +26,8 @@ TEST(Network, AllocatesDistinctAddresses) {
 
 TEST(Network, SendChargesMessageAndBytes) {
   Network net(CostModel{1.0, 0.001, 100.0});
-  SimTime arrival = net.send(1, 2, 500, 10.0, Category::kQuery);
+  SimTime arrival =
+      net.send(1, 2, Charge::fixed(500), 10.0, Category::kQuery);
   EXPECT_DOUBLE_EQ(arrival, 11.5);
   EXPECT_EQ(net.stats().messages, 1u);
   EXPECT_EQ(net.stats().bytes, 500u);
@@ -29,17 +35,61 @@ TEST(Network, SendChargesMessageAndBytes) {
 
 TEST(Network, LocalSendIsFree) {
   Network net;
-  SimTime arrival = net.send(3, 3, 10000, 5.0, Category::kData);
+  SimTime arrival =
+      net.send(3, 3, Charge::fixed(10000), 5.0, Category::kData);
   EXPECT_DOUBLE_EQ(arrival, 5.0);
   EXPECT_EQ(net.stats().messages, 0u);
   EXPECT_EQ(net.stats().bytes, 0u);
 }
 
+TEST(Network, ChargeCarriesRawBesideWire) {
+  sparql::SolutionSet set;
+  for (int i = 0; i < 4; ++i) {
+    sparql::Binding b;
+    b.set("x", rdf::Term::iri("http://example.org/s" + std::to_string(i)));
+    set.add(std::move(b));
+  }
+  const std::size_t wire = wire::charged_bytes(set);
+  const std::size_t raw = set.byte_size();
+  ASSERT_NE(wire, raw);  // so a swapped or dropped counter shows
+
+  Network net;
+  std::vector<MessageEvent> events;
+  net.set_tracer([&](const MessageEvent& e) { events.push_back(e); });
+
+  // A payload: the cost model bills the wire size, raw rides beside it.
+  net.send(1, 2, wire::charge(set), 0, Category::kData);
+  EXPECT_EQ(net.stats().bytes, wire);
+  EXPECT_EQ(net.stats().raw_bytes, raw);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].bytes, wire);
+  EXPECT_EQ(events[0].raw_bytes, raw);
+
+  // A fixed-format message: raw is its wire size.
+  TrafficStats base = net.stats();
+  net.send(1, 2, Charge::fixed(40), 0, Category::kIndex);
+  TrafficStats d = net.stats().delta_since(base);
+  EXPECT_EQ(d.bytes, 40u);
+  EXPECT_EQ(d.raw_bytes, 40u);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].bytes, 40u);
+  EXPECT_EQ(events[1].raw_bytes, 40u);
+
+  // Node-local: no message, neither counter moves.
+  base = net.stats();
+  net.send(3, 3, wire::charge(set), 0, Category::kData);
+  d = net.stats().delta_since(base);
+  EXPECT_EQ(d.messages, 0u);
+  EXPECT_EQ(d.bytes, 0u);
+  EXPECT_EQ(d.raw_bytes, 0u);
+  EXPECT_EQ(events.size(), 2u);
+}
+
 TEST(Network, CategoriesAreTrackedSeparately) {
   Network net;
-  net.send(1, 2, 100, 0, Category::kRouting);
-  net.send(1, 2, 200, 0, Category::kRouting);
-  net.send(1, 2, 300, 0, Category::kData);
+  net.send(1, 2, Charge::fixed(100), 0, Category::kRouting);
+  net.send(1, 2, Charge::fixed(200), 0, Category::kRouting);
+  net.send(1, 2, Charge::fixed(300), 0, Category::kData);
   auto routing = static_cast<std::size_t>(Category::kRouting);
   auto data = static_cast<std::size_t>(Category::kData);
   EXPECT_EQ(net.stats().messages_by[routing], 2u);
@@ -67,7 +117,7 @@ TEST(Network, FailAndRecover) {
 
 TEST(Network, ResetStatsClearsEverything) {
   Network net;
-  net.send(1, 2, 100, 0, Category::kIndex);
+  net.send(1, 2, Charge::fixed(100), 0, Category::kIndex);
   net.timeout(0, kNoAddress, Category::kRouting);
   net.reset_stats();
   EXPECT_EQ(net.stats().messages, 0u);
@@ -77,10 +127,10 @@ TEST(Network, ResetStatsClearsEverything) {
 
 TEST(TrafficStats, DeltaSinceComputesDifference) {
   Network net;
-  net.send(1, 2, 100, 0, Category::kQuery);
+  net.send(1, 2, Charge::fixed(100), 0, Category::kQuery);
   TrafficStats snapshot = net.stats();
-  net.send(1, 2, 50, 0, Category::kQuery);
-  net.send(2, 1, 70, 0, Category::kResult);
+  net.send(1, 2, Charge::fixed(50), 0, Category::kQuery);
+  net.send(2, 1, Charge::fixed(70), 0, Category::kResult);
   TrafficStats d = net.stats().delta_since(snapshot);
   EXPECT_EQ(d.messages, 2u);
   EXPECT_EQ(d.bytes, 120u);

@@ -12,8 +12,9 @@ TEST(Tracer, ObservesChargedMessagesOnly) {
   Network net;
   std::vector<MessageEvent> events;
   net.set_tracer([&](const MessageEvent& e) { events.push_back(e); });
-  net.send(1, 2, 100, 5.0, Category::kQuery);
-  net.send(3, 3, 50, 0.0, Category::kData);  // node-local: not traced
+  net.send(1, 2, Charge::fixed(100), 5.0, Category::kQuery);
+  // Node-local: not traced.
+  net.send(3, 3, Charge::fixed(50), 0.0, Category::kData);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].from, 1u);
   EXPECT_EQ(events[0].to, 2u);
@@ -27,9 +28,9 @@ TEST(Tracer, DetachStopsObservation) {
   Network net;
   int count = 0;
   net.set_tracer([&](const MessageEvent&) { ++count; });
-  net.send(1, 2, 10, 0, Category::kData);
+  net.send(1, 2, Charge::fixed(10), 0, Category::kData);
   net.set_tracer(nullptr);
-  net.send(1, 2, 10, 0, Category::kData);
+  net.send(1, 2, Charge::fixed(10), 0, Category::kData);
   EXPECT_EQ(count, 1);
 }
 

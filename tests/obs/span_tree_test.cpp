@@ -4,6 +4,7 @@
 // TrafficStats delta.
 #include <gtest/gtest.h>
 
+#include "check/audit.hpp"
 #include "dqp/processor.hpp"
 #include "obs/trace.hpp"
 #include "overlay/overlay.hpp"
@@ -23,6 +24,18 @@ std::vector<const Span*> spans_of_kind(const QueryTrace& t, SpanKind k) {
     if (s.kind == k) out.push_back(&s);
   }
   return out;
+}
+
+/// I5 over one query's trace: every charged message, byte and timeout lands
+/// in exactly one span, none charged while no span was open.
+void expect_conserved(const QueryTrace& trace,
+                      const dqp::ExecutionReport& rep) {
+  check::AuditReport audit;
+  check::audit_conservation(trace, rep.traffic, audit);
+  EXPECT_TRUE(audit.pristine()) << audit.to_string();
+  EXPECT_EQ(trace.unattributed_messages(), 0u);
+  EXPECT_EQ(trace.unattributed_bytes(), 0u);
+  EXPECT_EQ(trace.unattributed_timeouts(), 0u);
 }
 
 /// Three providers with frequencies 9 / 1 / 3 in address order, so the
@@ -140,11 +153,7 @@ TEST(SpanTree, SpanSumsReproduceTrafficDelta) {
     run_traced(bed, strategy, trace, rep);
 
     SCOPED_TRACE(optimizer::primitive_strategy_name(strategy));
-    EXPECT_EQ(trace.unattributed_messages(), 0u);
-    EXPECT_EQ(trace.unattributed_bytes(), 0u);
-    EXPECT_EQ(trace.total_messages(), rep.traffic.messages);
-    EXPECT_EQ(trace.total_bytes(), rep.traffic.bytes);
-    EXPECT_EQ(trace.total_timeouts(), rep.traffic.timeouts);
+    expect_conserved(trace, rep);
     ASSERT_EQ(trace.roots().size(), 1u);
     EXPECT_EQ(trace.subtree_bytes(trace.roots().front()), rep.traffic.bytes);
   }
@@ -161,7 +170,7 @@ TEST(SpanTree, TraceClearAllowsReuseAcrossQueries) {
   dqp::ExecutionReport rep;
   (void)proc.execute(kQueryText, bed.initiator(), &rep);
   ASSERT_EQ(trace.roots().size(), 1u);
-  EXPECT_EQ(trace.total_bytes(), rep.traffic.bytes);
+  expect_conserved(trace, rep);
 }
 
 TEST(SpanTree, FailedProviderTimeoutIsTracedAndAttributed) {
@@ -183,7 +192,7 @@ TEST(SpanTree, FailedProviderTimeoutIsTracedAndAttributed) {
   EXPECT_EQ(
       rep.traffic.timeouts_by[static_cast<std::size_t>(net::Category::kQuery)],
       rep.traffic.timeouts);
-  EXPECT_EQ(trace.total_timeouts(), rep.traffic.timeouts);
+  expect_conserved(trace, rep);
 
   std::vector<const Span*> waits = spans_of_kind(trace, SpanKind::kTimeout);
   ASSERT_EQ(waits.size(), rep.traffic.timeouts);

@@ -137,11 +137,5 @@ TEST(PatternKey, PatternKeyMatchesTripleKey) {
   EXPECT_EQ(key_for_pattern(by_so)->key, index_keys(t)[5]);
 }
 
-TEST(IndexKeyKindName, AllNamed) {
-  EXPECT_EQ(index_key_kind_name(IndexKeyKind::kS), "S");
-  EXPECT_EQ(index_key_kind_name(IndexKeyKind::kSP), "SP");
-  EXPECT_EQ(index_key_kind_name(IndexKeyKind::kSO), "SO");
-}
-
 }  // namespace
 }  // namespace ahsw::overlay

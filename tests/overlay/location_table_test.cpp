@@ -379,6 +379,25 @@ TEST(LocationTable, ByteSizeTracksContent) {
   EXPECT_EQ(LocationTable::response_bytes(3), 16u + 3u * 16u);
 }
 
+TEST(LocationTable, RowBytesIsOneRowOfByteSize) {
+  // The one formula a row travels under (slice transfers and repair's
+  // pushes charge it): key + full provider entries.
+  static_assert(LocationTable::row_bytes(0) == 8);
+  static_assert(LocationTable::row_bytes(3) ==
+                8 + 3 * LocationTable::kProviderBytes);
+  LocationTable t;
+  t.publish(K1, D1, 1);
+  t.publish(K1, 2, 1);
+  t.publish(20, 2, 3);
+  std::size_t rows = 8;  // table framing
+  for (const Row& r : t.rows()) {
+    rows += LocationTable::row_bytes(r.providers.size());
+  }
+  EXPECT_EQ(t.byte_size(), rows);
+  EXPECT_EQ(t.byte_size(), 8 + LocationTable::row_bytes(2) +
+                               LocationTable::row_bytes(1));
+}
+
 TEST(LocationTable, ByteSizeCountsTombstones) {
   LocationTable t;
   t.publish(K1, D1, 1);

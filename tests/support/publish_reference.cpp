@@ -10,8 +10,9 @@ namespace {
 
 using Ref = LocationTableReference;
 
-constexpr std::size_t kPublishBytes = 24;      // key + address + frequency
-constexpr std::size_t kReplicaPushBytes = 28;  // ... + version
+// key + address + frequency
+constexpr net::Charge kPublish = net::Charge::fixed(24);
+constexpr net::Charge kReplicaPush = net::Charge::fixed(28);  // ... + version
 
 }  // namespace
 
@@ -34,13 +35,13 @@ net::SimTime OverlayReference::publish_key(HybridOverlay& ov,
                                            PublishOp op, net::SimTime now) {
   chord::Key entry = ov.entry_ring_node(from);
   net::NodeAddress entry_addr = ov.ring_.address_of(entry);
-  net::SimTime t = ov.net_->send(from, entry_addr, kPublishBytes, now,
+  net::SimTime t = ov.net_->send(from, entry_addr, kPublish, now,
                                  net::Category::kIndex);
   chord::Ring::LookupResult lr =
       ov.ring_.find_successor(entry, ov.ring_.truncate(key), t);
   if (!lr.ok) return t;
   t = lr.completed_at;
-  t = ov.net_->send(entry_addr, lr.owner_address, kPublishBytes, t,
+  t = ov.net_->send(entry_addr, lr.owner_address, kPublish, t,
                     net::Category::kIndex);
   auto it = ov.index_.find(lr.owner);
   if (it == ov.index_.end()) return t;
@@ -67,7 +68,7 @@ void OverlayReference::replicate_row(HybridOverlay& ov, IndexNodeState& owner,
                  owner.table.tombstone_version(key, provider).value_or(0)};
   if (const Provider* held = find_entry(owner.table, key, provider)) entry = *held;
   for (IndexNodeState* replica : ov.replica_targets(owner.id)) {
-    ov.net_->send(owner.address, replica->address, kReplicaPushBytes, now,
+    ov.net_->send(owner.address, replica->address, kReplicaPush, now,
                   net::Category::kIndex);
     Ref::upsert_replica(replica->replicas, key, provider, entry.frequency,
                         entry.version);
@@ -176,7 +177,8 @@ void OverlayReference::repair(HybridOverlay& ov, net::SimTime now) {
       if (oi == ov.index_.end()) continue;
       if (owner_id != holder_id) {
         ov.net_->send(holder.address, oi->second.address,
-                      8 + LocationTable::kProviderBytes * r.providers.size(),
+                      net::Charge::fixed(
+                          LocationTable::row_bytes(r.providers.size())),
                       now, net::Category::kIndex);
       } else {
         promoted.push_back(r.key);
@@ -192,8 +194,8 @@ void OverlayReference::repair(HybridOverlay& ov, net::SimTime now) {
     for (const Row& r : owner.table.rows()) {
       for (std::size_t i = 0; i < r.providers.size(); ++i) {
         for (IndexNodeState* replica : targets) {
-          ov.net_->send(owner.address, replica->address, kReplicaPushBytes,
-                        now, net::Category::kIndex);
+          ov.net_->send(owner.address, replica->address, kReplicaPush, now,
+                        net::Category::kIndex);
         }
       }
     }
