@@ -88,12 +88,11 @@ std::string LintReport::to_json() const {
   return out.str();
 }
 
-LintReport lint_source(std::string path, std::string_view text,
-                       const LintConfig& cfg) {
+LintReport lint_source(std::string path, std::string_view text) {
   LintReport report;
   report.files_scanned = 1;
   SourceFile file = tokenize(std::move(path), text);
-  std::vector<Diagnostic> raw = run_rules(file, cfg);
+  std::vector<Diagnostic> raw = run_rules(file);
   std::size_t suppressed = 0;
   std::vector<Diagnostic> kept =
       apply_suppressions(file, std::move(raw), &suppressed);
@@ -106,12 +105,11 @@ LintReport lint_source(std::string path, std::string_view text,
 }
 
 LintReport lint_files(const std::string& root,
-                      const std::vector<std::string>& rel_paths,
-                      const LintConfig& cfg) {
+                      const std::vector<std::string>& rel_paths) {
   LintReport report;
   for (const std::string& rel : rel_paths) {
     std::string text = read_file(fs::path(root) / rel);
-    merge(&report, lint_source(rel, text, cfg));
+    merge(&report, lint_source(rel, text));
   }
   return report;
 }
@@ -138,27 +136,9 @@ namespace {
 
 }  // namespace
 
-LintReport lint_tree(const std::string& root, const LintConfig& cfg,
+LintReport lint_tree(const std::string& root,
                      const std::vector<std::string>& dirs) {
-  return lint_files(root, collect_tree(root, dirs), cfg);
-}
-
-LintConfig load_config(const std::string& root,
-                       const std::string& layers_path) {
-  std::string spec_path =
-      layers_path.empty() ? root + "/tools/ahsw_layers.spec" : layers_path;
-  std::string text = read_file(spec_path);
-  std::vector<std::string> errors;
-  LintConfig cfg;
-  cfg.layers = LayerSpec::parse(text, &errors);
-  if (!errors.empty()) {
-    throw std::runtime_error("ahsw-lint: " + spec_path + ": " + errors[0]);
-  }
-  if (cfg.layers.allowed.empty()) {
-    throw std::runtime_error("ahsw-lint: " + spec_path +
-                             " declares no modules");
-  }
-  return cfg;
+  return lint_files(root, collect_tree(root, dirs));
 }
 
 }  // namespace ahsw::lint

@@ -33,27 +33,18 @@ struct LintReport {
 };
 
 /// Lint a single in-memory source. `path` is the repo-relative label used
-/// for whitelists, layering, and diagnostics.
-[[nodiscard]] LintReport lint_source(std::string path, std::string_view text,
-                                     const LintConfig& cfg);
+/// for whitelists and diagnostics.
+[[nodiscard]] LintReport lint_source(std::string path, std::string_view text);
 
 /// Lint files on disk. Paths are repo-relative; `root` locates them.
 /// Throws std::runtime_error when a file cannot be read.
 [[nodiscard]] LintReport lint_files(const std::string& root,
-                                    const std::vector<std::string>& rel_paths,
-                                    const LintConfig& cfg);
+                                    const std::vector<std::string>& rel_paths);
 
 /// Lint every .cpp/.hpp under the given top-level directories of `root`
 /// (default: the directories the gate covers), in sorted path order.
 [[nodiscard]] LintReport lint_tree(
-    const std::string& root, const LintConfig& cfg,
+    const std::string& root,
     const std::vector<std::string>& dirs = {"src", "tools", "bench"});
-
-/// Build the default config: parse the layer spec at `layers_path`
-/// (default `<root>/tools/ahsw_layers.spec`). Throws std::runtime_error on
-/// a missing or malformed spec — the gate must not silently run without
-/// layering.
-[[nodiscard]] LintConfig load_config(const std::string& root,
-                                     const std::string& layers_path = "");
 
 }  // namespace ahsw::lint

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <iterator>
+#include <set>
 
 #include "common/strings.hpp"
 
@@ -167,7 +168,7 @@ void check_d1(const SourceFile& f, std::vector<Diagnostic>* out) {
   if (whitelisted(f.path, {"src/common/rng", "src/common/point_map"})) return;
   for (const IncludeDirective& inc : f.includes) {
     for (const BannedIdent& banned : kBannedIncludes) {
-      if (inc.angled && inc.path == banned.ident) {
+      if (inc.path == banned.ident) {
         out->push_back(Diagnostic{"D1", f.path, inc.line,
                                   "#include <" + inc.path + "> " +
                                       std::string(banned.why)});
@@ -400,12 +401,16 @@ void check_a2(const SourceFile& f, std::vector<Diagnostic>* out) {
 
 // -- O rules: observability -------------------------------------------------
 
+/// Enums whose switches must stay exhaustive.
+constexpr std::string_view kGuardedEnums[] = {"Category", "SpanKind",
+                                              "PhysOpKind"};
+
 /// Scan one switch statement (token `i` is the `switch` keyword). Nested
 /// switches are handled recursively and excluded from the enclosing
 /// switch's own case/default accounting. Returns the index just past the
 /// switch body.
-std::size_t scan_switch(const SourceFile& f, const LintConfig& cfg,
-                        std::size_t i, std::vector<Diagnostic>* out) {
+std::size_t scan_switch(const SourceFile& f, std::size_t i,
+                        std::vector<Diagnostic>* out) {
   const Tokens& t = f.tokens;
   if (i + 1 >= t.size() || !t[i + 1].is("(")) return i + 1;
   std::size_t cond_close = match_forward(t, i + 1, "(", ")");
@@ -431,7 +436,7 @@ std::size_t scan_switch(const SourceFile& f, const LintConfig& cfg,
       continue;
     }
     if (t[j].ident("switch") && j + 1 < t.size() && t[j + 1].is("(")) {
-      j = scan_switch(f, cfg, j, out);
+      j = scan_switch(f, j, out);
       continue;
     }
     if (depth == 1 && t[j].ident("case")) {
@@ -458,7 +463,8 @@ std::size_t scan_switch(const SourceFile& f, const LintConfig& cfg,
   }
   if (default_line != 0) {
     for (const std::string& e : case_enums) {
-      if (cfg.guarded_enums.count(e) > 0) {
+      if (std::find(std::begin(kGuardedEnums), std::end(kGuardedEnums), e) !=
+          std::end(kGuardedEnums)) {
         out->push_back(Diagnostic{
             "O2", f.path, default_line,
             "switch over guarded enum '" + e +
@@ -472,46 +478,14 @@ std::size_t scan_switch(const SourceFile& f, const LintConfig& cfg,
   return j;
 }
 
-void check_o2(const SourceFile& f, const LintConfig& cfg,
-              std::vector<Diagnostic>* out) {
+void check_o2(const SourceFile& f, std::vector<Diagnostic>* out) {
   const Tokens& t = f.tokens;
   std::size_t i = 0;
   while (i < t.size()) {
     if (t[i].ident("switch") && i + 1 < t.size() && t[i + 1].is("(")) {
-      i = scan_switch(f, cfg, i, out);
+      i = scan_switch(f, i, out);
     } else {
       ++i;
-    }
-  }
-}
-
-// -- L rules: layering ------------------------------------------------------
-
-void check_layering(const SourceFile& f, const LintConfig& cfg,
-                    std::vector<Diagnostic>* out) {
-  std::string module = module_of(f.path);
-  if (module.empty()) return;
-  if (!cfg.layers.known(module)) {
-    if (common::starts_with(f.path, "src/")) {
-      out->push_back(Diagnostic{
-          "L2", f.path, 1,
-          "module '" + module +
-              "' is not declared in the layer spec; add it (and its allowed "
-              "dependencies) to tools/ahsw_layers.spec"});
-    }
-    return;
-  }
-  for (const IncludeDirective& inc : f.includes) {
-    if (inc.angled) continue;
-    std::size_t slash = inc.path.find('/');
-    if (slash == std::string::npos) continue;  // same-directory include
-    std::string dep = inc.path.substr(0, slash);
-    if (dep == module) continue;
-    if (!cfg.layers.allows(module, dep)) {
-      out->push_back(Diagnostic{
-          "L1", f.path, inc.line,
-          "module '" + module + "' may not include '" + dep +
-              "' (declared layer DAG: tools/ahsw_layers.spec)"});
     }
   }
 }
@@ -579,41 +553,6 @@ std::string Diagnostic::to_string() const {
   return file + ":" + std::to_string(line) + ": [" + rule + "] " + message;
 }
 
-bool LayerSpec::allows(const std::string& module,
-                       const std::string& dep) const {
-  auto it = allowed.find(module);
-  if (it == allowed.end()) return false;
-  return it->second.count("*") > 0 || it->second.count(dep) > 0;
-}
-
-LayerSpec LayerSpec::parse(std::string_view text,
-                           std::vector<std::string>* errors) {
-  LayerSpec spec;
-  int lineno = 0;
-  for (std::string_view raw : common::split(text, '\n')) {
-    ++lineno;
-    std::size_t hash = raw.find('#');
-    if (hash != std::string_view::npos) raw = raw.substr(0, hash);
-    std::string_view line = common::trim(raw);
-    if (line.empty()) continue;
-    std::size_t colon = line.find(':');
-    if (colon == std::string_view::npos) {
-      if (errors != nullptr) {
-        errors->push_back("layer spec line " + std::to_string(lineno) +
-                          ": expected `module: deps...`");
-      }
-      continue;
-    }
-    std::string module(common::trim(line.substr(0, colon)));
-    std::set<std::string>& deps = spec.allowed[module];
-    for (std::string_view d : common::split(line.substr(colon + 1), ' ')) {
-      d = common::trim(d);
-      if (!d.empty()) deps.insert(std::string(d));
-    }
-  }
-  return spec;
-}
-
 const std::vector<RuleInfo>& rule_catalogue() {
   static const std::vector<RuleInfo> kCatalogue = {
       {"D1", "determinism",
@@ -630,11 +569,6 @@ const std::vector<RuleInfo>& rule_catalogue() {
       {"O2", "observability",
        "switches over guarded enums (Category, SpanKind, PhysOpKind) stay "
        "exhaustive with no default: label"},
-      {"L1", "layering",
-       "#include edges follow the declared module DAG in "
-       "tools/ahsw_layers.spec"},
-      {"L2", "layering",
-       "every module under src/ is declared in the layer spec"},
       {"S1", "suppressions",
        "ahsw-lint: allow(...) markers are well-formed and carry a "
        "justification"},
@@ -642,30 +576,12 @@ const std::vector<RuleInfo>& rule_catalogue() {
   return kCatalogue;
 }
 
-std::string module_of(std::string_view path) {
-  for (std::string_view root : {"tools", "bench", "tests", "examples"}) {
-    if (common::starts_with(path, std::string(root) + "/")) {
-      return std::string(root);
-    }
-  }
-  if (common::starts_with(path, "src/")) {
-    std::string_view rest = path.substr(4);
-    std::size_t slash = rest.find('/');
-    if (slash != std::string_view::npos) {
-      return std::string(rest.substr(0, slash));
-    }
-  }
-  return "";
-}
-
-std::vector<Diagnostic> run_rules(const SourceFile& file,
-                                  const LintConfig& cfg) {
+std::vector<Diagnostic> run_rules(const SourceFile& file) {
   std::vector<Diagnostic> out;
   check_d1(file, &out);
   check_d4(file, &out);
   check_a2(file, &out);
-  check_o2(file, cfg, &out);
-  check_layering(file, cfg, &out);
+  check_o2(file, &out);
   return out;
 }
 

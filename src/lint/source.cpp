@@ -175,10 +175,8 @@ class Scanner {
                src_[pos_] != '\n') {
           ++pos_;
         }
-        out_.includes.push_back(
-            IncludeDirective{line_,
-                             std::string(src_.substr(tstart, pos_ - tstart)),
-                             open == '<'});
+        out_.includes.push_back(IncludeDirective{
+            line_, std::string(src_.substr(tstart, pos_ - tstart))});
         code_lines_.push_back(line_);
         if (pos_ < src_.size() && src_[pos_] == close) ++pos_;
       }

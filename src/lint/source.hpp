@@ -1,13 +1,13 @@
 // Comment/string-stripping C++ tokenizer for ahsw-lint.
 //
 // The domain rules (see rules.hpp) do not need a real C++ parser: every
-// contract they enforce — banned identifiers, call-site argument shapes,
-// switch exhaustiveness, include layering — is visible in the token stream
-// once comments, string literals, and preprocessor noise are out of the
-// way. This tokenizer produces exactly that: a flat token list with line
-// numbers, plus the comment text (kept separately, because suppressions
-// live in comments) and the `#include` directives (the input of the
-// layering rules).
+// contract they enforce — banned identifiers and headers, counter
+// mutations, mutable statics, switch exhaustiveness — is visible in the
+// token stream once comments, string literals, and preprocessor noise are
+// out of the way. This tokenizer produces exactly that: a flat token list
+// with line numbers, plus the comment text (kept separately, because
+// suppressions live in comments) and the `#include` directives (the input
+// of D1's banned-header check).
 #pragma once
 
 #include <string>
@@ -46,12 +46,11 @@ struct Comment {
 
 struct IncludeDirective {
   int line = 0;
-  std::string path;    // between the quotes / angle brackets
-  bool angled = false; // <...> (system) vs "..." (project)
+  std::string path;  // between the quotes / angle brackets
 };
 
 /// A tokenized source file. `path` is the repo-relative path with '/'
-/// separators; rules key whitelists and the layering module off it.
+/// separators; rules key their whitelists off it.
 struct SourceFile {
   std::string path;
   std::vector<Token> tokens;

@@ -1,5 +1,5 @@
-// Engine-level tests: layer-spec parsing, module mapping, suppression
-// attachment, nesting-aware switch scanning, and report rendering.
+// Engine-level tests: suppression attachment, nesting-aware switch
+// scanning, and report rendering.
 #include <string>
 
 #include <gtest/gtest.h>
@@ -10,51 +10,7 @@ namespace {
 
 using namespace ahsw;
 
-lint::LintConfig config_with(std::string_view spec) {
-  lint::LintConfig cfg;
-  cfg.layers = lint::LayerSpec::parse(spec);
-  return cfg;
-}
-
-TEST(LayerSpec, ParseAndAllows) {
-  std::vector<std::string> errors;
-  lint::LayerSpec spec = lint::LayerSpec::parse(
-      "# comment\ncommon:\nnet: common\ntools: *\n", &errors);
-  EXPECT_TRUE(errors.empty());
-  EXPECT_TRUE(spec.known("common"));
-  EXPECT_TRUE(spec.known("net"));
-  EXPECT_FALSE(spec.known("dqp"));
-  EXPECT_TRUE(spec.allows("net", "common"));
-  EXPECT_FALSE(spec.allows("net", "obs"));
-  EXPECT_TRUE(spec.allows("tools", "anything"));
-  EXPECT_FALSE(spec.allows("unknown", "common"));
-}
-
-TEST(LayerSpec, MalformedLineReported) {
-  std::vector<std::string> errors;
-  lint::LayerSpec::parse("net common\n", &errors);
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("line 1"), std::string::npos);
-}
-
-TEST(ModuleOf, PathMapping) {
-  EXPECT_EQ(lint::module_of("src/net/network.cpp"), "net");
-  EXPECT_EQ(lint::module_of("src/dqp/executor.hpp"), "dqp");
-  EXPECT_EQ(lint::module_of("tools/ahsw_shell.cpp"), "tools");
-  EXPECT_EQ(lint::module_of("bench/bench_util.hpp"), "bench");
-  EXPECT_EQ(lint::module_of("README.md"), "");
-  EXPECT_EQ(lint::module_of("src/loose_file.cpp"), "");
-}
-
-TEST(Rules, SelfIncludeAlwaysAllowed) {
-  lint::LintConfig cfg = config_with("net: common\ncommon:\n");
-  lint::LintReport r = lint::lint_source(
-      "src/net/cost.cpp", "#include \"net/network.hpp\"\n", cfg);
-  EXPECT_TRUE(r.clean());
-}
-
 TEST(Rules, O2IsNestingAware) {
-  lint::LintConfig cfg = config_with("dqp: common\ncommon:\n");
   // Outer switch over a guarded enum with no default; the inner switch is
   // over an unguarded enum and may keep its default. Mirrors
   // describe_op() in dqp/physical_plan.cpp.
@@ -71,7 +27,7 @@ TEST(Rules, O2IsNestingAware) {
       "  }\n"
       "  return \"\";\n"
       "}\n";
-  lint::LintReport r = lint::lint_source("src/dqp/f.cpp", src, cfg);
+  lint::LintReport r = lint::lint_source("src/dqp/f.cpp", src);
   EXPECT_TRUE(r.clean()) << r.to_string();
 
   // Flip it: the inner switch is over the guarded enum and has a default.
@@ -87,14 +43,13 @@ TEST(Rules, O2IsNestingAware) {
       "    default: return \"d\";\n"
       "  }\n"
       "}\n";
-  lint::LintReport r2 = lint::lint_source("src/dqp/f.cpp", bad, cfg);
+  lint::LintReport r2 = lint::lint_source("src/dqp/f.cpp", bad);
   ASSERT_EQ(r2.diagnostics.size(), 1u) << r2.to_string();
   EXPECT_EQ(r2.diagnostics[0].rule, "O2");
   EXPECT_EQ(r2.diagnostics[0].line, 6);  // the inner default, not line 9
 }
 
 TEST(Rules, DefaultedSpecialMemberIsNotADefaultLabel) {
-  lint::LintConfig cfg = config_with("dqp: common\ncommon:\n");
   const char* src =
       "struct S {\n"
       "  S() = default;\n"
@@ -105,54 +60,49 @@ TEST(Rules, DefaultedSpecialMemberIsNotADefaultLabel) {
       "  }\n"
       "  return 0;\n"
       "}\n";
-  lint::LintReport r = lint::lint_source("src/dqp/f.cpp", src, cfg);
+  lint::LintReport r = lint::lint_source("src/dqp/f.cpp", src);
   EXPECT_TRUE(r.clean()) << r.to_string();
 }
 
 TEST(Suppression, BlockCommentAttachesToNextCodeLine) {
-  lint::LintConfig cfg = config_with("dqp: common\ncommon:\n");
   const char* src =
       "int f() {\n"
       "  // ahsw-lint: allow(D1) deliberate: exercising the suppressor\n"
       "  // across a multi-line comment block.\n"
       "  return std::rand();\n"
       "}\n";
-  lint::LintReport r = lint::lint_source("src/dqp/f.cpp", src, cfg);
+  lint::LintReport r = lint::lint_source("src/dqp/f.cpp", src);
   EXPECT_TRUE(r.clean()) << r.to_string();
   EXPECT_EQ(r.suppressed, 1u);
 }
 
 TEST(Suppression, BlankLineBreaksAttachment) {
-  lint::LintConfig cfg = config_with("dqp: common\ncommon:\n");
   const char* src =
       "int f() {\n"
       "  // ahsw-lint: allow(D1) justified but detached\n"
       "\n"
       "  return std::rand();\n"
       "}\n";
-  lint::LintReport r = lint::lint_source("src/dqp/f.cpp", src, cfg);
+  lint::LintReport r = lint::lint_source("src/dqp/f.cpp", src);
   ASSERT_EQ(r.diagnostics.size(), 1u);
   EXPECT_EQ(r.diagnostics[0].rule, "D1");
 }
 
 TEST(Suppression, WrongRuleDoesNotSuppress) {
-  lint::LintConfig cfg = config_with("dqp: common\ncommon:\n");
   const char* src =
       "int f() {\n"
       "  // ahsw-lint: allow(A2) wrong family entirely\n"
       "  return std::rand();\n"
       "}\n";
-  lint::LintReport r = lint::lint_source("src/dqp/f.cpp", src, cfg);
+  lint::LintReport r = lint::lint_source("src/dqp/f.cpp", src);
   ASSERT_EQ(r.diagnostics.size(), 1u);
   EXPECT_EQ(r.diagnostics[0].rule, "D1");
   EXPECT_EQ(r.suppressed, 0u);
 }
 
 TEST(Report, SummaryAndJsonShape) {
-  lint::LintConfig cfg = config_with("dqp: common\ncommon:\n");
   lint::LintReport r =
-      lint::lint_source("src/dqp/f.cpp", "int f() { return std::rand(); }\n",
-                        cfg);
+      lint::lint_source("src/dqp/f.cpp", "int f() { return std::rand(); }\n");
   ASSERT_EQ(r.diagnostics.size(), 1u);
   EXPECT_EQ(r.by_rule.at("D1"), 1u);
   EXPECT_NE(r.to_string().find("ahsw-lint: 1 diagnostic(s)"),
@@ -169,14 +119,13 @@ TEST(Report, SummaryAndJsonShape) {
   EXPECT_NE(json.find("\"file\": \"src/dqp/f.cpp\""), std::string::npos);
 
   lint::LintReport clean =
-      lint::lint_source("src/dqp/g.cpp", "int g() { return 0; }\n", cfg);
+      lint::lint_source("src/dqp/g.cpp", "int g() { return 0; }\n");
   EXPECT_NE(clean.to_string().find("ahsw-lint: clean"), std::string::npos);
 }
 
 TEST(Report, JsonEscapesFileNames) {
-  lint::LintConfig cfg = config_with("dqp: common\ncommon:\n");
   lint::LintReport r = lint::lint_source(
-      "src/dqp/we\"ird\t.cpp", "int f() { return std::rand(); }\n", cfg);
+      "src/dqp/we\"ird\t.cpp", "int f() { return std::rand(); }\n");
   ASSERT_EQ(r.diagnostics.size(), 1u);
   const std::string json = r.to_json();
   EXPECT_NE(json.find("\"file\": \"src/dqp/we\\\"ird\\t.cpp\""),

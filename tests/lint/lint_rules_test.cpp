@@ -1,7 +1,7 @@
 // Fixture-corpus tests: each known-bad snippet under tests/lint/fixtures/
 // demonstrates one rule and pins the exact diagnostic output (golden
 // .expected file). A fixture's first line names the path label it is
-// linted under, so whitelists and layering behave as they would in-tree.
+// linted under, so whitelists behave as they would in-tree.
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -13,22 +13,6 @@
 namespace {
 
 using namespace ahsw;
-
-/// Mirrors the shape of tools/ahsw_layers.spec, scoped down to the modules
-/// the fixtures use.
-constexpr std::string_view kFixtureSpec =
-    "common:\n"
-    "net: common\n"
-    "obs: common net\n"
-    "overlay: common net obs\n"
-    "dqp: common net obs overlay\n"
-    "tools: *\n";
-
-lint::LintConfig fixture_config() {
-  lint::LintConfig cfg;
-  cfg.layers = lint::LayerSpec::parse(kFixtureSpec);
-  return cfg;
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -45,7 +29,7 @@ lint::LintReport run_fixture(const std::string& name) {
   EXPECT_EQ(text.rfind(kTag, 0), 0u) << name << " missing fixture tag";
   std::string label =
       text.substr(kTag.size(), text.find('\n') - kTag.size());
-  return lint::lint_source(label, text, fixture_config());
+  return lint::lint_source(label, text);
 }
 
 std::string diagnostics_of(const lint::LintReport& report) {
@@ -80,10 +64,6 @@ TEST(LintFixtures, A2CacheCounterMutation) {
 TEST(LintFixtures, O2DefaultInGuardedSwitch) {
   expect_golden("o2_default_switch");
 }
-
-TEST(LintFixtures, L1LayeringViolation) { expect_golden("l1_layering"); }
-
-TEST(LintFixtures, L2UnknownModule) { expect_golden("l2_unknown_module"); }
 
 TEST(LintFixtures, SuppressionWithoutJustificationRejected) {
   expect_golden("s1_unjustified");

@@ -82,10 +82,8 @@ TEST(Tokenizer, IncludesAreExtracted) {
       "x.cpp", "#include <chrono>\n#include \"net/network.hpp\"\n");
   ASSERT_EQ(f.includes.size(), 2u);
   EXPECT_EQ(f.includes[0].path, "chrono");
-  EXPECT_TRUE(f.includes[0].angled);
   EXPECT_EQ(f.includes[0].line, 1);
   EXPECT_EQ(f.includes[1].path, "net/network.hpp");
-  EXPECT_FALSE(f.includes[1].angled);
   EXPECT_EQ(f.includes[1].line, 2);
 }
 

@@ -1,8 +1,7 @@
 // ahsw-lint driver.
 //
 // Usage:
-//   ahsw_lint [--root DIR] [--layers FILE] [--json FILE] [--rules]
-//             [paths...]
+//   ahsw_lint [--root DIR] [--json FILE] [--rules] [paths...]
 //
 // With no paths, lints every .cpp/.hpp under src/, tools/ and bench/ of
 // the root (the CI gate configuration). Paths, when given, are
@@ -22,8 +21,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--root DIR] [--layers FILE] [--json FILE] [--rules]"
-               " [paths...]\n";
+            << " [--root DIR] [--json FILE] [--rules] [paths...]\n";
   return 2;
 }
 
@@ -50,15 +48,12 @@ bool write_text(const std::string& path, const std::string& text) {
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string layers;
   std::string json_path;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
-    } else if (arg == "--layers" && i + 1 < argc) {
-      layers = argv[++i];
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (arg == "--rules") {
@@ -74,10 +69,9 @@ int main(int argc, char** argv) {
     }
   }
   try {
-    ahsw::lint::LintConfig cfg = ahsw::lint::load_config(root, layers);
     ahsw::lint::LintReport report =
-        paths.empty() ? ahsw::lint::lint_tree(root, cfg)
-                      : ahsw::lint::lint_files(root, paths, cfg);
+        paths.empty() ? ahsw::lint::lint_tree(root)
+                      : ahsw::lint::lint_files(root, paths);
     if (!json_path.empty() && !write_text(json_path, report.to_json())) {
       return 2;
     }

@@ -469,8 +469,7 @@ int run(std::istream& in, bool interactive) {
 #else
         const std::string root = ".";
 #endif
-        lint::LintConfig cfg = lint::load_config(root);
-        std::cout << lint::lint_tree(root, cfg).to_string();
+        std::cout << lint::lint_tree(root).to_string();
       } else if (cmd == "stats") {
         if (shell.ready()) {
           std::size_t entries = 0;

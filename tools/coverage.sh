@@ -44,7 +44,8 @@ import os
 import subprocess
 import sys
 
-src, build, out_path = sys.argv[1] + os.sep, sys.argv[2], sys.argv[3]
+src = os.path.realpath(sys.argv[1]) + os.sep
+build, out_path = sys.argv[2], sys.argv[3]
 functions = {}  # "file:start_line name" -> hits
 lines = {}      # "file:line" -> hits
 
@@ -61,7 +62,10 @@ for dirpath, _, names in os.walk(build):
             data = json.loads(doc)
             cwd = data.get("current_working_directory", dirpath)
             for f in data["files"]:
-                path = os.path.normpath(os.path.join(cwd, f["file"]))
+                # A header reached through a module's include root
+                # (build/src/<m>/include/<m>/<m>/x.hpp) is recorded under
+                # that symlinked path; resolve it to the file in src/.
+                path = os.path.realpath(os.path.join(cwd, f["file"]))
                 if not path.startswith(src):
                     continue
                 rel = "src/" + path[len(src):]
