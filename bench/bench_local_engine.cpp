@@ -69,8 +69,10 @@ void BM_SolutionLeftJoin(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   SolutionSet a = make_set(n, n / 4 + 1, "x", "a", 3);
   SolutionSet b = make_set(n / 2, n / 4 + 1, "x", "b", 4);
-  run_timed(state, "left-join/n=" + std::to_string(n),
-            [&] { benchmark::DoNotOptimize(sparql::vec_left_join(a, b)); });
+  run_timed(state, "left-join/n=" + std::to_string(n), [&] {
+    benchmark::DoNotOptimize(
+        sparql::vec_left_join_conditioned(a, b, nullptr));
+  });
 }
 BENCHMARK(BM_SolutionLeftJoin)->Range(64, 1024);
 

@@ -194,8 +194,10 @@ void audit_ring(const chord::Ring& ring, const net::Network& net,
     // Ordering: refresh_successor_list only ever emits nodes at strictly
     // increasing clockwise distance, so duplicates, self-entries or
     // out-of-order lists are impossible to produce legitimately — even mid
-    // churn. A list that lags the settled ring (joins elsewhere not yet
-    // stabilized in) is the documented lazy window.
+    // churn. A list that lags the settled ring (a join refreshes only its
+    // own and its predecessor's lists; a leave, a repair that drops a node
+    // and fix_all_fingers_oracle refresh every list) is the documented lazy
+    // window.
     bool ordered = true;
     Key prev_dist = 0;
     for (Key s : n.successors) {
@@ -224,8 +226,8 @@ void audit_ring(const chord::Ring& ring, const net::Network& net,
         add(rep, opt,
             make(Invariant::kRingTopology, Severity::kStale, id, 0,
                  net::kNoAddress,
-                 "successor list lags the settled ring (awaiting "
-                 "stabilization)"));
+                 "successor list lags the settled ring (a join elsewhere "
+                 "not yet in it)"));
       }
     }
 
@@ -262,7 +264,8 @@ void audit_ring(const chord::Ring& ring, const net::Network& net,
                    " entries, expected " + std::to_string(bits)));
       continue;
     }
-    // Fingers are maintained lazily (fix_fingers rounds), so divergence is
+    // Fingers lag membership (a join builds only the new node's fingers,
+    // repair re-points a lost finger at the successor), so divergence is
     // always stale, never corrupt — routing routes around it.
     std::size_t lagging = 0;
     for (int i = 0; i < bits; ++i) {

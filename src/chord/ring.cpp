@@ -1,9 +1,7 @@
 #include "chord/ring.hpp"
 
-#include <algorithm>
 #include <cassert>
-
-#include "common/hash.hpp"
+#include <iterator>
 
 namespace ahsw::chord {
 
@@ -27,10 +25,6 @@ bool in_open_open(Key x, Key lo, Key hi) noexcept {
 Ring::Ring(net::Network& network, RingConfig config)
     : net_(&network), config_(config), bits_(config.bits) {
   assert(bits_ >= 1 && bits_ <= 64);
-}
-
-Key Ring::key_for_address(net::NodeAddress addr) const noexcept {
-  return truncate(common::mix64(0x5eed0000ULL + addr));
 }
 
 bool Ring::alive(Key id) const {
@@ -265,21 +259,6 @@ void Ring::repair(net::SimTime now) {
     if (net_->is_failed(n.address)) failed.push_back(id);
   }
   if (failed.empty()) return;
-
-  for (Key f : failed) {
-    // The first live node after the failed one inherits its arc.
-    Key succ = f;
-    auto it = nodes_.upper_bound(f);
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (it == nodes_.end()) it = nodes_.begin();
-      if (!net_->is_failed(it->second.address)) {
-        succ = it->first;
-        break;
-      }
-      ++it;
-    }
-    if (succ != f && failover_) failover_(f, succ, now);
-  }
   for (Key f : failed) nodes_.erase(f);
   ++topology_;
 
@@ -320,50 +299,6 @@ void Ring::fix_all_fingers_oracle() {
           it == nodes_.begin() ? nodes_.rbegin()->first : std::prev(it)->first;
     }
   }
-}
-
-net::SimTime Ring::fix_fingers(Key id, net::SimTime now) {
-  NodeState& self = nodes_.at(id);
-  for (int i = 0; i < bits_; ++i) {
-    Key target = truncate(id + (Key{1} << i));
-    if (!self.successors.empty() &&
-        in_open_closed(target, id, self.successors.front()) &&
-        alive(self.successors.front())) {
-      self.fingers[static_cast<std::size_t>(i)] = self.successors.front();
-      continue;
-    }
-    LookupResult f = find_successor(id, target, now);
-    if (f.ok) {
-      nodes_.at(id).fingers[static_cast<std::size_t>(i)] = f.owner;
-      now = f.completed_at;
-    }
-  }
-  return now;
-}
-
-net::SimTime Ring::stabilize_all(net::SimTime now) {
-  net::SimTime latest = now;
-  for (auto& [id, n] : nodes_) {
-    if (net_->is_failed(n.address)) continue;
-    net::SimTime t = now;
-    std::optional<Key> succ = first_live_successor(n, t);
-    if (!succ) continue;
-    // successor.predecessor round trip + notify.
-    t = net_->send(n.address, nodes_.at(*succ).address, kControl, t,
-                   net::Category::kRouting);
-    t = net_->send(nodes_.at(*succ).address, n.address, kControl, t,
-                   net::Category::kRouting);
-    std::optional<Key> sp = nodes_.at(*succ).predecessor;
-    if (sp && alive(*sp) && in_open_open(*sp, id, *succ)) {
-      succ = *sp;
-    }
-    refresh_successor_list(n);
-    t = net_->send(n.address, nodes_.at(*succ).address, kControl, t,
-                   net::Category::kRouting);
-    nodes_.at(*succ).predecessor = id;
-    latest = std::max(latest, t);
-  }
-  return latest;
 }
 
 }  // namespace ahsw::chord

@@ -55,9 +55,6 @@ class Ring {
     return bits_ >= 64 ? h : (h & ((Key{1} << bits_) - 1));
   }
 
-  /// Identifier derived from a node address (hashed, truncated).
-  [[nodiscard]] Key key_for_address(net::NodeAddress addr) const noexcept;
-
   // -- membership -------------------------------------------------------------
 
   /// Bootstrap the very first ring node with an explicit identifier.
@@ -84,9 +81,9 @@ class Ring {
   /// `repair()` so that routing realistically trips over the corpse.
   void fail(Key id);
 
-  /// Remove failed nodes from neighbor state using successor lists, fix
-  /// predecessor/successor pointers, and drop them from the ring. Fires the
-  /// failover hook per failed node so the index layer can activate replicas.
+  /// Drop failed nodes from the ring and fix successor lists, fingers and
+  /// predecessors of the survivors (one charged probe each). The index
+  /// layer promotes replica rows itself (HybridOverlay::repair).
   void repair(net::SimTime now);
 
   // -- lookup -------------------------------------------------------------------
@@ -119,15 +116,8 @@ class Ring {
 
   /// Oracle finger construction for all nodes (free; used to bootstrap
   /// experiments at a known-good state, standing in for a long sequence of
-  /// converged fix_fingers rounds).
+  /// converged finger-fixing rounds).
   void fix_all_fingers_oracle();
-
-  /// One charged fix_fingers pass for `id`: one lookup per finger.
-  net::SimTime fix_fingers(Key id, net::SimTime now);
-
-  /// One stabilization round for every live node: refresh successor,
-  /// predecessor and successor lists (charged, one round-trip per edge).
-  net::SimTime stabilize_all(net::SimTime now);
 
   // -- hooks ---------------------------------------------------------------------
 
@@ -138,12 +128,6 @@ class Ring {
                                           Key range_lo, Key range_hi,
                                           net::SimTime when)>;
   void set_transfer_hook(TransferHook hook) { transfer_ = std::move(hook); }
-
-  /// Called from repair() when `successor` inherits the arc of `failed`
-  /// without a transfer (crash: Sect. III-D replica activation).
-  using FailoverHook =
-      std::function<void(Key failed, Key successor, net::SimTime when)>;
-  void set_failover_hook(FailoverHook hook) { failover_ = std::move(hook); }
 
   // -- introspection (ground truth for tests / experiment setup) -----------------
 
@@ -176,7 +160,7 @@ class Ring {
 
   /// Counts ring topology changes: membership (create, join, leave, a repair
   /// that drops failed nodes), failures (fail) and every successor-list
-  /// change, wherever it happens (join, leave, repair, stabilization,
+  /// change, wherever it happens (join, leave, repair,
   /// fix_all_fingers_oracle). Finger updates do not count. The overlay
   /// compares it across repairs: replica placement follows the successor
   /// lists and row ownership follows membership.
@@ -198,7 +182,6 @@ class Ring {
   int bits_;
   std::map<Key, NodeState> nodes_;
   TransferHook transfer_;
-  FailoverHook failover_;
   obs::QueryTrace* trace_ = nullptr;
   std::uint64_t topology_ = 0;
 };

@@ -92,7 +92,7 @@ net::Charge DagExecutor::hop_payload(Task& scan) {
 
 std::optional<sparql::IdRows> DagExecutor::run_at_provider(
     net::NodeAddress provider, const sparql::BgpPattern& p, net::SimTime& now,
-    net::NodeAddress /*initiator*/, ExecutionReport& rep) {
+    ExecutionReport& rep) {
   if (net().is_failed(provider)) {
     now = net().timeout(now, provider, net::Category::kQuery);
     return std::nullopt;
@@ -263,9 +263,6 @@ void DagExecutor::setup_query(QueryRun& run) {
         t.pattern = op.pattern;
         break;
       case PhysOpKind::kProviderScan: t.kind = TaskKind::kScan; break;
-      case PhysOpKind::kChainHop:
-        assert(false && "ChainHop is a dynamic task, never compiled");
-        break;
       case PhysOpKind::kShip:
         t.kind = TaskKind::kShip;
         t.ship_target = run.initiator;
@@ -595,7 +592,7 @@ net::SimTime DagExecutor::fire_contact(QueryRun& run, TaskId id) {
         trace_, leg ? obs::SpanKind::kLocalExec : obs::SpanKind::kChainHop,
         "node " + std::to_string(prov), t, prov);
     std::optional<sparql::IdRows> local =
-        run_at_provider(prov, scan.pattern, t, run.initiator, run.rep);
+        run_at_provider(prov, scan.pattern, t, run.rep);
     if (local.has_value()) {
       if (leg) {
         t = net().send(prov, scan.assembly, net::wire::charge(*local), t,

@@ -211,7 +211,7 @@ class DagExecutor {
   /// (RetryPolicy) and `give_up_on_provider`.
   std::optional<sparql::IdRows> run_at_provider(
       net::NodeAddress provider, const sparql::BgpPattern& p,
-      net::SimTime& now, net::NodeAddress initiator, ExecutionReport& rep);
+      net::SimTime& now, ExecutionReport& rep);
   /// Final failure handling for a dead provider: count the skip and trigger
   /// the paper's lazy index repair. With retries off, every contact failure
   /// is final, reproducing the pre-retry behavior exactly.

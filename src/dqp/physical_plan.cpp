@@ -169,8 +169,6 @@ struct Compiler {
              std::to_string(op.group_size) + ", order=" + order +
              ", strategy=" + strat + end + "]";
     }
-    case PhysOpKind::kChainHop:
-      return "ChainHop";
     case PhysOpKind::kShip:
       return "Ship [result -> initiator]";
     case PhysOpKind::kJoin:

@@ -89,7 +89,6 @@ enum class PhysOpKind : std::uint8_t {
   kConst,        // empty BGP: yields the single empty solution at t0
   kIndexLookup,  // resolve one triple pattern through the two-level index
   kProviderScan, // evaluate one pattern at its providers (strategy-driven)
-  kChainHop,     // dynamic: one provider visit of a chain
   kShip,         // move a solution set between sites
   kJoin,
   kLeftJoin,

@@ -87,7 +87,6 @@ class FaultSchedule {
   [[nodiscard]] const std::vector<FaultEvent>& events() const noexcept {
     return events_;
   }
-  [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   void clear() { events_.clear(); }
 

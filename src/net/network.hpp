@@ -47,7 +47,7 @@ using SimTime = double;
 /// Traffic categories, so experiments can separate index-maintenance cost
 /// from query cost (e.g. E2 vs E3 in DESIGN.md).
 enum class Category : std::uint8_t {
-  kRouting = 0,   // DHT lookup / stabilization traffic
+  kRouting = 0,   // DHT lookup / ring maintenance traffic
   kIndex = 1,     // location-table publish / retract / slice transfer
   kQuery = 2,     // sub-query shipping (query text + plan metadata)
   kData = 3,      // intermediate solution sets / data shipping

@@ -23,11 +23,6 @@ TripleStore::TripleStore(const TripleStore& other)
                       : nullptr),
       dict_(own_ ? own_.get() : other.dict_) {}
 
-TripleStore& TripleStore::operator=(const TripleStore& other) {
-  if (this != &other) *this = TripleStore(other);
-  return *this;
-}
-
 bool TripleStore::insert(const Triple& t) {
   TermId s = dict_->intern(t.s);
   TermId p = dict_->intern(t.p);

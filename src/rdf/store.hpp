@@ -34,9 +34,7 @@ class TripleStore {
   /// copy of a store on a shared dictionary keeps pointing at that one
   /// (HybridOverlay::clone_for_worker rebinds it to the clone's copy).
   TripleStore(const TripleStore& other);
-  TripleStore& operator=(const TripleStore& other);
   TripleStore(TripleStore&&) noexcept = default;
-  TripleStore& operator=(TripleStore&&) noexcept = default;
 
   /// Point a store on a shared dictionary at `dict`, which must assign the
   /// same ids (a copy of the old dictionary).

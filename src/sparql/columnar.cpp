@@ -385,12 +385,6 @@ SolutionSet vec_join(const SolutionSet& a, const SolutionSet& b) {
   return join(ia, intern_rows(b, dict)).materialize();
 }
 
-SolutionSet vec_left_join(const SolutionSet& a, const SolutionSet& b) {
-  rdf::TermDictionary dict;
-  const IdRows ia = intern_rows(a, dict);
-  return left_join(ia, intern_rows(b, dict)).materialize();
-}
-
 SolutionSet vec_left_join_conditioned(const SolutionSet& a,
                                       const SolutionSet& b,
                                       const ExprPtr& cond) {

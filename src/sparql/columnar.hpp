@@ -114,10 +114,9 @@ struct IdRows {
 [[nodiscard]] IdRows rows_at(const IdRows& in,
                              const std::vector<std::size_t>& picks);
 
-// The SolutionSet entry points: intern, run the kernel, materialize.
+// The SolutionSet entry points: intern, run the kernel, materialize
+// (vec_left_join_conditioned with a null condition is the plain LeftJoin).
 [[nodiscard]] SolutionSet vec_join(const SolutionSet& a, const SolutionSet& b);
-[[nodiscard]] SolutionSet vec_left_join(const SolutionSet& a,
-                                        const SolutionSet& b);
 [[nodiscard]] SolutionSet vec_left_join_conditioned(const SolutionSet& a,
                                                     const SolutionSet& b,
                                                     const ExprPtr& cond);

@@ -13,27 +13,8 @@ namespace ahsw::sparql {
 
 namespace {
 
-/// Bind the variables of `p` against a concrete triple, extending `base`.
-/// Returns false on conflict (repeated variable bound to different terms or
-/// disagreement with an existing binding).
-bool bind_triple(const rdf::TriplePattern& p, const rdf::Triple& t,
-                 const Binding& base, Binding& out) {
-  out = base;
-  auto bind_pos = [&](const rdf::PatternTerm& pt,
-                      const rdf::Term& value) -> bool {
-    if (const rdf::Variable* v = rdf::var_of(pt)) {
-      if (const rdf::Term* existing = out.get(v->name)) {
-        return *existing == value;
-      }
-      out.set(v->name, value);
-      return true;
-    }
-    return std::get<rdf::Term>(pt) == value;
-  };
-  return bind_pos(p.s, t.s) && bind_pos(p.p, t.p) && bind_pos(p.o, t.o);
-}
-
-/// Substitute variables bound in `b` into `p` to narrow the index scan.
+/// Substitute variables bound in `b` into `p` (instantiates a CONSTRUCT
+/// template).
 rdf::TriplePattern substituted(const rdf::TriplePattern& p, const Binding& b) {
   auto sub = [&](const rdf::PatternTerm& pt) -> rdf::PatternTerm {
     if (const rdf::Variable* v = rdf::var_of(pt)) {
@@ -135,37 +116,17 @@ IdRows LocalEngine::match_ids(const BgpPattern& p) const {
   return out;
 }
 
-SolutionSet LocalEngine::extend(const SolutionSet& input,
-                                const BgpPattern& p) const {
-  SolutionSet out;
-  for (const Binding& base : input.rows()) {
-    rdf::TriplePattern concrete = substituted(p.pattern, base);
-    store_->match(concrete, [&](const rdf::Triple& t) {
-      Binding b;
-      if (bind_triple(p.pattern, t, base, b)) {
-        if (p.pushed_filter == nullptr || satisfies(*p.pushed_filter, b)) {
-          out.add(std::move(b));
-        }
-      }
-    });
-  }
-  return out;
-}
-
-SolutionSet LocalEngine::evaluate_bgp(
+IdRows LocalEngine::evaluate_bgp_ids(
     const std::vector<BgpPattern>& bgp) const {
   // The empty BGP has exactly one solution: the empty mapping (W3C).
-  SolutionSet acc;
-  acc.add(Binding{});
-  if (bgp.empty()) return acc;
-
+  IdRows acc;
+  acc.rows = 1;
   std::vector<bool> done(bgp.size(), false);
   std::set<std::string> bound_vars;
-  for (std::size_t step = 0; step < bgp.size(); ++step) {
+  for (std::size_t step = 0; step < bgp.size() && !acc.empty(); ++step) {
     std::size_t i = pick_next(bgp, done, bound_vars);
     done[i] = true;
-    acc = extend(acc, bgp[i]);
-    if (acc.empty()) return acc;
+    acc = join(acc, match_ids(bgp[i]));
     auto add_var = [&](const rdf::PatternTerm& pt) {
       if (const rdf::Variable* v = rdf::var_of(pt)) bound_vars.insert(v->name);
     };
@@ -176,21 +137,30 @@ SolutionSet LocalEngine::evaluate_bgp(
   return acc;
 }
 
-SolutionSet LocalEngine::evaluate(const Algebra& a) const {
+IdRows LocalEngine::evaluate_ids(const Algebra& a) const {
   switch (a.kind) {
     case AlgebraKind::kBgp:
-      return evaluate_bgp(a.bgp);
+      return evaluate_bgp_ids(a.bgp);
     case AlgebraKind::kJoin:
-      return vec_join(evaluate(*a.left), evaluate(*a.right));
+      return join(evaluate_ids(*a.left), evaluate_ids(*a.right));
     case AlgebraKind::kLeftJoin:
-      return vec_left_join_conditioned(evaluate(*a.left),
-                                       evaluate(*a.right), a.expr);
+      return left_join_conditioned(evaluate_ids(*a.left),
+                                   evaluate_ids(*a.right), a.expr);
     case AlgebraKind::kUnion:
-      return set_union(evaluate(*a.left), evaluate(*a.right));
+      return set_union(evaluate_ids(*a.left), evaluate_ids(*a.right));
     case AlgebraKind::kFilter:
-      return vec_filter_set(evaluate(*a.left), *a.expr);
+      return filter_set(evaluate_ids(*a.left), *a.expr);
   }
   return {};
+}
+
+SolutionSet LocalEngine::evaluate_bgp(
+    const std::vector<BgpPattern>& bgp) const {
+  return evaluate_bgp_ids(bgp).materialize();
+}
+
+SolutionSet LocalEngine::evaluate(const Algebra& a) const {
+  return evaluate_ids(a).materialize();
 }
 
 std::vector<std::size_t> order_permutation(

@@ -17,7 +17,10 @@
 
 namespace ahsw::sparql {
 
-/// Evaluation engine bound to a triple store.
+/// Evaluation engine bound to a triple store. It evaluates in the store's
+/// dictionary ids with the set kernels of sparql/columnar.hpp and
+/// materializes once, at the end; none of those kernels reads term ranks,
+/// so a stale term order of the store is never consulted.
 class LocalEngine {
  public:
   explicit LocalEngine(const rdf::TripleStore& store) : store_(&store) {}
@@ -25,9 +28,10 @@ class LocalEngine {
   /// Evaluate any algebra expression to a solution set.
   [[nodiscard]] SolutionSet evaluate(const Algebra& a) const;
 
-  /// Evaluate a BGP with binding propagation (patterns are greedily ordered
-  /// by selectivity: most-bound first, preferring ones sharing variables
-  /// with those already evaluated).
+  /// Evaluate a BGP: the one-row empty relation joined with each pattern's
+  /// matches in turn (patterns are greedily ordered by selectivity:
+  /// most-bound first, preferring ones sharing variables with those already
+  /// joined).
   [[nodiscard]] SolutionSet evaluate_bgp(
       const std::vector<BgpPattern>& bgp) const;
 
@@ -37,9 +41,9 @@ class LocalEngine {
   [[nodiscard]] IdRows match_ids(const BgpPattern& p) const;
 
  private:
-  /// Extend each binding in `input` with matches of `p`.
-  [[nodiscard]] SolutionSet extend(const SolutionSet& input,
-                                   const BgpPattern& p) const;
+  [[nodiscard]] IdRows evaluate_ids(const Algebra& a) const;
+  [[nodiscard]] IdRows evaluate_bgp_ids(
+      const std::vector<BgpPattern>& bgp) const;
 
   const rdf::TripleStore* store_;
 };

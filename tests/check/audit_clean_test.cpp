@@ -157,12 +157,12 @@ TEST(AuditClean, ChurnSequenceNeverGoesCorrupt) {
   rep = audit(ov, churned);
   EXPECT_TRUE(rep.clean()) << "after graceful leaves\n" << rep.to_string();
 
-  // Stabilization settles the ring again; the audit must stay corrupt-free
-  // (frequency inflation from the at-least-once window may remain stale).
-  ov.ring().stabilize_all(now);
+  // Converged fingers settle the ring again; the audit must stay
+  // corrupt-free (frequency inflation from the at-least-once window may
+  // remain stale).
   ov.ring().fix_all_fingers_oracle();
   rep = audit(ov, churned);
-  EXPECT_TRUE(rep.clean()) << "after stabilization\n" << rep.to_string();
+  EXPECT_TRUE(rep.clean()) << "after finger convergence\n" << rep.to_string();
 }
 
 TEST(AuditClean, BareRingChurnAuditsClean) {
@@ -197,7 +197,6 @@ TEST(AuditClean, BareRingChurnAuditsClean) {
     EXPECT_TRUE(rep.clean()) << "with corpses\n" << rep.to_string();
   }
   ring.repair(0);
-  ring.stabilize_all(0);
   {
     AuditReport rep;
     audit_ring(ring, network, rep, churned);

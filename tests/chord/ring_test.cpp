@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "common/rng.hpp"
 
@@ -167,25 +168,24 @@ TEST(Ring, LookupRoutesAroundFailedNode) {
   }
 }
 
-TEST(Ring, RepairRemovesFailedAndFiresFailover) {
+TEST(Ring, RepairRemovesFailedAndRelinksSuccessors) {
   Fixture f;
   std::vector<Key> ids = f.populate(16);
   Key victim = ids[3];
-  std::vector<std::pair<Key, Key>> failovers;
-  f.ring.set_failover_hook([&](Key failed, Key succ, net::SimTime) {
-    failovers.emplace_back(failed, succ);
-  });
+  const std::optional<Key> victim_pred = f.ring.state(victim).predecessor;
   f.ring.fail(victim);
   f.ring.repair(0);
   EXPECT_EQ(f.ring.size(), 15u);
   EXPECT_FALSE(f.ring.contains(victim));
-  ASSERT_EQ(failovers.size(), 1u);
-  EXPECT_EQ(failovers[0].first, victim);
-  EXPECT_TRUE(f.ring.contains(failovers[0].second));
-  // Ring is consistent again: successors point at live nodes.
+  // Ring is consistent again: successors point at live nodes, and the
+  // first live node after the victim inherits its arc.
   for (const auto& [id, n] : f.ring.nodes()) {
     EXPECT_TRUE(f.ring.contains(n.successors.front()));
+    EXPECT_EQ(n.successors.front(),
+              f.ring.oracle_successor(f.ring.truncate(id + 1)));
   }
+  EXPECT_EQ(f.ring.state(f.ring.oracle_successor(victim)).predecessor,
+            victim_pred);
 }
 
 TEST(Ring, RepairSurvivesConsecutiveFailures) {
@@ -205,41 +205,6 @@ TEST(Ring, RepairSurvivesConsecutiveFailures) {
         f.ring.find_successor(from, f.ring.truncate(rng.next()), 0);
     EXPECT_TRUE(r.ok);
   }
-}
-
-TEST(Ring, StabilizeAllKeepsConvergedRingConverged) {
-  Fixture f;
-  std::vector<Key> ids = f.populate(16);
-  net::SimTime t = f.ring.stabilize_all(0);
-  EXPECT_GT(t, 0.0);
-  for (const auto& [id, n] : f.ring.nodes()) {
-    EXPECT_EQ(n.successors.front(),
-              f.ring.oracle_successor(f.ring.truncate(id + 1)));
-  }
-}
-
-TEST(Ring, FixFingersConvergesToOracle) {
-  Fixture f(12);
-  std::vector<Key> ids = f.populate(24);
-  // Scramble one node's fingers, then run the charged fix.
-  Key node = ids[5];
-  {
-    // Point all fingers at the immediate successor: valid but slow.
-    NodeState& st = f.ring.mutable_state(node);
-    st.fingers.assign(st.fingers.size(), st.successors.front());
-  }
-  f.ring.fix_fingers(node, 0);
-  const NodeState& st = f.ring.state(node);
-  for (std::size_t i = 0; i < st.fingers.size(); ++i) {
-    Key target = f.ring.truncate(node + (Key{1} << i));
-    EXPECT_EQ(st.fingers[i], f.ring.oracle_successor(target)) << i;
-  }
-}
-
-TEST(Ring, KeyForAddressIsDeterministicAndMasked) {
-  Fixture f(10);
-  EXPECT_EQ(f.ring.key_for_address(7), f.ring.key_for_address(7));
-  EXPECT_LT(f.ring.key_for_address(7), Key{1} << 10);
 }
 
 TEST(Ring, LiveIdsExcludesFailed) {

@@ -100,6 +100,98 @@ TEST(Churn, ChainSurvivesDeadHeadProvider) {
   EXPECT_GT(rep.traffic.timeouts, 0u);
 }
 
+TEST(Churn, UnreachableIndexRowCompletesEmptyAndIncomplete) {
+  // Sect. III-D: every index node but the initiator's entry node crashes
+  // and no repair has run, so the entry's whole successor list is dead and
+  // the pattern's row cannot be looked up. The scan completes empty without
+  // contacting a provider, and the report marks the answer incomplete.
+  workload::Testbed bed(config());
+  const net::NodeAddress initiator = bed.storage_addrs().front();
+  const chord::Key entry =
+      bed.overlay().storage_nodes().at(initiator).attached_index;
+  std::vector<chord::Key> victims;
+  for (const auto& [id, state] : bed.overlay().index_nodes()) {
+    if (id != entry) victims.push_back(id);
+  }
+  for (chord::Key id : victims) bed.overlay().index_node_fail(id);
+
+  DistributedQueryProcessor proc(bed.overlay());
+  ExecutionReport rep;
+  sparql::QueryResult r = proc.execute(kQuery, initiator, &rep);
+  EXPECT_TRUE(r.solutions.empty());
+  EXPECT_FALSE(rep.complete);
+  EXPECT_EQ(rep.index_lookups, 1);
+  EXPECT_EQ(rep.providers_contacted, 0);
+  // The request to the entry node, then one routing timeout per dead entry
+  // of its successor list; nothing else is sent.
+  const auto routing = static_cast<std::size_t>(net::Category::kRouting);
+  const auto index = static_cast<std::size_t>(net::Category::kIndex);
+  EXPECT_EQ(rep.traffic.messages, 1u);
+  EXPECT_EQ(rep.traffic.messages_by[index], 1u);
+  EXPECT_EQ(rep.traffic.timeouts, victims.size());
+  EXPECT_EQ(rep.traffic.timeouts_by[routing], victims.size());
+  // A failed ring lookup reports completion at time 0, so the response time
+  // counts none of the timeouts above (CHANGES.md, FOUND).
+  EXPECT_EQ(rep.response_time, 0.0);
+}
+
+TEST(Churn, RelookupWithNoLiveProviderCompletesEmpty) {
+  // Sect. III-D: the only provider of the row crashes for good. The scan
+  // gives up on it (lazy repair purges it from the row), the policy's one
+  // re-lookup finds the row empty, and the scan completes empty at the
+  // re-lookup's answer; the index row was reachable, so the answer is
+  // complete.
+  workload::TestbedConfig cfg;
+  cfg.index_nodes = 4;
+  cfg.storage_nodes = 4;
+  cfg.foaf.persons = 0;
+  workload::Testbed bed(cfg);
+  const rdf::Term knows = rdf::Term::iri(std::string(workload::foaf::kKnows));
+  const rdf::Term target = rdf::Term::iri("http://example.org/people/p0");
+  std::vector<rdf::Triple> triples;
+  for (int i = 0; i < 3; ++i) {
+    triples.push_back(
+        {rdf::Term::iri("http://example.org/people/s" + std::to_string(i)),
+         knows, target});
+  }
+  bed.overlay().share_triples(bed.storage_addrs()[0], triples, 0);
+  bed.overlay().storage_node_fail(bed.storage_addrs()[0]);
+
+  ExecutionPolicy policy;
+  policy.retry.relookup = true;
+  DistributedQueryProcessor proc(bed.overlay(), policy);
+  ExecutionReport rep;
+  sparql::QueryResult r = proc.execute(
+      std::string(kPrologue) +
+          "SELECT ?x WHERE { ?x foaf:knows <http://example.org/people/p0> . "
+          "}",
+      bed.storage_addrs()[3], &rep);
+  EXPECT_TRUE(r.solutions.empty());
+  EXPECT_TRUE(rep.complete);
+  EXPECT_EQ(rep.index_lookups, 2);
+  EXPECT_EQ(rep.relookups, 1);
+  EXPECT_EQ(rep.dead_providers_skipped, 1);
+  EXPECT_EQ(rep.providers_contacted, 0);
+  // Two lookups of three index messages each, the sub-query to the dead
+  // provider, its timeout and the purge report to the row's owner.
+  const auto index = static_cast<std::size_t>(net::Category::kIndex);
+  const auto query = static_cast<std::size_t>(net::Category::kQuery);
+  EXPECT_EQ(rep.traffic.messages, 8u);
+  EXPECT_EQ(rep.traffic.messages_by[index], 7u);
+  EXPECT_EQ(rep.traffic.messages_by[query], 1u);
+  EXPECT_EQ(rep.traffic.bytes, 301u);
+  EXPECT_EQ(rep.traffic.timeouts, 1u);
+  EXPECT_EQ(rep.traffic.timeouts_by[query], 1u);
+  // On the critical path: the six lookup messages and the sub-query
+  // (2 ms each, 277 bytes at 0.001 ms/B) and the 200 ms timeout; the purge
+  // report runs beside the re-lookup.
+  const net::CostModel cost = bed.network().cost_model();
+  EXPECT_NEAR(rep.response_time,
+              cost.timeout_ms + 7 * cost.per_message_ms +
+                  277 * cost.per_byte_ms,
+              1e-9);
+}
+
 TEST(Churn, GracefulStorageLeaveNeedsNoTimeouts) {
   workload::Testbed bed(config());
   DistributedQueryProcessor proc(bed.overlay());

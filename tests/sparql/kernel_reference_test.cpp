@@ -62,7 +62,8 @@ TEST(KernelReference, LeftJoinMatches) {
   for (int trial = 0; trial < 60; ++trial) {
     SolutionSet a = random_set(rng);
     SolutionSet b = random_set(rng);
-    EXPECT_EQ(vec_left_join(a, b).rows(), row_reference::left_join(a, b).rows())
+    EXPECT_EQ(vec_left_join_conditioned(a, b, nullptr).rows(),
+              row_reference::left_join(a, b).rows())
         << "trial " << trial;
   }
 }
@@ -108,7 +109,7 @@ TEST(KernelReference, EmptyAndEmptyBindingEdgeCases) {
   for (const SolutionSet* a : {&empty, &one_empty_row}) {
     for (const SolutionSet* b : {&empty, &one_empty_row}) {
       EXPECT_EQ(vec_join(*a, *b).rows(), row_reference::join(*a, *b).rows());
-      EXPECT_EQ(vec_left_join(*a, *b).rows(),
+      EXPECT_EQ(vec_left_join_conditioned(*a, *b, nullptr).rows(),
                 row_reference::left_join(*a, *b).rows());
     }
     EXPECT_EQ(vec_deduplicated(*a).rows(),

@@ -150,7 +150,7 @@ TEST(SolutionSet, MinusWithEmptyMappingRemovesEverything) {
 TEST(SolutionSet, LeftJoinKeepsUnmatchedLeftRows) {
   SolutionSet a({bind({{"x", "1"}}), bind({{"x", "2"}})});
   SolutionSet b({bind({{"x", "1"}, {"y", "q"}})});
-  SolutionSet lj = vec_left_join(a, b);
+  SolutionSet lj = vec_left_join_conditioned(a, b, nullptr);
   lj.normalize();
   ASSERT_EQ(lj.size(), 2u);
   EXPECT_TRUE(lj.rows()[0].bound("y"));   // x=1 extended
@@ -168,7 +168,8 @@ TEST(SolutionSetProperty, LeftJoinDefinitionHolds) {
       b.add(bind({{"y", std::to_string(rng.below(5))},
                   {"z", std::to_string(rng.below(5))}}));
     }
-    SolutionSet lhs = vec_deduplicated(vec_left_join(a, b));
+    SolutionSet lhs =
+        vec_deduplicated(vec_left_join_conditioned(a, b, nullptr));
     SolutionSet rhs = vec_deduplicated(
         set_union(vec_join(a, b), row_reference::minus(a, b)));
     EXPECT_EQ(lhs.rows(), rhs.rows());

@@ -175,7 +175,7 @@ struct Shell {
         for (net::SimTime m : r.worker_makespans) std::cout << " " << m;
         std::cout << " ms simulated\n";
       }
-      if (!schedule.empty()) {
+      if (!schedule.events().empty()) {
         churned = true;
         const fault::AvailabilityReport& avail = fr.availability;
         std::cout << "-- faults: " << fr.injection_log.applied << " applied, "
@@ -418,7 +418,7 @@ int run(std::istream& in, bool interactive) {
         std::string first;
         ss >> first;
         if (first == "list") {
-          std::cout << (shell.pending_faults.empty()
+          std::cout << (shell.pending_faults.events().empty()
                             ? std::string("no pending faults\n")
                             : shell.pending_faults.to_string());
         } else if (first == "clear") {

@@ -3,9 +3,12 @@
 # "same behaviour, least code" aim.
 #
 # Makes a --coverage Debug build of the whole tree and of the perfbench
-# binary, then runs what the project runs: the CI bench smokes, `perfbench
-# --selftest`, every perfbench workload at --trace 0 and --trace 1, the
-# shell demo script and the shell's `lint`; then the tier-1 suite
+# binary, then runs what the project runs: the CI bench smokes, every bench
+# binary once (bench_parallel filtered to its traced and hot-initiator
+# runs, since its full E14-P sweep takes minutes in this build), every
+# examples/ binary, `perfbench --selftest`, every perfbench workload at
+# --trace 0 and --trace 1, the shell demo script and the shell's `lint`;
+# then the tier-1 suite
 # (plain and with AHSW_AUDIT=1). It reads the counters with
 # `gcov --json-format` before and after the tier-1 suite, summing each src/
 # function's hits over every object that compiles it, and prints each
@@ -101,6 +104,23 @@ echo "coverage: bench smokes" >&2
     --benchmark_filter='BM_Churn_Availability'
   quiet ./bench/bench_churn --benchmark_filter='BM_Repair|BM_Rejoin|BM_WriteChurn'
   quiet ./bench/bench_parallel --audit --benchmark_filter='Traced'
+)
+
+echo "coverage: every bench binary once, every example" >&2
+(
+  cd "$dir/tree"
+  for bench in bench/bench_*; do
+    [[ -x $bench && -f $bench ]] || continue
+    if [[ $bench == bench/bench_parallel ]]; then
+      quiet "$bench" --benchmark_filter='Traced|HotInitiators'
+    else
+      quiet "$bench" --benchmark_min_time=0
+    fi
+  done
+  cd "$root"
+  for example in examples/*.cpp; do
+    quiet "$dir/tree/examples/$(basename "$example" .cpp)"
+  done
 )
 
 echo "coverage: perfbench selftest and workloads (1 s each)" >&2
