@@ -396,6 +396,52 @@ void BM_Rejoin(benchmark::State& state) {
 
 BENCHMARK(BM_Rejoin)->Unit(benchmark::kMillisecond);
 
+// Host cost of graceful departure (Sect. III-C/III-D) on the churn-rw
+// overlay shape. `index`: an index node leaves, so its successor absorbs
+// the node's location-table slice and re-replicates it; before each timed
+// leave (untimed) a fresh index node joins, keeping the ring at 64, and the
+// counter is host time per moved row. `storage`: a storage node leaves,
+// retracting every key it published through the batched publish path;
+// each iteration takes another of the 32 storage nodes, and the counter is
+// host time per retracted key. Host time only: no BENCH JSON record.
+void BM_GracefulLeave(benchmark::State& state, bool index) {
+  workload::TestbedConfig cfg = base_config(3);
+  cfg.index_nodes = 64;
+  cfg.storage_nodes = 32;
+  cfg.foaf.persons = 600;
+  workload::Testbed bed(cfg);
+  overlay::HybridOverlay& ov = bed.overlay();
+  std::size_t moved = 0;
+  std::size_t round = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (index) {
+      ov.add_index_node(0);
+      const std::vector<chord::Key> live = ov.ring().live_ids();
+      const chord::Key id = live[(round++ * 7) % live.size()];
+      moved += ov.index_nodes().at(id).table.row_count();
+      state.ResumeTiming();
+      ov.index_node_leave(id, 0);
+    } else {
+      const net::NodeAddress addr = bed.storage_addrs()[round++];
+      moved += ov.storage_state(addr).published.size();
+      state.ResumeTiming();
+      ov.storage_node_leave(addr, 0);
+    }
+  }
+  state.counters[index ? "rows" : "keys"] = static_cast<double>(moved);
+  state.counters[index ? "s_per_row" : "s_per_key"] = benchmark::Counter(
+      static_cast<double>(moved),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+BENCHMARK_CAPTURE(BM_GracefulLeave, index, true)
+    ->Iterations(16)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GracefulLeave, storage, false)
+    ->Iterations(16)
+    ->Unit(benchmark::kMillisecond);
+
 // Host cost of storage-node writes once churn has buried many tombstones
 // (Sect. III-C/III-D): on the churn-rw shape, rounds in which two rotating
 // storage nodes share 150 fresh triples each, every write batch older than

@@ -114,6 +114,7 @@ Key Ring::closest_preceding(const NodeState& n, Key key) const {
 Ring::LookupResult Ring::find_successor(Key from_node, Key key,
                                         net::SimTime now) {
   LookupResult res;
+  res.completed_at = now;
   key = truncate(key);
   if (!alive(from_node)) return res;
 
@@ -126,7 +127,7 @@ Ring::LookupResult Ring::find_successor(Key from_node, Key key,
   for (int guard = 0; guard < max_hops; ++guard) {
     NodeState& n = nodes_.at(cur);
     std::optional<Key> succ = first_live_successor(n, now);
-    if (!succ) return res;  // partitioned: every known successor is dead
+    if (!succ) break;  // partitioned: every known successor is dead
 
     if (in_open_closed(key, cur, *succ)) {
       res.owner = *succ;
@@ -145,7 +146,8 @@ Ring::LookupResult Ring::find_successor(Key from_node, Key key,
                      net::Category::kRouting);
     cur = next;
   }
-  return res;  // routing loop guard tripped
+  res.completed_at = now;  // partitioned, or the routing loop guard tripped
+  return res;
 }
 
 Ring::JoinResult Ring::join(net::NodeAddress address, Key id, Key bootstrap,

@@ -93,6 +93,8 @@ class Ring {
     net::NodeAddress owner_address = net::kNoAddress;
     int hops = 0;           // forwarding steps taken
     bool ok = false;
+    // The answer's arrival at from_node; on failure, the time the lookup
+    // gave up (after any dead-successor timeouts).
     net::SimTime completed_at = 0;
   };
 

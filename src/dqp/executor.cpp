@@ -387,7 +387,7 @@ net::SimTime DagExecutor::fire_scan(QueryRun& run, TaskId id) {
     loc = run.tasks[op != nullptr ? op->lookup : task.deps.front()].loc;
     if (!loc.ok) {
       task.out.site = run.initiator;
-      task.out.ready_at = task.base;
+      task.out.ready_at = std::max(task.base, loc.completed_at);
       complete(run, id, task.out.ready_at);
       return 0;
     }
@@ -687,8 +687,8 @@ net::SimTime DagExecutor::fire_relookup(QueryRun& run, TaskId id) {
 
   if (!loc.ok || loc.providers.empty()) {
     // Nothing came back: the scan completes empty (same formulas as the
-    // empty-providers path of fire_scan). A failed lookup reports
-    // completed_at = 0, so clamp to the re-lookup's own start time.
+    // empty-providers path of fire_scan), no earlier than the re-lookup's
+    // own start time.
     const net::SimTime done = std::max(rl.base, loc.completed_at);
     scan.out.set = IdRows{};
     scan.out.site = scan.has_carry ? scan.carry.site : run.initiator;

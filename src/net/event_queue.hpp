@@ -10,22 +10,16 @@
 // with the same inputs reproduce the same event order bit for bit. There is
 // no wall-clock anywhere in the key, so replays are exact.
 //
-// Layout (rebuilt for bulk, see ROADMAP "scale the simulator itself"): a
-// 4-ary indexed min-heap orders the *distinct timestamps* only; the events
-// sharing one timestamp live in a per-timestamp bucket, itself a binary
-// min-heap of packed (query, task) keys. Batch workloads cluster heavily
-// on shared timestamps (same-epoch scatter legs, injection storms), so the
-// expensive top-level heap moves happen once per timestamp while draining
-// the co-timed events costs only small intra-bucket sifts on 8-byte keys —
-// the O(1)-amortized bulk drain the 10k-query sweeps rely on. Bucket
-// storage is recycled through a free list, so steady-state push/pop does
-// not allocate.
+// The queue is one vector kept as a binary min-heap by the standard heap
+// algorithms. Because the key is a total order, the pop sequence does not
+// depend on the heap's layout or on push order.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
-#include "common/point_map.hpp"
 #include "net/network.hpp"
 
 namespace ahsw::net {
@@ -57,44 +51,33 @@ struct ReadyEvent {
 /// Min-queue of ready events popping in exact (at, query, task) order.
 class EventQueue {
  public:
-  void push(ReadyEvent e);
+  void push(ReadyEvent e) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), kLater);
+  }
 
   /// Remove and return the smallest event. Precondition: !empty().
-  ReadyEvent pop();
+  ReadyEvent pop() {
+    assert(!heap_.empty() && "pop() on an empty EventQueue");
+    std::pop_heap(heap_.begin(), heap_.end(), kLater);
+    const ReadyEvent out = heap_.back();
+    heap_.pop_back();
+    return out;
+  }
 
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
   /// The smallest event without removing it. Precondition: !empty().
-  [[nodiscard]] const ReadyEvent& top() const noexcept { return top_; }
+  [[nodiscard]] const ReadyEvent& top() const noexcept { return heap_.front(); }
 
  private:
-  using BucketId = std::uint32_t;
-
-  /// All events sharing one timestamp, as a binary min-heap of
-  /// (query << 32) | task keys — the packed integer compares exactly like
-  /// ReadyEvent's (query, task) tie-breakers, including kInjectionQueryId
-  /// sorting after every real query.
-  struct Bucket {
-    SimTime at = 0;
-    std::vector<std::uint64_t> heap;
+  // The standard heap algorithms keep the largest element first.
+  static constexpr auto kLater = [](const ReadyEvent& a,
+                                    const ReadyEvent& b) noexcept {
+    return b < a;
   };
 
-  [[nodiscard]] bool earlier(BucketId a, BucketId b) const noexcept {
-    return buckets_[a].at < buckets_[b].at;
-  }
-  void sift_up_time(std::size_t pos) noexcept;
-  void sift_down_time(std::size_t pos) noexcept;
-  void refresh_top() noexcept;
-
-  std::vector<BucketId> time_heap_;  // 4-ary min-heap over bucket ids
-  std::vector<Bucket> buckets_;      // arena indexed by BucketId
-  std::vector<BucketId> free_;       // recycled bucket slots
-  // Bucket of each timestamp, keyed by its bit pattern (-0.0 normalized
-  // onto +0.0).
-  common::PointMap<std::uint64_t, BucketId> index_;
-  std::size_t size_ = 0;
-  ReadyEvent top_{};  // materialized minimum; valid while !empty()
+  std::vector<ReadyEvent> heap_;  // min-heap: heap_.front() is the smallest
 };
 
 }  // namespace ahsw::net

@@ -50,7 +50,6 @@ std::size_t LocationTable::row_index(chord::Key key) const noexcept {
 void LocationTable::erase_row_at(std::size_t i, std::size_t& ghost) {
   const chord::Key key = rows_[i].key;
   const BurialList list = row_burials_[i];
-  spare_.release(std::move(rows_[i].providers));
   rows_.erase(rows_.begin() + static_cast<std::ptrdiff_t>(i));
   row_burials_.erase(row_burials_.begin() + static_cast<std::ptrdiff_t>(i));
   set_ghost(ghost, key, list);
@@ -299,7 +298,7 @@ bool LocationTable::merge_row(Cursor& at, chord::Key key,
     if (!found) {
       if (!present) {
         rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(cursor),
-                     Row{key, spare_.acquire()});
+                     Row{key, {}});
         row_burials_.insert(
             row_burials_.begin() + static_cast<std::ptrdiff_t>(cursor),
             BurialList{});
@@ -392,7 +391,6 @@ void LocationTable::purge_everywhere(net::NodeAddress address) {
       bury(list, address, died_at);
     }
     if (row.empty()) {
-      spare_.release(std::move(row));
       if (list.len != 0) emptied.push_back(Ghost{rows_[r].key, list});
       continue;
     }

@@ -10,8 +10,6 @@
 // rows per index node, and the batch driver hits them on every lookup, so
 // binary search over contiguous rows beats pointer-chasing tree nodes, and
 // bulk walks (repair, purge_everywhere, byte accounting) are linear scans.
-// Erased rows park their provider capacity in a pool, so repair and churn
-// loops do not thrash the allocator.
 //
 // Tombstones (a deleted (key, provider) pair with the version it died at)
 // outnumber live entries several times over under churn, and nearly every
@@ -32,7 +30,6 @@
 #include <vector>
 
 #include "chord/ring.hpp"
-#include "common/pool.hpp"
 #include "net/network.hpp"
 
 namespace ahsw::overlay {
@@ -297,9 +294,8 @@ class LocationTable {
 
   /// Index of `key` in rows_, or npos. Binary search over the sorted rows.
   [[nodiscard]] std::size_t row_index(chord::Key key) const noexcept;
-  /// Erase rows_[i], parking its provider capacity in the pool; its
-  /// burials become a ghost. `ghost` is at or before the key's place in
-  /// ghosts_ and is left there.
+  /// Erase rows_[i]; its burials become a ghost. `ghost` is at or before
+  /// the key's place in ghosts_ and is left there.
   void erase_row_at(std::size_t i, std::size_t& ghost);
   void erase_row_at(std::size_t i) {
     std::size_t ghost = 0;
@@ -356,7 +352,6 @@ class LocationTable {
   /// free slot's first entry holds the offset of the next in its address.
   std::array<std::uint32_t, kSlotClasses> free_slots_ = no_free_slots();
   std::size_t tombstones_ = 0;           // burials across all lists
-  common::VectorPool<Provider> spare_;   // capacity recycled across row churn
   // The per-entry merges merge_row replaced: its oracle in tests/support.
   friend struct LocationTableReference;
 };

@@ -460,14 +460,20 @@ HybridOverlay::Located HybridOverlay::locate(net::NodeAddress requester,
                               net::Category::kIndex);
   chord::Ring::LookupResult lr =
       ring_.find_successor(entry, ring_.truncate(key), t);
-  if (!lr.ok) return res;
+  if (!lr.ok) {
+    res.completed_at = lr.completed_at;
+    return res;
+  }
   t = net_->send(entry_addr, lr.owner_address, kRequest, lr.completed_at,
                  net::Category::kIndex);
   res.hops = lr.hops;
   res.index_node = lr.owner;
 
   auto it = index_.find(lr.owner);
-  if (it == index_.end()) return res;
+  if (it == index_.end()) {
+    res.completed_at = t;
+    return res;
+  }
   res.providers = it->second.table.lookup(key);
   res.ok = true;
   res.completed_at =

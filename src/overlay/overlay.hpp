@@ -167,7 +167,7 @@ class HybridOverlay {
     int hops = 0;                     // ring routing hops
     bool broadcast = false;           // fully unbound pattern: flood instead
     bool ok = false;
-    net::SimTime completed_at = 0;
+    net::SimTime completed_at = 0;    // answer back, or the failure's time
     /// Served from the initiator's LocationCache (zero index traffic); the
     /// age makes the frequency snapshot's staleness auditable downstream
     /// (the planner notes it, the auditor bounds it).

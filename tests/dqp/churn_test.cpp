@@ -130,9 +130,12 @@ TEST(Churn, UnreachableIndexRowCompletesEmptyAndIncomplete) {
   EXPECT_EQ(rep.traffic.messages_by[index], 1u);
   EXPECT_EQ(rep.traffic.timeouts, victims.size());
   EXPECT_EQ(rep.traffic.timeouts_by[routing], victims.size());
-  // A failed ring lookup reports completion at time 0, so the response time
-  // counts none of the timeouts above (CHANGES.md, FOUND).
-  EXPECT_EQ(rep.response_time, 0.0);
+  // The failed lookup completes when the last probe times out, so the
+  // response time is that request hop plus every timeout above.
+  const net::CostModel& cost = bed.network().cost_model();
+  EXPECT_DOUBLE_EQ(rep.response_time,
+                   cost.latency(rep.traffic.bytes) +
+                       static_cast<double>(victims.size()) * cost.timeout_ms);
 }
 
 TEST(Churn, RelookupWithNoLiveProviderCompletesEmpty) {

@@ -65,12 +65,13 @@ TEST(EventQueue, RandomPermutationsAllPopSorted) {
 }
 
 TEST(EventQueue, MillionEventStressPinsPopOrderAgainstReferenceSort) {
-  // Bulk regression for the timestamp-bucketed heap: one million events over
-  // a deliberately nasty distribution — heavy timestamp collisions (the
-  // bucket path), unique timestamps (the heap path), injected events
-  // (kInjectionQueryId) sharing timestamps with real queries, and
-  // interleaved pop/push while draining. The popped sequence must equal a
-  // reference std::sort of the same multiset exactly, element for element.
+  // Reference-sort check at bulk scale: one million events over a
+  // deliberately nasty distribution — heavy timestamp collisions, where only
+  // the (query, task) tie-breakers order events, unique timestamps,
+  // injected events (kInjectionQueryId) sharing timestamps with real
+  // queries, and interleaved pop/push while draining. The popped sequence
+  // must equal a reference std::sort of the same multiset exactly, element
+  // for element.
   constexpr std::size_t kEvents = 1'000'000;
   std::vector<ReadyEvent> events;
   events.reserve(kEvents);
@@ -82,10 +83,10 @@ TEST(EventQueue, MillionEventStressPinsPopOrderAgainstReferenceSort) {
     ReadyEvent e;
     const int s = shape(rng);
     if (s < 6) {
-      // 60%: one of 1024 hot timestamps — deep buckets.
+      // 60%: one of 1024 hot timestamps — long runs of equal times.
       e.at = static_cast<SimTime>(rng() % 1024);
     } else if (s < 9) {
-      // 30%: fine-grained times — mostly singleton buckets.
+      // 30%: fine-grained times — mostly unique.
       e.at = static_cast<SimTime>(rng() % (1 << 22)) / 64.0;
     } else {
       // 10%: injections pinned to the hot timestamps, so they collide with
@@ -106,7 +107,7 @@ TEST(EventQueue, MillionEventStressPinsPopOrderAgainstReferenceSort) {
 
   EventQueue q;
   // Push the first half, drain a quarter, then push the rest: the drain
-  // interleaves pops with later pushes, exercising bucket recycling.
+  // interleaves pops with later pushes.
   const std::size_t half = kEvents / 2;
   for (std::size_t i = 0; i < half; ++i) q.push(events[i]);
   std::vector<ReadyEvent> got;

@@ -57,7 +57,7 @@ std::size_t LocationTableReference::row_index_or_insert(LocationTable& t,
   if (k.list.len != 0) {
     t.ghosts_.erase(t.ghosts_.begin() + static_cast<std::ptrdiff_t>(k.ghost));
   }
-  t.rows_.insert(it, Row{key, t.spare_.acquire()});
+  t.rows_.insert(it, Row{key, {}});
   t.row_burials_.insert(
       t.row_burials_.begin() + static_cast<std::ptrdiff_t>(i), k.list);
   return i;

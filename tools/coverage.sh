@@ -102,7 +102,7 @@ echo "coverage: bench smokes" >&2
   quiet ./bench/bench_throughput --audit --workers 4
   quiet ./bench/bench_churn --audit \
     --benchmark_filter='BM_Churn_Availability'
-  quiet ./bench/bench_churn --benchmark_filter='BM_Repair|BM_Rejoin|BM_WriteChurn'
+  quiet ./bench/bench_churn --benchmark_filter='BM_Repair|BM_Rejoin|BM_WriteChurn|BM_GracefulLeave'
   quiet ./bench/bench_parallel --audit --benchmark_filter='Traced'
 )
 
