@@ -239,12 +239,7 @@ void digest_span(const obs::QueryTrace& t, obs::SpanId id,
   mix(&s.site, sizeof s.site);
   mix(&s.begin, sizeof s.begin);
   mix(&s.end, sizeof s.end);
-  mix(&s.messages, sizeof s.messages);
-  mix(&s.bytes, sizeof s.bytes);
-  mix(&s.timeouts, sizeof s.timeouts);
-  mix(s.messages_by, sizeof s.messages_by);
-  mix(s.bytes_by, sizeof s.bytes_by);
-  mix(s.timeouts_by, sizeof s.timeouts_by);
+  mix(&s.traffic, sizeof s.traffic);  // 19 packed uint64 counters
   for (net::NodeAddress peer : s.peers) mix(&peer, sizeof peer);
   const std::size_t n = s.children.size();
   mix(&n, sizeof n);

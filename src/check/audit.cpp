@@ -584,50 +584,28 @@ void audit_overlay(const overlay::HybridOverlay& ov, AuditReport& rep,
 void audit_conservation(const obs::QueryTrace& trace,
                         const net::TrafficStats& delta, AuditReport& rep,
                         const AuditOptions& opt) {
-  std::uint64_t messages = trace.unattributed_messages();
-  std::uint64_t bytes = trace.unattributed_bytes();
-  std::uint64_t raw_bytes = trace.unattributed_raw_bytes();
-  std::uint64_t timeouts = trace.unattributed_timeouts();
-  std::uint64_t messages_by[net::kCategoryCount] = {};
-  std::uint64_t bytes_by[net::kCategoryCount] = {};
-  for (const obs::Span& s : trace.spans()) {
-    messages += s.messages;
-    bytes += s.bytes;
-    raw_bytes += s.raw_bytes;
-    timeouts += s.timeouts;
-    for (int c = 0; c < net::kCategoryCount; ++c) {
-      messages_by[c] += s.messages_by[c];
-      bytes_by[c] += s.bytes_by[c];
-    }
-  }
-  const auto mismatch = [&](std::string_view what, std::uint64_t spans,
+  net::TrafficStats sum = trace.unattributed();
+  for (const obs::Span& s : trace.spans()) sum.accumulate(s.traffic);
+  const auto conserve = [&](const std::string& what, std::uint64_t spans,
                             std::uint64_t stats) {
+    if (spans == stats) return;
     add(rep, opt,
         make(Invariant::kConservation, Severity::kCorrupt, 0, 0,
              net::kNoAddress,
-             std::string(what) + " do not conserve: span sum " +
-                 std::to_string(spans) + " != traffic delta " +
-                 std::to_string(stats)));
+             what + " do not conserve: span sum " + std::to_string(spans) +
+                 " != traffic delta " + std::to_string(stats)));
   };
-  if (messages != delta.messages) mismatch("messages", messages, delta.messages);
-  if (bytes != delta.bytes) mismatch("bytes", bytes, delta.bytes);
-  if (raw_bytes != delta.raw_bytes) {
-    mismatch("raw bytes", raw_bytes, delta.raw_bytes);
-  }
-  if (timeouts != delta.timeouts) mismatch("timeouts", timeouts, delta.timeouts);
-  // Per-category sums exclude the unattributed bucket (it keeps no category
-  // split), so spans can only ever account for at most the delta.
+  conserve("messages", sum.messages, delta.messages);
+  conserve("bytes", sum.bytes, delta.bytes);
+  conserve("raw bytes", sum.raw_bytes, delta.raw_bytes);
+  conserve("timeouts", sum.timeouts, delta.timeouts);
   for (int c = 0; c < net::kCategoryCount; ++c) {
-    if (messages_by[c] > delta.messages_by[c] ||
-        bytes_by[c] > delta.bytes_by[c]) {
-      add(rep, opt,
-          make(Invariant::kConservation, Severity::kCorrupt, 0, 0,
-               net::kNoAddress,
-               "category " +
-                   std::string(net::category_name(
-                       static_cast<net::Category>(c))) +
-                   " books more span traffic than the delta contains"));
-    }
+    const std::string cat =
+        "category " +
+        std::string(net::category_name(static_cast<net::Category>(c)));
+    conserve(cat + " messages", sum.messages_by[c], delta.messages_by[c]);
+    conserve(cat + " bytes", sum.bytes_by[c], delta.bytes_by[c]);
+    conserve(cat + " timeouts", sum.timeouts_by[c], delta.timeouts_by[c]);
   }
 }
 

@@ -18,8 +18,10 @@
 //                            matches the store; rows live at their owner.
 //   I4 replication         — replica rows mirror the owner's live rows at
 //                            the replication_factor successor holders.
-//   I5 conservation        — span self-counters sum exactly to the
-//                            TrafficStats delta of the traced execution.
+//   I5 conservation        — span self-counters plus the unattributed
+//                            bucket sum exactly to the TrafficStats delta
+//                            of the traced execution, per category,
+//                            timeouts included.
 //   I6 liveness            — after convergence (repair + purge, see
 //                            fault::converge), no failed storage node may
 //                            remain referenced by any primary or replica
@@ -155,9 +157,11 @@ void audit_overlay(const overlay::HybridOverlay& overlay, AuditReport& report,
 
 /// I5: every charged message/byte/timeout of a traced execution lands in
 /// exactly one span (or the trace's unattributed bucket), so span
-/// self-counters plus the unattributed counters must sum exactly to the
-/// TrafficStats delta of the same window. `delta` is the stats delta over
-/// the window the trace was bound; any mismatch is kCorrupt.
+/// self-counters plus the unattributed bucket must sum exactly to the
+/// TrafficStats delta of the same window, on every counter: totals and each
+/// category's messages, bytes and timeouts. `delta` is the stats delta over
+/// the window the trace was bound; each mismatching counter is one kCorrupt
+/// line.
 void audit_conservation(const obs::QueryTrace& trace,
                         const net::TrafficStats& delta, AuditReport& report,
                         const AuditOptions& options = {});

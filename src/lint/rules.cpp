@@ -331,8 +331,7 @@ constexpr std::string_view kCacheCounterFields[] = {
 constexpr std::string_view kWireCounterFields[] = {"raw_bytes", "wire_bytes"};
 
 void check_a2(const SourceFile& f, std::vector<Diagnostic>* out) {
-  if (whitelisted(f.path, {"src/net/network", "src/obs/trace.cpp",
-                           "src/overlay/location_cache"})) {
+  if (whitelisted(f.path, {"src/net/network", "src/overlay/location_cache"})) {
     return;
   }
   const Tokens& t = f.tokens;
@@ -565,7 +564,7 @@ const std::vector<RuleInfo>& rule_catalogue() {
       {"A2", "accounting",
        "traffic, cache, and compression (raw_bytes/wire_bytes) counters "
        "mutate only inside the accounting layer (Network / TrafficStats / "
-       "the span ledger / LocationCache)"},
+       "LocationCache)"},
       {"O2", "observability",
        "switches over guarded enums (Category, SpanKind, PhysOpKind) stay "
        "exhaustive with no default: label"},

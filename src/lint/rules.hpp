@@ -12,7 +12,7 @@
 //       src/, which every worker thread of the parallel batch driver would
 //       share.
 //   A — accounting.   A2: traffic counters mutate only inside the
-//       accounting layer (TrafficStats / the span ledger), and cache
+//       accounting layer (Network / TrafficStats), and cache
 //       hit/miss/invalidate counters only inside LocationCache (CacheStats
 //       is read-only to consumers).
 //   O — observability. O2: a switch over a guarded enum (Category,

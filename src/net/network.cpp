@@ -49,12 +49,7 @@ void TrafficStats::accumulate(const TrafficStats& delta) noexcept {
 SimTime Network::transmit(NodeAddress from, NodeAddress to, std::size_t wire,
                           std::size_t raw, SimTime now, Category category) {
   if (from == to) return now;  // node-local: no network involved
-  ++stats_.messages;
-  stats_.bytes += wire;
-  stats_.raw_bytes += raw;
-  auto c = static_cast<std::size_t>(category);
-  ++stats_.messages_by[c];
-  stats_.bytes_by[c] += wire;
+  stats_.record_message(category, wire, raw);
   SimTime arrival = now + model_.latency(wire);
   if (tracer_) {
     tracer_(MessageEvent{from, to, wire, raw, now, arrival, category});
@@ -63,8 +58,7 @@ SimTime Network::transmit(NodeAddress from, NodeAddress to, std::size_t wire,
 }
 
 SimTime Network::timeout(SimTime now, NodeAddress suspect, Category category) {
-  ++stats_.timeouts;
-  ++stats_.timeouts_by[static_cast<std::size_t>(category)];
+  stats_.record_timeout(category);
   SimTime gave_up = now + model_.timeout_ms;
   if (timeout_tracer_) {
     timeout_tracer_(TimeoutEvent{suspect, category, now, gave_up});

@@ -84,6 +84,25 @@ struct TrafficStats {
   /// cost is attributable the same way transmission cost is.
   std::uint64_t timeouts_by[kCategoryCount] = {};
 
+  /// Count one charged message of `category`: `wire` bytes billed, `raw`
+  /// their uncompressed counterpart. With record_timeout, the one place
+  /// that decides how an event counts; the network and the span ledger
+  /// both count through it.
+  void record_message(Category category, std::size_t wire,
+                      std::size_t raw) noexcept {
+    const auto c = static_cast<std::size_t>(category);
+    ++messages;
+    bytes += wire;
+    raw_bytes += raw;
+    ++messages_by[c];
+    bytes_by[c] += wire;
+  }
+  /// Count one failure-detection timeout of `category`.
+  void record_timeout(Category category) noexcept {
+    ++timeouts;
+    ++timeouts_by[static_cast<std::size_t>(category)];
+  }
+
   [[nodiscard]] TrafficStats delta_since(const TrafficStats& base) const;
 
   /// Add another stats block (typically a per-query delta) into this one,
@@ -91,6 +110,9 @@ struct TrafficStats {
   /// roll per-query traffic into a report total (rule A2): hand-rolled
   /// `total.bytes += ...` sums silently drift when a counter is added here.
   void accumulate(const TrafficStats& delta) noexcept;
+
+  friend bool operator==(const TrafficStats&,
+                         const TrafficStats&) noexcept = default;
 };
 
 /// One charged message, as seen by a tracer: `bytes` and `raw_bytes` are

@@ -28,26 +28,27 @@ void render_span(const QueryTrace& trace, SpanId id, int depth,
   os << " -> ";
   format_time(os, s.end);
   os << " ms]";
-  if (s.messages > 0) {
-    os << "  " << s.messages << " msg, " << s.bytes << " B (";
+  const net::TrafficStats& t = s.traffic;
+  if (t.messages > 0) {
+    os << "  " << t.messages << " msg, " << t.bytes << " B (";
     bool first = true;
     for (int c = 0; c < net::kCategoryCount; ++c) {
-      if (s.bytes_by[c] == 0 && s.messages_by[c] == 0) continue;
+      if (t.bytes_by[c] == 0 && t.messages_by[c] == 0) continue;
       if (!first) os << ", ";
       first = false;
       os << net::category_name(static_cast<net::Category>(c)) << " "
-         << s.bytes_by[c] << "B";
+         << t.bytes_by[c] << "B";
     }
     os << ")";
   }
-  if (s.timeouts > 0) {
-    os << "  " << s.timeouts << " timeout" << (s.timeouts > 1 ? "s" : "");
+  if (t.timeouts > 0) {
+    os << "  " << t.timeouts << " timeout" << (t.timeouts > 1 ? "s" : "");
   }
   if (!s.children.empty()) {
-    os << "  {subtree " << trace.subtree_messages(id) << " msg, "
-       << trace.subtree_bytes(id) << " B";
-    if (std::uint64_t t = trace.subtree_timeouts(id); t > 0) {
-      os << ", " << t << " timeout" << (t > 1 ? "s" : "");
+    const net::TrafficStats sub = trace.subtree(id);
+    os << "  {subtree " << sub.messages << " msg, " << sub.bytes << " B";
+    if (sub.timeouts > 0) {
+      os << ", " << sub.timeouts << " timeout" << (sub.timeouts > 1 ? "s" : "");
     }
     os << "}";
   }

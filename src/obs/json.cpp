@@ -25,32 +25,30 @@ std::string json_number(double v) {
 }
 
 /// {"routing": {"messages": n, "bytes": n}, ...} — zero categories omitted.
-template <typename M, typename B>
-std::string by_category_object(const M& messages_by, const B& bytes_by) {
+std::string by_category_object(const net::TrafficStats& t) {
   std::string out = "{";
   bool first = true;
   for (int c = 0; c < net::kCategoryCount; ++c) {
-    if (messages_by[c] == 0 && bytes_by[c] == 0) continue;
+    if (t.messages_by[c] == 0 && t.bytes_by[c] == 0) continue;
     if (!first) out += ", ";
     first = false;
     out += json_string(net::category_name(static_cast<net::Category>(c)));
-    out += ": {\"messages\": " + std::to_string(messages_by[c]) +
-           ", \"bytes\": " + std::to_string(bytes_by[c]) + "}";
+    out += ": {\"messages\": " + std::to_string(t.messages_by[c]) +
+           ", \"bytes\": " + std::to_string(t.bytes_by[c]) + "}";
   }
   out += "}";
   return out;
 }
 
-std::string timeouts_by_category_object(
-    const std::uint64_t (&timeouts_by)[net::kCategoryCount]) {
+std::string timeouts_by_category_object(const net::TrafficStats& t) {
   std::string out = "{";
   bool first = true;
   for (int c = 0; c < net::kCategoryCount; ++c) {
-    if (timeouts_by[c] == 0) continue;
+    if (t.timeouts_by[c] == 0) continue;
     if (!first) out += ", ";
     first = false;
     out += json_string(net::category_name(static_cast<net::Category>(c)));
-    out += ": " + std::to_string(timeouts_by[c]);
+    out += ": " + std::to_string(t.timeouts_by[c]);
   }
   out += "}";
   return out;
@@ -69,19 +67,20 @@ std::string default_experiment_name() {
 }  // namespace
 
 std::vector<PhaseCost> phase_rollup(const QueryTrace& trace) {
-  PhaseCost by_kind[kSpanKindCount];
+  std::uint64_t spans[kSpanKindCount] = {};
+  net::TrafficStats traffic[kSpanKindCount];
   for (const Span& s : trace.spans()) {
-    PhaseCost& p = by_kind[static_cast<std::size_t>(s.kind)];
-    ++p.spans;
-    p.messages += s.messages;
-    p.bytes += s.bytes;
-    p.timeouts += s.timeouts;
+    const auto k = static_cast<std::size_t>(s.kind);
+    ++spans[k];
+    traffic[k].accumulate(s.traffic);
   }
   std::vector<PhaseCost> out;
   for (int k = 0; k < kSpanKindCount; ++k) {
-    if (by_kind[k].spans == 0) continue;
-    by_kind[k].phase = span_kind_name(static_cast<SpanKind>(k));
-    out.push_back(std::move(by_kind[k]));
+    if (spans[k] == 0) continue;
+    const net::TrafficStats& t = traffic[k];
+    out.push_back(
+        PhaseCost{std::string(span_kind_name(static_cast<SpanKind>(k))),
+                  spans[k], t.messages, t.bytes, t.timeouts});
   }
   return out;
 }
@@ -120,10 +119,9 @@ void BenchSink::write(std::ostream& os) const {
     os << ", \"raw_bytes\": " << r.traffic.raw_bytes;
     os << ", \"timeouts\": " << r.traffic.timeouts;
     os << ", \"response_ms\": " << json_number(r.response_ms);
-    os << ", \"traffic_by_category\": "
-       << by_category_object(r.traffic.messages_by, r.traffic.bytes_by);
+    os << ", \"traffic_by_category\": " << by_category_object(r.traffic);
     os << ", \"timeouts_by_category\": "
-       << timeouts_by_category_object(r.traffic.timeouts_by);
+       << timeouts_by_category_object(r.traffic);
     os << ", \"phases\": [";
     for (std::size_t i = 0; i < r.phases.size(); ++i) {
       const PhaseCost& p = r.phases[i];

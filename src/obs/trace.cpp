@@ -134,10 +134,7 @@ void QueryTrace::clear() {
   spans_.clear();
   stack_.clear();
   roots_.clear();
-  unattributed_bytes_ = 0;
-  unattributed_raw_bytes_ = 0;
-  unattributed_messages_ = 0;
-  unattributed_timeouts_ = 0;
+  unattributed_ = net::TrafficStats{};
 }
 
 void QueryTrace::add_peer(Span& s, net::NodeAddress addr) {
@@ -148,18 +145,11 @@ void QueryTrace::add_peer(Span& s, net::NodeAddress addr) {
 
 void QueryTrace::on_message(const net::MessageEvent& e) {
   if (stack_.empty()) {
-    ++unattributed_messages_;
-    unattributed_bytes_ += e.bytes;
-    unattributed_raw_bytes_ += e.raw_bytes;
+    unattributed_.record_message(e.category, e.bytes, e.raw_bytes);
     return;
   }
   Span& s = spans_[stack_.back()];
-  ++s.messages;
-  s.bytes += e.bytes;
-  s.raw_bytes += e.raw_bytes;
-  auto c = static_cast<std::size_t>(e.category);
-  ++s.messages_by[c];
-  s.bytes_by[c] += e.bytes;
+  s.traffic.record_message(e.category, e.bytes, e.raw_bytes);
   s.end = std::max(s.end, e.arrives_at);
   add_peer(s, e.from);
   add_peer(s, e.to);
@@ -167,7 +157,7 @@ void QueryTrace::on_message(const net::MessageEvent& e) {
 
 void QueryTrace::on_timeout(const net::TimeoutEvent& e) {
   if (stack_.empty()) {
-    ++unattributed_timeouts_;
+    unattributed_.record_timeout(e.category);
     return;
   }
   // A timeout becomes its own leaf span: the failure-detection wait shows up
@@ -180,8 +170,7 @@ void QueryTrace::on_timeout(const net::TimeoutEvent& e) {
   leaf.site = e.suspect;
   leaf.begin = e.at;
   leaf.end = e.gave_up_at;
-  leaf.timeouts = 1;
-  leaf.timeouts_by[static_cast<std::size_t>(e.category)] = 1;
+  leaf.traffic.record_timeout(e.category);
   add_peer(leaf, e.suspect);
   Span& parent = spans_[leaf.parent];
   parent.children.push_back(leaf.id);
@@ -189,33 +178,16 @@ void QueryTrace::on_timeout(const net::TimeoutEvent& e) {
   spans_.push_back(std::move(leaf));
 }
 
-namespace {
-template <typename Get>
-std::uint64_t subtree_sum(const std::vector<Span>& spans, SpanId id,
-                          Get get) {
-  std::uint64_t n = 0;
+net::TrafficStats QueryTrace::subtree(SpanId id) const {
+  net::TrafficStats sum;
   std::vector<SpanId> work{id};
   while (!work.empty()) {
-    SpanId cur = work.back();
+    const Span& s = spans_.at(work.back());
     work.pop_back();
-    const Span& s = spans.at(cur);
-    n += get(s);
+    sum.accumulate(s.traffic);
     work.insert(work.end(), s.children.begin(), s.children.end());
   }
-  return n;
-}
-}  // namespace
-
-std::uint64_t QueryTrace::subtree_bytes(SpanId id) const {
-  return subtree_sum(spans_, id, [](const Span& s) { return s.bytes; });
-}
-
-std::uint64_t QueryTrace::subtree_messages(SpanId id) const {
-  return subtree_sum(spans_, id, [](const Span& s) { return s.messages; });
-}
-
-std::uint64_t QueryTrace::subtree_timeouts(SpanId id) const {
-  return subtree_sum(spans_, id, [](const Span& s) { return s.timeouts; });
+  return sum;
 }
 
 }  // namespace ahsw::obs

@@ -65,13 +65,7 @@ struct Span {
   net::NodeAddress site = net::kNoAddress;  // primary node of this step
   net::SimTime begin = 0;
   net::SimTime end = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;      // charged (wire) bytes
-  std::uint64_t raw_bytes = 0;  // uncompressed counterpart (see net::wire)
-  std::uint64_t messages_by[net::kCategoryCount] = {};
-  std::uint64_t bytes_by[net::kCategoryCount] = {};
-  std::uint64_t timeouts = 0;
-  std::uint64_t timeouts_by[net::kCategoryCount] = {};
+  net::TrafficStats traffic;  // self counters, counted as the network counts
   /// Every node address that sent or received inside this span (sorted).
   std::vector<net::NodeAddress> peers;
   std::vector<SpanId> children;
@@ -120,23 +114,12 @@ class QueryTrace {
   }
 
   /// Subtree totals (self counters summed over `id` and its descendants).
-  [[nodiscard]] std::uint64_t subtree_bytes(SpanId id) const;
-  [[nodiscard]] std::uint64_t subtree_messages(SpanId id) const;
-  [[nodiscard]] std::uint64_t subtree_timeouts(SpanId id) const;
+  [[nodiscard]] net::TrafficStats subtree(SpanId id) const;
 
   /// Events charged while the trace was bound but no span was open (e.g.
   /// setup traffic). Kept out of every span so span sums stay meaningful.
-  [[nodiscard]] std::uint64_t unattributed_bytes() const noexcept {
-    return unattributed_bytes_;
-  }
-  [[nodiscard]] std::uint64_t unattributed_raw_bytes() const noexcept {
-    return unattributed_raw_bytes_;
-  }
-  [[nodiscard]] std::uint64_t unattributed_messages() const noexcept {
-    return unattributed_messages_;
-  }
-  [[nodiscard]] std::uint64_t unattributed_timeouts() const noexcept {
-    return unattributed_timeouts_;
+  [[nodiscard]] const net::TrafficStats& unattributed() const noexcept {
+    return unattributed_;
   }
 
  private:
@@ -176,10 +159,7 @@ class QueryTrace {
   net::Network* net_ = nullptr;
   net::Network::Tracer prev_tracer_;
   net::Network::TimeoutTracer prev_timeout_tracer_;
-  std::uint64_t unattributed_bytes_ = 0;
-  std::uint64_t unattributed_raw_bytes_ = 0;
-  std::uint64_t unattributed_messages_ = 0;
-  std::uint64_t unattributed_timeouts_ = 0;
+  net::TrafficStats unattributed_;
 };
 
 /// RAII recorder: opens a span on construction, closes it on destruction.

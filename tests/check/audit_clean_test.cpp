@@ -123,8 +123,8 @@ TEST(AuditClean, RawBytesConserveAndExceedWireBytes) {
   EXPECT_TRUE(rep.pristine()) << rep.to_string();
   EXPECT_GT(delta.raw_bytes, delta.bytes);
 
-  std::uint64_t span_raw = trace.unattributed_raw_bytes();
-  for (const obs::Span& s : trace.spans()) span_raw += s.raw_bytes;
+  std::uint64_t span_raw = trace.unattributed().raw_bytes;
+  for (const obs::Span& s : trace.spans()) span_raw += s.traffic.raw_bytes;
   EXPECT_EQ(span_raw, delta.raw_bytes);
 }
 

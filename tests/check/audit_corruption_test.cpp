@@ -8,10 +8,13 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "check/audit.hpp"
 #include "dqp/processor.hpp"
 #include "fault/harness.hpp"
+#include "net/network.hpp"
+#include "obs/trace.hpp"
 #include "workload/testbed.hpp"
 
 namespace ahsw::check {
@@ -268,6 +271,55 @@ TEST(SeededCorruption, I5DesyncedSpanCounters) {
             "[CORRUPT] I5-conservation: messages do not conserve: span sum " +
                 std::to_string(delta.messages - 1) + " != traffic delta " +
                 std::to_string(delta.messages));
+}
+
+TEST(SeededCorruption, I5CategorySplitMustConserve) {
+  // Trace side: one index message while no span is open, then one data
+  // message and one routing timeout inside a span.
+  net::Network traced;
+  const net::NodeAddress from = traced.allocate_address();
+  const net::NodeAddress to = traced.allocate_address();
+  obs::QueryTrace trace;
+  trace.bind(traced);
+  traced.send(from, to, net::Charge::fixed(64), 0, net::Category::kIndex);
+  {
+    obs::SpanScope scope(&trace, obs::SpanKind::kQuery, "q", 0);
+    traced.send(from, to, net::Charge::fixed(64), 0, net::Category::kData);
+    (void)traced.timeout(0, to, net::Category::kRouting);
+  }
+
+  // Delta side: the same totals split differently — two data messages and
+  // one query timeout. Only the per-category counters can tell them apart.
+  net::Network other;
+  other.send(from, to, net::Charge::fixed(64), 0, net::Category::kData);
+  other.send(from, to, net::Charge::fixed(64), 0, net::Category::kData);
+  (void)other.timeout(0, to, net::Category::kQuery);
+  const net::TrafficStats& delta = other.stats();
+  ASSERT_EQ(delta.messages, traced.stats().messages);
+  ASSERT_EQ(delta.bytes, traced.stats().bytes);
+  ASSERT_EQ(delta.timeouts, traced.stats().timeouts);
+
+  AuditReport rep;
+  audit_conservation(trace, delta, rep);
+  EXPECT_GT(rep.count(Invariant::kConservation, Severity::kCorrupt), 0u);
+  EXPECT_EQ(classes(rep), std::set<Invariant>{Invariant::kConservation})
+      << rep.to_string();
+  // One line per drifted counter, naming its category; totals conserve.
+  const auto line = [](const std::string& what, int spans, int stats) {
+    return "[CORRUPT] I5-conservation: category " + what +
+           " do not conserve: span sum " + std::to_string(spans) +
+           " != traffic delta " + std::to_string(stats);
+  };
+  std::vector<std::string> lines;
+  for (const Violation& v : rep.violations) lines.push_back(v.to_string());
+  EXPECT_EQ(lines, (std::vector<std::string>{
+                       line("routing timeouts", 1, 0),
+                       line("index messages", 1, 0),
+                       line("index bytes", 64, 0),
+                       line("query timeouts", 0, 1),
+                       line("data messages", 1, 2),
+                       line("data bytes", 64, 128),
+                   }));
 }
 
 TEST(SeededCorruption, I6FailedProviderRevivedInPrimaryRow) {

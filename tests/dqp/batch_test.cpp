@@ -94,9 +94,10 @@ TEST(Batch, ResultsMatchOracleAndTrafficConserves) {
     sum.messages += t.messages;
     sum.bytes += t.bytes;
     sum.timeouts += t.timeouts;
-    EXPECT_EQ(trace.subtree_bytes(r.root_spans[i]), t.bytes) << i;
-    EXPECT_EQ(trace.subtree_messages(r.root_spans[i]), t.messages) << i;
-    EXPECT_EQ(trace.subtree_timeouts(r.root_spans[i]), t.timeouts) << i;
+    const net::TrafficStats subtree = trace.subtree(r.root_spans[i]);
+    EXPECT_EQ(subtree.bytes, t.bytes) << i;
+    EXPECT_EQ(subtree.messages, t.messages) << i;
+    EXPECT_EQ(subtree.timeouts, t.timeouts) << i;
   }
   EXPECT_EQ(sum.messages, delta.messages);
   EXPECT_EQ(sum.bytes, delta.bytes);
@@ -137,9 +138,9 @@ void expect_traces_identical(const obs::QueryTrace& a,
     EXPECT_EQ(x.site, y.site) << i;
     EXPECT_EQ(x.begin, y.begin) << i;
     EXPECT_EQ(x.end, y.end) << i;
-    EXPECT_EQ(x.messages, y.messages) << i;
-    EXPECT_EQ(x.bytes, y.bytes) << i;
-    EXPECT_EQ(x.timeouts, y.timeouts) << i;
+    EXPECT_EQ(x.traffic.messages, y.traffic.messages) << i;
+    EXPECT_EQ(x.traffic.bytes, y.traffic.bytes) << i;
+    EXPECT_EQ(x.traffic.timeouts, y.traffic.timeouts) << i;
     EXPECT_EQ(x.children, y.children) << i;
   }
 }

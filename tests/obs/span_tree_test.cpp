@@ -33,9 +33,7 @@ void expect_conserved(const QueryTrace& trace,
   check::AuditReport audit;
   check::audit_conservation(trace, rep.traffic, audit);
   EXPECT_TRUE(audit.pristine()) << audit.to_string();
-  EXPECT_EQ(trace.unattributed_messages(), 0u);
-  EXPECT_EQ(trace.unattributed_bytes(), 0u);
-  EXPECT_EQ(trace.unattributed_timeouts(), 0u);
+  EXPECT_TRUE(trace.unattributed() == net::TrafficStats{});
 }
 
 /// Three providers with frequencies 9 / 1 / 3 in address order, so the
@@ -106,8 +104,8 @@ TEST(SpanTree, BasicStrategyPhases) {
 
   // The plan phase is local computation: no traffic.
   const Span& plan = *spans_of_kind(trace, SpanKind::kPlan).front();
-  EXPECT_EQ(plan.messages, 0u);
-  EXPECT_EQ(plan.bytes, 0u);
+  EXPECT_EQ(plan.traffic.messages, 0u);
+  EXPECT_EQ(plan.traffic.bytes, 0u);
 }
 
 TEST(SpanTree, ChainStrategyVisitsProvidersAsHops) {
@@ -155,7 +153,7 @@ TEST(SpanTree, SpanSumsReproduceTrafficDelta) {
     SCOPED_TRACE(optimizer::primitive_strategy_name(strategy));
     expect_conserved(trace, rep);
     ASSERT_EQ(trace.roots().size(), 1u);
-    EXPECT_EQ(trace.subtree_bytes(trace.roots().front()), rep.traffic.bytes);
+    EXPECT_EQ(trace.subtree(trace.roots().front()).bytes, rep.traffic.bytes);
   }
 }
 
@@ -198,9 +196,11 @@ TEST(SpanTree, FailedProviderTimeoutIsTracedAndAttributed) {
   ASSERT_EQ(waits.size(), rep.traffic.timeouts);
   const Span& wait = *waits.front();
   EXPECT_EQ(wait.site, bed.devices[0]);
-  EXPECT_EQ(wait.timeouts, 1u);
+  EXPECT_EQ(wait.traffic.timeouts, 1u);
   EXPECT_EQ(
-      wait.timeouts_by[static_cast<std::size_t>(net::Category::kQuery)], 1u);
+      wait.traffic
+          .timeouts_by[static_cast<std::size_t>(net::Category::kQuery)],
+      1u);
   ASSERT_NE(wait.parent, kNoSpan);
   EXPECT_EQ(trace.span(wait.parent).kind, SpanKind::kLocalExec);
   // The charged wait is visible in the span's time bounds.
